@@ -1707,11 +1707,15 @@ func BenchmarkD4_RollupAggregate(b *testing.B) {
 type discardResponseWriter struct {
 	h      http.Header
 	status int
+	wire   int // body bytes written
 }
 
 func (d *discardResponseWriter) Header() http.Header { return d.h }
 
-func (d *discardResponseWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponseWriter) Write(p []byte) (int, error) {
+	d.wire += len(p)
+	return len(p), nil
+}
 
 func (d *discardResponseWriter) WriteHeader(status int) {
 	if d.status == 0 {
@@ -1719,12 +1723,12 @@ func (d *discardResponseWriter) WriteHeader(status int) {
 	}
 }
 
-// benchAllocsPerRow times fn (which processes rowsPerOp rows per call)
-// and reports steady-state heap allocations per row from the MemStats
-// delta across the timed loop. One untimed warm-up call primes pools,
-// interners, and lazily created metrics so the figure is the per-row
-// budget, not first-request setup.
-func benchAllocsPerRow(b *testing.B, rowsPerOp int, fn func()) {
+// benchAllocsPer times fn (which processes perOp units — rows,
+// responses — per call) and reports steady-state heap allocations per
+// unit from the MemStats delta across the timed loop. One untimed
+// warm-up call primes pools, interners, and lazily created metrics so
+// the figure is the per-unit budget, not first-request setup.
+func benchAllocsPer(b *testing.B, unit string, perOp int, fn func()) {
 	b.Helper()
 	fn()
 	b.ReportAllocs()
@@ -1737,10 +1741,10 @@ func benchAllocsPerRow(b *testing.B, rowsPerOp int, fn func()) {
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&m1)
-	rows := float64(b.N) * float64(rowsPerOp)
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/rows, "allocs/row")
+	units := float64(b.N) * float64(perOp)
+	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/units, "allocs/"+unit)
 	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(rows/secs, "rows/s")
+		b.ReportMetric(units/secs, unit+"s/s")
 	}
 }
 
@@ -1782,7 +1786,7 @@ func BenchmarkH1_IngestAllocs(b *testing.B) {
 		})
 		b.Cleanup(svc.Close)
 		h := svc.Handler()
-		benchAllocsPerRow(b, rowsPerOp, func() {
+		benchAllocsPer(b, "row", rowsPerOp, func() {
 			req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body))
 			req.Header.Set("Content-Type", contentType)
 			w := &discardResponseWriter{h: make(http.Header)}
@@ -1822,7 +1826,7 @@ func BenchmarkH2_QueryEncodeAllocs(b *testing.B) {
 	h := svc.Handler()
 	target := "/v2/series/" + url.PathEscape(device) + "/temperature/samples"
 	run := func(b *testing.B, encoding string) {
-		benchAllocsPerRow(b, rowsPerOp, func() {
+		benchAllocsPer(b, "row", rowsPerOp, func() {
 			req := httptest.NewRequest("GET", target+"?encoding="+encoding, nil)
 			w := &discardResponseWriter{h: make(http.Header)}
 			h.ServeHTTP(w, req)
@@ -1833,6 +1837,50 @@ func BenchmarkH2_QueryEncodeAllocs(b *testing.B) {
 	}
 	b.Run("encoding=ndjson", func(b *testing.B) { run(b, "ndjson") })
 	b.Run("encoding=csv", func(b *testing.B) { run(b, "csv") })
+}
+
+// BenchmarkGzipMiddleware — the response compression path on its own:
+// one op is a JSON sample page of the given size written through
+// api.Gzip for a client that accepts gzip. 100 B stays under the 1 KiB
+// floor and must leave plain without touching the writer pool; 8 KiB
+// and 64 KiB are compressed at BestSpeed. wire-bytes/plain-byte is the
+// compression ratio; allocs/response is gated by hotalloc_ci.json, so
+// a per-response writer (or its 640 KiB double reset at level 6, which
+// shows as ns/op) cannot come back unnoticed.
+func BenchmarkGzipMiddleware(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		samples int // ~46 bytes each inside a ~60-byte page envelope
+	}{{"body=100B", 1}, {"body=8KiB", 177}, {"body=64KiB", 1424}} {
+		page := measuredb.SamplesPage{Device: "urn:d", Quantity: "t", Count: bc.samples}
+		for i := 0; i < bc.samples; i++ {
+			page.Samples = append(page.Samples, measuredb.Point{
+				At: benchT0.Add(time.Duration(i) * time.Second), Value: 20 + float64(i%977)/16})
+		}
+		body, err := api.EncodeJSON(page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		h := api.Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusOK)
+			_, _ = w.Write(body)
+		}), api.Gzip())
+		req := httptest.NewRequest("GET", "/v2/series/urn:d/t/samples", nil)
+		req.Header.Set("Accept-Encoding", "gzip")
+		b.Run(bc.name, func(b *testing.B) {
+			w := &discardResponseWriter{h: make(http.Header)}
+			benchAllocsPer(b, "response", 1, func() {
+				clear(w.h)
+				w.status, w.wire = 0, 0
+				h.ServeHTTP(w, req)
+			})
+			if coded := w.h.Get("Content-Encoding") == "gzip"; coded != (len(body) >= 1024) || (!coded && w.wire != len(body)) {
+				b.Fatalf("%d-byte body: Content-Encoding %q, %d wire bytes", len(body), w.h.Get("Content-Encoding"), w.wire)
+			}
+			b.ReportMetric(float64(w.wire)/float64(len(body)), "wire-bytes/plain-byte")
+		})
+	}
 }
 
 // H3 — the generation-keyed result cache. The op is a full GET

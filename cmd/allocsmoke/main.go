@@ -1,12 +1,13 @@
 // Command allocsmoke is CI's allocation-regression gate for the hot
 // paths. It reads `go test -bench` output on stdin, extracts the
-// "allocs/row" metric the H benchmarks report, and compares each
-// sub-benchmark against the ceilings in a checked-in thresholds file:
+// "allocs/row" (H benchmarks) or "allocs/response"
+// (BenchmarkGzipMiddleware) metric, and compares each sub-benchmark
+// against the ceilings in a checked-in thresholds file:
 //
 //	go test -run '^$' -bench 'BenchmarkH[12]' -benchtime 1x . | allocsmoke -thresholds hotalloc_ci.json
 //
 // The thresholds file maps sub-benchmark names (with any -<procs>
-// suffix stripped) to the maximum tolerated allocs/row. A benchmark
+// suffix stripped) to the maximum tolerated allocs per row or response. A benchmark
 // above its ceiling, or a ceiling whose benchmark never ran (a rename
 // must not silently disarm the gate), exits non-zero. Benchmarks
 // without a ceiling entry pass through unchecked — CSV encode, for
@@ -31,7 +32,7 @@ import (
 )
 
 func main() {
-	thresholds := flag.String("thresholds", "hotalloc_ci.json", "JSON file mapping benchmark name -> max allocs/row")
+	thresholds := flag.String("thresholds", "hotalloc_ci.json", "JSON file mapping benchmark name -> max allocs per row or response")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*thresholds)
@@ -76,10 +77,10 @@ func main() {
 			fmt.Fprintf(os.Stderr, "allocsmoke: FAIL %s: benchmark did not run (renamed? the ceiling in %s must follow)\n", name, *thresholds)
 			failed = true
 		case got > max:
-			fmt.Fprintf(os.Stderr, "allocsmoke: FAIL %s: %g allocs/row exceeds ceiling %g\n", name, got, max)
+			fmt.Fprintf(os.Stderr, "allocsmoke: FAIL %s: %g allocs exceeds ceiling %g\n", name, got, max)
 			failed = true
 		default:
-			fmt.Fprintf(os.Stderr, "allocsmoke: ok   %s: %g allocs/row (ceiling %g)\n", name, got, max)
+			fmt.Fprintf(os.Stderr, "allocsmoke: ok   %s: %g allocs (ceiling %g)\n", name, got, max)
 		}
 	}
 	if failed {
@@ -87,7 +88,7 @@ func main() {
 	}
 }
 
-// parseBenchLine extracts (benchmark name, allocs/row) from one line of
+// parseBenchLine extracts (benchmark name, allocs per unit) from one line of
 // go test -bench output, e.g.
 //
 //	BenchmarkH1_IngestAllocs/transport=ndjson-4   20   7579028 ns/op   0.0139 allocs/row   ...
@@ -100,7 +101,9 @@ func parseBenchLine(line string) (string, float64, bool) {
 		return "", 0, false
 	}
 	for i := 2; i+1 < len(fields); i++ {
-		if fields[i+1] != "allocs/row" {
+		// A custom per-unit metric (allocs/row, allocs/response), not
+		// testing's own allocs/op.
+		if unit := fields[i+1]; !strings.HasPrefix(unit, "allocs/") || unit == "allocs/op" {
 			continue
 		}
 		v, err := strconv.ParseFloat(fields[i], 64)

@@ -509,7 +509,8 @@ func servePprof(w http.ResponseWriter, r *http.Request) {
 // request-ID (outermost) → trace → access log → metrics → gzip →
 // recover → router, so log lines carry request IDs, every request gets
 // a span record with its stage timings, metrics see every outcome
-// including panics, and panic envelopes still travel gzipped.
+// including panics (and the bytes gzip put on the wire), and gzip sees
+// the panic envelope like any other short body.
 func (s *Server) Handler() http.Handler {
 	s.handlerOnce.Do(func() {
 		mws := []Middleware{RequestID(), Trace(s.opts.Service, s.tracer)}

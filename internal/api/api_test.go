@@ -233,14 +233,16 @@ func TestGzipMiddleware(t *testing.T) {
 	ts := httptest.NewServer(testServer(Options{}).Handler())
 	defer ts.Close()
 
-	// The default Go client advertises gzip and decodes transparently.
-	rsp, err := http.Get(ts.URL + "/v1/hello?name=gz")
+	// The default Go client advertises gzip and decodes transparently;
+	// the body is over the 1 KiB floor, so it is compressed.
+	long := strings.Repeat("gz", gzipMinBytes)
+	rsp, err := http.Get(ts.URL + "/v1/hello?name=" + long)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rsp.Body.Close()
 	var out map[string]string
-	if err := json.NewDecoder(rsp.Body).Decode(&out); err != nil || out["hello"] != "gz" {
+	if err := json.NewDecoder(rsp.Body).Decode(&out); err != nil || out["hello"] != long {
 		t.Fatalf("transparent gzip decode failed: %v %v", out, err)
 	}
 	if !rsp.Uncompressed {
@@ -252,7 +254,7 @@ func TestGzipMiddleware(t *testing.T) {
 	tr := &http.Transport{DisableCompression: true}
 	defer tr.CloseIdleConnections()
 	for _, refusal := range []string{"gzip;q=0", "gzip;x=1;q=0", "gzip; q=0.000"} {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/hello?name=plain", nil)
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/hello?name="+long, nil)
 		req.Header.Set("Accept-Encoding", refusal)
 		rsp2, err := tr.RoundTrip(req)
 		if err != nil {
@@ -262,7 +264,7 @@ func TestGzipMiddleware(t *testing.T) {
 			t.Errorf("%q: gzip forced on a refusing client", refusal)
 		}
 		var out2 map[string]string
-		if err := json.NewDecoder(rsp2.Body).Decode(&out2); err != nil || out2["hello"] != "plain" {
+		if err := json.NewDecoder(rsp2.Body).Decode(&out2); err != nil || out2["hello"] != long {
 			t.Fatalf("%q: identity body = %v (%v)", refusal, out2, err)
 		}
 		rsp2.Body.Close()

@@ -22,9 +22,13 @@ type Metrics struct {
 	mu       sync.Mutex
 	routes   map[string]*routeStats
 	limiters []limiterEntry
-	reg      *obs.Registry   // route latency histograms
+	reg      *obs.Registry   // route latency histograms, response byte counters
 	attached []*obs.Registry // service-internals registries
 	now      func() time.Time
+
+	// Response sizes: wire bytes by content coding, and the same bodies
+	// before compression — their quotient is the compression ratio.
+	wireGzip, wireIdentity, plainBytes *obs.Counter
 }
 
 // limiterEntry labels one registered rate limiter with its tier.
@@ -61,11 +65,28 @@ func (rs *routeStats) maxNS() int64 {
 
 // NewMetrics creates an empty metrics set.
 func NewMetrics() *Metrics {
-	return &Metrics{
+	m := &Metrics{
 		routes: make(map[string]*routeStats),
 		reg:    obs.NewRegistry(),
 		now:    time.Now,
 	}
+	const wireHelp = "Response body bytes written to the wire, by content coding."
+	m.wireGzip = m.reg.Counter("repro_http_response_bytes_total", wireHelp, obs.Labels{"encoding": "gzip"})
+	m.wireIdentity = m.reg.Counter("repro_http_response_bytes_total", wireHelp, obs.Labels{"encoding": "identity"})
+	m.plainBytes = m.reg.Counter("repro_http_response_plain_bytes_total",
+		"Response body bytes before compression (equals the wire bytes of identity responses).", nil)
+	return m
+}
+
+// observeBytes records one response's size on the wire and before
+// compression.
+func (m *Metrics) observeBytes(gzipped bool, wire, plain int64) {
+	if gzipped {
+		m.wireGzip.Add(uint64(wire))
+	} else {
+		m.wireIdentity.Add(uint64(wire))
+	}
+	m.plainBytes.Add(uint64(plain))
 }
 
 func (m *Metrics) observe(method, pattern string, status int, d time.Duration) {

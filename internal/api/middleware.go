@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -39,6 +40,9 @@ const (
 // to the observing middlewares (which run outside the router).
 type RouteInfo struct {
 	Pattern string
+	// plainBytes is the pre-compression body size, set by Gzip when it
+	// wrapped the response.
+	plainBytes int64
 }
 
 func routeInfoFrom(ctx context.Context) *RouteInfo {
@@ -189,21 +193,31 @@ func Observe(m *Metrics) Middleware {
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			pattern := "unmatched"
-			if ri := routeInfoFrom(r.Context()); ri != nil && ri.Pattern != "" {
+			ri := routeInfoFrom(r.Context())
+			if ri != nil && ri.Pattern != "" {
 				pattern = ri.Pattern
 			}
 			m.observe(r.Method, pattern, sw.status, time.Since(start))
+			plain := sw.bytes
+			if ri != nil && ri.plainBytes > 0 {
+				plain = ri.plainBytes
+			}
+			m.observeBytes(sw.Header().Get("Content-Encoding") == "gzip", sw.bytes, plain)
 		})
 	}
 }
 
 // Recover converts handler panics into a 500 envelope instead of a
-// dropped connection.
+// dropped connection. http.ErrAbortHandler is re-raised: a handler
+// panics with it precisely to drop the connection.
 func Recover() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			defer func() {
 				if v := recover(); v != nil {
+					if v == http.ErrAbortHandler {
+						panic(v)
+					}
 					WriteErrorStatus(w, r, http.StatusInternalServerError,
 						fmt.Errorf("internal error: %v", v))
 				}
@@ -213,35 +227,106 @@ func Recover() Middleware {
 	}
 }
 
-// gzipPool recycles gzip writers across requests.
+// gzipMinBytes is the body size below which a response goes out plain:
+// acks, latest, healthz and error envelopes save nothing worth the gzip
+// framing and a pooled-writer reset.
+const gzipMinBytes = 1024
+
+// gzipPool recycles gzip writers across requests. BestSpeed: the
+// payloads are JSON/NDJSON/CSV rows, where level 1 keeps most of the
+// ratio at a fraction of level 6's CPU and resets without clearing
+// 640 KiB of hash tables.
 var gzipPool = sync.Pool{New: func() any {
-	return gzip.NewWriter(io.Discard)
+	gz, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // a valid level cannot fail
+	return gz
 }}
 
-// gzipWriter compresses the response lazily: the gzip stream starts on
-// the first body write, so empty responses stay empty.
+// gzipWriter defers the response header until it knows whether a gzip
+// stream will exist: body bytes are held back until gzipMinBytes have
+// been written or the handler flushes, and only then are the status and
+// the Content-Encoding/Vary/Content-Length headers committed. A body
+// that ends under the threshold goes out plain with an exact
+// Content-Length.
 type gzipWriter struct {
 	http.ResponseWriter
-	gz *gzip.Writer
+	status  int          // deferred WriteHeader status; 0 = none yet
+	decided bool         // header committed
+	gz      *gzip.Writer // non-nil once a gzip stream has started
+	plain   int64        // body bytes written by the handler
+	n       int          // bytes held in buf
+	buf     [gzipMinBytes]byte
 }
 
 func (w *gzipWriter) WriteHeader(status int) {
-	w.Header().Del("Content-Length") // length of the plain body no longer applies
-	w.ResponseWriter.WriteHeader(status)
+	if w.status == 0 {
+		w.status = status // first write wins, as in net/http
+	}
 }
 
 func (w *gzipWriter) Write(p []byte) (int, error) {
-	if w.gz == nil {
+	w.plain += int64(len(p))
+	if !w.decided {
+		if w.n+len(p) < gzipMinBytes {
+			w.n += copy(w.buf[w.n:], p)
+			return len(p), nil
+		}
+		if err := w.start(); err != nil {
+			return 0, err
+		}
+	}
+	return w.body().Write(p)
+}
+
+// body is where committed body bytes go: the gzip stream if one started.
+func (w *gzipWriter) body() io.Writer {
+	if w.gz != nil {
+		return w.gz
+	}
+	return w.ResponseWriter
+}
+
+// bodyAllowed mirrors net/http: 1xx, 204 and 304 carry no body (0 is
+// the implicit 200).
+func bodyAllowed(status int) bool {
+	return status == 0 || (status >= 200 && status != http.StatusNoContent && status != http.StatusNotModified)
+}
+
+// commit sends the deferred header, gzip-coded or not.
+func (w *gzipWriter) commit(coded bool) {
+	w.decided = true
+	h := w.Header()
+	h.Add("Vary", "Accept-Encoding")
+	if coded {
+		h.Set("Content-Encoding", "gzip")
+		h.Del("Content-Length") // length of the plain body no longer applies
 		w.gz = gzipPool.Get().(*gzip.Writer)
 		w.gz.Reset(w.ResponseWriter)
 	}
-	return w.gz.Write(p)
+	if w.status != 0 {
+		w.ResponseWriter.WriteHeader(w.status)
+	}
 }
 
-// Flush ends the current gzip block and flushes the underlying writer,
-// so a streaming endpoint accidentally running gzipped still makes
-// progress on the wire.
+// start commits a gzip stream and drains the held-back bytes into it.
+// A status that forbids a body stays plain.
+func (w *gzipWriter) start() error {
+	w.commit(bodyAllowed(w.status))
+	if w.n == 0 {
+		return nil
+	}
+	_, err := w.body().Write(w.buf[:w.n])
+	w.n = 0
+	return err
+}
+
+// Flush starts the gzip stream if it has not started yet — a handler
+// that flushes is streaming, whatever it has written so far — then ends
+// the current gzip block and flushes the underlying writer, so rows
+// make progress on the wire.
 func (w *gzipWriter) Flush() {
+	if !w.decided {
+		_ = w.start() // a dead client surfaces on the next Write
+	}
 	if w.gz != nil {
 		_ = w.gz.Flush()
 	}
@@ -250,21 +335,41 @@ func (w *gzipWriter) Flush() {
 	}
 }
 
+// close ends the response: the gzip trailer when a stream started,
+// otherwise the held-back body, plain. The pooled writer is reset on
+// its next use, not here.
 func (w *gzipWriter) close() {
-	if w.gz == nil {
+	if w.gz != nil {
+		_ = w.gz.Close()
+		gzipPool.Put(w.gz)
+		w.gz = nil
 		return
 	}
-	_ = w.gz.Close()
-	w.gz.Reset(io.Discard)
-	gzipPool.Put(w.gz)
-	w.gz = nil
+	if w.decided {
+		return
+	}
+	if h := w.Header(); bodyAllowed(w.status) && h.Get("Content-Length") == "" {
+		h.Set("Content-Length", strconv.Itoa(w.n))
+	}
+	w.commit(false)
+	if w.n > 0 {
+		_, _ = w.ResponseWriter.Write(w.buf[:w.n])
+	}
 }
 
 // acceptsGzip reports whether the client accepts gzip coding (with the
 // same q-value care as media-type negotiation: "gzip;q=0" is a refusal,
-// wherever the q parameter appears in the member).
+// wherever the q parameter appears in the member). The exact values Go
+// clients send are answered without parsing.
 func acceptsGzip(r *http.Request) bool {
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+	ae := r.Header.Get("Accept-Encoding")
+	switch ae {
+	case "gzip":
+		return true
+	case "", "identity":
+		return false
+	}
+	for _, part := range strings.Split(ae, ",") {
 		fields := strings.Split(part, ";")
 		coding := strings.ToLower(strings.TrimSpace(fields[0]))
 		if coding != "gzip" && coding != "*" {
@@ -286,10 +391,10 @@ func acceptsGzip(r *http.Request) bool {
 	return false
 }
 
-// Gzip compresses responses for clients that accept it. Event-stream
-// requests are exempt: compressing an unbounded SSE response trades
-// per-event latency for ratio, the opposite of what live subscribers
-// want.
+// Gzip compresses responses of at least gzipMinBytes (or flushed
+// streams) for clients that accept it. Event-stream requests are
+// exempt: compressing an unbounded SSE response trades per-event
+// latency for ratio, the opposite of what live subscribers want.
 func Gzip() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -297,11 +402,12 @@ func Gzip() Middleware {
 				next.ServeHTTP(w, r)
 				return
 			}
-			w.Header().Set("Content-Encoding", "gzip")
-			w.Header().Add("Vary", "Accept-Encoding")
 			gw := &gzipWriter{ResponseWriter: w}
 			defer gw.close()
 			next.ServeHTTP(gw, r)
+			if ri := routeInfoFrom(r.Context()); ri != nil {
+				ri.plainBytes = gw.plain
+			}
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -135,10 +136,27 @@ func retryAfter(rsp *http.Response) time.Duration {
 	return d
 }
 
+// MaxResponseBytes bounds a response body read into memory (Do and its
+// typed wrappers, ReadBody). Streamed responses (Open) have no bound.
+const MaxResponseBytes = maxBodyBytes
+
+var errBodyTooLarge = fmt.Errorf("response body exceeds the %d-byte limit", MaxResponseBytes)
+
+// ReadBody reads a response body into memory. A body over
+// MaxResponseBytes is an error, never a silently shortened slice.
+func ReadBody(body io.Reader) ([]byte, error) {
+	raw, err := io.ReadAll(io.LimitReader(body, MaxResponseBytes+1))
+	if err == nil && len(raw) > MaxResponseBytes {
+		return nil, errBodyTooLarge
+	}
+	return raw, err
+}
+
 // Do performs one logical request with retries. body may be nil; it is
 // replayed from the byte slice on every attempt. The response body is
 // fully read, so connections always return to the pool; non-2xx
-// responses come back as *StatusError.
+// responses come back as *StatusError, and a body over MaxResponseBytes
+// is an error.
 //
 // Every request carries an X-Request-ID: an inbound one from ctx (when
 // the caller is itself serving a request through this layer) or a fresh
@@ -149,6 +167,24 @@ func retryAfter(rsp *http.Response) time.Duration {
 // with a fresh span ID — the downstream service's span records then
 // carry the same trace ID as the caller's.
 func (t *Transport) Do(ctx context.Context, method, url string, header http.Header, body []byte) ([]byte, *http.Response, error) {
+	return t.do(ctx, method, url, header, body, true)
+}
+
+// Open is Do for responses the caller relays or decodes as they arrive:
+// a 2xx response comes back with its body unread and unbounded, and the
+// caller must close it. Retries cover everything up to the response
+// header; failures come back exactly as from Do.
+func (t *Transport) Open(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error) {
+	_, rsp, err := t.do(ctx, method, url, header, body, false)
+	if err != nil {
+		return nil, err
+	}
+	return rsp, nil
+}
+
+// do is the attempt loop behind Do and Open. With buffer unset, a 2xx
+// response is returned with its body still open.
+func (t *Transport) do(ctx context.Context, method, url string, header http.Header, body []byte, buffer bool) ([]byte, *http.Response, error) {
 	requestID := header.Get("X-Request-ID")
 	if requestID == "" {
 		if requestID = RequestIDFrom(ctx); requestID == "" {
@@ -197,16 +233,29 @@ func (t *Transport) Do(ctx context.Context, method, url string, header http.Head
 			lastErr = err
 			continue // network-level failure: retry
 		}
-		raw, err := io.ReadAll(io.LimitReader(rsp.Body, maxBodyBytes))
+		ok := rsp.StatusCode >= 200 && rsp.StatusCode <= 299
+		if ok && !buffer {
+			return nil, rsp, nil
+		}
+		var raw []byte
+		if ok {
+			raw, err = ReadBody(rsp.Body)
+		} else {
+			// Only an excerpt of an error body is kept; cutting it is fine.
+			raw, err = io.ReadAll(io.LimitReader(rsp.Body, MaxResponseBytes))
+		}
 		rsp.Body.Close()
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, nil, ctx.Err()
 			}
+			if errors.Is(err, errBodyTooLarge) {
+				return nil, nil, fmt.Errorf("api: %s %s: %w", method, url, err) // not transient
+			}
 			lastErr = err
 			continue
 		}
-		if rsp.StatusCode < 200 || rsp.StatusCode > 299 {
+		if !ok {
 			serr := &StatusError{
 				Method: method, URL: url, Status: rsp.StatusCode,
 				Body: strings.TrimSpace(string(raw[:min(len(raw), 512)])),

@@ -1,10 +1,14 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -133,5 +137,85 @@ func TestTransportBackoffIsCappedAndJittered(t *testing.T) {
 		if d < 50*time.Millisecond || d > 450*time.Millisecond {
 			t.Fatalf("attempt %d: backoff %v outside jittered cap", attempt, d)
 		}
+	}
+}
+
+// bigBodyServer serves size bytes of JSON-array filler on every request.
+func bigBodyServer(t *testing.T, size int, hits *atomic.Int32) *httptest.Server {
+	t.Helper()
+	chunk := bytes.Repeat([]byte("1,"), 32<<10)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte("["))
+		for sent := 1; sent < size-2; sent += len(chunk) {
+			_, _ = w.Write(chunk[:min(len(chunk), size-2-sent)])
+		}
+		_, _ = w.Write([]byte("0]"))
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// A buffered read of a body over the limit is an error naming the
+// limit — never a shortened slice under a nil error — and is not
+// retried; Open hands the same body over whole.
+func TestTransportOversizeBodyIsAnError(t *testing.T) {
+	var hits atomic.Int32
+	ts := bigBodyServer(t, MaxResponseBytes+4096, &hits)
+
+	raw, _, err := fastTransport().Do(context.Background(), http.MethodGet, ts.URL, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), strconv.Itoa(MaxResponseBytes)) {
+		t.Fatalf("oversize body: %d bytes, err = %v", len(raw), err)
+	}
+	if hits.Load() != 1 {
+		t.Fatalf("oversize body fetched %d times", hits.Load())
+	}
+
+	rsp, err := fastTransport().Open(context.Background(), http.MethodGet, ts.URL, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	if n, err := io.Copy(io.Discard, rsp.Body); err != nil || n != MaxResponseBytes+4096 {
+		t.Fatalf("streamed %d bytes (%v), want %d", n, err, MaxResponseBytes+4096)
+	}
+
+	// Exactly at the limit still fits.
+	ts = bigBodyServer(t, MaxResponseBytes, &hits)
+	if raw, _, err = fastTransport().Do(context.Background(), http.MethodGet, ts.URL, nil, nil); err != nil || len(raw) != MaxResponseBytes {
+		t.Fatalf("at-limit body: %d bytes, err = %v", len(raw), err)
+	}
+}
+
+// Open retries and reports failures like Do: everything before the
+// response header.
+func TestTransportOpenRetriesBeforeTheHeader(t *testing.T) {
+	var hits atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch hits.Add(1) {
+		case 1:
+			w.WriteHeader(http.StatusServiceUnavailable)
+		default:
+			_, _ = w.Write([]byte("rows"))
+		}
+	}))
+	defer ts.Close()
+	rsp, err := fastTransport().Open(context.Background(), http.MethodGet, ts.URL, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(rsp.Body)
+	rsp.Body.Close()
+	if string(body) != "rows" || hits.Load() != 2 {
+		t.Fatalf("body %q after %d hits", body, hits.Load())
+	}
+
+	gone := httptest.NewServer(http.NotFoundHandler())
+	defer gone.Close()
+	_, err = fastTransport().Open(context.Background(), http.MethodGet, gone.URL, nil, nil)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusNotFound {
+		t.Fatalf("err = %v", err)
 	}
 }

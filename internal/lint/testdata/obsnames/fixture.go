@@ -20,6 +20,9 @@ func register(dynamic string) {
 	reg.GaugeFunc("repro_fixture_snapshot_age_seconds", "age", nil, value)
 	reg.Histogram("repro_fixture_fsync_seconds", "fsync", obs.FastLatencyBuckets, nil)
 	reg.Histogram("repro_fixture_group_rows", "group", obs.CountBuckets, nil)
+	// A byte counter keeps its unit and still ends in _total, as
+	// repro_http_response_bytes_total{encoding} does.
+	reg.Counter("repro_fixture_response_bytes_total", "bytes", obs.Labels{"encoding": "gzip"})
 
 	// A labels literal hoisted into a variable stays legal.
 	shard := obs.Labels{"shard": "0"}

@@ -335,18 +335,47 @@ func writeUpstream(w http.ResponseWriter, r *http.Request, err error) {
 	api.WriteErrorStatus(w, r, se.Status, errors.New(se.Body))
 }
 
-// forward performs one epoch-stamped call to a node, bumping the
-// per-node error counter on failure.
-func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte) ([]byte, *http.Response, error) {
+// forward performs one epoch-stamped call to a node and returns the
+// 2xx response with its body unread (the caller closes it), bumping the
+// per-node error counter on failure. Hops inside the cluster ask for
+// identity coding: the edge compresses once for clients that want it,
+// so a node deflating for the coordinator to inflate is pure waste.
+func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte) (*http.Response, error) {
 	if header == nil {
 		header = http.Header{}
 	}
 	header.Set(cluster.EpochHeader, strconv.FormatUint(epoch, 10))
-	raw, rsp, err := c.t.Do(ctx, method, u, header, body)
+	header.Set("Accept-Encoding", "identity")
+	rsp, err := c.t.Open(ctx, method, u, header, body)
 	if err != nil {
 		c.forwardErr(nodeOf(u))
 	}
-	return raw, rsp, err
+	return rsp, err
+}
+
+// forwardBody is forward for the callers that decode the whole reply.
+func (c *Coordinator) forwardBody(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte) ([]byte, error) {
+	rsp, err := c.forward(ctx, method, u, epoch, header, body)
+	if err != nil {
+		return nil, err
+	}
+	defer rsp.Body.Close()
+	return c.readBody(rsp)
+}
+
+// readBody reads a node reply whole (bounded by api.MaxResponseBytes).
+func (c *Coordinator) readBody(rsp *http.Response) ([]byte, error) {
+	raw, err := api.ReadBody(rsp.Body)
+	if err != nil {
+		return nil, c.readErr(rsp, err)
+	}
+	return raw, nil
+}
+
+// readErr counts a reply that failed mid-body against its node.
+func (c *Coordinator) readErr(rsp *http.Response, err error) error {
+	c.forwardErr(nodeOf(rsp.Request.URL.String()))
+	return fmt.Errorf("read %s %s: %w", rsp.Request.Method, rsp.Request.URL, err)
 }
 
 // nodeOf reduces a forwarded URL to its node base for metric labels.
@@ -363,8 +392,10 @@ func nodeOf(u string) string {
 
 // deviceProxy forwards one exact-device route to the shard owner,
 // re-resolving and re-routing once when the owner rejects with a
-// retryable cluster envelope. JSON sample pages get their next_cursor
-// epoch-wrapped; other bodies stream back verbatim.
+// retryable cluster envelope (or fails before its first body byte).
+// JSON sample pages get their next_cursor epoch-wrapped by a splice on
+// the node's bytes; every other body — NDJSON and CSV ranges of any
+// size included — is copied through verbatim as it arrives.
 func (c *Coordinator) deviceProxy(route string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer c.observe(route, time.Now())
@@ -421,16 +452,14 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 					return
 				}
 			}
-			raw, rsp, err := c.forward(r.Context(), r.Method, u, m.Epoch, header, body)
+			rsp, err := c.forward(r.Context(), r.Method, u, m.Epoch, header, body)
 			if err == nil {
 				if route == "put_samples" {
 					c.bumpWriteGen(owner)
 				}
-				if ckey != "" && rsp.StatusCode == http.StatusOK {
-					c.qc.Put(ckey, joinCachedCT(rsp.Header.Get("Content-Type"), raw))
+				if err = c.relay(w, rsp, route, m.Epoch, ckey); err == nil {
+					return
 				}
-				c.relayBody(w, rsp, raw, route, m.Epoch)
-				return
 			}
 			lastErr = err
 			if !reroutable(err) {
@@ -461,21 +490,146 @@ func splitCachedCT(v []byte) (string, []byte) {
 	return string(v[:i]), v[i+1:]
 }
 
-// relayBody writes a successful node response back to the client,
-// epoch-wrapping the cursor of JSON sample pages.
-func (c *Coordinator) relayBody(w http.ResponseWriter, rsp *http.Response, raw []byte, route string, epoch uint64) {
-	c.relayParts(w, rsp.StatusCode, rsp.Header.Get("Content-Type"), raw, route, epoch)
+// relayBufPool recycles the copy buffers of streamed relays.
+var relayBufPool = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
+
+// relay writes a successful node response back to the client and, when
+// ckey is set, into the cache. A JSON sample page is read whole (it is
+// limit-bounded) so relayParts can wrap its cursor; any other body is
+// copied through as it arrives, however large, and kept for the cache
+// only while it fits one entry. An error means the node failed before
+// anything was relayed, so the caller may still re-route; once bytes
+// have gone out, a node failure can only abort the client connection —
+// ending the response normally would pass a cut body off as whole.
+func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route string, epoch uint64, ckey string) error {
+	defer rsp.Body.Close()
+	ct := rsp.Header.Get("Content-Type")
+	if rsp.StatusCode != http.StatusOK {
+		ckey = ""
+	}
+	if route == "samples" && strings.HasPrefix(ct, "application/json") {
+		raw, err := c.readBody(rsp)
+		if err != nil {
+			return err
+		}
+		if ckey != "" {
+			c.qc.Put(ckey, joinCachedCT(ct, raw))
+		}
+		c.relayParts(w, rsp.StatusCode, ct, raw, route, epoch)
+		return nil
+	}
+
+	var keep []byte // cache copy; nil once the body has outgrown an entry
+	room := c.qc.MaxEntryBytes() - int64(len(ckey))
+	if ckey != "" {
+		keep = joinCachedCT(ct, nil)
+	}
+	bp := relayBufPool.Get().(*[]byte)
+	defer relayBufPool.Put(bp)
+	buf := *bp
+	started := false
+	for {
+		n, rerr := rsp.Body.Read(buf)
+		if rerr != nil && rerr != io.EOF {
+			if err := c.readErr(rsp, rerr); !started {
+				return err
+			}
+			panic(http.ErrAbortHandler)
+		}
+		if !started {
+			started = true
+			if ct != "" {
+				w.Header().Set("Content-Type", ct)
+			}
+			w.WriteHeader(rsp.StatusCode)
+		}
+		if n > 0 {
+			if _, werr := w.Write(buf[:n]); werr != nil {
+				return nil // client went away
+			}
+			if keep != nil {
+				if int64(len(keep)+n) <= room {
+					keep = append(keep, buf[:n]...)
+				} else {
+					keep = nil
+				}
+			}
+		}
+		if rerr != nil {
+			break
+		}
+	}
+	if keep != nil {
+		c.qc.Put(ckey, keep)
+	}
+	return nil
 }
 
-// relayParts is relayBody over already-split response parts (the cached
-// replay path shares it, so hits and misses emit identical bytes).
+// nextCursorField opens the last field of a JSON sample page that has
+// more behind it.
+const nextCursorField = `,"next_cursor":"`
+
+// splitPageCursor finds the next_cursor of a node's JSON sample page
+// without decoding it. The cursor is the page's last field and its
+// value is base64url — no quote or escape can occur inside it — so it
+// is found from the end of the body, and a device or quantity name that
+// itself spells "next_cursor" (escaped, at the front of the body)
+// cannot be mistaken for it. It returns the bytes up to the cursor
+// value, the value, and the bytes after it; a page without a cursor
+// comes back whole in head. ok is false when the tail has neither
+// shape.
+func splitPageCursor(raw []byte) (head []byte, cursor string, tail []byte, ok bool) {
+	end := len(bytes.TrimRight(raw, "\n")) // json.Encoder ends the body with a newline
+	if bytes.HasSuffix(raw[:end], []byte(`"}`)) {
+		end -= 2
+		start := end
+		for start > 0 && isBase64URL(raw[start-1]) {
+			start--
+		}
+		if start == end || !bytes.HasSuffix(raw[:start], []byte(nextCursorField)) {
+			return nil, "", nil, false
+		}
+		return raw[:start], string(raw[start:end]), raw[end:], true
+	}
+	// Last page: the body ends with the count field.
+	if end == 0 || raw[end-1] != '}' {
+		return nil, "", nil, false
+	}
+	digits := end - 1
+	for digits > 0 && raw[digits-1] >= '0' && raw[digits-1] <= '9' {
+		digits--
+	}
+	if digits == end-1 || !bytes.HasSuffix(raw[:digits], []byte(`,"count":`)) {
+		return nil, "", nil, false
+	}
+	return raw, "", nil, true
+}
+
+func isBase64URL(b byte) bool {
+	return b >= 'A' && b <= 'Z' || b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b == '-' || b == '_'
+}
+
+// relayParts writes one buffered node response (fresh or replayed from
+// the cache, so hits and misses emit identical bytes), epoch-wrapping
+// the cursor of a JSON sample page by splicing the node's bytes. A page
+// whose tail the splice does not recognise is decoded and re-encoded
+// instead.
 func (c *Coordinator) relayParts(w http.ResponseWriter, status int, ct string, raw []byte, route string, epoch uint64) {
+	var cursor string
+	var tail []byte
 	if route == "samples" && strings.HasPrefix(ct, "application/json") {
-		var page SamplesPage
-		if json.Unmarshal(raw, &page) == nil {
-			page.NextCursor = wrapEpochCursor(epoch, page.NextCursor)
-			api.WriteJSON(w, status, page)
-			return
+		if head, cur, tl, ok := splitPageCursor(raw); ok {
+			raw, cursor, tail = head, cur, tl
+		} else {
+			var page SamplesPage
+			if json.Unmarshal(raw, &page) == nil {
+				page.NextCursor = wrapEpochCursor(epoch, page.NextCursor)
+				api.WriteJSON(w, status, page)
+				return
+			}
 		}
 	}
 	if ct != "" {
@@ -483,6 +637,10 @@ func (c *Coordinator) relayParts(w http.ResponseWriter, status int, ct string, r
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(raw)
+	if cursor != "" {
+		_, _ = io.WriteString(w, wrapEpochCursor(epoch, cursor))
+		_, _ = w.Write(tail)
+	}
 }
 
 // readAll buffers a bounded request body.
@@ -521,7 +679,7 @@ func (c *Coordinator) v2Series(w http.ResponseWriter, r *http.Request) {
 		go func(i int, node string) {
 			defer wg.Done()
 			u := api.URL2(node, "/series?"+q.Encode())
-			raw, _, err := c.forward(r.Context(), http.MethodGet, u, m.Epoch, nil, nil)
+			raw, err := c.forwardBody(r.Context(), http.MethodGet, u, m.Epoch, nil, nil)
 			if err != nil {
 				errs[i] = err
 				return
@@ -702,7 +860,7 @@ func (c *Coordinator) fanQuery(ctx context.Context, m cluster.Map, req BatchQuer
 			})
 			u := api.URL2(node, "/query")
 			h := http.Header{"Content-Type": {"application/json"}}
-			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, body)
+			raw, err := c.forwardBody(ctx, http.MethodPost, u, m.Epoch, h, body)
 			if err != nil {
 				results[i].err = err
 				return
@@ -986,7 +1144,7 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 				h.Set("Idempotency-Key", key+"@"+o.node)
 			}
 			u := api.URL2(o.node, "/ingest")
-			raw, _, err := c.forward(ctx, http.MethodPost, u, m.Epoch, h, body)
+			raw, err := c.forwardBody(ctx, http.MethodPost, u, m.Epoch, h, body)
 			if err != nil {
 				o.err = err
 				return

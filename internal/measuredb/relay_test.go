@@ -1,0 +1,363 @@
+package measuredb
+
+import (
+	"bytes"
+	"compress/gzip"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"strings"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/api"
+	"repro/internal/cluster"
+	"repro/internal/master"
+	"repro/internal/tsdb"
+)
+
+// trickyDevice spells the cursor field inside a device name: the tail
+// splice must not be fooled by it.
+const trickyDevice = `urn:district:t/b","next_cursor":"QUJD"}/d0`
+
+func TestSplitPageCursor(t *testing.T) {
+	page := SamplesPage{Device: trickyDevice, Quantity: `q"next_cursor":"x`, Count: 2,
+		Samples: []Point{{At: t0, Value: 1.5}, {At: t0.Add(time.Second), Value: -2}}}
+	for _, inner := range []string{"", encodeCursor(tsdb.Cursor{After: t0, Seen: 3})} {
+		page.NextCursor = inner
+		raw, err := api.EncodeJSON(page)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, cursor, tail, ok := splitPageCursor(raw)
+		if !ok || cursor != inner {
+			t.Fatalf("cursor %q: split = (%q, %v)", inner, cursor, ok)
+		}
+		if got := string(head) + cursor + string(tail); got != string(raw) {
+			t.Fatalf("split loses bytes: %q", got)
+		}
+		// The splice equals the decode/re-encode path it replaces.
+		wrapped := page
+		wrapped.NextCursor = wrapEpochCursor(9, inner)
+		want, _ := api.EncodeJSON(wrapped)
+		rec := httptest.NewRecorder()
+		(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", raw, "samples", 9)
+		if rec.Body.String() != string(want) {
+			t.Fatalf("spliced page\n%s\nwant\n%s", rec.Body, want)
+		}
+	}
+	for _, raw := range []string{
+		``, `{}`, `{"count":2,"next_cursor":"a b"}`, `{"count":2,"next_cursor":""}`,
+		`{"samples":[],"count":}`, `{"next_cursor":"QUJD","count":2,"x":"y"}`, `[1,2]`,
+	} {
+		if _, _, _, ok := splitPageCursor([]byte(raw)); ok {
+			t.Errorf("splitPageCursor(%q) matched", raw)
+		}
+	}
+	// An unrecognised tail falls back to decoding.
+	odd := []byte(`{"device":"d","quantity":"q","samples":[],"next_cursor":"QUJD","count":0 }`)
+	rec := httptest.NewRecorder()
+	(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", odd, "samples", 9)
+	var got SamplesPage
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.NextCursor != wrapEpochCursor(9, "QUJD") {
+		t.Fatalf("fallback page = %s (%v)", rec.Body, err)
+	}
+}
+
+// fetchWire performs one request without transparent decompression and
+// returns the response plus its decoded body.
+func fetchWire(t *testing.T, method, target, acceptEncoding, accept string, body []byte) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, target, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Accept-Encoding", acceptEncoding)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	tr := &http.Transport{DisableCompression: true}
+	defer tr.CloseIdleConnections()
+	rsp, err := tr.RoundTrip(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	var rd io.Reader = rsp.Body
+	if rsp.Header.Get("Content-Encoding") == "gzip" {
+		if rd, err = gzip.NewReader(rsp.Body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decoded, err := io.ReadAll(rd)
+	if err != nil {
+		t.Fatalf("%s %s: %v", method, target, err)
+	}
+	if rsp.StatusCode != http.StatusOK {
+		t.Fatalf("%s %s = %d: %s", method, target, rsp.StatusCode, decoded)
+	}
+	return rsp, decoded
+}
+
+// Every /v2 read route must decode to the same bytes whether it is
+// asked of the owner node or of the coordinator, gzip-coded or not; the
+// one sanctioned difference is the epoch wrap of a page's next_cursor.
+func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
+	const shards, rows = 4, 2500
+	tc := newTestCluster(t, shards)
+	base := time.Now().UTC().Add(-2 * time.Hour).Truncate(time.Second)
+	devices := []string{deviceInShard(1, shards), trickyDevice}
+	for _, dev := range devices {
+		batch := IngestBatch{Rows: make([]Point, rows)}
+		for i := range batch.Rows {
+			batch.Rows[i] = Point{Device: dev, Quantity: "temperature",
+				At: base.Add(time.Duration(i) * time.Second), Value: float64(i%97) + 0.25}
+		}
+		var res IngestResult
+		if status, _ := postJSON(t, tc.coordURL+"/v2/ingest", nil, batch, &res); status != http.StatusOK || res.Accepted != rows {
+			t.Fatalf("ingest %q: status=%d res=%+v", dev, status, res)
+		}
+	}
+	m, err := tc.coord.resolve(t.Context())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, dev := range devices {
+		series := "/v2/series/" + url.PathEscape(dev) + "/temperature"
+		query, _ := json.Marshal(BatchQuery{Selectors: []SeriesSelector{{Device: dev, Quantity: "temperature"}}, Limit: 50})
+		for _, rt := range []struct {
+			name, method, path, accept string
+			body                       []byte
+			wantGzip, cursor           bool
+		}{
+			{"json page with cursor", "GET", series + "/samples?limit=1000", "", nil, true, true},
+			{"json last page", "GET", series + "/samples?limit=10000", "", nil, true, false},
+			{"json short page", "GET", series + "/samples?limit=3", "", nil, false, true},
+			{"ndjson", "GET", series + "/samples", NDJSONType, nil, true, false},
+			{"csv", "GET", series + "/samples?encoding=csv", "", nil, true, false},
+			{"aggregate", "GET", series + "/aggregate", "", nil, false, false},
+			{"aggregate buckets", "GET", series + "/aggregate?window=1m", "", nil, true, false},
+			{"latest", "GET", series + "/latest", "", nil, false, false},
+			{"batch json", "POST", "/v2/query", "", query, true, false},
+			{"batch ndjson", "POST", "/v2/query?encoding=ndjson", "", query, true, false},
+		} {
+			var node, want []byte // the node's identity body; the same with its cursor wrapped
+			for _, hop := range []struct{ name, base string }{
+				{"node", m.OwnerOf(dev)}, {"coordinator", tc.coordURL},
+			} {
+				for _, coding := range []string{"identity", "gzip"} {
+					label := fmt.Sprintf("%q %s via %s (%s)", dev, rt.name, hop.name, coding)
+					rsp, got := fetchWire(t, rt.method, hop.base+rt.path, coding, rt.accept, rt.body)
+					if gz := rsp.Header.Get("Content-Encoding") == "gzip"; gz != (coding == "gzip" && rt.wantGzip) {
+						t.Errorf("%s: Content-Encoding = %q over %d plain bytes", label, rsp.Header.Get("Content-Encoding"), len(got))
+					}
+					if node == nil {
+						node, want = got, got
+						if rt.cursor { // what the decode/re-encode relay used to emit
+							var page SamplesPage
+							if err := json.Unmarshal(got, &page); err != nil || page.NextCursor == "" {
+								t.Fatalf("%s: page = %s (%v)", label, got, err)
+							}
+							page.NextCursor = wrapEpochCursor(m.Epoch, page.NextCursor)
+							want, _ = api.EncodeJSON(page)
+						}
+						continue
+					}
+					want := want
+					if hop.name == "node" {
+						want = node
+					}
+					if !bytes.Equal(got, want) {
+						t.Errorf("%s: body differs\n got %.300s\nwant %.300s", label, got, want)
+					}
+				}
+			}
+		}
+
+		// Paging through the spliced cursors visits every sample once.
+		var seen int
+		next := tc.coordURL + series + "/samples?limit=1000"
+		for pages := 0; next != ""; pages++ {
+			if pages > rows/1000+1 {
+				t.Fatalf("%q: cursor chain does not end", dev)
+			}
+			_, body := fetchWire(t, "GET", next, "gzip", "", nil)
+			var page SamplesPage
+			if err := json.Unmarshal(body, &page); err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range page.Samples {
+				if want := base.Add(time.Duration(seen) * time.Second); !p.At.Equal(want) {
+					t.Fatalf("%q: sample %d at %s, want %s (gap or repeat)", dev, seen, p.At, want)
+				}
+				seen++
+			}
+			next = ""
+			if page.NextCursor != "" {
+				if _, _, wrapped := unwrapEpochCursor(page.NextCursor); !wrapped {
+					t.Fatalf("%q: cursor %q is not epoch-wrapped", dev, page.NextCursor)
+				}
+				next = tc.coordURL + series + "/samples?limit=1000&cursor=" + url.QueryEscape(page.NextCursor)
+			}
+		}
+		if seen != rows {
+			t.Fatalf("%q: paged %d samples, want %d", dev, seen, rows)
+		}
+	}
+}
+
+// stubCoordinator fronts one stub node with a real coordinator.
+func stubCoordinator(t *testing.T, node http.Handler, qcacheBytes int64) string {
+	t.Helper()
+	stub := httptest.NewServer(node)
+	t.Cleanup(stub.Close)
+	ms := master.New(master.Options{})
+	addr, err := ms.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ms.Close)
+	if _, err := ms.ClusterMap().Set(cluster.Map{Shards: 1, Owners: []string{stub.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCoordinator(CoordinatorOptions{Master: "http://" + addr, QCacheBytes: qcacheBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	caddr, err := c.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return "http://" + caddr
+}
+
+// ndjsonLine is one row of the stub nodes' streams.
+const ndjsonLine = `{"device":"urn:d","quantity":"temperature","at":"2015-03-09T10:00:00Z","value":20.25}` + "\n"
+
+// streamNDJSON writes n stub rows, flushing now and then like the real
+// samples stream.
+func streamNDJSON(w http.ResponseWriter, n int) {
+	w.Header().Set("Content-Type", NDJSONType+"; charset=utf-8")
+	block := strings.Repeat(ndjsonLine, 256)
+	for ; n >= 256; n -= 256 {
+		_, _ = io.WriteString(w, block)
+		w.(http.Flusher).Flush()
+	}
+	_, _ = io.WriteString(w, block[:n*len(ndjsonLine)])
+}
+
+const stubSamples = "/v2/series/urn:d/temperature/samples"
+
+// A streamed range larger than the buffered-read limit reaches the
+// client whole, and the hop that carried it asked for identity coding.
+func TestCoordinatorStreamsRangesPastTheBufferLimit(t *testing.T) {
+	const rows = api.MaxResponseBytes/len(ndjsonLine) + 1000
+	var hopCoding, hopEpoch atomic.Value
+	coord := stubCoordinator(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hopCoding.Store(r.Header.Get("Accept-Encoding"))
+		hopEpoch.Store(r.Header.Get(cluster.EpochHeader))
+		streamNDJSON(w, rows)
+	}), 0)
+	for _, coding := range []string{"gzip", "identity"} {
+		rsp, body := fetchWire(t, "GET", coord+stubSamples, coding, NDJSONType, nil)
+		if len(body) != rows*len(ndjsonLine) || len(body) <= api.MaxResponseBytes {
+			t.Fatalf("%s: %d bytes arrived, want %d", coding, len(body), rows*len(ndjsonLine))
+		}
+		if !bytes.HasSuffix(body, []byte(ndjsonLine)) || bytes.Count(body, []byte("\n")) != rows {
+			t.Fatalf("%s: body is not %d whole rows", coding, rows)
+		}
+		if ct := rsp.Header.Get("Content-Type"); !strings.HasPrefix(ct, NDJSONType) {
+			t.Fatalf("%s: Content-Type = %q", coding, ct)
+		}
+	}
+	if hopCoding.Load() != "identity" || hopEpoch.Load() == "" {
+		t.Fatalf("coordinator→node hop: Accept-Encoding %q, epoch %q", hopCoding.Load(), hopEpoch.Load())
+	}
+}
+
+// A node that dies before its first body byte is re-routed around; one
+// that dies mid-body cannot be, and the client must see a broken
+// response, not a short one that ends cleanly.
+func TestCoordinatorRelayNodeFailures(t *testing.T) {
+	var hits atomic.Int32
+	var dieMidBody atomic.Bool
+	coord := stubCoordinator(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case dieMidBody.Load():
+			streamNDJSON(w, 512)
+			panic(http.ErrAbortHandler)
+		case hits.Add(1) == 1:
+			conn, buf, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				panic(err)
+			}
+			_, _ = buf.WriteString("HTTP/1.1 200 OK\r\nContent-Type: " + NDJSONType + "\r\nTransfer-Encoding: chunked\r\n\r\n")
+			_ = buf.Flush()
+			_ = conn.Close()
+		default:
+			streamNDJSON(w, 300)
+		}
+	}), 0)
+
+	_, body := fetchWire(t, "GET", coord+stubSamples, "gzip", NDJSONType, nil)
+	if len(body) != 300*len(ndjsonLine) || hits.Load() != 2 {
+		t.Fatalf("re-routed read: %d bytes after %d node hits", len(body), hits.Load())
+	}
+
+	dieMidBody.Store(true)
+	for _, coding := range []string{"gzip", "identity"} {
+		req, _ := http.NewRequest("GET", coord+stubSamples, nil)
+		req.Header.Set("Accept", NDJSONType)
+		req.Header.Set("Accept-Encoding", coding)
+		tr := &http.Transport{DisableCompression: true}
+		rsp, err := tr.RoundTrip(req)
+		if err == nil { // else the cut came before the header left the coordinator
+			var n int64
+			n, err = io.Copy(io.Discard, rsp.Body)
+			rsp.Body.Close()
+			if err == nil {
+				t.Fatalf("%s: cut stream ended cleanly after %d bytes", coding, n)
+			}
+		}
+		tr.CloseIdleConnections()
+	}
+}
+
+// Streamed bodies are teed into the coordinator cache while they fit
+// one entry; larger ones are relayed whole and simply not cached.
+func TestCoordinatorCachesStreamedBodiesUpToAnEntry(t *testing.T) {
+	const cacheBytes = 1 << 20 // 16 shards: 64 KiB an entry
+	var hits atomic.Int32
+	coord := stubCoordinator(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		n := 100
+		if r.URL.Query().Get("limit") == "big" {
+			n = 2 * cacheBytes / 16 / len(ndjsonLine)
+		}
+		streamNDJSON(w, n)
+	}), cacheBytes)
+
+	_, first := fetchWire(t, "GET", coord+stubSamples, "gzip", NDJSONType, nil)
+	rsp, again := fetchWire(t, "GET", coord+stubSamples, "identity", NDJSONType, nil)
+	if hits.Load() != 1 || !bytes.Equal(first, again) || len(first) != 100*len(ndjsonLine) {
+		t.Fatalf("small stream: %d node hits, %d/%d bytes", hits.Load(), len(first), len(again))
+	}
+	if ct := rsp.Header.Get("Content-Type"); !strings.HasPrefix(ct, NDJSONType) {
+		t.Fatalf("cached replay Content-Type = %q", ct)
+	}
+	hits.Store(0)
+	_, first = fetchWire(t, "GET", coord+stubSamples+"?limit=big", "gzip", NDJSONType, nil)
+	_, again = fetchWire(t, "GET", coord+stubSamples+"?limit=big", "gzip", NDJSONType, nil)
+	if hits.Load() != 2 || !bytes.Equal(first, again) || len(first) <= cacheBytes/16 {
+		t.Fatalf("oversize stream: %d node hits, %d/%d bytes", hits.Load(), len(first), len(again))
+	}
+}

@@ -843,6 +843,75 @@ func BenchmarkS2_StreamSSEFanout100(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
+// S3 — the live path's allocation budget: one op is sixteen 64-row POST
+// /v2/ingest requests (16 devices × 4 quantities, the live_visibility
+// shape) through the service handler into a memory engine, with the stream
+// hub journaled and one subscriber draining it — so every row is
+// decoded, stored, turned into an event, encoded once, journaled and
+// queued. allocs/row covers all of it, the request's own fixed cost
+// included; hotalloc_ci.json holds the ceiling.
+// ---------------------------------------------------------------------
+
+func BenchmarkS3_IngestPublishAllocs(b *testing.B) {
+	const (
+		rowsPerRequest = 64
+		requestsPerOp  = 16 // so the pools a GC emptied refill once per 1024 rows, not per 64
+		rowsPerOp      = rowsPerRequest * requestsPerOp
+	)
+	quantities := []string{"temperature", "humidity", "power.active", "illuminance"}
+	var body bytes.Buffer
+	body.WriteString(`{"rows":[`)
+	for i := 0; i < rowsPerRequest; i++ {
+		if i > 0 {
+			body.WriteByte(',')
+		}
+		fmt.Fprintf(&body, `{"device":"urn:district:turin/building:b%02d/device:d%d","quantity":%q,"at":"2015-03-09T10:00:00Z","value":%d.25}`,
+			i/8, i/4%2, quantities[i%4], i)
+	}
+	body.WriteString(`]}`)
+
+	svc := measuredb.New(measuredb.Options{
+		DisableLegacyAliases: true,
+		Engine: tsdb.NewSharded(tsdb.ShardedOptions{
+			Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
+		}),
+		Stream: stream.Options{Hub: stream.HubOptions{Dir: b.TempDir()}},
+	})
+	b.Cleanup(svc.Close)
+	sub, _, err := svc.Stream().Hub().Subscribe(measuredb.IngestPattern, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var delivered atomic.Int64
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for batch := range sub.C {
+			delivered.Add(int64(len(batch)))
+		}
+	}()
+	h := svc.Handler()
+	ops := 0
+	benchAllocsPer(b, "row", rowsPerOp, func() {
+		for r := 0; r < requestsPerOp; r++ {
+			req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body.Bytes()))
+			req.Header.Set("Content-Type", "application/json")
+			w := &discardResponseWriter{h: make(http.Header)}
+			h.ServeHTTP(w, req)
+			if w.status != 200 {
+				b.Fatalf("ingest status %d", w.status)
+			}
+		}
+		ops++
+	})
+	sub.Close()
+	<-drained
+	if st := svc.Stream().Hub().Stats(); st.Evicted != 0 || delivered.Load() != int64(ops*rowsPerOp) || st.PersistErrors != 0 {
+		b.Fatalf("delivered %d of %d rows; hub stats %+v", delivered.Load(), ops*rowsPerOp, st)
+	}
+}
+
+// ---------------------------------------------------------------------
 // Q — the /v2 query data plane: cursor iteration vs range flattening in
 // the store, batch fan-in over HTTP, and row-at-a-time streaming.
 // ---------------------------------------------------------------------

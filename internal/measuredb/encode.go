@@ -1,20 +1,19 @@
 package measuredb
 
 import (
-	"math"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"repro/internal/jsonwire"
 )
 
 // Hand-rolled NDJSON row encoders for the streaming read plane. The
 // per-row cost of json.Encoder (reflection, interface boxing, the
 // pointer fields of BatchRow) dominated the query hot path; these
-// append into one pooled buffer per response and produce byte-identical
-// output to encoding/json (HTML escaping, U+2028/U+2029, the float
-// exponent cleanup, RFC 3339 nano timestamps), so switching a stream
-// consumer between releases sees no wire change.
+// append into one pooled buffer per response and, built on the jsonwire
+// value encoders, produce byte-identical output to encoding/json, so
+// switching a stream consumer between releases sees no wire change.
 
 // rowBuf is one response's reusable row-encode buffer.
 type rowBuf struct{ b []byte }
@@ -33,99 +32,6 @@ func putRowBuf(buf *rowBuf) {
 	}
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string exactly as encoding/json
-// encodes it: control characters, '"', '\\', the HTML set (&, <, >),
-// and U+2028/U+2029 escaped; invalid UTF-8 bytes rendered as the
-// six-byte escape `\ufffd` (the encoder escapes the replacement rune,
-// it does not emit it literally).
-//
-// districtlint:hotpath
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			switch c {
-			case '"':
-				b = append(b, '\\', '"')
-			case '\\':
-				b = append(b, '\\', '\\')
-			case '\b':
-				b = append(b, '\\', 'b')
-			case '\f':
-				b = append(b, '\\', 'f')
-			case '\n':
-				b = append(b, '\\', 'n')
-			case '\r':
-				b = append(b, '\\', 'r')
-			case '\t':
-				b = append(b, '\\', 't')
-			default:
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if r == '\u2028' || r == '\u2029' {
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
-// appendJSONFloat appends f exactly as encoding/json encodes float64
-// values: shortest form, 'e' notation outside [1e-6, 1e21) with the
-// two-digit exponent's leading zero trimmed.
-//
-// districtlint:hotpath
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
-}
-
-// appendJSONTime appends t as time.Time.MarshalJSON would (quoted
-// RFC 3339 with nanoseconds).
-//
-// districtlint:hotpath
-func appendJSONTime(b []byte, t time.Time) []byte {
-	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
-}
-
 // appendPointNDJSON appends one streamed samples row (a Point with the
 // series named on it) plus the newline json.Encoder terminates rows
 // with. Device and quantity carry omitempty, so empty values vanish
@@ -136,18 +42,18 @@ func appendPointNDJSON(b []byte, p Point) []byte {
 	b = append(b, '{')
 	if p.Device != "" {
 		b = append(b, `"device":`...)
-		b = appendJSONString(b, p.Device)
+		b = jsonwire.AppendString(b, p.Device)
 		b = append(b, ',')
 	}
 	if p.Quantity != "" {
 		b = append(b, `"quantity":`...)
-		b = appendJSONString(b, p.Quantity)
+		b = jsonwire.AppendString(b, p.Quantity)
 		b = append(b, ',')
 	}
 	b = append(b, `"at":`...)
-	b = appendJSONTime(b, p.At)
+	b = jsonwire.AppendTime(b, p.At)
 	b = append(b, `,"value":`...)
-	b = appendJSONFloat(b, p.Value)
+	b = jsonwire.AppendFloat(b, p.Value)
 	return append(b, '}', '\n')
 }
 
@@ -160,15 +66,15 @@ func appendBatchSampleRow(b []byte, selector int, device, quantity string, at ti
 	b = strconv.AppendInt(b, int64(selector), 10)
 	if device != "" {
 		b = append(b, `,"device":`...)
-		b = appendJSONString(b, device)
+		b = jsonwire.AppendString(b, device)
 	}
 	if quantity != "" {
 		b = append(b, `,"quantity":`...)
-		b = appendJSONString(b, quantity)
+		b = jsonwire.AppendString(b, quantity)
 	}
 	b = append(b, `,"at":`...)
-	b = appendJSONTime(b, at)
+	b = jsonwire.AppendTime(b, at)
 	b = append(b, `,"value":`...)
-	b = appendJSONFloat(b, v)
+	b = jsonwire.AppendFloat(b, v)
 	return append(b, '}', '\n')
 }

@@ -6,6 +6,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/jsonwire"
 )
 
 // The append-based row encoders replaced json.Encoder on the streaming
@@ -119,7 +121,7 @@ func FuzzAppendJSONString(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		got := appendJSONString(nil, s)
+		got := jsonwire.AppendString(nil, s)
 		want, err := json.Marshal(s)
 		if err != nil {
 			t.Skip()
@@ -138,7 +140,7 @@ func FuzzAppendJSONFloat(f *testing.F) {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Skip() // json refuses these; the value plane cannot produce them
 		}
-		got := appendJSONFloat(nil, v)
+		got := jsonwire.AppendFloat(nil, v)
 		want, err := json.Marshal(v)
 		if err != nil {
 			t.Skip()

@@ -13,8 +13,6 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/dataformat"
-	"repro/internal/middleware"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
@@ -473,15 +471,16 @@ func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *Inge
 
 // ingester stages the rows of one ingest request and applies them in
 // bounded chunks through the engine's batched, shard-parallel append
-// path. While at least one SSE subscriber is connected (re-checked per
-// chunk, so one joining mid-backfill picks up from the next chunk),
-// accepted rows are republished to the service's stream hub — directly
-// to the hub, not the bus, which would re-ingest them. With no
-// subscribers the hub (and its bounded replay ring) is skipped: that
-// keeps the ingest-dominated path free of per-row document encoding,
-// at the documented cost that rows ingested while nobody listens are
-// not resumable via Last-Event-ID (the bus write path feeds the ring
-// unconditionally).
+// path. While the stream hub is live — an SSE subscriber is connected,
+// or the last one left within the hub's resume window and may be
+// reconnecting (re-checked per chunk, so one joining mid-backfill picks
+// up from the next chunk) — each chunk's accepted rows are republished
+// to the hub as one batch: directly to the hub, not the bus, which
+// would re-ingest them. A hub nobody listens to (and its bounded replay
+// ring) is skipped: that keeps the ingest-dominated path free of
+// per-row document encoding, at the documented cost that rows ingested
+// while nobody has listened for a while are not resumable via
+// Last-Event-ID (the bus write path feeds the ring unconditionally).
 type ingester struct {
 	s   *Service
 	res IngestResult
@@ -489,6 +488,7 @@ type ingester struct {
 	rows []tsdb.Row
 	src  []int // global row index per staged row
 	next int   // next global row index
+	live liveChunk
 
 	// stages receives the request's store-apply / wal-append /
 	// hub-publish timings (nil outside a traced request; all uses are
@@ -593,10 +593,14 @@ func (g *ingester) flush() {
 			g.stages.Observe("store-apply", time.Since(start))
 		}
 	}
-	live := g.s.streamS.Hub().Stats().Subscribers > 0
+	hub := g.s.streamS.Hub()
+	live := hub.Live()
 	var pubStart time.Time
-	if live && g.stages != nil {
-		pubStart = time.Now()
+	if live {
+		if g.stages != nil {
+			pubStart = time.Now()
+		}
+		g.live.begin(g.rows, g.s.srv.Addr())
 	}
 	for i := range g.rows {
 		if errs != nil && errs[i] != nil {
@@ -605,29 +609,20 @@ func (g *ingester) flush() {
 		}
 		g.res.Accepted++
 		if live {
-			g.publish(g.rows[i])
+			g.live.add(&g.rows[i])
 		}
 	}
-	if live && g.stages != nil {
-		g.stages.Observe("hub-publish", time.Since(pubStart))
+	if live {
+		// The rows are stored and acked whatever the hub says; events it
+		// refuses are counted there (repro_stream_publish_errors_total).
+		_, _ = hub.PublishBatch(g.live.events())
+		g.live.reset()
+		if g.stages != nil {
+			g.stages.Observe("hub-publish", time.Since(pubStart))
+		}
 	}
 	g.rows = g.rows[:0]
 	g.src = g.src[:0]
-}
-
-// publish feeds one accepted row to the stream hub for live subscribers.
-func (g *ingester) publish(r tsdb.Row) {
-	m := measurementsOf(r.Key, []tsdb.Sample{r.Sample}, g.s.srv.Addr())[0]
-	payload, err := dataformat.NewMeasurementDoc(m).Encode(dataformat.JSON)
-	if err != nil {
-		return
-	}
-	_ = g.s.streamS.Hub().Publish(middleware.Event{
-		Topic:   Topic(r.Key.Device, dataformat.Quantity(r.Key.Quantity)),
-		Payload: payload,
-		Headers: map[string]string{"content-type": "application/json"},
-		At:      r.Sample.At,
-	})
 }
 
 // finish applies any staged tail and returns the summary, recycling

@@ -212,9 +212,9 @@ func TestV2IngestFeedsLiveStream(t *testing.T) {
 		t.Fatalf("ingest = %d: %s", code, rsp)
 	}
 	select {
-	case ev := <-sub.C:
-		if !strings.Contains(ev.Event.Topic, "temperature") {
-			t.Fatalf("event topic = %q", ev.Event.Topic)
+	case batch := <-sub.C:
+		if len(batch) != 1 || !strings.Contains(batch[0].Event.Topic, "temperature") {
+			t.Fatalf("live batch = %+v, want the one temperature row", batch)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("no live event for ingested row")

@@ -703,39 +703,5 @@ func (s *Service) aggregate(ctx context.Context, q url.Values) (any, error) {
 // Topic builds the middleware topic for a measurement, mirroring the
 // device URI structure: measurements/<district>/<path...>/<quantity>.
 func Topic(deviceURI string, quantity dataformat.Quantity) string {
-	topic := TopicRoot
-	rest := deviceURI
-	const prefix = "urn:district:"
-	if len(rest) > len(prefix) && rest[:len(prefix)] == prefix {
-		rest = rest[len(prefix):]
-	}
-	for _, seg := range splitPath(rest) {
-		topic += "/" + sanitizeSegment(seg)
-	}
-	return topic + "/" + string(quantity)
-}
-
-func splitPath(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '/' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		out = append(out, s[start:])
-	}
-	return out
-}
-
-// sanitizeSegment keeps topic segments wildcard-free.
-func sanitizeSegment(s string) string {
-	if s == "+" || s == "#" || s == "" {
-		return "_"
-	}
-	return s
+	return string(appendTopic(nil, deviceURI, string(quantity)))
 }

@@ -51,7 +51,11 @@ func ValidateTopic(topic string) error {
 	if topic == "" {
 		return ErrBadPattern
 	}
-	for _, s := range strings.Split(topic, "/") {
+	// Segment by segment without strings.Split: this runs per published
+	// event on the stream hub and must not allocate.
+	for rest, more := topic, true; more; {
+		var s string
+		s, rest, more = strings.Cut(rest, "/")
 		if s == "" || s == WildcardOne || s == WildcardRest {
 			return ErrBadPattern
 		}
@@ -169,24 +173,28 @@ func (m *trieMatcher) remove(pattern string, id int) {
 }
 
 func (m *trieMatcher) match(topic string, visit func(id int)) {
-	matchTrie(m.root, strings.Split(topic, "/"), visit)
+	matchTrie(m.root, topic, true, visit)
 }
 
-func matchTrie(node *trieNode, segs []string, visit func(id int)) {
+// matchTrie descends one topic segment per level, cutting segments off
+// rest in place (no strings.Split: a match allocates nothing). more is
+// false once the last segment has been consumed.
+func matchTrie(node *trieNode, rest string, more bool, visit func(id int)) {
 	for id := range node.restIDs {
 		visit(id)
 	}
-	if len(segs) == 0 {
+	if !more {
 		for id := range node.ids {
 			visit(id)
 		}
 		return
 	}
-	if child, ok := node.children[segs[0]]; ok {
-		matchTrie(child, segs[1:], visit)
+	seg, rest, more := strings.Cut(rest, "/")
+	if child, ok := node.children[seg]; ok {
+		matchTrie(child, rest, more, visit)
 	}
 	if child, ok := node.children[WildcardOne]; ok {
-		matchTrie(child, segs[1:], visit)
+		matchTrie(child, rest, more, visit)
 	}
 }
 

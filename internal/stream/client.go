@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -97,6 +96,7 @@ type Subscription struct {
 	done       chan struct{}
 	lastID     atomic.Uint64
 	reconnects atomic.Uint64
+	badFrames  atomic.Uint64
 	err        atomic.Value // error
 }
 
@@ -129,6 +129,11 @@ func (s *Subscription) LastID() uint64 { return s.lastID.Load() }
 // Reconnects returns how many times the subscription re-established its
 // connection after the first.
 func (s *Subscription) Reconnects() uint64 { return s.reconnects.Load() }
+
+// BadFrames returns how many event frames were skipped because their
+// data was not a decodable event; each is a hole in what Events
+// delivered.
+func (s *Subscription) BadFrames() uint64 { return s.badFrames.Load() }
 
 // Err returns the terminal error, if any, once Events is closed.
 // Cancellation (of ctx or via Close) is a clean shutdown, not an error.
@@ -230,7 +235,15 @@ func (s *Subscription) pump(ctx context.Context, body io.Reader) (bool, error) {
 		}
 		var ev middleware.Event
 		if err := json.Unmarshal(data, &ev); err != nil {
-			return fmt.Errorf("stream: bad event payload: %w", err)
+			// A frame this client cannot decode is skipped, not retried:
+			// reconnecting with the same Last-Event-ID would only have
+			// the server replay the same bytes, forever. Moving the
+			// cursor past it keeps the subscription making progress.
+			s.badFrames.Add(1)
+			if id != 0 {
+				s.lastID.Store(id)
+			}
+			return nil
 		}
 		if id != 0 {
 			if ev.Headers == nil {

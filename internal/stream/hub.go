@@ -14,12 +14,13 @@ package stream
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"sync"
 	"time"
 
+	"repro/internal/jsonwire"
 	"repro/internal/middleware"
 	"repro/internal/wal"
-
-	"sync"
 )
 
 // ErrHubClosed reports use of a closed hub.
@@ -32,17 +33,33 @@ type Entry struct {
 	ID uint64
 	// Event is the bus event.
 	Event middleware.Event
+
+	// wire is the JSON of Event, byte-identical to json.Marshal, encoded
+	// once at publish: the journal record and the SSE data line of every
+	// subscriber are these bytes. Nil when nothing needed them at publish
+	// time (memory-only hub, no matching subscriber) or the entry was
+	// reloaded from the journal; a replay encodes such an entry on demand.
+	wire []byte
 }
+
+// resumeWindow is how long after its last subscriber left a hub still
+// counts as Live: longer than the stream client's worst reconnect
+// back-off (MaxDelay 5s with +50% jitter = 7.5s), so whatever is
+// published while a sole subscriber reconnects is in the ring for its
+// Last-Event-ID resume.
+const resumeWindow = 10 * time.Second
 
 // HubOptions configure a Hub.
 type HubOptions struct {
 	// History is the replay ring capacity: how many recent events are
 	// retained for Last-Event-ID resume. Zero means the default (1024).
 	History int
-	// QueueLen is the per-subscriber queue capacity; a subscriber whose
-	// queue overflows is evicted (it reconnects and resumes from the
-	// replay ring) rather than stalling the hub or silently losing
-	// events. Zero means the default (256).
+	// QueueLen is the per-subscriber queue capacity, in events; a
+	// subscriber whose queue is full when a batch arrives is evicted (it
+	// reconnects and resumes from the replay ring) rather than stalling
+	// the hub or silently losing events. A batch is admitted whole while
+	// the queue has any room, so a subscriber that keeps up is never
+	// evicted for the size of one batch. Zero means the default (256).
 	QueueLen int
 	// FirstID overrides the first event ID. Zero derives the ID base
 	// from the wall clock, so a restarted hub keeps assigning IDs above
@@ -94,14 +111,28 @@ type Hub struct {
 	ring      []Entry
 	ringStart int // index of the oldest entry once the ring is full
 	closed    bool
+	// idleSince is when the last subscriber left (zero: none ever
+	// subscribed, or one is attached now); see Live.
+	idleSince time.Time
+	now       func() time.Time
+
+	// PublishBatch scratch, guarded by mu. The trie visitor is bound once
+	// (visit = noteMatch) and keeps its state here instead of in a
+	// closure, so a publish allocates nothing for matching.
+	visit    func(id int)
+	matchAt  int    // index of the event being matched
+	matchHit bool   // a subscriber matched it
+	touched  []*Sub // subscribers matched so far by the batch
 
 	published uint64
+	refused   uint64 // events PublishBatch turned away
 	delivered uint64
 	evicted   uint64
 	replayed  uint64
 
 	log         *wal.Log // nil: memory-only ring; pointer guarded by mu
-	jpending    []jrec   // staged journal records, ID order; guarded by mu
+	jpending    [][]byte // staged journal records (entry wire bytes), ID order; guarded by mu
+	jspare      [][]byte // the drained batch's backing array, reused for staging; guarded by mu
 	persistErrs uint64
 	sinceTrim   int
 
@@ -110,14 +141,6 @@ type Hub struct {
 	// fsync never stalls fan-out for the publishers behind it — they
 	// stage under mu and one drainer group-commits the batch.
 	jmu sync.Mutex
-}
-
-// jrec is one staged journal record. A nil rec poisons the journal (the
-// event could not be encoded; journaling past it would shift every
-// later record one seq behind its live ID).
-type jrec struct {
-	id  uint64
-	rec []byte
 }
 
 // NewHub creates a Hub. It can only fail when Options.Dir requests a
@@ -142,7 +165,9 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 		idx:    middleware.NewIndex(),
 		subs:   make(map[int]*Sub),
 		lastID: opts.FirstID - 1,
+		now:    time.Now,
 	}
+	h.visit = h.noteMatch
 	if opts.Dir == "" {
 		return h, nil
 	}
@@ -194,15 +219,37 @@ type Sub struct {
 	// and the oldest retained entry had already expired from the replay
 	// ring at subscribe time — the resume could not be gapless.
 	Gap bool
-	// C delivers sequenced events. It is closed when the subscription
-	// ends: by Close, by hub shutdown, or by slow-consumer eviction
-	// (drain it to the end; buffered entries are still valid).
-	C <-chan Entry
+	// C delivers sequenced events a publish batch at a time: each item
+	// is the part of one batch that matches Pattern, in ID order and
+	// never empty. Items are shared between subscribers — read-only. C
+	// is closed when the subscription ends: by Close, by hub shutdown,
+	// or by slow-consumer eviction (drain it to the end; buffered
+	// entries are still valid).
+	C <-chan []Entry
 
 	hub     *Hub
 	id      int
-	ch      chan Entry
+	ch      chan []Entry
 	evicted bool // guarded by hub.mu
+
+	// Queue accounting, guarded by hub.mu. The queue is bounded in
+	// events but holds batches, and the consumer only ever receives from
+	// ch, so the hub derives the backlog itself: before[j%len] is how
+	// many events had been sent before item j, the channel holds the
+	// last len(ch) items sent, and the difference is what is queued.
+	pick   []int // PublishBatch scratch: indexes of the batch's matching events
+	items  int   // items sent
+	events int   // events sent
+	before []int
+}
+
+// queuedLocked returns how many events sit in the subscriber's queue.
+func (s *Sub) queuedLocked() int {
+	k := len(s.ch)
+	if k == 0 {
+		return 0
+	}
+	return s.events - s.before[(s.items-k)%len(s.before)]
 }
 
 // Subscribe registers a subscriber for pattern. afterID > 0 requests
@@ -222,7 +269,10 @@ func (h *Hub) Subscribe(pattern string, afterID uint64) (*Sub, []Entry, error) {
 		hub:     h,
 		id:      h.nextSubID,
 		Pattern: pattern,
-		ch:      make(chan Entry, h.opts.QueueLen),
+		// One slot per event of the bound: every item holds at least
+		// one event, so the channel cannot fill before the bound does.
+		ch:     make(chan []Entry, h.opts.QueueLen),
+		before: make([]int, h.opts.QueueLen),
 	}
 	sub.C = sub.ch
 	h.nextSubID++
@@ -263,6 +313,7 @@ func (h *Hub) Subscribe(pattern string, afterID uint64) (*Sub, []Entry, error) {
 
 	h.subs[sub.id] = sub
 	h.idx.Add(pattern, sub.id)
+	h.idleSince = time.Time{}
 	return sub, replay, nil
 }
 
@@ -290,59 +341,187 @@ func (h *Hub) removeLocked(s *Sub) {
 	delete(h.subs, s.id)
 	h.idx.Remove(s.Pattern, s.id)
 	close(s.ch)
+	if len(h.subs) == 0 {
+		h.idleSince = h.now()
+	}
 }
 
-// Publish sequences one event and fans it out. A subscriber whose queue
-// is full is evicted on the spot: unlike the in-process bus (at-most-once,
-// drop-on-overflow), the stream contract is "no silent gaps" — the
-// evicted consumer reconnects and resumes from the replay ring.
+// Live reports whether publishing is worth a producer's while: a
+// subscriber is attached, or the last one left less than the resume
+// window ago and may be about to reconnect with a Last-Event-ID that
+// only finds what was published meanwhile. A hub nobody ever subscribed
+// to is not live, so a bulk producer can skip it (and its bounded ring)
+// altogether.
+func (h *Hub) Live() bool {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return false
+	}
+	return len(h.subs) > 0 || (!h.idleSince.IsZero() && h.now().Sub(h.idleSince) < resumeWindow)
+}
+
+// Publish sequences one event and fans it out: PublishBatch of one.
+func (h *Hub) Publish(ev middleware.Event) error {
+	_, err := h.PublishBatch([]middleware.Event{ev})
+	return err
+}
+
+// PublishBatch sequences evs as one contiguous ID range and fans them
+// out under a single acquisition of the fan-out lock: every event lands
+// in the replay ring under its own ID (a Last-Event-ID inside the batch
+// resumes with the remainder), the batch is one journal write, and each
+// subscriber gets one queue item holding the events its pattern
+// matches. A subscriber whose queue is full is evicted on the spot:
+// unlike the in-process bus (at-most-once, drop-on-overflow), the
+// stream contract is "no silent gaps" — the evicted consumer reconnects
+// and resumes from the replay ring.
 //
-// On a durable hub the event is journaled before Publish returns, but
-// the journal write runs outside the fan-out lock: the record is staged
-// under mu and written under jmu, where concurrent publishers
+// An event with a malformed topic, or a timestamp JSON cannot carry, is
+// refused: the rest of the batch is still published, and the returned
+// count (events sequenced) and error say so. The slice is not retained.
+//
+// On a durable hub the batch is journaled before PublishBatch returns,
+// but the journal write runs outside the fan-out lock: the records are
+// staged under mu and written under jmu, where concurrent publishers
 // group-commit each other's staged records. An fsync therefore never
 // blocks fan-out, only the publishers waiting on their own ack.
-func (h *Hub) Publish(ev middleware.Event) error {
-	if err := middleware.ValidateTopic(ev.Topic); err != nil {
-		return err
+func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
+	// Refusals are rare: evs is only copied once one turns up.
+	var refused error
+	kept := evs
+	for i := range evs {
+		if err := checkEvent(&evs[i]); err != nil {
+			if refused == nil {
+				refused = err
+				kept = append(make([]middleware.Event, 0, len(evs)-1), evs[:i]...)
+			}
+			continue
+		}
+		if refused != nil {
+			kept = append(kept, evs[i])
+		}
 	}
-	if ev.At.IsZero() {
-		ev.At = time.Now().UTC()
+	if refused != nil {
+		bad := len(evs) - len(kept)
+		refused = fmt.Errorf("stream: refused %d of %d events: %w", bad, len(evs), refused)
+		evs = kept
+		h.mu.Lock()
+		h.refused += uint64(bad)
+		h.mu.Unlock()
 	}
+	if len(evs) == 0 {
+		return 0, refused
+	}
+	entries := make([]Entry, len(evs))
+	var now time.Time // stamped lazily, once per batch
+
 	h.mu.Lock()
 	if h.closed {
+		h.refused += uint64(len(evs))
 		h.mu.Unlock()
-		return ErrHubClosed
+		return 0, ErrHubClosed
 	}
-	h.lastID++
-	h.published++
-	e := Entry{ID: h.lastID, Event: ev}
-
-	h.ringPush(e)
-	h.stageLocked(e)
-
-	var evict []*Sub
-	h.idx.Match(ev.Topic, func(id int) {
-		sub := h.subs[id]
-		if sub == nil {
-			return
+	// Pass 1, per event: ID, which subscribers match (each records the
+	// event's index — no copy yet), and the wire bytes when a matching
+	// subscriber or the journal will use them. A memory-only hub with
+	// nobody listening encodes nothing.
+	var wire []byte
+	journal := h.log != nil
+	for i := range evs {
+		e := &entries[i]
+		h.lastID++
+		e.ID, e.Event = h.lastID, evs[i]
+		if e.Event.At.IsZero() {
+			if now.IsZero() {
+				now = h.now().UTC()
+			}
+			e.Event.At = now
 		}
-		select {
-		case sub.ch <- e:
-			h.delivered++
-		default:
-			evict = append(evict, sub)
+		h.matchAt, h.matchHit = i, false
+		h.idx.Match(e.Event.Topic, h.visit)
+		if h.matchHit || journal {
+			if wire == nil { // the first event with a reader sizes the buffer for the rest
+				wire = make([]byte, 0, eventsWireLen(evs[i:]))
+			}
+			start := len(wire)
+			wire = appendEvent(wire, &e.Event)
+			e.wire = wire[start:len(wire):len(wire)]
 		}
-	})
-	for _, s := range evict {
-		s.evicted = true
-		h.evicted++
-		h.removeLocked(s)
+		h.ringPush(*e)
+		if journal {
+			h.stageLocked(e.wire)
+		}
 	}
+	h.published += uint64(len(entries))
+
+	// Pass 2, per matched subscriber: one queue item. A subscriber that
+	// matched the whole batch shares the batch slice itself.
+	for _, sub := range h.touched {
+		item := entries
+		if len(sub.pick) < len(entries) {
+			item = make([]Entry, len(sub.pick))
+			for k, at := range sub.pick {
+				item[k] = entries[at]
+			}
+		}
+		sub.pick = sub.pick[:0]
+		h.offerLocked(sub, item)
+	}
+	clear(h.touched)
+	h.touched = h.touched[:0]
 	h.mu.Unlock()
 
 	h.drainJournal()
+	return len(entries), refused
+}
+
+// noteMatch is the trie visitor of the PublishBatch in progress:
+// subscriber id matches the event at index matchAt.
+func (h *Hub) noteMatch(id int) {
+	sub := h.subs[id]
+	if sub == nil {
+		return
+	}
+	if len(sub.pick) == 0 {
+		h.touched = append(h.touched, sub)
+	}
+	sub.pick = append(sub.pick, h.matchAt)
+	h.matchHit = true
+}
+
+// checkEvent reports why the hub cannot carry ev: its topic is not a
+// concrete topic, or its timestamp is one encoding/json refuses (and a
+// JSON consumer could not parse back).
+func checkEvent(ev *middleware.Event) error {
+	if err := middleware.ValidateTopic(ev.Topic); err != nil {
+		return err
+	}
+	if !jsonwire.TimeOK(ev.At) {
+		return errors.New("stream: event time not expressible in RFC 3339")
+	}
 	return nil
+}
+
+// offerLocked queues one item for sub, or evicts sub when its queue
+// already holds QueueLen events. Admission looks at the room before the
+// item, not after: a batch larger than what is left — larger than
+// QueueLen, even — goes in whole, because the alternative is evicting a
+// consumer that has kept up. The send cannot block: fewer than QueueLen
+// events queued means fewer than QueueLen (never empty) items in a
+// channel with QueueLen slots, and the consumer only takes.
+func (h *Hub) offerLocked(sub *Sub, item []Entry) {
+	if sub.queuedLocked() >= h.opts.QueueLen {
+		sub.evicted = true
+		h.evicted++
+		h.removeLocked(sub)
+		return
+	}
+	sub.ch <- item
+	sub.before[sub.items%len(sub.before)] = sub.events
+	sub.items++
+	sub.events += len(item)
+	h.delivered += uint64(len(item))
 }
 
 // ringPush inserts one entry into the bounded replay ring.
@@ -355,21 +534,15 @@ func (h *Hub) ringPush(e Entry) {
 	}
 }
 
-// stageLocked queues one published entry for the ring log. Encoding
-// happens here (under mu, in ID order — staging order is what keeps the
-// event-ID == log-sequence invariant); the write happens in
-// drainJournal, outside the fan-out lock. An event that fails to encode
-// stages a poison record: journaling past it would land every later
-// record one seq behind its live ID, so the drain detaches instead.
-func (h *Hub) stageLocked(e Entry) {
-	if h.log == nil {
-		return
+// stageLocked queues one published entry's wire bytes for the ring log.
+// It runs under mu, in ID order — staging order is what keeps the
+// event-ID == log-sequence invariant; the write happens in drainJournal,
+// outside the fan-out lock.
+func (h *Hub) stageLocked(rec []byte) {
+	if h.jpending == nil {
+		h.jpending, h.jspare = h.jspare, nil
 	}
-	rec, err := json.Marshal(e.Event)
-	if err != nil {
-		rec = nil
-	}
-	h.jpending = append(h.jpending, jrec{id: e.ID, rec: rec})
+	h.jpending = append(h.jpending, rec)
 }
 
 // drainJournal writes every staged record to the ring log and
@@ -401,20 +574,7 @@ func (h *Hub) drainJournal() {
 			return
 		}
 
-		recs := make([][]byte, 0, len(batch))
-		for _, r := range batch {
-			if r.rec == nil {
-				recs = nil // poison: encode failure, detach below
-				break
-			}
-			recs = append(recs, r.rec)
-		}
-		var err error
-		if recs == nil {
-			err = errors.New("stream: event payload not JSON-encodable")
-		} else {
-			_, err = log.AppendBatch(recs)
-		}
+		last, err := log.AppendBatch(batch)
 		if err != nil {
 			h.mu.Lock()
 			h.persistErrs += uint64(len(batch))
@@ -422,8 +582,8 @@ func (h *Hub) drainJournal() {
 				h.log = nil
 			}
 			h.mu.Unlock()
-			// The log is already sticky-failed (or holds an event it
-			// must not outlive); Close is cleanup, not durability.
+			// The log is already sticky-failed; Close is cleanup, not
+			// durability.
 			_ = log.Close() //lint:ignore closecheck log already sticky-failed; Close error carries no new information
 			return
 		}
@@ -434,7 +594,8 @@ func (h *Hub) drainJournal() {
 		if due {
 			h.sinceTrim = 0
 		}
-		last := batch[len(batch)-1].id
+		clear(batch) // the ring owns the records now
+		h.jspare = batch[:0]
 		h.mu.Unlock()
 		if due && last >= uint64(h.opts.History) {
 			_ = log.TruncateBefore(last - uint64(h.opts.History) + 1)
@@ -469,25 +630,28 @@ func (h *Hub) LastID() uint64 {
 
 // HubStats are cumulative hub counters.
 type HubStats struct {
-	Published   uint64 `json:"published"`
-	Delivered   uint64 `json:"delivered"`
-	Evicted     uint64 `json:"evicted"`
-	Replayed    uint64 `json:"replayed"`
-	Subscribers int    `json:"subscribers"`
-	Retained    int    `json:"retained"`
+	Published uint64 `json:"published"`
+	// PublishErrors counts events the hub refused to sequence: malformed
+	// topic, unencodable timestamp, or published after Close.
+	PublishErrors uint64 `json:"publish_errors,omitempty"`
+	Delivered     uint64 `json:"delivered"`
+	Evicted       uint64 `json:"evicted"`
+	Replayed      uint64 `json:"replayed"`
+	Subscribers   int    `json:"subscribers"`
+	Retained      int    `json:"retained"`
 	// PersistErrors counts ring-log write failures of a durable hub
 	// (events stay live but would not survive a restart).
 	PersistErrors uint64 `json:"persist_errors,omitempty"`
 }
 
-// QueueDepth sums the entries buffered across every subscriber queue —
+// QueueDepth sums the events buffered across every subscriber queue —
 // a live measure of how far the slowest consumers are behind fan-out.
 func (h *Hub) QueueDepth() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	depth := 0
 	for _, s := range h.subs {
-		depth += len(s.ch)
+		depth += s.queuedLocked()
 	}
 	return depth
 }
@@ -498,6 +662,7 @@ func (h *Hub) Stats() HubStats {
 	defer h.mu.Unlock()
 	return HubStats{
 		Published:     h.published,
+		PublishErrors: h.refused,
 		Delivered:     h.delivered,
 		Evicted:       h.evicted,
 		Replayed:      h.replayed,

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,7 +53,7 @@ func NewService(bus EventBus, opts Options) (*Service, error) {
 		return nil, err
 	}
 	sub, err := bus.Subscribe(middleware.WildcardRest, func(ev middleware.Event) {
-		_ = hub.Publish(ev)
+		_ = hub.Publish(ev) // a bus handler has nobody to tell; the hub counts the refusal (PublishErrors)
 	})
 	if err != nil {
 		return nil, errors.Join(err, hub.Close())
@@ -84,6 +82,9 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 	reg.CounterFunc("repro_stream_published_total",
 		"Events sequenced into the hub.", nil,
 		func() float64 { return float64(h.Stats().Published) })
+	reg.CounterFunc("repro_stream_publish_errors_total",
+		"Events the hub refused to sequence (bad topic or timestamp, hub closed).", nil,
+		func() float64 { return float64(h.Stats().PublishErrors) })
 	reg.CounterFunc("repro_stream_delivered_total",
 		"Event deliveries into subscriber queues.", nil,
 		func() float64 { return float64(h.Stats().Delivered) })
@@ -157,14 +158,21 @@ func lastEventID(r *http.Request) (uint64, error) {
 	return id, nil
 }
 
-// appendEntry renders one SSE frame (id + JSON-encoded event) into buf.
-func appendEntry(buf *bytes.Buffer, e Entry) error {
-	data, err := json.Marshal(e.Event)
-	if err != nil {
-		return err
+// appendFrame appends one SSE frame: the id line and the event's JSON
+// as the data line — the wire bytes the entry was published with, or,
+// for an entry that had no reader then, encoded now.
+//
+// districtlint:hotpath
+func appendFrame(b []byte, e *Entry) []byte {
+	b = append(b, "id: "...)
+	b = strconv.AppendUint(b, e.ID, 10)
+	b = append(b, "\ndata: "...)
+	if e.wire != nil {
+		b = append(b, e.wire...)
+	} else {
+		b = appendEvent(b, &e.Event)
 	}
-	fmt.Fprintf(buf, "id: %d\ndata: %s\n\n", e.ID, data)
-	return nil
+	return append(b, "\n\n"...)
 }
 
 // maxWaveBytes bounds the coalescing buffer: a wave larger than this is
@@ -202,38 +210,41 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 
 	// Frames are coalesced per wave: every frame ready to go out (the
-	// replay batch, or one delivered event plus everything queued behind
-	// it) is rendered into one buffer and hits the wire as a single
+	// replay, or one delivered batch plus every batch queued behind it)
+	// is rendered into one buffer and hits the wire as a single
 	// Write+Flush. Syscall and flush cost is paid per wave, not per
 	// event — the dominant share of the SSE fan-out cost at high rates.
-	var buf bytes.Buffer
+	var buf []byte
 	flushBuf := func() bool {
-		if buf.Len() == 0 {
+		if len(buf) == 0 {
 			return true
 		}
-		if _, err := w.Write(buf.Bytes()); err != nil {
+		if _, err := w.Write(buf); err != nil {
 			return false
 		}
-		buf.Reset()
+		buf = buf[:0]
 		flusher.Flush()
 		return true
 	}
+	// render appends the frames of es; a wave that passes maxWaveBytes
+	// is written out on the way.
+	render := func(es []Entry) bool {
+		for i := range es {
+			buf = appendFrame(buf, &es[i])
+			if len(buf) >= maxWaveBytes && !flushBuf() {
+				return false
+			}
+		}
+		return true
+	}
 
-	buf.WriteString("retry: 1000\n\n")
+	buf = append(buf, "retry: 1000\n\n"...)
 	if sub.Gap {
 		// The client resumed past the replay ring; it gets everything
 		// still retained plus a marker that the stream has a hole.
-		buf.WriteString(": gap: resume point expired from replay buffer\n\n")
+		buf = append(buf, ": gap: resume point expired from replay buffer\n\n"...)
 	}
-	for _, e := range replay {
-		if err := appendEntry(&buf, e); err != nil {
-			return
-		}
-		if buf.Len() >= maxWaveBytes && !flushBuf() {
-			return
-		}
-	}
-	if !flushBuf() {
+	if !render(replay) || !flushBuf() {
 		return
 	}
 
@@ -241,22 +252,22 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	defer ticker.Stop()
 	for {
 		select {
-		case e, ok := <-sub.C:
+		case batch, ok := <-sub.C:
 			if !ok {
 				return // evicted or hub closed: client reconnects and resumes
 			}
-			if err := appendEntry(&buf, e); err != nil {
+			if !render(batch) {
 				return
 			}
 			// Coalesce whatever queued behind it into the same wave.
-			for drained := false; !drained && buf.Len() < maxWaveBytes; {
+			for drained := false; !drained && len(buf) < maxWaveBytes; {
 				select {
-				case e, ok := <-sub.C:
+				case batch, ok := <-sub.C:
 					if !ok {
 						flushBuf()
 						return
 					}
-					if err := appendEntry(&buf, e); err != nil {
+					if !render(batch) {
 						return
 					}
 				default:
@@ -267,7 +278,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		case <-ticker.C:
-			buf.WriteString(": keep-alive\n\n")
+			buf = append(buf, ": keep-alive\n\n"...)
 			if !flushBuf() {
 				return
 			}

@@ -19,8 +19,9 @@ func event(topic, payload string) middleware.Event {
 	return middleware.Event{Topic: topic, Payload: []byte(payload)}
 }
 
-// collect drains n entries from a sub channel with a deadline.
-func collect(t *testing.T, c <-chan Entry, n int) []Entry {
+// collect drains n entries (however batched) from a sub channel with a
+// deadline.
+func collect(t *testing.T, c <-chan []Entry, n int) []Entry {
 	t.Helper()
 	out := make([]Entry, 0, n)
 	deadline := time.After(5 * time.Second)
@@ -30,7 +31,7 @@ func collect(t *testing.T, c <-chan Entry, n int) []Entry {
 			if !ok {
 				t.Fatalf("channel closed after %d/%d entries", len(out), n)
 			}
-			out = append(out, e)
+			out = append(out, e...)
 		case <-deadline:
 			t.Fatalf("timeout after %d/%d entries", len(out), n)
 		}
@@ -155,9 +156,9 @@ func TestHubSlowConsumerEvictedWithoutStalling(t *testing.T) {
 	done := make(chan []Entry)
 	go func() {
 		var got []Entry
-		for e := range fast.C {
-			got = append(got, e)
-			drained.Add(1)
+		for batch := range fast.C {
+			got = append(got, batch...)
+			drained.Add(int64(len(batch)))
 		}
 		done <- got
 	}()

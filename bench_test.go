@@ -100,7 +100,7 @@ func BenchmarkF1a_EndToEndAreaQuery(b *testing.B) {
 // ---------------------------------------------------------------------
 // F1b — Fig. 1(b): the device-proxy pipeline per protocol. One PollOnce
 // covers the dedicated layer (real protocol round trip), the local
-// database append, and the publish/subscribe publication.
+// database append, and the publication on the proxy's own bus.
 // ---------------------------------------------------------------------
 
 func BenchmarkF1b_DeviceProxyPipeline(b *testing.B) {
@@ -108,17 +108,12 @@ func BenchmarkF1b_DeviceProxyPipeline(b *testing.B) {
 		dataformat.Temperature: {Base: 21},
 		dataformat.Humidity:    {Base: 45},
 	}
-	bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-	defer bus.Close()
-	_, _ = bus.Subscribe(measuredb.IngestPattern, func(middleware.Event) {})
-
 	run := func(b *testing.B, driver deviceproxy.Driver) {
 		b.Helper()
 		proxy, err := deviceproxy.New(deviceproxy.Options{
 			DeviceURI: "urn:district:turin/building:b00/device:bench",
 			Driver:    driver,
 			PollEvery: time.Hour,
-			Publisher: bus,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -127,6 +122,9 @@ func BenchmarkF1b_DeviceProxyPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer proxy.Close()
+		if _, err := proxy.Bus().Subscribe(measuredb.IngestPattern, func(middleware.Event) {}); err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			proxy.PollOnce()
@@ -662,50 +660,6 @@ func (r *registrarShim) register() error {
 	return reg.Register()
 }
 
-// BenchmarkF1b_AblationPublish isolates the publish/subscribe layer's
-// share of the device-proxy pipeline (DESIGN.md §5): the same EnOcean
-// pipeline with and without middleware publication.
-func BenchmarkF1b_AblationPublish(b *testing.B) {
-	signals := map[dataformat.Quantity]wsn.Signal{
-		dataformat.Temperature: {Base: 21},
-		dataformat.Humidity:    {Base: 45},
-	}
-	for _, publish := range []bool{false, true} {
-		b.Run(fmt.Sprintf("publish=%v", publish), func(b *testing.B) {
-			link := &wsn.SerialLink{}
-			node := wsn.NewNodeEnOcean(link, enocean.EEPTempHumA50401, 0x200, signals, 1)
-			defer node.Close()
-			node.Emit()
-			var pub deviceproxy.Publisher
-			if publish {
-				bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-				defer bus.Close()
-				if _, err := bus.Subscribe(measuredb.IngestPattern, func(middleware.Event) {}); err != nil {
-					b.Fatal(err)
-				}
-				pub = bus
-			}
-			proxy, err := deviceproxy.New(deviceproxy.Options{
-				DeviceURI: "urn:district:turin/building:b00/device:abl",
-				Driver:    wsn.NewDriverEnOcean(link, enocean.EEPTempHumA50401, 0x200, nil),
-				PollEvery: time.Hour,
-				Publisher: pub,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := proxy.Run("127.0.0.1:0"); err != nil {
-				b.Fatal(err)
-			}
-			defer proxy.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				proxy.PollOnce()
-			}
-		})
-	}
-}
-
 // ---------------------------------------------------------------------
 // S1 — stream fan-out: one publisher feeding many concurrent
 // subscribers through the SSE hub. The hub holds its lock across the
@@ -849,10 +803,14 @@ func BenchmarkS2_StreamSSEFanout100(b *testing.B) {
 // hub journaled and one subscriber draining it — so every row is
 // decoded, stored, turned into an event, encoded once, journaled and
 // queued. allocs/row covers all of it, the request's own fixed cost
-// included; hotalloc_ci.json holds the ceiling.
+// included; TestHotPathAllocCeilings holds the ceiling.
 // ---------------------------------------------------------------------
 
 func BenchmarkS3_IngestPublishAllocs(b *testing.B) {
+	benchAllocsPer(b, "row", s3LivePathOp(b))
+}
+
+func s3LivePathOp(tb testing.TB) hotPathOp {
 	const (
 		rowsPerRequest = 64
 		requestsPerOp  = 16 // so the pools a GC emptied refill once per 1024 rows, not per 64
@@ -875,12 +833,12 @@ func BenchmarkS3_IngestPublishAllocs(b *testing.B) {
 		Engine: tsdb.NewSharded(tsdb.ShardedOptions{
 			Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
 		}),
-		Stream: stream.Options{Hub: stream.HubOptions{Dir: b.TempDir()}},
+		Stream: stream.Options{Hub: stream.HubOptions{Dir: tb.TempDir()}},
 	})
-	b.Cleanup(svc.Close)
+	tb.Cleanup(svc.Close)
 	sub, _, err := svc.Stream().Hub().Subscribe(measuredb.IngestPattern, 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	var delivered atomic.Int64
 	drained := make(chan struct{})
@@ -892,22 +850,27 @@ func BenchmarkS3_IngestPublishAllocs(b *testing.B) {
 	}()
 	h := svc.Handler()
 	ops := 0
-	benchAllocsPer(b, "row", rowsPerOp, func() {
-		for r := 0; r < requestsPerOp; r++ {
-			req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body.Bytes()))
-			req.Header.Set("Content-Type", "application/json")
-			w := &discardResponseWriter{h: make(http.Header)}
-			h.ServeHTTP(w, req)
-			if w.status != 200 {
-				b.Fatalf("ingest status %d", w.status)
+	return hotPathOp{
+		perOp: rowsPerOp,
+		fn: func() {
+			for r := 0; r < requestsPerOp; r++ {
+				req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body.Bytes()))
+				req.Header.Set("Content-Type", "application/json")
+				w := &discardResponseWriter{h: make(http.Header)}
+				h.ServeHTTP(w, req)
+				if w.status != 200 {
+					tb.Fatalf("ingest status %d", w.status)
+				}
 			}
-		}
-		ops++
-	})
-	sub.Close()
-	<-drained
-	if st := svc.Stream().Hub().Stats(); st.Evicted != 0 || delivered.Load() != int64(ops*rowsPerOp) || st.PersistErrors != 0 {
-		b.Fatalf("delivered %d of %d rows; hub stats %+v", delivered.Load(), ops*rowsPerOp, st)
+			ops++
+		},
+		verify: func() {
+			sub.Close()
+			<-drained
+			if st := svc.Stream().Hub().Stats(); st.Evicted != 0 || delivered.Load() != int64(ops*rowsPerOp) || st.PersistErrors != 0 {
+				tb.Fatalf("delivered %d of %d rows; hub stats %+v", delivered.Load(), ops*rowsPerOp, st)
+			}
+		},
 	}
 }
 
@@ -1056,16 +1019,15 @@ func BenchmarkQ3_V2SamplesTransport(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // I — the /v2 ingest data plane and the sharded storage engine: write
-// throughput vs shard count, and the ingest transports vs the legacy
-// event-per-sample bus hop.
+// throughput vs shard count, and the ingest transports.
 // ---------------------------------------------------------------------
 
 // I1 — engine ingest throughput vs the single-lock store. The workload
 // is the ingest-dominated shape of the platform: concurrent producers
 // (gateways, proxy batchers, backfills) shipping per-device runs of
-// samples across many devices. store=single-lock is the pre-redesign
-// path — every sample individually resolved and locked in one Store,
-// exactly what the bus hop's Ingest-per-event did. The sharded engine
+// samples across many devices. store=single-lock resolves and locks
+// every sample individually in one Store, as the bus subscriber's
+// Ingest-per-event does. The sharded engine
 // partitions rows by device hash once per run, hands them to the
 // per-shard append queues, and each shard's single writer applies whole
 // runs under one lock; shard count sets the write parallelism available
@@ -1196,9 +1158,8 @@ func BenchmarkI1Ingest(b *testing.B) {
 }
 
 // I2 — shipping samples to the measurements DB over HTTP: the batched
-// JSON ingest, the NDJSON streaming writer, and the legacy
-// one-event-per-sample /v1/publish bus hop they replace. Reported time
-// is per row delivered and stored.
+// JSON ingest and the NDJSON streaming writer. Reported time is per row
+// delivered and stored.
 func BenchmarkI2_V2IngestTransport(b *testing.B) {
 	newSvc := func(b *testing.B) (*measuredb.Service, string) {
 		b.Helper()
@@ -1261,34 +1222,6 @@ func BenchmarkI2_V2IngestTransport(b *testing.B) {
 			b.Fatalf("stream summary %+v, err %v", res, err)
 		}
 		_ = svc
-	})
-	b.Run("op=bus-publish-per-sample", func(b *testing.B) {
-		svc, url := newSvc(b)
-		pub := &stream.RemotePublisher{BaseURL: url, Transport: &api.Transport{MaxAttempts: 1}}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := row(i)
-			doc := dataformat.NewMeasurementDoc(dataformat.Measurement{
-				Source: "http://bench/", Device: m.Device,
-				Quantity: dataformat.Temperature, Unit: dataformat.Celsius,
-				Value: m.Value, Timestamp: m.At,
-			})
-			payload, err := doc.Encode(dataformat.JSON)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := pub.Publish(middleware.Event{
-				Topic:   measuredb.Topic(m.Device, dataformat.Temperature),
-				Payload: payload,
-				At:      m.At,
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		if svc.Stats().Ingested != uint64(b.N) {
-			b.Fatalf("ingested %d of %d", svc.Stats().Ingested, b.N)
-		}
 	})
 }
 
@@ -1766,8 +1699,8 @@ func BenchmarkD4_RollupAggregate(b *testing.B) {
 // the /v2 ingest decode and query encode planes (pooled scanner and
 // row encoders vs the reflecting encoding/json paths they replaced),
 // and the generation-keyed result cache's cached-vs-uncached latency.
-// The committed ceilings live in BENCH_hotpath.json and hotalloc_ci.json;
-// CI runs H1/H2 at -benchtime=1x and fails on regression.
+// TestHotPathAllocCeilings runs the same bodies once and fails on a
+// per-row (or per-response) allocation above its ceiling.
 // ---------------------------------------------------------------------
 
 // discardResponseWriter sinks a response body without buffering it, so
@@ -1792,28 +1725,98 @@ func (d *discardResponseWriter) WriteHeader(status int) {
 	}
 }
 
-// benchAllocsPer times fn (which processes perOp units — rows,
-// responses — per call) and reports steady-state heap allocations per
-// unit from the MemStats delta across the timed loop. One untimed
-// warm-up call primes pools, interners, and lazily created metrics so
-// the figure is the per-unit budget, not first-request setup.
-func benchAllocsPer(b *testing.B, unit string, perOp int, fn func()) {
-	b.Helper()
-	fn()
-	b.ReportAllocs()
+// hotPathOp is one hot-path body, shared by the benchmark that reports
+// on it and by TestHotPathAllocCeilings: fn processes perOp units (rows,
+// responses) per call, verify (optional) checks the end state once the
+// calls are done.
+type hotPathOp struct {
+	perOp  int
+	fn     func()
+	verify func()
+}
+
+// mallocsDuring returns the heap allocations fn performs, counted from
+// the MemStats delta after a GC.
+func mallocsDuring(fn func()) uint64 {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn()
-	}
-	b.StopTimer()
+	fn()
 	runtime.ReadMemStats(&m1)
-	units := float64(b.N) * float64(perOp)
-	b.ReportMetric(float64(m1.Mallocs-m0.Mallocs)/units, "allocs/"+unit)
+	return m1.Mallocs - m0.Mallocs
+}
+
+// benchAllocsPer times op.fn and reports steady-state heap allocations
+// per unit. One untimed warm-up call primes pools, interners, and lazily
+// created metrics so the figure is the per-unit budget, not
+// first-request setup.
+func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
+	b.Helper()
+	op.fn()
+	b.ReportAllocs()
+	mallocs := mallocsDuring(func() {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			op.fn()
+		}
+		b.StopTimer()
+	})
+	if op.verify != nil {
+		op.verify()
+	}
+	units := float64(b.N) * float64(op.perOp)
+	b.ReportMetric(float64(mallocs)/units, "allocs/"+unit)
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(units/secs, unit+"s/s")
+	}
+}
+
+// TestHotPathAllocCeilings is the allocation-regression gate for the
+// hot paths: it runs the H1/H2/S3/gzip benchmark bodies a fixed number
+// of times and fails when allocations per row (or response) exceed the
+// ceiling. The ceilings are acceptance bars, not measured values: H1
+// measures about 0.07 allocs/row, H2 0.003 and S3 0.9 (its request's
+// fixed cost is spread over only 64 rows), so the headroom absorbs pool
+// warm-up and scheduling noise but not a reintroduced per-row
+// allocation, which costs at least 1.0. The gzip
+// bodies measure 4-5 allocs/response — a writer built per response
+// costs about 20 more — and run 200 times, because a GC between the
+// warm-up and a single measured response can empty the writer pool and
+// bill that response for a new writer. CSV encode has no ceiling: its
+// per-row conversions through encoding/csv are benchmarked for
+// reference only.
+func TestHotPathAllocCeilings(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("allocation counts are only meaningful in a plain, full run")
+	}
+	for _, tc := range []struct {
+		name    string
+		ceiling float64 // allocs per row or response
+		calls   int
+		op      func(testing.TB) hotPathOp
+	}{
+		{"H1 ingest ndjson", 2.0, 1, func(tb testing.TB) hotPathOp { return h1IngestOp(tb, true) }},
+		{"H1 ingest json-batch", 2.0, 1, func(tb testing.TB) hotPathOp { return h1IngestOp(tb, false) }},
+		{"H2 query encode ndjson", 1.0, 1, func(tb testing.TB) hotPathOp { return h2QueryEncodeOp(tb, "ndjson") }},
+		{"S3 ingest publish", 3.0, 1, s3LivePathOp},
+		{"gzip 100B", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 1); return op }},
+		{"gzip 8KiB", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 177); return op }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			op := tc.op(t)
+			op.fn() // warm-up, as in benchAllocsPer
+			mallocs := mallocsDuring(func() {
+				for i := 0; i < tc.calls; i++ {
+					op.fn()
+				}
+			})
+			if op.verify != nil {
+				op.verify()
+			}
+			if per := float64(mallocs) / float64(tc.calls*op.perOp); per > tc.ceiling {
+				t.Fatalf("%.3f allocs per unit exceeds the ceiling %.1f", per, tc.ceiling)
+			}
+		})
 	}
 }
 
@@ -1823,50 +1826,52 @@ func benchAllocsPer(b *testing.B, unit string, perOp int, fn func()) {
 // validating, and applying one row. The pooled zero-copy scanner's
 // budget is <= 2 allocs/row on both transports.
 func BenchmarkH1_IngestAllocs(b *testing.B) {
+	b.Run("transport=ndjson", func(b *testing.B) { benchAllocsPer(b, "row", h1IngestOp(b, true)) })
+	b.Run("transport=json-batch", func(b *testing.B) { benchAllocsPer(b, "row", h1IngestOp(b, false)) })
+}
+
+func h1IngestOp(tb testing.TB, ndjson bool) hotPathOp {
 	const (
 		devices   = 64
 		rowsPerOp = 8192
 	)
-	deviceOf := func(d int) string {
-		return fmt.Sprintf("urn:district:turin/building:b%03d/device:d0", d)
+	var body bytes.Buffer
+	contentType := measuredb.NDJSONType
+	if !ndjson {
+		contentType = "application/json"
+		body.WriteString(`{"rows":[`)
 	}
-	rowJSON := func(i int) string {
-		return fmt.Sprintf(`{"device":%q,"quantity":"temperature","at":"2015-03-09T%02d:%02d:%02dZ","value":%d.25}`,
-			deviceOf(i%devices), 10+i/3600%8, i/60%60, i%60, i%97)
-	}
-	var nd, batch bytes.Buffer
-	batch.WriteString(`{"rows":[`)
 	for i := 0; i < rowsPerOp; i++ {
-		nd.WriteString(rowJSON(i))
-		nd.WriteByte('\n')
-		if i > 0 {
-			batch.WriteByte(',')
+		if !ndjson && i > 0 {
+			body.WriteByte(',')
 		}
-		batch.WriteString(rowJSON(i))
+		fmt.Fprintf(&body, `{"device":"urn:district:turin/building:b%03d/device:d0","quantity":"temperature","at":"2015-03-09T%02d:%02d:%02dZ","value":%d.25}`,
+			i%devices, 10+i/3600%8, i/60%60, i%60, i%97)
+		if ndjson {
+			body.WriteByte('\n')
+		}
 	}
-	batch.WriteString(`]}`)
+	if !ndjson {
+		body.WriteString(`]}`)
+	}
 
-	run := func(b *testing.B, body []byte, contentType string) {
-		svc := measuredb.New(measuredb.Options{
-			DisableLegacyAliases: true,
-			Engine: tsdb.NewSharded(tsdb.ShardedOptions{
-				Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
-			}),
-		})
-		b.Cleanup(svc.Close)
-		h := svc.Handler()
-		benchAllocsPer(b, "row", rowsPerOp, func() {
-			req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body))
-			req.Header.Set("Content-Type", contentType)
-			w := &discardResponseWriter{h: make(http.Header)}
-			h.ServeHTTP(w, req)
-			if w.status != 200 {
-				b.Fatalf("ingest status %d", w.status)
-			}
-		})
-	}
-	b.Run("transport=ndjson", func(b *testing.B) { run(b, nd.Bytes(), measuredb.NDJSONType) })
-	b.Run("transport=json-batch", func(b *testing.B) { run(b, batch.Bytes(), "application/json") })
+	svc := measuredb.New(measuredb.Options{
+		DisableLegacyAliases: true,
+		Engine: tsdb.NewSharded(tsdb.ShardedOptions{
+			Store: tsdb.Options{MaxSamplesPerSeries: 1 << 22},
+		}),
+	})
+	tb.Cleanup(svc.Close)
+	h := svc.Handler()
+	return hotPathOp{perOp: rowsPerOp, fn: func() {
+		req := httptest.NewRequest("POST", "/v2/ingest", bytes.NewReader(body.Bytes()))
+		req.Header.Set("Content-Type", contentType)
+		w := &discardResponseWriter{h: make(http.Header)}
+		h.ServeHTTP(w, req)
+		if w.status != 200 {
+			tb.Fatalf("ingest status %d", w.status)
+		}
+	}}
 }
 
 // H2 — query encode allocations. One op streams a 50000-row series out
@@ -1876,6 +1881,11 @@ func BenchmarkH1_IngestAllocs(b *testing.B) {
 // pays two per-row string conversions to encoding/csv and is reported
 // for reference, without a ceiling).
 func BenchmarkH2_QueryEncodeAllocs(b *testing.B) {
+	b.Run("encoding=ndjson", func(b *testing.B) { benchAllocsPer(b, "row", h2QueryEncodeOp(b, "ndjson")) })
+	b.Run("encoding=csv", func(b *testing.B) { benchAllocsPer(b, "row", h2QueryEncodeOp(b, "csv")) })
+}
+
+func h2QueryEncodeOp(tb testing.TB, encoding string) hotPathOp {
 	const rowsPerOp = 50000
 	device := "urn:district:turin/building:b000/device:d0"
 	svc := measuredb.New(measuredb.Options{
@@ -1884,28 +1894,24 @@ func BenchmarkH2_QueryEncodeAllocs(b *testing.B) {
 			Store: tsdb.Options{MaxSamplesPerSeries: 1 << 20},
 		}),
 	})
-	b.Cleanup(svc.Close)
+	tb.Cleanup(svc.Close)
 	store := svc.Store()
 	key := tsdb.SeriesKey{Device: device, Quantity: "temperature"}
 	for i := 0; i < rowsPerOp; i++ {
 		if err := store.Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i) + 0.25}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	h := svc.Handler()
-	target := "/v2/series/" + url.PathEscape(device) + "/temperature/samples"
-	run := func(b *testing.B, encoding string) {
-		benchAllocsPer(b, "row", rowsPerOp, func() {
-			req := httptest.NewRequest("GET", target+"?encoding="+encoding, nil)
-			w := &discardResponseWriter{h: make(http.Header)}
-			h.ServeHTTP(w, req)
-			if w.status != 200 {
-				b.Fatalf("samples status %d", w.status)
-			}
-		})
-	}
-	b.Run("encoding=ndjson", func(b *testing.B) { run(b, "ndjson") })
-	b.Run("encoding=csv", func(b *testing.B) { run(b, "csv") })
+	target := "/v2/series/" + url.PathEscape(device) + "/temperature/samples?encoding=" + encoding
+	return hotPathOp{perOp: rowsPerOp, fn: func() {
+		req := httptest.NewRequest("GET", target, nil)
+		w := &discardResponseWriter{h: make(http.Header)}
+		h.ServeHTTP(w, req)
+		if w.status != 200 {
+			tb.Fatalf("samples status %d", w.status)
+		}
+	}}
 }
 
 // BenchmarkGzipMiddleware — the response compression path on its own:
@@ -1913,43 +1919,57 @@ func BenchmarkH2_QueryEncodeAllocs(b *testing.B) {
 // api.Gzip for a client that accepts gzip. 100 B stays under the 1 KiB
 // floor and must leave plain without touching the writer pool; 8 KiB
 // and 64 KiB are compressed at BestSpeed. wire-bytes/plain-byte is the
-// compression ratio; allocs/response is gated by hotalloc_ci.json, so
-// a per-response writer (or its 640 KiB double reset at level 6, which
-// shows as ns/op) cannot come back unnoticed.
+// compression ratio; allocs/response is gated by
+// TestHotPathAllocCeilings, so a per-response writer (or its 640 KiB
+// double reset at level 6, which shows as ns/op) cannot come back
+// unnoticed.
 func BenchmarkGzipMiddleware(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
 		samples int // ~46 bytes each inside a ~60-byte page envelope
 	}{{"body=100B", 1}, {"body=8KiB", 177}, {"body=64KiB", 1424}} {
-		page := measuredb.SamplesPage{Device: "urn:d", Quantity: "t", Count: bc.samples}
-		for i := 0; i < bc.samples; i++ {
-			page.Samples = append(page.Samples, measuredb.Point{
-				At: benchT0.Add(time.Duration(i) * time.Second), Value: 20 + float64(i%977)/16})
-		}
-		body, err := api.EncodeJSON(page)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := api.Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			_, _ = w.Write(body)
-		}), api.Gzip())
-		req := httptest.NewRequest("GET", "/v2/series/urn:d/t/samples", nil)
-		req.Header.Set("Accept-Encoding", "gzip")
 		b.Run(bc.name, func(b *testing.B) {
-			w := &discardResponseWriter{h: make(http.Header)}
-			benchAllocsPer(b, "response", 1, func() {
-				clear(w.h)
-				w.status, w.wire = 0, 0
-				h.ServeHTTP(w, req)
-			})
-			if coded := w.h.Get("Content-Encoding") == "gzip"; coded != (len(body) >= 1024) || (!coded && w.wire != len(body)) {
-				b.Fatalf("%d-byte body: Content-Encoding %q, %d wire bytes", len(body), w.h.Get("Content-Encoding"), w.wire)
-			}
-			b.ReportMetric(float64(w.wire)/float64(len(body)), "wire-bytes/plain-byte")
+			op, ratio := gzipOp(b, bc.samples)
+			benchAllocsPer(b, "response", op)
+			b.ReportMetric(ratio(), "wire-bytes/plain-byte")
 		})
 	}
+}
+
+// gzipOp writes one samples-entry page through api.Gzip per call; ratio
+// reports the last response's wire bytes per plain byte.
+func gzipOp(tb testing.TB, samples int) (op hotPathOp, ratio func() float64) {
+	page := measuredb.SamplesPage{Device: "urn:d", Quantity: "t", Count: samples}
+	for i := 0; i < samples; i++ {
+		page.Samples = append(page.Samples, measuredb.Point{
+			At: benchT0.Add(time.Duration(i) * time.Second), Value: 20 + float64(i%977)/16})
+	}
+	body, err := api.EncodeJSON(page)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h := api.Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+	}), api.Gzip())
+	req := httptest.NewRequest("GET", "/v2/series/urn:d/t/samples", nil)
+	req.Header.Set("Accept-Encoding", "gzip")
+	w := &discardResponseWriter{h: make(http.Header)}
+	op = hotPathOp{
+		perOp: 1,
+		fn: func() {
+			clear(w.h)
+			w.status, w.wire = 0, 0
+			h.ServeHTTP(w, req)
+		},
+		verify: func() {
+			if coded := w.h.Get("Content-Encoding") == "gzip"; coded != (len(body) >= 1024) || (!coded && w.wire != len(body)) {
+				tb.Fatalf("%d-byte body: Content-Encoding %q, %d wire bytes", len(body), w.h.Get("Content-Encoding"), w.wire)
+			}
+		},
+	}
+	return op, func() float64 { return float64(w.wire) / float64(len(body)) }
 }
 
 // H3 — the generation-keyed result cache. The op is a full GET

@@ -1,24 +1,17 @@
 // Command deviceproxy runs one device-proxy over a simulated device.
 // It is the standalone deployment of Fig. 1(b): dedicated layer (choose
 // the protocol with -protocol), local database, and web service layer,
-// publishing into the middleware hub and registering on the master.
+// registering on the master and shipping every sample to the
+// measurements database's batched /v2 ingest plane.
 //
 // Usage:
 //
 //	deviceproxy -uri urn:district:turin/building:b01/device:t1 \
 //	    -protocol zigbee -master http://127.0.0.1:8080 \
-//	    -hub 127.0.0.1:7000 -addr :0 -poll 1s
+//	    -ingest http://measuredb-host:9002 -addr :0 -poll 1s
 //
-// Instead of the middleware hops, samples can be shipped straight to
-// the measurements database's batched /v2 ingest plane — the preferred
-// write path:
-//
-//	deviceproxy -uri ... -ingest http://measuredb-host:9002
-//
-// The middleware TCP hub and the HTTP publish ingress remain as the
-// deprecated event-per-sample fallbacks:
-//
-//	deviceproxy -uri ... -publish http://measuredb-host:9002
+// Live subscribers read the proxy's own /v1/stream; without -ingest the
+// proxy only buffers and serves its samples locally.
 package main
 
 import (
@@ -35,35 +28,17 @@ import (
 	"repro/internal/client"
 	"repro/internal/dataformat"
 	"repro/internal/deviceproxy"
-	"repro/internal/middleware"
 	"repro/internal/protocol/enocean"
 	"repro/internal/protocol/ieee802154"
-	"repro/internal/stream"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
 	"repro/internal/wsn"
 )
 
-// multiPublisher fans one sample out to several publishers (TCP hub and
-// HTTP ingress at once); the first error wins, later targets still run.
-type multiPublisher []deviceproxy.Publisher
-
-func (m multiPublisher) Publish(ev middleware.Event) error {
-	var first error
-	for _, p := range m {
-		if err := p.Publish(ev); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
 func main() {
 	uri := flag.String("uri", "", "device ontology URI (required)")
 	protocol := flag.String("protocol", "zigbee", "device protocol: ieee802.15.4 | zigbee | enocean | opc-ua")
 	masterURL := flag.String("master", "", "master node base URL (empty: no registration)")
-	hubAddr := flag.String("hub", "", "middleware hub address (empty: no TCP publishing)")
-	publishURL := flag.String("publish", "", "remote service base URL to publish samples to over HTTP, one event per sample (deprecated; empty: none)")
 	ingestURL := flag.String("ingest", "", "measurements DB base URL to ship samples to via batched /v2 ingest (empty: none)")
 	addr := flag.String("addr", "127.0.0.1:0", "web service listen address")
 	poll := flag.Duration("poll", time.Second, "sampling period")
@@ -90,32 +65,11 @@ func main() {
 	}
 	defer cleanup()
 
-	var publishers []deviceproxy.Publisher
-	if *hubAddr != "" {
-		node := middleware.NewNode(middleware.NodeOptions{ID: "devproxy:" + *uri})
-		if err := node.Dial(*hubAddr); err != nil {
-			logger.Fatalf("middleware hub: %v", err)
-		}
-		defer node.Close()
-		publishers = append(publishers, node)
-	}
-	if *publishURL != "" {
-		publishers = append(publishers, &stream.RemotePublisher{BaseURL: *publishURL})
-	}
-	var publisher deviceproxy.Publisher
-	switch len(publishers) {
-	case 0:
-	case 1:
-		publisher = publishers[0]
-	default:
-		publisher = multiPublisher(publishers)
-	}
-
 	var writer deviceproxy.SampleWriter
 	if *ingestURL != "" {
 		batcher := (&client.Client{}).Ingest(*ingestURL).Batcher(client.BatcherOptions{
 			FlushEvery: *poll,
-			OnError:    func(err error) { logger.Printf("ingest flush: %v", err) },
+			OnError:    func(rows int, err error) { logger.Printf("ingest flush dropped %d rows: %v", rows, err) },
 		})
 		defer batcher.Close()
 		writer = batcher
@@ -154,7 +108,6 @@ func main() {
 		PollEvery:            *poll,
 		LocalEngine:          localEngine,
 		Writer:               writer,
-		Publisher:            publisher,
 		MasterURL:            *masterURL,
 		RateLimit:            limiter,
 		DisableLegacyAliases: !*legacy,

@@ -34,7 +34,6 @@ func main() {
 	ingestRate := flag.Float64("ingest-rate", 0, "measurements DB /v2 ingest write-tier rate limit per client IP (req/s, 0 = off)")
 	shards := flag.Int("shards", 0, "measurements DB storage shards (0 = engine default)")
 	measureNodes := flag.Int("measure-nodes", 0, "deploy the measurements DB as this many cluster nodes behind one coordinator (0/1 = single service)")
-	busWrites := flag.Bool("bus-writes", false, "route device samples over the deprecated middleware bus hop instead of /v2 ingest")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL+snapshots under the measurements DB, persisted stream replay ring and ingest dedup window (empty = in-memory)")
 	fsync := flag.String("fsync", "none", "WAL fsync policy with -data-dir: none | interval | always")
 	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot+compact each storage shard's WAL after N rows (0 = engine default)")
@@ -57,7 +56,6 @@ func main() {
 		MeasureWriteRate:   *ingestRate,
 		MeasureShards:      *shards,
 		MeasureNodes:       *measureNodes,
-		BusWrites:          *busWrites,
 		DataDir:            *dataDir,
 		FsyncMode:          *fsync,
 		SnapshotEvery:      *snapshotEvery,

@@ -153,24 +153,6 @@ func Body[Req, Resp any](fn func(ctx context.Context, in Req) (Resp, error)) htt
 	})
 }
 
-// DocIn adapts an endpoint consuming a common-format document body.
-// The encoding is taken from Content-Type, or sniffed when absent.
-func DocIn[Resp any](fn func(ctx context.Context, doc *dataformat.Document) (Resp, error)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		doc, err := ReadDoc(r)
-		if err != nil {
-			WriteError(w, r, BadRequest(err))
-			return
-		}
-		out, err := fn(r.Context(), doc)
-		if err != nil {
-			WriteError(w, r, err)
-			return
-		}
-		writeResult(w, r, out)
-	})
-}
-
 // ReadDoc decodes a request body as a common-format document, sniffing
 // the encoding from the Content-Type (or the payload itself).
 func ReadDoc(r *http.Request) (*dataformat.Document, error) {

@@ -28,10 +28,6 @@
 // transient failures back off exponentially with jitter, and concurrent
 // proxy fetches reuse pooled keep-alive connections under the
 // configured concurrency bound.
-//
-// The pre-redesign monolithic methods survive as thin deprecated
-// forwarders, except Devices(ctx, entity) — its name now returns the
-// device sub-client; use Catalog().Devices instead.
 package client
 
 import (
@@ -44,11 +40,7 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataformat"
-	"repro/internal/deviceproxy"
 	"repro/internal/integration"
-	"repro/internal/master"
-	"repro/internal/middleware"
-	"repro/internal/stream"
 )
 
 // Client talks to one master node and the proxies it redirects to. It
@@ -151,77 +143,6 @@ func (c *Client) FetchGISFeatures(ctx context.Context, gisURI string, area Area)
 		return nil, err
 	}
 	return doc.Entities, nil
-}
-
-// ---------------------------------------------------------------------
-// Deprecated monolithic surface: thin forwarders onto the sub-clients,
-// kept so pre-redesign consumers keep compiling during the migration.
-// ---------------------------------------------------------------------
-
-// Query asks the master node for the entities of an area.
-//
-// Deprecated: use Catalog().Query.
-func (c *Client) Query(ctx context.Context, district string, area Area) (*master.QueryResponse, error) {
-	return c.Catalog().Query(ctx, district, area)
-}
-
-// FetchDeviceInfo retrieves a device proxy's description document.
-//
-// Deprecated: use Devices().Info.
-func (c *Client) FetchDeviceInfo(ctx context.Context, proxyURI string) (*dataformat.DeviceInfo, error) {
-	return c.Devices().Info(ctx, proxyURI)
-}
-
-// FetchLatest retrieves a device proxy's freshest sample of a quantity.
-//
-// Deprecated: use Devices().Latest.
-func (c *Client) FetchLatest(ctx context.Context, proxyURI string, q dataformat.Quantity) (*dataformat.Measurement, error) {
-	return c.Devices().Latest(ctx, proxyURI, q)
-}
-
-// FetchData retrieves a device proxy's buffered samples of a quantity.
-//
-// Deprecated: use Devices().Data.
-func (c *Client) FetchData(ctx context.Context, proxyURI string, q dataformat.Quantity, from, to time.Time) ([]dataformat.Measurement, error) {
-	return c.Devices().Data(ctx, proxyURI, q, from, to)
-}
-
-// Control issues an actuation command through a device proxy.
-//
-// Deprecated: use Devices().Control.
-func (c *Client) Control(ctx context.Context, proxyURI string, q dataformat.Quantity, value float64) (*dataformat.ControlResult, error) {
-	return c.Devices().Control(ctx, proxyURI, q, value)
-}
-
-// ControlBatch issues many actuation commands in one round trip.
-//
-// Deprecated: use Devices().ControlBatch.
-func (c *Client) ControlBatch(ctx context.Context, proxyURI string, cmds []deviceproxy.ControlRequest) (*deviceproxy.BatchResponse, error) {
-	return c.Devices().ControlBatch(ctx, proxyURI, cmds)
-}
-
-// Subscribe opens a live subscription to the master node's stream.
-//
-// Deprecated: use Streams().Subscribe.
-func (c *Client) Subscribe(ctx context.Context, pattern string) (*stream.Subscription, error) {
-	return c.Streams().Subscribe(ctx, pattern)
-}
-
-// SubscribeService opens a live subscription to any streaming service.
-//
-// Deprecated: use Streams().SubscribeService.
-func (c *Client) SubscribeService(ctx context.Context, serviceURL, pattern string) (*stream.Subscription, error) {
-	return c.Streams().SubscribeService(ctx, serviceURL, pattern)
-}
-
-// PublishEvent injects one event into a remote service's bus. For
-// measurement writes, the bus hop itself is the deprecated path: ship
-// samples through Ingest(baseURL) — batched, idempotent, and stored
-// without a re-decode — instead of publishing measurement documents.
-//
-// Deprecated: use Streams().Publish (or Ingest for measurement writes).
-func (c *Client) PublishEvent(ctx context.Context, serviceURL string, ev middleware.Event) error {
-	return c.Streams().Publish(ctx, serviceURL, ev)
 }
 
 // ---------------------------------------------------------------------

@@ -73,14 +73,14 @@ func newFixture(t *testing.T) *fixture {
 
 func TestQuery(t *testing.T) {
 	f := newFixture(t)
-	qr, err := f.client.Query(context.Background(), "turin", Area{})
+	qr, err := f.client.Catalog().Query(context.Background(), "turin", Area{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(qr.Entities) != 2 || qr.GISURI == "" {
 		t.Fatalf("query = %+v", qr)
 	}
-	if _, err := f.client.Query(context.Background(), "ghost", Area{}); err == nil {
+	if _, err := f.client.Catalog().Query(context.Background(), "ghost", Area{}); err == nil {
 		t.Error("unknown district accepted")
 	}
 }
@@ -178,19 +178,19 @@ func TestControlAndDeviceEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	c := &Client{}
-	info, err := c.FetchDeviceInfo(context.Background(), ts.URL+"/")
+	info, err := c.Devices().Info(context.Background(), ts.URL+"/")
 	if err != nil || info.Protocol != "fake" {
 		t.Fatalf("info: %+v %v", info, err)
 	}
-	m, err := c.FetchLatest(context.Background(), ts.URL+"/", dataformat.Temperature)
+	m, err := c.Devices().Latest(context.Background(), ts.URL+"/", dataformat.Temperature)
 	if err != nil || m.Value != 21 {
 		t.Fatalf("latest: %+v %v", m, err)
 	}
-	ms, err := c.FetchData(context.Background(), ts.URL+"/", dataformat.Temperature, time.Now().Add(-time.Hour), time.Now())
+	ms, err := c.Devices().Data(context.Background(), ts.URL+"/", dataformat.Temperature, time.Now().Add(-time.Hour), time.Now())
 	if err != nil || len(ms) != 0 {
 		t.Fatalf("data: %v %v", ms, err)
 	}
-	res, err := c.Control(context.Background(), ts.URL+"/", dataformat.SwitchState, 1)
+	res, err := c.Devices().Control(context.Background(), ts.URL+"/", dataformat.SwitchState, 1)
 	if err != nil || !res.Applied {
 		t.Fatalf("control: %+v %v", res, err)
 	}

@@ -119,17 +119,16 @@ type BatcherOptions struct {
 	// FlushTimeout bounds one delivery (default 10s).
 	FlushTimeout time.Duration
 	// OnError observes failed deliveries (nil: drop silently). The rows
-	// of a failed delivery are dropped, not retried — the transport
-	// already retried transient failures under the batch's
-	// idempotency key.
-	OnError func(error)
+	// of a failed delivery — their count is passed along — are dropped,
+	// not retried: the transport already retried transient failures
+	// under the batch's idempotency key.
+	OnError func(rows int, err error)
 	// OnResult observes each delivery's summary (nil: ignored).
 	OnResult func(*measuredb.IngestResult)
 }
 
 // Batcher coalesces single samples into /v2/ingest batches, flushing on
-// size or interval — the producer-side replacement for the
-// one-event-per-sample bus hop. Most Adds only stage the row under a
+// size or interval. Most Adds only stage the row under a
 // lock; the Add that fills the batch to MaxRows delivers it inline
 // (bounded by FlushTimeout), which is the batcher's backpressure: a
 // producer outrunning the database slows to the delivery rate instead
@@ -210,7 +209,7 @@ func (b *Batcher) flush(rows []measuredb.Point) {
 	res, err := b.g.Append(ctx, rows)
 	if err != nil {
 		if b.opts.OnError != nil {
-			b.opts.OnError(err)
+			b.opts.OnError(len(rows), err)
 		}
 		return
 	}

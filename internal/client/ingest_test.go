@@ -106,7 +106,7 @@ func TestIngestBatcherSizeFlush(t *testing.T) {
 	b := ic.Batcher(BatcherOptions{
 		MaxRows:    8,
 		FlushEvery: -1, // size-only: prove the threshold alone ships
-		OnError:    func(err error) { t.Errorf("flush: %v", err) },
+		OnError:    func(_ int, err error) { t.Errorf("flush: %v", err) },
 		OnResult:   func(r *measuredb.IngestResult) { delivered.Add(int64(r.Accepted)) },
 	})
 	for i := 0; i < 20; i++ {

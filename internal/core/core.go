@@ -9,7 +9,9 @@ package core
 
 import (
 	"fmt"
+	"log"
 	"path/filepath"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -85,11 +87,6 @@ type Spec struct {
 	// classic single-service deployment. MeasureURL then points at the
 	// coordinator; the /v2 surface is unchanged for clients.
 	MeasureNodes int
-	// BusWrites routes device-proxy samples to the measurements DB over
-	// the deprecated middleware bus hop instead of the batched /v2
-	// ingest plane — the escape hatch while external deployments
-	// migrate.
-	BusWrites bool
 	// DataDir enables the durable storage layer under the measurements
 	// DB (in <DataDir>/measuredb): per-shard WAL + snapshots beneath the
 	// tsdb engine, a journaled stream replay ring (SSE Last-Event-ID
@@ -181,9 +178,11 @@ type District struct {
 	// DeviceProxies are the running device proxies, one per device.
 	DeviceProxies []*deviceproxy.Proxy
 
-	pubNode *middleware.Node
-	ingest  *client.Batcher
-	closers []func()
+	ingest *client.Batcher
+	// delivered and dropped count the rows the shared batcher shipped to
+	// the measurements DB and the rows of batches it failed to deliver.
+	delivered, dropped atomic.Uint64
+	closers            []func()
 }
 
 // Bootstrap builds and starts a synthetic district per the spec.
@@ -210,7 +209,7 @@ func Bootstrap(spec Spec) (*District, error) {
 	d.MasterURL = "http://" + addr
 	d.closers = append(d.closers, d.Master.Close)
 
-	// Middleware hub and the leaf node proxies publish through.
+	// Middleware hub: the relay the measurements DB subscribes through.
 	d.Hub = middleware.NewNode(middleware.NodeOptions{ID: "hub:" + spec.District, Relay: true})
 	hubAddr, err := d.Hub.Listen("127.0.0.1:0")
 	if err != nil {
@@ -218,12 +217,6 @@ func Bootstrap(spec Spec) (*District, error) {
 	}
 	d.HubAddr = hubAddr
 	d.closers = append(d.closers, d.Hub.Close)
-
-	d.pubNode = middleware.NewNode(middleware.NodeOptions{ID: "pub:" + spec.District})
-	if err := d.pubNode.Dial(hubAddr); err != nil {
-		return nil, fmt.Errorf("core: publisher node: %w", err)
-	}
-	d.closers = append(d.closers, d.pubNode.Close)
 
 	// Global measurements database, fed from the middleware.
 	limiter := func(rate float64) *api.RateLimiter {
@@ -288,16 +281,20 @@ func Bootstrap(spec Spec) (*District, error) {
 	}
 
 	// The device proxies' write path: one shared auto-flushing /v2
-	// ingest batcher (unless the deprecated bus hop is requested). It
-	// closes — final flush included — before the measurements DB does,
-	// and after the proxies stop sampling.
-	if !spec.BusWrites {
-		d.ingest = (&client.Client{}).Ingest(d.MeasureURL).Batcher(client.BatcherOptions{
-			MaxRows:    512,
-			FlushEvery: 200 * time.Millisecond,
-		})
-		d.closers = append(d.closers, d.ingest.Close)
-	}
+	// ingest batcher. It closes — final flush included — before the
+	// measurements DB does, and after the proxies stop sampling.
+	d.ingest = (&client.Client{}).Ingest(d.MeasureURL).Batcher(client.BatcherOptions{
+		MaxRows:    512,
+		FlushEvery: 200 * time.Millisecond,
+		OnError: func(rows int, err error) {
+			d.dropped.Add(uint64(rows))
+			log.Printf("core: ingest flush dropped %d rows: %v", rows, err)
+		},
+		OnResult: func(res *measuredb.IngestResult) {
+			d.delivered.Add(uint64(res.Accepted + res.Rejected))
+		},
+	})
+	d.closers = append(d.closers, d.ingest.Close)
 
 	// Ontology root.
 	ont := d.Master.Ontology()
@@ -542,7 +539,7 @@ func (d *District) addDevice(deviceURI string, proto Protocol, seed int64) error
 		return fmt.Errorf("core: unknown protocol %q", proto)
 	}
 
-	opts := deviceproxy.Options{
+	proxy, err := deviceproxy.New(deviceproxy.Options{
 		DeviceURI:            deviceURI,
 		Name:                 string(proto) + " device",
 		Driver:               driver,
@@ -552,13 +549,8 @@ func (d *District) addDevice(deviceURI string, proto Protocol, seed int64) error
 		MasterURL:            d.MasterURL,
 		DisableLegacyAliases: !d.Spec.LegacyAliases,
 		EnablePprof:          d.Spec.EnablePprof,
-	}
-	if d.ingest != nil {
-		opts.Writer = d.ingest // batched /v2 ingest plane
-	} else {
-		opts.Publisher = d.pubNode // deprecated bus hop (Spec.BusWrites)
-	}
-	proxy, err := deviceproxy.New(opts)
+		Writer:               d.ingest,
+	})
 	if err != nil {
 		return err
 	}
@@ -593,6 +585,13 @@ func (d *District) WaitForSamples(n uint64, timeout time.Duration) bool {
 		time.Sleep(10 * time.Millisecond)
 	}
 	return false
+}
+
+// IngestRows reports the device write path's delivery outcome so far:
+// rows the shared batcher delivered to the measurements DB, and rows of
+// batches it dropped because the delivery failed.
+func (d *District) IngestRows() (delivered, dropped uint64) {
+	return d.delivered.Load(), d.dropped.Load()
 }
 
 // Close tears the district down in reverse construction order.

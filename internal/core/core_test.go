@@ -94,7 +94,7 @@ func TestAreaFilteringReducesScope(t *testing.T) {
 	d := bootstrapSmall(t)
 	c := d.Client()
 	ctx := context.Background()
-	whole, err := c.Query(ctx, d.Spec.District, client.Area{})
+	whole, err := c.Catalog().Query(ctx, d.Spec.District, client.Area{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAreaFilteringReducesScope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	small, err := c.Query(ctx, d.Spec.District, client.Area{
+	small, err := c.Catalog().Query(ctx, d.Spec.District, client.Area{
 		MinLat: node.Lat - 1e-6, MinLon: node.Lon - 1e-6,
 		MaxLat: node.Lat + 1e-6, MaxLon: node.Lon + 1e-6,
 	})
@@ -144,7 +144,7 @@ func TestActuationThroughInfrastructure(t *testing.T) {
 	}
 	var proxyURI string
 	for _, dev := range devices {
-		info, err := c.FetchDeviceInfo(ctx, dev.ProxyURI)
+		info, err := c.Devices().Info(ctx, dev.ProxyURI)
 		if err != nil {
 			continue
 		}
@@ -157,7 +157,7 @@ func TestActuationThroughInfrastructure(t *testing.T) {
 	if proxyURI == "" {
 		t.Fatal("no switchable device found")
 	}
-	result, err := c.Control(ctx, proxyURI, dataformat.SwitchState, 1)
+	result, err := c.Devices().Control(ctx, proxyURI, dataformat.SwitchState, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestActuationThroughInfrastructure(t *testing.T) {
 	// The new state is visible on the next poll.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		m, err := c.FetchLatest(ctx, proxyURI, dataformat.SwitchState)
+		m, err := c.Devices().Latest(ctx, proxyURI, dataformat.SwitchState)
 		if err == nil && m.Value == 1 {
 			return
 		}
@@ -202,5 +202,44 @@ func TestBootstrapDefaults(t *testing.T) {
 	spec := (&Spec{}).withDefaults()
 	if spec.District != "turin" || spec.Buildings != 3 || spec.PollEvery <= 0 {
 		t.Errorf("defaults = %+v", spec)
+	}
+}
+
+// TestFailedIngestFlushIsCounted: the shared batcher is the only way
+// samples reach the measurements DB, so a batch it cannot deliver must
+// show up in IngestRows instead of vanishing.
+func TestFailedIngestFlushIsCounted(t *testing.T) {
+	d, err := Bootstrap(Spec{Buildings: 1, DevicesPerBuilding: 1, PollEvery: time.Hour, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	proxy := d.DeviceProxies[0]
+	// pollAndFlush polls once and waits until the batcher has settled
+	// every row the proxy handed it (the interval flush may race ours).
+	pollAndFlush := func() (delivered, dropped uint64) {
+		t.Helper()
+		proxy.PollOnce()
+		d.ingest.Flush()
+		staged := proxy.Stats().Published
+		deadline := time.Now().Add(10 * time.Second)
+		for time.Now().Before(deadline) {
+			if delivered, dropped = d.IngestRows(); delivered+dropped >= staged {
+				return delivered, dropped
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		t.Fatalf("batcher settled %d+%d of %d staged rows", delivered, dropped, staged)
+		return 0, 0
+	}
+
+	delivered, dropped := pollAndFlush()
+	if delivered == 0 || dropped != 0 {
+		t.Fatalf("healthy DB: delivered %d, dropped %d", delivered, dropped)
+	}
+	d.Measure.Close() // the DB goes away under the running proxies
+	delivered2, dropped2 := pollAndFlush()
+	if dropped2 == 0 || delivered2 != delivered {
+		t.Fatalf("dead DB: delivered %d → %d, dropped %d", delivered, delivered2, dropped2)
 	}
 }

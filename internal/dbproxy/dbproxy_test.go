@@ -1,16 +1,17 @@
 package dbproxy
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/bim"
 	"repro/internal/dataformat"
 	"repro/internal/gis"
-	"repro/internal/proxyhttp"
 	"repro/internal/sim"
 )
 
@@ -118,7 +119,7 @@ func TestBIMProxyEndpoints(t *testing.T) {
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 
-	doc, err := proxyhttp.GetDoc(nil, ts.URL+"/model", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/model", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +127,12 @@ func TestBIMProxyEndpoints(t *testing.T) {
 		t.Fatalf("model = %+v", doc)
 	}
 	// XML too — the open-format requirement.
-	doc, err = proxyhttp.GetDoc(nil, ts.URL+"/model", dataformat.XML)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/model", dataformat.XML)
 	if err != nil || doc.Entity == nil {
 		t.Fatalf("xml model: %v", err)
 	}
 
-	doc, err = proxyhttp.GetDoc(nil, ts.URL+"/devices", dataformat.JSON)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/devices", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestSIMProxyEndpoints(t *testing.T) {
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 
-	doc, err := proxyhttp.GetDoc(nil, ts.URL+"/model", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/model", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestGISProxyEndpoints(t *testing.T) {
 	ts := httptest.NewServer(p.Handler())
 	defer ts.Close()
 
-	doc, err := proxyhttp.GetDoc(nil, ts.URL+"/features?minLat=45.05&minLon=7.65&maxLat=45.07&maxLon=7.67", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/features?minLat=45.05&minLon=7.65&maxLat=45.07&maxLon=7.67", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestGISProxyEndpoints(t *testing.T) {
 		t.Fatalf("bbox query = %+v", doc.Entities)
 	}
 
-	doc, err = proxyhttp.GetDoc(nil, ts.URL+"/features?lat=45.0628&lon=7.6624&radius=500", dataformat.JSON)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/features?lat=45.0628&lon=7.6624&radius=500", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestGISProxyEndpoints(t *testing.T) {
 		t.Errorf("radius query = %d", len(doc.Entities))
 	}
 
-	doc, err = proxyhttp.GetDoc(nil, ts.URL+"/feature?id=urn:district:turin/building:b02", dataformat.JSON)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), ts.URL+"/feature?id=urn:district:turin/building:b02", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}

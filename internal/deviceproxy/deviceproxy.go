@@ -67,17 +67,9 @@ type Driver interface {
 // ErrNotActuator is returned by drivers for unsupported actuation.
 var ErrNotActuator = errors.New("deviceproxy: device has no actuator for quantity")
 
-// Publisher abstracts where the web-service layer publishes samples: an
-// in-process middleware bus or a networked node.
-type Publisher interface {
-	Publish(ev middleware.Event) error
-}
-
 // SampleWriter is the /v2 ingest hook: collected samples are handed to
 // it as self-contained rows, batched and shipped by the implementation
-// (client.(*Ingest).Batcher is the canonical one). Compared to the bus
-// hop, rows arrive at the measurements DB without a document re-decode
-// and in size/interval-coalesced batches.
+// (client.(*Ingest).Batcher is the canonical one).
 type SampleWriter interface {
 	Add(p measuredb.Point) error
 }
@@ -103,25 +95,11 @@ type Options struct {
 	// e.g. a durable tsdb.OpenSharded engine so the proxy's sample
 	// buffer survives a restart (-data-dir on the deviceproxy binary).
 	LocalEngine tsdb.Engine
-	// LocalDB overrides the middle layer store.
-	//
-	// Deprecated: use LocalEngine (a *tsdb.Store satisfies it); kept so
-	// pre-engine callers compile. Ignored when LocalEngine is set.
-	LocalDB *tsdb.Store
 	// Writer, when set, ships every collected sample to the measurements
 	// DB through the /v2 ingest plane (typically a client ingest
-	// batcher). It supersedes Publisher for the global write path; the
-	// proxy still publishes on its own bus for its local /v1/stream
-	// subscribers either way.
+	// batcher). The proxy publishes every sample on its own bus for its
+	// local /v1/stream subscribers either way.
 	Writer SampleWriter
-	// Publisher receives measurement events (nil disables publishing).
-	// Ignored when Writer is set, so a migrating deployment doesn't
-	// double-write.
-	//
-	// Deprecated: the one-event-per-sample bus hop; prefer Writer (the
-	// batched /v2 ingest plane). Kept as the fallback for federated
-	// topologies that still relay through the middleware network.
-	Publisher Publisher
 	// MasterURL, when set, registers the proxy with the master node.
 	MasterURL string
 	// ProxyID overrides the registration ID (default: derived from URI).
@@ -179,10 +157,7 @@ func New(opts Options) (*Proxy, error) {
 	if opts.PollEvery <= 0 {
 		opts.PollEvery = time.Second
 	}
-	var store tsdb.Engine = opts.LocalEngine
-	if store == nil && opts.LocalDB != nil {
-		store = opts.LocalDB
-	}
+	store := opts.LocalEngine
 	if store == nil {
 		store = tsdb.New(tsdb.Options{MaxSamplesPerSeries: 8192})
 	}
@@ -195,7 +170,11 @@ func New(opts Options) (*Proxy, error) {
 	if streamOpts.PublishLimiter == nil {
 		streamOpts.PublishLimiter = opts.RateLimit
 	}
-	p.streamS, _ = stream.NewService(p.bus, streamOpts)
+	var err error
+	if p.streamS, err = stream.NewService(p.bus, streamOpts); err != nil {
+		p.bus.Close()
+		return nil, fmt.Errorf("deviceproxy: stream: %w", err)
+	}
 	p.apiS = p.buildAPI()
 	return p, nil
 }
@@ -316,11 +295,9 @@ func (p *Proxy) PollOnce() {
 	p.publish(ms)
 }
 
-// publish ships measurements out of the proxy: always onto its own bus
-// (feeding its /v1/stream subscribers), then either to the /v2 ingest
-// Writer as self-contained rows (the batched write path) or, as the
-// deprecated fallback, to the external Publisher one event per
-// measurement (middleware node or remote HTTP ingress).
+// publish ships measurements out of the proxy: onto its own bus
+// (feeding its /v1/stream subscribers) and, when a Writer is set, to
+// the /v2 ingest plane as self-contained rows.
 func (p *Proxy) publish(ms []dataformat.Measurement) {
 	for i := range ms {
 		payload, err := dataformat.NewMeasurementDoc(ms[i]).Encode(dataformat.JSON)
@@ -334,33 +311,26 @@ func (p *Proxy) publish(ms []dataformat.Measurement) {
 			At:      ms[i].Timestamp,
 		}
 		_ = p.bus.Publish(ev)
-		switch {
-		case p.opts.Writer != nil:
-			row := measuredb.Point{
-				Device:   ms[i].Device,
-				Quantity: string(ms[i].Quantity),
-				At:       ms[i].Timestamp,
-				Value:    ms[i].Value,
-			}
-			if err := p.opts.Writer.Add(row); err == nil {
-				p.stats.Lock()
-				p.stats.published++
-				p.stats.Unlock()
-			}
-		case p.opts.Publisher != nil:
-			if err := p.opts.Publisher.Publish(ev); err == nil {
-				p.stats.Lock()
-				p.stats.published++
-				p.stats.Unlock()
-			}
+		if p.opts.Writer == nil {
+			continue
+		}
+		row := measuredb.Point{
+			Device:   ms[i].Device,
+			Quantity: string(ms[i].Quantity),
+			At:       ms[i].Timestamp,
+			Value:    ms[i].Value,
+		}
+		if err := p.opts.Writer.Add(row); err == nil {
+			p.stats.Lock()
+			p.stats.published++
+			p.stats.Unlock()
 		}
 	}
 }
 
-// Stats are cumulative proxy counters. Published counts samples handed
-// off the proxy: accepted by the Writer's batcher (delivery outcomes
-// are the batcher's OnError/OnResult and the DB's own counters) or, on
-// the deprecated path, successfully published to the Publisher.
+// Stats are cumulative proxy counters. Published counts samples the
+// Writer's batcher accepted (delivery outcomes are the batcher's
+// OnError/OnResult and the DB's own counters).
 type Stats struct {
 	Polls     uint64 `json:"polls"`
 	PollErrs  uint64 `json:"pollErrors"`

@@ -2,19 +2,23 @@ package deviceproxy
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dataformat"
 	"repro/internal/measuredb"
 	"repro/internal/middleware"
-	"repro/internal/proxyhttp"
+	"repro/internal/stream"
 )
 
 // fakeDriver is a scriptable dedicated layer.
@@ -57,7 +61,7 @@ func (f *fakeDriver) Close() error {
 
 const testURI = "urn:district:turin/building:b01/device:t-1"
 
-func newProxy(t *testing.T, drv Driver, pub Publisher) (*Proxy, string) {
+func newProxy(t *testing.T, drv Driver) (*Proxy, string) {
 	t.Helper()
 	p, err := New(Options{
 		DeviceURI: testURI,
@@ -68,7 +72,6 @@ func newProxy(t *testing.T, drv Driver, pub Publisher) (*Proxy, string) {
 		Actuates:  []dataformat.Quantity{dataformat.SwitchState},
 		Location:  &dataformat.Location{Latitude: 45.06, Longitude: 7.66},
 		PollEvery: time.Hour, // poll manually via PollOnce
-		Publisher: pub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -90,24 +93,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestPollOnceBuffersAndPublishes(t *testing.T) {
-	bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-	defer bus.Close()
-	var events []middleware.Event
-	_, _ = bus.Subscribe("measurements/#", func(ev middleware.Event) {
-		events = append(events, ev)
+// TestNewReportsStreamOpenError: a stream journal directory the WAL
+// cannot open must surface as New's error, not as a nil stream service.
+func TestNewReportsStreamOpenError(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Options{
+		DeviceURI: testURI,
+		Driver:    &fakeDriver{},
+		Stream:    stream.Options{Hub: stream.HubOptions{Dir: file}},
 	})
+	if err == nil {
+		p.Close()
+		t.Fatal("New accepted a stream journal dir that is a regular file")
+	}
+}
 
+func TestPollOnceBuffersAndPublishes(t *testing.T) {
 	drv := &fakeDriver{readings: []Reading{
 		{Quantity: dataformat.Temperature, Value: 21.5, Unit: dataformat.Celsius, Battery: 90},
 		{Quantity: dataformat.Humidity, Value: 44, Unit: dataformat.Percent, Battery: 90},
 	}}
-	p, _ := newProxy(t, drv, bus)
+	p, _ := newProxy(t, drv)
+	// The proxy's own bus is synchronous, so events is complete when
+	// PollOnce returns.
+	var events []middleware.Event
+	_, _ = p.Bus().Subscribe("measurements/#", func(ev middleware.Event) {
+		events = append(events, ev)
+	})
 	p.PollOnce()
 
 	st := p.Stats()
-	if st.Polls != 1 || st.Samples != 2 || st.Published != 2 {
-		t.Fatalf("Stats = %+v", st)
+	if st.Polls != 1 || st.Samples != 2 || st.Published != 0 {
+		t.Fatalf("Stats = %+v (no Writer: nothing leaves the proxy)", st)
 	}
 	if len(events) != 2 {
 		t.Fatalf("events = %d", len(events))
@@ -127,7 +147,7 @@ func TestPollOnceBuffersAndPublishes(t *testing.T) {
 
 func TestPollErrorCounted(t *testing.T) {
 	drv := &fakeDriver{pollErr: errors.New("radio down")}
-	p, _ := newProxy(t, drv, nil)
+	p, _ := newProxy(t, drv)
 	p.PollOnce()
 	st := p.Stats()
 	if st.Polls != 1 || st.PollErrs != 1 || st.Samples != 0 {
@@ -137,10 +157,10 @@ func TestPollErrorCounted(t *testing.T) {
 
 func TestInfoEndpoint(t *testing.T) {
 	drv := &fakeDriver{readings: []Reading{{Quantity: dataformat.Temperature, Value: 20, Unit: dataformat.Celsius, Battery: 77}}}
-	p, addr := newProxy(t, drv, nil)
+	p, addr := newProxy(t, drv)
 	p.PollOnce()
 
-	doc, err := proxyhttp.GetDoc(nil, "http://"+addr+"/info", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), "http://"+addr+"/info", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +175,7 @@ func TestInfoEndpoint(t *testing.T) {
 		t.Errorf("senses = %v", d.Senses)
 	}
 	// XML negotiation.
-	doc, err = proxyhttp.GetDoc(nil, "http://"+addr+"/info", dataformat.XML)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), "http://"+addr+"/info", dataformat.XML)
 	if err != nil || doc.Device.Name != "Temp Lab 1" {
 		t.Errorf("xml info: %v %+v", err, doc.Device)
 	}
@@ -163,7 +183,7 @@ func TestInfoEndpoint(t *testing.T) {
 
 func TestDataAndLatestEndpoints(t *testing.T) {
 	drv := &fakeDriver{}
-	p, addr := newProxy(t, drv, nil)
+	p, addr := newProxy(t, drv)
 	for i := 0; i < 5; i++ {
 		drv.mu.Lock()
 		drv.readings = []Reading{{Quantity: dataformat.Temperature, Value: 20 + float64(i), Unit: dataformat.Celsius, Battery: -1}}
@@ -171,7 +191,7 @@ func TestDataAndLatestEndpoints(t *testing.T) {
 		p.PollOnce()
 	}
 
-	doc, err := proxyhttp.GetDoc(nil, "http://"+addr+"/data?quantity=temperature", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), "http://"+addr+"/data?quantity=temperature", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +202,7 @@ func TestDataAndLatestEndpoints(t *testing.T) {
 		t.Errorf("last value = %v", doc.Measurements[4].Value)
 	}
 
-	doc, err = proxyhttp.GetDoc(nil, "http://"+addr+"/latest?quantity=temperature", dataformat.JSON)
+	doc, err = (&api.Transport{}).GetDoc(context.Background(), "http://"+addr+"/latest?quantity=temperature", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +212,7 @@ func TestDataAndLatestEndpoints(t *testing.T) {
 }
 
 func TestDataEndpointErrors(t *testing.T) {
-	p, addr := newProxy(t, &fakeDriver{}, nil)
+	p, addr := newProxy(t, &fakeDriver{})
 	_ = p
 	for _, tc := range []struct {
 		path string
@@ -217,7 +237,7 @@ func TestDataEndpointErrors(t *testing.T) {
 
 func TestDataRangeFilter(t *testing.T) {
 	drv := &fakeDriver{}
-	p, addr := newProxy(t, drv, nil)
+	p, addr := newProxy(t, drv)
 	base := time.Now().UTC().Add(-time.Hour).Truncate(time.Second)
 	for i := 0; i < 10; i++ {
 		drv.mu.Lock()
@@ -232,7 +252,7 @@ func TestDataRangeFilter(t *testing.T) {
 	u := fmt.Sprintf("http://%s/data?quantity=temperature&from=%s&to=%s", addr,
 		url.QueryEscape(base.Add(2*time.Minute).Format(time.RFC3339)),
 		url.QueryEscape(base.Add(5*time.Minute).Format(time.RFC3339)))
-	doc, err := proxyhttp.GetDoc(nil, u, dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), u, dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +263,7 @@ func TestDataRangeFilter(t *testing.T) {
 
 func TestControlEndpoint(t *testing.T) {
 	drv := &fakeDriver{}
-	p, addr := newProxy(t, drv, nil)
+	p, addr := newProxy(t, drv)
 
 	body, _ := json.Marshal(ControlRequest{Quantity: dataformat.SwitchState, Value: 1})
 	rsp, err := http.Post("http://"+addr+"/control", "application/json", bytes.NewReader(body))
@@ -271,7 +291,7 @@ func TestControlEndpoint(t *testing.T) {
 
 func TestControlFailureReported(t *testing.T) {
 	drv := &fakeDriver{actErr: ErrNotActuator}
-	_, addr := newProxy(t, drv, nil)
+	_, addr := newProxy(t, drv)
 	body, _ := json.Marshal(ControlRequest{Quantity: dataformat.SwitchState, Value: 1})
 	rsp, err := http.Post("http://"+addr+"/control", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -288,7 +308,7 @@ func TestControlFailureReported(t *testing.T) {
 }
 
 func TestControlRejects(t *testing.T) {
-	_, addr := newProxy(t, &fakeDriver{}, nil)
+	_, addr := newProxy(t, &fakeDriver{})
 	rsp, _ := http.Get("http://" + addr + "/control")
 	rsp.Body.Close()
 	if rsp.StatusCode != http.StatusMethodNotAllowed {
@@ -338,7 +358,7 @@ func TestSampleLoopRuns(t *testing.T) {
 
 func TestAggregateEndpoint(t *testing.T) {
 	drv := &fakeDriver{}
-	p, addr := newProxy(t, drv, nil)
+	p, addr := newProxy(t, drv)
 	base := time.Now().UTC().Add(-time.Hour).Truncate(5 * time.Minute)
 	for i := 0; i < 10; i++ {
 		drv.mu.Lock()
@@ -403,35 +423,21 @@ func (w *captureWriter) Add(p measuredb.Point) error {
 	return nil
 }
 
-// capturePublisher counts bus-hop publications.
-type capturePublisher struct {
-	mu     sync.Mutex
-	events int
-}
-
-func (p *capturePublisher) Publish(middleware.Event) error {
-	p.mu.Lock()
-	p.events++
-	p.mu.Unlock()
-	return nil
-}
-
-// TestWriterSupersedesPublisher checks the /v2 ingest Writer receives
-// every collected sample as a self-contained row and the deprecated
-// Publisher is skipped when both are configured (no double writes).
-func TestWriterSupersedesPublisher(t *testing.T) {
+// TestEverySampleReachesBusAndWriterOnce checks the proxy's two
+// outlets: with a Writer set, every polled sample is published exactly
+// once on the proxy's own bus (its /v1/stream feed) and handed exactly
+// once to the /v2 ingest Writer as a self-contained row.
+func TestEverySampleReachesBusAndWriterOnce(t *testing.T) {
 	drv := &fakeDriver{readings: []Reading{
 		{Quantity: dataformat.Temperature, Value: 21.5, Unit: dataformat.Celsius},
 		{Quantity: dataformat.Humidity, Value: 44, Unit: dataformat.Percent},
 	}}
 	w := &captureWriter{}
-	pub := &capturePublisher{}
 	p, err := New(Options{
 		DeviceURI: testURI,
 		Driver:    drv,
 		PollEvery: time.Hour,
 		Writer:    w,
-		Publisher: pub,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -440,6 +446,10 @@ func TestWriterSupersedesPublisher(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	onBus := map[string]int{} // topic → events; the bus delivers inline
+	if _, err := p.Bus().Subscribe("measurements/#", func(ev middleware.Event) { onBus[ev.Topic]++ }); err != nil {
+		t.Fatal(err)
+	}
 
 	p.PollOnce()
 	w.mu.Lock()
@@ -454,11 +464,16 @@ func TestWriterSupersedesPublisher(t *testing.T) {
 	if rows[0].At.IsZero() {
 		t.Fatal("row without timestamp")
 	}
-	pub.mu.Lock()
-	events := pub.events
-	pub.mu.Unlock()
-	if events != 0 {
-		t.Fatalf("deprecated publisher still received %d events", events)
+	if rows[1].Quantity != "humidity" || rows[1].Value != 44 {
+		t.Fatalf("row 1 = %+v", rows[1])
+	}
+	for _, q := range []dataformat.Quantity{dataformat.Temperature, dataformat.Humidity} {
+		if n := onBus[measuredb.Topic(testURI, q)]; n != 1 {
+			t.Fatalf("own bus saw %d events for %s, want 1 (all: %v)", n, q, onBus)
+		}
+	}
+	if len(onBus) != 2 {
+		t.Fatalf("own bus topics = %v", onBus)
 	}
 	if got := p.Stats().Published; got != 2 {
 		t.Fatalf("published counter = %d", got)

@@ -1,7 +1,6 @@
 package measuredb
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataformat"
 	"repro/internal/wal"
 )
 
@@ -77,45 +75,6 @@ func TestDurableIngestAndDedupSurviveKill(t *testing.T) {
 	}
 	if got := s2.Store().Stats().Samples; got != preSamples+2 {
 		t.Fatalf("fresh ingest landed %d samples, want %d", got, preSamples+2)
-	}
-}
-
-func TestDurableV1AppendSharesWritePath(t *testing.T) {
-	// /v1/append is a forwarder onto the v2 staging path: with a durable
-	// engine its rows are journaled exactly like /v2/ingest rows, and
-	// the response carries the Deprecation pointer at /v2/ingest.
-	dir := t.TempDir()
-	_, ts1 := openDurableServer(t, dir)
-	defer ts1.Close()
-
-	doc := dataformat.NewMeasurementDoc(dataformat.Measurement{
-		Source:    "t",
-		Device:    ingestDevice,
-		Quantity:  dataformat.Temperature,
-		Unit:      "Cel",
-		Value:     19,
-		Timestamp: time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC),
-	})
-	body, err := doc.Encode(dataformat.JSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := http.Post(ts1.URL+"/v1/append", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("v1 append = %d", r.StatusCode)
-	}
-	if r.Header.Get("Deprecation") != "true" {
-		t.Fatal("missing Deprecation header on /v1/append")
-	}
-
-	s2, ts2 := openDurableServer(t, dir)
-	defer func() { ts2.Close(); s2.Close() }()
-	if got := s2.Store().Stats().Samples; got != 1 {
-		t.Fatalf("v1-appended row not recovered: %d samples", got)
 	}
 }
 

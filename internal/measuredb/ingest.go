@@ -19,7 +19,7 @@ import (
 )
 
 // The /v2 ingest data plane: the write half of the resource-oriented
-// API, replacing the one-sample-at-a-time bus hop for bulk writers.
+// API.
 //
 //	POST /v2/ingest                                  batched JSON or NDJSON rows
 //	PUT  /v2/series/{device}/{quantity}/samples      single-series append

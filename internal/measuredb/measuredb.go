@@ -1,10 +1,10 @@
 // Package measuredb implements the district's global measurements
 // database service: the store "where data collected by sensors placed in
-// the district" accumulates (paper §II). Device-proxies publish their
-// samples into the middleware; this service subscribes to the
-// measurement topic space, ingests everything it sees, and serves
-// historical queries through a Database-proxy-style web service in the
-// common format.
+// the district" accumulates (paper §II). Device-proxies ship their
+// samples to its batched /v2 ingest plane; the service also subscribes
+// to the middleware's measurement topic space and ingests everything it
+// hears there, and serves historical queries through the /v2 read
+// plane.
 package measuredb
 
 import (
@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"net/url"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -91,12 +90,8 @@ type Options struct {
 	// device-hash tsdb.Sharded engine with Shards partitions.
 	Engine tsdb.Engine
 	// Shards sizes the default sharded engine (0 = tsdb.DefaultShards).
-	// Ignored when Engine (or Store) is supplied.
+	// Ignored when Engine is supplied.
 	Shards int
-	// Store overrides the backing store with a single-lock tsdb.Store.
-	//
-	// Deprecated: use Engine; kept so pre-sharding callers compile.
-	Store *tsdb.Store
 	// Logger receives access-log lines; nil silences them.
 	Logger api.Logger
 	// Bus overrides the service's event spine; nil creates a private
@@ -109,9 +104,8 @@ type Options struct {
 	// DisableLegacyAliases drops the unversioned route aliases; only
 	// /v1 and /v2 paths are then served.
 	DisableLegacyAliases bool
-	// ReadLimiter, when set, rate-limits the cheap read routes (v1
-	// query/latest/series/aggregate and the /v2 reads) per client IP —
-	// the "read" tier.
+	// ReadLimiter, when set, rate-limits the cheap /v2 read routes per
+	// client IP — the "read" tier.
 	ReadLimiter *api.RateLimiter
 	// BatchLimiter, when set, rate-limits POST /v2/query per client IP
 	// — the "batch" tier. Batch reads fan out over many series, so they
@@ -137,7 +131,7 @@ type Options struct {
 	// resume survives a restart), and finished ingest idempotency
 	// outcomes persist under <DataDir>/dedup (acked keyed batches replay
 	// after a crash instead of double-appending). Empty keeps everything
-	// in memory. Ignored by the engine when Engine or Store is supplied;
+	// in memory. Ignored by the engine when Engine is supplied;
 	// the stream and dedup state still persist.
 	DataDir string
 	// Fsync is the WAL durability policy for all three logs (default
@@ -163,15 +157,15 @@ type Options struct {
 	// cache (internal/qcache). Zero (the default) disables it entirely:
 	// every read evaluates from the store, exactly as before the cache
 	// existed. Only the default sharded engine can be cached — a
-	// caller-supplied Engine or Store has no generation counters, so the
-	// option is ignored there.
+	// caller-supplied Engine has no generation counters, so the option
+	// is ignored there.
 	QCacheBytes int64
 
 	// Cluster attaches the node to a multi-host cluster: it caches the
 	// master-published shard map, rejects writes for shards it does not
 	// own (or that are frozen mid-handoff) with retryable envelopes, and
 	// serves the /v1/cluster handoff plane. Requires the default sharded
-	// engine — a caller-supplied Engine or Store cannot be clustered.
+	// engine — a caller-supplied Engine cannot be clustered.
 	Cluster *ClusterOptions
 
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof
@@ -199,9 +193,6 @@ func New(opts Options) *Service {
 func Open(opts Options) (*Service, error) {
 	reg := obs.NewRegistry()
 	st := opts.Engine
-	if st == nil && opts.Store != nil {
-		st = opts.Store
-	}
 	var err error
 	if st == nil {
 		if opts.DataDir != "" {
@@ -414,15 +405,10 @@ func (s *Service) Stats() Stats {
 }
 
 // buildAPI registers the service's endpoints on the unified API layer.
-// The v1 surface is served under /v1/... with the bare path kept as a
-// legacy alias (unless disabled); the /v2 query data plane (v2.go) has
-// no aliases:
+// The v1 operations surface is served under /v1/... with the bare path
+// kept as a legacy alias (unless disabled); the /v2 data plane (v2.go,
+// ingest.go) has no aliases:
 //
-//	POST /v1/append                      body: measurement(s) document
-//	GET  /v1/query?device=&quantity=&from=&to=
-//	GET  /v1/latest?device=&quantity=
-//	GET  /v1/series?device=              (all series, or one device's)
-//	GET  /v1/aggregate?device=&quantity=&from=&to=[&window=]
 //	GET  /v1/stats
 //	GET  /v1/storage                     per-shard durable storage status
 //	POST /v1/storage/compact[?shard=N]   force a block compaction cycle
@@ -462,11 +448,6 @@ func (s *Service) buildAPI(opts Options) *api.Server {
 		srv.Metrics().RegisterLimiter("publish", opts.Stream.PublishLimiter)
 	}
 
-	srv.Handle(http.MethodPost, "/append", deprecated("/v2/ingest", api.DocIn(s.append)))
-	srv.Handle(http.MethodGet, "/query", read(api.Query(s.query)))
-	srv.Handle(http.MethodGet, "/latest", read(api.Query(s.latest)))
-	srv.Handle(http.MethodGet, "/series", read(api.Query(s.series)))
-	srv.Handle(http.MethodGet, "/aggregate", read(api.Query(s.aggregate)))
 	srv.Get("/stats", func(ctx context.Context, q url.Values) (any, error) {
 		return s.Stats(), nil
 	})
@@ -511,51 +492,6 @@ func (s *Service) Close() {
 	s.store.Close()
 }
 
-// deprecated marks a legacy route's responses as deprecated, pointing
-// clients at the successor resource.
-func deprecated(successor string, h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		h.ServeHTTP(w, r)
-	})
-}
-
-// append serves POST /v1/append as a thin forwarder onto the /v2/ingest
-// staging path, so the infrastructure has exactly one (durable) write
-// pipeline: rows flow through the same batched engine appends, live
-// stream feed, and counters as the resource-oriented ingest plane. The
-// v1 response shape is kept; responses carry a Deprecation header.
-func (s *Service) append(ctx context.Context, doc *dataformat.Document) (map[string]int, error) {
-	var ms []dataformat.Measurement
-	switch doc.Kind {
-	case dataformat.KindMeasurement:
-		ms = []dataformat.Measurement{*doc.Measurement}
-	case dataformat.KindMeasurements:
-		ms = doc.Measurements
-	default:
-		return nil, api.BadRequest(fmt.Errorf("unsupported document kind %q", doc.Kind))
-	}
-	g := s.newIngester(obs.StagesFrom(ctx))
-	for i := range ms {
-		m := &ms[i]
-		// v1 keeps the document-level validation (units, quantities) the
-		// bus ingest path applies; a bad measurement fails the request
-		// like it always did, rows staged before it stand.
-		if err := m.Validate(); err != nil {
-			g.finish()
-			return nil, api.BadRequest(err)
-		}
-		g.addTo(tsdb.SeriesKey{Device: m.Device, Quantity: string(m.Quantity)},
-			Point{At: m.Timestamp, Value: m.Value})
-	}
-	res := g.finish()
-	if res.Rejected > 0 {
-		return nil, api.BadRequest(errors.New(res.Errors[0].Error))
-	}
-	return map[string]int{"stored": res.Accepted}, nil
-}
-
 // parseRange reads from/to as RFC 3339 timestamps; both optional.
 func parseRange(q url.Values) (from, to time.Time, err error) {
 	if s := q.Get("from"); s != "" {
@@ -571,15 +507,6 @@ func parseRange(q url.Values) (from, to time.Time, err error) {
 		}
 	}
 	return from, to, nil
-}
-
-func seriesKey(q url.Values) (tsdb.SeriesKey, error) {
-	device := q.Get("device")
-	quantity := q.Get("quantity")
-	if device == "" || quantity == "" {
-		return tsdb.SeriesKey{}, api.BadRequest(errors.New("missing device or quantity parameter"))
-	}
-	return tsdb.SeriesKey{Device: device, Quantity: quantity}, nil
 }
 
 // measurementsOf converts samples back to common-format measurements.
@@ -599,37 +526,6 @@ func measurementsOf(key tsdb.SeriesKey, samples []tsdb.Sample, source string) []
 	return out
 }
 
-// query returns a series slice as a content-negotiated document; store
-// sentinels map to statuses through the shared table.
-func (s *Service) query(ctx context.Context, q url.Values) (any, error) {
-	key, err := seriesKey(q)
-	if err != nil {
-		return nil, err
-	}
-	from, to, err := parseRange(q)
-	if err != nil {
-		return nil, api.BadRequest(err)
-	}
-	samples, err := s.store.Query(key, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return dataformat.NewMeasurementsDoc(measurementsOf(key, samples, s.srv.Addr())), nil
-}
-
-func (s *Service) latest(ctx context.Context, q url.Values) (any, error) {
-	key, err := seriesKey(q)
-	if err != nil {
-		return nil, err
-	}
-	smp, err := s.store.Latest(key)
-	if err != nil {
-		return nil, api.NotFound(err)
-	}
-	ms := measurementsOf(key, []tsdb.Sample{smp}, s.srv.Addr())
-	return dataformat.NewMeasurementDoc(ms[0]), nil
-}
-
 // SeriesInfo describes one stored series.
 type SeriesInfo struct {
 	Device   string `json:"device"`
@@ -637,28 +533,7 @@ type SeriesInfo struct {
 	Samples  int    `json:"samples"`
 }
 
-func (s *Service) series(ctx context.Context, q url.Values) (any, error) {
-	device := q.Get("device")
-	var keys []tsdb.SeriesKey
-	if device != "" {
-		keys = s.store.KeysForDevice(device)
-	} else {
-		keys = s.store.Keys()
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Device != keys[j].Device {
-			return keys[i].Device < keys[j].Device
-		}
-		return keys[i].Quantity < keys[j].Quantity
-	})
-	out := make([]SeriesInfo, len(keys))
-	for i, k := range keys {
-		out[i] = SeriesInfo{Device: k.Device, Quantity: k.Quantity, Samples: s.store.Len(k)}
-	}
-	return out, nil
-}
-
-// AggregateResponse is the JSON shape of /aggregate.
+// AggregateResponse is the JSON shape of a whole-range aggregate.
 type AggregateResponse struct {
 	Device   string  `json:"device"`
 	Quantity string  `json:"quantity"`
@@ -667,37 +542,6 @@ type AggregateResponse struct {
 	Max      float64 `json:"max"`
 	Mean     float64 `json:"mean"`
 	Sum      float64 `json:"sum"`
-}
-
-func (s *Service) aggregate(ctx context.Context, q url.Values) (any, error) {
-	key, err := seriesKey(q)
-	if err != nil {
-		return nil, err
-	}
-	from, to, err := parseRange(q)
-	if err != nil {
-		return nil, api.BadRequest(err)
-	}
-	agg, err := s.store.Aggregate(key, from, to)
-	if err != nil {
-		return nil, api.NotFound(err)
-	}
-	// Optional downsampling: window=<duration> switches to buckets.
-	if ws := q.Get("window"); ws != "" {
-		window, err := time.ParseDuration(ws)
-		if err != nil {
-			return nil, api.BadRequest(fmt.Errorf("bad window: %v", err))
-		}
-		buckets, err := s.store.Downsample(key, from, to, window)
-		if err != nil {
-			return nil, api.BadRequest(err)
-		}
-		return buckets, nil
-	}
-	return AggregateResponse{
-		Device: key.Device, Quantity: key.Quantity,
-		Count: agg.Count, Min: agg.Min, Max: agg.Max, Mean: agg.Mean, Sum: agg.Sum,
-	}, nil
 }
 
 // Topic builds the middleware topic for a measurement, mirroring the

@@ -1,8 +1,7 @@
 package measuredb
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,9 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dataformat"
 	"repro/internal/middleware"
-	"repro/internal/proxyhttp"
 	"repro/internal/tsdb"
 )
 
@@ -21,7 +20,7 @@ var t0 = time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
 func sampleMeasurement(i int) dataformat.Measurement {
 	return dataformat.Measurement{
 		Source:    "http://devproxy/",
-		Device:    "urn:district:turin/building:b01/device:t-1",
+		Device:    v2Device,
 		Quantity:  dataformat.Temperature,
 		Unit:      dataformat.Celsius,
 		Value:     20 + float64(i),
@@ -111,62 +110,9 @@ func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	return s, ts
 }
 
-func postAppend(t *testing.T, url string, doc *dataformat.Document, enc dataformat.Encoding) int {
-	t.Helper()
-	body, err := doc.Encode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsp, err := http.Post(url+"/append", enc.ContentType(), bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rsp.Body.Close()
-	var out map[string]int
-	_ = json.NewDecoder(rsp.Body).Decode(&out)
-	if rsp.StatusCode != http.StatusOK {
-		t.Fatalf("/append = %d", rsp.StatusCode)
-	}
-	return out["stored"]
-}
-
-func TestAppendEndpoint(t *testing.T) {
-	s, ts := newTestServer(t)
-	doc := dataformat.NewMeasurementsDoc([]dataformat.Measurement{sampleMeasurement(0), sampleMeasurement(1)})
-	if stored := postAppend(t, ts.URL, doc, dataformat.JSON); stored != 2 {
-		t.Errorf("stored = %d", stored)
-	}
-	if s.Stats().Ingested != 2 {
-		t.Errorf("Ingested = %d", s.Stats().Ingested)
-	}
-	// XML append too.
-	doc = dataformat.NewMeasurementDoc(sampleMeasurement(2))
-	if stored := postAppend(t, ts.URL, doc, dataformat.XML); stored != 1 {
-		t.Errorf("xml stored = %d", stored)
-	}
-	if s.Stats().Ingested != 3 {
-		t.Errorf("Ingested after XML = %d", s.Stats().Ingested)
-	}
-}
-
-func TestAppendRejects(t *testing.T) {
-	_, ts := newTestServer(t)
-	rsp, err := http.Get(ts.URL + "/append")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsp.Body.Close()
-	if rsp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /append = %d", rsp.StatusCode)
-	}
-	rsp, err = http.Post(ts.URL+"/append", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsp.Body.Close()
-	if rsp.StatusCode != http.StatusBadRequest {
-		t.Errorf("empty POST /append = %d", rsp.StatusCode)
-	}
+// temperatureURL is a /v2 resource of v2Device's temperature series.
+func temperatureURL(base, leaf string) string {
+	return base + "/v2/series/" + url.PathEscape(v2Device) + "/temperature/" + leaf
 }
 
 func TestQueryEndpoint(t *testing.T) {
@@ -175,48 +121,36 @@ func TestQueryEndpoint(t *testing.T) {
 		m := sampleMeasurement(i)
 		_ = s.Ingest(&m)
 	}
-	device := url.QueryEscape("urn:district:turin/building:b01/device:t-1")
-	u := fmt.Sprintf("%s/query?device=%s&quantity=temperature&from=%s&to=%s",
-		ts.URL, device,
+	u := temperatureURL(ts.URL, "samples") + fmt.Sprintf("?from=%s&to=%s",
 		url.QueryEscape(t0.Add(5*time.Minute).Format(time.RFC3339)),
 		url.QueryEscape(t0.Add(9*time.Minute).Format(time.RFC3339)))
-	doc, err := proxyhttp.GetDoc(nil, u, dataformat.JSON)
-	if err != nil {
-		t.Fatal(err)
+	var page SamplesPage
+	if code := getJSON(t, u, &page); code != http.StatusOK {
+		t.Fatalf("samples = %d", code)
 	}
-	if len(doc.Measurements) != 5 {
-		t.Fatalf("measurements = %d, want 5", len(doc.Measurements))
+	if len(page.Samples) != 5 || page.NextCursor != "" {
+		t.Fatalf("samples = %d (next %q), want 5", len(page.Samples), page.NextCursor)
 	}
-	if doc.Measurements[0].Value != 25 || doc.Measurements[0].Unit != dataformat.Celsius {
-		t.Errorf("first = %+v", doc.Measurements[0])
-	}
-	// XML negotiation.
-	doc, err = proxyhttp.GetDoc(nil, u, dataformat.XML)
-	if err != nil || len(doc.Measurements) != 5 {
-		t.Errorf("xml query: %v, %d", err, len(doc.Measurements))
+	if page.Samples[0].Value != 25 || !page.Samples[0].At.Equal(t0.Add(5*time.Minute)) {
+		t.Errorf("first = %+v", page.Samples[0])
 	}
 }
 
 func TestQueryErrors(t *testing.T) {
 	_, ts := newTestServer(t)
+	ghost := ts.URL + "/v2/series/x/temperature/"
 	for _, tc := range []struct {
-		query string
-		want  int
+		url  string
+		want int
 	}{
-		{"/query?device=x", http.StatusBadRequest},
-		{"/query?device=x&quantity=temperature", http.StatusNotFound},
-		{"/query?device=x&quantity=t&from=garbage", http.StatusBadRequest},
-		{"/latest?device=x&quantity=temperature", http.StatusNotFound},
-		{"/latest", http.StatusBadRequest},
-		{"/aggregate?device=x&quantity=t", http.StatusNotFound},
+		{ghost + "samples", http.StatusNotFound},
+		{ghost + "samples?from=garbage", http.StatusBadRequest},
+		{ghost + "latest", http.StatusNotFound},
+		{ghost + "aggregate", http.StatusNotFound},
+		{ghost + "aggregate?to=garbage", http.StatusBadRequest},
 	} {
-		rsp, err := http.Get(ts.URL + tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rsp.Body.Close()
-		if rsp.StatusCode != tc.want {
-			t.Errorf("%s = %d, want %d", tc.query, rsp.StatusCode, tc.want)
+		if code := getJSON(t, tc.url, nil); code != tc.want {
+			t.Errorf("%s = %d, want %d", tc.url, code, tc.want)
 		}
 	}
 }
@@ -227,13 +161,16 @@ func TestLatestEndpoint(t *testing.T) {
 		m := sampleMeasurement(i)
 		_ = s.Ingest(&m)
 	}
-	device := url.QueryEscape("urn:district:turin/building:b01/device:t-1")
-	doc, err := proxyhttp.GetDoc(nil, ts.URL+"/latest?device="+device+"&quantity=temperature", dataformat.JSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if doc.Measurement == nil || doc.Measurement.Value != 24 {
-		t.Errorf("latest = %+v", doc.Measurement)
+	// The latest sample is a common-format document, negotiated like
+	// every other document route.
+	for _, enc := range []dataformat.Encoding{dataformat.JSON, dataformat.XML} {
+		doc, err := (&api.Transport{}).GetDoc(context.Background(), temperatureURL(ts.URL, "latest"), enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Measurement == nil || doc.Measurement.Value != 24 || doc.Measurement.Unit != dataformat.Celsius {
+			t.Errorf("%s latest = %+v", enc.ContentType(), doc.Measurement)
+		}
 	}
 }
 
@@ -248,25 +185,15 @@ func TestSeriesEndpoint(t *testing.T) {
 	m3.Device = "urn:district:turin/building:b02/device:x"
 	_ = s.Ingest(&m3)
 
-	rsp, err := http.Get(ts.URL + "/series")
-	if err != nil {
-		t.Fatal(err)
+	var all SeriesPage
+	if code := getJSON(t, ts.URL+"/v2/series", &all); code != http.StatusOK || all.Count != 3 {
+		t.Fatalf("series = %d %+v", code, all)
 	}
-	var all []SeriesInfo
-	_ = json.NewDecoder(rsp.Body).Decode(&all)
-	rsp.Body.Close()
-	if len(all) != 3 {
-		t.Fatalf("series = %+v", all)
+	var one SeriesPage
+	if code := getJSON(t, ts.URL+"/v2/series?device="+url.QueryEscape(m.Device), &one); code != http.StatusOK {
+		t.Fatalf("device series = %d", code)
 	}
-	device := url.QueryEscape(m.Device)
-	rsp, err = http.Get(ts.URL + "/series?device=" + device)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var one []SeriesInfo
-	_ = json.NewDecoder(rsp.Body).Decode(&one)
-	rsp.Body.Close()
-	if len(one) != 2 || one[0].Quantity != "humidity" {
+	if one.Count != 2 || one.Series[0].Quantity != "humidity" || one.Series[0].Samples != 1 {
 		t.Errorf("device series = %+v", one)
 	}
 }
@@ -277,33 +204,25 @@ func TestAggregateEndpoint(t *testing.T) {
 		m := sampleMeasurement(i) // values 20..29
 		_ = s.Ingest(&m)
 	}
-	device := url.QueryEscape("urn:district:turin/building:b01/device:t-1")
-	rsp, err := http.Get(ts.URL + "/aggregate?device=" + device + "&quantity=temperature")
-	if err != nil {
-		t.Fatal(err)
-	}
+	u := temperatureURL(ts.URL, "aggregate")
 	var agg AggregateResponse
-	_ = json.NewDecoder(rsp.Body).Decode(&agg)
-	rsp.Body.Close()
+	if code := getJSON(t, u, &agg); code != http.StatusOK {
+		t.Fatalf("aggregate = %d", code)
+	}
 	if agg.Count != 10 || agg.Min != 20 || agg.Max != 29 || agg.Mean != 24.5 {
 		t.Errorf("aggregate = %+v", agg)
 	}
 
 	// Downsampled buckets.
-	rsp, err = http.Get(ts.URL + "/aggregate?device=" + device + "&quantity=temperature&window=5m")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buckets []tsdb.Bucket
-	_ = json.NewDecoder(rsp.Body).Decode(&buckets)
-	rsp.Body.Close()
+	if code := getJSON(t, u+"?window=5m", &buckets); code != http.StatusOK {
+		t.Fatalf("windowed aggregate = %d", code)
+	}
 	if len(buckets) != 2 || buckets[0].Count != 5 {
 		t.Errorf("buckets = %+v", buckets)
 	}
-	rsp, _ = http.Get(ts.URL + "/aggregate?device=" + device + "&quantity=temperature&window=banana")
-	rsp.Body.Close()
-	if rsp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad window = %d", rsp.StatusCode)
+	if code := getJSON(t, u+"?window=banana", nil); code != http.StatusBadRequest {
+		t.Errorf("bad window = %d", code)
 	}
 }
 

@@ -214,6 +214,73 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 	}
 }
 
+// One surface, two servers: a measuredb base URL means the same data
+// routes on a node and on the coordinator — every /v2 route is served,
+// and none of the /v1 data routes (removed in PR 17) is, versioned or
+// through a bare alias.
+func TestNodeAndCoordinatorServeTheSameDataSurface(t *testing.T) {
+	const shards = 4
+	tc := newTestCluster(t, shards) // both servers keep bare aliases enabled
+	dev := deviceInShard(1, shards)
+	servers := []struct {
+		name string
+		h    http.Handler
+	}{{"node", tc.nodes[1].Handler()}, {"coordinator", tc.coord.Handler()}} // shard 1 lives on node 1
+	probe := func(h http.Handler, method, path string, body any) *httptest.ResponseRecorder {
+		t.Helper()
+		var rd io.Reader
+		if body != nil {
+			raw, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rd = bytes.NewReader(raw)
+		}
+		req := httptest.NewRequest(method, path, rd)
+		req.Header.Set("Content-Type", "application/json")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	series := "/v2/series/" + url.PathEscape(dev) + "/temperature"
+	sample := []Point{{Device: dev, Quantity: "temperature", At: t0, Value: 1}}
+	for _, rt := range []struct {
+		method, path string
+		body         any
+	}{
+		{"POST", "/v2/ingest", IngestBatch{Rows: sample}}, // first: seeds the series the reads need
+		{"PUT", series + "/samples", SeriesAppend{Samples: []Point{{At: t0.Add(time.Second), Value: 2}}}},
+		{"GET", "/v2/series", nil},
+		{"GET", series + "/samples", nil},
+		{"GET", series + "/latest", nil},
+		{"GET", series + "/aggregate", nil},
+		{"POST", "/v2/query", BatchQuery{Selectors: []SeriesSelector{{Device: dev, Quantity: "temperature"}}}},
+	} {
+		for _, srv := range servers {
+			if rec := probe(srv.h, rt.method, rt.path, rt.body); rec.Code != http.StatusOK {
+				t.Errorf("%s %s on the %s = %d: %s", rt.method, rt.path, srv.name, rec.Code, rec.Body)
+			}
+		}
+	}
+
+	q := "?device=" + url.QueryEscape(dev) + "&quantity=temperature"
+	for _, rt := range []struct{ method, path string }{
+		{"POST", "/append"}, {"GET", "/query" + q}, {"GET", "/latest" + q}, {"GET", "/series"}, {"GET", "/aggregate" + q},
+	} {
+		for _, prefix := range []string{"/v1", ""} {
+			for _, srv := range servers {
+				rec := probe(srv.h, rt.method, prefix+rt.path, nil)
+				var env api.Envelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil ||
+					rec.Code != http.StatusNotFound || env.Code != "not_found" || env.Status != http.StatusNotFound {
+					t.Errorf("%s %s on the %s = %d %s, want the 404 not_found envelope", rt.method, prefix+rt.path, srv.name, rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+}
+
 // stubCoordinator fronts one stub node with a real coordinator.
 func stubCoordinator(t *testing.T, node http.Handler, qcacheBytes int64) string {
 	t.Helper()

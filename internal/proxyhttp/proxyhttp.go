@@ -187,18 +187,3 @@ func (g *Registrar) Stop() {
 	tr := &api.Transport{Client: g.Client, MaxAttempts: 1}
 	_ = tr.Delete(ctx, g.masterURL("/register?id="+g.Registration.ID))
 }
-
-// GetDoc fetches and decodes a common-format document. Deprecated shim:
-// new code should use api.Transport.GetDoc with a real context.
-func GetDoc(client *http.Client, url string, enc dataformat.Encoding) (*dataformat.Document, error) {
-	tr := &api.Transport{Client: client}
-	return tr.GetDoc(context.Background(), url, enc)
-}
-
-// PostDoc sends a common-format document and decodes the reply document
-// (nil when the response has no body). Deprecated shim: new code should
-// use api.Transport.PostDoc with a real context.
-func PostDoc(client *http.Client, url string, doc *dataformat.Document, enc dataformat.Encoding) (*dataformat.Document, error) {
-	tr := &api.Transport{Client: client}
-	return tr.PostDoc(context.Background(), url, doc, enc)
-}

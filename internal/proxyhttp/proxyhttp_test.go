@@ -1,6 +1,7 @@
 package proxyhttp
 
 import (
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/dataformat"
 	"repro/internal/registry"
 )
@@ -86,10 +88,10 @@ func TestGetDocErrors(t *testing.T) {
 		http.Error(w, "nope", http.StatusNotFound)
 	}))
 	defer ts.Close()
-	if _, err := GetDoc(nil, ts.URL, dataformat.JSON); err == nil {
+	if _, err := (&api.Transport{}).GetDoc(context.Background(), ts.URL, dataformat.JSON); err == nil {
 		t.Error("404 accepted")
 	}
-	if _, err := GetDoc(nil, "http://127.0.0.1:1/", dataformat.JSON); err == nil {
+	if _, err := (&api.Transport{}).GetDoc(context.Background(), "http://127.0.0.1:1/", dataformat.JSON); err == nil {
 		t.Error("dead server accepted")
 	}
 }
@@ -104,7 +106,7 @@ func TestPostDocRoundTrip(t *testing.T) {
 		WriteDoc(w, r, doc) // echo
 	}))
 	defer ts.Close()
-	got, err := PostDoc(nil, ts.URL, sampleDoc(), dataformat.JSON)
+	got, err := (&api.Transport{}).PostDoc(context.Background(), ts.URL, sampleDoc(), dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestPostDocEmptyReply(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer ts.Close()
-	got, err := PostDoc(nil, ts.URL, sampleDoc(), dataformat.JSON)
+	got, err := (&api.Transport{}).PostDoc(context.Background(), ts.URL, sampleDoc(), dataformat.JSON)
 	if err != nil || got != nil {
 		t.Errorf("empty reply: %v %v", got, err)
 	}

@@ -291,36 +291,8 @@ func (s *Subscription) pump(ctx context.Context, body io.Reader) (bool, error) {
 	}
 }
 
-// Publisher is where a bridge or remote publisher injects events; both
+// Publisher is where a bridge injects events; both
 // *middleware.Bus and *middleware.Node satisfy it.
 type Publisher interface {
 	Publish(ev middleware.Event) error
-}
-
-// RemotePublisher publishes events into a remote service's /v1/publish
-// ingress. It satisfies the device-proxy Publisher contract, so a proxy
-// on one host can feed the measurements database on another with no
-// middleware TCP link.
-//
-// By default it does NOT retry: injection is not idempotent (a retry
-// after a lost response duplicates the event, and the measurements
-// store counts every copy), and the in-process bus this federates is
-// itself at-most-once. A caller that prefers at-least-once can supply
-// a retrying Transport explicitly.
-type RemotePublisher struct {
-	// BaseURL is the remote service's base URL.
-	BaseURL string
-	// Transport overrides the default single-attempt transport.
-	Transport *api.Transport
-}
-
-// Publish POSTs one event to the remote ingress.
-func (p *RemotePublisher) Publish(ev middleware.Event) error {
-	tr := p.Transport
-	if tr == nil {
-		tr = &api.Transport{MaxAttempts: 1}
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	return tr.PostJSON(ctx, api.URL(p.BaseURL, "/publish"), ev, nil)
 }

@@ -269,6 +269,13 @@ func TestSSERoundTrip(t *testing.T) {
 	}
 }
 
+// postEvent injects one event through a service's /v1/publish ingress,
+// single attempt — what client.Streams().Publish sends.
+func postEvent(base string, ev middleware.Event) error {
+	tr := &api.Transport{MaxAttempts: 1}
+	return tr.PostJSON(context.Background(), api.URL(base, "/publish"), ev, nil)
+}
+
 func TestPublishIngressReachesBusAndStream(t *testing.T) {
 	bus, svc, ts := newStreamServer(t, Options{})
 	ctx := context.Background()
@@ -286,8 +293,7 @@ func TestPublishIngressReachesBusAndStream(t *testing.T) {
 	defer sub.Close()
 	waitSubscribers(t, svc, 1)
 
-	pub := &RemotePublisher{BaseURL: ts.URL}
-	if err := pub.Publish(event("ingress/x", "hello")); err != nil {
+	if err := postEvent(ts.URL, event("ingress/x", "hello")); err != nil {
 		t.Fatal(err)
 	}
 	for name, ch := range map[string]<-chan middleware.Event{"local": local, "sse": sub.Events} {
@@ -302,7 +308,7 @@ func TestPublishIngressReachesBusAndStream(t *testing.T) {
 	}
 
 	// Wildcard topics are rejected at the ingress.
-	if err := pub.Publish(middleware.Event{Topic: "bad/#", Payload: []byte("x")}); err == nil {
+	if err := postEvent(ts.URL, middleware.Event{Topic: "bad/#", Payload: []byte("x")}); err == nil {
 		t.Fatal("wildcard topic accepted by ingress")
 	}
 }
@@ -445,14 +451,13 @@ func TestPublishIngressRateLimited(t *testing.T) {
 	_, _, ts := newStreamServer(t, Options{
 		PublishLimiter: api.NewRateLimiter(1, 2), // 2-token burst, 1/s refill
 	})
-	pub := &RemotePublisher{BaseURL: ts.URL, Transport: &api.Transport{MaxAttempts: 1}}
-	if err := pub.Publish(event("a/b", "1")); err != nil {
+	if err := postEvent(ts.URL, event("a/b", "1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := pub.Publish(event("a/b", "2")); err != nil {
+	if err := postEvent(ts.URL, event("a/b", "2")); err != nil {
 		t.Fatal(err)
 	}
-	err := pub.Publish(event("a/b", "3"))
+	err := postEvent(ts.URL, event("a/b", "3"))
 	var se *api.StatusError
 	if err == nil || !errors.As(err, &se) || se.Status != http.StatusTooManyRequests {
 		t.Fatalf("third publish = %v, want 429", err)

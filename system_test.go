@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -126,36 +127,37 @@ func TestSystemHistoryThroughMeasureDB(t *testing.T) {
 	if !d.WaitForSamples(5, 10*time.Second) {
 		t.Fatal("no samples")
 	}
-	// Wait until the middleware has carried at least 5 temperature
-	// samples into the global DB (each poll also publishes humidity and
-	// switch state, so the ingest counter alone is not enough).
-	device := url.QueryEscape("urn:district:turin/building:b00/device:d00")
-	historyURL := d.MeasureURL + "/v1/query?device=" + device + "&quantity=temperature"
-	var doc *dataformat.Document
+	// Wait until the proxies' batched ingest has carried at least 5
+	// temperature samples into the global DB (each poll also ships
+	// humidity and switch state, so the ingest counter alone is not
+	// enough).
+	const device = "urn:district:turin/building:b00/device:d00"
+	ctx := context.Background()
+	history := d.Client().Measurements(d.MeasureURL)
+	var page *measuredb.SamplesPage
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
 		var err error
-		doc, err = proxyhttp.GetDoc(nil, historyURL, dataformat.JSON)
-		if err == nil && len(doc.Measurements) >= 5 {
+		page, err = history.Samples(ctx, device, "temperature")
+		if err == nil && len(page.Samples) >= 5 {
 			break
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	if doc == nil || len(doc.Measurements) < 5 {
+	if page == nil || len(page.Samples) < 5 {
 		n := 0
-		if doc != nil {
-			n = len(doc.Measurements)
+		if page != nil {
+			n = len(page.Samples)
 		}
 		t.Fatalf("history = %d samples; measuredb stats %+v", n, d.Measure.Stats())
 	}
 	// And the device proxy's own buffer agrees in magnitude.
 	c := d.Client()
-	ctx := context.Background()
 	devices, err := c.Catalog().Devices(ctx, "urn:district:turin/building:b00")
 	if err != nil || len(devices) == 0 {
 		t.Fatalf("devices: %v %v", devices, err)
 	}
-	ms, err := c.FetchData(ctx, devices[0].ProxyURI, dataformat.Temperature, time.Time{}, time.Time{})
+	ms, err := c.Devices().Data(ctx, devices[0].ProxyURI, dataformat.Temperature, time.Time{}, time.Time{})
 	if err != nil || len(ms) < 5 {
 		t.Fatalf("local buffer: %d samples, %v", len(ms), err)
 	}
@@ -259,7 +261,7 @@ func TestSystemMultiDistrict(t *testing.T) {
 	c := &client.Client{MasterURL: "http://" + addr}
 	ctx := context.Background()
 	for _, name := range []string{"turin", "milan"} {
-		qr, err := c.Query(ctx, name, client.Area{})
+		qr, err := c.Catalog().Query(ctx, name, client.Area{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -387,7 +389,7 @@ func TestSystemStreamBridgeExactlyOnce(t *testing.T) {
 	const total = 40
 	deviceURI := "urn:district:turin/building:b00/device:e2e"
 	base := time.Now().UTC().Truncate(time.Second)
-	pub := &stream.RemotePublisher{BaseURL: urlA}
+	streams := (&client.Client{}).Streams()
 	for i := 0; i < total; i++ {
 		m := dataformat.Measurement{
 			Source: urlA, Device: deviceURI,
@@ -398,7 +400,7 @@ func TestSystemStreamBridgeExactlyOnce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pub.Publish(middleware.Event{
+		if err := streams.Publish(ctx, urlA, middleware.Event{
 			Topic:   measuredb.Topic(deviceURI, m.Quantity),
 			Payload: payload,
 			Headers: map[string]string{"content-type": "application/json"},
@@ -482,7 +484,7 @@ func TestSystemDeviceProxyLiveStream(t *testing.T) {
 	if err != nil || len(devices) != 1 {
 		t.Fatalf("devices: %v %v", devices, err)
 	}
-	sub, err := c.SubscribeService(ctx, devices[0].ProxyURI, "measurements/#")
+	sub, err := c.Streams().SubscribeService(ctx, devices[0].ProxyURI, "measurements/#")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +526,7 @@ func TestSystemBatchActuation(t *testing.T) {
 	if err != nil || len(devices) != 1 {
 		t.Fatalf("devices: %v %v", devices, err)
 	}
-	rsp, err := c.ControlBatch(ctx, devices[0].ProxyURI, []deviceproxy.ControlRequest{
+	rsp, err := c.Devices().ControlBatch(ctx, devices[0].ProxyURI, []deviceproxy.ControlRequest{
 		{Quantity: dataformat.Temperature, Value: 19},
 		{Quantity: dataformat.Quantity("no.such.actuator"), Value: 1},
 		{Quantity: dataformat.Temperature, Value: 21},
@@ -574,7 +576,7 @@ func TestSystemOntologyEndpointReflectsRegistrations(t *testing.T) {
 		Protocols: []core.Protocol{core.ProtoOPCUA},
 		PollEvery: time.Hour, Seed: 34,
 	})
-	doc, err := proxyhttp.GetDoc(nil, d.MasterURL+"/v1/ontology?uri=urn:district:turin", dataformat.JSON)
+	doc, err := (&api.Transport{}).GetDoc(context.Background(), d.MasterURL+"/v1/ontology?uri=urn:district:turin", dataformat.JSON)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,10 +797,13 @@ func TestSystemSSEResumeAcrossRestart(t *testing.T) {
 			t.Fatalf("ingest: %s", raw)
 		}
 	}
-	if got := values(collectN(subA, 3)); got[0] != 1 || got[2] != 3 {
+	pre := collectN(subA, 3)
+	if got := values(pre); got[0] != 1 || got[2] != 3 {
 		t.Fatalf("pre-restart events = %v", got)
 	}
-	lastID := subA.LastID()
+	// The stamped ID of the last event consumed, not subA.LastID(): the
+	// subscription advances that only after the channel send returns.
+	lastID := stream.EventID(pre[2])
 
 	// A second subscriber keeps the hub live while A is away (attached
 	// BEFORE A goes, so the subscriber count never touches zero and

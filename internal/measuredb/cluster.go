@@ -210,6 +210,11 @@ func (s *Service) clusterOwnsDevice(device string) bool {
 	return false
 }
 
+// heldRowsPool recycles the slices clusterIngest holds a request's rows
+// in, so the coordinator-to-node hop allocates no row storage in steady
+// state.
+var heldRowsPool = sync.Pool{New: func() any { return new([]Point) }}
+
 // clusterIngest is the clustered body of POST /v2/ingest. Unlike the
 // single-node path it buffers the whole request before applying
 // anything: a request addressed to a frozen or foreign shard must be
@@ -217,36 +222,17 @@ func (s *Service) clusterOwnsDevice(device string) bool {
 // retry against the new owner would duplicate the prefix. tok is the
 // request's idempotency claim (abandoned by the caller's defer on
 // rejection, so the retry re-executes).
-func (s *Service) clusterIngest(w http.ResponseWriter, r *http.Request, tok *dedupToken, body io.Reader, ndjson bool) {
-	sc := newPointScanner(body)
-	defer sc.release()
-	var pts []Point
-	var malformed string
-	if ndjson {
-		var p Point
-		for {
-			if err := sc.next(&p); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				// Same semantics as the streaming path: the malformed line
-				// is reported at its row index, rows before it stand.
-				malformed = "malformed row: " + err.Error()
-				break
-			}
-			sc.pts = append(sc.pts, p)
-		}
-		pts = sc.pts
-	} else {
-		var err error
-		if pts, err = sc.decodeBatch("rows"); err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-			return
-		}
-		if len(pts) == 0 {
-			api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
-			return
-		}
+func (s *Service) clusterIngest(w http.ResponseWriter, r *http.Request, tok *dedupToken) {
+	held := heldRowsPool.Get().(*[]Point)
+	pts := (*held)[:0]
+	defer func() {
+		*held = pts[:0]
+		heldRowsPool.Put(held)
+	}()
+	malformed, err := decodeIngest(w, r, func(p Point) { pts = append(pts, p) })
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
 	}
 	if err := s.clusterCheckEpoch(r); err != nil {
 		writeClusterRetry(w, r, err)

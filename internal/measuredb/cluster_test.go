@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -297,5 +298,71 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 		BatchQuery{Selectors: []SeriesSelector{{Device: devs[1], Quantity: "temperature"}}}, &batch)
 	if status != http.StatusOK || batch.Series != 1 || batch.Samples != 3 {
 		t.Fatalf("exact-device query: status=%d series=%d samples=%d", status, batch.Series, batch.Samples)
+	}
+}
+
+// TestIngestBodySameOnEveryEntrance posts the same bodies to a plain
+// node, to a clustered node and through the coordinator: one decoder
+// reads all three, so status, message and per-row outcome agree — a
+// JSON batch fails whole, an NDJSON stream keeps the rows before its
+// first malformed line and rejects that line at its index.
+func TestIngestBodySameOnEveryEntrance(t *testing.T) {
+	const shards = 4
+	tc := newTestCluster(t, shards)
+	_, plain := newTestServer(t)
+	dev := deviceInShard(0, shards) // owned by node 0
+	entrances := []string{plain.URL, tc.nodeURLs[0], tc.coordURL}
+
+	for _, c := range []struct {
+		name, query, contentType, body string
+		status                         int
+		want                           string // error message, or the whole summary envelope
+	}{
+		{"bad encoding", "?encoding=xml", "application/json", `{}`, http.StatusBadRequest,
+			`bad encoding "xml" (want json or ndjson)`},
+		{"malformed batch", "", "application/json", `{"rows":[{"device":"` + dev + `","value":}]}`, http.StatusBadRequest,
+			`bad request body: invalid character '}' looking for beginning of value`},
+		{"empty body", "", "application/json", ``, http.StatusBadRequest, `bad request body: EOF`},
+		{"empty rows", "", "application/json", `{"rows":[]}`, http.StatusBadRequest, `empty rows`},
+		{"non-canonical batch", "?encoding=json", NDJSONType,
+			`{"note":"x","ROWS":[{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T10:0%d:00Z","value":1}]}`,
+			http.StatusOK, `{"accepted":1,"rejected":0}` + "\n"},
+		{"ndjson seam", "", NDJSONType + "; charset=utf-8",
+			`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:00Z","value":1}` + "\n" +
+				`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:01Z","value":2,"unit":null}` + "\n" +
+				`{"quantity":"temp","value":3}` + "\n" +
+				"this is not json\n" +
+				`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:02Z","value":4}` + "\n",
+			http.StatusOK,
+			`{"accepted":2,"rejected":2,"errors":[{"row":2,"error":"missing device"},{"row":3,"error":"malformed row: invalid character 'h' in literal true (expecting 'r')"}]}` + "\n"},
+	} {
+		for i, base := range entrances {
+			body := c.body
+			if c.status == http.StatusOK {
+				body = fmt.Sprintf(c.body, i) // fresh timestamps per entrance: two of them share a store
+			}
+			req, err := http.NewRequest(http.MethodPost, base+"/v2/ingest"+c.query, bytes.NewReader([]byte(body)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", c.contentType)
+			rsp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(rsp.Body)
+			rsp.Body.Close()
+			got := string(raw)
+			if rsp.StatusCode != http.StatusOK {
+				var env api.Envelope
+				if err := json.Unmarshal(raw, &env); err != nil {
+					t.Fatalf("%s via %s: %v in %q", c.name, base, err, raw)
+				}
+				got = env.Error
+			}
+			if rsp.StatusCode != c.status || got != c.want {
+				t.Errorf("%s via entrance %d: status %d, %q\nwant %d, %q", c.name, i, rsp.StatusCode, got, c.status, c.want)
+			}
+		}
 	}
 }

@@ -1015,20 +1015,6 @@ type pendingRow struct {
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("ingest", time.Now())
 	key := r.Header.Get("Idempotency-Key")
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	ndjson := strings.TrimSpace(ct) == NDJSONType
-	switch enc := r.URL.Query().Get("encoding"); enc {
-	case "":
-	case "json":
-		ndjson = false
-	case "ndjson":
-		ndjson = true
-	default:
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc)))
-		return
-	}
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	var pts []Point
 	var res IngestResult
 	reject := func(row int, msg string) {
 		res.Rejected++
@@ -1038,36 +1024,19 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 			res.ErrorsTruncated = true
 		}
 	}
-	if ndjson {
-		dec := json.NewDecoder(body)
-		for {
-			var p Point
-			if err := dec.Decode(&p); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
-				}
-				reject(len(pts), "malformed row: "+err.Error())
-				break
-			}
-			pts = append(pts, p)
-		}
-	} else {
-		var batch IngestBatch
-		if err := json.NewDecoder(body).Decode(&batch); err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-			return
-		}
-		if len(batch.Rows) == 0 {
-			api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
-			return
-		}
-		pts = batch.Rows
+	var pending []pendingRow
+	malformed, err := decodeIngest(w, r, func(p Point) {
+		pending = append(pending, pendingRow{idx: len(pending), p: p})
+	})
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
+	}
+	total := len(pending)
+	if malformed != "" {
+		reject(total, malformed)
 	}
 
-	pending := make([]pendingRow, len(pts))
-	for i, p := range pts {
-		pending[i] = pendingRow{idx: i, p: p}
-	}
 	var lastErr error
 	for attempt := 0; attempt < coordIngestAttempts && len(pending) > 0; attempt++ {
 		m, rerr := c.resolve(r.Context())
@@ -1099,7 +1068,7 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 			err = errors.New("rows undeliverable after re-routing")
 		}
 		api.WriteError(w, r, &api.Error{Status: http.StatusServiceUnavailable, Code: "rows_undelivered",
-			Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), len(pts), err)})
+			Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), total, err)})
 		return
 	}
 	sortRowErrors(res.Errors)
@@ -1132,11 +1101,16 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 		go func(i int) {
 			defer wg.Done()
 			o := &outs[i]
-			rows := make([]Point, len(o.rows))
-			for j, pr := range o.rows {
-				rows[j] = pr.p
+			// The bytes encoding/json renders an IngestBatch to, through the
+			// row encoder of the read plane: each row's newline becomes the
+			// separator, the last one the closing bracket.
+			body := append(make([]byte, 0, 128*len(o.rows)), `{"rows":[`...)
+			for _, pr := range o.rows {
+				body = appendPointNDJSON(body, pr.p)
+				body[len(body)-1] = ','
 			}
-			body, _ := json.Marshal(IngestBatch{Rows: rows})
+			body[len(body)-1] = ']'
+			body = append(body, '}')
 			h := http.Header{"Content-Type": {"application/json"}}
 			if key != "" {
 				// Derived sub-key: stable per (client key, node), so this

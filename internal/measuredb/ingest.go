@@ -674,19 +674,19 @@ func (s *Service) claimIdempotency(w http.ResponseWriter, r *http.Request) (tok 
 	return tok, false
 }
 
-// v2Ingest serves POST /v2/ingest: a batched JSON body ({"rows":[...]})
-// by default, or a row-at-a-time NDJSON stream when the request body is
-// application/x-ndjson. Rows are applied in bounded chunks through the
-// sharded engine; the response is a per-row summary envelope.
-func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
-	tok, handled := s.claimIdempotency(w, r)
-	if handled {
-		return
-	}
-	defer tok.abandon() // no-op once the outcome is stored
-	// Body encoding negotiation mirrors the read plane: NDJSON on an
-	// explicit Content-Type or encoding=ndjson, anything else decoded
-	// as JSON (curl's default form content type included).
+// decodeIngest is the one reader of POST /v2/ingest bodies, on node,
+// clustered node and coordinator alike: a batched JSON body
+// ({"rows":[...]}) by default, or a row-at-a-time NDJSON stream when the
+// request body is application/x-ndjson or says encoding=ndjson (curl's
+// default form content type decodes as JSON). The body is bounded by
+// maxIngestBody and every decoded row is handed to add in body order.
+//
+// A JSON batch fails whole: err (bad encoding, undecodable body, empty
+// rows) means add was never called. An NDJSON stream does not: its
+// first malformed line poisons the rest, so reading stops there, the
+// rows before it stand, and malformed is the message the caller rejects
+// at the next row index.
+func decodeIngest(w http.ResponseWriter, r *http.Request, add func(Point)) (malformed string, err error) {
 	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
 	ndjson := strings.TrimSpace(ct) == NDJSONType
 	switch enc := r.URL.Query().Get("encoding"); enc {
@@ -696,54 +696,58 @@ func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	case "ndjson":
 		ndjson = true
 	default:
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc)))
-		return
+		return "", api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc))
 	}
-
-	body := http.MaxBytesReader(w, r.Body, maxIngestBody)
-	if s.cnode != nil {
-		// Clustered nodes buffer the whole request before applying any
-		// row: a request addressed to a frozen or foreign shard must be
-		// rejected before anything reaches the WAL (cluster.go).
-		s.clusterIngest(w, r, tok, body, ndjson)
-		return
-	}
-	sc := newPointScanner(body)
+	sc := newPointScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	defer sc.release()
 	if ndjson {
-		g := s.newIngester(obs.StagesFrom(r.Context()))
 		var p Point
 		for {
 			if err := sc.next(&p); err != nil {
-				if errors.Is(err, io.EOF) {
-					break
+				if !errors.Is(err, io.EOF) {
+					malformed = "malformed row: " + err.Error()
 				}
-				// A malformed line poisons the rest of the stream: report
-				// it at its row index and stop reading; earlier rows stand.
-				g.reject(g.next, "malformed row: "+err.Error())
-				break
+				return malformed, nil
 			}
-			g.add(p)
+			add(p)
 		}
-		res := g.finish()
-		tok.store(res)
-		api.WriteJSON(w, http.StatusOK, res)
-		return
 	}
 	pts, err := sc.decodeBatch("rows")
 	if err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-		return
+		return "", api.BadRequest(fmt.Errorf("bad request body: %v", err))
 	}
 	if len(pts) == 0 {
-		api.WriteError(w, r, api.BadRequest(errors.New("empty rows")))
+		return "", api.BadRequest(errors.New("empty rows"))
+	}
+	for i := range pts {
+		add(pts[i])
+	}
+	return "", nil
+}
+
+// v2Ingest serves POST /v2/ingest. Rows are applied in bounded chunks
+// through the sharded engine as they are decoded; the response is a
+// per-row summary envelope.
+func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
+	tok, handled := s.claimIdempotency(w, r)
+	if handled {
+		return
+	}
+	defer tok.abandon() // no-op once the outcome is stored
+	if s.cnode != nil {
+		s.clusterIngest(w, r, tok)
 		return
 	}
 	g := s.newIngester(obs.StagesFrom(r.Context()))
-	for i := range pts {
-		g.add(pts[i])
+	malformed, err := decodeIngest(w, r, g.add)
+	if malformed != "" {
+		g.reject(g.next, malformed)
 	}
 	res := g.finish()
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
+	}
 	tok.store(res)
 	api.WriteJSON(w, http.StatusOK, res)
 }

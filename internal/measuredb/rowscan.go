@@ -2,72 +2,64 @@ package measuredb
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// The hand-rolled row scanner of the ingest plane: parses Point rows
-// out of JSON and NDJSON request bodies without reflection,
-// intermediate maps, or per-row buffers. encoding/json charges several
-// allocations per row (the reflect-driven decode, the key strings, the
-// time re-parse); the scanner reads rows in place over one pooled,
-// refilling window and interns the device/quantity strings, so
-// steady-state ingest of a known device fleet allocates nothing per
-// row.
+// The row decoder of the ingest plane, shared by the node, the
+// clustered node and the coordinator. It has one rule. A row in the
+// canonical shape is parsed in place over one pooled buffer, its
+// device/quantity strings interned, so steady-state ingest of a known
+// device fleet allocates nothing per row. Anything else is "not
+// canonical", never "invalid": the untouched bytes go to encoding/json
+// itself, which decides what they mean and words the error if they mean
+// nothing.
 //
-// Behavior is deliberately bit-compatible with encoding/json where it
-// matters (the fuzz tests hold it to the oracle): case-insensitive key
-// matching with Unicode simple folding, last-duplicate-wins, null as a
-// no-op, U+FFFD replacement of invalid UTF-8 in strings, surrogate-pair
-// decoding, the JSON number grammar (stricter than strconv), and
-// timestamps fed to time.Time.UnmarshalJSON exactly as the decoder
-// would (raw, still-escaped, quotes included). Only the error TEXT
-// differs; every input that fails encoding/json fails the scanner and
-// vice versa.
+// The canonical row is what encoding/json emits for a Point, and so
+// what every writer in this repository sends: an object of "device",
+// "quantity", "at" and "value" (exact keys, any order, each at most
+// once) whose strings carry no escape, no control byte and only valid
+// UTF-8, whose value is a JSON-grammar number, and whose timestamp
+// parseRFC3339 or time.Time.UnmarshalJSON accepts; JSON whitespace may
+// separate the tokens, and an NDJSON line holds one row. On that shape
+// the fast path and encoding/json agree row for row, which the fuzz
+// oracles in rowscan_test.go enforce.
 
 const (
-	// minScanBuf is the initial refill window; it grows to hold the
-	// largest single token seen, then is reused via the pool.
+	// minScanBuf is the initial read buffer; it grows to hold the longest
+	// line (NDJSON) or the whole body (JSON batch), then is reused via
+	// the pool.
 	minScanBuf = 8 << 10
-	// maxScanDepth bounds unknown-field nesting, mirroring
-	// encoding/json's 10000 limit.
-	maxScanDepth = 10000
+	// maxScanBuf bounds what the fast path buffers and what the pool
+	// keeps: an NDJSON line still incomplete at this length goes to
+	// encoding/json, which streams it, and a batch body that grew the
+	// buffer past it leaves the buffer to the collector.
+	maxScanBuf = 4 << 20
 	// maxInterned caps the device/quantity intern table a pooled scanner
-	// carries across requests; hostile high-cardinality bodies fall back
-	// to plain allocation instead of growing it forever.
+	// carries across requests; a full table is dropped when the scanner
+	// is next taken from the pool.
 	maxInterned = 4096
 )
 
-// scanError is a malformed-input diagnosis. The message is composed
-// lazily in Error(), so the hot parse loop never formats strings.
-type scanError struct {
-	msg string
-	off int64
-}
-
-func (e *scanError) Error() string {
-	return "invalid JSON: " + e.msg + " at byte " + strconv.FormatInt(e.off, 10)
-}
-
-// pointScanner scans Point rows from a JSON byte stream over a
-// refilling window. Scanners are pooled; the intern table survives
-// across requests on purpose.
+// pointScanner decodes Point rows from one request body. Scanners are
+// pooled; the intern table survives across requests on purpose.
 type pointScanner struct {
 	r     io.Reader
 	buf   []byte
-	pos   int   // next unread byte
-	limit int   // end of valid data in buf
-	eof   bool  // r is exhausted
-	base  int64 // stream offset of buf[0] (error positions)
+	pos   int  // next unread byte
+	limit int  // end of valid data in buf
+	eof   bool // r is exhausted
+
+	// dec takes over an NDJSON stream at its first non-canonical row,
+	// for the rest of the request.
+	dec *json.Decoder
 
 	interned map[string]string
 	pts      []Point // pooled row slice for whole-body decodes
-	scratch  []byte  // unescape spill buffer
-	stack    []byte  // container stack for skipValue
 }
 
 var pointScannerPool = sync.Pool{New: func() any { return new(pointScanner) }}
@@ -76,12 +68,12 @@ var pointScannerPool = sync.Pool{New: func() any { return new(pointScanner) }}
 func newPointScanner(r io.Reader) *pointScanner {
 	sc := pointScannerPool.Get().(*pointScanner)
 	sc.r = r
-	sc.pos, sc.limit, sc.base = 0, 0, 0
+	sc.pos, sc.limit = 0, 0
 	sc.eof = false
 	if sc.buf == nil {
 		sc.buf = make([]byte, minScanBuf)
 	}
-	if sc.interned == nil || len(sc.interned) > maxInterned {
+	if sc.interned == nil || len(sc.interned) >= maxInterned {
 		sc.interned = make(map[string]string, 64)
 	}
 	return sc
@@ -90,29 +82,25 @@ func newPointScanner(r io.Reader) *pointScanner {
 // release returns the scanner (and its row slice) to the pool. Rows
 // returned by decodeBatch are invalid after this.
 func (sc *pointScanner) release() {
-	sc.r = nil
+	sc.r, sc.dec = nil, nil
 	sc.pts = sc.pts[:0]
+	if len(sc.buf) > maxScanBuf {
+		sc.buf = nil
+	}
 	pointScannerPool.Put(sc)
 }
 
-// refill slides the live window to the front of the buffer and reads
-// more input. keep is the earliest buffer offset the caller still
-// references; its post-slide position is returned. io.EOF reports an
-// exhausted source with no new bytes.
-func (sc *pointScanner) refill(keep int) (int, error) {
-	if sc.eof {
-		return keep, io.EOF
-	}
-	if keep > 0 {
-		copy(sc.buf, sc.buf[keep:sc.limit])
-		sc.base += int64(keep)
-		sc.pos -= keep
-		sc.limit -= keep
-		keep = 0
+// fill slides the unread window to the front of the buffer, growing it
+// when full, and reads more input behind it. An exhausted source sets
+// eof; only a read failure is an error.
+func (sc *pointScanner) fill() error {
+	if sc.pos > 0 {
+		sc.limit = copy(sc.buf, sc.buf[sc.pos:sc.limit])
+		sc.pos = 0
 	}
 	if sc.limit == len(sc.buf) {
 		nb := make([]byte, len(sc.buf)*2)
-		copy(nb, sc.buf[:sc.limit])
+		copy(nb, sc.buf)
 		sc.buf = nb
 	}
 	for {
@@ -120,426 +108,259 @@ func (sc *pointScanner) refill(keep int) (int, error) {
 		sc.limit += n
 		if err == io.EOF {
 			sc.eof = true
-			if n == 0 {
-				return keep, io.EOF
-			}
-			return keep, nil
+			return nil
 		}
-		if err != nil {
-			return keep, err
-		}
-		if n > 0 {
-			return keep, nil
-		}
-	}
-}
-
-// cur returns the byte at the read position, refilling as needed;
-// ok=false is a clean end of input.
-func (sc *pointScanner) cur() (byte, bool, error) {
-	for sc.pos >= sc.limit {
-		if _, err := sc.refill(sc.pos); err != nil {
-			if err == io.EOF {
-				return 0, false, nil
-			}
-			return 0, false, err
-		}
-	}
-	return sc.buf[sc.pos], true, nil
-}
-
-// skipWS advances over JSON whitespace.
-func (sc *pointScanner) skipWS() error {
-	for {
-		for sc.pos < sc.limit {
-			switch sc.buf[sc.pos] {
-			case ' ', '\t', '\r', '\n':
-				sc.pos++
-			default:
-				return nil
-			}
-		}
-		if _, err := sc.refill(sc.pos); err != nil {
-			if err == io.EOF {
-				return nil
-			}
+		if err != nil || n > 0 {
 			return err
 		}
 	}
 }
 
-func (sc *pointScanner) errAt(msg string) error {
-	return &scanError{msg: msg, off: sc.base + int64(sc.pos)}
+// line returns the unread input from its first non-blank byte up to the
+// next newline, reading until the buffer holds all of it. Input that
+// ends without a newline, or a line still open at maxScanBuf, is
+// returned as far as it goes. io.EOF reports a clean end of input.
+func (sc *pointScanner) line() ([]byte, error) {
+	searched := 0 // bytes after pos known to hold no newline
+	for {
+		if searched == 0 {
+			sc.pos = skipWS(sc.buf[:sc.limit], sc.pos)
+		}
+		w := sc.buf[sc.pos:sc.limit]
+		if i := bytes.IndexByte(w[searched:], '\n'); i >= 0 {
+			return w[:searched+i], nil
+		}
+		if sc.eof || len(w) >= maxScanBuf {
+			if len(w) == 0 {
+				return nil, io.EOF
+			}
+			return w, nil
+		}
+		searched = len(w)
+		if err := sc.fill(); err != nil {
+			return nil, err
+		}
+	}
 }
 
-// next parses the next NDJSON row into p. io.EOF reports a clean end
+// next decodes the next NDJSON row into p. io.EOF reports a clean end
 // of input; any other error poisons the rest of the stream.
 //
 // districtlint:hotpath
 func (sc *pointScanner) next(p *Point) error {
+	if sc.dec == nil {
+		line, err := sc.line()
+		if err != nil {
+			return err
+		}
+		n, ok := sc.parseRow(line, p)
+		sc.pos += n
+		if ok && skipWS(line, n) == len(line) {
+			return nil
+		}
+		// Not canonical — or canonical with more on the same line, which no
+		// writer sends: finding the line's end again for every row on it
+		// would make a newline-free body quadratic, so encoding/json
+		// streams the rest of that too.
+		sc.fallBack()
+		if ok {
+			return nil
+		}
+	}
 	*p = Point{}
-	if err := sc.skipWS(); err != nil {
-		return err
-	}
-	c, ok, err := sc.cur()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return io.EOF
-	}
-	if c == 'n' {
-		// A bare null decodes as a zero row, as json.Decoder would.
-		return sc.literal("null")
-	}
-	if c != '{' {
-		return sc.errAt("expected '{'")
-	}
-	return sc.parsePoint(p)
+	return sc.dec.Decode(p)
 }
 
-// Field tags of the Point row shape.
-const (
-	fieldNone = iota
-	fieldDevice
-	fieldQuantity
-	fieldAt
-	fieldValue
-)
-
-var (
-	nameDevice   = []byte("device")
-	nameQuantity = []byte("quantity")
-	nameAt       = []byte("at")
-	nameValue    = []byte("value")
-)
-
-// fieldOf matches a decoded key to a Point field the way encoding/json
-// does: exact match first, then case-insensitive with Unicode simple
-// folding.
-func fieldOf(key []byte) int {
-	switch string(key) {
-	case "device":
-		return fieldDevice
-	case "quantity":
-		return fieldQuantity
-	case "at":
-		return fieldAt
-	case "value":
-		return fieldValue
-	}
-	switch {
-	case bytes.EqualFold(key, nameDevice):
-		return fieldDevice
-	case bytes.EqualFold(key, nameQuantity):
-		return fieldQuantity
-	case bytes.EqualFold(key, nameAt):
-		return fieldAt
-	case bytes.EqualFold(key, nameValue):
-		return fieldValue
-	}
-	return fieldNone
+// fallBack hands the unread window and the rest of the reader to
+// encoding/json. A json.Decoder keeps no state between top-level values,
+// so starting one at a row boundary continues the stream exactly as one
+// started at byte zero would have.
+func (sc *pointScanner) fallBack() {
+	sc.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf[sc.pos:sc.limit]), sc.r))
 }
 
-// parsePoint decodes one {...} row; the opening brace is at the read
-// position. Duplicate keys overwrite (last wins), unknown keys are
-// skipped after full syntax validation, null never touches a field.
+// decodeBatch decodes a whole {"<field>":[...]} request body ("rows" or
+// "samples"). The body is read to its end first, so any error fails it
+// before a single row is applied. Rows of a canonical body land in the
+// scanner's pooled slice (valid until release); any other body is
+// decoded again, from its first byte, by encoding/json.
+func (sc *pointScanner) decodeBatch(field string) ([]Point, error) {
+	for !sc.eof {
+		if err := sc.fill(); err != nil {
+			return nil, err
+		}
+	}
+	body := sc.buf[:sc.limit]
+	if sc.parseBatch(body, field) {
+		return sc.pts, nil
+	}
+	// One json.Decoder value, as the ingest plane has always read it:
+	// bytes after the top-level value are ignored, an empty body is EOF.
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if field == "samples" {
+		var b SeriesAppend
+		err := dec.Decode(&b)
+		return b.Samples, err
+	}
+	var b IngestBatch
+	err := dec.Decode(&b)
+	return b.Rows, err
+}
+
+// parseBatch is the fast path of decodeBatch: an object whose only key
+// is field, holding an array of canonical rows, decoded into sc.pts.
+// false means "not canonical" and leaves sc.pts undefined.
 //
 // districtlint:hotpath
-func (sc *pointScanner) parsePoint(p *Point) error {
-	sc.pos++ // '{'
-	if err := sc.skipWS(); err != nil {
-		return err
+func (sc *pointScanner) parseBatch(b []byte, field string) bool {
+	sc.pts = sc.pts[:0]
+	i := token(b, 0, '{')
+	if i < 0 {
+		return false
 	}
-	c, ok, err := sc.cur()
-	if err != nil {
-		return err
+	key, i := plainString(b, i)
+	if i < 0 || string(key) != field {
+		return false
 	}
-	if !ok {
-		return sc.errAt("unexpected end of object")
+	if i = token(b, i, ':'); i < 0 {
+		return false
 	}
-	if c == '}' {
-		sc.pos++
-		return nil
+	if i = token(b, i, '['); i < 0 {
+		return false
 	}
 	for {
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		key, err := sc.scanString()
-		if err != nil {
-			return err
-		}
-		field := fieldOf(key)
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		c, ok, err := sc.cur()
-		if err != nil {
-			return err
-		}
-		if !ok || c != ':' {
-			return sc.errAt("expected ':'")
-		}
-		sc.pos++
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		switch field {
-		case fieldDevice:
-			s, isNull, err := sc.stringValue()
-			if err != nil {
-				return err
-			}
-			if !isNull {
-				p.Device = s
-			}
-		case fieldQuantity:
-			s, isNull, err := sc.stringValue()
-			if err != nil {
-				return err
-			}
-			if !isNull {
-				p.Quantity = s
-			}
-		case fieldAt:
-			if err := sc.timeValue(&p.At); err != nil {
-				return err
-			}
-		case fieldValue:
-			v, isNull, err := sc.numberValue()
-			if err != nil {
-				return err
-			}
-			if !isNull {
-				p.Value = v
-			}
-		default:
-			if err := sc.skipValue(); err != nil {
-				return err
-			}
-		}
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		c, ok, err = sc.cur()
-		if err != nil {
-			return err
-		}
+		var p Point
+		n, ok := sc.parseRow(b[i:], &p)
 		if !ok {
-			return sc.errAt("unexpected end of object")
+			return false
 		}
-		switch c {
-		case ',':
-			sc.pos++
-		case '}':
-			sc.pos++
-			return nil
-		default:
-			return sc.errAt("expected ',' or '}'")
+		sc.pts = append(sc.pts, p)
+		if i = skipWS(b, i+n); i < len(b) && b[i] == ']' {
+			return token(b, i+1, '}') >= 0
+		}
+		if i = token(b, i, ','); i < 0 {
+			return false
 		}
 	}
 }
 
-// scanStringRaw scans the quoted token at the read position, validating
-// escapes and rejecting raw control characters, and returns the raw
-// bytes including both quotes plus whether any escape occurred. The
-// slice aliases the scan buffer: use it before the next scanner call.
-func (sc *pointScanner) scanStringRaw() ([]byte, bool, error) {
-	c, ok, err := sc.cur()
-	if err != nil {
-		return nil, false, err
+// parseRow is the fast path: it decodes the canonical row at the start
+// of b into p and returns the bytes consumed. ok=false means "not
+// canonical" — b may still be valid JSON, only encoding/json can say —
+// and leaves p undefined.
+//
+// districtlint:hotpath
+func (sc *pointScanner) parseRow(b []byte, p *Point) (n int, ok bool) {
+	*p = Point{}
+	i := token(b, 0, '{')
+	if i < 0 {
+		return 0, false
 	}
-	if !ok || c != '"' {
-		return nil, false, sc.errAt("expected string")
-	}
-	start := sc.pos
-	i := sc.pos + 1
-	hasEsc := false
-	more := func() error {
-		ns, err := sc.refill(start)
-		if err != nil {
-			return err
-		}
-		i -= start - ns
-		start = ns
-		return nil
-	}
+	seen := 0
 	for {
-		if i >= sc.limit {
-			if err := more(); err != nil {
-				if err == io.EOF {
-					sc.pos = sc.limit
-					return nil, false, sc.errAt("unterminated string")
-				}
-				return nil, false, err
-			}
-			continue
+		key, j := plainString(b, i)
+		if j < 0 {
+			return 0, false
 		}
-		switch c := sc.buf[i]; {
-		case c == '"':
-			raw := sc.buf[start : i+1]
-			sc.pos = i + 1
-			return raw, hasEsc, nil
-		case c == '\\':
-			hasEsc = true
-			i++
-			for i >= sc.limit {
-				if err := more(); err != nil {
-					if err == io.EOF {
-						sc.pos = sc.limit
-						return nil, false, sc.errAt("unterminated string")
-					}
-					return nil, false, err
+		if i = token(b, j, ':'); i < 0 {
+			return 0, false
+		}
+		// The four keys differ in length, so the length tells them apart.
+		bit := 1 << len(key)
+		if seen&bit != 0 {
+			return 0, false // a repeated key: last-wins is encoding/json's to apply
+		}
+		seen |= bit
+		switch string(key) {
+		case "device":
+			if p.Device, i = sc.name(b, i); i < 0 {
+				return 0, false
+			}
+		case "quantity":
+			if p.Quantity, i = sc.name(b, i); i < 0 {
+				return 0, false
+			}
+		case "at":
+			s, j := plainString(b, i)
+			if j < 0 {
+				return 0, false
+			}
+			if t, ok := parseRFC3339(s); ok {
+				p.At = t
+			} else if p.At.UnmarshalJSON(b[i:j]) != nil {
+				// The raw quoted token, exactly the bytes encoding/json
+				// would hand it; its refusal is worded by the fallback.
+				return 0, false
+			}
+			i = j
+		case "value":
+			j := numberEnd(b, i)
+			if j == i {
+				return 0, false
+			}
+			v, ok := fastFloat(b[i:j])
+			if !ok {
+				var err error
+				if v, err = strconv.ParseFloat(string(b[i:j]), 64); err != nil {
+					return 0, false // out of range
 				}
 			}
-			switch sc.buf[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				i++
-			case 'u':
-				i++
-				for k := 0; k < 4; k++ {
-					for i >= sc.limit {
-						if err := more(); err != nil {
-							if err == io.EOF {
-								sc.pos = sc.limit
-								return nil, false, sc.errAt("unterminated string")
-							}
-							return nil, false, err
-						}
-					}
-					if !isHex(sc.buf[i]) {
-						sc.pos = i
-						return nil, false, sc.errAt("invalid \\u escape")
-					}
-					i++
-				}
-			default:
-				sc.pos = i
-				return nil, false, sc.errAt("invalid escape character")
-			}
-		case c < 0x20:
-			sc.pos = i
-			return nil, false, sc.errAt("control character in string")
+			p.Value, i = v, j
 		default:
-			i++
+			return 0, false
+		}
+		if i = skipWS(b, i); i < len(b) && b[i] == '}' {
+			return i + 1, true
+		}
+		if i = token(b, i, ','); i < 0 {
+			return 0, false
 		}
 	}
 }
 
-func isHex(c byte) bool {
-	return c >= '0' && c <= '9' || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
+// skipWS returns the index of the first byte of b at or after i that is
+// not JSON whitespace.
+func skipWS(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\n' || b[i] == '\r' || b[i] == '\t') {
+		i++
+	}
+	return i
 }
 
-func hex4(b []byte) rune {
-	var r rune
-	for _, c := range b[:4] {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		default:
-			r |= rune(c-'A') + 10
-		}
+// token skips whitespace, the byte c, and the whitespace after it, and
+// returns the index reached; -1 when the next token is not c.
+func token(b []byte, i int, c byte) int {
+	if i = skipWS(b, i); i >= len(b) || b[i] != c {
+		return -1
 	}
-	return r
+	return skipWS(b, i+1)
 }
 
-// scanString scans the string token at the read position and returns
-// its decoded bytes (escapes applied, invalid UTF-8 replaced with
-// U+FFFD, exactly as encoding/json decodes it). The slice aliases the
-// scan buffer or the scanner's scratch — use it before the next call.
-func (sc *pointScanner) scanString() ([]byte, error) {
-	raw, hasEsc, err := sc.scanStringRaw()
-	if err != nil {
-		return nil, err
+// plainString scans the string token at b[i] that needs no decoding:
+// closed inside b, no escape, no control byte. It returns the bytes
+// between the quotes and the index after the closing quote, -1 when
+// b[i] is not such a string.
+func plainString(b []byte, i int) (body []byte, end int) {
+	if i >= len(b) || b[i] != '"' {
+		return nil, -1
 	}
-	body := raw[1 : len(raw)-1]
-	if !hasEsc {
-		ascii := true
-		for _, b := range body {
-			if b >= utf8.RuneSelf {
-				ascii = false
-				break
-			}
-		}
-		if ascii || utf8.Valid(body) {
-			return body, nil
+	for j := i + 1; j < len(b) && b[j] != '\\' && b[j] >= 0x20; j++ {
+		if b[j] == '"' {
+			return b[i+1 : j], j + 1
 		}
 	}
-	return sc.unescape(body), nil
+	return nil, -1
 }
 
-// unescape decodes body's (pre-validated) escapes into the scanner's
-// scratch buffer, replacing invalid UTF-8 and unpaired surrogates with
-// U+FFFD the way encoding/json's unquote does.
-func (sc *pointScanner) unescape(body []byte) []byte {
-	out := sc.scratch[:0]
-	for i := 0; i < len(body); {
-		c := body[i]
-		switch {
-		case c == '\\':
-			i++
-			switch body[i] {
-			case '"':
-				out = append(out, '"')
-				i++
-			case '\\':
-				out = append(out, '\\')
-				i++
-			case '/':
-				out = append(out, '/')
-				i++
-			case 'b':
-				out = append(out, '\b')
-				i++
-			case 'f':
-				out = append(out, '\f')
-				i++
-			case 'n':
-				out = append(out, '\n')
-				i++
-			case 'r':
-				out = append(out, '\r')
-				i++
-			case 't':
-				out = append(out, '\t')
-				i++
-			case 'u':
-				r := hex4(body[i+1:])
-				i += 5
-				if utf16.IsSurrogate(r) {
-					var r2 rune = -1
-					if i+5 < len(body) && body[i] == '\\' && body[i+1] == 'u' {
-						r2 = hex4(body[i+2:])
-					}
-					if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-						out = utf8.AppendRune(out, dec)
-						i += 6
-						break
-					}
-					r = utf8.RuneError
-				}
-				out = utf8.AppendRune(out, r)
-			}
-		case c < utf8.RuneSelf:
-			out = append(out, c)
-			i++
-		default:
-			r, size := utf8.DecodeRune(body[i:])
-			if r == utf8.RuneError && size == 1 {
-				out = utf8.AppendRune(out, utf8.RuneError)
-				i++
-			} else {
-				out = append(out, body[i:i+size]...)
-				i += size
-			}
-		}
+// name decodes the device or quantity string at b[i], interned, and
+// returns the index after it; -1 when it is not a plain string of valid
+// UTF-8 (encoding/json would substitute U+FFFD).
+func (sc *pointScanner) name(b []byte, i int) (string, int) {
+	s, end := plainString(b, i)
+	if end < 0 || !utf8.Valid(s) {
+		return "", -1
 	}
-	sc.scratch = out
-	return out
+	return sc.intern(s), end
 }
 
 // intern returns b as a string, reusing the previous allocation for a
@@ -555,153 +376,41 @@ func (sc *pointScanner) intern(b []byte) string {
 	return s
 }
 
-// stringValue parses a string (or null) field value.
-func (sc *pointScanner) stringValue() (string, bool, error) {
-	c, ok, err := sc.cur()
-	if err != nil {
-		return "", false, err
+// numberEnd returns the end of the JSON-grammar number starting at
+// b[i] (strconv alone would accept hex floats, a leading '+', "Inf" —
+// all invalid JSON), or i when none starts there.
+func numberEnd(b []byte, i int) int {
+	j := i
+	if j < len(b) && b[j] == '-' {
+		j++
 	}
-	if !ok {
-		return "", false, sc.errAt("unexpected end of value")
+	k := digits(b, j)
+	if k == j || b[j] == '0' && k > j+1 {
+		return i // no integer part, or a leading zero that does not stand alone
 	}
-	if c == 'n' {
-		return "", true, sc.literal("null")
+	if j = k; j < len(b) && b[j] == '.' {
+		if k = digits(b, j+1); k == j+1 {
+			return i
+		}
+		j = k
 	}
-	if c != '"' {
-		return "", false, sc.errAt("expected string value")
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		if k = j + 1; k < len(b) && (b[k] == '+' || b[k] == '-') {
+			k++
+		}
+		if j = digits(b, k); j == k {
+			return i
+		}
 	}
-	b, err := sc.scanString()
-	if err != nil {
-		return "", false, err
-	}
-	return sc.intern(b), false, nil
+	return j
 }
 
-// timeValue parses a timestamp (or null) field value. The fast path
-// hand-parses the plain UTC RFC 3339 shape; everything else goes
-// through time.Time.UnmarshalJSON with the raw quoted token, exactly
-// the bytes encoding/json would hand it.
-func (sc *pointScanner) timeValue(t *time.Time) error {
-	c, ok, err := sc.cur()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return sc.errAt("unexpected end of value")
-	}
-	if c == 'n' {
-		return sc.literal("null")
-	}
-	if c != '"' {
-		return sc.errAt("expected timestamp string")
-	}
-	off := sc.base + int64(sc.pos)
-	raw, hasEsc, err := sc.scanStringRaw()
-	if err != nil {
-		return err
-	}
-	if !hasEsc {
-		if tt, ok := parseRFC3339(raw[1 : len(raw)-1]); ok {
-			*t = tt
-			return nil
-		}
-	}
-	if err := t.UnmarshalJSON(raw); err != nil {
-		return &scanError{msg: "bad timestamp: " + err.Error(), off: off}
-	}
-	return nil
-}
-
-// numberValue parses a number (or null) field value, enforcing the
-// JSON number grammar before converting.
-func (sc *pointScanner) numberValue() (float64, bool, error) {
-	c, ok, err := sc.cur()
-	if err != nil {
-		return 0, false, err
-	}
-	if !ok {
-		return 0, false, sc.errAt("unexpected end of value")
-	}
-	if c == 'n' {
-		return 0, true, sc.literal("null")
-	}
-	off := sc.base + int64(sc.pos)
-	tok, err := sc.scanNumber()
-	if err != nil {
-		return 0, false, err
-	}
-	if v, ok := fastFloat(tok); ok {
-		return v, false, nil
-	}
-	v, perr := strconv.ParseFloat(string(tok), 64)
-	if perr != nil {
-		// Grammar already validated, so this is a range overflow —
-		// an error in encoding/json as well.
-		return 0, false, &scanError{msg: "number out of range", off: off}
-	}
-	return v, false, nil
-}
-
-// scanNumber scans the number token at the read position, enforcing
-// JSON grammar (strconv accepts hex floats, a leading '+', "Inf" — all
-// invalid JSON). The slice aliases the scan buffer.
-func (sc *pointScanner) scanNumber() ([]byte, error) {
-	start := sc.pos
-	i := sc.pos
-	more := func() bool {
-		if i < sc.limit {
-			return true
-		}
-		ns, err := sc.refill(start)
-		if err != nil {
-			return false
-		}
-		i -= start - ns
-		start = ns
-		return i < sc.limit
-	}
-	digits := func() int {
-		n := 0
-		for more() && sc.buf[i] >= '0' && sc.buf[i] <= '9' {
-			n++
-			i++
-		}
-		return n
-	}
-	fail := func(msg string) error {
-		sc.pos = i
-		return sc.errAt(msg)
-	}
-	if more() && sc.buf[i] == '-' {
+// digits returns the end of the run of decimal digits starting at b[i].
+func digits(b []byte, i int) int {
+	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
 		i++
 	}
-	// Integer part: a single 0, or a nonzero digit run.
-	if !more() || sc.buf[i] < '0' || sc.buf[i] > '9' {
-		return nil, fail("invalid number")
-	}
-	if sc.buf[i] == '0' {
-		i++
-	} else if digits() == 0 {
-		return nil, fail("invalid number")
-	}
-	if more() && sc.buf[i] == '.' {
-		i++
-		if digits() == 0 {
-			return nil, fail("invalid number")
-		}
-	}
-	if more() && (sc.buf[i] == 'e' || sc.buf[i] == 'E') {
-		i++
-		if more() && (sc.buf[i] == '+' || sc.buf[i] == '-') {
-			i++
-		}
-		if digits() == 0 {
-			return nil, fail("invalid number")
-		}
-	}
-	tok := sc.buf[start:i]
-	sc.pos = i
-	return tok, nil
+	return i
 }
 
 // pow10 holds the exactly-representable powers of ten of the fast
@@ -745,357 +454,6 @@ func fastFloat(tok []byte) (float64, bool) {
 		v = -v
 	}
 	return v, true
-}
-
-// literal consumes one fixed literal ("null", "true", "false").
-func (sc *pointScanner) literal(lit string) error {
-	for j := 0; j < len(lit); j++ {
-		c, ok, err := sc.cur()
-		if err != nil {
-			return err
-		}
-		if !ok || c != lit[j] {
-			return sc.errAt("invalid literal")
-		}
-		sc.pos++
-	}
-	return nil
-}
-
-// skipValue consumes (and fully validates) one JSON value of an
-// unknown field, iteratively, with the same nesting bound as
-// encoding/json.
-func (sc *pointScanner) skipValue() error {
-	stack := sc.stack[:0]
-	defer func() { sc.stack = stack[:0] }()
-value:
-	for {
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		c, ok, err := sc.cur()
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return sc.errAt("unexpected end of value")
-		}
-		switch {
-		case c == '{':
-			sc.pos++
-			if err := sc.skipWS(); err != nil {
-				return err
-			}
-			c2, ok, err := sc.cur()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return sc.errAt("unexpected end of object")
-			}
-			if c2 == '}' {
-				sc.pos++
-				break // empty object: one complete value
-			}
-			if len(stack) >= maxScanDepth {
-				return sc.errAt("exceeded max nesting depth")
-			}
-			stack = append(stack, '{')
-			if err := sc.objectKey(); err != nil {
-				return err
-			}
-			continue value
-		case c == '[':
-			sc.pos++
-			if err := sc.skipWS(); err != nil {
-				return err
-			}
-			c2, ok, err := sc.cur()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return sc.errAt("unexpected end of array")
-			}
-			if c2 == ']' {
-				sc.pos++
-				break
-			}
-			if len(stack) >= maxScanDepth {
-				return sc.errAt("exceeded max nesting depth")
-			}
-			stack = append(stack, '[')
-			continue value
-		case c == '"':
-			if _, _, err := sc.scanStringRaw(); err != nil {
-				return err
-			}
-		case c == 't':
-			if err := sc.literal("true"); err != nil {
-				return err
-			}
-		case c == 'f':
-			if err := sc.literal("false"); err != nil {
-				return err
-			}
-		case c == 'n':
-			if err := sc.literal("null"); err != nil {
-				return err
-			}
-		case c == '-' || c >= '0' && c <= '9':
-			if _, err := sc.scanNumber(); err != nil {
-				return err
-			}
-		default:
-			return sc.errAt("unexpected character")
-		}
-		// One value finished: unwind closers and continue after commas.
-		for {
-			if len(stack) == 0 {
-				return nil
-			}
-			if err := sc.skipWS(); err != nil {
-				return err
-			}
-			c, ok, err := sc.cur()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return sc.errAt("unexpected end of value")
-			}
-			if stack[len(stack)-1] == '{' {
-				switch c {
-				case ',':
-					sc.pos++
-					if err := sc.skipWS(); err != nil {
-						return err
-					}
-					if err := sc.objectKey(); err != nil {
-						return err
-					}
-					continue value
-				case '}':
-					sc.pos++
-					stack = stack[:len(stack)-1]
-				default:
-					return sc.errAt("expected ',' or '}'")
-				}
-			} else {
-				switch c {
-				case ',':
-					sc.pos++
-					continue value
-				case ']':
-					sc.pos++
-					stack = stack[:len(stack)-1]
-				default:
-					return sc.errAt("expected ',' or ']'")
-				}
-			}
-		}
-	}
-}
-
-// objectKey consumes `"key" :` inside a skipped object.
-func (sc *pointScanner) objectKey() error {
-	if _, _, err := sc.scanStringRaw(); err != nil {
-		return err
-	}
-	if err := sc.skipWS(); err != nil {
-		return err
-	}
-	c, ok, err := sc.cur()
-	if err != nil {
-		return err
-	}
-	if !ok || c != ':' {
-		return sc.errAt("expected ':'")
-	}
-	sc.pos++
-	return nil
-}
-
-// decodeBatch parses a whole {"<field>":[...]} request body, appending
-// rows to the scanner's pooled slice (valid until release). Semantics
-// mirror json.Unmarshal into the single-slice-field structs of the
-// ingest plane: unknown keys are skipped after validation, a repeated
-// field restarts the slice, null leaves it empty, a null array element
-// is a zero row, trailing bytes after the top-level value are ignored
-// (json.Decoder reads one value), and any syntax error fails the whole
-// body before a single row is applied.
-func (sc *pointScanner) decodeBatch(field string) ([]Point, error) {
-	sc.pts = sc.pts[:0]
-	if err := sc.skipWS(); err != nil {
-		return nil, err
-	}
-	c, ok, err := sc.cur()
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, io.EOF // empty body, the decoder's wording
-	}
-	if c == 'n' {
-		if err := sc.literal("null"); err != nil {
-			return nil, err
-		}
-		return sc.pts, nil
-	}
-	if c != '{' {
-		return nil, sc.errAt("expected '{'")
-	}
-	sc.pos++
-	if err := sc.skipWS(); err != nil {
-		return nil, err
-	}
-	if c, ok, err = sc.cur(); err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, sc.errAt("unexpected end of object")
-	}
-	if c == '}' {
-		sc.pos++
-		return sc.pts, nil
-	}
-	fieldName := []byte(field)
-	for {
-		if err := sc.skipWS(); err != nil {
-			return nil, err
-		}
-		key, err := sc.scanString()
-		if err != nil {
-			return nil, err
-		}
-		match := string(key) == field || bytes.EqualFold(key, fieldName)
-		if err := sc.skipWS(); err != nil {
-			return nil, err
-		}
-		if c, ok, err = sc.cur(); err != nil {
-			return nil, err
-		}
-		if !ok || c != ':' {
-			return nil, sc.errAt("expected ':'")
-		}
-		sc.pos++
-		if err := sc.skipWS(); err != nil {
-			return nil, err
-		}
-		if match {
-			if err := sc.rowArray(); err != nil {
-				return nil, err
-			}
-		} else if err := sc.skipValue(); err != nil {
-			return nil, err
-		}
-		if err := sc.skipWS(); err != nil {
-			return nil, err
-		}
-		if c, ok, err = sc.cur(); err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, sc.errAt("unexpected end of object")
-		}
-		switch c {
-		case ',':
-			sc.pos++
-		case '}':
-			sc.pos++
-			return sc.pts, nil
-		default:
-			return nil, sc.errAt("expected ',' or '}'")
-		}
-	}
-}
-
-// rowArray parses the row array (or null) of a batch body into the
-// pooled slice, restarting it: a duplicate field replaces the earlier
-// value like json.Unmarshal does. Replacement carries Unmarshal's
-// element-reuse semantics: the restarted slice appends over the same
-// backing array, so row i of the later array decodes INTO the earlier
-// row i — absent and null fields keep the earlier value. prev is
-// whatever this decodeBatch call has already parsed (empty on the
-// first field occurrence, matching Unmarshal's fresh nil slice).
-func (sc *pointScanner) rowArray() error {
-	prev := sc.pts
-	sc.pts = sc.pts[:0]
-	c, ok, err := sc.cur()
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return sc.errAt("unexpected end of value")
-	}
-	if c == 'n' {
-		return sc.literal("null")
-	}
-	if c != '[' {
-		return sc.errAt("expected array of rows")
-	}
-	sc.pos++
-	if err := sc.skipWS(); err != nil {
-		return err
-	}
-	if c, ok, err = sc.cur(); err != nil {
-		return err
-	}
-	if !ok {
-		return sc.errAt("unexpected end of array")
-	}
-	if c == ']' {
-		sc.pos++
-		return nil
-	}
-	for {
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		if c, ok, err = sc.cur(); err != nil {
-			return err
-		}
-		if !ok {
-			return sc.errAt("unexpected end of array")
-		}
-		var p Point
-		if n := len(sc.pts); n < len(prev) {
-			p = prev[n] // reused element: decode merges over it
-		}
-		switch c {
-		case 'n':
-			// null never touches the element; a reused one keeps its
-			// earlier value, exactly as Unmarshal leaves it.
-			if err := sc.literal("null"); err != nil {
-				return err
-			}
-		case '{':
-			if err := sc.parsePoint(&p); err != nil {
-				return err
-			}
-		default:
-			return sc.errAt("expected object row")
-		}
-		sc.pts = append(sc.pts, p)
-		if err := sc.skipWS(); err != nil {
-			return err
-		}
-		if c, ok, err = sc.cur(); err != nil {
-			return err
-		}
-		if !ok {
-			return sc.errAt("unexpected end of array")
-		}
-		switch c {
-		case ',':
-			sc.pos++
-		case ']':
-			sc.pos++
-			return nil
-		default:
-			return sc.errAt("expected ',' or ']'")
-		}
-	}
 }
 
 // daysIn is the day count of each month in a non-leap year.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The row scanner's contract is bit-compatibility with encoding/json
@@ -220,7 +222,36 @@ var rowScannerCorpus = []string{
 	`{"rows":[1]}`,
 	`{"rows":{"not":"array"}}`,
 	`{"rows":[{"value":1}`,
+	// The seam between the in-place fast path and encoding/json: a stream
+	// that leaves the canonical shape mid-way (and comes back, and breaks),
+	// rows sharing a line, CRLF, Python-style separators, the escapes
+	// json.Marshal emits for <>&, a repeated key after canonical rows, and
+	// rows and bodies larger than the initial read buffer.
+	canonRow + "\n" + `{"device":"a\u003cb","value":1}` + "\n" + canonRow + "\n",
+	canonRow + "\n" + `{"device":"a","value":1,"extra":null}` + "\n" + canonRow + "\n{broken\n" + canonRow,
+	canonRow + canonRow + ` ` + canonRow,
+	canonRow + "\r\n" + canonRow + "\r\n",
+	`{ "device" : "a", "quantity" : "q", "at" : "2015-03-09T10:00:00Z", "value" : 1.5 }`,
+	"{\n\t\"device\": \"a\",\n\t\"value\": 2\n}\n" + canonRow,
+	`{"device":"urn:d/\u003c1\u003e\u0026","quantity":"q","at":"2015-03-09T10:00:00Z","value":1}`,
+	`{"device":"a","quantity":"q","at":"2015-03-09T11:30:00.5+01:30","value":1}`,
+	`{"device":"a","quantity":"q","at":"2015-03-09T10:00:00-08:00","value":1e-07}`,
+	`{"value":1e+21}`,
+	canonRow + "\n" + `{"device":"a","quantity":"q","at":"2015-03-09T10:00:00Z","value":1,"value":2}`,
+	`{"quantity":"` + strings.Repeat("q", 20000) + `","value":1}` + "\n" + canonRow,
+	strings.Repeat(canonRow+"\n", 300),
+	`{"rows":[` + strings.Repeat(canonRow+",", 300) + canonRow + `]}`,
+	`{"rows":[` + canonRow + `,` + canonRow + `]} trailing garbage`,
+	`{"rows":[` + canonRow + `,{"device":"a\u003cb","value":1}]}`,
+	`{"rows":[` + canonRow + `],"rows":[{"value":2}]}`,
+	`{"rows":[` + canonRow + `,]}`,
+	`{"rows" : [ ` + canonRow + ` , ` + canonRow + ` ] }`,
+	`{"samples":[{"at":"2015-03-09T10:00:00Z","value":1}]}`,
 }
+
+// canonRow is a row in the canonical shape: what encoding/json emits for
+// a Point, and what the fast path decodes in place.
+const canonRow = `{"device":"urn:district:turin/building:b001/device:d0","quantity":"temperature","at":"2015-03-09T10:00:00Z","value":21.5}`
 
 func TestRowScannerNDJSONOracle(t *testing.T) {
 	for _, input := range rowScannerCorpus {
@@ -288,4 +319,127 @@ func FuzzRowScannerBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkBatchOracle(t, data)
 	})
+}
+
+// TestOwnEncodersStayOnFastPath holds the traffic assumption the decoder
+// is built on: whatever this repository's writers emit — json.Marshal of
+// an IngestBatch (client.Ingest.Append, the Batcher), a json.Encoder
+// stream (client.IngestStream), the append encoder (the coordinator's
+// forward) — is canonical, so the fast-path functions take every row
+// themselves and encoding/json is never consulted. The assumption has
+// one boundary, pinned at the end: a name holding a byte the encoders
+// escape (< > & " \, a control byte) is not canonical, and a body
+// carrying one is decoded by encoding/json, to the same rows.
+func TestOwnEncodersStayOnFastPath(t *testing.T) {
+	at := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	pts := []Point{
+		{Device: "urn:district:turin/building:b001/device:d0", Quantity: "temperature", At: at, Value: 21.5},
+		{Device: "urn:distretto:torino/edificio:più/dispositivo:π", Quantity: "umidità", At: at.Add(123456789), Value: -0.25},
+		{At: at, Value: 1}, // a path-named samples row: device and quantity omitted
+		{Device: "d", Quantity: "q", At: at.In(time.FixedZone("", 90*60)), Value: 0.1234567890123456},
+		{Device: "d", Quantity: "q", At: at.In(time.FixedZone("", -8*3600)), Value: 1e-7},
+		{Device: "d", Quantity: "q", Value: 1e21}, // zero time
+		{Device: "d", Quantity: "q", At: at, Value: math.MaxFloat64},
+		{Device: "d", Quantity: "q", At: at, Value: math.Copysign(0, -1)},
+	}
+	sc := newPointScanner(nil)
+	defer sc.release()
+
+	batch, err := json.Marshal(IngestBatch{Rows: pts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sc.parseBatch(batch, "rows") {
+		t.Fatalf("json.Marshal(IngestBatch) left the fast path: %s", batch)
+	}
+	diffRows(t, batch, sc.pts, pts)
+
+	var stream, appended bytes.Buffer
+	enc := json.NewEncoder(&stream)
+	for _, p := range pts {
+		if err := enc.Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		appended.Write(appendPointNDJSON(nil, p))
+	}
+	if !bytes.Equal(stream.Bytes(), appended.Bytes()) {
+		t.Fatalf("appendPointNDJSON and json.Encoder disagree:\n%s\n%s", appended.Bytes(), stream.Bytes())
+	}
+	for i, line := range bytes.Split(bytes.TrimSuffix(stream.Bytes(), []byte("\n")), []byte("\n")) {
+		var p Point
+		if n, ok := sc.parseRow(line, &p); !ok || n != len(line) {
+			t.Fatalf("encoded row left the fast path (consumed %d of %d, ok=%v): %s", n, len(line), ok, line)
+		}
+		diffRows(t, line, []Point{p}, pts[i:i+1])
+	}
+
+	escaped := []Point{pts[0], {Device: `urn:d/<1>&"2"\`, Quantity: "temperature", At: at, Value: 1}}
+	batch, err = json.Marshal(IngestBatch{Rows: escaped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := appendPointNDJSON(nil, escaped[1])
+	var p Point
+	if _, ok := sc.parseRow(line, &p); ok || sc.parseBatch(batch, "rows") {
+		t.Fatalf("a name the encoders escape stayed on the fast path: %s", line)
+	}
+	checkBatchOracle(t, batch)
+	checkNDJSONOracle(t, line)
+	if rows, _ := scanBatch(batch); len(rows) != 2 || rows[1].Device != escaped[1].Device {
+		t.Fatalf("fallback decoded %+v from %s", rows, batch)
+	}
+}
+
+// TestRowsSharingALineStayLinear: rows concatenated without newlines
+// are valid input that no writer sends. The fast path finds a line's end
+// before it parses the row on it, so taking such rows one by one would
+// search the rest of the body once per row — quadratic, minutes of CPU
+// for one request at maxIngestBody. It must take the first row and give
+// the rest of the line, and of the request, to encoding/json.
+func TestRowsSharingALineStayLinear(t *testing.T) {
+	want := (1 << 20) / len(canonRow)
+	sc := newPointScanner(bytes.NewReader(bytes.Repeat([]byte(canonRow), want)))
+	defer sc.release()
+	var p Point
+	if err := sc.next(&p); err != nil || p.Value != 21.5 {
+		t.Fatalf("first row: %+v, %v", p, err)
+	}
+	if sc.dec == nil {
+		t.Fatal("the scanner kept the fast path on a line that holds more than one row")
+	}
+	rows := 1
+	for ; ; rows++ {
+		if err := sc.next(&p); err != nil {
+			if !errors.Is(err, io.EOF) {
+				t.Fatal(err)
+			}
+			break
+		}
+	}
+	if rows != want {
+		t.Fatalf("decoded %d rows of %d", rows, want)
+	}
+}
+
+// TestInternTableResets: a pooled scanner whose intern table filled up
+// (one hostile body, or a district with more device URIs than
+// maxInterned) must start the next request with a fresh table, not
+// allocate every new name on every row for the rest of its life.
+func TestInternTableResets(t *testing.T) {
+	var junk bytes.Buffer
+	for i := 0; i <= maxInterned; i++ {
+		fmt.Fprintf(&junk, `{"device":"junk-%d","value":1}`+"\n", i)
+	}
+	if rows, errored := scanNDJSON(junk.Bytes()); errored || len(rows) != maxInterned+1 {
+		t.Fatalf("junk body: %d rows, errored=%v", len(rows), errored)
+	}
+	// The pool hands the scanner just released back to this goroutine; a
+	// new one would pass trivially, which is still the behavior wanted.
+	rows, errored := scanNDJSON([]byte(`{"device":"fresh-name","value":1}` + "\n" + `{"device":"fresh-name","value":2}`))
+	if errored || len(rows) != 2 {
+		t.Fatalf("fresh body: %d rows, errored=%v", len(rows), errored)
+	}
+	if unsafe.StringData(rows[0].Device) != unsafe.StringData(rows[1].Device) {
+		t.Fatal("a repeated new device name was allocated twice: the full intern table was not reset")
+	}
 }

@@ -260,41 +260,6 @@ func BenchmarkE2_MiddlewareThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkE2_MiddlewareNetworked measures the TCP hop: leaf publisher
-// -> relay hub -> leaf subscriber.
-func BenchmarkE2_MiddlewareNetworked(b *testing.B) {
-	hub := middleware.NewNode(middleware.NodeOptions{ID: "hub", Relay: true})
-	hubAddr, err := hub.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer hub.Close()
-	pub := middleware.NewNode(middleware.NodeOptions{ID: "pub"})
-	if err := pub.Dial(hubAddr); err != nil {
-		b.Fatal(err)
-	}
-	defer pub.Close()
-	sub := middleware.NewNode(middleware.NodeOptions{ID: "sub"})
-	got := make(chan struct{}, 1024)
-	if _, err := sub.Subscribe("bench/#", func(middleware.Event) { got <- struct{}{} }); err != nil {
-		b.Fatal(err)
-	}
-	if err := sub.Dial(hubAddr); err != nil {
-		b.Fatal(err)
-	}
-	defer sub.Close()
-	time.Sleep(100 * time.Millisecond) // subscription propagation
-
-	ev := middleware.Event{Topic: "bench/x", Payload: []byte("21.5"), At: benchT0}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := pub.Publish(ev); err != nil {
-			b.Fatal(err)
-		}
-		<-got
-	}
-}
-
 // ---------------------------------------------------------------------
 // E3 — registration scalability: proxies joining the master node.
 // ---------------------------------------------------------------------
@@ -1018,144 +983,8 @@ func BenchmarkQ3_V2SamplesTransport(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// I — the /v2 ingest data plane and the sharded storage engine: write
-// throughput vs shard count, and the ingest transports.
+// I — the /v2 ingest data plane: the ingest transports.
 // ---------------------------------------------------------------------
-
-// I1 — engine ingest throughput vs the single-lock store. The workload
-// is the ingest-dominated shape of the platform: concurrent producers
-// (gateways, proxy batchers, backfills) shipping per-device runs of
-// samples across many devices. store=single-lock resolves and locks
-// every sample individually in one Store, as the bus subscriber's
-// Ingest-per-event does. The sharded engine
-// partitions rows by device hash once per run, hands them to the
-// per-shard append queues, and each shard's single writer applies whole
-// runs under one lock; shard count sets the write parallelism available
-// to multi-core hosts. Reported time is per ingested row.
-//
-// NOTE: the shards=N/shards=1 ratio measures write parallelism, so it
-// only opens up with real cores — on a single-core container every
-// variant converges to the same per-row cost (the queue+partition
-// machinery costs nothing it doesn't win back in run grouping), which
-// is itself the useful result there: sharding is free when it can't
-// help.
-func BenchmarkI1Ingest(b *testing.B) {
-	const (
-		devices   = 512
-		producers = 4
-		runLen    = 16 // consecutive samples per device, a flushed buffer
-		chunk     = 1024
-		perProd   = devices / producers
-	)
-	keys := make([]tsdb.SeriesKey, devices)
-	for d := range keys {
-		keys[d] = tsdb.SeriesKey{
-			Device:   fmt.Sprintf("urn:district:turin/building:b%03d/device:d%d", d/4, d%4),
-			Quantity: "temperature",
-		}
-	}
-	// produce feeds count rows from producer w's disjoint device subset
-	// as per-device runs (timestamps ascend per series). The chunk
-	// buffer is reused across ships — both write paths copy rows before
-	// returning (Enqueue partitions, Append reads by value).
-	produce := func(w, count int, ship func([]tsdb.Row)) {
-		rows := make([]tsdb.Row, 0, chunk)
-		for i := 0; i < count; i++ {
-			run := i / runLen
-			key := keys[w*perProd+run%perProd]
-			rows = append(rows, tsdb.Row{
-				Key:    key,
-				Sample: tsdb.Sample{At: benchT0.Add(time.Duration(run/perProd*runLen+i%runLen) * time.Second), Value: float64(i)},
-			})
-			if len(rows) == chunk {
-				ship(rows)
-				rows = rows[:0]
-			}
-		}
-		if len(rows) > 0 {
-			ship(rows)
-		}
-	}
-	runProducers := func(b *testing.B, ship func([]tsdb.Row)) {
-		var wg sync.WaitGroup
-		for w := 0; w < producers; w++ {
-			count := b.N / producers
-			if w == 0 {
-				count += b.N % producers
-			}
-			wg.Add(1)
-			go func(w, count int) {
-				defer wg.Done()
-				produce(w, count, ship)
-			}(w, count)
-		}
-		wg.Wait()
-	}
-
-	b.Run("store=single-lock", func(b *testing.B) {
-		st := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 16})
-		defer st.Close()
-		b.ResetTimer()
-		runProducers(b, func(rows []tsdb.Row) {
-			for _, r := range rows { // the old path: one resolve+lock per sample
-				if err := st.Append(r.Key, r.Sample); err != nil {
-					b.Error(err)
-				}
-			}
-		})
-		b.StopTimer()
-		if st.Stats().Samples == 0 {
-			b.Fatal("no samples ingested")
-		}
-	})
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			eng := tsdb.NewSharded(tsdb.ShardedOptions{
-				Shards: shards,
-				Store:  tsdb.Options{MaxSamplesPerSeries: 1 << 16},
-			})
-			defer eng.Close()
-			b.ResetTimer()
-			runProducers(b, func(rows []tsdb.Row) {
-				if err := eng.Enqueue(rows); err != nil {
-					b.Error(err)
-				}
-			})
-			eng.Flush()
-			b.StopTimer()
-			if eng.Stats().Samples == 0 {
-				b.Fatal("no samples ingested")
-			}
-		})
-	}
-	// The durable engine with the weakest fsync policy: the WAL adds row
-	// encoding plus a write(2) per shard wave on top of shards=8 — the
-	// acceptance bar is staying within 25% of the in-memory engine.
-	b.Run("shards=8-wal-none", func(b *testing.B) {
-		eng, err := tsdb.OpenSharded(tsdb.ShardedOptions{
-			Shards:        8,
-			Store:         tsdb.Options{MaxSamplesPerSeries: 1 << 16},
-			Dir:           b.TempDir(),
-			Fsync:         wal.FsyncNone,
-			SnapshotEvery: -1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer eng.Close()
-		b.ResetTimer()
-		runProducers(b, func(rows []tsdb.Row) {
-			if err := eng.Enqueue(rows); err != nil {
-				b.Error(err)
-			}
-		})
-		eng.Flush()
-		b.StopTimer()
-		if eng.Stats().Samples == 0 {
-			b.Fatal("no samples ingested")
-		}
-	})
-}
 
 // I2 — shipping samples to the measurements DB over HTTP: the batched
 // JSON ingest and the NDJSON streaming writer. Reported time is per row

@@ -1,5 +1,5 @@
 // Command districtsim boots an entire synthetic district in one process
-// — master node, middleware hub, measurements database, GIS/BIM/SIM
+// — master node, measurements database, GIS/BIM/SIM
 // proxies, and device proxies over simulated WSN hardware — then prints
 // the endpoints so districtctl (or curl) can explore it.
 //
@@ -70,7 +70,6 @@ func main() {
 	}
 	fmt.Printf("district %q is up:\n", d.Spec.District)
 	fmt.Printf("  master node     %s\n", d.MasterURL)
-	fmt.Printf("  middleware hub  %s\n", d.HubAddr)
 	if len(d.MeasureNodeURLs) > 0 {
 		fmt.Printf("  measurements DB %s (coordinator over %d nodes)\n", d.MeasureURL, len(d.MeasureNodeURLs))
 		for i, u := range d.MeasureNodeURLs {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataformat"
 	"repro/internal/measuredb"
 )
 
@@ -19,19 +18,17 @@ const measDevice = "urn:district:turin/building:b01/device:t-1"
 func newMeasureFixture(t *testing.T, n int) *Measurements {
 	t.Helper()
 	svc := measuredb.New(measuredb.Options{})
-	for i := 0; i < n; i++ {
-		m := dataformat.Measurement{
-			Source: "http://devproxy/", Device: measDevice,
-			Quantity: dataformat.Temperature, Unit: dataformat.Celsius,
-			Value: float64(i), Timestamp: m0.Add(time.Duration(i) * time.Minute),
-		}
-		if err := svc.Ingest(&m); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	c := &Client{MasterURL: "http://unused/"}
+	rows := make([]measuredb.Point, n)
+	for i := range rows {
+		rows[i] = measuredb.Point{Device: measDevice, Quantity: "temperature",
+			At: m0.Add(time.Duration(i) * time.Minute), Value: float64(i)}
+	}
+	if res, err := c.Ingest(ts.URL).Append(context.Background(), rows); err != nil || res.Accepted != n {
+		t.Fatalf("seed: %+v, %v", res, err)
+	}
 	return c.Measurements(ts.URL)
 }
 

@@ -1,6 +1,6 @@
 // Package core is the framework facade of the reproduction: it wires
 // every subsystem of the paper's infrastructure — master node with its
-// ontology, middleware network, global measurements database, GIS / BIM
+// ontology, event streaming, global measurements database, GIS / BIM
 // / SIM Database-proxies, and device-proxies over simulated WSN hardware
 // — into one running district. It is the paper's "infrastructure model"
 // as a callable API: examples, the districtsim binary, the integration
@@ -24,7 +24,6 @@ import (
 	"repro/internal/gis"
 	"repro/internal/master"
 	"repro/internal/measuredb"
-	"repro/internal/middleware"
 	"repro/internal/ontology"
 	"repro/internal/protocol/enocean"
 	"repro/internal/protocol/ieee802154"
@@ -112,9 +111,9 @@ type Spec struct {
 	// before they are dropped entirely (0 = forever).
 	RetentionRollup time.Duration
 	// QCacheBytes bounds the measurements DB's generation-keyed query
-	// result cache — and, in a clustered deployment, the coordinator's
-	// per-device proxy cache. 0 (the default) disables both, preserving
-	// uncached behavior exactly.
+	// result cache, per node in a clustered deployment (the coordinator
+	// caches nothing). 0 (the default) disables it, preserving uncached
+	// behavior exactly.
 	QCacheBytes int64
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof
 	// on the master, measurements DB, and every device proxy.
@@ -154,9 +153,6 @@ type District struct {
 	// Master is the master node; MasterURL its HTTP base URL.
 	Master    *master.Master
 	MasterURL string
-	// Hub is the middleware relay node; HubAddr its TCP address.
-	Hub     *middleware.Node
-	HubAddr string
 	// Measure is the global measurements database service. In a
 	// clustered deployment (Spec.MeasureNodes > 1) it is nil:
 	// MeasureNodes holds the shard owners, Coordinator the router, and
@@ -209,16 +205,7 @@ func Bootstrap(spec Spec) (*District, error) {
 	d.MasterURL = "http://" + addr
 	d.closers = append(d.closers, d.Master.Close)
 
-	// Middleware hub: the relay the measurements DB subscribes through.
-	d.Hub = middleware.NewNode(middleware.NodeOptions{ID: "hub:" + spec.District, Relay: true})
-	hubAddr, err := d.Hub.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("core: middleware hub: %w", err)
-	}
-	d.HubAddr = hubAddr
-	d.closers = append(d.closers, d.Hub.Close)
-
-	// Global measurements database, fed from the middleware.
+	// Global measurements database, written through /v2/ingest.
 	limiter := func(rate float64) *api.RateLimiter {
 		if rate <= 0 {
 			return nil
@@ -253,7 +240,7 @@ func Bootstrap(spec Spec) (*District, error) {
 		return mopts, nil
 	}
 	if spec.MeasureNodes > 1 {
-		if err := d.bootstrapMeasureCluster(spec, hubAddr, newMeasureOpts); err != nil {
+		if err := d.bootstrapMeasureCluster(spec, newMeasureOpts); err != nil {
 			return nil, err
 		}
 	} else {
@@ -270,14 +257,7 @@ func Bootstrap(spec Spec) (*District, error) {
 			return nil, fmt.Errorf("core: measuredb: %w", err)
 		}
 		d.MeasureURL = "http://" + measureAddr
-		measureNode := middleware.NewNode(middleware.NodeOptions{ID: "measure:" + spec.District})
-		if _, err := d.Measure.AttachNode(measureNode); err != nil {
-			return nil, fmt.Errorf("core: measuredb subscribe: %w", err)
-		}
-		if err := measureNode.Dial(hubAddr); err != nil {
-			return nil, fmt.Errorf("core: measuredb node: %w", err)
-		}
-		d.closers = append(d.closers, measureNode.Close, d.Measure.Close)
+		d.closers = append(d.closers, d.Measure.Close)
 	}
 
 	// The device proxies' write path: one shared auto-flushing /v2
@@ -352,11 +332,10 @@ func Bootstrap(spec Spec) (*District, error) {
 
 // bootstrapMeasureCluster deploys the measurements DB as
 // Spec.MeasureNodes shard-owning nodes behind one coordinator: each
-// node runs the full sharded engine (unowned shards stay empty), hears
-// the middleware bus through its own leaf node (the ownership guard
-// keeps broadcast rows single-copy), the master publishes a round-robin
-// shard map, and the coordinator routes the /v2 plane over it.
-func (d *District) bootstrapMeasureCluster(spec Spec, hubAddr string, newMeasureOpts func(string, *measuredb.ClusterOptions) (measuredb.Options, error)) error {
+// node runs the full sharded engine (unowned shards stay empty), the
+// master publishes a round-robin shard map, and the coordinator routes
+// the /v2 plane over it.
+func (d *District) bootstrapMeasureCluster(spec Spec, newMeasureOpts func(string, *measuredb.ClusterOptions) (measuredb.Options, error)) error {
 	shards := spec.MeasureShards
 	if shards <= 0 {
 		shards = tsdb.DefaultShards
@@ -378,14 +357,6 @@ func (d *District) bootstrapMeasureCluster(spec Spec, hubAddr string, newMeasure
 		}
 		nodeURL := "http://" + addr
 		node.SetClusterSelf(nodeURL)
-		leaf := middleware.NewNode(middleware.NodeOptions{ID: fmt.Sprintf("measure%d:%s", i, spec.District)})
-		if _, err := node.AttachNode(leaf); err != nil {
-			return fmt.Errorf("core: measuredb node %d subscribe: %w", i, err)
-		}
-		if err := leaf.Dial(hubAddr); err != nil {
-			return fmt.Errorf("core: measuredb node %d bus: %w", i, err)
-		}
-		d.closers = append(d.closers, leaf.Close)
 		d.MeasureNodes = append(d.MeasureNodes, node)
 		d.MeasureNodeURLs = append(d.MeasureNodeURLs, nodeURL)
 	}
@@ -401,7 +372,6 @@ func (d *District) bootstrapMeasureCluster(spec Spec, hubAddr string, newMeasure
 	coord, err := measuredb.OpenCoordinator(measuredb.CoordinatorOptions{
 		Master:      d.MasterURL,
 		EnablePprof: spec.EnablePprof,
-		QCacheBytes: spec.QCacheBytes,
 	})
 	if err != nil {
 		return fmt.Errorf("core: coordinator: %w", err)

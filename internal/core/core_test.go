@@ -2,11 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/dataformat"
+	"repro/internal/measuredb"
 	"repro/internal/ontology"
 )
 
@@ -205,6 +207,28 @@ func TestBootstrapDefaults(t *testing.T) {
 	}
 }
 
+// pollAndFlush polls every proxy once and waits until the shared batcher
+// has settled every row the proxies handed it (the interval flush may
+// race ours).
+func pollAndFlush(t *testing.T, d *District) (delivered, dropped uint64) {
+	t.Helper()
+	var staged uint64
+	for _, p := range d.DeviceProxies {
+		p.PollOnce()
+		staged += p.Stats().Published
+	}
+	d.ingest.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if delivered, dropped = d.IngestRows(); delivered+dropped >= staged {
+			return delivered, dropped
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Fatalf("batcher settled %d+%d of %d staged rows", delivered, dropped, staged)
+	return 0, 0
+}
+
 // TestFailedIngestFlushIsCounted: the shared batcher is the only way
 // samples reach the measurements DB, so a batch it cannot deliver must
 // show up in IngestRows instead of vanishing.
@@ -214,32 +238,86 @@ func TestFailedIngestFlushIsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	proxy := d.DeviceProxies[0]
-	// pollAndFlush polls once and waits until the batcher has settled
-	// every row the proxy handed it (the interval flush may race ours).
-	pollAndFlush := func() (delivered, dropped uint64) {
-		t.Helper()
-		proxy.PollOnce()
-		d.ingest.Flush()
-		staged := proxy.Stats().Published
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if delivered, dropped = d.IngestRows(); delivered+dropped >= staged {
-				return delivered, dropped
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("batcher settled %d+%d of %d staged rows", delivered, dropped, staged)
-		return 0, 0
-	}
-
-	delivered, dropped := pollAndFlush()
+	delivered, dropped := pollAndFlush(t, d)
 	if delivered == 0 || dropped != 0 {
 		t.Fatalf("healthy DB: delivered %d, dropped %d", delivered, dropped)
 	}
 	d.Measure.Close() // the DB goes away under the running proxies
-	delivered2, dropped2 := pollAndFlush()
+	delivered2, dropped2 := pollAndFlush(t, d)
 	if dropped2 == 0 || delivered2 != delivered {
 		t.Fatalf("dead DB: delivered %d → %d, dropped %d", delivered, delivered2, dropped2)
+	}
+}
+
+// TestEveryStoredRowIsAnAckedIngestRow: the store has one writer. After
+// the proxies have polled and the batcher has flushed, the rows the
+// measurements DB counts as stored are exactly the rows /v2/ingest
+// acknowledged to the batcher — single service and cluster alike.
+func TestEveryStoredRowIsAnAckedIngestRow(t *testing.T) {
+	for _, nodes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("nodes=%d", nodes), func(t *testing.T) {
+			d, err := Bootstrap(Spec{Buildings: 2, DevicesPerBuilding: 4, PollEvery: time.Hour, Seed: 11, MeasureNodes: nodes})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(d.Close)
+			delivered, dropped := pollAndFlush(t, d)
+			stores := d.MeasureNodes
+			if d.Measure != nil {
+				stores = []*measuredb.Service{d.Measure}
+			}
+			var stored, rejected uint64
+			for _, s := range stores {
+				st := s.Stats()
+				stored += st.Ingested
+				rejected += st.Rejected
+			}
+			if delivered == 0 || dropped != 0 || rejected != 0 || stored != delivered {
+				t.Fatalf("delivered %d, dropped %d; stores hold %d ingested, %d rejected", delivered, dropped, stored, rejected)
+			}
+		})
+	}
+}
+
+// TestReadYourWritesAcrossCoordinators: coordinators cache nothing, so
+// a write routed by one is visible to the next read through another
+// even with the node-side result cache on.
+func TestReadYourWritesAcrossCoordinators(t *testing.T) {
+	d, err := Bootstrap(Spec{Buildings: 1, DevicesPerBuilding: 1, PollEvery: time.Hour, Seed: 11,
+		MeasureNodes: 2, QCacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	other, err := measuredb.OpenCoordinator(measuredb.CoordinatorOptions{Master: d.MasterURL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(other.Close)
+	addr, err := other.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	c := d.Client()
+	writeA, readB := c.Ingest("http://"+addr), c.Measurements(d.MeasureURL)
+	const device, quantity = "urn:district:turin/building:b00/device:ryw", "temperature"
+	at := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	for i := 1; i <= 2; i++ {
+		row := measuredb.Point{Device: device, Quantity: quantity, At: at.Add(time.Duration(i) * time.Minute), Value: float64(i)}
+		if res, err := writeA.Append(ctx, []measuredb.Point{row}); err != nil || res.Accepted != 1 {
+			t.Fatalf("write %d through A: %+v, %v", i, res, err)
+		}
+		// Twice: the second read is the one a cache would answer.
+		for read := 0; read < 2; read++ {
+			latest, err := readB.Latest(ctx, device, quantity)
+			if err != nil || latest.Value != float64(i) {
+				t.Fatalf("after write %d, latest through B = %+v, %v", i, latest, err)
+			}
+			agg, err := readB.Aggregate(ctx, device, quantity)
+			if err != nil || agg.Count != i {
+				t.Fatalf("after write %d, aggregate through B = %+v, %v", i, agg, err)
+			}
+		}
 	}
 }

@@ -186,30 +186,6 @@ func (s *Service) clusterCheckDevice(device string) error {
 	return nil
 }
 
-// clusterOwnsDevice is the bus-path guard: broadcast middleware traffic
-// reaches every node, and only the owner may store a row — anything
-// else would double-count it across the cluster. Fire-and-forget rows
-// addressed to a frozen shard are dropped too (the bus has no retry
-// channel; the acked /v2 plane is the loss-free path).
-func (s *Service) clusterOwnsDevice(device string) bool {
-	c := s.cnode
-	shard := s.clusterEngine().ShardFor(device)
-	if c.isMoving(shard) {
-		c.movingRejects.Add(1)
-		return false
-	}
-	m, ok := c.res.Cached()
-	if !ok {
-		return true // no map yet: single-node bring-up
-	}
-	self := c.selfURL()
-	if self == "" || m.Owner(shard) == self {
-		return true
-	}
-	c.ownerRejects.Add(1)
-	return false
-}
-
 // heldRowsPool recycles the slices clusterIngest holds a request's rows
 // in, so the coordinator-to-node hop allocates no row storage in steady
 // state.

@@ -93,9 +93,8 @@ type testCluster struct {
 	shards    int
 }
 
-// newTestCluster builds the harness; an optional qcacheBytes argument
-// turns on the coordinator's per-owner result cache.
-func newTestCluster(t *testing.T, shards int, qcacheBytes ...int64) *testCluster {
+// newTestCluster builds the harness.
+func newTestCluster(t *testing.T, shards int) *testCluster {
 	t.Helper()
 	tc := &testCluster{shards: shards}
 	tc.master = master.New(master.Options{})
@@ -129,11 +128,7 @@ func newTestCluster(t *testing.T, shards int, qcacheBytes ...int64) *testCluster
 	if _, err := tc.master.ClusterMap().Set(cluster.Map{Shards: shards, Owners: owners}); err != nil {
 		t.Fatal(err)
 	}
-	copts := CoordinatorOptions{Master: tc.masterURL, Refresh: 10 * time.Millisecond}
-	if len(qcacheBytes) > 0 {
-		copts.QCacheBytes = qcacheBytes[0]
-	}
-	tc.coord, err = OpenCoordinator(copts)
+	tc.coord, err = OpenCoordinator(CoordinatorOptions{Master: tc.masterURL, Refresh: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

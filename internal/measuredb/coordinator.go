@@ -21,7 +21,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/proxyhttp"
-	"repro/internal/qcache"
 	"repro/internal/tsdb"
 )
 
@@ -60,16 +59,6 @@ type Coordinator struct {
 	fwdErrs      map[string]*obs.Counter // per-node forward errors
 	fwdRetries   map[string]*obs.Counter // per-node ownership retries
 	staleCursors atomic.Uint64
-
-	// qc caches successful per-device GET proxies, keyed by (route,
-	// epoch, owner, request identity, the coordinator's write counter
-	// for that owner). The counter bumps on every write this
-	// coordinator forwards, so a client writing and reading through the
-	// same coordinator keeps read-your-writes; writes arriving through
-	// another coordinator are only seen once the epoch or LRU turns
-	// over (the documented single-coordinator caveat). nil = disabled.
-	qc        *qcache.Cache
-	writeGens sync.Map // owner base URL -> *atomic.Uint64
 }
 
 // CoordinatorOptions configure a cluster coordinator.
@@ -89,9 +78,6 @@ type CoordinatorOptions struct {
 	// SlowRequest is the span-duration threshold above which requests
 	// are logged (0 = 1s; negative disables).
 	SlowRequest time.Duration
-	// QCacheBytes bounds the coordinator's per-device GET result cache
-	// (see Coordinator.qc). Zero — the default — disables it.
-	QCacheBytes int64
 }
 
 // coordinator fan-out and retry bounds.
@@ -133,31 +119,8 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.reg.CounterFunc("repro_cluster_stale_cursor_total",
 		"Cursors presented from an older map epoch than the coordinator holds.", nil,
 		func() float64 { return float64(c.staleCursors.Load()) })
-	if opts.QCacheBytes > 0 {
-		c.qc = qcache.New(opts.QCacheBytes)
-		registerQCacheMetrics(c.reg, c.qc)
-	}
 	c.apiS = c.buildAPI(opts)
 	return c, nil
-}
-
-// bumpWriteGen advances the coordinator-observed write counter of one
-// owner node, unaddressing every cached read keyed under the old value.
-func (c *Coordinator) bumpWriteGen(node string) {
-	if c.qc == nil {
-		return
-	}
-	g, _ := c.writeGens.LoadOrStore(node, new(atomic.Uint64))
-	g.(*atomic.Uint64).Add(1)
-}
-
-// writeGenOf reads one owner's write counter.
-func (c *Coordinator) writeGenOf(node string) uint64 {
-	g, ok := c.writeGens.Load(node)
-	if !ok {
-		return 0
-	}
-	return g.(*atomic.Uint64).Load()
 }
 
 // forwardErr bumps the per-node forward-failure counter, lazily
@@ -427,37 +390,16 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 			q := r.URL.Query()
 			c.unwrapCursorParam(q, m)
 			owner := m.Owner(m.ShardFor(device))
-			encodedQ := q.Encode()
-			u := api.URL2(owner, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/"+suffix+"?"+encodedQ)
+			u := api.URL2(owner, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/"+suffix+"?"+q.Encode())
 			header := http.Header{}
 			for _, h := range []string{"Accept", "Content-Type", "Idempotency-Key"} {
 				if v := r.Header.Get(h); v != "" {
 					header.Set(h, v)
 				}
 			}
-			// GET proxies consult the per-owner cache: the key carries
-			// the map epoch and this coordinator's write counter for the
-			// owner, so a handoff or a forwarded write re-keys it.
-			var ckey string
-			if c.qc != nil && r.Method == http.MethodGet {
-				sc := getQCScratch()
-				sc.k.Str("proxy").Str(route).Uint(m.Epoch).Str(owner).
-					Str(device).Str(quantity).Str(encodedQ).
-					Str(r.Header.Get("Accept")).Uint(c.writeGenOf(owner))
-				ckey = sc.k.String()
-				putQCScratch(sc)
-				if v, hit := c.qc.Get(ckey); hit {
-					ct, cachedRaw := splitCachedCT(v)
-					c.relayParts(w, http.StatusOK, ct, cachedRaw, route, m.Epoch)
-					return
-				}
-			}
 			rsp, err := c.forward(r.Context(), r.Method, u, m.Epoch, header, body)
 			if err == nil {
-				if route == "put_samples" {
-					c.bumpWriteGen(owner)
-				}
-				if err = c.relay(w, rsp, route, m.Epoch, ckey); err == nil {
+				if err = c.relay(w, rsp, route, m.Epoch); err == nil {
 					return
 				}
 			}
@@ -472,61 +414,32 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 	})
 }
 
-// joinCachedCT packs a content type and body into one cache value;
-// splitCachedCT undoes it. The NUL separator cannot appear in a media
-// type.
-func joinCachedCT(ct string, raw []byte) []byte {
-	v := make([]byte, 0, len(ct)+1+len(raw))
-	v = append(v, ct...)
-	v = append(v, 0)
-	return append(v, raw...)
-}
-
-func splitCachedCT(v []byte) (string, []byte) {
-	i := bytes.IndexByte(v, 0)
-	if i < 0 {
-		return "", v
-	}
-	return string(v[:i]), v[i+1:]
-}
-
 // relayBufPool recycles the copy buffers of streamed relays.
 var relayBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 32<<10)
 	return &b
 }}
 
-// relay writes a successful node response back to the client and, when
-// ckey is set, into the cache. A JSON sample page is read whole (it is
-// limit-bounded) so relayParts can wrap its cursor; any other body is
-// copied through as it arrives, however large, and kept for the cache
-// only while it fits one entry. An error means the node failed before
-// anything was relayed, so the caller may still re-route; once bytes
-// have gone out, a node failure can only abort the client connection —
-// ending the response normally would pass a cut body off as whole.
-func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route string, epoch uint64, ckey string) error {
+// relay writes a successful node response back to the client. A JSON
+// sample page is read whole (it is limit-bounded) so relayParts can
+// splice its cursor; every other body streams through the pooled 32 KiB
+// buffer as it arrives, however large. An error means the node failed
+// before anything was relayed, so the caller may still re-route; once
+// the first byte has gone out, a node failure can only abort the client
+// connection — ending the response normally would pass a cut body off
+// as whole.
+func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route string, epoch uint64) error {
 	defer rsp.Body.Close()
 	ct := rsp.Header.Get("Content-Type")
-	if rsp.StatusCode != http.StatusOK {
-		ckey = ""
-	}
 	if route == "samples" && strings.HasPrefix(ct, "application/json") {
 		raw, err := c.readBody(rsp)
 		if err != nil {
 			return err
 		}
-		if ckey != "" {
-			c.qc.Put(ckey, joinCachedCT(ct, raw))
-		}
-		c.relayParts(w, rsp.StatusCode, ct, raw, route, epoch)
+		c.relayParts(w, rsp.StatusCode, ct, raw, epoch)
 		return nil
 	}
 
-	var keep []byte // cache copy; nil once the body has outgrown an entry
-	room := c.qc.MaxEntryBytes() - int64(len(ckey))
-	if ckey != "" {
-		keep = joinCachedCT(ct, nil)
-	}
 	bp := relayBufPool.Get().(*[]byte)
 	defer relayBufPool.Put(bp)
 	buf := *bp
@@ -550,22 +463,11 @@ func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route str
 			if _, werr := w.Write(buf[:n]); werr != nil {
 				return nil // client went away
 			}
-			if keep != nil {
-				if int64(len(keep)+n) <= room {
-					keep = append(keep, buf[:n]...)
-				} else {
-					keep = nil
-				}
-			}
 		}
 		if rerr != nil {
-			break
+			return nil
 		}
 	}
-	if keep != nil {
-		c.qc.Put(ckey, keep)
-	}
-	return nil
 }
 
 // nextCursorField opens the last field of a JSON sample page that has
@@ -612,29 +514,24 @@ func isBase64URL(b byte) bool {
 	return b >= 'A' && b <= 'Z' || b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b == '-' || b == '_'
 }
 
-// relayParts writes one buffered node response (fresh or replayed from
-// the cache, so hits and misses emit identical bytes), epoch-wrapping
-// the cursor of a JSON sample page by splicing the node's bytes. A page
-// whose tail the splice does not recognise is decoded and re-encoded
-// instead.
-func (c *Coordinator) relayParts(w http.ResponseWriter, status int, ct string, raw []byte, route string, epoch uint64) {
+// relayParts writes a node's JSON sample page, epoch-wrapping its
+// next_cursor by splicing the node's bytes. A page whose tail the
+// splice does not recognise is decoded and re-encoded instead, and one
+// that does not decode either goes out as the node sent it.
+func (c *Coordinator) relayParts(w http.ResponseWriter, status int, ct string, raw []byte, epoch uint64) {
 	var cursor string
 	var tail []byte
-	if route == "samples" && strings.HasPrefix(ct, "application/json") {
-		if head, cur, tl, ok := splitPageCursor(raw); ok {
-			raw, cursor, tail = head, cur, tl
-		} else {
-			var page SamplesPage
-			if json.Unmarshal(raw, &page) == nil {
-				page.NextCursor = wrapEpochCursor(epoch, page.NextCursor)
-				api.WriteJSON(w, status, page)
-				return
-			}
+	if head, cur, tl, ok := splitPageCursor(raw); ok {
+		raw, cursor, tail = head, cur, tl
+	} else {
+		var page SamplesPage
+		if json.Unmarshal(raw, &page) == nil {
+			page.NextCursor = wrapEpochCursor(epoch, page.NextCursor)
+			api.WriteJSON(w, status, page)
+			return
 		}
 	}
-	if ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
+	w.Header().Set("Content-Type", ct)
 	w.WriteHeader(status)
 	_, _ = w.Write(raw)
 	if cursor != "" {
@@ -1136,7 +1033,6 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 			lastErr = o.err
 			continue
 		}
-		c.bumpWriteGen(o.node)
 		res.Accepted += o.rsp.Accepted
 		for _, re := range o.rsp.Errors {
 			if re.Row >= 0 && re.Row < len(o.rows) {

@@ -475,12 +475,11 @@ func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *Inge
 // or the last one left within the hub's resume window and may be
 // reconnecting (re-checked per chunk, so one joining mid-backfill picks
 // up from the next chunk) — each chunk's accepted rows are republished
-// to the hub as one batch: directly to the hub, not the bus, which
-// would re-ingest them. A hub nobody listens to (and its bounded replay
-// ring) is skipped: that keeps the ingest-dominated path free of
+// to the hub as one batch. A hub nobody listens to (and its bounded
+// replay ring) is skipped: that keeps the ingest-dominated path free of
 // per-row document encoding, at the documented cost that rows ingested
 // while nobody has listened for a while are not resumable via
-// Last-Event-ID (the bus write path feeds the ring unconditionally).
+// Last-Event-ID.
 type ingester struct {
 	s   *Service
 	res IngestResult

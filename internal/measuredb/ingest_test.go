@@ -1,6 +1,7 @@
 package measuredb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -12,6 +13,9 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/dataformat"
+	"repro/internal/middleware"
+	"repro/internal/stream"
 	"repro/internal/tsdb"
 )
 
@@ -197,9 +201,8 @@ func TestV2IngestIdempotencyWindow(t *testing.T) {
 	}
 }
 
-// TestV2IngestFeedsLiveStream checks /v2-ingested rows still reach live
-// stream subscribers (fed directly to the hub, not re-ingested via the
-// bus).
+// TestV2IngestFeedsLiveStream checks /v2-ingested rows reach live
+// stream subscribers and are counted once.
 func TestV2IngestFeedsLiveStream(t *testing.T) {
 	s, ts := newTestServer(t)
 	sub, _, err := s.Stream().Hub().Subscribe("measurements/#", 0)
@@ -220,7 +223,47 @@ func TestV2IngestFeedsLiveStream(t *testing.T) {
 		t.Fatal("no live event for ingested row")
 	}
 	if got := s.Stats().Ingested; got != 1 {
-		t.Fatalf("ingested = %d (bus loop would double-count)", got)
+		t.Fatalf("ingested = %d, want 1", got)
+	}
+}
+
+// TestPublishIngressStreamsButDoesNotStore: the store has one writer.
+// A measurement document POSTed to /v1/publish reaches an SSE subscriber
+// of the measurement topics and leaves the store untouched.
+func TestPublishIngressStreamsButDoesNotStore(t *testing.T) {
+	s, ts := newTestServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sub, err := stream.Subscribe(ctx, ts.URL, IngestPattern, stream.SubscribeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	waitHubSubscribers(t, s, 1)
+
+	m := sampleMeasurement(0)
+	payload, err := dataformat.NewMeasurementDoc(m).Encode(dataformat.JSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := middleware.Event{Topic: Topic(m.Device, m.Quantity), Payload: payload, At: m.Timestamp}
+	if code, _ := postJSON(t, ts.URL+"/v1/publish", nil, ev, nil); code != http.StatusOK {
+		t.Fatalf("publish = %d", code)
+	}
+	select {
+	case got := <-sub.Events:
+		if got.Topic != ev.Topic || !bytes.Equal(got.Payload, payload) {
+			t.Fatalf("streamed event = %+v", got)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("published event never reached the SSE subscriber")
+	}
+	if st := s.Stats(); st.Ingested != 0 || st.Rejected != 0 || st.Store.Samples != 0 {
+		t.Fatalf("a published event touched the store: %+v", st)
+	}
+	var page SeriesPage
+	if code := getJSON(t, ts.URL+"/v2/series", &page); code != http.StatusOK || page.Count != 0 {
+		t.Fatalf("GET /v2/series = %d %+v, want an empty catalog", code, page)
 	}
 }
 
@@ -306,7 +349,9 @@ func TestV2QueryNDJSONAggregateAndTruncation(t *testing.T) {
 // TestV2WriteRateLimitTier checks the write tier trips independently of
 // reads and surfaces in the metrics.
 func TestV2WriteRateLimitTier(t *testing.T) {
-	writeRL := api.NewRateLimiter(1000, 1)
+	// A frozen clock: no token refills however slowly the runner gets
+	// from the first request to the second.
+	writeRL := api.NewRateLimiter(1000, 1).WithClock(func() time.Time { return time.Unix(0, 0) })
 	s := New(Options{WriteLimiter: writeRL})
 	defer s.Close()
 	fillSeries(t, s, v2Device, "temperature", 2)
@@ -345,7 +390,9 @@ func TestV2WriteRateLimitTier(t *testing.T) {
 	for _, l := range snap.Limiters {
 		if l.Tier == "write" {
 			found = true
-			if l.Allowed != 1 || l.Rejected != 1 {
+			// Allowed: the seeding batch (its own client bucket) and the
+			// first ingest.
+			if l.Allowed != 2 || l.Rejected != 1 {
 				t.Fatalf("write tier stats = %+v", l)
 			}
 		}

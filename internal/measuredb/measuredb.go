@@ -1,10 +1,9 @@
 // Package measuredb implements the district's global measurements
 // database service: the store "where data collected by sensors placed in
 // the district" accumulates (paper §II). Device-proxies ship their
-// samples to its batched /v2 ingest plane; the service also subscribes
-// to the middleware's measurement topic space and ingests everything it
-// hears there, and serves historical queries through the /v2 read
-// plane.
+// samples to its batched /v2 ingest plane — the store's only writer —
+// and the service serves historical queries through the /v2 read plane
+// and live events through /v1/stream.
 package measuredb
 
 import (
@@ -53,13 +52,9 @@ type Service struct {
 	apiS  *api.Server
 	dedup *dedupWindow
 
-	// bus is the service's event spine: everything the service hears —
-	// local publishes, relayed middleware-node traffic, and remote
-	// HTTP /v1/publish injections — flows through it, so the ingest
-	// subscription and the streaming hub see one unified event order.
+	// bus is the spine behind /v1/stream and /v1/publish: an event
+	// published on it is streamed to subscribers, never stored.
 	bus     *middleware.Bus
-	ownBus  bool
-	ingest  *middleware.Subscription
 	streamS *stream.Service
 
 	ingested atomic.Uint64
@@ -94,9 +89,6 @@ type Options struct {
 	Shards int
 	// Logger receives access-log lines; nil silences them.
 	Logger api.Logger
-	// Bus overrides the service's event spine; nil creates a private
-	// one. The service always ingests from (and streams) this bus.
-	Bus *middleware.Bus
 	// Stream tunes the streaming subsystem (hub sizing, publish-ingress
 	// rate limiting). A PublishLimiter set here is exposed in the
 	// metrics as the "publish" tier.
@@ -225,7 +217,11 @@ func Open(opts Options) (*Service, error) {
 			return nil, fmt.Errorf("open idempotency window: %w", err)
 		}
 	}
-	s := &Service{store: st, bus: opts.Bus, dedup: dedup, reg: reg}
+	// Synchronous delivery: the spine's only subscriber (the stream hub)
+	// is non-blocking, so publishing inline on the caller's goroutine
+	// keeps /v1/publish → /v1/stream immediate.
+	s := &Service{store: st, dedup: dedup, reg: reg,
+		bus: middleware.NewBus(middleware.BusOptions{QueueLen: -1})}
 	if opts.QCacheBytes > 0 {
 		if sh, ok := st.(*tsdb.Sharded); ok {
 			s.qc = qcache.New(opts.QCacheBytes)
@@ -235,33 +231,15 @@ func Open(opts Options) (*Service, error) {
 	if opts.Cluster != nil {
 		s.cnode = newClusterNode(opts.Cluster)
 	}
-	if s.bus == nil {
-		// Synchronous delivery: the spine's only subscribers (store
-		// ingest, stream hub) are non-blocking, and publishing inline on
-		// the caller's goroutine keeps ingestion immediate — the
-		// behaviour callers of AttachBus with a synchronous bus expect.
-		s.bus = middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-		s.ownBus = true
-	}
-	fail := func(err error) (*Service, error) {
-		err = errors.Join(err, dedup.close())
-		if s.ownBus {
-			s.bus.Close()
-		}
-		st.Close()
-		return nil, err
-	}
-	if s.ingest, err = s.bus.Subscribe(IngestPattern, s.onEvent); err != nil {
-		return fail(fmt.Errorf("ingest subscription on supplied bus: %w", err))
-	}
 	streamOpts := opts.Stream
 	if opts.DataDir != "" && streamOpts.Hub.Dir == "" {
 		streamOpts.Hub.Dir = filepath.Join(opts.DataDir, "stream")
 		streamOpts.Hub.Fsync = opts.Fsync
 	}
 	if s.streamS, err = stream.NewService(s.bus, streamOpts); err != nil {
-		s.ingest.Unsubscribe()
-		return fail(fmt.Errorf("stream service: %w", err))
+		s.bus.Close()
+		st.Close()
+		return nil, errors.Join(fmt.Errorf("stream service: %w", err), dedup.close())
 	}
 	s.registerMetrics()
 	s.apiS = s.buildAPI(opts)
@@ -307,79 +285,11 @@ func (s *Service) registerMetrics() {
 	}
 }
 
-// Bus exposes the service's event spine. Publishing a measurement
-// document event on it both stores the sample and streams it to every
-// live subscriber.
-func (s *Service) Bus() *middleware.Bus { return s.bus }
-
 // Stream exposes the streaming service (hub stats, KickAll).
 func (s *Service) Stream() *stream.Service { return s.streamS }
 
 // Store exposes the backing storage engine (benchmarks and tests).
 func (s *Service) Store() tsdb.Engine { return s.store }
-
-// Ingest stores one measurement document payload.
-func (s *Service) Ingest(m *dataformat.Measurement) error {
-	if err := m.Validate(); err != nil {
-		s.rejected.Add(1)
-		return err
-	}
-	if s.cnode != nil && !s.clusterOwnsDevice(m.Device) {
-		// Broadcast bus traffic reaches every cluster node; only the
-		// owner stores a row (anything else double-counts it). Dropping
-		// is correct on this fire-and-forget plane — the acked /v2 path
-		// is the loss-free one.
-		return nil
-	}
-	key := tsdb.SeriesKey{Device: m.Device, Quantity: string(m.Quantity)}
-	if err := s.store.Append(key, tsdb.Sample{At: m.Timestamp, Value: m.Value}); err != nil {
-		s.rejected.Add(1)
-		return err
-	}
-	s.ingested.Add(1)
-	return nil
-}
-
-// AttachBus subscribes the service to an external bus's measurement
-// topics so every published sample lands in the store — the paper's
-// "publish data into the infrastructure (for instance to a global
-// measurement database)" path. External events are relayed onto the
-// service's own spine first, so they also reach the streaming hub and
-// its remote SSE subscribers.
-func (s *Service) AttachBus(bus *middleware.Bus) (*middleware.Subscription, error) {
-	if bus == s.bus {
-		return s.ingest, nil // already the spine; nothing to relay
-	}
-	return bus.Subscribe(IngestPattern, s.relay)
-}
-
-// AttachNode subscribes through a networked middleware node.
-func (s *Service) AttachNode(node *middleware.Node) (*middleware.Subscription, error) {
-	return node.Subscribe(IngestPattern, s.relay)
-}
-
-// relay forwards one externally-heard event onto the service's spine.
-func (s *Service) relay(ev middleware.Event) {
-	_ = s.bus.Publish(ev)
-}
-
-func (s *Service) onEvent(ev middleware.Event) {
-	doc, err := dataformat.Decode(ev.Payload, dataformat.Sniff(ev.Payload))
-	if err != nil {
-		s.rejected.Add(1)
-		return
-	}
-	switch doc.Kind {
-	case dataformat.KindMeasurement:
-		_ = s.Ingest(doc.Measurement)
-	case dataformat.KindMeasurements:
-		for i := range doc.Measurements {
-			_ = s.Ingest(&doc.Measurements[i])
-		}
-	default:
-		s.rejected.Add(1)
-	}
-}
 
 // Stats are cumulative ingest counters.
 type Stats struct {
@@ -482,10 +392,7 @@ func (s *Service) Close() {
 	if err := s.streamS.Close(); err != nil {
 		log.Printf("measuredb: stream close: %v", err)
 	}
-	s.ingest.Unsubscribe()
-	if s.ownBus {
-		s.bus.Close()
-	}
+	s.bus.Close()
 	if err := s.dedup.close(); err != nil {
 		log.Printf("measuredb: dedup journal close: %v", err)
 	}

@@ -29,24 +29,20 @@ func sampleMeasurement(i int) dataformat.Measurement {
 }
 
 func TestIngestAndQueryDirect(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
+	s, ts := newTestServer(t)
 	for i := 0; i < 10; i++ {
-		m := sampleMeasurement(i)
-		if err := s.Ingest(&m); err != nil {
-			t.Fatal(err)
-		}
+		seed(t, s, sampleMeasurement(i))
 	}
 	st := s.Stats()
 	if st.Ingested != 10 || st.Store.Samples != 10 || st.Store.Series != 1 {
 		t.Errorf("Stats = %+v", st)
 	}
-	bad := dataformat.Measurement{}
-	if err := s.Ingest(&bad); err == nil {
-		t.Error("invalid measurement ingested")
+	// A row naming no series is rejected in the envelope and counted.
+	if code, body := postIngest(t, ts.URL, "application/json", "", `{"rows":[{"value":1}]}`); code != http.StatusOK {
+		t.Fatalf("invalid row: %d %s", code, body)
 	}
-	if got := s.Stats().Rejected; got != 1 {
-		t.Errorf("Rejected = %d", got)
+	if st := s.Stats(); st.Rejected != 1 || st.Ingested != 10 {
+		t.Errorf("after invalid row: %+v", st)
 	}
 }
 
@@ -66,42 +62,6 @@ func TestTopicConstruction(t *testing.T) {
 	}
 }
 
-func TestBusIngestPath(t *testing.T) {
-	s := New(Options{})
-	defer s.Close()
-	bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1}) // synchronous
-	defer bus.Close()
-	if _, err := s.AttachBus(bus); err != nil {
-		t.Fatal(err)
-	}
-	m := sampleMeasurement(0)
-	payload, err := dataformat.NewMeasurementDoc(m).Encode(dataformat.JSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bus.Publish(middleware.Event{
-		Topic:   Topic(m.Device, m.Quantity),
-		Payload: payload,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Ingested; got != 1 {
-		t.Fatalf("Ingested = %d", got)
-	}
-	// Garbage payloads are rejected, not fatal.
-	_ = bus.Publish(middleware.Event{Topic: "measurements/x", Payload: []byte("{")})
-	if got := s.Stats().Rejected; got != 1 {
-		t.Errorf("Rejected = %d", got)
-	}
-	// Batch documents ingest all entries.
-	batch := dataformat.NewMeasurementsDoc([]dataformat.Measurement{sampleMeasurement(1), sampleMeasurement(2)})
-	payload, _ = batch.Encode(dataformat.XML)
-	_ = bus.Publish(middleware.Event{Topic: "measurements/batch", Payload: payload})
-	if got := s.Stats().Ingested; got != 3 {
-		t.Errorf("Ingested after batch = %d", got)
-	}
-}
-
 func newTestServer(t *testing.T) (*Service, *httptest.Server) {
 	t.Helper()
 	s := New(Options{})
@@ -118,8 +78,7 @@ func temperatureURL(base, leaf string) string {
 func TestQueryEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 30; i++ {
-		m := sampleMeasurement(i)
-		_ = s.Ingest(&m)
+		seed(t, s, sampleMeasurement(i))
 	}
 	u := temperatureURL(ts.URL, "samples") + fmt.Sprintf("?from=%s&to=%s",
 		url.QueryEscape(t0.Add(5*time.Minute).Format(time.RFC3339)),
@@ -158,8 +117,7 @@ func TestQueryErrors(t *testing.T) {
 func TestLatestEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 5; i++ {
-		m := sampleMeasurement(i)
-		_ = s.Ingest(&m)
+		seed(t, s, sampleMeasurement(i))
 	}
 	// The latest sample is a common-format document, negotiated like
 	// every other document route.
@@ -177,13 +135,11 @@ func TestLatestEndpoint(t *testing.T) {
 func TestSeriesEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	m := sampleMeasurement(0)
-	_ = s.Ingest(&m)
 	m2 := m
 	m2.Quantity = dataformat.Humidity
-	_ = s.Ingest(&m2)
 	m3 := m
 	m3.Device = "urn:district:turin/building:b02/device:x"
-	_ = s.Ingest(&m3)
+	seed(t, s, m, m2, m3)
 
 	var all SeriesPage
 	if code := getJSON(t, ts.URL+"/v2/series", &all); code != http.StatusOK || all.Count != 3 {
@@ -201,8 +157,7 @@ func TestSeriesEndpoint(t *testing.T) {
 func TestAggregateEndpoint(t *testing.T) {
 	s, ts := newTestServer(t)
 	for i := 0; i < 10; i++ {
-		m := sampleMeasurement(i) // values 20..29
-		_ = s.Ingest(&m)
+		seed(t, s, sampleMeasurement(i)) // values 20..29
 	}
 	u := temperatureURL(ts.URL, "aggregate")
 	var agg AggregateResponse

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataformat"
 	"repro/internal/tsdb"
 )
@@ -113,12 +112,8 @@ func newQCTwin(t *testing.T) *qcTwin {
 
 func (tw *qcTwin) ingest(t *testing.T, m dataformat.Measurement) {
 	t.Helper()
-	for _, s := range []*Service{tw.cached, tw.plain} {
-		mm := m
-		if err := s.Ingest(&mm); err != nil {
-			t.Fatal(err)
-		}
-	}
+	seed(t, tw.cached, m)
+	seed(t, tw.plain, m)
 }
 
 // checkGet asserts both services answer path with the same status and
@@ -282,14 +277,8 @@ func TestQCacheCompactionRetentionInvalidates(t *testing.T) {
 	// retention horizon, so one forced compaction cycle cuts them to a
 	// block and a second drops the block entirely.
 	for i := 0; i < 40; i++ {
-		m := qcMeasurement(v2Device, i)
-		if err := cached.Ingest(&m); err != nil {
-			t.Fatal(err)
-		}
-		m = qcMeasurement(v2Device, i)
-		if err := plain.Ingest(&m); err != nil {
-			t.Fatal(err)
-		}
+		seed(t, cached, qcMeasurement(v2Device, i))
+		seed(t, plain, qcMeasurement(v2Device, i))
 	}
 	check := func(p string) ([]byte, []byte) {
 		t.Helper()
@@ -323,90 +312,5 @@ func TestQCacheCompactionRetentionInvalidates(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("compaction + retention dropped no data; the invalidation path went unexercised")
-	}
-}
-
-func TestQCacheCoordinatorProxy(t *testing.T) {
-	tc := newTestCluster(t, 4, 1<<20)
-	dev := deviceInShard(0, tc.shards)
-	base := tc.coordURL + "/v2/series/" + url.PathEscape(dev) + "/temperature/samples"
-
-	put := func(from, n int) {
-		t.Helper()
-		var rows []string
-		for i := from; i < from+n; i++ {
-			at := t0.Add(time.Duration(i) * time.Minute).Format(time.RFC3339Nano)
-			rows = append(rows, `{"at":"`+at+`","value":`+strconv.Itoa(20+i)+`}`)
-		}
-		req, err := http.NewRequest(http.MethodPut, base, strings.NewReader(`{"samples":[`+strings.Join(rows, ",")+`]}`))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		rsp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, rsp.Body)
-		rsp.Body.Close()
-		if rsp.StatusCode != http.StatusOK {
-			t.Fatalf("PUT samples = %d", rsp.StatusCode)
-		}
-	}
-	samplesAt := func(want int) []byte {
-		t.Helper()
-		code, body := getRaw(t, base+"?limit=100")
-		if code != http.StatusOK {
-			t.Fatalf("GET samples = %d (%s)", code, body)
-		}
-		var page SamplesPage
-		if err := json.Unmarshal(body, &page); err != nil {
-			t.Fatal(err)
-		}
-		if page.Count != want {
-			t.Fatalf("page.Count = %d, want %d", page.Count, want)
-		}
-		return body
-	}
-
-	put(0, 5)
-	first := samplesAt(5)
-	if again := samplesAt(5); !bytes.Equal(again, first) {
-		t.Fatal("repeat proxy read changed without a write")
-	}
-	if hits := scrapeMetric(t, tc.coordURL, "repro_qcache_hits_total"); hits == 0 {
-		t.Fatal("repeat proxy read produced no coordinator cache hit")
-	}
-
-	// A write through the coordinator bumps its per-owner generation;
-	// the very next read must show the new row, not the cached page.
-	put(5, 1)
-	second := samplesAt(6)
-	if bytes.Equal(second, first) {
-		t.Fatal("proxy read stale after forwarded write")
-	}
-
-	// A map epoch change re-keys every proxy entry; reads must keep
-	// answering correctly through the flip.
-	oldEpoch := scrapeMetric(t, tc.coordURL, "repro_cluster_map_epoch")
-	owners := make([]string, tc.shards)
-	for i := range owners {
-		owners[i] = tc.nodeURLs[i%2]
-	}
-	if _, err := tc.master.ClusterMap().Set(cluster.Map{Shards: tc.shards, Owners: owners}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for scrapeMetric(t, tc.coordURL, "repro_cluster_map_epoch") <= oldEpoch {
-		if time.Now().After(deadline) {
-			t.Fatal("coordinator never refreshed the new map epoch")
-		}
-		// The resolver refreshes on demand; proxied reads give it the
-		// demand while we wait for the epoch gauge to move.
-		getRaw(t, base+"?limit=100")
-		time.Sleep(10 * time.Millisecond)
-	}
-	if after := samplesAt(6); !bytes.Equal(after, second) {
-		t.Fatal("proxy read changed across an owner-preserving epoch flip")
 	}
 }

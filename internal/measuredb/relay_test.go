@@ -45,7 +45,7 @@ func TestSplitPageCursor(t *testing.T) {
 		wrapped.NextCursor = wrapEpochCursor(9, inner)
 		want, _ := api.EncodeJSON(wrapped)
 		rec := httptest.NewRecorder()
-		(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", raw, "samples", 9)
+		(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", raw, 9)
 		if rec.Body.String() != string(want) {
 			t.Fatalf("spliced page\n%s\nwant\n%s", rec.Body, want)
 		}
@@ -61,7 +61,7 @@ func TestSplitPageCursor(t *testing.T) {
 	// An unrecognised tail falls back to decoding.
 	odd := []byte(`{"device":"d","quantity":"q","samples":[],"next_cursor":"QUJD","count":0 }`)
 	rec := httptest.NewRecorder()
-	(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", odd, "samples", 9)
+	(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", odd, 9)
 	var got SamplesPage
 	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.NextCursor != wrapEpochCursor(9, "QUJD") {
 		t.Fatalf("fallback page = %s (%v)", rec.Body, err)
@@ -282,7 +282,7 @@ func TestNodeAndCoordinatorServeTheSameDataSurface(t *testing.T) {
 }
 
 // stubCoordinator fronts one stub node with a real coordinator.
-func stubCoordinator(t *testing.T, node http.Handler, qcacheBytes int64) string {
+func stubCoordinator(t *testing.T, node http.Handler) string {
 	t.Helper()
 	stub := httptest.NewServer(node)
 	t.Cleanup(stub.Close)
@@ -295,7 +295,7 @@ func stubCoordinator(t *testing.T, node http.Handler, qcacheBytes int64) string 
 	if _, err := ms.ClusterMap().Set(cluster.Map{Shards: 1, Owners: []string{stub.URL}}); err != nil {
 		t.Fatal(err)
 	}
-	c, err := OpenCoordinator(CoordinatorOptions{Master: "http://" + addr, QCacheBytes: qcacheBytes})
+	c, err := OpenCoordinator(CoordinatorOptions{Master: "http://" + addr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCoordinatorStreamsRangesPastTheBufferLimit(t *testing.T) {
 		hopCoding.Store(r.Header.Get("Accept-Encoding"))
 		hopEpoch.Store(r.Header.Get(cluster.EpochHeader))
 		streamNDJSON(w, rows)
-	}), 0)
+	}))
 	for _, coding := range []string{"gzip", "identity"} {
 		rsp, body := fetchWire(t, "GET", coord+stubSamples, coding, NDJSONType, nil)
 		if len(body) != rows*len(ndjsonLine) || len(body) <= api.MaxResponseBytes {
@@ -373,7 +373,7 @@ func TestCoordinatorRelayNodeFailures(t *testing.T) {
 		default:
 			streamNDJSON(w, 300)
 		}
-	}), 0)
+	}))
 
 	_, body := fetchWire(t, "GET", coord+stubSamples, "gzip", NDJSONType, nil)
 	if len(body) != 300*len(ndjsonLine) || hits.Load() != 2 {
@@ -396,35 +396,5 @@ func TestCoordinatorRelayNodeFailures(t *testing.T) {
 			}
 		}
 		tr.CloseIdleConnections()
-	}
-}
-
-// Streamed bodies are teed into the coordinator cache while they fit
-// one entry; larger ones are relayed whole and simply not cached.
-func TestCoordinatorCachesStreamedBodiesUpToAnEntry(t *testing.T) {
-	const cacheBytes = 1 << 20 // 16 shards: 64 KiB an entry
-	var hits atomic.Int32
-	coord := stubCoordinator(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		n := 100
-		if r.URL.Query().Get("limit") == "big" {
-			n = 2 * cacheBytes / 16 / len(ndjsonLine)
-		}
-		streamNDJSON(w, n)
-	}), cacheBytes)
-
-	_, first := fetchWire(t, "GET", coord+stubSamples, "gzip", NDJSONType, nil)
-	rsp, again := fetchWire(t, "GET", coord+stubSamples, "identity", NDJSONType, nil)
-	if hits.Load() != 1 || !bytes.Equal(first, again) || len(first) != 100*len(ndjsonLine) {
-		t.Fatalf("small stream: %d node hits, %d/%d bytes", hits.Load(), len(first), len(again))
-	}
-	if ct := rsp.Header.Get("Content-Type"); !strings.HasPrefix(ct, NDJSONType) {
-		t.Fatalf("cached replay Content-Type = %q", ct)
-	}
-	hits.Store(0)
-	_, first = fetchWire(t, "GET", coord+stubSamples+"?limit=big", "gzip", NDJSONType, nil)
-	_, again = fetchWire(t, "GET", coord+stubSamples+"?limit=big", "gzip", NDJSONType, nil)
-	if hits.Load() != 2 || !bytes.Equal(first, again) || len(first) <= cacheBytes/16 {
-		t.Fatalf("oversize stream: %d node hits, %d/%d bytes", hits.Load(), len(first), len(again))
 	}
 }

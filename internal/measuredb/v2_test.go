@@ -1,6 +1,7 @@
 package measuredb
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,19 +17,39 @@ import (
 	"repro/internal/tsdb"
 )
 
+// seed stores measurements through the real write path — one POST
+// /v2/ingest batch on the service's handler — and fails the test unless
+// every row is accepted.
+func seed(t testing.TB, s *Service, ms ...dataformat.Measurement) {
+	t.Helper()
+	batch := IngestBatch{Rows: make([]Point, len(ms))}
+	for i, m := range ms {
+		batch.Rows[i] = Point{Device: m.Device, Quantity: string(m.Quantity), At: m.Timestamp, Value: m.Value}
+	}
+	body, err := json.Marshal(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v2/ingest", bytes.NewReader(body)))
+	var res IngestResult
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil || rec.Code != http.StatusOK || res.Accepted != len(ms) {
+		t.Fatalf("seed: status %d, body %s (%v)", rec.Code, rec.Body, err)
+	}
+}
+
 // fillSeries ingests n samples, one per minute from t0, for a device.
 func fillSeries(t *testing.T, s *Service, device string, quantity dataformat.Quantity, n int) {
 	t.Helper()
-	for i := 0; i < n; i++ {
-		m := dataformat.Measurement{
+	ms := make([]dataformat.Measurement, n)
+	for i := range ms {
+		ms[i] = dataformat.Measurement{
 			Source: "http://devproxy/", Device: device, Quantity: quantity,
 			Unit: dataformat.Celsius, Value: float64(i),
 			Timestamp: t0.Add(time.Duration(i) * time.Minute),
 		}
-		if err := s.Ingest(&m); err != nil {
-			t.Fatal(err)
-		}
 	}
+	seed(t, s, ms...)
 }
 
 // getJSON fetches a URL and decodes the JSON body into out, returning
@@ -146,12 +167,11 @@ func TestV2SamplesCursorSurvivesStoreMutation(t *testing.T) {
 
 	// Mutate the store between pages: 10 more samples land in range.
 	for i := 50; i < 60; i++ {
-		m := dataformat.Measurement{
+		seed(t, s, dataformat.Measurement{
 			Source: "x", Device: v2Device, Quantity: dataformat.Temperature,
 			Unit: dataformat.Celsius, Value: float64(i),
 			Timestamp: t0.Add(time.Duration(i) * time.Minute),
-		}
-		_ = s.Ingest(&m)
+		})
 	}
 
 	got := append([]Point{}, first.Samples...)
@@ -444,8 +464,11 @@ func TestV2SamplesCSVGolden(t *testing.T) {
 }
 
 func TestV2RateLimitTiers(t *testing.T) {
-	readRL := api.NewRateLimiter(1000, 2)
-	batchRL := api.NewRateLimiter(1000, 1)
+	// A frozen clock: no token refills however slowly the runner gets
+	// from one request to the next.
+	frozen := func() time.Time { return time.Unix(0, 0) }
+	readRL := api.NewRateLimiter(1000, 2).WithClock(frozen)
+	batchRL := api.NewRateLimiter(1000, 1).WithClock(frozen)
 	s := New(Options{ReadLimiter: readRL, BatchLimiter: batchRL})
 	defer s.Close()
 	fillSeries(t, s, v2Device, dataformat.Temperature, 5)

@@ -1,15 +1,13 @@
 // Package middleware implements the event-driven publish/subscribe
 // middleware the infrastructure is built on — the role the SEEMPubS
 // middleware plays in the paper. Device-proxies publish measurements into
-// it, the global measurements database ingests from it, and end-user
-// applications can subscribe to live district events.
+// it and end-user applications subscribe to live district events.
 //
 // Topics are hierarchical, slash-separated paths mirroring the ontology
 // ("district/turin/building/b01/device/t-12/temperature"). Subscriptions
 // may use `+` to match exactly one segment and `#` to match any suffix.
-// The package offers an in-process Bus for embedding inside a proxy and a
-// TCP Node that links buses on different hosts into the peer-to-peer
-// middleware network of the paper.
+// The package is the in-process Bus each service embeds; internal/stream
+// carries its events between hosts over the versioned HTTP API.
 package middleware
 
 import (

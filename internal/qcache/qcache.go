@@ -149,15 +149,6 @@ func (c *Cache) Put(key string, val []byte) {
 	sh.mu.Unlock()
 }
 
-// MaxEntryBytes is the largest key+value Put accepts (0 on a nil
-// cache): callers assembling a value incrementally stop at it.
-func (c *Cache) MaxEntryBytes() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.shards[0].max - entryOverhead
-}
-
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
 	Hits      uint64

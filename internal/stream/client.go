@@ -290,9 +290,3 @@ func (s *Subscription) pump(ctx context.Context, body io.Reader) (bool, error) {
 		}
 	}
 }
-
-// Publisher is where a bridge injects events; both
-// *middleware.Bus and *middleware.Node satisfy it.
-type Publisher interface {
-	Publish(ev middleware.Event) error
-}

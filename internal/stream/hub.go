@@ -5,10 +5,7 @@
 // bounded per-subscriber queues, and slow-consumer eviction; a
 // /v1/publish ingress lets remote processes inject events. Client side,
 // Subscribe consumes a remote stream with automatic reconnection and
-// Last-Event-ID resume (no gaps, no duplicates across a reconnect), and
-// Bridge mirrors a remote topic subtree into a local bus — a device
-// proxy on one host publishes, the measurements database on another
-// ingests, exactly the distributed topology of the paper's Fig. 1.
+// Last-Event-ID resume (no gaps, no duplicates across a reconnect).
 package stream
 
 import (

@@ -13,13 +13,6 @@ import (
 	"repro/internal/obs"
 )
 
-// EventBus is the slice of bus behaviour the streaming service needs;
-// both *middleware.Bus and *middleware.Node satisfy it.
-type EventBus interface {
-	Subscribe(pattern string, h middleware.Handler) (*middleware.Subscription, error)
-	Publish(ev middleware.Event) error
-}
-
 // Options configure a Service.
 type Options struct {
 	// Hub configures the fan-out hub.
@@ -37,7 +30,7 @@ type Options struct {
 // ingress). Every service that owns a bus mounts one on its api.Server.
 type Service struct {
 	hub       *Hub
-	bus       EventBus
+	bus       *middleware.Bus
 	sub       *middleware.Subscription
 	keepAlive time.Duration
 	limiter   *api.RateLimiter
@@ -47,7 +40,7 @@ type Service struct {
 // delivers flows into the hub (and out to SSE subscribers), and every
 // event POSTed to /publish flows into the bus (and so to its local
 // subscribers and back out the hub).
-func NewService(bus EventBus, opts Options) (*Service, error) {
+func NewService(bus *middleware.Bus, opts Options) (*Service, error) {
 	hub, err := OpenHub(opts.Hub)
 	if err != nil {
 		return nil, err

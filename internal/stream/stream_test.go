@@ -382,71 +382,6 @@ func TestSSEReconnectResumeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestBridgeMirrorsRemoteSubtree(t *testing.T) {
-	remoteBus, svc, ts := newStreamServer(t, Options{})
-	ctx := context.Background()
-
-	localBus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-	defer localBus.Close()
-	mirrored := make(chan middleware.Event, 16)
-	if _, err := localBus.Subscribe("measurements/#", func(ev middleware.Event) { mirrored <- ev }); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := NewBridge(ctx, ts.URL, "measurements/#", localBus, SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	waitSubscribers(t, svc, 1)
-
-	if err := remoteBus.Publish(middleware.Event{
-		Topic: "measurements/d1/temperature", Payload: []byte("21.5"),
-		Headers: map[string]string{"content-type": "text/plain"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	remoteBus.Publish(event("registry/registered", "not-mirrored"))
-
-	select {
-	case ev := <-mirrored:
-		if ev.Topic != "measurements/d1/temperature" {
-			t.Fatalf("mirrored topic = %s", ev.Topic)
-		}
-		if ev.Headers[ViaHeader] != ts.URL {
-			t.Fatalf("via marker missing: %+v", ev.Headers)
-		}
-		if ev.Headers["content-type"] != "text/plain" {
-			t.Fatalf("original headers lost: %+v", ev.Headers)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("bridge never mirrored the event")
-	}
-
-	// Already-bridged events are not re-mirrored (loop protection).
-	if err := remoteBus.Publish(middleware.Event{
-		Topic: "measurements/d1/humidity", Payload: []byte("45"),
-		Headers: map[string]string{ViaHeader: "http://elsewhere"},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for b.Skipped() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if b.Skipped() != 1 {
-		t.Fatalf("loop protection skipped %d events, want 1", b.Skipped())
-	}
-	select {
-	case ev := <-mirrored:
-		t.Fatalf("bridged event re-mirrored: %+v", ev)
-	default:
-	}
-	if b.Mirrored() != 1 {
-		t.Fatalf("Mirrored = %d", b.Mirrored())
-	}
-}
-
 func TestPublishIngressRateLimited(t *testing.T) {
 	_, _, ts := newStreamServer(t, Options{
 		PublishLimiter: api.NewRateLimiter(1, 2), // 2-token burst, 1/s refill

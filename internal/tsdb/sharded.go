@@ -88,8 +88,8 @@ type ShardedOptions struct {
 	// Store configures each shard's underlying Store.
 	Store Options
 	// QueueLen is the per-shard append-queue capacity in batches
-	// (default 256). Enqueue blocks when a shard's queue is full, which
-	// back-pressures producers instead of growing memory.
+	// (default 256). AppendBatch blocks when a shard's queue is full,
+	// which back-pressures producers instead of growing memory.
 	QueueLen int
 
 	// Dir enables the durable layer: every shard journals its row
@@ -151,9 +151,9 @@ type Sharded struct {
 	blockPolicy  BlockPolicy
 	snapEvery    int
 	snapInterval time.Duration
-	// dropped counts fire-and-forget (Enqueue) rows a durable shard
-	// discarded because their WAL append failed — the only queued-write
-	// loss the engine can suffer, surfaced in Stats.
+	// dropped counts rows a durable shard discarded un-applied because
+	// their WAL append failed (each also fails its caller's error slot),
+	// surfaced in Stats.
 	dropped atomic.Uint64
 
 	// groupRows is the commit-group size distribution (nil when the
@@ -180,10 +180,10 @@ type Sharded struct {
 
 // batchItem is one unit of work on a shard's append queue. rows are the
 // shard's slice of a caller batch; idx maps them back to the caller's
-// indices inside errs (both nil for fire-and-forget enqueues). done, when
-// set, is signalled after the rows are applied. stages, when set,
-// receives the wal-append and store-apply wait times the originating
-// request experienced (see AppendBatchStages).
+// indices inside errs. done, when set, is signalled after the rows are
+// applied. stages, when set, receives the wal-append and store-apply
+// wait times the originating request experienced (see
+// AppendBatchStages).
 type batchItem struct {
 	rows   []Row
 	idx    []int
@@ -199,10 +199,6 @@ type batchItem struct {
 	// block import, series drop). Like reset it never joins a commit
 	// group: everything queued before it commits first.
 	op *shardOp
-	// release, when set, returns the item's row storage to its pool once
-	// the worker is finished with it (applied, or dropped on a WAL
-	// failure). Only the worker calls it, exactly once.
-	release func()
 }
 
 // shardOp is one admin operation routed through a shard's worker so it
@@ -270,7 +266,7 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 		s.groupRows = reg.Histogram("repro_tsdb_commit_group_rows",
 			"Rows covered by one shard commit group.", obs.CountBuckets, nil)
 		reg.CounterFunc("repro_tsdb_dropped_rows_total",
-			"Fire-and-forget rows dropped after a WAL append failure.", nil,
+			"Rows discarded un-applied after a WAL append failure.", nil,
 			func() float64 { return float64(s.dropped.Load()) })
 		for i := 0; i < n; i++ {
 			q := s.queues[i]
@@ -562,20 +558,12 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 			}
 			if err != nil {
 				for _, it := range group {
-					if it.errs != nil {
-						for _, j := range it.idx {
-							it.errs[j] = err
-						}
-					} else if len(it.rows) > 0 {
-						// Fire-and-forget rows have no error slot to
-						// fail into; count the loss so it is visible.
-						s.dropped.Add(uint64(len(it.rows)))
+					for _, j := range it.idx {
+						it.errs[j] = err
 					}
+					s.dropped.Add(uint64(len(it.rows)))
 					if it.done != nil {
 						it.done.Done()
-					}
-					if it.release != nil {
-						it.release()
 					}
 				}
 				return
@@ -592,7 +580,7 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 			if it.stages != nil {
 				it.stages.Observe("store-apply", time.Since(applyStart))
 			}
-			if errs != nil && it.errs != nil {
+			if errs != nil {
 				for j, err := range errs {
 					if err != nil {
 						it.errs[it.idx[j]] = err
@@ -609,9 +597,6 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 		}
 		if it.done != nil {
 			it.done.Done()
-		}
-		if it.release != nil {
-			it.release()
 		}
 	}
 	if disk != nil && s.maybeSnapshot(store, disk, bs) {
@@ -801,9 +786,6 @@ type partitionScratch struct {
 	per     [][]Row
 	peridx  [][]int
 	errs    []error
-	// pending counts the shard workers still holding windows of rows
-	// (fire-and-forget waves); the last release returns the scratch.
-	pending atomic.Int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(partitionScratch) }}
@@ -822,16 +804,16 @@ func (sc *partitionScratch) errSlots(n int) []error {
 }
 
 // partition splits rows into per-shard sub-batches, recording each row's
-// original index when track is set (so per-row errors line up). A
-// counting pass sizes every sub-batch exactly — no growth reallocations
-// on the ingest hot path — and the device hash is computed once per run
-// of equal devices, since batched producers ship per-device runs. The
+// original index (so per-row errors line up). A counting pass sizes
+// every sub-batch exactly — no growth reallocations on the ingest hot
+// path — and the device hash is computed once per run of equal
+// devices, since batched producers ship per-device runs. The
 // sub-batches are windows over one flat copy owned by sc: callers may
 // reuse their input immediately, and the whole wave recycles as one
 // unit once every worker is done with it.
 //
 // districtlint:hotpath
-func (s *Sharded) partition(sc *partitionScratch, rows []Row, track bool) (per [][]Row, idx [][]int) {
+func (s *Sharded) partition(sc *partitionScratch, rows []Row) (per [][]Row, idx [][]int) {
 	n := len(s.shards)
 	if cap(sc.counts) < n {
 		sc.counts = make([]int, n)
@@ -860,42 +842,28 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row, track bool) (per [
 		sc.rows = make([]Row, len(rows))
 	}
 	flat := sc.rows[:len(rows)]
-	var flatIdx []int
-	if track {
-		if cap(sc.idx) < len(rows) {
-			sc.idx = make([]int, len(rows))
-		}
-		flatIdx = sc.idx[:len(rows)]
+	if cap(sc.idx) < len(rows) {
+		sc.idx = make([]int, len(rows))
 	}
-	per = sc.per[:n]
-	idx = nil
-	if track {
-		idx = sc.peridx[:n]
-	}
+	flatIdx := sc.idx[:len(rows)]
+	per, idx = sc.per[:n], sc.peridx[:n]
 	offs := sc.offs[:n]
 	sum := 0
 	for shn, c := range counts {
 		offs[shn] = sum
 		if c == 0 {
-			per[shn] = nil
-			if track {
-				idx[shn] = nil
-			}
+			per[shn], idx[shn] = nil, nil
 		} else {
 			// Full slice expression: appends stay inside the window.
 			per[shn] = flat[sum : sum : sum+c]
-			if track {
-				idx[shn] = flatIdx[sum : sum : sum+c]
-			}
+			idx[shn] = flatIdx[sum : sum : sum+c]
 		}
 		sum += c
 	}
 	for i, r := range rows {
 		shn := shardOf[i]
 		per[shn] = append(per[shn], r)
-		if track {
-			idx[shn] = append(idx[shn], i)
-		}
+		idx[shn] = append(idx[shn], i)
 	}
 	return per, idx
 }
@@ -948,7 +916,7 @@ func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
 		return nil
 	}
 	sc := scratchPool.Get().(*partitionScratch)
-	per, idx := s.partition(sc, rows, true)
+	per, idx := s.partition(sc, rows)
 	errs := sc.errSlots(len(rows))
 	var done sync.WaitGroup
 
@@ -982,67 +950,6 @@ func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
 	}
 	scratchPool.Put(sc)
 	return nil
-}
-
-// Enqueue hands rows to the per-shard append workers without waiting
-// for them to land; Flush establishes a happened-before with readers.
-// Per-row errors are dropped: on an in-memory engine the only
-// queued-append failure is a closed engine, and on a durable engine a
-// shard whose WAL append fails discards the wave un-applied (the
-// engine never acks state it cannot recover) — those rows are counted
-// in Stats.DroppedRows. Rows are copied while partitioning, so the
-// caller may reuse the slice immediately. Returns ErrClosed when the
-// engine is closed.
-func (s *Sharded) Enqueue(rows []Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	sc := scratchPool.Get().(*partitionScratch)
-	per, _ := s.partition(sc, rows, false)
-	nonEmpty := 0
-	for _, sub := range per {
-		if len(sub) > 0 {
-			nonEmpty++
-		}
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		scratchPool.Put(sc)
-		return ErrClosed
-	}
-	// The workers hold windows of the scratch until they apply (or drop)
-	// them; the last one to finish recycles the wave.
-	sc.pending.Store(int32(nonEmpty))
-	release := func() {
-		if sc.pending.Add(-1) == 0 {
-			scratchPool.Put(sc)
-		}
-	}
-	for sh, sub := range per {
-		if len(sub) == 0 {
-			continue
-		}
-		s.queues[sh] <- batchItem{rows: sub, release: release}
-	}
-	return nil
-}
-
-// Flush blocks until every append enqueued before the call has been
-// applied to its shard.
-func (s *Sharded) Flush() {
-	var done sync.WaitGroup
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return
-	}
-	for _, q := range s.queues {
-		done.Add(1)
-		q <- batchItem{done: &done}
-	}
-	s.mu.RUnlock()
-	done.Wait()
 }
 
 // Query routes to the owning shard; on a durable engine the result

@@ -149,32 +149,6 @@ func TestShardedAppendBatchPerRowErrors(t *testing.T) {
 			t.Fatalf("row %d: err = %v, want ErrClosed", i, err)
 		}
 	}
-	if err := s.Enqueue(rows); err != ErrClosed {
-		t.Fatalf("Enqueue on closed engine = %v, want ErrClosed", err)
-	}
-}
-
-// TestShardedEnqueueFlush checks the fire-and-forget path: appends are
-// visible after Flush, whatever shard they hashed to.
-func TestShardedEnqueueFlush(t *testing.T) {
-	s := NewSharded(ShardedOptions{Shards: 4})
-	defer s.Close()
-	const devices, perDevice = 16, 50
-	for i := 0; i < perDevice; i++ {
-		rows := make([]Row, devices)
-		for d := 0; d < devices; d++ {
-			rows[d] = Row{Key: shKey(d), Sample: Sample{At: shT0.Add(time.Duration(i) * time.Second), Value: float64(i)}}
-		}
-		if err := s.Enqueue(rows); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Flush()
-	for d := 0; d < devices; d++ {
-		if got := s.Len(shKey(d)); got != perDevice {
-			t.Fatalf("device %d: %d samples after flush, want %d", d, got, perDevice)
-		}
-	}
 }
 
 // TestShardedCursorStableUnderConcurrentIngest is the write-while-read

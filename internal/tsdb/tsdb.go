@@ -542,8 +542,8 @@ type Stats struct {
 	Series  int
 	Samples int
 	Shards  int `json:",omitempty"`
-	// DroppedRows counts fire-and-forget rows a durable Sharded engine
-	// discarded on WAL failure (always 0 for a plain or in-memory
+	// DroppedRows counts rows a durable Sharded engine discarded
+	// un-applied on WAL failure (always 0 for a plain or in-memory
 	// engine).
 	DroppedRows uint64 `json:",omitempty"`
 }

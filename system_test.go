@@ -276,199 +276,6 @@ func TestSystemMultiDistrict(t *testing.T) {
 	}
 }
 
-func TestSystemMiddlewareSurvivesLeafCrash(t *testing.T) {
-	hub := middleware.NewNode(middleware.NodeOptions{ID: "hub", Relay: true})
-	hubAddr, err := hub.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hub.Close()
-
-	crash := middleware.NewNode(middleware.NodeOptions{ID: "crash"})
-	if err := crash.Dial(hubAddr); err != nil {
-		t.Fatal(err)
-	}
-	waitPeers(t, crash, 1)
-	crash.Close() // leaf dies
-
-	// Hub keeps serving the survivors.
-	alive := middleware.NewNode(middleware.NodeOptions{ID: "alive"})
-	got := make(chan struct{}, 1)
-	if _, err := alive.Subscribe("x/#", func(middleware.Event) {
-		select {
-		case got <- struct{}{}:
-		default:
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := alive.Dial(hubAddr); err != nil {
-		t.Fatal(err)
-	}
-	defer alive.Close()
-	waitPeers(t, alive, 1)
-	time.Sleep(50 * time.Millisecond)
-
-	pub := middleware.NewNode(middleware.NodeOptions{ID: "pub"})
-	if err := pub.Dial(hubAddr); err != nil {
-		t.Fatal(err)
-	}
-	defer pub.Close()
-	waitPeers(t, pub, 1)
-	if err := pub.Publish(middleware.Event{Topic: "x/y", Payload: []byte("1")}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-got:
-	case <-time.After(5 * time.Second):
-		t.Fatal("event lost after peer crash")
-	}
-}
-
-func waitPeers(t *testing.T, n *middleware.Node, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(n.Peers()) >= want {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatalf("node %s never reached %d peers", n.ID(), want)
-}
-
-// TestSystemStreamBridgeExactlyOnce is the federated streaming walk of
-// the paper's Fig. 1 topology over HTTP: two measurements-database
-// services run on separate HTTP servers; a publisher injects samples
-// into service A's /v1/publish ingress; a stream.Bridge mirrors A's
-// measurement subtree into service B's bus (so B ingests everything A
-// hears); and a live subscriber on B's stream is killed mid-flight and
-// resumed with Last-Event-ID — it must observe every event exactly once.
-func TestSystemStreamBridgeExactlyOnce(t *testing.T) {
-	ctx := context.Background()
-	newService := func() (*measuredb.Service, string) {
-		s := measuredb.New(measuredb.Options{})
-		addr, err := s.Serve("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(s.Close)
-		return s, "http://" + addr
-	}
-	svcA, urlA := newService()
-	svcB, urlB := newService()
-
-	bridge, err := stream.NewBridge(ctx, urlA, measuredb.IngestPattern, svcB.Bus(), stream.SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bridge.Close()
-
-	// First half of the subscriber's life on B's stream.
-	sub, err := stream.Subscribe(ctx, urlB, measuredb.IngestPattern, stream.SubscribeOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	waitStreamSubs := func(s *measuredb.Service, n int) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) {
-			if s.Stats().Stream.Subscribers >= n {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		t.Fatalf("stream never reached %d subscribers: %+v", n, s.Stats().Stream)
-	}
-	waitStreamSubs(svcA, 1) // the bridge is attached
-	waitStreamSubs(svcB, 1) // the subscriber is attached
-
-	// Publish numbered samples into A over its HTTP ingress — the path a
-	// device proxy on another host uses.
-	const total = 40
-	deviceURI := "urn:district:turin/building:b00/device:e2e"
-	base := time.Now().UTC().Truncate(time.Second)
-	streams := (&client.Client{}).Streams()
-	for i := 0; i < total; i++ {
-		m := dataformat.Measurement{
-			Source: urlA, Device: deviceURI,
-			Quantity: dataformat.Temperature, Unit: dataformat.Celsius,
-			Value: float64(i), Timestamp: base.Add(time.Duration(i) * time.Second),
-		}
-		payload, err := dataformat.NewMeasurementDoc(m).Encode(dataformat.JSON)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := streams.Publish(ctx, urlA, middleware.Event{
-			Topic:   measuredb.Topic(deviceURI, m.Quantity),
-			Payload: payload,
-			Headers: map[string]string{"content-type": "application/json"},
-			At:      m.Timestamp,
-		}); err != nil {
-			t.Fatalf("publish %d: %v", i, err)
-		}
-	}
-
-	seen := make(map[float64]int)
-	var cursor uint64 // stream ID of the last event the consumer processed
-	receive := func(s *stream.Subscription, n int) {
-		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for got := 0; got < n; {
-			select {
-			case ev, ok := <-s.Events:
-				if !ok {
-					t.Fatalf("stream ended early (%v) after %d/%d", s.Err(), got, n)
-				}
-				doc, err := dataformat.Decode(ev.Payload, dataformat.Sniff(ev.Payload))
-				if err != nil || doc.Measurement == nil {
-					t.Fatalf("bad payload on %s: %v", ev.Topic, err)
-				}
-				seen[doc.Measurement.Value]++
-				cursor = stream.EventID(ev)
-				got++
-			case <-deadline:
-				t.Fatalf("timeout after %d/%d events (bridge mirrored %d)", got, n, bridge.Mirrored())
-			}
-		}
-	}
-
-	// Kill the subscriber mid-stream: events already buffered client-side
-	// but not yet consumed die with it. The resume cursor is the stamped
-	// stream ID of the last event actually processed, so the replacement
-	// subscription replays exactly the unprocessed remainder.
-	receive(sub, 15)
-	sub.Close()
-	resumed, err := stream.Subscribe(ctx, urlB, measuredb.IngestPattern, stream.SubscribeOptions{
-		AfterID: cursor,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	receive(resumed, total-15)
-
-	for i := 0; i < total; i++ {
-		if n := seen[float64(i)]; n != 1 {
-			t.Fatalf("event %d observed %d times across the kill/resume", i, n)
-		}
-	}
-
-	// Both stores hold the full series: A ingested its own ingress
-	// traffic, B ingested what the bridge mirrored.
-	key := tsdb.SeriesKey{Device: deviceURI, Quantity: string(dataformat.Temperature)}
-	for name, svc := range map[string]*measuredb.Service{"A": svcA, "B": svcB} {
-		deadline := time.Now().Add(10 * time.Second)
-		for time.Now().Before(deadline) && svc.Store().Len(key) < total {
-			time.Sleep(10 * time.Millisecond)
-		}
-		if n := svc.Store().Len(key); n != total {
-			t.Fatalf("service %s ingested %d/%d samples", name, n, total)
-		}
-	}
-}
-
 // TestSystemDeviceProxyLiveStream subscribes straight to one device
 // proxy's stream endpoint — no middleware link, no measurements DB —
 // and sees its samples live.

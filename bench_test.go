@@ -100,7 +100,7 @@ func BenchmarkF1a_EndToEndAreaQuery(b *testing.B) {
 // ---------------------------------------------------------------------
 // F1b — Fig. 1(b): the device-proxy pipeline per protocol. One PollOnce
 // covers the dedicated layer (real protocol round trip), the local
-// database append, and the publication on the proxy's own bus.
+// database append, and the publication on the proxy's own stream hub.
 // ---------------------------------------------------------------------
 
 func BenchmarkF1b_DeviceProxyPipeline(b *testing.B) {
@@ -122,9 +122,14 @@ func BenchmarkF1b_DeviceProxyPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer proxy.Close()
-		if _, err := proxy.Bus().Subscribe(measuredb.IngestPattern, func(middleware.Event) {}); err != nil {
+		sub, _, err := proxy.Stream().Hub().Subscribe(measuredb.IngestPattern, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
+		go func() { // drained so the subscriber is never evicted; ends when proxy.Close closes the hub
+			for range sub.C {
+			}
+		}()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			proxy.PollOnce()
@@ -221,42 +226,6 @@ func BenchmarkE1_MasterQueryVsDistrictSize(b *testing.B) {
 				_ = res
 			}
 		})
-	}
-}
-
-// ---------------------------------------------------------------------
-// E2 — middleware throughput vs subscription count, with the trie index
-// against the naive linear-scan baseline (ablation of DESIGN.md §5).
-// ---------------------------------------------------------------------
-
-func BenchmarkE2_MiddlewareThroughput(b *testing.B) {
-	for _, kind := range []struct {
-		name string
-		m    middleware.MatcherKind
-	}{{"matcher=trie", middleware.TrieMatcher}, {"matcher=linear", middleware.LinearMatcher}} {
-		for _, subs := range []int{1, 16, 64, 256} {
-			b.Run(fmt.Sprintf("%s/subs=%d", kind.name, subs), func(b *testing.B) {
-				bus := middleware.NewBus(middleware.BusOptions{Matcher: kind.m, QueueLen: -1})
-				defer bus.Close()
-				for i := 0; i < subs; i++ {
-					pattern := fmt.Sprintf("measurements/turin/building:b%03d/#", i)
-					if _, err := bus.Subscribe(pattern, func(middleware.Event) {}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				ev := middleware.Event{
-					Topic:   "measurements/turin/building:b000/device:d0/temperature",
-					Payload: []byte(`{"v":21.5}`),
-					At:      benchT0,
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := bus.Publish(ev); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -687,16 +656,14 @@ func BenchmarkS1_StreamHubFanout(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// S2 — stream fan-out end to end: one publisher on the service bus, 100
+// S2 — stream fan-out end to end: one publisher on the service hub, 100
 // SSE subscribers over real HTTP connections. Reported time is per
 // published event fully delivered to all 100 subscribers.
 // ---------------------------------------------------------------------
 
 func BenchmarkS2_StreamSSEFanout100(b *testing.B) {
 	const subs = 100
-	bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
-	defer bus.Close()
-	svc, err := stream.NewService(bus, stream.Options{
+	svc, err := stream.NewService(stream.Options{
 		Hub: stream.HubOptions{FirstID: 1, QueueLen: 8192, History: 1},
 	})
 	if err != nil {
@@ -750,7 +717,7 @@ func BenchmarkS2_StreamSSEFanout100(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bus.Publish(ev); err != nil {
+		if err := svc.Hub().Publish(ev); err != nil {
 			b.Fatal(err)
 		}
 		if i%64 == 63 {

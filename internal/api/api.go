@@ -174,10 +174,6 @@ func NewServer(opts Options) *Server {
 	return s
 }
 
-// Tracer exposes the server's span ring (tests and embedding services
-// record into it directly).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
 // TraceResponse is the JSON body of /v1/trace/{id}: every span record
 // this service retains for the trace, oldest first.
 type TraceResponse struct {

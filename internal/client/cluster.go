@@ -34,16 +34,6 @@ func (cc *ClusterClient) Map(ctx context.Context) (cluster.Map, error) {
 	return m, nil
 }
 
-// SetMap publishes a full shard map on the master (epoch assigned by
-// the master's registry; the submitted epoch is ignored).
-func (cc *ClusterClient) SetMap(ctx context.Context, m cluster.Map) (cluster.Map, error) {
-	var out cluster.Map
-	if err := cc.c.transport().PostJSON(ctx, cc.c.masterURL("/cluster/map"), m, &out); err != nil {
-		return cluster.Map{}, err
-	}
-	return out, nil
-}
-
 // MoveShard flips one shard's ownership on the master map (epoch
 // bump), without touching any data — Move is the full orchestration.
 func (cc *ClusterClient) MoveShard(ctx context.Context, shard int, node string) (cluster.Map, error) {

@@ -35,7 +35,7 @@ func (s *Streams) SubscribeService(ctx context.Context, serviceURL, pattern stri
 	return stream.Subscribe(ctx, serviceURL, pattern, stream.SubscribeOptions{})
 }
 
-// Publish injects one event into a remote service's bus through its
+// Publish injects one event into a remote service's stream hub through its
 // /v1/publish ingress. It never retries: injection is not idempotent,
 // and a retry after a lost response would duplicate the event in every
 // downstream store.

@@ -138,16 +138,6 @@ func (d *Document) Encode(enc Encoding) ([]byte, error) {
 	}
 }
 
-// EncodeTo writes the encoded document to w.
-func (d *Document) EncodeTo(w io.Writer, enc Encoding) error {
-	b, err := d.Encode(enc)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
 // Decode parses a document from data in the given encoding and validates
 // the envelope.
 func Decode(data []byte, enc Encoding) (*Document, error) {

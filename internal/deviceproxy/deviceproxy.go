@@ -97,8 +97,8 @@ type Options struct {
 	LocalEngine tsdb.Engine
 	// Writer, when set, ships every collected sample to the measurements
 	// DB through the /v2 ingest plane (typically a client ingest
-	// batcher). The proxy publishes every sample on its own bus for its
-	// local /v1/stream subscribers either way.
+	// batcher). The proxy publishes every sample on its own stream hub
+	// for its /v1/stream subscribers either way.
 	Writer SampleWriter
 	// MasterURL, when set, registers the proxy with the master node.
 	MasterURL string
@@ -127,7 +127,6 @@ type Proxy struct {
 	srv     proxyhttp.Server
 	apiS    *api.Server
 	reg     *proxyhttp.Registrar
-	bus     *middleware.Bus
 	streamS *stream.Service
 
 	mu      sync.Mutex
@@ -162,27 +161,22 @@ func New(opts Options) (*Proxy, error) {
 		store = tsdb.New(tsdb.Options{MaxSamplesPerSeries: 8192})
 	}
 	p := &Proxy{opts: opts, store: store, battery: -1, stopCh: make(chan struct{})}
-	// The proxy's own bus carries every sample it collects; the stream
-	// service federates it, so remote peers can subscribe to this one
-	// device live without any middleware TCP link.
-	p.bus = middleware.NewBus(middleware.BusOptions{QueueLen: -1})
+	// The proxy's own hub carries every sample it collects, so remote
+	// peers can subscribe to this one device live.
 	streamOpts := opts.Stream
 	if streamOpts.PublishLimiter == nil {
 		streamOpts.PublishLimiter = opts.RateLimit
 	}
 	var err error
-	if p.streamS, err = stream.NewService(p.bus, streamOpts); err != nil {
-		p.bus.Close()
+	if p.streamS, err = stream.NewService(streamOpts); err != nil {
 		return nil, fmt.Errorf("deviceproxy: stream: %w", err)
 	}
 	p.apiS = p.buildAPI()
 	return p, nil
 }
 
-// Bus exposes the proxy's event bus (everything the proxy publishes).
-func (p *Proxy) Bus() *middleware.Bus { return p.bus }
-
-// Stream exposes the proxy's streaming service.
+// Stream exposes the proxy's streaming service; everything the proxy
+// publishes goes through its hub.
 func (p *Proxy) Stream() *stream.Service { return p.streamS }
 
 // Metrics exposes the per-route API metrics.
@@ -295,7 +289,7 @@ func (p *Proxy) PollOnce() {
 	p.publish(ms)
 }
 
-// publish ships measurements out of the proxy: onto its own bus
+// publish ships measurements out of the proxy: onto its own hub
 // (feeding its /v1/stream subscribers) and, when a Writer is set, to
 // the /v2 ingest plane as self-contained rows.
 func (p *Proxy) publish(ms []dataformat.Measurement) {
@@ -310,7 +304,7 @@ func (p *Proxy) publish(ms []dataformat.Measurement) {
 			Headers: map[string]string{"content-type": "application/json"},
 			At:      ms[i].Timestamp,
 		}
-		_ = p.bus.Publish(ev)
+		_ = p.streamS.Hub().Publish(ev) // live feed is best-effort; the hub counts a refusal
 		if p.opts.Writer == nil {
 			continue
 		}
@@ -368,7 +362,6 @@ func (p *Proxy) Close() {
 	if err := p.streamS.Close(); err != nil {
 		log.Printf("deviceproxy: stream close: %v", err)
 	}
-	p.bus.Close()
 	_ = p.opts.Driver.Close()
 	p.store.Close()
 }

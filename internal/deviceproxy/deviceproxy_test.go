@@ -111,19 +111,35 @@ func TestNewReportsStreamOpenError(t *testing.T) {
 	}
 }
 
+// queued drains what the proxy's hub holds for sub. The hub queues on
+// the publisher's goroutine, so the queue is complete when PollOnce
+// returns.
+func queued(sub *stream.Sub) []middleware.Event {
+	var events []middleware.Event
+	for {
+		select {
+		case batch := <-sub.C:
+			for _, e := range batch {
+				events = append(events, e.Event)
+			}
+		default:
+			return events
+		}
+	}
+}
+
 func TestPollOnceBuffersAndPublishes(t *testing.T) {
 	drv := &fakeDriver{readings: []Reading{
 		{Quantity: dataformat.Temperature, Value: 21.5, Unit: dataformat.Celsius, Battery: 90},
 		{Quantity: dataformat.Humidity, Value: 44, Unit: dataformat.Percent, Battery: 90},
 	}}
 	p, _ := newProxy(t, drv)
-	// The proxy's own bus is synchronous, so events is complete when
-	// PollOnce returns.
-	var events []middleware.Event
-	_, _ = p.Bus().Subscribe("measurements/#", func(ev middleware.Event) {
-		events = append(events, ev)
-	})
+	sub, _, err := p.Stream().Hub().Subscribe("measurements/#", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p.PollOnce()
+	events := queued(sub)
 
 	st := p.Stats()
 	if st.Polls != 1 || st.Samples != 2 || st.Published != 0 {
@@ -425,7 +441,7 @@ func (w *captureWriter) Add(p measuredb.Point) error {
 
 // TestEverySampleReachesBusAndWriterOnce checks the proxy's two
 // outlets: with a Writer set, every polled sample is published exactly
-// once on the proxy's own bus (its /v1/stream feed) and handed exactly
+// once on the proxy's own hub (its /v1/stream feed) and handed exactly
 // once to the /v2 ingest Writer as a self-contained row.
 func TestEverySampleReachesBusAndWriterOnce(t *testing.T) {
 	drv := &fakeDriver{readings: []Reading{
@@ -446,12 +462,16 @@ func TestEverySampleReachesBusAndWriterOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	onBus := map[string]int{} // topic → events; the bus delivers inline
-	if _, err := p.Bus().Subscribe("measurements/#", func(ev middleware.Event) { onBus[ev.Topic]++ }); err != nil {
+	sub, _, err := p.Stream().Hub().Subscribe("measurements/#", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	p.PollOnce()
+	onBus := map[string]int{} // topic → events
+	for _, ev := range queued(sub) {
+		onBus[ev.Topic]++
+	}
 	w.mu.Lock()
 	rows := append([]measuredb.Point(nil), w.rows...)
 	w.mu.Unlock()
@@ -469,11 +489,11 @@ func TestEverySampleReachesBusAndWriterOnce(t *testing.T) {
 	}
 	for _, q := range []dataformat.Quantity{dataformat.Temperature, dataformat.Humidity} {
 		if n := onBus[measuredb.Topic(testURI, q)]; n != 1 {
-			t.Fatalf("own bus saw %d events for %s, want 1 (all: %v)", n, q, onBus)
+			t.Fatalf("own hub saw %d events for %s, want 1 (all: %v)", n, q, onBus)
 		}
 	}
 	if len(onBus) != 2 {
-		t.Fatalf("own bus topics = %v", onBus)
+		t.Fatalf("own hub topics = %v", onBus)
 	}
 	if got := p.Stats().Published; got != 2 {
 		t.Fatalf("published counter = %d", got)

@@ -128,9 +128,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// Fset returns the loader's shared position set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load resolves patterns (e.g. "./...") to the module's packages and
 // type-checks each from source. Test files are excluded: the suite
 // checks production invariants, and several analyzers are specified as

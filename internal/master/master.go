@@ -65,7 +65,6 @@ type Master struct {
 	ont    *ontology.Ontology
 	reg    *registry.Registry
 	apiS   *api.Server
-	bus    *middleware.Bus
 	stream *stream.Service
 	// shardMap is the cluster shard-map source of truth ("the unique
 	// entry point of the system" also hands out measurement placement).
@@ -87,35 +86,33 @@ func New(opts Options) *Master {
 		opts:     opts,
 		ont:      ontology.New(),
 		reg:      registry.New(),
-		bus:      middleware.NewBus(middleware.BusOptions{QueueLen: -1}),
 		shardMap: cluster.NewRegistry(),
 		stopCh:   make(chan struct{}),
 	}
 	// Registry lifecycle events stream to remote subscribers (districtctl
-	// watch "registry/#", dashboards) through the master's own bus. On
-	// the fresh bus this can only fail opening a durable replay ring —
-	// an unusable deployment, reported loudly at build time.
+	// watch "registry/#", dashboards) through the master's own hub. This
+	// can only fail opening a durable replay ring — an unusable
+	// deployment, reported loudly at build time.
 	var err error
-	if m.stream, err = stream.NewService(m.bus, opts.Stream); err != nil {
+	if m.stream, err = stream.NewService(opts.Stream); err != nil {
 		panic("master: stream service: " + err.Error())
 	}
 	m.apiS = m.buildAPI()
 	return m
 }
 
-// Bus exposes the master's event bus (registry lifecycle topics).
-func (m *Master) Bus() *middleware.Bus { return m.bus }
-
-// Stream exposes the master's streaming service.
+// Stream exposes the master's streaming service; registry lifecycle
+// topics are published on its hub.
 func (m *Master) Stream() *stream.Service { return m.stream }
 
-// publishEvent emits one registry lifecycle event on the master's bus.
+// publishEvent emits one registry lifecycle event on the master's hub.
 func (m *Master) publishEvent(topic string, v any) {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	_ = m.bus.Publish(middleware.Event{
+	// Best-effort: the hub counts a refusal (closed during shutdown).
+	_ = m.stream.Hub().Publish(middleware.Event{
 		Topic:   topic,
 		Payload: payload,
 		Headers: map[string]string{"content-type": "application/json"},
@@ -217,7 +214,7 @@ func (m *Master) buildAPI() *api.Server {
 }
 
 // setClusterMap publishes a whole shard map (epoch assigned by the
-// registry) and announces it on the bus so watchers see the flip.
+// registry) and announces it on the hub so watchers see the flip.
 func (m *Master) setClusterMap(ctx context.Context, in cluster.Map) (cluster.Map, error) {
 	out, err := m.shardMap.Set(in)
 	if err != nil {
@@ -305,7 +302,6 @@ func (m *Master) Close() {
 	if err := m.stream.Close(); err != nil {
 		m.logf("master: stream close: %v", err)
 	}
-	m.bus.Close()
 }
 
 // register accepts a proxy registration and links the proxy's URL into

@@ -16,25 +16,6 @@ import (
 	"repro/internal/tsdb"
 )
 
-func TestEpochCursorRoundTrip(t *testing.T) {
-	inner := encodeCursor(tsdb.Cursor{After: time.Unix(12, 34).UTC(), Seen: 2})
-	wrapped := wrapEpochCursor(7, inner)
-	epoch, got, ok := unwrapEpochCursor(wrapped)
-	if !ok || epoch != 7 || got != inner {
-		t.Fatalf("unwrap(%q) = (%d, %q, %v), want (7, %q, true)", wrapped, epoch, got, ok, inner)
-	}
-	if wrapEpochCursor(7, "") != "" {
-		t.Fatal("wrapping an empty cursor should stay empty")
-	}
-	// Plain node cursors pass through unwrapped.
-	if e, got, ok := unwrapEpochCursor(inner); ok || e != 0 || got != inner {
-		t.Fatalf("plain cursor mangled: (%d, %q, %v)", e, got, ok)
-	}
-	if _, got, ok := unwrapEpochCursor("!!not-base64!!"); ok || got != "!!not-base64!!" {
-		t.Fatal("junk cursor should pass through for the node to reject")
-	}
-}
-
 func TestMergeSeriesPages(t *testing.T) {
 	a := &SeriesPage{Series: []SeriesInfo{
 		{Device: "a", Quantity: "q", Samples: 1},

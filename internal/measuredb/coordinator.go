@@ -1,9 +1,7 @@
 package measuredb
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -12,9 +10,7 @@ import (
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -34,11 +30,9 @@ import (
 // Routing is epoch-aware end to end: every forwarded request carries
 // X-Cluster-Epoch, a node that rejects it with a retryable cluster
 // envelope (stale epoch, shard frozen mid-handoff, ownership moved)
-// triggers a map refresh and a bounded re-route, and page cursors are
-// wrapped with the epoch they were cut under so pagination across a
-// handoff is detectable (sample cursors are value-based, so a stale
-// cursor still resumes correctly against the new owner — the wrap is
-// observability, not state).
+// triggers a map refresh and a bounded re-route. Page cursors are the
+// nodes' own: they are value-based, so a cursor cut under one owner
+// resumes correctly against the next.
 //
 // Ingest is exactly-once end to end when the client sends an
 // Idempotency-Key: the batch is partitioned per owner and forwarded
@@ -54,11 +48,10 @@ type Coordinator struct {
 	apiS *api.Server
 	reg  *obs.Registry
 
-	fanout       map[string]*obs.Histogram // per-route fan-out latency
-	mu           sync.Mutex
-	fwdErrs      map[string]*obs.Counter // per-node forward errors
-	fwdRetries   map[string]*obs.Counter // per-node ownership retries
-	staleCursors atomic.Uint64
+	fanout     map[string]*obs.Histogram // per-route fan-out latency
+	mu         sync.Mutex
+	fwdErrs    map[string]*obs.Counter // per-node forward errors
+	fwdRetries map[string]*obs.Counter // per-node ownership retries
 }
 
 // CoordinatorOptions configure a cluster coordinator.
@@ -116,9 +109,6 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c.reg.GaugeFunc("repro_cluster_map_epoch",
 		"Epoch of the coordinator's cached shard map (0 = not yet resolved).", nil,
 		func() float64 { return float64(c.res.CachedEpoch()) })
-	c.reg.CounterFunc("repro_cluster_stale_cursor_total",
-		"Cursors presented from an older map epoch than the coordinator holds.", nil,
-		func() float64 { return float64(c.staleCursors.Load()) })
 	c.apiS = c.buildAPI(opts)
 	return c, nil
 }
@@ -202,65 +192,6 @@ func (c *Coordinator) observe(route string, start time.Time) {
 	if h := c.fanout[route]; h != nil {
 		h.ObserveDuration(time.Since(start))
 	}
-}
-
-// ---------------------------------------------------------------------
-// Epoch-wrapped cursors
-// ---------------------------------------------------------------------
-
-// wrapEpochCursor stamps a node cursor with the map epoch it was cut
-// under: base64url("v1:<epoch>:<node cursor>").
-func wrapEpochCursor(epoch uint64, inner string) string {
-	if inner == "" {
-		return ""
-	}
-	return base64.RawURLEncoding.EncodeToString(
-		[]byte("v1:" + strconv.FormatUint(epoch, 10) + ":" + inner))
-}
-
-// unwrapEpochCursor splits a wrapped cursor; unwrapped cursors (a
-// client that talked to a node directly, or pre-cluster traffic) pass
-// through untouched with wrapped=false.
-func unwrapEpochCursor(s string) (epoch uint64, inner string, wrapped bool) {
-	if s == "" {
-		return 0, "", false
-	}
-	raw, err := base64.RawURLEncoding.DecodeString(s)
-	if err != nil {
-		return 0, s, false
-	}
-	rest, ok := strings.CutPrefix(string(raw), "v1:")
-	if !ok {
-		return 0, s, false
-	}
-	es, inner, ok := strings.Cut(rest, ":")
-	if !ok {
-		return 0, s, false
-	}
-	e, err := strconv.ParseUint(es, 10, 64)
-	if err != nil {
-		return 0, s, false
-	}
-	return e, inner, true
-}
-
-// unwrapCursorParam rewrites q's cursor to the node-level cursor,
-// counting cursors cut under an older epoch than the current map's
-// (sample and catalog cursors are value-based, so they still resume
-// correctly — the counter surfaces pagination that crossed a handoff).
-func (c *Coordinator) unwrapCursorParam(q url.Values, cur cluster.Map) {
-	raw := q.Get("cursor")
-	if raw == "" {
-		return
-	}
-	epoch, inner, wrapped := unwrapEpochCursor(raw)
-	if !wrapped {
-		return
-	}
-	if epoch < cur.Epoch {
-		c.staleCursors.Add(1)
-	}
-	q.Set("cursor", inner)
 }
 
 // ---------------------------------------------------------------------
@@ -356,9 +287,8 @@ func nodeOf(u string) string {
 // deviceProxy forwards one exact-device route to the shard owner,
 // re-resolving and re-routing once when the owner rejects with a
 // retryable cluster envelope (or fails before its first body byte).
-// JSON sample pages get their next_cursor epoch-wrapped by a splice on
-// the node's bytes; every other body — NDJSON and CSV ranges of any
-// size included — is copied through verbatim as it arrives.
+// Every body — JSON pages, NDJSON and CSV ranges of any size — is
+// copied through verbatim as it arrives.
 func (c *Coordinator) deviceProxy(route string) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer c.observe(route, time.Now())
@@ -380,6 +310,7 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 		if route == "put_samples" { // PUT shares the samples path
 			suffix = "samples"
 		}
+		path := "/series/" + url.PathEscape(device) + "/" + url.PathEscape(quantity) + "/" + suffix + "?" + r.URL.Query().Encode()
 		var lastErr error
 		for attempt := 0; attempt < coordReadAttempts; attempt++ {
 			m, err := c.resolve(r.Context())
@@ -387,10 +318,8 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 				api.WriteError(w, r, err)
 				return
 			}
-			q := r.URL.Query()
-			c.unwrapCursorParam(q, m)
 			owner := m.Owner(m.ShardFor(device))
-			u := api.URL2(owner, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/"+suffix+"?"+q.Encode())
+			u := api.URL2(owner, path)
 			header := http.Header{}
 			for _, h := range []string{"Accept", "Content-Type", "Idempotency-Key"} {
 				if v := r.Header.Get(h); v != "" {
@@ -399,7 +328,7 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 			}
 			rsp, err := c.forward(r.Context(), r.Method, u, m.Epoch, header, body)
 			if err == nil {
-				if err = c.relay(w, rsp, route, m.Epoch); err == nil {
+				if err = c.relay(w, rsp); err == nil {
 					return
 				}
 			}
@@ -420,26 +349,15 @@ var relayBufPool = sync.Pool{New: func() any {
 	return &b
 }}
 
-// relay writes a successful node response back to the client. A JSON
-// sample page is read whole (it is limit-bounded) so relayParts can
-// splice its cursor; every other body streams through the pooled 32 KiB
-// buffer as it arrives, however large. An error means the node failed
-// before anything was relayed, so the caller may still re-route; once
-// the first byte has gone out, a node failure can only abort the client
-// connection — ending the response normally would pass a cut body off
-// as whole.
-func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route string, epoch uint64) error {
+// relay writes a successful node response back to the client: the body
+// streams through the pooled 32 KiB buffer as it arrives, however
+// large. An error means the node failed before anything was relayed, so
+// the caller may still re-route; once the first byte has gone out, a
+// node failure can only abort the client connection — ending the
+// response normally would pass a cut body off as whole.
+func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response) error {
 	defer rsp.Body.Close()
 	ct := rsp.Header.Get("Content-Type")
-	if route == "samples" && strings.HasPrefix(ct, "application/json") {
-		raw, err := c.readBody(rsp)
-		if err != nil {
-			return err
-		}
-		c.relayParts(w, rsp.StatusCode, ct, raw, epoch)
-		return nil
-	}
-
 	bp := relayBufPool.Get().(*[]byte)
 	defer relayBufPool.Put(bp)
 	buf := *bp
@@ -470,76 +388,6 @@ func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response, route str
 	}
 }
 
-// nextCursorField opens the last field of a JSON sample page that has
-// more behind it.
-const nextCursorField = `,"next_cursor":"`
-
-// splitPageCursor finds the next_cursor of a node's JSON sample page
-// without decoding it. The cursor is the page's last field and its
-// value is base64url — no quote or escape can occur inside it — so it
-// is found from the end of the body, and a device or quantity name that
-// itself spells "next_cursor" (escaped, at the front of the body)
-// cannot be mistaken for it. It returns the bytes up to the cursor
-// value, the value, and the bytes after it; a page without a cursor
-// comes back whole in head. ok is false when the tail has neither
-// shape.
-func splitPageCursor(raw []byte) (head []byte, cursor string, tail []byte, ok bool) {
-	end := len(bytes.TrimRight(raw, "\n")) // json.Encoder ends the body with a newline
-	if bytes.HasSuffix(raw[:end], []byte(`"}`)) {
-		end -= 2
-		start := end
-		for start > 0 && isBase64URL(raw[start-1]) {
-			start--
-		}
-		if start == end || !bytes.HasSuffix(raw[:start], []byte(nextCursorField)) {
-			return nil, "", nil, false
-		}
-		return raw[:start], string(raw[start:end]), raw[end:], true
-	}
-	// Last page: the body ends with the count field.
-	if end == 0 || raw[end-1] != '}' {
-		return nil, "", nil, false
-	}
-	digits := end - 1
-	for digits > 0 && raw[digits-1] >= '0' && raw[digits-1] <= '9' {
-		digits--
-	}
-	if digits == end-1 || !bytes.HasSuffix(raw[:digits], []byte(`,"count":`)) {
-		return nil, "", nil, false
-	}
-	return raw, "", nil, true
-}
-
-func isBase64URL(b byte) bool {
-	return b >= 'A' && b <= 'Z' || b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b == '-' || b == '_'
-}
-
-// relayParts writes a node's JSON sample page, epoch-wrapping its
-// next_cursor by splicing the node's bytes. A page whose tail the
-// splice does not recognise is decoded and re-encoded instead, and one
-// that does not decode either goes out as the node sent it.
-func (c *Coordinator) relayParts(w http.ResponseWriter, status int, ct string, raw []byte, epoch uint64) {
-	var cursor string
-	var tail []byte
-	if head, cur, tl, ok := splitPageCursor(raw); ok {
-		raw, cursor, tail = head, cur, tl
-	} else {
-		var page SamplesPage
-		if json.Unmarshal(raw, &page) == nil {
-			page.NextCursor = wrapEpochCursor(epoch, page.NextCursor)
-			api.WriteJSON(w, status, page)
-			return
-		}
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(status)
-	_, _ = w.Write(raw)
-	if cursor != "" {
-		_, _ = io.WriteString(w, wrapEpochCursor(epoch, cursor))
-		_, _ = w.Write(tail)
-	}
-}
-
 // readAll buffers a bounded request body.
 func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
@@ -566,7 +414,6 @@ func (c *Coordinator) v2Series(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, rerr)
 		return
 	}
-	c.unwrapCursorParam(q, m)
 	nodes := m.Nodes()
 	pages := make([]*SeriesPage, len(nodes))
 	errs := make([]error, len(nodes))
@@ -600,8 +447,7 @@ func (c *Coordinator) v2Series(w http.ResponseWriter, r *http.Request) {
 	out := SeriesPage{Series: merged, Count: len(merged)}
 	if more && len(merged) > 0 {
 		last := merged[len(merged)-1]
-		out.NextCursor = wrapEpochCursor(m.Epoch,
-			encodeSeriesCursor(tsdb.SeriesKey{Device: last.Device, Quantity: last.Quantity}))
+		out.NextCursor = encodeSeriesCursor(tsdb.SeriesKey{Device: last.Device, Quantity: last.Quantity})
 	}
 	api.WriteJSON(w, http.StatusOK, out)
 }

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/dataformat"
-	"repro/internal/middleware"
 	"repro/internal/obs"
 	"repro/internal/proxyhttp"
 	"repro/internal/qcache"
@@ -52,9 +51,8 @@ type Service struct {
 	apiS  *api.Server
 	dedup *dedupWindow
 
-	// bus is the spine behind /v1/stream and /v1/publish: an event
-	// published on it is streamed to subscribers, never stored.
-	bus     *middleware.Bus
+	// streamS is /v1/stream and /v1/publish over the service's hub: an
+	// event published on it is streamed to subscribers, never stored.
 	streamS *stream.Service
 
 	ingested atomic.Uint64
@@ -128,16 +126,13 @@ type Options struct {
 	DataDir string
 	// Fsync is the WAL durability policy for all three logs (default
 	// wal.FsyncNone: acked writes survive a process kill; "interval"
-	// bounds machine-crash loss to SyncEvery; "always" fsyncs before
-	// acking, group-committed per shard queue wave).
+	// bounds machine-crash loss to the WAL's 100ms sync period; "always"
+	// fsyncs before acking, group-committed per shard queue wave).
 	Fsync wal.Mode
 	// SnapshotEvery compacts each tsdb shard's WAL into a snapshot after
 	// this many appended rows (0 = engine default, 65536; negative
 	// disables record-based snapshots).
 	SnapshotEvery int
-	// SnapshotInterval also cuts a shard snapshot when the last one is
-	// older than this (0 disables).
-	SnapshotInterval time.Duration
 	// Blocks tunes the columnar block layer of the durable engine: how
 	// much recent data stays in the RAM head, and how long raw samples
 	// and rollups are retained on disk. The zero value keeps the default
@@ -189,13 +184,12 @@ func Open(opts Options) (*Service, error) {
 	if st == nil {
 		if opts.DataDir != "" {
 			st, err = tsdb.OpenSharded(tsdb.ShardedOptions{
-				Shards:           opts.Shards,
-				Dir:              filepath.Join(opts.DataDir, "tsdb"),
-				Fsync:            opts.Fsync,
-				SnapshotEvery:    opts.SnapshotEvery,
-				SnapshotInterval: opts.SnapshotInterval,
-				Blocks:           opts.Blocks,
-				Metrics:          reg,
+				Shards:        opts.Shards,
+				Dir:           filepath.Join(opts.DataDir, "tsdb"),
+				Fsync:         opts.Fsync,
+				SnapshotEvery: opts.SnapshotEvery,
+				Blocks:        opts.Blocks,
+				Metrics:       reg,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("open tsdb engine: %w", err)
@@ -217,11 +211,7 @@ func Open(opts Options) (*Service, error) {
 			return nil, fmt.Errorf("open idempotency window: %w", err)
 		}
 	}
-	// Synchronous delivery: the spine's only subscriber (the stream hub)
-	// is non-blocking, so publishing inline on the caller's goroutine
-	// keeps /v1/publish → /v1/stream immediate.
-	s := &Service{store: st, dedup: dedup, reg: reg,
-		bus: middleware.NewBus(middleware.BusOptions{QueueLen: -1})}
+	s := &Service{store: st, dedup: dedup, reg: reg}
 	if opts.QCacheBytes > 0 {
 		if sh, ok := st.(*tsdb.Sharded); ok {
 			s.qc = qcache.New(opts.QCacheBytes)
@@ -236,8 +226,7 @@ func Open(opts Options) (*Service, error) {
 		streamOpts.Hub.Dir = filepath.Join(opts.DataDir, "stream")
 		streamOpts.Hub.Fsync = opts.Fsync
 	}
-	if s.streamS, err = stream.NewService(s.bus, streamOpts); err != nil {
-		s.bus.Close()
+	if s.streamS, err = stream.NewService(streamOpts); err != nil {
 		st.Close()
 		return nil, errors.Join(fmt.Errorf("stream service: %w", err), dedup.close())
 	}
@@ -392,7 +381,6 @@ func (s *Service) Close() {
 	if err := s.streamS.Close(); err != nil {
 		log.Printf("measuredb: stream close: %v", err)
 	}
-	s.bus.Close()
 	if err := s.dedup.close(); err != nil {
 		log.Printf("measuredb: dedup journal close: %v", err)
 	}

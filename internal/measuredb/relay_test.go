@@ -17,56 +17,11 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/tsdb"
 )
 
-// trickyDevice spells the cursor field inside a device name: the tail
-// splice must not be fooled by it.
+// trickyDevice spells a page's last field inside a device name: it has
+// to survive path escaping on both hops and come back byte-identical.
 const trickyDevice = `urn:district:t/b","next_cursor":"QUJD"}/d0`
-
-func TestSplitPageCursor(t *testing.T) {
-	page := SamplesPage{Device: trickyDevice, Quantity: `q"next_cursor":"x`, Count: 2,
-		Samples: []Point{{At: t0, Value: 1.5}, {At: t0.Add(time.Second), Value: -2}}}
-	for _, inner := range []string{"", encodeCursor(tsdb.Cursor{After: t0, Seen: 3})} {
-		page.NextCursor = inner
-		raw, err := api.EncodeJSON(page)
-		if err != nil {
-			t.Fatal(err)
-		}
-		head, cursor, tail, ok := splitPageCursor(raw)
-		if !ok || cursor != inner {
-			t.Fatalf("cursor %q: split = (%q, %v)", inner, cursor, ok)
-		}
-		if got := string(head) + cursor + string(tail); got != string(raw) {
-			t.Fatalf("split loses bytes: %q", got)
-		}
-		// The splice equals the decode/re-encode path it replaces.
-		wrapped := page
-		wrapped.NextCursor = wrapEpochCursor(9, inner)
-		want, _ := api.EncodeJSON(wrapped)
-		rec := httptest.NewRecorder()
-		(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", raw, 9)
-		if rec.Body.String() != string(want) {
-			t.Fatalf("spliced page\n%s\nwant\n%s", rec.Body, want)
-		}
-	}
-	for _, raw := range []string{
-		``, `{}`, `{"count":2,"next_cursor":"a b"}`, `{"count":2,"next_cursor":""}`,
-		`{"samples":[],"count":}`, `{"next_cursor":"QUJD","count":2,"x":"y"}`, `[1,2]`,
-	} {
-		if _, _, _, ok := splitPageCursor([]byte(raw)); ok {
-			t.Errorf("splitPageCursor(%q) matched", raw)
-		}
-	}
-	// An unrecognised tail falls back to decoding.
-	odd := []byte(`{"device":"d","quantity":"q","samples":[],"next_cursor":"QUJD","count":0 }`)
-	rec := httptest.NewRecorder()
-	(&Coordinator{}).relayParts(rec, http.StatusOK, "application/json", odd, 9)
-	var got SamplesPage
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.NextCursor != wrapEpochCursor(9, "QUJD") {
-		t.Fatalf("fallback page = %s (%v)", rec.Body, err)
-	}
-}
 
 // fetchWire performs one request without transparent decompression and
 // returns the response plus its decoded body.
@@ -107,8 +62,9 @@ func fetchWire(t *testing.T, method, target, acceptEncoding, accept string, body
 }
 
 // Every /v2 read route must decode to the same bytes whether it is
-// asked of the owner node or of the coordinator, gzip-coded or not; the
-// one sanctioned difference is the epoch wrap of a page's next_cursor.
+// asked of the owner node or of the coordinator, gzip-coded or not —
+// a JSON sample page's next_cursor included: the coordinator relays the
+// node's cursor, it does not mint its own.
 func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 	const shards, rows = 4, 2500
 	tc := newTestCluster(t, shards)
@@ -136,20 +92,20 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 		for _, rt := range []struct {
 			name, method, path, accept string
 			body                       []byte
-			wantGzip, cursor           bool
+			wantGzip                   bool
 		}{
-			{"json page with cursor", "GET", series + "/samples?limit=1000", "", nil, true, true},
-			{"json last page", "GET", series + "/samples?limit=10000", "", nil, true, false},
-			{"json short page", "GET", series + "/samples?limit=3", "", nil, false, true},
-			{"ndjson", "GET", series + "/samples", NDJSONType, nil, true, false},
-			{"csv", "GET", series + "/samples?encoding=csv", "", nil, true, false},
-			{"aggregate", "GET", series + "/aggregate", "", nil, false, false},
-			{"aggregate buckets", "GET", series + "/aggregate?window=1m", "", nil, true, false},
-			{"latest", "GET", series + "/latest", "", nil, false, false},
-			{"batch json", "POST", "/v2/query", "", query, true, false},
-			{"batch ndjson", "POST", "/v2/query?encoding=ndjson", "", query, true, false},
+			{"json page with cursor", "GET", series + "/samples?limit=1000", "", nil, true},
+			{"json last page", "GET", series + "/samples?limit=10000", "", nil, true},
+			{"json short page", "GET", series + "/samples?limit=3", "", nil, false},
+			{"ndjson", "GET", series + "/samples", NDJSONType, nil, true},
+			{"csv", "GET", series + "/samples?encoding=csv", "", nil, true},
+			{"aggregate", "GET", series + "/aggregate", "", nil, false},
+			{"aggregate buckets", "GET", series + "/aggregate?window=1m", "", nil, true},
+			{"latest", "GET", series + "/latest", "", nil, false},
+			{"batch json", "POST", "/v2/query", "", query, true},
+			{"batch ndjson", "POST", "/v2/query?encoding=ndjson", "", query, true},
 		} {
-			var node, want []byte // the node's identity body; the same with its cursor wrapped
+			var node []byte // the node's identity body
 			for _, hop := range []struct{ name, base string }{
 				{"node", m.OwnerOf(dev)}, {"coordinator", tc.coordURL},
 			} {
@@ -160,29 +116,17 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 						t.Errorf("%s: Content-Encoding = %q over %d plain bytes", label, rsp.Header.Get("Content-Encoding"), len(got))
 					}
 					if node == nil {
-						node, want = got, got
-						if rt.cursor { // what the decode/re-encode relay used to emit
-							var page SamplesPage
-							if err := json.Unmarshal(got, &page); err != nil || page.NextCursor == "" {
-								t.Fatalf("%s: page = %s (%v)", label, got, err)
-							}
-							page.NextCursor = wrapEpochCursor(m.Epoch, page.NextCursor)
-							want, _ = api.EncodeJSON(page)
-						}
+						node = got
 						continue
 					}
-					want := want
-					if hop.name == "node" {
-						want = node
-					}
-					if !bytes.Equal(got, want) {
-						t.Errorf("%s: body differs\n got %.300s\nwant %.300s", label, got, want)
+					if !bytes.Equal(got, node) {
+						t.Errorf("%s: body differs\n got %.300s\nwant %.300s", label, got, node)
 					}
 				}
 			}
 		}
 
-		// Paging through the spliced cursors visits every sample once.
+		// Paging through the relayed cursors visits every sample once.
 		var seen int
 		next := tc.coordURL + series + "/samples?limit=1000"
 		for pages := 0; next != ""; pages++ {
@@ -202,9 +146,6 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 			}
 			next = ""
 			if page.NextCursor != "" {
-				if _, _, wrapped := unwrapEpochCursor(page.NextCursor); !wrapped {
-					t.Fatalf("%q: cursor %q is not epoch-wrapped", dev, page.NextCursor)
-				}
 				next = tc.coordURL + series + "/samples?limit=1000&cursor=" + url.QueryEscape(page.NextCursor)
 			}
 		}

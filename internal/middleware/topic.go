@@ -1,19 +1,19 @@
-// Package middleware implements the event-driven publish/subscribe
-// middleware the infrastructure is built on — the role the SEEMPubS
-// middleware plays in the paper. Device-proxies publish measurements into
-// it and end-user applications subscribe to live district events.
+// Package middleware is the vocabulary of the event-driven
+// publish/subscribe middleware the infrastructure is built on — the role
+// the SEEMPubS middleware plays in the paper: the Event type, the topic
+// and pattern grammar, and the subscription Index. Device-proxies publish
+// measurements and end-user applications subscribe to live district
+// events; the one publish/subscribe implementation is internal/stream's
+// Hub, which owns every lock, queue and goroutine — this package has none.
 //
 // Topics are hierarchical, slash-separated paths mirroring the ontology
 // ("district/turin/building/b01/device/t-12/temperature"). Subscriptions
 // may use `+` to match exactly one segment and `#` to match any suffix.
-// The package is the in-process Bus each service embeds; internal/stream
-// carries its events between hosts over the versioned HTTP API.
 package middleware
 
 import (
 	"errors"
 	"strings"
-	"sync"
 )
 
 // Wildcards accepted in subscription patterns.
@@ -85,20 +85,13 @@ func matchSegs(p, t []string) bool {
 	}
 }
 
-// matcher is the subscription index. The trie implementation makes match
-// cost proportional to topic depth rather than subscription count; the
-// linear variant exists for the ablation benchmark (DESIGN.md §5).
-type matcher interface {
-	add(pattern string, id int)
-	remove(pattern string, id int)
-	match(topic string, visit func(id int))
-	len() int
-}
-
-// trieMatcher indexes patterns in a segment trie.
-type trieMatcher struct {
+// Index is the subscription index: patterns in a segment trie, so
+// resolving a concrete topic to the integer IDs subscribed to it costs in
+// proportion to topic depth, not subscription count. It has no lock of
+// its own; the caller (stream.Hub, under its fan-out lock) serializes
+// every call.
+type Index struct {
 	root *trieNode
-	n    int
 }
 
 type trieNode struct {
@@ -107,16 +100,16 @@ type trieNode struct {
 	restIDs  map[int]struct{} // subscriptions with trailing '#'
 }
 
-func newTrieMatcher() *trieMatcher { return &trieMatcher{root: newTrieNode()} }
+// NewIndex creates an empty pattern index.
+func NewIndex() *Index { return &Index{root: newTrieNode()} }
 
 func newTrieNode() *trieNode {
 	return &trieNode{children: make(map[string]*trieNode)}
 }
 
-func (m *trieMatcher) len() int { return m.n }
-
-func (m *trieMatcher) add(pattern string, id int) {
-	node := m.root
+// Add registers id under pattern (the pattern must be pre-validated).
+func (ix *Index) Add(pattern string, id int) {
+	node := ix.root
 	segs := strings.Split(pattern, "/")
 	for i, s := range segs {
 		if s == WildcardRest {
@@ -124,7 +117,6 @@ func (m *trieMatcher) add(pattern string, id int) {
 				node.restIDs = make(map[int]struct{})
 			}
 			node.restIDs[id] = struct{}{}
-			m.n++
 			return
 		}
 		child, ok := node.children[s]
@@ -138,20 +130,17 @@ func (m *trieMatcher) add(pattern string, id int) {
 				node.ids = make(map[int]struct{})
 			}
 			node.ids[id] = struct{}{}
-			m.n++
 		}
 	}
 }
 
-func (m *trieMatcher) remove(pattern string, id int) {
-	node := m.root
+// Remove drops id's registration under pattern.
+func (ix *Index) Remove(pattern string, id int) {
+	node := ix.root
 	segs := strings.Split(pattern, "/")
 	for i, s := range segs {
 		if s == WildcardRest {
-			if _, ok := node.restIDs[id]; ok {
-				delete(node.restIDs, id)
-				m.n--
-			}
+			delete(node.restIDs, id)
 			return
 		}
 		child, ok := node.children[s]
@@ -160,18 +149,16 @@ func (m *trieMatcher) remove(pattern string, id int) {
 		}
 		node = child
 		if i == len(segs)-1 {
-			if _, ok := node.ids[id]; ok {
-				delete(node.ids, id)
-				m.n--
-			}
+			delete(node.ids, id)
 		}
 	}
 	// Branch garbage is left in place; subscription churn in this system
 	// is dominated by proxies joining, and empty branches are tiny.
 }
 
-func (m *trieMatcher) match(topic string, visit func(id int)) {
-	matchTrie(m.root, topic, true, visit)
+// Match visits the id of every pattern matching the concrete topic.
+func (ix *Index) Match(topic string, visit func(id int)) {
+	matchTrie(ix.root, topic, true, visit)
 }
 
 // matchTrie descends one topic segment per level, cutting segments off
@@ -194,85 +181,4 @@ func matchTrie(node *trieNode, rest string, more bool, visit func(id int)) {
 	if child, ok := node.children[WildcardOne]; ok {
 		matchTrie(child, rest, more, visit)
 	}
-}
-
-// linearMatcher scans every pattern on match. Kept for the E2 ablation.
-type linearMatcher struct {
-	subs map[int]string
-}
-
-func newLinearMatcher() *linearMatcher { return &linearMatcher{subs: make(map[int]string)} }
-
-func (m *linearMatcher) len() int { return len(m.subs) }
-
-func (m *linearMatcher) add(pattern string, id int) { m.subs[id] = pattern }
-
-func (m *linearMatcher) remove(pattern string, id int) {
-	if m.subs[id] == pattern {
-		delete(m.subs, id)
-	}
-}
-
-func (m *linearMatcher) match(topic string, visit func(id int)) {
-	for id, p := range m.subs {
-		if Match(p, topic) {
-			visit(id)
-		}
-	}
-}
-
-// Index is an exported, concurrency-safe subscription index backed by
-// the production trie matcher. Other subsystems that need to resolve a
-// concrete topic to a set of integer subscriber IDs (the stream fan-out
-// hub) reuse this instead of re-implementing pattern matching; match
-// cost stays proportional to topic depth, not subscriber count.
-type Index struct {
-	lm lockedMatcher
-}
-
-// NewIndex creates an empty trie-backed pattern index.
-func NewIndex() *Index {
-	return &Index{lm: lockedMatcher{m: newTrieMatcher()}}
-}
-
-// Add registers id under pattern (the pattern must be pre-validated).
-func (ix *Index) Add(pattern string, id int) { ix.lm.add(pattern, id) }
-
-// Remove drops id's registration under pattern.
-func (ix *Index) Remove(pattern string, id int) { ix.lm.remove(pattern, id) }
-
-// Match visits the id of every pattern matching the concrete topic.
-func (ix *Index) Match(topic string, visit func(id int)) { ix.lm.match(topic, visit) }
-
-// Len returns the number of registered patterns.
-func (ix *Index) Len() int { return ix.lm.len() }
-
-// guard wraps a matcher with a lock so Bus and Node can share it.
-type lockedMatcher struct {
-	mu sync.RWMutex
-	m  matcher
-}
-
-func (l *lockedMatcher) add(pattern string, id int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.m.add(pattern, id)
-}
-
-func (l *lockedMatcher) remove(pattern string, id int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.m.remove(pattern, id)
-}
-
-func (l *lockedMatcher) match(topic string, visit func(id int)) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	l.m.match(topic, visit)
-}
-
-func (l *lockedMatcher) len() int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.m.len()
 }

@@ -1,8 +1,8 @@
 package middleware
 
 import (
-	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -91,22 +91,22 @@ func randomPattern(rng *rand.Rand) string {
 	return strings.Join(segs, "/")
 }
 
-// Property: the trie matcher agrees with the reference Match predicate on
+// Property: the index agrees with the reference Match predicate on
 // random pattern sets and topics.
 func TestTrieMatchesReferenceProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		trie := newTrieMatcher()
+		trie := NewIndex()
 		patterns := make(map[int]string)
 		for i := 0; i < 32; i++ {
 			p := randomPattern(rng)
 			patterns[i] = p
-			trie.add(p, i)
+			trie.Add(p, i)
 		}
 		for trial := 0; trial < 16; trial++ {
 			topic := randomTopic(rng)
 			got := make(map[int]bool)
-			trie.match(topic, func(id int) { got[id] = true })
+			trie.Match(topic, func(id int) { got[id] = true })
 			for id, p := range patterns {
 				if Match(p, topic) != got[id] {
 					return false
@@ -121,56 +121,58 @@ func TestTrieMatchesReferenceProperty(t *testing.T) {
 }
 
 func TestTrieAddRemove(t *testing.T) {
-	trie := newTrieMatcher()
-	trie.add("a/+/c", 1)
-	trie.add("a/#", 2)
-	trie.add("a/b/c", 3)
-	if trie.len() != 3 {
-		t.Fatalf("len = %d, want 3", trie.len())
-	}
+	trie := NewIndex()
+	trie.Add("a/+/c", 1)
+	trie.Add("a/#", 2)
+	trie.Add("a/b/c", 3)
 	ids := func(topic string) map[int]bool {
 		got := map[int]bool{}
-		trie.match(topic, func(id int) { got[id] = true })
+		trie.Match(topic, func(id int) { got[id] = true })
 		return got
 	}
-	if got := ids("a/b/c"); !got[1] || !got[2] || !got[3] {
+	if got := ids("a/b/c"); len(got) != 3 || !got[1] || !got[2] || !got[3] {
 		t.Fatalf("match a/b/c = %v", got)
 	}
-	trie.remove("a/#", 2)
-	trie.remove("a/#", 2) // idempotent
-	if trie.len() != 2 {
-		t.Fatalf("len after remove = %d, want 2", trie.len())
+	trie.Remove("a/#", 2)
+	trie.Remove("a/#", 2) // idempotent
+	if got := ids("a/b/c"); len(got) != 2 || got[2] {
+		t.Fatalf("match a/b/c after remove = %v, want ids 1 and 3", got)
 	}
-	if got := ids("a/b/c"); got[2] {
-		t.Fatal("removed pattern still matches")
+	trie.Remove("never/added", 9) // no-op on unknown branch
+	trie.Remove("a/b/c", 9)       // no-op on an id never registered there
+	if got := ids("a/b/c"); len(got) != 2 {
+		t.Fatalf("no-op removes changed the match: %v", got)
 	}
-	trie.remove("never/added", 9) // no-op on unknown branch
 }
 
+// The linear matcher is the test's own scan with Match over every
+// registered pattern — the predicate the hub's ring replay runs in
+// production — and the index must visit exactly the ids it selects.
 func TestLinearMatcherAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	lin := newLinearMatcher()
-	trie := newTrieMatcher()
+	linear := map[int]string{}
+	trie := NewIndex()
 	for i := 0; i < 64; i++ {
 		p := randomPattern(rng)
-		lin.add(p, i)
-		trie.add(p, i)
-	}
-	if lin.len() != 64 {
-		t.Fatalf("linear len = %d", lin.len())
+		linear[i] = p
+		trie.Add(p, i)
 	}
 	for trial := 0; trial < 200; trial++ {
 		topic := randomTopic(rng)
-		a, b := map[int]bool{}, map[int]bool{}
-		lin.match(topic, func(id int) { a[id] = true })
-		trie.match(topic, func(id int) { b[id] = true })
-		if fmt.Sprint(a) != fmt.Sprint(b) && len(a) != len(b) {
-			t.Fatalf("matchers disagree on %q: linear %v trie %v", topic, a, b)
-		}
-		for id := range a {
-			if !b[id] {
-				t.Fatalf("trie missed id %d on %q", id, topic)
+		want, got := map[int]bool{}, map[int]bool{}
+		for id, p := range linear {
+			if Match(p, topic) {
+				want[id] = true
 			}
+		}
+		trie.Match(topic, func(id int) {
+			if got[id] {
+				t.Fatalf("trie visited id %d twice on %q", id, topic)
+			}
+			got[id] = true
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("matchers disagree on %q: linear %v trie %v", topic, want, got)
 		}
 	}
 }

@@ -367,7 +367,7 @@ func TestHubEncodesOnlyForAReader(t *testing.T) {
 // TestSSEBatchIsOneWave: a published batch reaches an SSE client whole
 // and in order, and a client resuming from inside it gets the rest.
 func TestSSEBatchIsOneWave(t *testing.T) {
-	_, svc, ts := newStreamServer(t, Options{Hub: HubOptions{QueueLen: 4}})
+	svc, ts := newStreamServer(t, Options{Hub: HubOptions{QueueLen: 4}})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	sub, err := Subscribe(ctx, ts.URL, "seq/#", SubscribeOptions{Buffer: 64})

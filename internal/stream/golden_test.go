@@ -69,7 +69,7 @@ func readFrames(t *testing.T, br *bufio.Reader, upTo uint64) []byte {
 // TestSSEFrameGolden pins the bytes handleStream writes: a resume that
 // replays two retained events, then three delivered live.
 func TestSSEFrameGolden(t *testing.T) {
-	_, svc, ts := newStreamServer(t, Options{})
+	svc, ts := newStreamServer(t, Options{})
 	evs := goldenEvents()
 	for _, ev := range evs[:3] {
 		if err := svc.Hub().Publish(ev); err != nil {

@@ -1,11 +1,13 @@
-// Package stream is the real-time event streaming subsystem: it
-// federates the in-process middleware bus across services over the
-// versioned HTTP API. Server side, a Hub fans bus events out to
-// HTTP subscribers over Server-Sent Events with monotonic event IDs,
-// bounded per-subscriber queues, and slow-consumer eviction; a
-// /v1/publish ingress lets remote processes inject events. Client side,
-// Subscribe consumes a remote stream with automatic reconnection and
-// Last-Event-ID resume (no gaps, no duplicates across a reconnect).
+// Package stream is the publish/subscribe implementation and its wire:
+// the one place events are sequenced, queued and fanned out. In process,
+// a service publishes on its Hub and any consumer subscribes to it;
+// between hosts, the Hub fans events out over Server-Sent Events on the
+// versioned HTTP API with monotonic event IDs, bounded per-subscriber
+// queues, and slow-consumer eviction, and a /v1/publish ingress lets
+// remote processes inject events. Client side, Subscribe consumes a
+// remote stream with automatic reconnection and Last-Event-ID resume (no
+// gaps, no duplicates across a reconnect). The event type and the topic
+// grammar are internal/middleware's.
 package stream
 
 import (
@@ -28,7 +30,7 @@ var ErrHubClosed = errors.New("stream: hub closed")
 type Entry struct {
 	// ID is the hub-assigned monotonic sequence number.
 	ID uint64
-	// Event is the bus event.
+	// Event is the published event.
 	Event middleware.Event
 
 	// wire is the JSON of Event, byte-identical to json.Marshal, encoded
@@ -73,8 +75,6 @@ type HubOptions struct {
 	// the journal survives a process kill; choose a stronger mode to
 	// survive machine crashes).
 	Fsync wal.Mode
-	// SyncEvery is the wal.FsyncInterval sync period (default 100ms).
-	SyncEvery time.Duration
 }
 
 func (o HubOptions) withDefaults() HubOptions {
@@ -171,7 +171,6 @@ func OpenHub(opts HubOptions) (*Hub, error) {
 	log, err := wal.Open(opts.Dir, wal.Options{
 		FirstSeq:     opts.FirstID,
 		Fsync:        opts.Fsync,
-		SyncEvery:    opts.SyncEvery,
 		SegmentBytes: 1 << 20,
 	})
 	if err != nil {
@@ -370,9 +369,9 @@ func (h *Hub) Publish(ev middleware.Event) error {
 // resumes with the remainder), the batch is one journal write, and each
 // subscriber gets one queue item holding the events its pattern
 // matches. A subscriber whose queue is full is evicted on the spot:
-// unlike the in-process bus (at-most-once, drop-on-overflow), the
-// stream contract is "no silent gaps" — the evicted consumer reconnects
-// and resumes from the replay ring.
+// the stream contract is "no silent gaps", so nothing is dropped from a
+// queue — the evicted consumer reconnects and resumes from the replay
+// ring.
 //
 // An event with a malformed topic, or a timestamp JSON cannot carry, is
 // refused: the rest of the batch is still published, and the returned

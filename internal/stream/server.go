@@ -17,54 +17,34 @@ import (
 type Options struct {
 	// Hub configures the fan-out hub.
 	Hub HubOptions
-	// KeepAlive is the SSE comment heartbeat period, so half-open
-	// connections are detected. Zero means the default (15s).
-	KeepAlive time.Duration
 	// PublishLimiter, when set, rate-limits the /publish ingress per
 	// client IP (429 + Retry-After on rejection).
 	PublishLimiter *api.RateLimiter
 }
 
-// Service bundles a Hub with the bus it observes and the HTTP endpoints
-// that expose it: GET /v1/stream (SSE out) and POST /v1/publish (event
-// ingress). Every service that owns a bus mounts one on its api.Server.
+// keepAlive is the SSE comment heartbeat period, so half-open
+// connections are detected.
+const keepAlive = 15 * time.Second
+
+// Service bundles a Hub with the HTTP endpoints that expose it: GET
+// /v1/stream (SSE out) and POST /v1/publish (event ingress). The owning
+// service publishes on Hub() and mounts the endpoints on its api.Server.
 type Service struct {
-	hub       *Hub
-	bus       *middleware.Bus
-	sub       *middleware.Subscription
-	keepAlive time.Duration
-	limiter   *api.RateLimiter
+	hub     *Hub
+	limiter *api.RateLimiter
 }
 
-// NewService creates a streaming service over bus: every event the bus
-// delivers flows into the hub (and out to SSE subscribers), and every
-// event POSTed to /publish flows into the bus (and so to its local
-// subscribers and back out the hub).
-func NewService(bus *middleware.Bus, opts Options) (*Service, error) {
+// NewService opens the hub opts.Hub describes; it can only fail opening
+// a durable replay ring.
+func NewService(opts Options) (*Service, error) {
 	hub, err := OpenHub(opts.Hub)
 	if err != nil {
 		return nil, err
 	}
-	sub, err := bus.Subscribe(middleware.WildcardRest, func(ev middleware.Event) {
-		_ = hub.Publish(ev) // a bus handler has nobody to tell; the hub counts the refusal (PublishErrors)
-	})
-	if err != nil {
-		return nil, errors.Join(err, hub.Close())
-	}
-	keepAlive := opts.KeepAlive
-	if keepAlive <= 0 {
-		keepAlive = 15 * time.Second
-	}
-	return &Service{
-		hub:       hub,
-		bus:       bus,
-		sub:       sub,
-		keepAlive: keepAlive,
-		limiter:   opts.PublishLimiter,
-	}, nil
+	return &Service{hub: hub, limiter: opts.PublishLimiter}, nil
 }
 
-// Hub exposes the fan-out hub (stats, KickAll).
+// Hub exposes the fan-out hub: Publish, Subscribe, stats, KickAll.
 func (s *Service) Hub() *Hub { return s.hub }
 
 // RegisterMetrics registers the hub's counters and live state on reg.
@@ -101,13 +81,9 @@ func (s *Service) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(h.QueueDepth()) })
 }
 
-// Close detaches from the bus and shuts the hub down; every SSE
-// subscriber's stream ends. The error is the hub ring log's close
-// error (nil for a memory-only hub).
-func (s *Service) Close() error {
-	s.sub.Unsubscribe()
-	return s.hub.Close()
-}
+// Close shuts the hub down; every SSE subscriber's stream ends. The
+// error is the hub ring log's close error (nil for a memory-only hub).
+func (s *Service) Close() error { return s.hub.Close() }
 
 // Mount registers the streaming endpoints on an api.Server:
 //
@@ -115,22 +91,28 @@ func (s *Service) Close() error {
 //	POST /v1/publish                  body: middleware.Event JSON
 func (s *Service) Mount(srv *api.Server) {
 	srv.HandleFunc(http.MethodGet, "/stream", s.handleStream)
-	var publish http.Handler = api.Body(s.publish)
+	var publish http.Handler = http.HandlerFunc(s.handlePublish)
 	if s.limiter != nil {
 		publish = api.RateLimit(s.limiter)(publish)
 	}
 	srv.Handle(http.MethodPost, "/publish", publish)
 }
 
-// publish injects a remote event into the local bus.
-func (s *Service) publish(ctx context.Context, ev middleware.Event) (map[string]any, error) {
-	if err := middleware.ValidateTopic(ev.Topic); err != nil {
-		return nil, api.BadRequest(fmt.Errorf("bad topic %q: %w", ev.Topic, err))
-	}
-	if err := s.bus.Publish(ev); err != nil {
-		return nil, err
-	}
-	return map[string]any{"status": "published", "topic": ev.Topic}, nil
+// handlePublish sequences a remote event into the hub and answers with
+// the hub's verdict: a closed hub (the service is shutting down) is a
+// retryable 503, an event the hub cannot carry a 400.
+func (s *Service) handlePublish(w http.ResponseWriter, r *http.Request) {
+	api.Body(func(_ context.Context, ev middleware.Event) (map[string]any, error) {
+		err := s.hub.Publish(ev)
+		switch {
+		case errors.Is(err, ErrHubClosed):
+			w.Header().Set("Retry-After", "1")
+			return nil, api.WithStatus(http.StatusServiceUnavailable, err)
+		case err != nil:
+			return nil, api.BadRequest(fmt.Errorf("event on topic %q: %w", ev.Topic, err))
+		}
+		return map[string]any{"status": "published", "topic": ev.Topic}, nil
+	}).ServeHTTP(w, r)
 }
 
 // lastEventID reads the resume position: the standard Last-Event-ID
@@ -241,7 +223,7 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ticker := time.NewTicker(s.keepAlive)
+	ticker := time.NewTicker(keepAlive)
 	defer ticker.Stop()
 	for {
 		select {

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -81,6 +82,56 @@ func TestHubFanoutFiltersByPattern(t *testing.T) {
 	st := h.Stats()
 	if st.Published != 4 || st.Delivered != 6 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// Ported from the Bus tests the hub took over from: a closed
+// subscription gets nothing more (and closing twice is harmless), and a
+// closed hub refuses publishers and subscribers alike, however often it
+// is closed.
+func TestHubSubCloseStopsDeliveryAndClosedHubRefuses(t *testing.T) {
+	h := NewHub(HubOptions{FirstID: 1})
+	gone, _, err := h.Subscribe("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, _, err := h.Subscribe("x", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Publish(event("x", "1")); err != nil {
+		t.Fatal(err)
+	}
+	collect(t, gone.C, 1)
+	gone.Close()
+	gone.Close()
+	if err := h.Publish(event("x", "2")); err != nil {
+		t.Fatal(err)
+	}
+	if got := collect(t, kept.C, 2); string(got[1].Event.Payload) != "2" {
+		t.Fatalf("surviving subscriber got %+v", got)
+	}
+	if batch, open := <-gone.C; open {
+		t.Fatalf("delivery after Close: %+v", batch)
+	}
+	if st := h.Stats(); st.Subscribers != 1 || st.Delivered != 3 {
+		t.Fatalf("stats after one Close = %+v, want 1 subscriber and 3 deliveries", st)
+	}
+
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if _, open := <-kept.C; open {
+		t.Fatal("hub Close left a subscriber channel open")
+	}
+	if err := h.Publish(event("x", "3")); !errors.Is(err, ErrHubClosed) {
+		t.Fatalf("Publish after Close = %v, want ErrHubClosed", err)
+	}
+	if _, _, err := h.Subscribe("x", 0); !errors.Is(err, ErrHubClosed) {
+		t.Fatalf("Subscribe after Close = %v, want ErrHubClosed", err)
 	}
 }
 
@@ -197,16 +248,15 @@ func TestHubSlowConsumerEvictedWithoutStalling(t *testing.T) {
 	}
 }
 
-// newStreamServer wires a synchronous bus + stream service into a full
-// api.Server behind httptest (the complete middleware chain, gzip
-// included, exactly as a real service serves it).
-func newStreamServer(t *testing.T, opts Options) (*middleware.Bus, *Service, *httptest.Server) {
+// newStreamServer wires a stream service into a full api.Server behind
+// httptest (the complete middleware chain, gzip included, exactly as a
+// real service serves it).
+func newStreamServer(t *testing.T, opts Options) (*Service, *httptest.Server) {
 	t.Helper()
-	bus := middleware.NewBus(middleware.BusOptions{QueueLen: -1})
 	if opts.Hub.FirstID == 0 {
 		opts.Hub.FirstID = 1
 	}
-	svc, err := NewService(bus, opts)
+	svc, err := NewService(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,13 +266,12 @@ func newStreamServer(t *testing.T, opts Options) (*middleware.Bus, *Service, *ht
 	t.Cleanup(func() {
 		ts.Close()
 		svc.Close()
-		bus.Close()
 	})
-	return bus, svc, ts
+	return svc, ts
 }
 
 func TestSSERoundTrip(t *testing.T) {
-	bus, svc, ts := newStreamServer(t, Options{})
+	svc, ts := newStreamServer(t, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -240,7 +289,7 @@ func TestSSERoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		topic := fmt.Sprintf("measurements/dev%d/temperature", i)
 		want[topic] = true
-		if err := bus.Publish(middleware.Event{
+		if err := svc.Hub().Publish(middleware.Event{
 			Topic:   topic,
 			Payload: []byte(fmt.Sprintf(`{"n":%d}`, i)),
 			Headers: map[string]string{"content-type": "application/json"},
@@ -248,7 +297,7 @@ func TestSSERoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bus.Publish(event("other/topic", "filtered")) // must not arrive
+	svc.Hub().Publish(event("other/topic", "filtered")) // must not arrive
 
 	for i := 0; i < 5; i++ {
 		select {
@@ -276,40 +325,75 @@ func postEvent(base string, ev middleware.Event) error {
 	return tr.PostJSON(context.Background(), api.URL(base, "/publish"), ev, nil)
 }
 
-func TestPublishIngressReachesBusAndStream(t *testing.T) {
-	bus, svc, ts := newStreamServer(t, Options{})
+func TestPublishIngressReachesHubAndStream(t *testing.T) {
+	svc, ts := newStreamServer(t, Options{})
 	ctx := context.Background()
 
-	// A local bus subscriber and a remote SSE subscriber both see an
-	// event injected through the HTTP ingress.
-	local := make(chan middleware.Event, 1)
-	if _, err := bus.Subscribe("ingress/#", func(ev middleware.Event) { local <- ev }); err != nil {
+	// An in-process hub subscriber and a remote SSE subscriber both see
+	// an event injected through the HTTP ingress.
+	local, _, err := svc.Hub().Subscribe("ingress/#", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	defer local.Close()
 	sub, err := Subscribe(ctx, ts.URL, "ingress/#", SubscribeOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sub.Close()
-	waitSubscribers(t, svc, 1)
+	waitSubscribers(t, svc, 2)
 
 	if err := postEvent(ts.URL, event("ingress/x", "hello")); err != nil {
 		t.Fatal(err)
 	}
-	for name, ch := range map[string]<-chan middleware.Event{"local": local, "sse": sub.Events} {
-		select {
-		case ev := <-ch:
-			if ev.Topic != "ingress/x" || string(ev.Payload) != "hello" {
-				t.Fatalf("%s got %+v", name, ev)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("%s subscriber never saw the ingress event", name)
+	if ev := collect(t, local.C, 1)[0].Event; ev.Topic != "ingress/x" || string(ev.Payload) != "hello" {
+		t.Fatalf("local got %+v", ev)
+	}
+	select {
+	case ev := <-sub.Events:
+		if ev.Topic != "ingress/x" || string(ev.Payload) != "hello" {
+			t.Fatalf("sse got %+v", ev)
 		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("sse subscriber never saw the ingress event")
 	}
 
-	// Wildcard topics are rejected at the ingress.
-	if err := postEvent(ts.URL, middleware.Event{Topic: "bad/#", Payload: []byte("x")}); err == nil {
-		t.Fatal("wildcard topic accepted by ingress")
+	// Wildcard topics are refused at the ingress as the caller's fault,
+	// and the hub counts the refusal.
+	err = postEvent(ts.URL, middleware.Event{Topic: "bad/#", Payload: []byte("x")})
+	var se *api.StatusError
+	if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
+		t.Fatalf("wildcard topic publish = %v, want 400", err)
+	}
+	if n := svc.Hub().Stats().PublishErrors; n != 1 {
+		t.Fatalf("publish errors = %d after one refused event, want 1", n)
+	}
+}
+
+// A publish the hub refuses because it is closed (the service is
+// shutting down under a still-listening server) must not be acknowledged:
+// the event is dropped, so the caller gets a retryable 503, not "published".
+func TestPublishOnClosedHubIsUnavailable(t *testing.T) {
+	svc, ts := newStreamServer(t, Options{})
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rsp, err := http.Post(api.URL(ts.URL, "/publish"), "application/json",
+		strings.NewReader(`{"topic":"a/b","payload":"eA=="}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	var env api.Envelope
+	if err := json.NewDecoder(rsp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if rsp.StatusCode != http.StatusServiceUnavailable || env.Code != "unavailable" || rsp.Header.Get("Retry-After") == "" {
+		t.Fatalf("publish on a closed hub = %d %+v (Retry-After %q), want a 503 envelope with Retry-After",
+			rsp.StatusCode, env, rsp.Header.Get("Retry-After"))
+	}
+	if n := svc.Hub().Stats().PublishErrors; n != 1 {
+		t.Fatalf("publish errors = %d after one refused event, want 1", n)
 	}
 }
 
@@ -319,7 +403,7 @@ func TestPublishIngressReachesBusAndStream(t *testing.T) {
 // on its own with Last-Event-ID, and the replay ring fills the gap so
 // the consumer sees every event exactly once.
 func TestSSEReconnectResumeExactlyOnce(t *testing.T) {
-	bus, svc, ts := newStreamServer(t, Options{Hub: HubOptions{History: 256}})
+	svc, ts := newStreamServer(t, Options{Hub: HubOptions{History: 256}})
 	ctx := context.Background()
 
 	sub, err := Subscribe(ctx, ts.URL, "seq/#", SubscribeOptions{
@@ -333,7 +417,7 @@ func TestSSEReconnectResumeExactlyOnce(t *testing.T) {
 
 	publish := func(from, to int) {
 		for i := from; i <= to; i++ {
-			if err := bus.Publish(event("seq/n", fmt.Sprint(i))); err != nil {
+			if err := svc.Hub().Publish(event("seq/n", fmt.Sprint(i))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,7 +467,7 @@ func TestSSEReconnectResumeExactlyOnce(t *testing.T) {
 }
 
 func TestPublishIngressRateLimited(t *testing.T) {
-	_, _, ts := newStreamServer(t, Options{
+	_, ts := newStreamServer(t, Options{
 		PublishLimiter: api.NewRateLimiter(1, 2), // 2-token burst, 1/s refill
 	})
 	if err := postEvent(ts.URL, event("a/b", "1")); err != nil {

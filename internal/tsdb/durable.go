@@ -188,7 +188,6 @@ func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(tim
 	log, err := wal.Open(dir, wal.Options{
 		SegmentBytes: opts.SegmentBytes,
 		Fsync:        opts.Fsync,
-		SyncEvery:    opts.SyncEvery,
 		OnSync:       onSync,
 	})
 	if err != nil {
@@ -257,91 +256,25 @@ func ReadShardDir(dir string, fn func([]Row) error) error {
 	return log.Close()
 }
 
-// maybeSnapshot cuts a snapshot of the shard's store at the current log
-// watermark when the record- or time-based cadence is due, then drops
-// the log segments and older snapshots below it. Runs on the shard
-// worker, so the store sees no concurrent writes while dumping. On a
-// block-bearing shard the snapshot step IS the compaction cycle: head
-// rows past the head window move into a block file in the same pass.
-// Reports whether a pass ran at all (even a failed one) — the caller
-// bumps the shard generation on it, since a compaction pass may have
-// republished the block view.
+// maybeSnapshot runs the shard's compaction cycle once SnapshotEvery
+// rows have been journaled since the last one: a snapshot of the store
+// at the current log watermark, head rows past the head window moved
+// into a block file in the same pass, and the log segments and older
+// snapshots below it dropped. Runs on the shard worker, so the store
+// sees no concurrent writes while dumping. Reports whether a pass ran at
+// all (even a failed one) — the caller bumps the shard generation on
+// it, since a compaction pass may have republished the block view.
 func (s *Sharded) maybeSnapshot(store *Store, disk *shardDisk, bs *blockSet) bool {
-	pending := disk.sinceSnap.Load()
-	if pending == 0 {
+	if s.snapEvery <= 0 || int(disk.sinceSnap.Load()) < s.snapEvery {
 		return false
 	}
-	lastSnap := time.Unix(0, disk.lastSnap.Load())
-	due := (s.snapEvery > 0 && int(pending) >= s.snapEvery) ||
-		(s.snapInterval > 0 && time.Since(lastSnap) >= s.snapInterval)
-	if !due {
-		return false
-	}
-	start := time.Now()
-	disk.lastSnap.Store(start.UnixNano()) // even on failure: retry next cadence, not next batch
-	if bs != nil {
-		_ = s.compactShard(store, disk, bs) // on failure: log intact, previous view authoritative
-		return true
-	}
-	seq := disk.log.LastSeq()
-	err := store.writeSnapshot(disk.dir, seq)
-	if disk.mx != nil {
-		disk.mx.snapDur.ObserveDuration(time.Since(start))
-	}
-	if err != nil {
-		return true // log intact, nothing truncated; recovery still complete
-	}
-	_ = disk.log.TruncateBefore(seq + 1)
-	wal.RemoveSnapshotsBefore(disk.dir, seq)
-	disk.sinceSnap.Store(0)
+	disk.lastSnap.Store(time.Now().UnixNano())
+	_ = s.compactShard(store, disk, bs) // on failure: log intact, previous view authoritative
 	return true
 }
 
 // snapshotChunk is how many rows one snapshot record carries.
 const snapshotChunk = 2048
-
-// writeSnapshot dumps every sample of the store into a snapshot file at
-// watermark seq. The caller must be the store's only writer. Each
-// series is flattened into a sample slice under its mutex and written
-// to the snapshot file after the unlock — a reader of a hot series
-// never waits on the snapshot's buffered writes.
-func (s *Store) writeSnapshot(dir string, seq uint64) error {
-	return wal.WriteSnapshot(dir, seq, func(sw *wal.SnapshotWriter) error {
-		rows := make([]Row, 0, snapshotChunk)
-		var buf []byte
-		flush := func() error {
-			if len(rows) == 0 {
-				return nil
-			}
-			buf = encodeRows(buf[:0], rows)
-			rows = rows[:0]
-			return sw.Record(buf)
-		}
-		for _, key := range s.Keys() {
-			s.mu.RLock()
-			sr := s.series[key]
-			s.mu.RUnlock()
-			if sr == nil {
-				continue
-			}
-			sr.mu.Lock()
-			if len(sr.spill) > 0 {
-				sr.foldSpill()
-			}
-			samples := sr.flatten()
-			sr.mu.Unlock()
-			for _, smp := range samples {
-				rows = append(rows, Row{Key: key, Sample: smp})
-				if len(rows) == snapshotChunk {
-					if err := flush(); err != nil {
-						return err
-					}
-				}
-			}
-		}
-		return flush()
-	})
-}
 
 // ---------------------------------------------------------------------
 // Row record codec

@@ -103,18 +103,12 @@ type ShardedOptions struct {
 	// rows survive a process kill, an fsync policy decides what a
 	// machine crash can lose).
 	Fsync wal.Mode
-	// SyncEvery is the wal.FsyncInterval background sync period
-	// (default 100ms).
-	SyncEvery time.Duration
 	// SegmentBytes sizes the WAL segments (default 8 MiB).
 	SegmentBytes int64
 	// SnapshotEvery compacts a shard's WAL into a snapshot after this
 	// many appended rows (default 65536; negative disables record-based
 	// snapshots).
 	SnapshotEvery int
-	// SnapshotInterval also cuts a snapshot when the last one is older
-	// than this (checked on append activity; 0 disables).
-	SnapshotInterval time.Duration
 	// Blocks configures the columnar block layer of a durable engine:
 	// at snapshot cadence each shard cuts head rows older than the head
 	// window into compressed immutable block files with 1m/1h rollups,
@@ -147,10 +141,9 @@ type Sharded struct {
 	disks []*shardDisk
 	// bsets is the per-shard published block view (nil for in-memory
 	// engines); workers mutate, readers capture under its read lock.
-	bsets        []*blockSet
-	blockPolicy  BlockPolicy
-	snapEvery    int
-	snapInterval time.Duration
+	bsets       []*blockSet
+	blockPolicy BlockPolicy
+	snapEvery   int
 	// dropped counts rows a durable shard discarded un-applied because
 	// their WAL append failed (each also fails its caller's error slot),
 	// surfaced in Stats.
@@ -248,11 +241,10 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 		}
 	}
 	s := &Sharded{
-		shards:       make([]*Store, n),
-		queues:       make([]chan batchItem, n),
-		gens:         make([]atomic.Uint64, n),
-		snapEvery:    opts.SnapshotEvery,
-		snapInterval: opts.SnapshotInterval,
+		shards:    make([]*Store, n),
+		queues:    make([]chan batchItem, n),
+		gens:      make([]atomic.Uint64, n),
+		snapEvery: opts.SnapshotEvery,
 	}
 	if s.snapEvery == 0 {
 		s.snapEvery = 1 << 16
@@ -382,9 +374,6 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	return s, nil
 }
 
-// Durable reports whether the engine journals its writes to disk.
-func (s *Sharded) Durable() bool { return s.disks != nil }
-
 // maxCommitGroup bounds how many queued batches one WAL group commit
 // (and one store pass) covers.
 const maxCommitGroup = 64
@@ -493,9 +482,7 @@ func (s *Sharded) resetShard(store *Store, disk *shardDisk, bs *blockSet) error 
 	if err := wal.WriteSnapshot(disk.dir, seq, func(*wal.SnapshotWriter) error { return nil }); err != nil {
 		return err
 	}
-	if bs != nil {
-		bs.clear()
-	}
+	bs.clear()
 	if err := disk.log.TruncateBefore(seq + 1); err != nil {
 		return err
 	}

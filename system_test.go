@@ -690,15 +690,10 @@ func clusterHandoffNode(t *testing.T, masterURL string, shards int) (*measuredb.
 	return s, "http://" + addr
 }
 
-// clusterBatchQuery runs one /v2/query against base and returns the raw
-// response bytes plus the decoded document.
-func clusterBatchQuery(t *testing.T, base string, req measuredb.BatchQuery) ([]byte, measuredb.BatchResponse) {
+// clusterReadJSON drains a 200 response into out and returns the raw
+// body beside it.
+func clusterReadJSON(t *testing.T, rsp *http.Response, err error, out any) []byte {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsp, err := http.Post(base+"/v2/query", "application/json", strings.NewReader(string(body)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,13 +703,36 @@ func clusterBatchQuery(t *testing.T, base string, req measuredb.BatchQuery) ([]b
 		t.Fatal(err)
 	}
 	if rsp.StatusCode != http.StatusOK {
-		t.Fatalf("query = %d: %s", rsp.StatusCode, raw)
+		t.Fatalf("%s %s = %d: %s", rsp.Request.Method, rsp.Request.URL, rsp.StatusCode, raw)
 	}
-	var out measuredb.BatchResponse
-	if err := json.Unmarshal(raw, &out); err != nil {
+	if err := json.Unmarshal(raw, out); err != nil {
 		t.Fatal(err)
 	}
+	return raw
+}
+
+// clusterBatchQuery runs one /v2/query against base and returns the raw
+// response bytes plus the decoded document.
+func clusterBatchQuery(t *testing.T, base string, req measuredb.BatchQuery) ([]byte, measuredb.BatchResponse) {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rsp, err := http.Post(base+"/v2/query", "application/json", strings.NewReader(string(body)))
+	var out measuredb.BatchResponse
+	raw := clusterReadJSON(t, rsp, err, &out)
 	return raw, out
+}
+
+// clusterSamplesPage reads one JSON sample page (target is the full URL,
+// of a node or the coordinator) and returns the raw body beside it.
+func clusterSamplesPage(t *testing.T, target string) ([]byte, measuredb.SamplesPage) {
+	t.Helper()
+	rsp, err := http.Get(target)
+	var page measuredb.SamplesPage
+	raw := clusterReadJSON(t, rsp, err, &page)
+	return raw, page
 }
 
 // TestSystemClusterHandoffUnderLiveIngest is the kill-free handoff
@@ -722,8 +740,9 @@ func clusterBatchQuery(t *testing.T, base string, req measuredb.BatchQuery) ([]b
 // /v2 writes while one shard is moved live from node 0 to node 1 —
 // freeze, archive, replay, epoch flip, release. Afterwards every acked
 // row is present exactly once, a bounded /v2/query over a quiesced
-// series is byte-for-byte identical across the epoch flip, and a keyed
-// batch retried across the move still replays instead of re-executing.
+// series is byte-for-byte identical across the epoch flip, a page cursor
+// cut before the move resumes on the new owner, and a keyed batch
+// retried across the move still replays instead of re-executing.
 func TestSystemClusterHandoffUnderLiveIngest(t *testing.T) {
 	ctx := context.Background()
 	m := master.New(master.Options{})
@@ -819,6 +838,13 @@ func TestSystemClusterHandoffUnderLiveIngest(t *testing.T) {
 	if pre.Series != 1 || pre.Samples != len(static) {
 		t.Fatalf("golden pre-move: %d series, %d samples", pre.Series, pre.Samples)
 	}
+	// Page 1 of a two-page walk over the same series, cut by node 0; page
+	// 2 is asked for after the move, when node 1 has to honour the cursor.
+	samplesPath := "/v2/series/" + url.PathEscape(movDev) + "/humidity/samples?limit=2"
+	_, page1 := clusterSamplesPage(t, coordURL+samplesPath)
+	if page1.Count != 2 || page1.NextCursor == "" {
+		t.Fatalf("pre-move page 1: %+v", page1)
+	}
 
 	// Live keyed ingest through the coordinator: one row per series per
 	// batch at distinct timestamps. A batch whose delivery fails is
@@ -902,6 +928,17 @@ func TestSystemClusterHandoffUnderLiveIngest(t *testing.T) {
 	goldenPost, _ := clusterBatchQuery(t, coordURL, goldenQuery)
 	if string(goldenPre) != string(goldenPost) {
 		t.Fatalf("query differs across the flip:\npre:  %s\npost: %s", goldenPre, goldenPost)
+	}
+
+	// The walk started before the move ends on the new owner: the last
+	// sample, once, and the coordinator's bytes are that node's bytes.
+	page2Path := samplesPath + "&cursor=" + url.QueryEscape(page1.NextCursor)
+	viaCoord, page2 := clusterSamplesPage(t, coordURL+page2Path)
+	if page2.Count != 1 || !page2.Samples[0].At.Equal(static[2].At) || page2.NextCursor != "" {
+		t.Fatalf("post-move page 2: %+v, want only the sample at %s", page2, static[2].At)
+	}
+	if viaNode, _ := clusterSamplesPage(t, url1+page2Path); string(viaCoord) != string(viaNode) {
+		t.Fatalf("page 2 differs between coordinator and owner:\ncoordinator: %s\nnode:        %s", viaCoord, viaNode)
 	}
 
 	// Every acked live row is present exactly once, on both the moved

@@ -781,7 +781,7 @@ func s3LivePathOp(tb testing.TB) hotPathOp {
 		}
 	}()
 	h := svc.Handler()
-	ops := 0
+	var sent int64
 	return hotPathOp{
 		perOp: rowsPerOp,
 		fn: func() {
@@ -793,14 +793,25 @@ func s3LivePathOp(tb testing.TB) hotPathOp {
 				if w.status != 200 {
 					tb.Fatalf("ingest status %d", w.status)
 				}
+				// The subscriber's queue holds four of these batches: let
+				// the drainer catch up before the next request, or a host
+				// that does not schedule it in time evicts it.
+				sent += rowsPerRequest
+				for delivered.Load() < sent {
+					select {
+					case <-drained:
+						tb.Fatalf("subscriber gone after %d of %d rows; hub stats %+v", delivered.Load(), sent, svc.Stream().Hub().Stats())
+					default:
+						runtime.Gosched()
+					}
+				}
 			}
-			ops++
 		},
 		verify: func() {
 			sub.Close()
 			<-drained
-			if st := svc.Stream().Hub().Stats(); st.Evicted != 0 || delivered.Load() != int64(ops*rowsPerOp) || st.PersistErrors != 0 {
-				tb.Fatalf("delivered %d of %d rows; hub stats %+v", delivered.Load(), ops*rowsPerOp, st)
+			if st := svc.Stream().Hub().Stats(); st.Evicted != 0 || delivered.Load() != sent || st.PersistErrors != 0 {
+				tb.Fatalf("delivered %d of %d rows; hub stats %+v", delivered.Load(), sent, st)
 			}
 		},
 	}

@@ -5,99 +5,111 @@
 // tmp+fsync+rename writer. Blocks are read via mmap where available so
 // cold data stays out of the Go heap.
 //
+// Chunk bitstreams are MSB-first. This file's writer and reader move
+// them a 64-bit word at a time — a write or read is a shift and a mask,
+// memory is touched once per eight bytes — which is an implementation
+// choice, not a format one: the bytes are those a bit-at-a-time codec
+// produces, and the test-only refBitReader holds the reader to that.
+//
 // The package is self-contained (no dependency on internal/tsdb) so the
 // tsdb layer can build on top of it without an import cycle.
 package block
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+)
 
 // errBitsEOF is returned by bitReader when the stream runs out.
 var errBitsEOF = errors.New("block: bitstream exhausted")
 
-// bitWriter appends individual bits to a byte slice, MSB-first within
-// each byte.
+// bitWriter appends bits to a byte slice, MSB-first within each byte.
+// Bits collect in a 64-bit accumulator and reach b eight bytes at a
+// time; bytes() flushes the partial tail, zero-padded to a whole byte.
 type bitWriter struct {
-	b []byte
-	// free is the number of unused low-order bits in the last byte of
-	// b; 0 means the last byte is full (or b is empty).
-	free uint
+	b   []byte
+	acc uint64 // the n pending bits, in the low bits
+	n   uint   // pending bits in acc, always < 64
 }
 
-func (w *bitWriter) writeBit(bit uint64) {
-	if w.free == 0 {
-		w.b = append(w.b, 0)
-		w.free = 8
-	}
-	w.free--
-	if bit != 0 {
-		w.b[len(w.b)-1] |= 1 << w.free
-	}
-}
+func (w *bitWriter) writeBit(bit uint64) { w.writeBits(bit&1, 1) }
 
 // writeBits writes the low n bits of v, most significant first. n must
 // be in [0, 64].
 func (w *bitWriter) writeBits(v uint64, n uint) {
-	for n > 0 {
-		if w.free == 0 {
-			w.b = append(w.b, 0)
-			w.free = 8
-		}
-		take := n
-		if take > w.free {
-			take = w.free
-		}
-		shift := n - take
-		chunk := byte((v >> shift) & ((1 << take) - 1))
-		w.free -= take
-		w.b[len(w.b)-1] |= chunk << w.free
-		n -= take
+	if n < 64 {
+		v &= 1<<n - 1
 	}
+	if w.n+n < 64 {
+		w.acc = w.acc<<n | v
+		w.n += n
+		return
+	}
+	// The accumulator fills: emit its 64 bits, keep the rest of v.
+	rest := w.n + n - 64
+	w.b = binary.BigEndian.AppendUint64(w.b, w.acc<<(n-rest)|v>>rest)
+	w.acc, w.n = v&(1<<rest-1), rest
 }
 
-func (w *bitWriter) bytes() []byte { return w.b }
+// bytes flushes the pending bits and returns the stream. The writer
+// must not be written to afterwards.
+func (w *bitWriter) bytes() []byte {
+	for w.n > 0 {
+		take := min(w.n, 8)
+		w.n -= take
+		w.b = append(w.b, byte(w.acc>>w.n<<(8-take)))
+	}
+	return w.b
+}
 
-// bitReader consumes bits MSB-first from a byte slice.
+// bitReader consumes bits MSB-first from a byte slice through a 64-bit
+// refill buffer.
 type bitReader struct {
-	b   []byte
-	off int  // index of next byte
-	rem uint // unread bits remaining in b[off-1] (0 → advance)
+	b     []byte // bytes not yet loaded into buf
+	buf   uint64 // the next valid bits of the stream, in the low bits
+	valid uint   // unread bits in buf
 }
 
-func newBitReader(b []byte) *bitReader { return &bitReader{b: b} }
+// refill loads the next (up to) eight bytes into the drained buffer and
+// reports whether the stream had any left.
+func (r *bitReader) refill() bool {
+	if len(r.b) >= 8 {
+		r.buf, r.valid, r.b = binary.BigEndian.Uint64(r.b), 64, r.b[8:]
+		return true
+	}
+	r.buf, r.valid = 0, 8*uint(len(r.b))
+	for _, c := range r.b {
+		r.buf = r.buf<<8 | uint64(c)
+	}
+	r.b = nil
+	return r.valid > 0
+}
 
 func (r *bitReader) readBit() (uint64, error) {
-	if r.rem == 0 {
-		if r.off >= len(r.b) {
-			return 0, errBitsEOF
-		}
-		r.off++
-		r.rem = 8
+	if r.valid == 0 && !r.refill() {
+		return 0, errBitsEOF
 	}
-	r.rem--
-	return uint64(r.b[r.off-1]>>r.rem) & 1, nil
+	r.valid--
+	return r.buf >> r.valid & 1, nil
 }
 
-// readBits reads n bits (n in [0, 64]) MSB-first.
+// readBits reads n bits (n in [0, 64]) MSB-first. A read the stream
+// cannot satisfy drains it: every later read of n > 0 fails too.
 func (r *bitReader) readBits(n uint) (uint64, error) {
-	var v uint64
-	for n > 0 {
-		if r.rem == 0 {
-			if r.off >= len(r.b) {
-				return 0, errBitsEOF
-			}
-			r.off++
-			r.rem = 8
-		}
-		take := n
-		if take > r.rem {
-			take = r.rem
-		}
-		r.rem -= take
-		chunk := uint64(r.b[r.off-1]>>r.rem) & ((1 << take) - 1)
-		v = v<<take | chunk
-		n -= take
+	if n <= r.valid {
+		r.valid -= n
+		return r.buf >> r.valid & (1<<n - 1), nil
 	}
-	return v, nil
+	// The read straddles a refill: the buffer's tail, then the head of
+	// the next word.
+	hi := r.buf & (1<<r.valid - 1)
+	n -= r.valid
+	if !r.refill() || r.valid < n {
+		r.valid = 0
+		return 0, errBitsEOF
+	}
+	r.valid -= n
+	return hi<<n | r.buf>>r.valid&(1<<n-1), nil
 }
 
 // zigzag maps signed integers to unsigned so small magnitudes encode

@@ -212,7 +212,7 @@ func TestRollupBuckets(t *testing.T) {
 	}
 	// Codec roundtrip.
 	enc := appendRollup(nil, r1m, Res1m)
-	dec, err := decodeRollup(enc, Res1m)
+	dec, err := decodeRollup(nil, enc, Res1m)
 	if err != nil {
 		t.Fatal(err)
 	}

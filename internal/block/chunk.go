@@ -115,7 +115,7 @@ func decodeChunk(dst []Point, buf []byte) ([]Point, error) {
 
 // chunkIter streams points out of an encoded chunk.
 type chunkIter struct {
-	r       *bitReader
+	r       bitReader
 	n       int // points remaining
 	first   bool
 	t       int64
@@ -136,7 +136,7 @@ func newChunkIter(buf []byte) (*chunkIter, error) {
 	if count > uint64(len(buf))*8 {
 		return nil, fmt.Errorf("block: chunk count %d implausible for %d bytes", count, len(buf))
 	}
-	return &chunkIter{r: newBitReader(buf[n:]), n: int(count), first: true}, nil
+	return &chunkIter{r: bitReader{b: buf[n:]}, n: int(count), first: true}, nil
 }
 
 func (it *chunkIter) Next() bool {

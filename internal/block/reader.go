@@ -200,6 +200,12 @@ func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]
 // Rollup returns the precomputed buckets of key at res (Res1m or
 // Res1h).
 func (b *Block) Rollup(key Key, res int64) ([]Bucket, error) {
+	return b.AppendRollup(nil, key, res)
+}
+
+// AppendRollup is Rollup appending to dst, so a read that only folds
+// the buckets can decode series after series into one scratch slice.
+func (b *Block) AppendRollup(dst []Bucket, key Key, res int64) ([]Bucket, error) {
 	m, ok := b.Meta(key)
 	if !ok {
 		return nil, ErrNoSeries
@@ -217,7 +223,7 @@ func (b *Block) Rollup(key Key, res int64) ([]Bucket, error) {
 	if err != nil {
 		return nil, fmt.Errorf("block: %s: series %v rollup: %w", b.path, m.Key, err)
 	}
-	bks, err := decodeRollup(payload, res)
+	bks, err := decodeRollup(dst, payload, res)
 	if err != nil {
 		return nil, fmt.Errorf("block: %s: series %v rollup: %w", b.path, m.Key, err)
 	}
@@ -257,7 +263,7 @@ func (b *Block) Verify() error {
 			if err != nil {
 				return err
 			}
-			if _, err := decodeRollup(payload, rs.res); err != nil {
+			if _, err := decodeRollup(nil, payload, rs.res); err != nil {
 				return fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
 			}
 		}

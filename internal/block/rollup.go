@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -93,7 +94,9 @@ func appendRollup(dst []byte, bks []Bucket, res int64) []byte {
 	return dst
 }
 
-func decodeRollup(buf []byte, res int64) ([]Bucket, error) {
+// decodeRollup appends the buckets of an encoded rollup chunk to dst; on
+// error the result is nil.
+func decodeRollup(dst []Bucket, buf []byte, res int64) ([]Bucket, error) {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return nil, fmt.Errorf("block: bad rollup count varint")
@@ -102,7 +105,7 @@ func decodeRollup(buf []byte, res int64) ([]Bucket, error) {
 	if count > uint64(len(buf)) {
 		return nil, fmt.Errorf("block: rollup count %d implausible for %d bytes", count, len(buf))
 	}
-	out := make([]Bucket, 0, count)
+	out := slices.Grow(dst, int(count))
 	prev := int64(0)
 	for i := uint64(0); i < count; i++ {
 		d, n := binary.Varint(buf)

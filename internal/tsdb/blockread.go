@@ -31,14 +31,15 @@ func sampleAt(t int64, v float64) Sample {
 }
 
 // readScratch is the block-decode scratch one merged read borrows: the
-// point-decode buffer, the per-source slices of a page merge, and the
-// sample arena the decoded points land in. A request touching many
-// series (a batch query fanning over selectors) reuses one scratch per
-// merged call instead of re-growing these for every series. Nothing
-// handed back to callers may alias the scratch — page results are
-// copied out before release.
+// point-decode and rollup-decode buffers, the per-source slices of a
+// page merge, and the sample arena the decoded points land in. A request
+// touching many series (a batch query fanning over selectors) reuses one
+// scratch per merged call instead of re-growing these for every series.
+// Nothing handed back to callers may alias the scratch — page results
+// are copied out before release.
 type readScratch struct {
 	pts    []block.Point
+	bks    []block.Bucket
 	srcs   [][]Sample
 	capped []bool
 	smps   []Sample
@@ -56,6 +57,7 @@ func (rs *readScratch) release() {
 	rs.srcs = rs.srcs[:0]
 	rs.capped = rs.capped[:0]
 	rs.pts = rs.pts[:0]
+	rs.bks = rs.bks[:0]
 	rs.smps = rs.smps[:0]
 	rs.merged = rs.merged[:0]
 	readScratchPool.Put(rs)
@@ -459,11 +461,16 @@ func (a *Aggregate) combine(src Aggregate) {
 	}
 }
 
-// mergedAggregate is the pushdown Aggregate over head+blocks. Blocks
-// fully inside the range contribute their index statistics in O(1)
-// without touching sample data; partially covered blocks scan only the
-// overlap (raw chunks when present, whole rollup buckets otherwise —
-// the documented boundary approximation for demoted data).
+// mergedAggregate is the pushdown Aggregate over head+blocks; each
+// source answers from what it already knows. A block wholly inside the
+// range contributes its index statistics in O(1) without touching
+// sample data. A partially covered block with raw chunks is exact too
+// (rawBlockAggregate: whole 1h rollup buckets plus a decoded edge). A
+// demoted one folds whole 1m buckets — the documented boundary
+// approximation raw retention buys. The head folds its samples in place
+// (Store.Aggregate). Count, Min, Max, First and Last equal a raw scan of
+// the same rows; Sum (and so Mean) adds per-source partial sums, so it
+// may differ from a sequential scan in float association only.
 func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
 	i := s.ShardFor(key.Device)
 	store, bs := s.shards[i], s.bsets[i]
@@ -498,14 +505,9 @@ func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate,
 		case fromN <= m.MinT && m.MaxT <= toN:
 			agg.combine(metaAggregate(m))
 		case m.HasRaw():
-			var err error
-			rs.pts, err = b.Points(rs.pts[:0], bk(key), fromN, toN)
+			part, err := rawBlockAggregate(rs, b, m, fromN, toN)
 			if err != nil {
 				return Aggregate{}, err
-			}
-			var part Aggregate
-			for _, p := range rs.pts {
-				part.add(sampleAt(p.T, p.V))
 			}
 			agg.combine(part)
 		default:
@@ -528,6 +530,50 @@ func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate,
 	}
 	agg.combine(headAgg)
 	agg.finish()
+	return agg, nil
+}
+
+// rawBlockAggregate folds the samples of series m in b with fromN <= T
+// <= toN, for a block the range covers only in part. When the block
+// ends inside the range — "the last N hours" over a block cut before
+// now — every 1h rollup bucket whose samples all lie at or after fromN
+// is folded whole, and only the stretch before the first such bucket is
+// decoded: chunks have no seek points, so that decode still starts at
+// the chunk's first sample, but it stops at the edge hour, and the cost
+// follows the distance of `from` into the chunk instead of the chunk's
+// length. (The 1h tier, not 1m: at minute cadence the 1m tier is as
+// large as the chunk it would spare.) A range that ends inside the block
+// has to decode up to `to` whatever the buckets say, so it folds the
+// decoded points as they come, as does a range with no whole bucket.
+// Edge first, then buckets in time order: First/Last ties resolve as in
+// a raw scan.
+func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, fromN, toN int64) (Aggregate, error) {
+	var whole []block.Bucket
+	edge, edgeTo := true, toN
+	if m.MaxT <= toN {
+		var err error
+		if rs.bks, err = b.AppendRollup(rs.bks[:0], m.Key, block.Res1h); err != nil {
+			return Aggregate{}, err
+		}
+		lo := sort.Search(len(rs.bks), func(i int) bool { return rs.bks[i].FirstT >= fromN })
+		if whole = rs.bks[lo:]; len(whole) > 0 {
+			// What precedes the first whole bucket sits in bucket lo-1.
+			edge, edgeTo = lo > 0 && rs.bks[lo-1].LastT >= fromN, whole[0].Start-1
+		}
+	}
+	var agg Aggregate
+	if edge {
+		var err error
+		if rs.pts, err = b.PointsLimit(rs.pts[:0], m.Key, fromN, edgeTo, -1); err != nil {
+			return Aggregate{}, err
+		}
+		for _, p := range rs.pts {
+			agg.add(sampleAt(p.T, p.V))
+		}
+	}
+	for _, rb := range whole {
+		agg.combine(bucketAggregate(rb))
+	}
 	return agg, nil
 }
 

@@ -262,13 +262,21 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	var out []Sample
+	sr.eachRun(from, to, func(run []Sample) { out = append(out, run...) })
+	return out, nil
+}
+
+// eachRun hands f, in time order, every stored run of samples with At in
+// [from, to]. The runs alias the segments: f must not keep them past the
+// series lock, which the caller holds. Segments are time-ordered; whole
+// segments outside the range are skipped and only boundary segments are
+// binary-searched, so the walk is O(#segments + result), not O(series
+// length).
+func (sr *series) eachRun(from, to time.Time, f func(run []Sample)) {
 	if len(sr.spill) > 0 {
 		sr.foldSpill()
 	}
-	// Segments are time-ordered; skip whole segments outside the range
-	// and binary-search only within boundary segments, so query cost is
-	// O(#segments + result) rather than O(series length).
-	var out []Sample
 	for _, seg := range sr.segments {
 		n := len(seg.samples)
 		if n == 0 || seg.samples[n-1].At.Before(from) {
@@ -277,11 +285,10 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 		if seg.samples[0].At.After(to) {
 			break
 		}
-		lo := sort.Search(n, func(i int) bool { return !seg.samples[i].At.Before(from) })
-		hi := sort.Search(n, func(i int) bool { return seg.samples[i].At.After(to) })
-		out = append(out, seg.samples[lo:hi]...)
+		lo := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(from) })
+		hi := searchSamples(seg.samples, func(smp Sample) bool { return smp.At.After(to) })
+		f(seg.samples[lo:hi])
 	}
-	return out, nil
 }
 
 // Latest returns the most recent sample of a series.
@@ -350,23 +357,31 @@ type Aggregate struct {
 	First, Last Sample
 }
 
-// Aggregate computes summary statistics over [from, to]. It walks the
-// range through the paging iterator, so memory stays bounded however
-// large the range is — the aggregation is pushed down into the store
-// instead of flattening the samples first.
+// Aggregate computes summary statistics over [from, to] (a zero `to`
+// means "now"). The samples are folded where they are stored, under the
+// series lock: nothing is copied and the result is one consistent cut of
+// the series however large the range is.
 func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
-	it := s.Iter(key, from, to, 0)
+	if to.IsZero() {
+		to = time.Now()
+	}
+	if to.Before(from) {
+		return Aggregate{}, ErrBadInterval
+	}
+	s.mu.RLock()
+	sr := s.series[key]
+	s.mu.RUnlock()
+	if sr == nil {
+		return Aggregate{}, ErrNoSeries
+	}
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
 	var a Aggregate
-	for {
-		smp, ok := it.Next()
-		if !ok {
-			break
+	sr.eachRun(from, to, func(run []Sample) {
+		for i := range run {
+			a.add(run[i])
 		}
-		a.add(smp)
-	}
-	if err := it.Err(); err != nil {
-		return Aggregate{}, err
-	}
+	})
 	a.finish()
 	return a, nil
 }

@@ -59,6 +59,10 @@ var benchT0 = time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
 // follows every returned proxy URI, and integrates the comprehensive
 // model. Latency should grow with the number of proxies *in the area*,
 // not with total district size (the redirection/scalability claim).
+// The one poll's rows reach the measurements DB with the batcher's next
+// flush (200 ms), so the first iterations read the devices from their
+// proxies and the later ones from the DB; models are 304s after the
+// first iteration.
 // ---------------------------------------------------------------------
 
 func BenchmarkF1a_EndToEndAreaQuery(b *testing.B) {

@@ -146,3 +146,19 @@ func WriteDoc(w http.ResponseWriter, r *http.Request, doc *dataformat.Document) 
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }
+
+// NotModified is the server half of a conditional GET (RFC 9110 §13):
+// it labels the response with etag and, when the request's
+// If-None-Match names that tag (weak comparison; "*" matches any),
+// answers 304 and reports true: the caller then builds no body.
+func NotModified(w http.ResponseWriter, r *http.Request, etag string) bool {
+	w.Header().Set("ETag", etag)
+	for _, held := range strings.Split(r.Header.Get("If-None-Match"), ",") {
+		held = strings.TrimSpace(held)
+		if held == "*" || (held != "" && strings.TrimPrefix(held, "W/") == strings.TrimPrefix(etag, "W/")) {
+			w.WriteHeader(http.StatusNotModified)
+			return true
+		}
+	}
+	return false
+}

@@ -317,12 +317,30 @@ func (t *Transport) Delete(ctx context.Context, url string) error {
 // GetDoc fetches and decodes a common-format document, asking for enc
 // via the Accept header.
 func (t *Transport) GetDoc(ctx context.Context, url string, enc dataformat.Encoding) (*dataformat.Document, error) {
+	doc, _, err := t.GetDocIfChanged(ctx, url, enc, "")
+	return doc, err
+}
+
+// GetDocIfChanged is GetDoc for a caller that may hold the document
+// already: held, the ETag it holds it under ("" for none), goes out as
+// If-None-Match. A 304 answers a nil document and held; a 200 the
+// document and the response's ETag ("" when the server sent none). A
+// 304 nobody asked for stays the *StatusError Do makes of it.
+func (t *Transport) GetDocIfChanged(ctx context.Context, url string, enc dataformat.Encoding, held string) (*dataformat.Document, string, error) {
 	h := http.Header{"Accept": {enc.ContentType()}}
-	raw, rsp, err := t.Do(ctx, http.MethodGet, url, h, nil)
-	if err != nil {
-		return nil, err
+	if held != "" {
+		h.Set("If-None-Match", held)
 	}
-	return dataformat.Decode(raw, responseEncoding(rsp))
+	raw, rsp, err := t.Do(ctx, http.MethodGet, url, h, nil)
+	var se *StatusError
+	if held != "" && errors.As(err, &se) && se.Status == http.StatusNotModified {
+		return nil, held, nil
+	}
+	if err != nil {
+		return nil, "", err
+	}
+	doc, err := dataformat.Decode(raw, responseEncoding(rsp))
+	return doc, rsp.Header.Get("ETag"), err
 }
 
 // PostDoc sends a common-format document and decodes the reply document

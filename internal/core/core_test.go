@@ -3,11 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/dataformat"
+	"repro/internal/integration"
 	"repro/internal/measuredb"
 	"repro/internal/ontology"
 )
@@ -319,5 +323,176 @@ func TestReadYourWritesAcrossCoordinators(t *testing.T) {
 				t.Fatalf("after write %d, aggregate through B = %+v, %v", i, agg, err)
 			}
 		}
+	}
+}
+
+// pathTally is a RoundTripper counting responses by "<status> <path>".
+type pathTally struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (c *pathTally) RoundTrip(r *http.Request) (*http.Response, error) {
+	rsp, err := http.DefaultTransport.RoundTrip(r)
+	if err == nil {
+		c.mu.Lock()
+		c.seen[fmt.Sprintf("%d %s", rsp.StatusCode, r.URL.Path)]++
+		c.mu.Unlock()
+	}
+	return rsp, err
+}
+
+// take returns the counts since the last take.
+func (c *pathTally) take() map[string]int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := c.seen
+	c.seen = map[string]int{}
+	return out
+}
+
+// TestBuildAreaModelRoundTrips pins what the paper's query costs on the
+// wire and that its two device-data paths tell the same story: a warm
+// call is 3 + P requests (P model proxies), P + 1 of them 304s; a device
+// the measurements DB has nothing for costs that device's proxy calls
+// and nobody else's; with the DB unreachable every device is read from
+// its proxy and the call still succeeds, building the same model.
+func TestBuildAreaModelRoundTrips(t *testing.T) {
+	const buildings, devicesPer = 4, 2
+	d, err := Bootstrap(Spec{Buildings: buildings, Networks: 1, DevicesPerBuilding: devicesPer, PollEvery: time.Hour, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	if delivered, dropped := pollAndFlush(t, d); delivered == 0 || dropped != 0 {
+		t.Fatalf("device rows: %d delivered, %d dropped", delivered, dropped)
+	}
+	const modelProxies, devices = buildings + 1, buildings * devicesPer
+	seen := &pathTally{seen: map[string]int{}}
+	c := &client.Client{MasterURL: d.MasterURL, HTTP: &http.Client{Transport: seen}, MaxAttempts: 1}
+	ctx := context.Background()
+	opts := client.BuildOptions{IncludeDevices: true, IncludeGIS: true}
+	build := func() (*integration.AreaModel, map[string]int) {
+		t.Helper()
+		model, err := c.BuildAreaModel(ctx, d.Spec.District, client.Area{}, opts)
+		if err != nil {
+			t.Fatalf("BuildAreaModel: %v", err)
+		}
+		return model, seen.take()
+	}
+
+	_, cold := build()
+	wantCold := map[string]int{"200 /v1/query": 1, "200 /v2/query": 1, "200 /v1/features": 1, "200 /v1/model": modelProxies}
+	if !reflect.DeepEqual(cold, wantCold) {
+		t.Fatalf("cold call = %v, want %v", cold, wantCold)
+	}
+	fromDB, warm := build()
+	wantWarm := map[string]int{"200 /v1/query": 1, "200 /v2/query": 1, "304 /v1/features": 1, "304 /v1/model": modelProxies}
+	if !reflect.DeepEqual(warm, wantWarm) {
+		t.Fatalf("warm call = %v, want %v (3 + P requests, P + 1 of them 304s)", warm, wantWarm)
+	}
+	t.Logf("warm call: %d requests for %d model proxies and %d devices", 3+modelProxies, modelProxies, devices)
+
+	// One device's series vanish from the DB: that device alone is read
+	// from its proxy — one info, one latest per quantity it senses.
+	const lost = "urn:district:turin/building:b01/device:d00"
+	keys := d.Measure.Store().KeysForDevice(lost)
+	for _, key := range keys {
+		d.Measure.Store().Drop(key)
+	}
+	oneLost, counts := build()
+	wantWarm["200 /v1/info"], wantWarm["200 /v1/latest"] = 1, len(keys)
+	if len(keys) == 0 || !reflect.DeepEqual(counts, wantWarm) {
+		t.Fatalf("one device lost from the DB (%d series) = %v, want %v", len(keys), counts, wantWarm)
+	}
+
+	// The DB cannot be reached: every device falls back, nothing fails.
+	root := ontology.DistrictURI(d.Spec.District)
+	if err := d.Master.Ontology().SetProperty(root, ontology.PropMeasureURI, "http://127.0.0.1:1/"); err != nil {
+		t.Fatal(err)
+	}
+	fromProxies, counts := build()
+	if counts["200 /v1/info"] != devices || counts["200 /v1/latest"] < 2*devices || counts["200 /v2/query"] != 0 {
+		t.Fatalf("unreachable DB = %v, want every one of the %d devices read from its proxy", counts, devices)
+	}
+
+	// The two paths agree on every entity and on every measurement; only
+	// a device's name differs (the ontology's from the DB path, the
+	// proxy's own from the proxy path).
+	type sample struct {
+		device, quantity string
+		at               int64
+		value            float64
+		unit             dataformat.Unit
+	}
+	describe := func(m *integration.AreaModel) (entities map[string][3]string, samples map[sample]bool) {
+		entities, samples = map[string][3]string{}, map[sample]bool{}
+		for i := range m.Entities {
+			e := &m.Entities[i]
+			protocol, _ := e.Prop("protocol")
+			proxyURI, _ := e.Prop("proxy.uri")
+			entities[e.URI] = [3]string{string(e.Kind), protocol, proxyURI}
+		}
+		for _, ms := range m.Measurements {
+			samples[sample{ms.Device, string(ms.Quantity), ms.Timestamp.UnixNano(), ms.Value, ms.Unit}] = true
+		}
+		return entities, samples
+	}
+	wantEntities, wantSamples := describe(fromProxies)
+	if len(wantSamples) < 2*devices {
+		t.Fatalf("proxy-built model carries %d samples for %d devices", len(wantSamples), devices)
+	}
+	for name, m := range map[string]*integration.AreaModel{"DB-built": fromDB, "one-device-lost": oneLost} {
+		entities, samples := describe(m)
+		if !reflect.DeepEqual(entities, wantEntities) {
+			t.Errorf("%s model's entities differ from the proxy-built model's:\n got %v\nwant %v", name, entities, wantEntities)
+		}
+		if !reflect.DeepEqual(samples, wantSamples) {
+			t.Errorf("%s model's measurements differ from the proxy-built model's:\n got %v\nwant %v", name, samples, wantSamples)
+		}
+	}
+	if got := wantEntities[lost]; got[0] != string(dataformat.EntityDevice) || got[1] == "" || got[2] == "" {
+		t.Errorf("device %s = %v, want a device with its protocol and proxy URI", lost, got)
+	}
+}
+
+// With History set the device data is the DB's trailing window — and a
+// series holding more samples in the window than one batch series may
+// carry is paged to its end, not cut at the batch limit.
+func TestBuildAreaModelHistoryPagesPastTheBatchLimit(t *testing.T) {
+	d, err := Bootstrap(Spec{Buildings: 1, Networks: 1, DevicesPerBuilding: 1, Protocols: []Protocol{ProtoOPCUA}, PollEvery: time.Hour, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(d.Close)
+	pollAndFlush(t, d) // the device's own two rows, stamped now
+	const device, backfill = "urn:district:turin/building:b00/device:d00", measuredb.MaxPageLimit + 500
+	start := time.Now().UTC().Add(-6 * time.Hour).Truncate(time.Second)
+	rows := make([]measuredb.Point, backfill)
+	for i := range rows {
+		rows[i] = measuredb.Point{Device: device, Quantity: "temperature", At: start.Add(time.Duration(i) * time.Second), Value: float64(i)}
+	}
+	c := d.Client()
+	ctx := context.Background()
+	if res, err := c.Ingest(d.MeasureURL).Append(ctx, rows); err != nil || res.Accepted != backfill {
+		t.Fatalf("backfill: %+v, %v", res, err)
+	}
+	model, err := c.BuildAreaModel(ctx, d.Spec.District, client.Area{}, client.BuildOptions{IncludeDevices: true, History: 12 * time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	temps := 0
+	for _, m := range model.MeasurementsFor(device) {
+		if m.Quantity == dataformat.Temperature {
+			temps++
+		}
+	}
+	if temps != backfill+1 {
+		t.Fatalf("history carries %d temperature samples, want the %d backfilled and the polled one", temps, backfill)
+	}
+	// A window that starts after the backfill sees only the polled rows.
+	model, err = c.BuildAreaModel(ctx, d.Spec.District, client.Area{}, client.BuildOptions{IncludeDevices: true, History: time.Minute})
+	if err != nil || len(model.MeasurementsFor(device)) != 2 {
+		t.Fatalf("one-minute history = %d samples (err=%v), want the two polled rows", len(model.MeasurementsFor(device)), err)
 	}
 }

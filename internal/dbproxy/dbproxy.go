@@ -9,10 +9,14 @@ package dbproxy
 import (
 	"context"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/bim"
@@ -29,6 +33,27 @@ type common struct {
 	srv  proxyhttp.Server
 	apiS *api.Server
 	reg  *proxyhttp.Registrar
+}
+
+// conditional makes a model route revalidatable. The ETag names the
+// model version, the negotiated encoding and the query, so a request
+// whose If-None-Match still matches is answered 304 before next
+// translates, solves, encodes or compresses anything. The version is
+// read before the model: a mutation racing the request can label the
+// newer body with the older tag (one spare refetch), never the reverse.
+// The tag is weak because the gzip and identity codings share it.
+func conditional(version func() uint64, next http.Handler) http.Handler {
+	// Tells these versions from those of an earlier process that served
+	// another model at the same address.
+	born := time.Now().UnixNano()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		query := fnv.New64a()
+		_, _ = query.Write([]byte(r.URL.RawQuery)) // a hash.Hash never fails a write
+		etag := fmt.Sprintf(`W/"%x-%x-%s-%x"`, born, version(), api.NegotiateEncoding(r), query.Sum64())
+		if !api.NotModified(w, r, etag) {
+			next.ServeHTTP(w, r)
+		}
+	})
 }
 
 // Metrics exposes the per-route API metrics.
@@ -88,17 +113,19 @@ func (p *BIMProxy) EntityURI() string {
 
 // Handler returns the proxy's web interface:
 //
-//	GET /v1/model     the translated building (entity document, JSON/XML)
+//	GET /v1/model     the translated building (entity document, JSON/XML;
+//	                  ETag / If-None-Match, one version: it never changes)
 //	GET /v1/devices   device URIs placed in the building
 //	GET /v1/metrics, /v1/healthz   (legacy unversioned aliases included)
 func (p *BIMProxy) buildAPI() *api.Server {
 	s := api.NewServer(api.Options{Service: "dbproxy-bim"})
-	s.Get("/model", func(ctx context.Context, q url.Values) (any, error) {
-		p.mu.RLock()
-		e := BuildingEntity(p.building, p.district)
-		p.mu.RUnlock()
-		return dataformat.NewEntityDoc(e), nil
-	})
+	s.Handle(http.MethodGet, "/model", conditional(func() uint64 { return 0 },
+		api.Query(func(ctx context.Context, q url.Values) (any, error) {
+			p.mu.RLock()
+			e := BuildingEntity(p.building, p.district)
+			p.mu.RUnlock()
+			return dataformat.NewEntityDoc(e), nil
+		})))
 	s.Get("/devices", func(ctx context.Context, q url.Values) (any, error) {
 		p.mu.RLock()
 		uris := p.building.DeviceURIs()
@@ -133,6 +160,7 @@ type SIMProxy struct {
 	district string
 	mu       sync.RWMutex
 	network  *sim.Network
+	version  atomic.Uint64 // bumped by every SetDemand
 }
 
 // NewSIMProxy wraps a decoded network model.
@@ -154,25 +182,28 @@ func (p *SIMProxy) EntityURI() string {
 func (p *SIMProxy) SetDemand(nodeID string, kw float64) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.version.Add(1)
 	return p.network.SetDemand(nodeID, kw)
 }
 
 // Handler returns the proxy's web interface:
 //
-//	GET /v1/model      the translated network with solved flows
+//	GET /v1/model      the translated network with solved flows (ETag /
+//	                   If-None-Match; SetDemand moves the version)
 //	GET /v1/solution   the raw steady-state solution (JSON)
 //	GET /v1/metrics, /v1/healthz   (legacy unversioned aliases included)
 func (p *SIMProxy) buildAPI() *api.Server {
 	s := api.NewServer(api.Options{Service: "dbproxy-sim"})
-	s.Get("/model", func(ctx context.Context, q url.Values) (any, error) {
-		p.mu.RLock()
-		e, err := NetworkEntity(p.network, p.district)
-		p.mu.RUnlock()
-		if err != nil {
-			return nil, api.Internal(err)
-		}
-		return dataformat.NewEntityDoc(e), nil
-	})
+	s.Handle(http.MethodGet, "/model", conditional(p.version.Load,
+		api.Query(func(ctx context.Context, q url.Values) (any, error) {
+			p.mu.RLock()
+			e, err := NetworkEntity(p.network, p.district)
+			p.mu.RUnlock()
+			if err != nil {
+				return nil, api.Internal(err)
+			}
+			return dataformat.NewEntityDoc(e), nil
+		})))
 	s.Get("/solution", func(ctx context.Context, q url.Values) (any, error) {
 		p.mu.RLock()
 		sol, err := p.network.Solve()
@@ -224,11 +255,12 @@ func (p *GISProxy) Store() *gis.Store { return p.store }
 //
 //	GET /v1/features?minLat=&minLon=&maxLat=&maxLon=   bbox query
 //	GET /v1/features?lat=&lon=&radius=                 radius query
+//	        (both: ETag / If-None-Match; a store mutation moves the version)
 //	GET /v1/feature?id=...
 //	GET /v1/metrics, /v1/healthz   (legacy unversioned aliases included)
 func (p *GISProxy) buildAPI() *api.Server {
 	s := api.NewServer(api.Options{Service: "dbproxy-gis"})
-	s.Get("/features", p.features)
+	s.Handle(http.MethodGet, "/features", conditional(p.store.Version, api.Query(p.features)))
 	s.Get("/feature", p.feature)
 	return s
 }
@@ -250,10 +282,12 @@ func (p *GISProxy) features(ctx context.Context, q url.Values) (any, error) {
 		feats, err = p.store.QueryRadius(gis.Point{Lat: lat, Lon: lon}, radius)
 	case q.Get("minLat") != "":
 		var box gis.BBox
-		box.MinLat, _ = strconv.ParseFloat(q.Get("minLat"), 64)
-		box.MinLon, _ = strconv.ParseFloat(q.Get("minLon"), 64)
-		box.MaxLat, _ = strconv.ParseFloat(q.Get("maxLat"), 64)
-		box.MaxLon, _ = strconv.ParseFloat(q.Get("maxLon"), 64)
+		sides := [4]*float64{&box.MinLat, &box.MinLon, &box.MaxLat, &box.MaxLon}
+		for i, name := range [4]string{"minLat", "minLon", "maxLat", "maxLon"} {
+			if *sides[i], err = strconv.ParseFloat(q.Get(name), 64); err != nil {
+				return nil, api.BadRequest(fmt.Errorf("bad %s %q", name, q.Get(name)))
+			}
+		}
 		feats, err = p.store.QueryBBox(box)
 	default:
 		return nil, api.BadRequest(errors.New("need a bbox or radius query"))

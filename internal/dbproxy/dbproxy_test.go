@@ -261,3 +261,115 @@ func TestProxyRunWithoutMaster(t *testing.T) {
 		t.Error("proxy alive after Close")
 	}
 }
+
+// A bbox the proxy cannot read, or one that is inverted or off the
+// globe, is a 400 with the standard envelope — like the radius branch
+// and the master's area parser — never a 200 over a zero box.
+func TestGISProxyRejectsBadBoxes(t *testing.T) {
+	store := gis.NewStore(0)
+	_ = store.Add(gis.Feature{ID: "urn:district:turin/building:b01", Kind: gis.FeatureBuilding,
+		Footprint: []gis.Point{{Lat: 0, Lon: 0}}}) // what a zero box would find
+	ts := httptest.NewServer(NewGISProxy("turin", store).Handler())
+	defer ts.Close()
+	for _, tc := range []struct {
+		name, query string
+		status      int
+	}{
+		{"well formed", "minLat=-1&minLon=-1&maxLat=1&maxLon=1", http.StatusOK},
+		{"unparsable minLat", "minLat=abc&minLon=-1&maxLat=1&maxLon=1", http.StatusBadRequest},
+		{"unparsable maxLon", "minLat=-1&minLon=-1&maxLat=1&maxLon=1e", http.StatusBadRequest},
+		{"missing side", "minLat=-1&minLon=-1&maxLat=1", http.StatusBadRequest},
+		{"inverted latitudes", "minLat=1&minLon=-1&maxLat=-1&maxLon=1", http.StatusBadRequest},
+		{"inverted longitudes", "minLat=-1&minLon=1&maxLat=1&maxLon=-1", http.StatusBadRequest},
+		{"off the globe", "minLat=-91&minLon=-1&maxLat=1&maxLon=1", http.StatusBadRequest},
+	} {
+		rsp, err := http.Get(ts.URL + "/v1/features?" + tc.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env api.Envelope
+		decodeErr := json.NewDecoder(rsp.Body).Decode(&env)
+		rsp.Body.Close()
+		if rsp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d", tc.name, rsp.StatusCode, tc.status)
+		}
+		if tc.status != http.StatusOK && (decodeErr != nil || env.Code != "bad_request" || env.Status != tc.status || env.Error == "") {
+			t.Errorf("%s: envelope %+v (decode: %v)", tc.name, env, decodeErr)
+		}
+	}
+}
+
+// Every model route carries an ETag that names the model version, the
+// negotiated encoding and the query; a request that presents it back
+// gets an empty 304, and one that presents nothing gets the body it
+// always got.
+func TestModelRoutesRevalidate(t *testing.T) {
+	building := bim.Synthesize(bim.SynthOptions{Seed: 7, Storeys: 1, SpacesPerStorey: 1})
+	bimProxy, err := NewBIMProxy("turin", building)
+	if err != nil {
+		t.Fatal(err)
+	}
+	network := sim.Synthesize(sim.SynthOptions{Seed: 4, Substations: 3})
+	simProxy, err := NewSIMProxy("turin", network)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := gis.NewStore(0)
+	_ = store.Add(gis.Feature{ID: "f1", Kind: gis.FeatureBuilding, Footprint: []gis.Point{{Lat: 45, Lon: 7}}})
+	gisProxy := NewGISProxy("turin", store)
+
+	get := func(h http.Handler, path, accept, ifNoneMatch string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, path, nil)
+		req.Header.Set("Accept", accept)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	const box = "/v1/features?minLat=44&minLon=6&maxLat=46&maxLon=8"
+	for _, rt := range []struct {
+		name   string
+		h      http.Handler
+		path   string
+		mutate func() // moves the model version; nil: the model cannot change
+	}{
+		{"bim", bimProxy.Handler(), "/v1/model", nil},
+		{"sim", simProxy.Handler(), "/v1/model", func() { simProxy.SetDemand(network.Nodes[len(network.Nodes)-1].ID, 999) }},
+		{"gis", gisProxy.Handler(), box, func() {
+			_ = store.Add(gis.Feature{ID: "f2", Kind: gis.FeatureBuilding, Footprint: []gis.Point{{Lat: 45, Lon: 7}}})
+		}},
+	} {
+		plain := get(rt.h, rt.path, "application/json", "")
+		etag := plain.Header().Get("ETag")
+		if plain.Code != http.StatusOK || etag == "" || plain.Body.Len() == 0 {
+			t.Fatalf("%s: unconditional GET = %d, ETag %q, %d bytes", rt.name, plain.Code, etag, plain.Body.Len())
+		}
+		for _, presented := range []string{etag, `"other", ` + etag, "*"} {
+			if rec := get(rt.h, rt.path, "application/json", presented); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("ETag") != etag {
+				t.Errorf("%s: If-None-Match %s = %d with %d bytes, ETag %q", rt.name, presented, rec.Code, rec.Body.Len(), rec.Header().Get("ETag"))
+			}
+		}
+		if rec := get(rt.h, rt.path, "application/json", `"other"`); rec.Code != http.StatusOK || rec.Body.String() != plain.Body.String() {
+			t.Errorf("%s: a tag the server never issued = %d", rt.name, rec.Code)
+		}
+		// The JSON tag does not validate the XML representation.
+		if rec := get(rt.h, rt.path, "application/xml", etag); rec.Code != http.StatusOK || rec.Header().Get("ETag") == etag {
+			t.Errorf("%s: XML under the JSON tag = %d, ETag %q", rt.name, rec.Code, rec.Header().Get("ETag"))
+		}
+		if rt.mutate == nil {
+			continue
+		}
+		rt.mutate()
+		rec := get(rt.h, rt.path, "application/json", etag)
+		if rec.Code != http.StatusOK || rec.Header().Get("ETag") == etag || rec.Body.String() == plain.Body.String() {
+			t.Errorf("%s: after a mutation the old tag = %d, ETag %q (was %q)", rt.name, rec.Code, rec.Header().Get("ETag"), etag)
+		}
+	}
+	// Nor does one query's tag validate another's.
+	etag := get(gisProxy.Handler(), box, "application/json", "").Header().Get("ETag")
+	if rec := get(gisProxy.Handler(), "/v1/features?minLat=0&minLon=0&maxLat=1&maxLon=1", "application/json", etag); rec.Code != http.StatusOK {
+		t.Errorf("gis: another box under this box's tag = %d", rec.Code)
+	}
+}

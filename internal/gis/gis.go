@@ -150,6 +150,7 @@ type Store struct {
 	cellDeg float64
 
 	mu       sync.RWMutex
+	version  uint64 // counts mutations; see Version
 	features map[string]*Feature
 	grid     map[cellKey][]string
 	// large holds features whose bounds cover more cells than
@@ -205,6 +206,7 @@ func (s *Store) Add(f Feature) error {
 	if _, dup := s.features[f.ID]; dup {
 		return fmt.Errorf("%w: %s", ErrDuplicateID, f.ID)
 	}
+	s.version++
 	cp := f
 	cp.Footprint = append([]Point(nil), f.Footprint...)
 	s.features[f.ID] = &cp
@@ -233,6 +235,7 @@ func (s *Store) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
+	s.version++
 	delete(s.features, id)
 	if _, isLarge := s.large[id]; isLarge {
 		delete(s.large, id)
@@ -251,6 +254,14 @@ func (s *Store) Remove(id string) error {
 		}
 	}
 	return nil
+}
+
+// Version counts the store's mutations: two reads under one version
+// saw the same features (the GIS proxy derives its ETag from it).
+func (s *Store) Version() uint64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.version
 }
 
 // Get returns a copy of the feature with the given ID.

@@ -597,10 +597,11 @@ func (c *Coordinator) fanQuery(ctx context.Context, m cluster.Map, req BatchQuer
 			defer wg.Done()
 			node := results[i].node
 			nr := perNode[node]
-			body, _ := json.Marshal(BatchQuery{
-				Selectors: nr.sels, From: req.From, To: req.To,
-				Limit: req.Limit, Aggregate: req.Aggregate, Window: req.Window,
-			})
+			// Only the selectors are replaced, so a field added to
+			// BatchQuery reaches the nodes without an edit here.
+			part := req
+			part.Selectors = nr.sels
+			body, _ := json.Marshal(part)
 			u := api.URL2(node, "/query")
 			h := http.Header{"Content-Type": {"application/json"}}
 			raw, err := c.forwardBody(ctx, http.MethodPost, u, m.Epoch, h, body)

@@ -88,7 +88,15 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 
 	for _, dev := range devices {
 		series := "/v2/series/" + url.PathEscape(dev) + "/temperature"
-		query, _ := json.Marshal(BatchQuery{Selectors: []SeriesSelector{{Device: dev, Quantity: "temperature"}}, Limit: 50})
+		sels := []SeriesSelector{{Device: dev, Quantity: "temperature"}}
+		query, _ := json.Marshal(BatchQuery{Selectors: sels, Limit: 50})
+		// Ten selectors carry the one-row-per-series modes past the 1 KiB
+		// compression floor on both hops.
+		for len(sels) < 10 {
+			sels = append(sels, sels[0])
+		}
+		queryAgg, _ := json.Marshal(BatchQuery{Selectors: sels, Aggregate: true})
+		queryLatest, _ := json.Marshal(BatchQuery{Selectors: sels, Latest: true})
 		for _, rt := range []struct {
 			name, method, path, accept string
 			body                       []byte
@@ -104,6 +112,10 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 			{"latest", "GET", series + "/latest", "", nil, false},
 			{"batch json", "POST", "/v2/query", "", query, true},
 			{"batch ndjson", "POST", "/v2/query?encoding=ndjson", "", query, true},
+			{"batch aggregate json", "POST", "/v2/query", "", queryAgg, true},
+			{"batch aggregate ndjson", "POST", "/v2/query?encoding=ndjson", "", queryAgg, true},
+			{"batch latest json", "POST", "/v2/query", "", queryLatest, true},
+			{"batch latest ndjson", "POST", "/v2/query?encoding=ndjson", "", queryLatest, true},
 		} {
 			var node []byte // the node's identity body
 			for _, hop := range []struct{ name, base string }{
@@ -121,6 +133,12 @@ func TestWireEquivalenceAcrossHopsAndCodings(t *testing.T) {
 					}
 					if !bytes.Equal(got, node) {
 						t.Errorf("%s: body differs\n got %.300s\nwant %.300s", label, got, node)
+					}
+					// The freshest sample is the last one ingested: a field
+					// the coordinator dropped would answer raw pages here.
+					if last := `"at":"` + base.Add((rows-1)*time.Second).Format(time.RFC3339Nano); strings.HasPrefix(rt.name, "batch latest") &&
+						(bytes.Count(got, []byte(last)) != len(sels) || bytes.Count(got, []byte(`"at"`)) != len(sels)) {
+						t.Errorf("%s: want only the sample %s per selector, got %.300s", label, last, got)
 					}
 				}
 			}

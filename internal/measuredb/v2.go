@@ -44,10 +44,10 @@ const (
 	CSVType    = "text/csv"
 )
 
-// v2 pagination and batch bounds.
+// v2 pagination and batch bounds (exported for clients sizing requests).
 const (
-	maxPageLimit      = 10000
-	maxBatchSelectors = 1024
+	MaxPageLimit      = 10000
+	MaxBatchSelectors = 1024
 )
 
 // Point is one sample on the /v2 wire. Device and Quantity are set on
@@ -93,12 +93,15 @@ type BatchQuery struct {
 	From      time.Time        `json:"from,omitempty"`
 	To        time.Time        `json:"to,omitempty"`
 	// Limit caps raw samples per matched series (default DefaultPageLimit,
-	// max maxPageLimit); ignored when Aggregate or Window is set.
+	// max MaxPageLimit); ignored when Aggregate or Window is set.
 	Limit int `json:"limit,omitempty"`
 	// Aggregate returns one summary per series instead of samples.
 	Aggregate bool `json:"aggregate,omitempty"`
 	// Window (a Go duration, e.g. "5m") returns downsampled buckets.
 	Window string `json:"window,omitempty"`
+	// Latest returns each matched series' freshest sample, whatever From,
+	// To and Limit say; it cannot be combined with Aggregate or Window.
+	Latest bool `json:"latest,omitempty"`
 }
 
 // BatchSeries is one matched series' result inside a batch response.
@@ -248,7 +251,7 @@ func pageLimit(q url.Values) (int, error) {
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("bad limit %q", raw)
 	}
-	return min(n, maxPageLimit), nil
+	return min(n, MaxPageLimit), nil
 }
 
 // clampLimit applies the shared bounds to a body-supplied limit.
@@ -256,7 +259,7 @@ func clampLimit(n int) int {
 	if n <= 0 {
 		return tsdb.DefaultPageLimit
 	}
-	return min(n, maxPageLimit)
+	return min(n, MaxPageLimit)
 }
 
 // v2Series serves the paginated series catalog, optionally filtered by
@@ -523,11 +526,14 @@ func planBatch(req BatchQuery) (batchPlan, error) {
 	if len(req.Selectors) == 0 {
 		return batchPlan{}, api.BadRequest(errors.New("empty selector batch"))
 	}
-	if len(req.Selectors) > maxBatchSelectors {
-		return batchPlan{}, api.BadRequest(fmt.Errorf("%d selectors exceed the batch cap of %d", len(req.Selectors), maxBatchSelectors))
+	if len(req.Selectors) > MaxBatchSelectors {
+		return batchPlan{}, api.BadRequest(fmt.Errorf("%d selectors exceed the batch cap of %d", len(req.Selectors), MaxBatchSelectors))
 	}
 	if !req.To.IsZero() && req.To.Before(req.From) {
 		return batchPlan{}, api.BadRequest(errors.New("to before from"))
+	}
+	if req.Latest && (req.Aggregate || req.Window != "") {
+		return batchPlan{}, api.BadRequest(errors.New("latest cannot be combined with aggregate or window"))
 	}
 	plan := batchPlan{req: req, limit: clampLimit(req.Limit)}
 	if req.Window != "" {
@@ -561,6 +567,11 @@ func (s *Service) evalSelector(plan batchPlan, sel SeriesSelector) BatchResult {
 			var agg tsdb.Aggregate
 			if agg, err = s.store.Aggregate(key, req.From, req.To); err == nil {
 				bs.Aggregate = aggregateResponse(key, agg)
+			}
+		case req.Latest:
+			var smp tsdb.Sample
+			if smp, err = s.store.Latest(key); err == nil {
+				bs.Samples = []Point{{At: smp.At, Value: smp.Value}}
 			}
 		default:
 			var page tsdb.Page
@@ -762,6 +773,19 @@ func (s *Service) streamBatch(w http.ResponseWriter, plan batchPlan) {
 				trailer.Samples += agg.Count
 				row.Aggregate = aggregateResponse(key, agg)
 				if !emit(row) {
+					return
+				}
+			case req.Latest:
+				smp, err := s.store.Latest(key)
+				if err != nil {
+					if !emit(BatchRow{Selector: i, Error: err.Error()}) {
+						return
+					}
+					continue
+				}
+				trailer.Series++
+				trailer.Samples++
+				if !emitSample(i, key.Device, key.Quantity, smp.At, smp.Value) {
 					return
 				}
 			default:

@@ -322,6 +322,66 @@ func TestV2BatchQueryMixedHitMiss(t *testing.T) {
 	}
 }
 
+// latest answers each matched series' freshest sample — one per series
+// under a quantity-less selector — whatever range and limit say, and the
+// JSON and NDJSON renderings agree.
+func TestV2BatchQueryLatest(t *testing.T) {
+	s, ts := newTestServer(t)
+	fillSeries(t, s, v2Device, dataformat.Temperature, 7)
+	fillSeries(t, s, v2Device, dataformat.Humidity, 4)
+	req := BatchQuery{
+		Selectors: []SeriesSelector{{Device: v2Device}, {Device: "urn:district:elsewhere/d"}},
+		Latest:    true, From: t0, To: t0.Add(time.Minute), Limit: 1,
+	}
+	body, _ := json.Marshal(req)
+	rsp, err := http.Post(ts.URL+"/v2/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out BatchResponse
+	if err := json.NewDecoder(rsp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	rsp.Body.Close()
+	if len(out.Results) != 2 || len(out.Results[0].Series) != 2 || out.Results[1].Error == "" || out.Series != 2 || out.Samples != 2 {
+		t.Fatalf("latest batch = %+v", out)
+	}
+	want := map[string]Point{ // fillSeries: sample i sits at t0+i·1m with value i
+		"humidity":    {At: t0.Add(3 * time.Minute), Value: 3},
+		"temperature": {At: t0.Add(6 * time.Minute), Value: 6},
+	}
+	for _, bs := range out.Results[0].Series {
+		w := want[bs.Quantity]
+		if len(bs.Samples) != 1 || bs.Truncated || !bs.Samples[0].At.Equal(w.At) || bs.Samples[0].Value != w.Value {
+			t.Errorf("latest of %s = %+v, want %+v", bs.Quantity, bs, w)
+		}
+	}
+
+	rsp, err = http.Post(ts.URL+"/v2/query?encoding=ndjson", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	dec := json.NewDecoder(rsp.Body)
+	var rows []BatchRow
+	for {
+		var row BatchRow
+		if err := dec.Decode(&row); err != nil {
+			break
+		}
+		rows = append(rows, row)
+	}
+	// Two sample rows, the miss, and the summary trailer.
+	if len(rows) != 4 || rows[2].Error == "" {
+		t.Fatalf("ndjson latest = %+v", rows)
+	}
+	for _, row := range rows[:2] {
+		if w := want[row.Quantity]; row.At == nil || !row.At.Equal(w.At) || *row.Value != w.Value {
+			t.Errorf("ndjson latest of %s = %+v, want %+v", row.Quantity, row, w)
+		}
+	}
+}
+
 func TestV2BatchQueryAggregatePushdownManySelectors(t *testing.T) {
 	s, ts := newTestServer(t)
 	const devices = 120
@@ -392,8 +452,10 @@ func TestV2BatchQueryWindowPushdownAndCaps(t *testing.T) {
 	// Empty and oversized batches draw 400 envelopes.
 	for _, bad := range []BatchQuery{
 		{},
-		{Selectors: make([]SeriesSelector, maxBatchSelectors+1)},
+		{Selectors: make([]SeriesSelector, MaxBatchSelectors+1)},
 		{Selectors: []SeriesSelector{{Device: "x"}}, Window: "bogus"},
+		{Selectors: []SeriesSelector{{Device: "x"}}, Latest: true, Aggregate: true},
+		{Selectors: []SeriesSelector{{Device: "x"}}, Latest: true, Window: "1m"},
 	} {
 		body, _ := json.Marshal(bad)
 		rsp, err := http.Post(ts.URL+"/v2/query", "application/json", strings.NewReader(string(body)))

@@ -7,7 +7,8 @@
 // devices placed in each intermediate entity.
 //
 // The master node consults this structure to answer area queries with
-// the proxy URIs the end-user application should fetch from.
+// the proxy URIs the end-user application should fetch from: each
+// intermediate entity's own and, under it, its device leaves'.
 package ontology
 
 import (
@@ -269,13 +270,15 @@ type Resolution struct {
 	Lon      float64           `json:"lon,omitempty"`
 	ProxyURI string            `json:"proxyUri,omitempty"`
 	Extra    map[string]string `json:"extra,omitempty"`
+	// Devices are the entity's device leaves (ResolveArea fills them).
+	Devices []Resolution `json:"devices,omitempty"`
 }
 
 // ResolveArea returns the intermediate entities (buildings, networks) of
 // a district that fall inside the area, each with its proxy URI; an
-// empty area matches the whole district. Devices are not returned — the
-// end-user application reaches them through their entity's proxies,
-// matching the paper's flow.
+// empty area matches the whole district. Each entity carries its device
+// leaves (what ResolveDevices answers for it), so the end-user
+// application learns the area's device proxies in the same answer.
 func (o *Ontology) ResolveArea(district string, area Area) ([]Resolution, error) {
 	rootURI := DistrictURI(district)
 	o.mu.RLock()
@@ -290,7 +293,9 @@ func (o *Ontology) ResolveArea(district string, area Area) ([]Resolution, error)
 		if !area.Empty() && !area.contains(n.Lat, n.Lon) {
 			continue
 		}
-		out = append(out, resolutionOf(n))
+		r := resolutionOf(n)
+		r.Devices = o.devicesLocked(n)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -304,6 +309,11 @@ func (o *Ontology) ResolveDevices(entityURI string) ([]Resolution, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownNode, entityURI)
 	}
+	return o.devicesLocked(n), nil
+}
+
+// devicesLocked resolves the device leaves directly under n.
+func (o *Ontology) devicesLocked(n *Node) []Resolution {
 	var out []Resolution
 	for _, childURI := range n.Children {
 		c := o.nodes[childURI]
@@ -311,7 +321,7 @@ func (o *Ontology) ResolveDevices(entityURI string) ([]Resolution, error) {
 			out = append(out, resolutionOf(c))
 		}
 	}
-	return out, nil
+	return out
 }
 
 func resolutionOf(n *Node) Resolution {

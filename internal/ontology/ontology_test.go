@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -134,6 +135,19 @@ func TestResolveAreaWholeDistrict(t *testing.T) {
 	// Sorted children: b01, b02, dh1 — network URIs sort after buildings.
 	if got[0].URI != "urn:district:turin/building:b01" || got[0].ProxyURI != "http://bim-b01/" {
 		t.Errorf("first resolution = %+v", got[0])
+	}
+	// Each entity carries exactly what ResolveDevices answers for it.
+	for _, r := range got {
+		want, err := o.ResolveDevices(r.URI)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(r.Devices, want) {
+			t.Errorf("devices of %s = %+v, want %+v", r.URI, r.Devices, want)
+		}
+	}
+	if len(got[0].Devices) != 2 || got[0].Devices[1].Extra[PropProtocol] != "zigbee" {
+		t.Errorf("inline devices of b01 = %+v", got[0].Devices)
 	}
 }
 

@@ -11,7 +11,9 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -1593,9 +1595,13 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // bodies measure 4-5 allocs/response — a writer built per response
 // costs about 20 more — and run 200 times, because a GC between the
 // warm-up and a single measured response can empty the writer pool and
-// bill that response for a new writer. CSV encode has no ceiling: its
-// per-row conversions through encoding/csv are benchmarked for
-// reference only.
+// bill that response for a new writer. The H4 bodies are per call: a
+// client append of 1000 rows measures 38 allocations (two of them the
+// encode, the rest the request), a 900-row samples page through the
+// node's handler 59 (one of them the body) — encoding/json paid 1,034
+// and 904 — and a streamed row read by the client 0.002. CSV encode has
+// no ceiling: its per-row conversions through encoding/csv are
+// benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("allocation counts are only meaningful in a plain, full run")
@@ -1612,6 +1618,9 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"S3 ingest publish", 3.0, 1, s3LivePathOp},
 		{"gzip 100B", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 1); return op }},
 		{"gzip 8KiB", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 177); return op }},
+		{"client append 1000 rows", 64.0, 20, func(tb testing.TB) hotPathOp { return clientAppendOp(tb, false) }},
+		{"client stream row", 0.1, 1, func(tb testing.TB) hotPathOp { return clientStreamOp(tb, false) }},
+		{"samples page 900 rows", 96.0, 20, func(tb testing.TB) hotPathOp { return samplesPageEncodeOp(tb, false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)
@@ -1793,6 +1802,201 @@ func gzipOp(tb testing.TB, samples int) (op hotPathOp, ratio func() float64) {
 		},
 	}
 	return op, func() float64 { return float64(w.wire) / float64(len(body)) }
+}
+
+// H4 — the row codec on its other three ends: the Go client's ingest
+// body (client.Ingest.Append), its two sample readers (SampleStream,
+// Samples) and the node's JSON samples page. The client ops run against
+// a canned in-memory transport, so the figure is the client library —
+// request plumbing included — and not a server. Each benchmark carries
+// the encoding/json path the codec replaced, over the same input, as its
+// codec=encoding-json arm:
+//
+//	go test -run '^$' -bench 'Client(Append|StreamDecode|SamplesPage)|SamplesPageEncode' -benchtime 200x .
+
+// cannedTransport answers every request with one body from memory.
+type cannedTransport struct {
+	contentType string
+	body        []byte
+}
+
+func (c cannedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Body != nil {
+		_, _ = io.Copy(io.Discard, req.Body)
+		req.Body.Close()
+	}
+	return &http.Response{
+		StatusCode: http.StatusOK, Header: http.Header{"Content-Type": {c.contentType}},
+		Body: io.NopCloser(bytes.NewReader(c.body)), ContentLength: int64(len(c.body)), Request: req,
+	}, nil
+}
+
+// codecRows is the input of the H4 bodies: n rows shaped like the
+// district's (device URNs, readings quantised to 0.01, one-second UTC
+// stamps); with device unset they are the at/value rows of one series.
+func codecRows(n int, device string) []measuredb.Point {
+	rows := make([]measuredb.Point, n)
+	for i := range rows {
+		rows[i] = measuredb.Point{At: benchT0.Add(time.Duration(i) * time.Second), Value: 18 + float64(i%977)/100}
+		if device != "" {
+			rows[i].Device, rows[i].Quantity = fmt.Sprintf("%s%02d", device, i%64), "temperature"
+		}
+	}
+	return rows
+}
+
+const codecDevice = "urn:district:turin/building:b00/device:m"
+
+// clientAppendOp is one Ingest.Append of 1000 rows (perOp is the call:
+// its ceiling is per delivery, the encode's own cost being two
+// allocations however many rows); viaJSON is the parent's path, the
+// transport's PostJSON over an IngestBatch.
+func clientAppendOp(tb testing.TB, viaJSON bool) hotPathOp {
+	rows := codecRows(1000, codecDevice)
+	ack, _ := json.Marshal(measuredb.IngestResult{Accepted: len(rows)})
+	hc := &http.Client{Transport: cannedTransport{"application/json", ack}}
+	ic := (&client.Client{HTTP: hc, MaxAttempts: 1}).Ingest("http://canned")
+	tr := &api.Transport{Client: hc, MaxAttempts: 1}
+	ctx := context.Background()
+	return hotPathOp{perOp: 1, fn: func() {
+		var res *measuredb.IngestResult
+		var err error
+		if viaJSON {
+			res = new(measuredb.IngestResult)
+			err = tr.PostJSON(ctx, "http://canned/v2/ingest", measuredb.IngestBatch{Rows: rows}, res)
+		} else {
+			res, err = ic.Append(ctx, rows)
+		}
+		if err != nil || res.Accepted != len(rows) {
+			tb.Fatalf("append: %+v, %v", res, err)
+		}
+	}}
+}
+
+func BenchmarkClientAppend(b *testing.B) {
+	b.Run("codec=append/rows=1000", func(b *testing.B) { benchAllocsPer(b, "call", clientAppendOp(b, false)) })
+	b.Run("codec=encoding-json/rows=1000", func(b *testing.B) { benchAllocsPer(b, "call", clientAppendOp(b, true)) })
+}
+
+// clientStreamOp reads one 10000-row NDJSON samples stream to its end;
+// viaJSON decodes the same body with a json.Decoder, as SampleStream
+// did.
+func clientStreamOp(tb testing.TB, viaJSON bool) hotPathOp {
+	const rows = 10000
+	var body []byte
+	for _, p := range codecRows(rows, "") {
+		p.Device, p.Quantity = codecDevice+"00", "temperature"
+		body = append(measuredb.AppendPoint(body, p), '\n')
+	}
+	hc := &http.Client{Transport: cannedTransport{measuredb.NDJSONType, body}}
+	mc := (&client.Client{HTTP: hc, MaxAttempts: 1}).Measurements("http://canned")
+	ctx := context.Background()
+	return hotPathOp{perOp: rows, fn: func() {
+		n := 0
+		if viaJSON {
+			rsp, err := hc.Get("http://canned/v2/series/d/q/samples")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			dec := json.NewDecoder(rsp.Body)
+			for p := (measuredb.Point{}); dec.Decode(&p) == nil; p = (measuredb.Point{}) {
+				n++
+			}
+		} else {
+			st, err := mc.Stream(ctx, codecDevice+"00", "temperature")
+			if err != nil {
+				tb.Fatal(err)
+			}
+			for _, ok := st.Next(); ok; _, ok = st.Next() {
+				n++
+			}
+			if err := st.Err(); err != nil {
+				tb.Fatal(err)
+			}
+			st.Close()
+		}
+		if n != rows {
+			tb.Fatalf("decoded %d rows of %d", n, rows)
+		}
+	}}
+}
+
+func BenchmarkClientStreamDecode(b *testing.B) {
+	b.Run("codec=scanner", func(b *testing.B) { benchAllocsPer(b, "row", clientStreamOp(b, false)) })
+	b.Run("codec=encoding-json", func(b *testing.B) { benchAllocsPer(b, "row", clientStreamOp(b, true)) })
+}
+
+// samplesPageService holds one series of 2000 samples behind the node's
+// handler; its 900-row JSON page is the dashboard's "recent page".
+func samplesPageService(tb testing.TB) (h http.Handler, target string) {
+	svc := measuredb.New(measuredb.Options{DisableLegacyAliases: true})
+	tb.Cleanup(svc.Close)
+	key := tsdb.SeriesKey{Device: codecDevice + "00", Quantity: "temperature"}
+	for _, p := range codecRows(2000, "") {
+		if err := svc.Store().Append(key, tsdb.Sample{At: p.At, Value: p.Value}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return svc.Handler(), "/v2/series/" + url.PathEscape(key.Device) + "/temperature/samples?limit=900"
+}
+
+// clientSamplesPageOp is one Measurements.Samples of a 900-row page;
+// viaJSON is the transport's GetJSON into a SamplesPage, as it was.
+func clientSamplesPageOp(tb testing.TB, viaJSON bool) hotPathOp {
+	h, target := samplesPageService(tb)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+	hc := &http.Client{Transport: cannedTransport{"application/json", w.Body.Bytes()}}
+	mc := (&client.Client{HTTP: hc, MaxAttempts: 1}).Measurements("http://canned")
+	tr := &api.Transport{Client: hc, MaxAttempts: 1}
+	ctx := context.Background()
+	return hotPathOp{perOp: 900, fn: func() {
+		var page *measuredb.SamplesPage
+		var err error
+		if viaJSON {
+			page = new(measuredb.SamplesPage)
+			err = tr.GetJSON(ctx, "http://canned"+target, page)
+		} else {
+			page, err = mc.Samples(ctx, codecDevice+"00", "temperature", client.WithLimit(900))
+		}
+		if err != nil || page.Count != 900 || len(page.Samples) != 900 || page.NextCursor == "" {
+			tb.Fatalf("page: %+v, %v", page, err)
+		}
+	}}
+}
+
+func BenchmarkClientSamplesPage(b *testing.B) {
+	b.Run("codec=scanner/rows=900", func(b *testing.B) { benchAllocsPer(b, "row", clientSamplesPageOp(b, false)) })
+	b.Run("codec=encoding-json/rows=900", func(b *testing.B) { benchAllocsPer(b, "row", clientSamplesPageOp(b, true)) })
+}
+
+// samplesPageEncodeOp is one GET of the 900-row JSON page through the
+// node's handler into a discarding writer (perOp is the response);
+// viaJSON renders the same page as the handler did before: copied into
+// a SamplesPage and reflected over by api.EncodeJSON.
+func samplesPageEncodeOp(tb testing.TB, viaJSON bool) hotPathOp {
+	h, target := samplesPageService(tb)
+	page := measuredb.SamplesPage{Device: codecDevice + "00", Quantity: "temperature", Samples: codecRows(900, ""), Count: 900, NextCursor: "MTQyNTg5NTIwMzAwMDAwMDAwMDox"}
+	return hotPathOp{perOp: 1, fn: func() {
+		if viaJSON {
+			out := page
+			out.Samples = append([]measuredb.Point(nil), page.Samples...)
+			if _, err := api.EncodeJSON(out); err != nil {
+				tb.Fatal(err)
+			}
+			return
+		}
+		w := &discardResponseWriter{h: make(http.Header)}
+		h.ServeHTTP(w, httptest.NewRequest("GET", target, nil))
+		if w.status != 200 || w.wire < 900*40 {
+			tb.Fatalf("samples page: status %d, %d bytes", w.status, w.wire)
+		}
+	}}
+}
+
+func BenchmarkSamplesPageEncode(b *testing.B) {
+	b.Run("codec=append/rows=900", func(b *testing.B) { benchAllocsPer(b, "response", samplesPageEncodeOp(b, false)) })
+	b.Run("codec=encoding-json/rows=900", func(b *testing.B) { benchAllocsPer(b, "response", samplesPageEncodeOp(b, true)) })
 }
 
 // H3 — the generation-keyed result cache. The op is a full GET

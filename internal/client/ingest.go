@@ -25,6 +25,12 @@ import (
 // Every delivery carries an Idempotency-Key — caller-supplied or minted
 // per batch — so the transport's retries can replay a timed-out request
 // without double-appending its rows.
+//
+// Bodies are built by append from measuredb's row encoder: the bytes
+// json.Marshal renders, without its reflection, every row canonical for
+// the server's in-place scanner. A batch holding a row encoding/json
+// refuses (NaN, ±Inf, a year outside 0–9999) goes to json.Marshal
+// whole, which words the error.
 type Ingest struct {
 	c    *Client
 	base string
@@ -57,11 +63,15 @@ func applyIngestOpts(opts []IngestOption) ingestOpts {
 	return o
 }
 
-// post delivers one JSON write and decodes the summary envelope.
-func (g *Ingest) post(ctx context.Context, method, u string, in any, o ingestOpts) (*measuredb.IngestResult, error) {
-	body, err := json.Marshal(in)
-	if err != nil {
-		return nil, err
+// post delivers rows as one {"<field>":[…]} JSON write and decodes the
+// summary envelope.
+func (g *Ingest) post(ctx context.Context, method, u, field string, rows []measuredb.Point, o ingestOpts) (*measuredb.IngestResult, error) {
+	body, ok := measuredb.AppendBatch(make([]byte, 0, 16+128*len(rows)), field, rows)
+	if !ok {
+		var err error
+		if body, err = json.Marshal(map[string][]measuredb.Point{field: rows}); err != nil {
+			return nil, err
+		}
 	}
 	h := http.Header{
 		"Accept":       {"application/json"},
@@ -88,7 +98,7 @@ func (g *Ingest) Append(ctx context.Context, rows []measuredb.Point, opts ...Ing
 		return &measuredb.IngestResult{}, nil
 	}
 	o := applyIngestOpts(opts)
-	return g.post(ctx, http.MethodPost, api.URL2(g.base, "/ingest"), measuredb.IngestBatch{Rows: rows}, o)
+	return g.post(ctx, http.MethodPost, api.URL2(g.base, "/ingest"), "rows", rows, o)
 }
 
 // AppendSeries appends samples to one series through
@@ -100,7 +110,7 @@ func (g *Ingest) AppendSeries(ctx context.Context, device, quantity string, samp
 	}
 	o := applyIngestOpts(opts)
 	u := api.URL2(g.base, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/samples")
-	return g.post(ctx, http.MethodPut, u, measuredb.SeriesAppend{Samples: samples}, o)
+	return g.post(ctx, http.MethodPut, u, "samples", samples, o)
 }
 
 // ---------------------------------------------------------------------
@@ -256,14 +266,20 @@ func (b *Batcher) Close() {
 // ---------------------------------------------------------------------
 
 // IngestStream is a row-at-a-time NDJSON write: rows cross the wire as
-// they are written (chunked transfer), neither end materializes the
-// batch, and Close returns the server's per-row summary.
+// they are written (chunked transfer, ingestStreamBuf at a time),
+// neither end materializes the batch, and Close returns the server's
+// per-row summary.
 type IngestStream struct {
 	pw     *io.PipeWriter
-	enc    *json.Encoder
+	buf    []byte // whole encoded rows not yet handed to the pipe
 	result chan streamResult
 	closed bool
 }
+
+// ingestStreamBuf is how many encoded bytes an IngestStream gathers
+// before one write to the request pipe: a pipe write is a rendezvous
+// with the HTTP transport's goroutine, too dear to pay per row.
+const ingestStreamBuf = 32 << 10
 
 type streamResult struct {
 	res *measuredb.IngestResult
@@ -291,7 +307,7 @@ func (g *Ingest) Stream(ctx context.Context, opts ...IngestOption) (*IngestStrea
 	if g.c.HTTP != nil {
 		hc = &http.Client{Transport: g.c.HTTP.Transport, Jar: g.c.HTTP.Jar}
 	}
-	st := &IngestStream{pw: pw, enc: json.NewEncoder(pw), result: make(chan streamResult, 1)}
+	st := &IngestStream{pw: pw, buf: make([]byte, 0, ingestStreamBuf+1024), result: make(chan streamResult, 1)}
 	go func() {
 		rsp, err := hc.Do(req)
 		if err != nil {
@@ -318,8 +334,42 @@ func (g *Ingest) Stream(ctx context.Context, opts ...IngestOption) (*IngestStrea
 	return st, nil
 }
 
-// Write ships one row.
-func (s *IngestStream) Write(p measuredb.Point) error { return s.enc.Encode(p) }
+// Write ships one row: encoded now, on the wire once the buffer fills
+// or the stream is closed.
+//
+// districtlint:hotpath
+func (s *IngestStream) Write(p measuredb.Point) error {
+	if s.closed {
+		return errIngestStreamClosed
+	}
+	if !measuredb.PointOK(p) {
+		return unencodable(p)
+	}
+	s.buf = append(measuredb.AppendPoint(s.buf, p), '\n')
+	if len(s.buf) < ingestStreamBuf {
+		return nil
+	}
+	return s.flush()
+}
+
+var errIngestStreamClosed = errors.New("client: write on a closed ingest stream")
+
+// unencodable words the refusal of a row encoding/json does not accept,
+// as json.Encoder did when it encoded the rows.
+func unencodable(p measuredb.Point) error {
+	_, err := json.Marshal(p)
+	return err
+}
+
+// flush hands the buffered rows to the request pipe.
+func (s *IngestStream) flush() error {
+	if len(s.buf) == 0 {
+		return nil // an empty pipe write would still wait for a reader
+	}
+	_, err := s.pw.Write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
 
 // Close finishes the upload and returns the server's summary envelope.
 func (s *IngestStream) Close() (*measuredb.IngestResult, error) {
@@ -327,15 +377,18 @@ func (s *IngestStream) Close() (*measuredb.IngestResult, error) {
 		return nil, fmt.Errorf("client: ingest stream closed twice")
 	}
 	s.closed = true
-	if err := s.pw.Close(); err != nil {
-		return nil, err
-	}
+	err := s.flush()
+	_ = s.pw.Close() // a PipeWriter's Close cannot fail
 	r := <-s.result
+	if r.err == nil && err != nil {
+		return nil, err // the tail never left, whatever the server made of the rest
+	}
 	return r.res, r.err
 }
 
 // Abort cancels the upload without a summary (e.g. the producer failed
-// mid-stream); the server keeps the rows already received.
+// mid-stream); the server keeps the rows already received, the rows
+// still buffered are dropped.
 func (s *IngestStream) Abort(err error) {
 	if s.closed {
 		return

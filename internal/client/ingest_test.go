@@ -1,7 +1,13 @@
 package client
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"math"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -173,5 +179,114 @@ func TestIngestStreamNDJSON(t *testing.T) {
 	}
 	if got := svc.Store().Len(tsdb.SeriesKey{Device: measDevice, Quantity: "temperature"}); got != rows {
 		t.Fatalf("stored = %d", got)
+	}
+}
+
+// recordingIngest is a stub /v2/ingest that keeps the NDJSON body it
+// was sent (as far as it arrived) and acks its line count.
+func recordingIngest(t *testing.T) (*Ingest, <-chan []byte) {
+	t.Helper()
+	got := make(chan []byte, 16)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body) // an aborted upload ends in an error; what arrived is the point
+		got <- body
+		_ = json.NewEncoder(w).Encode(measuredb.IngestResult{Accepted: bytes.Count(body, []byte("\n"))})
+	}))
+	t.Cleanup(ts.Close)
+	return (&Client{MasterURL: "http://unused/"}).Ingest(ts.URL), got
+}
+
+// TestIngestStreamBuffersWholeRows: rows gather in the stream's buffer
+// and cross the pipe a buffer at a time — all of them, in order, as the
+// lines json.Encoder wrote; an Abort mid-buffer leaves the server with
+// whole rows only; a Write after Close or Abort is an error.
+func TestIngestStreamBuffersWholeRows(t *testing.T) {
+	ic, got := recordingIngest(t)
+	st, err := ic.Stream(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rows = 10000
+	var want bytes.Buffer
+	enc := json.NewEncoder(&want)
+	for i := 0; i < rows; i++ {
+		if err := st.Write(ingestRow(i)); err != nil {
+			t.Fatalf("write row %d: %v", i, err)
+		}
+		_ = enc.Encode(ingestRow(i))
+	}
+	res, err := st.Close()
+	if err != nil || res.Accepted != rows {
+		t.Fatalf("summary = %+v, %v", res, err)
+	}
+	if body := <-got; !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("the server read %d bytes, want the %d json.Encoder writes for the same rows", len(body), want.Len())
+	}
+	if err := st.Write(ingestRow(0)); err == nil {
+		t.Fatal("Write after Close succeeded")
+	}
+	if _, err := st.Close(); err == nil {
+		t.Fatal("second Close succeeded")
+	}
+
+	// 1,000 rows are more than one buffer and less than two.
+	if st, err = ic.Stream(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if err := st.Write(ingestRow(i)); err != nil {
+			t.Fatalf("write row %d: %v", i, err)
+		}
+	}
+	st.Abort(errors.New("producer failed"))
+	body := <-got
+	lines := bytes.Count(body, []byte("\n"))
+	if lines == 0 || lines >= 1000 || !bytes.HasSuffix(body, []byte("\n")) || !bytes.Equal(body, want.Bytes()[:len(body)]) {
+		t.Fatalf("after Abort the server holds %d bytes (%d lines): want a whole-row prefix short of the 1000 written", len(body), lines)
+	}
+	if err := st.Write(ingestRow(0)); err == nil {
+		t.Fatal("Write after Abort succeeded")
+	}
+}
+
+// TestIngestRefusesWhatEncodingJSONRefuses: a row json.Marshal does not
+// accept fails the delivery with json.Marshal's own words, on every
+// entrance, and sends nothing.
+func TestIngestRefusesWhatEncodingJSONRefuses(t *testing.T) {
+	ic, got := recordingIngest(t)
+	for _, bad := range []measuredb.Point{
+		{Device: "d", Quantity: "q", At: m0, Value: math.NaN()},
+		{Device: "d", Quantity: "q", At: m0, Value: math.Inf(-1)},
+		{Device: "d", Quantity: "q", At: time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC), Value: 1},
+		{Device: "d", Quantity: "q", At: m0.In(time.FixedZone("far", 24*3600)), Value: 1},
+	} {
+		rows := []measuredb.Point{ingestRow(0), bad}
+		_, want := json.Marshal(measuredb.IngestBatch{Rows: rows})
+		if _, err := ic.Append(context.Background(), rows); want == nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("Append(%+v): %v, want json.Marshal's %v", bad, err, want)
+		}
+		_, want = json.Marshal(measuredb.SeriesAppend{Samples: rows})
+		if _, err := ic.AppendSeries(context.Background(), "d", "q", rows); err == nil || err.Error() != want.Error() {
+			t.Errorf("AppendSeries(%+v): %v, want json.Marshal's %v", bad, err, want)
+		}
+		st, err := ic.Stream(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = json.NewEncoder(io.Discard).Encode(bad)
+		if err := st.Write(bad); err == nil || err.Error() != want.Error() {
+			t.Errorf("Stream.Write(%+v): %v, want json.Encoder's %v", bad, err, want)
+		}
+		st.Abort(err) // the request may or may not have reached the server; its body did not
+	}
+	for {
+		select {
+		case body := <-got:
+			if len(body) > 0 {
+				t.Fatalf("a refused delivery reached the server: %s", body)
+			}
+		default:
+			return
+		}
 	}
 }

@@ -2,7 +2,6 @@ package client
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,6 +21,11 @@ import (
 // MeasureURI). It speaks the /v2 query data plane: cursor-paginated
 // sample reads with an auto-depaginating iterator, row-at-a-time NDJSON
 // streaming, and batch multi-series queries with aggregate pushdown.
+//
+// Sample rows are read by the ingest plane's own row scanner
+// (measuredb.RowScanner, DecodeSamplesPage): the canonical row — what
+// every server in this repository writes — is parsed in place, anything
+// else is encoding/json's to decode, with json.Unmarshal's results.
 type Measurements struct {
 	c    *Client
 	base string
@@ -162,13 +166,21 @@ func (m *Measurements) AllSeries(ctx context.Context, opts ...QueryOption) ([]me
 
 // Samples returns one cursor page of a series range.
 func (m *Measurements) Samples(ctx context.Context, device, quantity string, opts ...QueryOption) (*measuredb.SamplesPage, error) {
-	o := applyOpts(opts)
-	var out measuredb.SamplesPage
-	err := m.c.transport().GetJSON(ctx, m.seriesURL(device, quantity, "samples", o.values()), &out)
+	return m.samplesPage(ctx, device, quantity, applyOpts(opts))
+}
+
+// samplesPage fetches and decodes one JSON samples page.
+func (m *Measurements) samplesPage(ctx context.Context, device, quantity string, o queryOpts) (*measuredb.SamplesPage, error) {
+	h := http.Header{"Accept": {"application/json"}}
+	raw, _, err := m.c.transport().Do(ctx, http.MethodGet, m.seriesURL(device, quantity, "samples", o.values()), h, nil)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	out := new(measuredb.SamplesPage)
+	if err := measuredb.DecodeSamplesPage(raw, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Latest returns the freshest sample of a series.
@@ -294,7 +306,8 @@ var streamHTTPClient = &http.Client{
 // crosses the wire without either end materializing it.
 type SampleStream struct {
 	body io.ReadCloser
-	dec  *json.Decoder
+	sc   *measuredb.RowScanner // nil once closed
+	row  measuredb.Point       // Next's target: a local would escape, one allocation a row
 	err  error
 }
 
@@ -331,27 +344,35 @@ func (m *Measurements) Stream(ctx context.Context, device, quantity string, opts
 			Status: rsp.StatusCode, Body: strings.TrimSpace(string(body)),
 		}
 	}
-	return &SampleStream{body: rsp.Body, dec: json.NewDecoder(rsp.Body)}, nil
+	return &SampleStream{body: rsp.Body, sc: measuredb.NewRowScanner(rsp.Body)}, nil
 }
 
 // Next decodes the next row. It reports false at the end of the stream
-// or on error (check Err).
+// or on error (check Err): a stream the server aborted mid-way ends in
+// an error, never as a short clean read.
+//
+// districtlint:hotpath
 func (s *SampleStream) Next() (measuredb.Point, bool) {
-	if s.err != nil {
+	if s.err != nil || s.sc == nil {
 		return measuredb.Point{}, false
 	}
-	var p measuredb.Point
-	if err := s.dec.Decode(&p); err != nil {
+	if err := s.sc.Next(&s.row); err != nil {
 		if err != io.EOF {
 			s.err = err
 		}
 		return measuredb.Point{}, false
 	}
-	return p, true
+	return s.row, true
 }
 
 // Err returns the error that stopped the stream, if any.
 func (s *SampleStream) Err() error { return s.err }
 
 // Close releases the underlying connection.
-func (s *SampleStream) Close() error { return s.body.Close() }
+func (s *SampleStream) Close() error {
+	if s.sc != nil {
+		s.sc.Release()
+		s.sc = nil
+	}
+	return s.body.Close()
+}

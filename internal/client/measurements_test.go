@@ -2,11 +2,17 @@ package client
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/measuredb"
+	"repro/internal/tsdb"
 )
 
 var m0 = time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
@@ -196,5 +202,125 @@ func TestMeasurementsIterResumesFromCursor(t *testing.T) {
 	}
 	if len(got) != 30 || got[0] != 20 {
 		t.Fatalf("resumed walk = %d samples starting at %v, want 30 starting at 20 (cursor ignored?)", len(got), got[0])
+	}
+}
+
+// pageFailEngine fails every QueryPage after the first: a later page
+// of a streamed read that cannot be served.
+type pageFailEngine struct {
+	tsdb.Engine
+	good atomic.Int32
+}
+
+func (e *pageFailEngine) QueryPage(key tsdb.SeriesKey, from, to time.Time, cur tsdb.Cursor, limit int) (tsdb.Page, error) {
+	if e.good.Add(-1) < 0 {
+		return tsdb.Page{}, errors.New("injected: series dropped mid-read")
+	}
+	return e.Engine.QueryPage(key, from, to, cur, limit)
+}
+
+func (e *pageFailEngine) Iter(key tsdb.SeriesKey, from, to time.Time, pageSize int) *tsdb.Iterator {
+	return tsdb.IterPager(e, key, from, to, pageSize)
+}
+
+// TestStreamCutMidWayIsAnError: a node whose second page fails delivers
+// the first page's rows and then an error — never a short clean end.
+func TestStreamCutMidWayIsAnError(t *testing.T) {
+	eng := &pageFailEngine{Engine: tsdb.New(tsdb.Options{})}
+	svc := measuredb.New(measuredb.Options{Engine: eng})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() { ts.Close(); svc.Close() })
+	for i := 0; i < tsdb.DefaultPageLimit+200; i++ {
+		key := tsdb.SeriesKey{Device: measDevice, Quantity: "temperature"}
+		if err := eng.Append(key, tsdb.Sample{At: m0.Add(time.Duration(i) * time.Minute), Value: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.good.Store(1)
+	st, err := (&Client{MasterURL: "http://unused/"}).Measurements(ts.URL).Stream(context.Background(), measDevice, "temperature")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	n := 0
+	for p, ok := st.Next(); ok; p, ok = st.Next() {
+		if p.Device != measDevice || p.Value != float64(n) {
+			t.Fatalf("row %d = %+v", n, p)
+		}
+		n++
+	}
+	if n != tsdb.DefaultPageLimit || st.Err() == nil {
+		t.Fatalf("streamed %d rows, Err() = %v; want the first page's %d and an error", n, st.Err(), tsdb.DefaultPageLimit)
+	}
+}
+
+// TestStreamCutBetweenAndInsideRows: whatever cuts the response — an
+// aborted connection or a body that just ends — after a whole row or
+// inside one, the rows before the cut are delivered and a cut that
+// left a row unfinished, or a connection unfinished, is an error.
+func TestStreamCutBetweenAndInsideRows(t *testing.T) {
+	const row = `{"device":"urn:d","quantity":"temperature","at":"2015-03-09T10:00:00Z","value":20.25}` + "\n"
+	for _, tc := range []struct {
+		name    string
+		body    string
+		abort   bool
+		wantErr bool
+	}{
+		{"abort between rows", row + row + row, true, true},
+		{"abort inside a row", row + row + row + row[:40], true, true},
+		{"end inside a row", row + row + row + row[:40], false, true},
+		{"end between rows", row + row + row, false, false},
+		{"end after a row without newline", row + row + row[:len(row)-1], false, false},
+	} {
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", measuredb.NDJSONType)
+			_, _ = io.WriteString(w, tc.body)
+			if tc.abort {
+				w.(http.Flusher).Flush()
+				panic(http.ErrAbortHandler)
+			}
+		}))
+		st, err := (&Client{MasterURL: "http://unused/"}).Measurements(ts.URL).Stream(context.Background(), "urn:d", "temperature")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		n := 0
+		for p, ok := st.Next(); ok; p, ok = st.Next() {
+			if p.Device != "urn:d" || p.Value != 20.25 {
+				t.Fatalf("%s: row %d = %+v", tc.name, n, p)
+			}
+			n++
+		}
+		if n != 3 || (st.Err() != nil) != tc.wantErr {
+			t.Errorf("%s: %d rows, Err() = %v; want 3 rows, error %v", tc.name, n, st.Err(), tc.wantErr)
+		}
+		if _, ok := st.Next(); ok {
+			t.Errorf("%s: a row after the end", tc.name)
+		}
+		st.Close()
+		if _, ok := st.Next(); ok {
+			t.Errorf("%s: a row after Close", tc.name)
+		}
+		ts.Close()
+	}
+}
+
+// TestSamplesPageFallsBackToEncodingJSON: a page no server here writes
+// (folded keys, an escaped name, an unknown field) still decodes, by
+// json.Unmarshal, and a broken one fails with its words.
+func TestSamplesPageFallsBackToEncodingJSON(t *testing.T) {
+	body := `{"Device":"a<b","quantity":"q","note":1,"samples":[{"at":"2015-03-09T10:00:00+01:00","value":1e0}],"count":1}`
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, body) }))
+	defer ts.Close()
+	mc := (&Client{MasterURL: "http://unused/", MaxAttempts: 1}).Measurements(ts.URL)
+	page, err := mc.Samples(context.Background(), "a<b", "q")
+	if err != nil || page.Device != "a<b" || page.Count != 1 || len(page.Samples) != 1 || !page.Samples[0].At.Equal(m0.Add(-time.Hour)) {
+		t.Fatalf("page = %+v, %v", page, err)
+	}
+	body = `{"device":"d","samples":[{"at":"yesterday","value":1}]}`
+	var want measuredb.SamplesPage
+	wantErr := json.Unmarshal([]byte(body), &want)
+	if _, err := mc.Samples(context.Background(), "d", "q"); wantErr == nil || err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("broken page: %v, want json.Unmarshal's %v", err, wantErr)
 	}
 }

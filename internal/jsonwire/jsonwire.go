@@ -1,10 +1,12 @@
 // Package jsonwire holds the append-based JSON value encoders shared by
-// the streaming read plane (measuredb's NDJSON rows) and the live path
-// (stream's event frames, measuredb's measurement payloads). Each one
-// produces output byte-identical to encoding/json — HTML escaping,
-// U+2028/U+2029, the float exponent cleanup, RFC 3339 nano timestamps,
-// base64 byte slices — so a caller that switches from json.Marshal to
-// these changes no wire byte. It is a leaf: standard library only.
+// the read plane (measuredb's NDJSON rows and JSON sample pages), the
+// live path (stream's event frames, measuredb's measurement payloads)
+// and the Go client's ingest bodies (internal/client, through
+// measuredb's row encoder). Each one produces output byte-identical to
+// encoding/json — HTML escaping, U+2028/U+2029, the float exponent
+// cleanup, RFC 3339 nano timestamps, base64 byte slices — so a caller
+// that switches from json.Marshal to these changes no wire byte. It is
+// a leaf: standard library only.
 package jsonwire
 
 import (
@@ -16,6 +18,15 @@ import (
 )
 
 const hexDigits = "0123456789abcdef"
+
+// plainASCII marks the bytes AppendString copies through unchanged:
+// ASCII from 0x20 up, less '"', '\\' and the HTML set.
+var plainASCII = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
 
 // AppendString appends s as a JSON string exactly as encoding/json
 // encodes it: control characters, '"', '\\', the HTML set (&, <, >),
@@ -29,11 +40,11 @@ func AppendString(b []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); {
 		c := s[i]
+		if plainASCII[c] {
+			i++
+			continue
+		}
 		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
 			b = append(b, s[start:i]...)
 			switch c {
 			case '"':
@@ -100,13 +111,33 @@ func AppendFloat(b []byte, f float64) []byte {
 
 // AppendTime appends t as time.Time.MarshalJSON would (quoted RFC 3339
 // with nanoseconds). MarshalJSON refuses what RFC 3339 cannot say;
-// callers that may meet such a time check TimeOK first.
+// callers that may meet such a time check TimeOK first. A UTC time with
+// a four-digit year — every stored sample — is written digit by digit;
+// any other time is AppendFormat's.
 //
 // districtlint:hotpath
 func AppendTime(b []byte, t time.Time) []byte {
 	b = append(b, '"')
-	b = t.AppendFormat(b, time.RFC3339Nano)
-	return append(b, '"')
+	year, month, day := t.Date()
+	if t.Location() != time.UTC || year < 0 || year > 9999 {
+		b = t.AppendFormat(b, time.RFC3339Nano)
+		return append(b, '"')
+	}
+	hour, minute, sec := t.Clock()
+	b = append(b, byte('0'+year/1000), byte('0'+year/100%10), byte('0'+year/10%10), byte('0'+year%10), '-')
+	b = append(b, byte('0'+int(month)/10), byte('0'+int(month)%10), '-', byte('0'+day/10), byte('0'+day%10), 'T')
+	b = append(b, byte('0'+hour/10), byte('0'+hour%10), ':', byte('0'+minute/10), byte('0'+minute%10), ':', byte('0'+sec/10), byte('0'+sec%10))
+	if ns := t.Nanosecond(); ns != 0 {
+		n := 9 // fraction digits left once the trailing zeros are trimmed
+		for ; ns%10 == 0; ns /= 10 {
+			n--
+		}
+		b = append(b, ".000000000"[:n+1]...)
+		for i := len(b) - 1; ns > 0; i, ns = i-1, ns/10 {
+			b[i] = byte('0' + ns%10)
+		}
+	}
+	return append(b, 'Z', '"')
 }
 
 // TimeOK reports whether time.Time.MarshalJSON accepts t — a year

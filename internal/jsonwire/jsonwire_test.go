@@ -58,3 +58,35 @@ func TestTimeOKIsWhatMarshalJSONAccepts(t *testing.T) {
 		}
 	}
 }
+
+// FuzzAppendTime holds AppendTime — the digit-by-digit UTC arm and the
+// AppendFormat arm — to time.Time.MarshalJSON on every time it accepts,
+// years −1 to 10000, with and without a zone.
+func FuzzAppendTime(f *testing.F) {
+	f.Add(int64(1425895200), int64(0), 0)
+	f.Add(int64(1425895200), int64(120000000), 3600)
+	f.Add(int64(-62135596800), int64(999999999), 0) // year 1
+	f.Add(int64(-62198755200), int64(1), 0)         // year −1
+	f.Add(int64(253402300800), int64(0), 0)         // year 10000
+	f.Add(int64(253402300799), int64(999999990), -86399)
+	f.Fuzz(func(t *testing.T, sec, nsec int64, zone int) {
+		const minSec, maxSec = -62198755200, 253433836800 // years −1 … 10000
+		if sec < minSec || sec > maxSec {
+			sec = minSec + (sec%(maxSec-minSec)+(maxSec-minSec))%(maxSec-minSec)
+		}
+		at := time.Unix(sec, nsec%1e9).UTC()
+		if zone != 0 {
+			at = at.In(time.FixedZone("z", zone%(25*3600)))
+		}
+		want, err := at.MarshalJSON()
+		if ok := TimeOK(at); ok != (err == nil) {
+			t.Fatalf("TimeOK(%v) = %v, MarshalJSON error %v", at, ok, err)
+		}
+		if err != nil {
+			return
+		}
+		if got := AppendTime([]byte("x"), at); string(got) != "x"+string(want) {
+			t.Errorf("time %v:\nappend:  %s\nmarshal: %s", at, got[1:], want)
+		}
+	})
+}

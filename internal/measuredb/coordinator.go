@@ -846,12 +846,11 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 			defer wg.Done()
 			o := &outs[i]
 			// The bytes encoding/json renders an IngestBatch to, through the
-			// row encoder of the read plane: each row's newline becomes the
-			// separator, the last one the closing bracket.
+			// one row encoder: the last row's separator becomes the closing
+			// bracket.
 			body := append(make([]byte, 0, 128*len(o.rows)), `{"rows":[`...)
 			for _, pr := range o.rows {
-				body = appendPointNDJSON(body, pr.p)
-				body[len(body)-1] = ','
+				body = append(AppendPoint(body, pr.p), ',')
 			}
 			body[len(body)-1] = ']'
 			body = append(body, '}')

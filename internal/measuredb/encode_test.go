@@ -77,7 +77,7 @@ func TestAppendPointNDJSONMatchesEncoder(t *testing.T) {
 	}
 	rows = append(rows, Point{}) // both strings omitted via omitempty
 	for _, p := range rows {
-		got := appendPointNDJSON(nil, p)
+		got := append(AppendPoint(nil, p), '\n')
 		want := oracleLine(t, p)
 		if !bytes.Equal(got, want) {
 			t.Errorf("Point %+v:\nappend:  %q\nencoder: %q", p, got, want)
@@ -112,6 +112,53 @@ func TestAppendBatchSampleRowMatchesEncoder(t *testing.T) {
 		want := oracleLine(t, BatchRow{Selector: r.selector, Device: r.device, Quantity: r.quantity, At: &at, Value: &v})
 		if !bytes.Equal(got, want) {
 			t.Errorf("row %+v:\nappend:  %q\nencoder: %q", r, got, want)
+		}
+	}
+}
+
+// FuzzAppendRows holds the ingest body the Go client and the coordinator
+// build (AppendBatch over AppendPoint) to json.Marshal of the same
+// IngestBatch: equal bytes, or a refusal exactly where json.Marshal
+// refuses — the client then marshals the batch whole for the error
+// text. Names are arbitrary bytes (escapes, invalid UTF-8, U+2028),
+// values any bit pattern, times year −1 to 10000 with and without a
+// zone.
+func FuzzAppendRows(f *testing.F) {
+	f.Add("urn:d/1", "temperature", int64(1425895200), int64(0), 0, math.Float64bits(21.5), "", uint64(0))
+	f.Add("a<b>&\"c\"\\", "line\u2028sep\xff", int64(1425895200), int64(120000000), 5400, math.Float64bits(1e-7), "d", math.Float64bits(1e21))
+	f.Add("", "", int64(-62135596800), int64(1), 0, math.Float64bits(math.NaN()), "d", uint64(0))
+	f.Add("d", "q", int64(253402300800), int64(0), 0, uint64(0), "d", math.Float64bits(math.Inf(-1)))
+	f.Add("d", "q", int64(-62198755200), int64(0), -86400, uint64(1), "\x00\x1f", math.Float64bits(math.Copysign(0, -1)))
+	f.Fuzz(func(t *testing.T, device, quantity string, sec, nsec int64, zone int, bits uint64, device2 string, bits2 uint64) {
+		const minSec, span = -62198755200, 253433836800 + 62198755200 // years −1 … 10000
+		at := time.Unix(minSec+(sec%span+span)%span, nsec%1e9).UTC()
+		at2 := at.Add(time.Duration(bits2 % 1e12))
+		if zone != 0 {
+			at = at.In(time.FixedZone("z", zone%(25*3600)))
+		}
+		rows := []Point{
+			{Device: device, Quantity: quantity, At: at, Value: math.Float64frombits(bits)},
+			{Device: device2, Quantity: quantity, At: at2, Value: math.Float64frombits(bits2)},
+			{At: at2, Value: 1},
+		}
+		for n := 0; n <= len(rows); n++ { // rows[:0] is empty, not nil
+			want, err := json.Marshal(IngestBatch{Rows: rows[:n]})
+			got, ok := AppendBatch([]byte("x"), "rows", rows[:n])
+			if ok != (err == nil) {
+				t.Fatalf("rows %+v: AppendBatch ok=%v, json.Marshal error %v", rows[:n], ok, err)
+			}
+			if ok && string(got) != "x"+string(want) {
+				t.Fatalf("rows %+v:\nappend:  %q\nmarshal: %q", rows[:n], got[1:], want)
+			}
+		}
+	})
+}
+
+func TestAppendBatchSamples(t *testing.T) {
+	for _, rows := range [][]Point{{}, {{At: encodeTimes[2], Value: 2}}} {
+		want, _ := json.Marshal(SeriesAppend{Samples: rows})
+		if got, ok := AppendBatch(nil, "samples", rows); !ok || !bytes.Equal(got, want) {
+			t.Errorf("samples %v: ok=%v\nappend:  %s\nmarshal: %s", rows, ok, got, want)
 		}
 	}
 }

@@ -697,12 +697,12 @@ func decodeIngest(w http.ResponseWriter, r *http.Request, add func(Point)) (malf
 	default:
 		return "", api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc))
 	}
-	sc := newPointScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	defer sc.release()
+	sc := NewRowScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	defer sc.Release()
 	if ndjson {
 		var p Point
 		for {
-			if err := sc.next(&p); err != nil {
+			if err := sc.Next(&p); err != nil {
 				if !errors.Is(err, io.EOF) {
 					malformed = "malformed row: " + err.Error()
 				}
@@ -766,8 +766,8 @@ func (s *Service) v2PutSamples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer tok.abandon() // no-op once the outcome is stored
-	sc := newPointScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	defer sc.release()
+	sc := NewRowScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
+	defer sc.Release()
 	samples, err := sc.decodeBatch("samples")
 	if err != nil {
 		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))

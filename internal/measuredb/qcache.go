@@ -41,8 +41,9 @@ func putQCScratch(sc *qcScratch) { qcScratchPool.Put(sc) }
 // build appends the request's normalized identity to the key; the owner
 // shard's generation is appended after it, read before compute runs.
 // On a miss, compute's result is encoded once (exactly the bytes
-// api.WriteJSON would produce), cached, and returned as api.RawJSON so
-// cached and uncached responses are byte-identical.
+// api.WriteJSON would produce; an api.RawJSON result is those bytes
+// already), cached, and returned as api.RawJSON so cached and uncached
+// responses are byte-identical.
 func (s *Service) cachedDevice(device string, build func(*qcache.Key), compute func() (any, error)) (any, error) {
 	if s.qc == nil {
 		return compute()
@@ -80,11 +81,14 @@ func (s *Service) qcServe(sc *qcScratch, compute func() (any, error)) (any, erro
 		// recompute, and a NotFound must heal the moment a write lands.
 		return nil, err
 	}
-	enc, encErr := api.EncodeJSON(out)
-	if encErr != nil {
-		// An unencodable value will fail identically in the response
-		// writer; let that path own the error envelope.
-		return out, nil
+	enc, isRaw := out.(api.RawJSON) // a handler that encodes its own answer
+	if !isRaw {
+		var encErr error
+		if enc, encErr = api.EncodeJSON(out); encErr != nil {
+			// An unencodable value will fail identically in the response
+			// writer; let that path own the error envelope.
+			return out, nil
+		}
 	}
 	s.qc.Put(key, enc)
 	return api.RawJSON(enc), nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/master"
+	"repro/internal/tsdb"
 )
 
 // trickyDevice spells a page's last field inside a device name: it has
@@ -355,5 +357,94 @@ func TestCoordinatorRelayNodeFailures(t *testing.T) {
 			}
 		}
 		tr.CloseIdleConnections()
+	}
+}
+
+// pageFailEngine serves good QueryPage calls, then fails every later
+// one — a series dropped by retention mid-read, a block frame that does
+// not verify. Its iterator pages through it, as an engine's own would.
+type pageFailEngine struct {
+	tsdb.Engine
+	good atomic.Int32
+}
+
+func (e *pageFailEngine) QueryPage(key tsdb.SeriesKey, from, to time.Time, cur tsdb.Cursor, limit int) (tsdb.Page, error) {
+	if e.good.Add(-1) < 0 {
+		return tsdb.Page{}, errors.New("injected: block frame CRC mismatch")
+	}
+	return e.Engine.QueryPage(key, from, to, cur, limit)
+}
+
+func (e *pageFailEngine) Iter(key tsdb.SeriesKey, from, to time.Time, pageSize int) *tsdb.Iterator {
+	return tsdb.IterPager(e, key, from, to, pageSize)
+}
+
+// A per-series stream whose second page fails must not end as a clean,
+// short 200: the rows of the first page stand, then the connection is
+// aborted — asked of the node or through the coordinator's relay,
+// NDJSON or CSV, gzip-coded or not. A first page that fails is still an
+// error envelope.
+func TestStreamFailingMidWayAbortsTheConnection(t *testing.T) {
+	eng := &pageFailEngine{Engine: tsdb.New(tsdb.Options{})}
+	svc := New(Options{Engine: eng})
+	t.Cleanup(svc.Close)
+	at := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	rows := make([]tsdb.Row, 2*tsdb.DefaultPageLimit+500)
+	for i := range rows {
+		rows[i] = tsdb.Row{Key: tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"},
+			Sample: tsdb.Sample{At: at.Add(time.Duration(i) * time.Second), Value: float64(i)}}
+	}
+	if errs := eng.AppendBatch(rows); errs != nil {
+		t.Fatal(errs)
+	}
+	node := httptest.NewServer(svc.Handler())
+	t.Cleanup(node.Close)
+	coord := stubCoordinator(t, svc.Handler())
+
+	for _, base := range []string{node.URL, coord} {
+		for _, accept := range []string{NDJSONType, CSVType} {
+			for _, coding := range []string{"identity", "gzip"} {
+				name := fmt.Sprintf("%s %s via %s", accept, coding, base)
+				eng.good.Store(1)
+				req, _ := http.NewRequest("GET", base+stubSamples, nil)
+				req.Header.Set("Accept", accept)
+				req.Header.Set("Accept-Encoding", coding)
+				tr := &http.Transport{DisableCompression: true}
+				rsp, err := tr.RoundTrip(req)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				var rd io.Reader = rsp.Body
+				if rsp.Header.Get("Content-Encoding") == "gzip" {
+					if rd, err = gzip.NewReader(rsp.Body); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+				}
+				body, err := io.ReadAll(rd)
+				rsp.Body.Close()
+				tr.CloseIdleConnections()
+				if err == nil {
+					t.Fatalf("%s: cut stream ended cleanly after %d bytes", name, len(body))
+				}
+				if lines := bytes.Count(body, []byte("\n")); base == node.URL && accept == NDJSONType && lines != tsdb.DefaultPageLimit {
+					t.Fatalf("%s: %d whole rows arrived before the abort, want the first page's %d", name, lines, tsdb.DefaultPageLimit)
+				}
+			}
+		}
+		// The whole range, once nothing fails; an envelope when the first
+		// page does.
+		eng.good.Store(1 << 20)
+		if _, body := fetchWire(t, "GET", base+stubSamples, "gzip", NDJSONType, nil); bytes.Count(body, []byte("\n")) != len(rows) {
+			t.Fatalf("healthy stream via %s: %d rows, want %d", base, bytes.Count(body, []byte("\n")), len(rows))
+		}
+		eng.good.Store(0)
+		rsp, err := http.Get(base + stubSamples + "?encoding=ndjson")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rsp.Body.Close()
+		if rsp.StatusCode < 400 {
+			t.Fatalf("first page failing via %s: status %d, want an error envelope", base, rsp.StatusCode)
+		}
 	}
 }

@@ -11,13 +11,15 @@ import (
 )
 
 // The row decoder of the ingest plane, shared by the node, the
-// clustered node and the coordinator. It has one rule. A row in the
-// canonical shape is parsed in place over one pooled buffer, its
-// device/quantity strings interned, so steady-state ingest of a known
-// device fleet allocates nothing per row. Anything else is "not
-// canonical", never "invalid": the untouched bytes go to encoding/json
-// itself, which decides what they mean and words the error if they mean
-// nothing.
+// clustered node and the coordinator — and by the Go client's read side
+// (internal/client): a streamed NDJSON sample row is the canonical
+// ingest row, a JSON samples page an envelope around an array of them.
+// It has one rule. A row in the canonical shape is parsed in place over
+// one pooled buffer, its device/quantity strings interned, so
+// steady-state ingest of a known device fleet allocates nothing per
+// row. Anything else is "not canonical", never "invalid": the untouched
+// bytes go to encoding/json itself, which decides what they mean and
+// words the error if they mean nothing.
 //
 // The canonical row is what encoding/json emits for a Point, and so
 // what every writer in this repository sends: an object of "device",
@@ -45,9 +47,9 @@ const (
 	maxInterned = 4096
 )
 
-// pointScanner decodes Point rows from one request body. Scanners are
-// pooled; the intern table survives across requests on purpose.
-type pointScanner struct {
+// RowScanner decodes Point rows from one request or response body.
+// Scanners are pooled; the intern table survives across bodies on purpose.
+type RowScanner struct {
 	r     io.Reader
 	buf   []byte
 	pos   int  // next unread byte
@@ -62,11 +64,11 @@ type pointScanner struct {
 	pts      []Point // pooled row slice for whole-body decodes
 }
 
-var pointScannerPool = sync.Pool{New: func() any { return new(pointScanner) }}
+var rowScannerPool = sync.Pool{New: func() any { return new(RowScanner) }}
 
-// newPointScanner readies a pooled scanner over r.
-func newPointScanner(r io.Reader) *pointScanner {
-	sc := pointScannerPool.Get().(*pointScanner)
+// NewRowScanner readies a pooled scanner over r; Release it when done.
+func NewRowScanner(r io.Reader) *RowScanner {
+	sc := rowScannerPool.Get().(*RowScanner)
 	sc.r = r
 	sc.pos, sc.limit = 0, 0
 	sc.eof = false
@@ -79,21 +81,21 @@ func newPointScanner(r io.Reader) *pointScanner {
 	return sc
 }
 
-// release returns the scanner (and its row slice) to the pool. Rows
-// returned by decodeBatch are invalid after this.
-func (sc *pointScanner) release() {
+// Release returns the scanner (and its row slice) to the pool. Rows
+// returned by decodeBatch are invalid after this; Next's rows are not.
+func (sc *RowScanner) Release() {
 	sc.r, sc.dec = nil, nil
 	sc.pts = sc.pts[:0]
 	if len(sc.buf) > maxScanBuf {
 		sc.buf = nil
 	}
-	pointScannerPool.Put(sc)
+	rowScannerPool.Put(sc)
 }
 
 // fill slides the unread window to the front of the buffer, growing it
 // when full, and reads more input behind it. An exhausted source sets
 // eof; only a read failure is an error.
-func (sc *pointScanner) fill() error {
+func (sc *RowScanner) fill() error {
 	if sc.pos > 0 {
 		sc.limit = copy(sc.buf, sc.buf[sc.pos:sc.limit])
 		sc.pos = 0
@@ -120,7 +122,7 @@ func (sc *pointScanner) fill() error {
 // next newline, reading until the buffer holds all of it. Input that
 // ends without a newline, or a line still open at maxScanBuf, is
 // returned as far as it goes. io.EOF reports a clean end of input.
-func (sc *pointScanner) line() ([]byte, error) {
+func (sc *RowScanner) line() ([]byte, error) {
 	searched := 0 // bytes after pos known to hold no newline
 	for {
 		if searched == 0 {
@@ -143,11 +145,11 @@ func (sc *pointScanner) line() ([]byte, error) {
 	}
 }
 
-// next decodes the next NDJSON row into p. io.EOF reports a clean end
+// Next decodes the next NDJSON row into p. io.EOF reports a clean end
 // of input; any other error poisons the rest of the stream.
 //
 // districtlint:hotpath
-func (sc *pointScanner) next(p *Point) error {
+func (sc *RowScanner) Next(p *Point) error {
 	if sc.dec == nil {
 		line, err := sc.line()
 		if err != nil {
@@ -175,7 +177,7 @@ func (sc *pointScanner) next(p *Point) error {
 // encoding/json. A json.Decoder keeps no state between top-level values,
 // so starting one at a row boundary continues the stream exactly as one
 // started at byte zero would have.
-func (sc *pointScanner) fallBack() {
+func (sc *RowScanner) fallBack() {
 	sc.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf[sc.pos:sc.limit]), sc.r))
 }
 
@@ -184,7 +186,7 @@ func (sc *pointScanner) fallBack() {
 // before a single row is applied. Rows of a canonical body land in the
 // scanner's pooled slice (valid until release); any other body is
 // decoded again, from its first byte, by encoding/json.
-func (sc *pointScanner) decodeBatch(field string) ([]Point, error) {
+func (sc *RowScanner) decodeBatch(field string) ([]Point, error) {
 	for !sc.eof {
 		if err := sc.fill(); err != nil {
 			return nil, err
@@ -212,7 +214,7 @@ func (sc *pointScanner) decodeBatch(field string) ([]Point, error) {
 // false means "not canonical" and leaves sc.pts undefined.
 //
 // districtlint:hotpath
-func (sc *pointScanner) parseBatch(b []byte, field string) bool {
+func (sc *RowScanner) parseBatch(b []byte, field string) bool {
 	sc.pts = sc.pts[:0]
 	i := token(b, 0, '{')
 	if i < 0 {
@@ -225,18 +227,107 @@ func (sc *pointScanner) parseBatch(b []byte, field string) bool {
 	if i = token(b, i, ':'); i < 0 {
 		return false
 	}
+	sc.pts, i = sc.parseRows(b, i, sc.pts)
+	return i >= 0 && token(b, i, '}') >= 0
+}
+
+// parseRows appends the array of canonical rows at b[i] to dst and
+// returns the index after its closing bracket, -1 for "not canonical".
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseRows(b []byte, i int, dst []Point) ([]Point, int) {
 	if i = token(b, i, '['); i < 0 {
-		return false
+		return dst, -1
+	}
+	if i < len(b) && b[i] == ']' {
+		return dst, i + 1
 	}
 	for {
 		var p Point
 		n, ok := sc.parseRow(b[i:], &p)
 		if !ok {
+			return dst, -1
+		}
+		dst = append(dst, p)
+		if i = skipWS(b, i+n); i < len(b) && b[i] == ']' {
+			return dst, i + 1
+		}
+		if i = token(b, i, ','); i < 0 {
+			return dst, -1
+		}
+	}
+}
+
+// DecodeSamplesPage decodes the JSON body of GET /v2/.../samples into
+// out (zero on entry) as json.Unmarshal would: the canonical page —
+// what every server in this repository writes — in place, any other
+// body by json.Unmarshal itself, from its first byte.
+func DecodeSamplesPage(body []byte, out *SamplesPage) error {
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	if sc.parseSamplesPage(body, out) {
+		return nil
+	}
+	*out = SamplesPage{}
+	return json.Unmarshal(body, out)
+}
+
+// parseSamplesPage is the fast path of DecodeSamplesPage: one object of
+// "device", "quantity", "samples" (an array of canonical rows), "count"
+// (a plain integer) and "next_cursor", any order, each at most once,
+// and nothing but whitespace after it. false means "not canonical" and
+// leaves out undefined.
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseSamplesPage(b []byte, out *SamplesPage) bool {
+	i := token(b, 0, '{')
+	if i < 0 {
+		return false
+	}
+	seen := 0
+	for {
+		key, j := plainString(b, i)
+		if j < 0 {
 			return false
 		}
-		sc.pts = append(sc.pts, p)
-		if i = skipWS(b, i+n); i < len(b) && b[i] == ']' {
-			return token(b, i+1, '}') >= 0
+		if i = token(b, j, ':'); i < 0 {
+			return false
+		}
+		// The five keys differ in length, as the row's four do.
+		bit := 1 << len(key)
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		switch string(key) {
+		case "device":
+			out.Device, i = sc.name(b, i)
+		case "quantity":
+			out.Quantity, i = sc.name(b, i)
+		case "next_cursor":
+			s, j := plainString(b, i)
+			if j < 0 || !utf8.Valid(s) {
+				return false
+			}
+			out.NextCursor, i = string(s), j
+		case "count":
+			j := numberEnd(b, i)
+			n, err := strconv.Atoi(string(b[i:j]))
+			if err != nil {
+				return false // no JSON number, a fraction or exponent, out of range
+			}
+			out.Count, i = n, j
+		case "samples":
+			// ~45 bytes a row: one allocation for the page this returns.
+			out.Samples, i = sc.parseRows(b, i, make([]Point, 0, (len(b)-i)/40+1))
+		default:
+			return false
+		}
+		if i < 0 {
+			return false
+		}
+		if i = skipWS(b, i); i < len(b) && b[i] == '}' {
+			return skipWS(b, i+1) == len(b)
 		}
 		if i = token(b, i, ','); i < 0 {
 			return false
@@ -250,7 +341,7 @@ func (sc *pointScanner) parseBatch(b []byte, field string) bool {
 // and leaves p undefined.
 //
 // districtlint:hotpath
-func (sc *pointScanner) parseRow(b []byte, p *Point) (n int, ok bool) {
+func (sc *RowScanner) parseRow(b []byte, p *Point) (n int, ok bool) {
 	*p = Point{}
 	i := token(b, 0, '{')
 	if i < 0 {
@@ -355,7 +446,7 @@ func plainString(b []byte, i int) (body []byte, end int) {
 // name decodes the device or quantity string at b[i], interned, and
 // returns the index after it; -1 when it is not a plain string of valid
 // UTF-8 (encoding/json would substitute U+FFFD).
-func (sc *pointScanner) name(b []byte, i int) (string, int) {
+func (sc *RowScanner) name(b []byte, i int) (string, int) {
 	s, end := plainString(b, i)
 	if end < 0 || !utf8.Valid(s) {
 		return "", -1
@@ -365,7 +456,7 @@ func (sc *pointScanner) name(b []byte, i int) (string, int) {
 
 // intern returns b as a string, reusing the previous allocation for a
 // repeated value.
-func (sc *pointScanner) intern(b []byte) string {
+func (sc *RowScanner) intern(b []byte) string {
 	if s, ok := sc.interned[string(b)]; ok {
 		return s
 	}

@@ -7,6 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
+	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -36,12 +39,12 @@ func oracleNDJSON(data []byte) ([]Point, bool) {
 
 // scanNDJSON is the same loop over the hand-rolled scanner.
 func scanNDJSON(data []byte) ([]Point, bool) {
-	sc := newPointScanner(bytes.NewReader(data))
-	defer sc.release()
+	sc := NewRowScanner(bytes.NewReader(data))
+	defer sc.Release()
 	var rows []Point
 	var p Point
 	for {
-		if err := sc.next(&p); err != nil {
+		if err := sc.Next(&p); err != nil {
 			return rows, !errors.Is(err, io.EOF)
 		}
 		rows = append(rows, p)
@@ -62,8 +65,8 @@ func oracleBatch(data []byte) ([]Point, bool) {
 }
 
 func scanBatch(data []byte) ([]Point, bool) {
-	sc := newPointScanner(bytes.NewReader(data))
-	defer sc.release()
+	sc := NewRowScanner(bytes.NewReader(data))
+	defer sc.Release()
 	pts, err := sc.decodeBatch("rows")
 	if err != nil {
 		return nil, false
@@ -270,19 +273,19 @@ func TestRowScannerBatchOracle(t *testing.T) {
 // possible offset.
 func TestRowScannerSmallReads(t *testing.T) {
 	for _, input := range rowScannerCorpus {
-		sc := newPointScanner(iotest(strings.NewReader(input)))
+		sc := NewRowScanner(iotest(strings.NewReader(input)))
 		var got []Point
 		var p Point
 		gotErr := false
 		for {
-			err := sc.next(&p)
+			err := sc.Next(&p)
 			if err != nil {
 				gotErr = !errors.Is(err, io.EOF)
 				break
 			}
 			got = append(got, p)
 		}
-		sc.release()
+		sc.Release()
 		want, wantErr := oracleNDJSON([]byte(input))
 		if gotErr != wantErr {
 			t.Fatalf("input %q (1-byte reads): scanner errored=%v, oracle errored=%v", input, gotErr, wantErr)
@@ -321,11 +324,72 @@ func FuzzRowScannerBatch(f *testing.F) {
 	})
 }
 
+// samplesPageCorpus seeds FuzzSamplesPage: a real page, an empty one,
+// next_cursor first, and the shapes that are encoding/json's to decode.
+var samplesPageCorpus = []string{
+	`{"device":"urn:d/1","quantity":"temperature","samples":[{"at":"2015-03-09T10:00:00Z","value":21.5},{"at":"2015-03-09T10:00:01.5Z","value":-1e-7}],"count":2,"next_cursor":"MTQyNTg5NTIwMzAwMDAwMDAwMDox"}` + "\n",
+	`{"device":"urn:d/1","quantity":"temperature","samples":[],"count":0}` + "\n",
+	`{"next_cursor":"abc", "count": 1 ,"samples": [ {"value":1,"at":"2015-03-09T10:00:00+01:00"} ] ,"quantity":"q","device":"d"}`,
+	`{"device":"a","device":"b","quantity":"q","samples":[],"count":0}`,
+	`{"device":"a\u003cb","quantity":"q","samples":[{"at":"2015-03-09T10:00:00Z","value":1}],"count":1}`,
+	`{"device":"d","quantity":"q","samples":[],"count":0} trailing`,
+	`{"device":"d","quantity":"q","samples":null,"count":-1,"extra":true}`,
+	`{"samples":[{"at":"2015-03-09T10:00:00Z","value":1},],"count":1}`,
+	`{"samples":[{"device":"x","quantity":"y","at":"2015-03-09T10:00:00Z","value":1}],"count":01}`,
+	`{"count":1.0}`, `{"count":99999999999999999999}`, `{"count":-0}`, `{"samples":[],"count":-12}`, `{"count":+1}`, `{"count":1e2}`, `{}`, ``, `[]`, `{"samples":[`,
+}
+
+// checkSamplesPageOracle: the in-place parse yields the page
+// json.Unmarshal yields, or says "not canonical" — never a different
+// page — and DecodeSamplesPage is json.Unmarshal either way.
+func checkSamplesPageOracle(t *testing.T, data []byte) {
+	t.Helper()
+	var want, got, via SamplesPage
+	wantErr := json.Unmarshal(data, &want)
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	if sc.parseSamplesPage(data, &got) {
+		if wantErr != nil {
+			t.Fatalf("input %q: parsed in place, json.Unmarshal refuses it: %v", data, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %q:\nin place:  %+v\nunmarshal: %+v", data, got, want)
+		}
+	}
+	if err := DecodeSamplesPage(data, &via); (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(via, want) {
+		t.Fatalf("input %q: DecodeSamplesPage %+v, %v; json.Unmarshal %+v, %v", data, via, err, want, wantErr)
+	}
+}
+
+func TestSamplesPageOracle(t *testing.T) {
+	for _, input := range samplesPageCorpus {
+		checkSamplesPageOracle(t, []byte(input))
+	}
+	var page SamplesPage
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	for _, input := range samplesPageCorpus[:3] {
+		if !sc.parseSamplesPage([]byte(input), &page) {
+			t.Errorf("a canonical page left the fast path: %s", input)
+		}
+	}
+}
+
+func FuzzSamplesPage(f *testing.F) {
+	for _, input := range samplesPageCorpus {
+		f.Add([]byte(input))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSamplesPageOracle(t, data)
+	})
+}
+
 // TestOwnEncodersStayOnFastPath holds the traffic assumption the decoder
-// is built on: whatever this repository's writers emit — json.Marshal of
-// an IngestBatch (client.Ingest.Append, the Batcher), a json.Encoder
-// stream (client.IngestStream), the append encoder (the coordinator's
-// forward) — is canonical, so the fast-path functions take every row
+// is built on: whatever this repository's writers emit — AppendBatch
+// (client.Ingest.Append, the Batcher; the bytes json.Marshal renders an
+// IngestBatch to), an AppendPoint row stream (client.IngestStream, the
+// node's NDJSON reads), the coordinator's forward — is canonical, so
+// the fast-path functions take every row
 // themselves and encoding/json is never consulted. The assumption has
 // one boundary, pinned at the end: a name holding a byte the encoders
 // escape (< > & " \, a control byte) is not canonical, and a body
@@ -342,12 +406,15 @@ func TestOwnEncodersStayOnFastPath(t *testing.T) {
 		{Device: "d", Quantity: "q", At: at, Value: math.MaxFloat64},
 		{Device: "d", Quantity: "q", At: at, Value: math.Copysign(0, -1)},
 	}
-	sc := newPointScanner(nil)
-	defer sc.release()
+	sc := NewRowScanner(nil)
+	defer sc.Release()
 
 	batch, err := json.Marshal(IngestBatch{Rows: pts})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if appended, ok := AppendBatch(nil, "rows", pts); !ok || !bytes.Equal(appended, batch) {
+		t.Fatalf("AppendBatch (ok=%v) and json.Marshal disagree:\n%s\n%s", ok, appended, batch)
 	}
 	if !sc.parseBatch(batch, "rows") {
 		t.Fatalf("json.Marshal(IngestBatch) left the fast path: %s", batch)
@@ -360,10 +427,10 @@ func TestOwnEncodersStayOnFastPath(t *testing.T) {
 		if err := enc.Encode(p); err != nil {
 			t.Fatal(err)
 		}
-		appended.Write(appendPointNDJSON(nil, p))
+		appended.Write(append(AppendPoint(nil, p), '\n'))
 	}
 	if !bytes.Equal(stream.Bytes(), appended.Bytes()) {
-		t.Fatalf("appendPointNDJSON and json.Encoder disagree:\n%s\n%s", appended.Bytes(), stream.Bytes())
+		t.Fatalf("AppendPoint and json.Encoder disagree:\n%s\n%s", appended.Bytes(), stream.Bytes())
 	}
 	for i, line := range bytes.Split(bytes.TrimSuffix(stream.Bytes(), []byte("\n")), []byte("\n")) {
 		var p Point
@@ -378,7 +445,7 @@ func TestOwnEncodersStayOnFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	line := appendPointNDJSON(nil, escaped[1])
+	line := append(AppendPoint(nil, escaped[1]), '\n')
 	var p Point
 	if _, ok := sc.parseRow(line, &p); ok || sc.parseBatch(batch, "rows") {
 		t.Fatalf("a name the encoders escape stayed on the fast path: %s", line)
@@ -398,10 +465,10 @@ func TestOwnEncodersStayOnFastPath(t *testing.T) {
 // the rest of the line, and of the request, to encoding/json.
 func TestRowsSharingALineStayLinear(t *testing.T) {
 	want := (1 << 20) / len(canonRow)
-	sc := newPointScanner(bytes.NewReader(bytes.Repeat([]byte(canonRow), want)))
-	defer sc.release()
+	sc := NewRowScanner(bytes.NewReader(bytes.Repeat([]byte(canonRow), want)))
+	defer sc.Release()
 	var p Point
-	if err := sc.next(&p); err != nil || p.Value != 21.5 {
+	if err := sc.Next(&p); err != nil || p.Value != 21.5 {
 		t.Fatalf("first row: %+v, %v", p, err)
 	}
 	if sc.dec == nil {
@@ -409,7 +476,7 @@ func TestRowsSharingALineStayLinear(t *testing.T) {
 	}
 	rows := 1
 	for ; ; rows++ {
-		if err := sc.next(&p); err != nil {
+		if err := sc.Next(&p); err != nil {
 			if !errors.Is(err, io.EOF) {
 				t.Fatal(err)
 			}
@@ -441,5 +508,55 @@ func TestInternTableResets(t *testing.T) {
 	}
 	if unsafe.StringData(rows[0].Device) != unsafe.StringData(rows[1].Device) {
 		t.Fatal("a repeated new device name was allocated twice: the full intern table was not reset")
+	}
+}
+
+// TestNoFallbackOnTheCorpusShape counts the times encoding/json is
+// consulted while rows shaped like the benchmark's corpus (district
+// device URNs, four quantities, readings quantised to 0.01, whole- and
+// sub-second UTC stamps) cross all four ends: the client's ingest body
+// on the node, the node's NDJSON stream and JSON page on the client's
+// read side. It must be zero — the fallback is for foreign writers.
+func TestNoFallbackOnTheCorpusShape(t *testing.T) {
+	_, ts := newTestServer(t)
+	base := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	const perSeries = 300
+	var rows []Point
+	for s := 0; s < 8; s++ {
+		dev := fmt.Sprintf("urn:district:turin/building:b%02d/device:m%02d", s/4, s%4)
+		for k := 0; k < perSeries; k++ {
+			v := math.Round((18+float64(s%7)+3*math.Sin(float64(k)/229)+0.4*float64(k%13)/13)*100) / 100
+			rows = append(rows, Point{Device: dev, Quantity: []string{"temperature", "humidity", "power", "co2"}[s%4],
+				At: base.Add(time.Duration(k)*time.Minute + time.Duration(k%3)*1234567), Value: v})
+		}
+	}
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	body, ok := AppendBatch(nil, "rows", rows)
+	if !ok || !sc.parseBatch(body, "rows") || len(sc.pts) != len(rows) {
+		t.Fatalf("the client's ingest body left the fast path (encoded ok=%v, %d of %d rows)", ok, len(sc.pts), len(rows))
+	}
+	var res IngestResult
+	if status, _ := postJSON(t, ts.URL+"/v2/ingest", nil, json.RawMessage(body), &res); status != http.StatusOK || res.Accepted != len(rows) {
+		t.Fatalf("ingest: status=%d res=%+v", status, res)
+	}
+	series := ts.URL + "/v2/series/" + url.PathEscape(rows[0].Device) + "/" + rows[0].Quantity + "/samples"
+	_, stream := fetchWire(t, "GET", series, "gzip", NDJSONType, nil)
+	st := NewRowScanner(bytes.NewReader(stream))
+	defer st.Release()
+	n := 0
+	var p Point
+	for ; st.Next(&p) == nil; n++ {
+		if !samePoint(p, rows[n]) {
+			t.Fatalf("streamed row %d = %+v, want %+v", n, p, rows[n])
+		}
+	}
+	if n != perSeries || st.dec != nil {
+		t.Fatalf("NDJSON stream: %d rows, fell back to encoding/json: %v", n, st.dec != nil)
+	}
+	_, raw := fetchWire(t, "GET", series+"?limit=200", "gzip", "", nil)
+	var page SamplesPage
+	if !sc.parseSamplesPage(raw, &page) || page.Count != 200 || len(page.Samples) != 200 || page.NextCursor == "" || page.Device != rows[0].Device {
+		t.Fatalf("JSON page left the fast path or misread: %+v", page)
 	}
 }

@@ -360,19 +360,13 @@ func (s *Service) v2Samples(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return nil, err
 			}
-			out := SamplesPage{
-				Device:   key.Device,
-				Quantity: key.Quantity,
-				Samples:  make([]Point, len(page.Samples)),
-				Count:    len(page.Samples),
-			}
-			for i, smp := range page.Samples {
-				out.Samples[i] = Point{At: smp.At, Value: smp.Value}
-			}
+			next := ""
 			if page.More {
-				out.NextCursor = encodeCursor(page.Next)
+				next = encodeCursor(page.Next)
 			}
-			return out, nil
+			// ~45 bytes a sample; the response and cache entry, so not pooled.
+			body := make([]byte, 0, 160+len(key.Device)+len(key.Quantity)+48*len(page.Samples))
+			return api.RawJSON(appendSamplesPage(body, key, page.Samples, next)), nil
 		})
 		if err != nil {
 			api.WriteError(w, r, err)
@@ -396,7 +390,8 @@ func (s *Service) v2Samples(w http.ResponseWriter, r *http.Request) {
 }
 
 // streamSamples writes iterator rows in the negotiated encoding,
-// flushing periodically so slow consumers see progress.
+// flushing periodically so slow consumers see progress. An iterator that
+// fails after the first row aborts the connection.
 func (s *Service) streamSamples(w http.ResponseWriter, r *http.Request, key tsdb.SeriesKey, it *tsdb.Iterator, mediaType string, limit int) {
 	// Surface a missing series as a proper envelope before committing
 	// the streaming content type.
@@ -418,7 +413,7 @@ func (s *Service) streamSamples(w http.ResponseWriter, r *http.Request, key tsdb
 		buf := getRowBuf()
 		defer putRowBuf(buf)
 		writeRow = func(p Point) error {
-			buf.b = appendPointNDJSON(buf.b[:0], p)
+			buf.b = append(AppendPoint(buf.b[:0], p), '\n')
 			_, err := w.Write(buf.b)
 			return err
 		}
@@ -456,6 +451,12 @@ func (s *Service) streamSamples(w http.ResponseWriter, r *http.Request, key tsdb
 	finish()
 	if flusher != nil {
 		flusher.Flush()
+	}
+	if it.Err() != nil {
+		// A later page failed (series dropped mid-read, a block that does not
+		// verify) after the status line left: ending normally would pass a
+		// cut body off as whole, so abort, as the coordinator's relay does.
+		panic(http.ErrAbortHandler)
 	}
 }
 

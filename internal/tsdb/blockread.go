@@ -289,7 +289,7 @@ func (s *Sharded) mergedQuery(key SeriesKey, from, to time.Time) ([]Sample, erro
 	if to.Before(from) {
 		return nil, ErrBadInterval
 	}
-	it := iterPager(s, key, from, to, 0)
+	it := IterPager(s, key, from, to, 0)
 	var out []Sample
 	for {
 		smp, ok := it.Next()
@@ -600,7 +600,7 @@ func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window tim
 		res = block.Res1m
 	default:
 		// No rollup grid divides the window: exact merged raw walk.
-		return downsampleIter(iterPager(s, key, from, to, 0), from, window)
+		return downsampleIter(IterPager(s, key, from, to, 0), from, window)
 	}
 
 	i := s.ShardFor(key.Device)

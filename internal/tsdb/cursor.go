@@ -131,11 +131,11 @@ func searchSamples(samples []Sample, f func(Sample) bool) int {
 	return lo
 }
 
-// pager serves bounded pages of one series range scan. The Store is
+// Pager serves bounded pages of one series range scan. The Store is
 // one implementation; a durable Sharded shard with block files is
 // another (its pages merge the in-memory head with the on-disk blocks).
 // The Iterator works against either.
-type pager interface {
+type Pager interface {
 	QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error)
 }
 
@@ -144,7 +144,7 @@ type pager interface {
 // pages; the value-based cursor keeps the walk gap- and duplicate-free
 // with respect to the samples that remain stored.
 type Iterator struct {
-	p        pager
+	p        Pager
 	key      SeriesKey
 	from, to time.Time
 	pageSize int
@@ -161,11 +161,11 @@ type Iterator struct {
 // walk is stable while the series keeps growing. pageSize <= 0 means
 // DefaultPageLimit.
 func (s *Store) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
-	return iterPager(s, key, from, to, pageSize)
+	return IterPager(s, key, from, to, pageSize)
 }
 
-// iterPager builds an Iterator over any pager.
-func iterPager(p pager, key SeriesKey, from, to time.Time, pageSize int) *Iterator {
+// IterPager builds an Iterator over any Pager (a third Engine's Iter).
+func IterPager(p Pager, key SeriesKey, from, to time.Time, pageSize int) *Iterator {
 	if to.IsZero() {
 		to = time.Now()
 	}

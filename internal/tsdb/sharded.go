@@ -964,7 +964,7 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 // merged on a durable engine).
 func (s *Sharded) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
 	if s.bsets != nil {
-		return iterPager(s, key, from, to, pageSize)
+		return IterPager(s, key, from, to, pageSize)
 	}
 	return s.shard(key.Device).Iter(key, from, to, pageSize)
 }

@@ -11,6 +11,13 @@
 // choice, not a format one: the bytes are those a bit-at-a-time codec
 // produces, and the test-only refBitReader holds the reader to that.
 //
+// A chunk can only be decoded from its first sample, so an open block
+// keeps, per series that a read has entered past its start, an
+// in-memory restart table: the decoder state before every 128th point,
+// built by one full decode and dropped with the mapping (restart.go).
+// A read then starts within 128 points of its range. The table is not
+// part of the file format.
+//
 // The package is self-contained (no dependency on internal/tsdb) so the
 // tsdb layer can build on top of it without an import cycle.
 package block
@@ -110,6 +117,22 @@ func (r *bitReader) readBits(n uint) (uint64, error) {
 	}
 	r.valid -= n
 	return hi<<n | r.buf>>r.valid&(1<<n-1), nil
+}
+
+// offset is the reader's position in stream, the slice it started on,
+// in bits. What a reader returns next depends on this position alone.
+func (r *bitReader) offset(stream []byte) uint64 {
+	return 8*uint64(len(stream)-len(r.b)) - uint64(r.valid)
+}
+
+// seek repositions the reader at bit offset bit of stream, as if it had
+// read its way there from the start.
+func (r *bitReader) seek(stream []byte, bit uint64) {
+	r.b, r.buf, r.valid = stream[bit/8:], 0, 0
+	if skip := uint(bit % 8); skip > 0 {
+		r.refill()
+		r.valid -= skip
+	}
 }
 
 // zigzag maps signed integers to unsigned so small magnitudes encode

@@ -39,9 +39,10 @@ func (r *refBitReader) readBits(n uint) (uint64, error) {
 // checkBitScript reads data through both readers by the widths in
 // script (each taken mod 65; width 1 goes through readBit) and demands
 // the same value or the same errBitsEOF at every step, past the first
-// error too (the reference stays drained, so must bitReader). The values
-// read are written back through bitWriter and must reproduce the bytes
-// consumed.
+// error too (the reference stays drained, so must bitReader). Before
+// every read a third reader seeks to bitReader's offset and must read
+// the same. The values read are written back through bitWriter and must
+// reproduce the bytes consumed.
 func checkBitScript(t *testing.T, data, script []byte) {
 	t.Helper()
 	ref := refBitReader{b: data}
@@ -50,6 +51,9 @@ func checkBitScript(t *testing.T, data, script []byte) {
 	written := uint(0)
 	for i, c := range script {
 		n := uint(c) % 65
+		at := r.offset(data)
+		var sought bitReader
+		sought.seek(data, at)
 		want, wantErr := ref.readBits(n)
 		var got uint64
 		var err error
@@ -63,6 +67,10 @@ func checkBitScript(t *testing.T, data, script []byte) {
 		}
 		if got != want {
 			t.Fatalf("read %d (width %d): got %#x, reference %#x", i, n, got, want)
+		}
+		if sv, serr := sought.readBits(n); sv != got || (serr != nil) != (err != nil) {
+			t.Fatalf("read %d (width %d) after seeking to bit %d: got %#x (err %v), reader %#x (err %v)",
+				i, n, at, sv, serr, got, err)
 		}
 		if err != nil {
 			continue

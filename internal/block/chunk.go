@@ -116,7 +116,8 @@ func decodeChunk(dst []Point, buf []byte) ([]Point, error) {
 // chunkIter streams points out of an encoded chunk.
 type chunkIter struct {
 	r       bitReader
-	n       int // points remaining
+	bits    []byte // the whole bitstream r reads, for restart offsets
+	n       int    // points remaining
 	first   bool
 	t       int64
 	delta   int64
@@ -136,7 +137,8 @@ func newChunkIter(buf []byte) (*chunkIter, error) {
 	if count > uint64(len(buf))*8 {
 		return nil, fmt.Errorf("block: chunk count %d implausible for %d bytes", count, len(buf))
 	}
-	return &chunkIter{r: bitReader{b: buf[n:]}, n: int(count), first: true}, nil
+	bits := buf[n:]
+	return &chunkIter{r: bitReader{b: bits}, bits: bits, n: int(count), first: true}, nil
 }
 
 func (it *chunkIter) Next() bool {

@@ -34,7 +34,11 @@ type Block struct {
 	minT   int64
 	maxT   int64
 	series []SeriesMeta // ascending (Device, Quantity)
-	refs   atomic.Int64
+	// restarts[i] is series[i]'s restart table, nil until a read skips
+	// ahead in its chunk. Racing first readers may each build one; any
+	// copy is valid, and the last stored wins.
+	restarts []atomic.Pointer[restartTable]
+	refs     atomic.Int64
 }
 
 // Open maps the block at path and parses its index.
@@ -100,6 +104,7 @@ func (b *Block) parse() error {
 		return fmt.Errorf("block: %s: empty index", b.path)
 	}
 	b.series = series
+	b.restarts = make([]atomic.Pointer[restartTable], len(series))
 	b.minT, b.maxT = series[0].MinT, series[0].MaxT
 	for _, m := range series[1:] {
 		if m.MinT < b.minT {
@@ -138,13 +143,21 @@ func (b *Block) NumSamples() int64 {
 
 // Meta returns the index entry for key.
 func (b *Block) Meta(key Key) (SeriesMeta, bool) {
+	if i := b.find(key); i >= 0 {
+		return b.series[i], true
+	}
+	return SeriesMeta{}, false
+}
+
+// find returns key's position in the index, or -1.
+func (b *Block) find(key Key) int {
 	i := sort.Search(len(b.series), func(i int) bool {
 		return !b.series[i].Key.less(key)
 	})
 	if i < len(b.series) && b.series[i].Key == key {
-		return b.series[i], true
+		return i
 	}
-	return SeriesMeta{}, false
+	return -1
 }
 
 // Points decodes the raw samples of key with mint <= T <= maxt
@@ -155,30 +168,27 @@ func (b *Block) Points(dst []Point, key Key, mint, maxt int64) ([]Point, error) 
 }
 
 // PointsLimit is Points bounded to at most max appended points (max < 0
-// means unbounded). Chunk decoding is sequential, so a bounded read
-// stops as soon as the page is satisfied instead of materializing the
-// whole range.
+// means unbounded). The decode starts at the last restart point before
+// mint (see restart.go), so it passes at most 128 points before the
+// range, and it stops as soon as the page is satisfied instead of
+// materializing the whole range.
 func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]Point, error) {
-	m, ok := b.Meta(key)
-	if !ok {
+	i := b.find(key)
+	if i < 0 {
 		return dst, ErrNoSeries
 	}
+	m := b.series[i]
 	if !m.HasRaw() {
 		return dst, ErrRawDemoted
 	}
 	if maxt < m.MinT || mint > m.MaxT {
 		return dst, nil
 	}
-	payload, err := frameAt(b.data, m.raw)
+	it, err := b.chunkFrom(i, mint)
 	if err != nil {
 		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
 	}
-	it, err := newChunkIter(payload)
-	if err != nil {
-		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
-	}
-	added := 0
-	for it.Next() {
+	for added := 0; (max < 0 || added < max) && it.Next(); {
 		p := it.At()
 		if p.T > maxt {
 			break
@@ -186,15 +196,52 @@ func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]
 		if p.T >= mint {
 			dst = append(dst, p)
 			added++
-			if max >= 0 && added >= max {
-				break
-			}
 		}
 	}
 	if err := it.Err(); err != nil {
 		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
 	}
 	return dst, nil
+}
+
+// chunkFrom returns a decoder over series i's raw chunk, resumed at the
+// last restart before mint. A read from the series' first point needs
+// no table, and a chunk of a few restarts is cheaper to decode than to
+// index, so neither builds one.
+func (b *Block) chunkFrom(i int, mint int64) (*chunkIter, error) {
+	m := b.series[i]
+	payload, err := frameAt(b.data, m.raw)
+	if err != nil {
+		return nil, err
+	}
+	it, err := newChunkIter(payload)
+	if err != nil || mint <= m.MinT || m.Count <= 2*restartEvery {
+		return it, err
+	}
+	tab := b.restarts[i].Load()
+	if tab == nil {
+		built, err := buildRestarts(payload)
+		if err != nil {
+			return nil, err
+		}
+		tab = &built
+		b.restarts[i].Store(tab)
+	}
+	it.seek(*tab, mint)
+	return it, nil
+}
+
+// RestartBytes is the heap the block's restart tables hold: one entry
+// (40 bytes on 64-bit platforms) per 128 points of each series a read
+// has skipped ahead in.
+func (b *Block) RestartBytes() int64 {
+	var n int64
+	for i := range b.restarts {
+		if tab := b.restarts[i].Load(); tab != nil {
+			n += int64(len(*tab)) * restartSize
+		}
+	}
+	return n
 }
 
 // Rollup returns the precomputed buckets of key at res (Res1m or
@@ -294,6 +341,7 @@ func (b *Block) unref() error {
 	data := b.data
 	b.data = nil
 	b.series = nil
+	b.restarts = nil
 	if b.mapped && data != nil {
 		return unmapFile(data)
 	}

@@ -54,7 +54,10 @@ type RowScanner struct {
 	buf   []byte
 	pos   int  // next unread byte
 	limit int  // end of valid data in buf
-	eof   bool // r is exhausted
+	eof   bool // r is exhausted, or failed with rerr
+	// rerr is the read failure that ended the input. It is reported once
+	// the whole rows read before it are delivered.
+	rerr error
 
 	// dec takes over an NDJSON stream at its first non-canonical row,
 	// for the rest of the request.
@@ -71,7 +74,7 @@ func NewRowScanner(r io.Reader) *RowScanner {
 	sc := rowScannerPool.Get().(*RowScanner)
 	sc.r = r
 	sc.pos, sc.limit = 0, 0
-	sc.eof = false
+	sc.eof, sc.rerr = false, nil
 	if sc.buf == nil {
 		sc.buf = make([]byte, minScanBuf)
 	}
@@ -84,7 +87,7 @@ func NewRowScanner(r io.Reader) *RowScanner {
 // Release returns the scanner (and its row slice) to the pool. Rows
 // returned by decodeBatch are invalid after this; Next's rows are not.
 func (sc *RowScanner) Release() {
-	sc.r, sc.dec = nil, nil
+	sc.r, sc.dec, sc.rerr = nil, nil, nil
 	sc.pts = sc.pts[:0]
 	if len(sc.buf) > maxScanBuf {
 		sc.buf = nil
@@ -93,9 +96,10 @@ func (sc *RowScanner) Release() {
 }
 
 // fill slides the unread window to the front of the buffer, growing it
-// when full, and reads more input behind it. An exhausted source sets
-// eof; only a read failure is an error.
-func (sc *RowScanner) fill() error {
+// when full, and reads more input behind it. A source that ends sets
+// eof, and rerr too when it ends by failing; a Read that returns bytes
+// with its error keeps them, so the rows they complete still count.
+func (sc *RowScanner) fill() {
 	if sc.pos > 0 {
 		sc.limit = copy(sc.buf, sc.buf[sc.pos:sc.limit])
 		sc.pos = 0
@@ -108,12 +112,15 @@ func (sc *RowScanner) fill() error {
 	for {
 		n, err := sc.r.Read(sc.buf[sc.limit:])
 		sc.limit += n
-		if err == io.EOF {
+		if err != nil {
 			sc.eof = true
-			return nil
+			if err != io.EOF {
+				sc.rerr = err
+			}
+			return
 		}
-		if err != nil || n > 0 {
-			return err
+		if n > 0 {
+			return
 		}
 	}
 }
@@ -121,7 +128,9 @@ func (sc *RowScanner) fill() error {
 // line returns the unread input from its first non-blank byte up to the
 // next newline, reading until the buffer holds all of it. Input that
 // ends without a newline, or a line still open at maxScanBuf, is
-// returned as far as it goes. io.EOF reports a clean end of input.
+// returned as far as it goes — unless the input ended in a read failure,
+// which leaves that last line incomplete: the failure is returned
+// instead. io.EOF reports a clean end of input.
 func (sc *RowScanner) line() ([]byte, error) {
 	searched := 0 // bytes after pos known to hold no newline
 	for {
@@ -132,6 +141,9 @@ func (sc *RowScanner) line() ([]byte, error) {
 		if i := bytes.IndexByte(w[searched:], '\n'); i >= 0 {
 			return w[:searched+i], nil
 		}
+		if sc.rerr != nil {
+			return nil, sc.rerr
+		}
 		if sc.eof || len(w) >= maxScanBuf {
 			if len(w) == 0 {
 				return nil, io.EOF
@@ -139,9 +151,7 @@ func (sc *RowScanner) line() ([]byte, error) {
 			return w, nil
 		}
 		searched = len(w)
-		if err := sc.fill(); err != nil {
-			return nil, err
-		}
+		sc.fill()
 	}
 }
 
@@ -178,8 +188,18 @@ func (sc *RowScanner) Next(p *Point) error {
 // so starting one at a row boundary continues the stream exactly as one
 // started at byte zero would have.
 func (sc *RowScanner) fallBack() {
-	sc.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf[sc.pos:sc.limit]), sc.r))
+	rest := sc.r
+	if sc.rerr != nil {
+		rest = failedReader{sc.rerr}
+	}
+	sc.dec = json.NewDecoder(io.MultiReader(bytes.NewReader(sc.buf[sc.pos:sc.limit]), rest))
 }
+
+// failedReader stands in for a source that has failed: a reader need
+// not repeat its error if read again, and the scanner has read it once.
+type failedReader struct{ err error }
+
+func (r failedReader) Read([]byte) (int, error) { return 0, r.err }
 
 // decodeBatch decodes a whole {"<field>":[...]} request body ("rows" or
 // "samples"). The body is read to its end first, so any error fails it
@@ -188,9 +208,10 @@ func (sc *RowScanner) fallBack() {
 // decoded again, from its first byte, by encoding/json.
 func (sc *RowScanner) decodeBatch(field string) ([]Point, error) {
 	for !sc.eof {
-		if err := sc.fill(); err != nil {
-			return nil, err
-		}
+		sc.fill()
+	}
+	if sc.rerr != nil {
+		return nil, sc.rerr
 	}
 	body := sc.buf[:sc.limit]
 	if sc.parseBatch(body, field) {

@@ -294,6 +294,73 @@ func TestRowScannerSmallReads(t *testing.T) {
 	}
 }
 
+// An NDJSON upload over http.MaxBytesReader's limit ends in a Read that
+// returns bytes and *http.MaxBytesError together. Every whole row before
+// the limit is delivered, then the error — never a silently shorter
+// stream, and never an error that swallows rows already read. A batch
+// body fails whole.
+func TestRowScannerDeliversRowsBeforeAReadError(t *testing.T) {
+	line := func(i int, deviceKey string) string {
+		return fmt.Sprintf(`{%q:"urn:d/%d","quantity":"t","at":"2015-03-09T10:00:0%dZ","value":%d}`+"\n", deviceKey, i, i, i)
+	}
+	for _, tc := range []struct {
+		name      string
+		odd       int // row written with a key only encoding/json reads
+		cutInside bool
+	}{
+		{"cut inside a row", -1, true},
+		{"cut at a row's end", -1, false},
+		{"encoding/json fallback", 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var body strings.Builder
+			limit := 0
+			for i := 0; i < 10; i++ {
+				key := "device"
+				if i == tc.odd {
+					key = "Device"
+				}
+				body.WriteString(line(i, key))
+				if i == 5 {
+					limit = body.Len()
+				}
+			}
+			if tc.cutInside {
+				limit += 7
+			}
+			sc := NewRowScanner(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(body.String())), int64(limit)))
+			defer sc.Release()
+			var got []Point
+			var p Point
+			var err error
+			for err == nil {
+				if err = sc.Next(&p); err == nil {
+					got = append(got, p)
+				}
+			}
+			var tooLarge *http.MaxBytesError
+			if !errors.As(err, &tooLarge) {
+				t.Fatalf("stream ended with %v, want *http.MaxBytesError", err)
+			}
+			if len(got) != 6 {
+				t.Fatalf("%d rows before the error, want the 6 whole rows under the limit: %+v", len(got), got)
+			}
+			for i, p := range got {
+				if p.Device != fmt.Sprintf("urn:d/%d", i) {
+					t.Fatalf("row %d is %+v", i, p)
+				}
+			}
+		})
+	}
+	batch := `{"rows":[` + strings.Repeat(`{"device":"urn:d/1","quantity":"t","value":1},`, 9) + `{"device":"urn:d/1","quantity":"t","value":1}]}`
+	sc := NewRowScanner(http.MaxBytesReader(nil, io.NopCloser(strings.NewReader(batch)), int64(len(batch)-3)))
+	defer sc.Release()
+	var tooLarge *http.MaxBytesError
+	if pts, err := sc.decodeBatch("rows"); !errors.As(err, &tooLarge) || len(pts) != 0 {
+		t.Fatalf("over-long batch: %d rows, err %v; want none and *http.MaxBytesError", len(pts), err)
+	}
+}
+
 // iotest wraps r to deliver one byte per Read.
 func iotest(r io.Reader) io.Reader { return &oneByteReader{r: r} }
 

@@ -514,12 +514,12 @@ func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate,
 			// Demoted: fold every 1m bucket whose samples intersect the
 			// range. Boundary buckets are included whole — the
 			// approximation raw retention buys.
-			bks, err := b.Rollup(bk(key), block.Res1m)
-			if err != nil {
+			var err error
+			if rs.bks, err = b.AppendRollup(rs.bks[:0], bk(key), block.Res1m); err != nil {
 				return Aggregate{}, err
 			}
 			var part Aggregate
-			for _, rb := range bks {
+			for _, rb := range rs.bks {
 				if rb.LastT < fromN || rb.FirstT > toN {
 					continue
 				}
@@ -538,15 +538,14 @@ func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate,
 // ends inside the range — "the last N hours" over a block cut before
 // now — every 1h rollup bucket whose samples all lie at or after fromN
 // is folded whole, and only the stretch before the first such bucket is
-// decoded: chunks have no seek points, so that decode still starts at
-// the chunk's first sample, but it stops at the edge hour, and the cost
-// follows the distance of `from` into the chunk instead of the chunk's
-// length. (The 1h tier, not 1m: at minute cadence the 1m tier is as
-// large as the chunk it would spare.) A range that ends inside the block
-// has to decode up to `to` whatever the buckets say, so it folds the
-// decoded points as they come, as does a range with no whole bucket.
-// Edge first, then buckets in time order: First/Last ties resolve as in
-// a raw scan.
+// decoded, from the chunk's last restart point before `from` (see
+// block.PointsLimit) to the edge hour: at most an hour of samples plus
+// 128, wherever `from` falls in the chunk. (The 1h tier, not 1m: at
+// minute cadence the 1m tier is as large as the chunk it would spare.)
+// A range that ends inside the block has to decode up to `to` whatever
+// the buckets say, so it folds the decoded points as they come, as does
+// a range with no whole bucket. Edge first, then buckets in time order:
+// First/Last ties resolve as in a raw scan.
 func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, fromN, toN int64) (Aggregate, error) {
 	var whole []block.Bucket
 	edge, edgeTo := true, toN
@@ -648,12 +647,12 @@ func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window tim
 	defer rs.release()
 	for _, b := range blks {
 		m, _ := b.Meta(bk(key))
-		bks, err := b.Rollup(bk(key), res)
-		if err != nil {
+		var err error
+		if rs.bks, err = b.AppendRollup(rs.bks[:0], bk(key), res); err != nil {
 			return nil, err
 		}
 		raw := m.HasRaw()
-		for _, rb := range bks {
+		for _, rb := range rs.bks {
 			if rb.LastT < fromN || rb.FirstT > toN {
 				continue
 			}
@@ -677,9 +676,7 @@ func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window tim
 			if hi > toN {
 				hi = toN
 			}
-			var err error
-			rs.pts, err = b.PointsLimit(rs.pts[:0], bk(key), lo, hi, -1)
-			if err != nil {
+			if rs.pts, err = b.PointsLimit(rs.pts[:0], bk(key), lo, hi, -1); err != nil {
 				return nil, err
 			}
 			for _, p := range rs.pts {

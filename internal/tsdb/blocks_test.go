@@ -589,7 +589,7 @@ func TestBlockVerifyShardDir(t *testing.T) {
 
 func TestBlockStatsAndStatusAccounting(t *testing.T) {
 	dir := t.TempDir()
-	rows := oldRows(200, blockKey)
+	rows := oldRows(1000, blockKey)
 	eng := openDurable(t, dir, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
 	defer eng.Close()
 	if errs := eng.AppendBatch(rows); errs != nil {
@@ -604,11 +604,22 @@ func TestBlockStatsAndStatusAccounting(t *testing.T) {
 		t.Fatalf("stats changed across compaction: %+v vs %+v", before, after)
 	}
 	st := eng.ShardStatus(0)
-	if st.Blocks == 0 || st.BlockBytes == 0 || st.BlockSamples != 200 {
+	if st.Blocks == 0 || st.BlockBytes == 0 || st.BlockSamples != 1000 {
 		t.Fatalf("shard status = %+v", st)
 	}
-	if st.Samples != 200 || st.Series != 1 {
+	if st.Samples != 1000 || st.Series != 1 {
 		t.Fatalf("shard status merged counts = %+v", st)
+	}
+	// Restart tables are heap the status reports: none until a read
+	// starts inside a block's chunk, then one for the series it read.
+	if st.RestartBytes != 0 {
+		t.Fatalf("restart bytes %d before any read", st.RestartBytes)
+	}
+	if _, err := eng.Query(blockKey, rows[600].Sample.At, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if st := eng.ShardStatus(0); st.RestartBytes <= 0 || st.RestartBytes > 1000/128*48 {
+		t.Fatalf("restart bytes %d after a read from mid-block, want (0, %d]", st.RestartBytes, 1000/128*48)
 	}
 }
 

@@ -707,11 +707,13 @@ type ShardStatus struct {
 	WALSegments int    `json:"wal_segments"`
 	Dir         string `json:"dir,omitempty"`
 	// Block-layer counters (zero on an in-memory engine): published
-	// block files, their on-disk bytes, and the samples they cover
-	// (index counts — demoted series still contribute).
+	// block files, their on-disk bytes, the samples they cover (index
+	// counts — demoted series still contribute), and the heap their
+	// restart tables hold (block.Block.RestartBytes).
 	Blocks       int   `json:"blocks,omitempty"`
 	BlockBytes   int64 `json:"block_bytes,omitempty"`
 	BlockSamples int64 `json:"block_samples,omitempty"`
+	RestartBytes int64 `json:"restart_bytes,omitempty"`
 }
 
 // ShardStatus snapshots one shard's live counters (zero durable fields
@@ -732,6 +734,7 @@ func (s *Sharded) ShardStatus(i int) ShardStatus {
 		for _, b := range bs.blocks {
 			out.BlockBytes += b.Size()
 			out.BlockSamples += b.NumSamples()
+			out.RestartBytes += b.RestartBytes()
 		}
 		bs.mu.RUnlock()
 		out.Samples += int(out.BlockSamples)

@@ -1602,9 +1602,12 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // and 904 — and a streamed row read by the client 0.002. A 64-series
 // glob aggregate through the node's /v2/query measures 147 allocations
 // a response (218 while a BatchResponse was built and reflected over);
-// one more allocation per series would cost 64. CSV encode has no
-// ceiling: its per-row conversions through encoding/csv are benchmarked
-// for reference only.
+// one more allocation per series would cost 64. The same answer read by
+// the Go client's Measurements.Query measures 46 allocations a call,
+// four of them the in-place decode and the rest the request
+// (json.Unmarshal: 381), so a per-series allocation would show here
+// too. CSV encode has no ceiling: its per-row conversions through
+// encoding/csv are benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("allocation counts are only meaningful in a plain, full run")
@@ -1625,6 +1628,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"client stream row", 0.1, 1, func(tb testing.TB) hotPathOp { return clientStreamOp(tb, false) }},
 		{"samples page 900 rows", 96.0, 20, func(tb testing.TB) hotPathOp { return samplesPageEncodeOp(tb, false) }},
 		{"batch query json", 180.0, 20, batchQueryJSONOp},
+		{"batch answer decode", 64.0, 20, func(tb testing.TB) hotPathOp { return clientBatchQueryOp(tb, false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)
@@ -1816,7 +1820,7 @@ func gzipOp(tb testing.TB, samples int) (op hotPathOp, ratio func() float64) {
 // the encoding/json path the codec replaced, over the same input, as its
 // codec=encoding-json arm:
 //
-//	go test -run '^$' -bench 'Client(Append|StreamDecode|SamplesPage)|SamplesPageEncode' -benchtime 200x .
+//	go test -run '^$' -bench 'Client(Append|StreamDecode|SamplesPage|BatchQuery)|SamplesPageEncode' -benchtime 200x .
 
 // cannedTransport answers every request with one body from memory.
 type cannedTransport struct {
@@ -1974,6 +1978,42 @@ func BenchmarkClientSamplesPage(b *testing.B) {
 	b.Run("codec=encoding-json/rows=900", func(b *testing.B) { benchAllocsPer(b, "row", clientSamplesPageOp(b, true)) })
 }
 
+// clientBatchQueryOp is one Measurements.Query of the dashboard tile,
+// answered with the node's 64-series aggregate answer (perOp is the
+// call); viaJSON is the transport's PostJSON into a BatchResponse, as
+// it was. The coordinator reads each node's answer the same way.
+func clientBatchQueryOp(tb testing.TB, viaJSON bool) hotPathOp {
+	h, body := batchQueryService(tb)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest("POST", "/v2/query", bytes.NewReader(body)))
+	hc := &http.Client{Transport: cannedTransport{"application/json", w.Body.Bytes()}}
+	mc := (&client.Client{HTTP: hc, MaxAttempts: 1}).Measurements("http://canned")
+	tr := &api.Transport{Client: hc, MaxAttempts: 1}
+	var req measuredb.BatchQuery
+	if err := json.Unmarshal(body, &req); err != nil {
+		tb.Fatal(err)
+	}
+	ctx := context.Background()
+	return hotPathOp{perOp: 1, fn: func() {
+		var rsp *measuredb.BatchResponse
+		var err error
+		if viaJSON {
+			rsp = new(measuredb.BatchResponse)
+			err = tr.PostJSON(ctx, "http://canned/v2/query", req, rsp)
+		} else {
+			rsp, err = mc.Query(ctx, req)
+		}
+		if err != nil || rsp.Series != batchQueryDevices || len(rsp.Results) != 1 || len(rsp.Results[0].Series) != batchQueryDevices {
+			tb.Fatalf("batch query: %+v, %v", rsp, err)
+		}
+	}}
+}
+
+func BenchmarkClientBatchQuery(b *testing.B) {
+	b.Run("codec=scanner/series=64", func(b *testing.B) { benchAllocsPer(b, "call", clientBatchQueryOp(b, false)) })
+	b.Run("codec=encoding-json/series=64", func(b *testing.B) { benchAllocsPer(b, "call", clientBatchQueryOp(b, true)) })
+}
+
 // samplesPageEncodeOp is one GET of the 900-row JSON page through the
 // node's handler into a discarding writer (perOp is the response);
 // viaJSON renders the same page as the handler did before: copied into
@@ -2003,28 +2043,35 @@ func BenchmarkSamplesPageEncode(b *testing.B) {
 	b.Run("codec=encoding-json/rows=900", func(b *testing.B) { benchAllocsPer(b, "response", samplesPageEncodeOp(b, true)) })
 }
 
-// batchQueryJSONOp is the dashboard tile on one node: POST /v2/query
-// with one glob selector aggregating 64 series, answered as JSON
-// through the node's handler into a discarding writer (perOp is the
-// response).
-func batchQueryJSONOp(tb testing.TB) hotPathOp {
-	const devices, perSeries = 64, 100
+// batchQueryDevices is the series count of the dashboard tile below.
+const batchQueryDevices = 64
+
+// batchQueryService holds 64 series of 100 samples behind the node's
+// handler; body is the dashboard tile, one glob selector aggregating
+// all of them.
+func batchQueryService(tb testing.TB) (h http.Handler, body []byte) {
 	svc := measuredb.New(measuredb.Options{DisableLegacyAliases: true, Engine: tsdb.NewSharded(tsdb.ShardedOptions{})})
 	tb.Cleanup(svc.Close)
-	for d := 0; d < devices; d++ {
+	for d := 0; d < batchQueryDevices; d++ {
 		key := tsdb.SeriesKey{Device: fmt.Sprintf("urn:district:turin/building:b%03d/device:d0", d), Quantity: "temperature"}
-		for i := 0; i < perSeries; i++ {
+		for i := 0; i < 100; i++ {
 			if err := svc.Store().Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Minute), Value: float64(i) + 0.25}); err != nil {
 				tb.Fatal(err)
 			}
 		}
 	}
-	h := svc.Handler()
-	body := []byte(`{"selectors":[{"device":"urn:district:turin/*","quantity":"temperature"}],"aggregate":true}`)
+	return svc.Handler(), []byte(`{"selectors":[{"device":"urn:district:turin/*","quantity":"temperature"}],"aggregate":true}`)
+}
+
+// batchQueryJSONOp is the dashboard tile on one node: POST /v2/query
+// answered as JSON through the node's handler into a discarding writer
+// (perOp is the response).
+func batchQueryJSONOp(tb testing.TB) hotPathOp {
+	h, body := batchQueryService(tb)
 	return hotPathOp{perOp: 1, fn: func() {
 		w := &discardResponseWriter{h: make(http.Header)}
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v2/query", bytes.NewReader(body)))
-		if w.status != 200 || w.wire < devices*200 {
+		if w.status != 200 || w.wire < batchQueryDevices*200 {
 			tb.Fatalf("batch query: status %d, %d bytes", w.status, w.wire)
 		}
 	}}

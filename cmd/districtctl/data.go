@@ -14,7 +14,8 @@ import (
 
 // Data commands, the ops surface of the durable storage layer:
 // "data status" renders a running measurements DB's per-shard storage
-// report (head vs block sizes, WAL watermarks); "data compact" forces a
+// report (head vs block sizes, WAL watermarks, the heap the blocks'
+// restart tables hold beside their disk bytes); "data compact" forces a
 // block compaction cycle; "data verify" CRC-checks a data directory on
 // disk — WAL segments, snapshots, and every frame of every block file —
 // without a running service.
@@ -52,22 +53,23 @@ func cmdDataStatus(ctx context.Context, c *client.Client, args []string) error {
 		fmt.Println("engine is in-memory (no -data-dir); nothing on disk")
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tSERIES\tSAMPLES\tBLOCKS\tBLOCK BYTES\tBLOCK SAMPLES\tWAL ROWS\tWAL SEGS\tDISK\tDIR")
+	fmt.Fprintln(tw, "SHARD\tSERIES\tSAMPLES\tBLOCKS\tBLOCK BYTES\tBLOCK SAMPLES\tWAL ROWS\tWAL SEGS\tDISK\tRESTARTS\tDIR")
 	var blocks int
-	var blockBytes, diskBytes int64
+	var blockBytes, diskBytes, restartBytes int64
 	for _, sh := range st.Shards {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%s\t%s\n",
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%s\t%s\t%s\n",
 			sh.Shard, sh.Series, sh.Samples, sh.Blocks, sizeOf(sh.BlockBytes),
-			sh.BlockSamples, sh.WALPending, sh.WALSegments, sizeOf(sh.DiskBytes), sh.Dir)
+			sh.BlockSamples, sh.WALPending, sh.WALSegments, sizeOf(sh.DiskBytes), sizeOf(sh.RestartBytes), sh.Dir)
 		blocks += sh.Blocks
 		blockBytes += sh.BlockBytes
 		diskBytes += sh.DiskBytes
+		restartBytes += sh.RestartBytes
 	}
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("%d shards, %d blocks, %s in blocks, %s on disk\n",
-		len(st.Shards), blocks, sizeOf(blockBytes), sizeOf(diskBytes))
+	fmt.Printf("%d shards, %d blocks, %s in blocks, %s on disk, %s of restart tables in memory\n",
+		len(st.Shards), blocks, sizeOf(blockBytes), sizeOf(diskBytes), sizeOf(restartBytes))
 	return nil
 }
 

@@ -2,6 +2,7 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,10 +23,11 @@ import (
 // sample reads with an auto-depaginating iterator, row-at-a-time NDJSON
 // streaming, and batch multi-series queries with aggregate pushdown.
 //
-// Sample rows are read by the ingest plane's own row scanner
-// (measuredb.RowScanner, DecodeSamplesPage): the canonical row — what
-// every server in this repository writes — is parsed in place, anything
-// else is encoding/json's to decode, with json.Unmarshal's results.
+// Sample rows and batch answers are read by the ingest plane's own row
+// scanner (measuredb.RowScanner, DecodeSamplesPage, DecodeBatchResponse):
+// the canonical row or answer — what every server in this repository
+// writes — is parsed in place, anything else is encoding/json's to
+// decode, with json.Unmarshal's results.
 type Measurements struct {
 	c    *Client
 	base string
@@ -220,12 +222,20 @@ func (m *Measurements) Downsample(ctx context.Context, device, quantity string, 
 // request a district dashboard polling hundreds of devices makes
 // instead of hundreds of single-series reads.
 func (m *Measurements) Query(ctx context.Context, req measuredb.BatchQuery) (*measuredb.BatchResponse, error) {
-	var out measuredb.BatchResponse
-	err := m.c.transport().PostJSON(ctx, api.URL2(m.base, "/query"), req, &out)
+	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
-	return &out, nil
+	h := http.Header{"Accept": {"application/json"}, "Content-Type": {"application/json"}}
+	raw, _, err := m.c.transport().Do(ctx, http.MethodPost, api.URL2(m.base, "/query"), h, body)
+	if err != nil {
+		return nil, err
+	}
+	out := new(measuredb.BatchResponse)
+	if err := measuredb.DecodeBatchResponse(raw, out); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // SampleIter walks a series range page by page, transparently following

@@ -9,7 +9,7 @@ package core
 
 import (
 	"fmt"
-	"log"
+	"log/slog"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -268,7 +268,7 @@ func Bootstrap(spec Spec) (*District, error) {
 		FlushEvery: 200 * time.Millisecond,
 		OnError: func(rows int, err error) {
 			d.dropped.Add(uint64(rows))
-			log.Printf("core: ingest flush dropped %d rows: %v", rows, err)
+			slog.Warn("ingest flush dropped rows", "service", "core", "rows", rows, "err", err)
 		},
 		OnResult: func(res *measuredb.IngestResult) {
 			d.delivered.Add(uint64(res.Accepted + res.Rejected))

@@ -14,7 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"sync"
@@ -360,7 +360,7 @@ func (p *Proxy) Close() {
 	}
 	p.srv.Close()
 	if err := p.streamS.Close(); err != nil {
-		log.Printf("deviceproxy: stream close: %v", err)
+		slog.Error("stream close", "service", "deviceproxy", "err", err)
 	}
 	_ = p.opts.Driver.Close()
 	p.store.Close()

@@ -107,6 +107,74 @@ func checkBatchGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
+// renderBatchJSON writes results through batchJSON, totals included, as
+// a node or the coordinator answers them.
+func renderBatchJSON(results []BatchResult) []byte {
+	j := newBatchJSON(len(results))
+	defer j.release()
+	for i := range results {
+		j.selector(i, results[i].Selector)
+		for k := range results[i].Series {
+			j.series(&results[i].Series[k])
+		}
+		j.end(results[i].Error)
+	}
+	return bytes.Clone(j.b)
+}
+
+// The coordinator and the Go client read /v2/query answers in place:
+// what batchJSON writes over plain names must never drop to the
+// encoding/json fallback, which would give the saving away while every
+// oracle stays green. One answer per mode, then every golden: each
+// decodes to what json.Unmarshal gives and re-renders to its own bytes,
+// and only the goldens whose names the writer escapes (or that carry a
+// window's buckets) fall back.
+func TestBatchAnswersDecodeInPlace(t *testing.T) {
+	const dev = "urn:district:turin/building:b01/device:t-1"
+	at := time.Date(2015, 3, 9, 10, 0, 0, 123456789, time.UTC)
+	rows := []Point{{At: at, Value: 21.25}, {At: at.Add(time.Minute), Value: -0.1}, {At: at.Add(2 * time.Minute), Value: 1e21}}
+	sel := SeriesSelector{Device: "urn:district:turin/*", Quantity: "temperature"}
+	for _, c := range []struct {
+		name    string
+		results []BatchResult
+	}{
+		{"raw", []BatchResult{{Selector: sel, Series: []BatchSeries{{Device: dev, Quantity: "temperature", Samples: rows}}}}},
+		{"truncated", []BatchResult{{Selector: sel, Series: []BatchSeries{{Device: dev, Quantity: "temperature", Samples: rows[:2], Truncated: true}}}}},
+		{"aggregate", []BatchResult{{Selector: sel, Series: []BatchSeries{{Device: dev, Quantity: "temperature",
+			Aggregate: &AggregateResponse{Device: dev, Quantity: "temperature", Count: 3, Min: -0.1, Max: 1e21, Mean: 1.0 / 3, Sum: 21.15}}}}}},
+		{"latest", []BatchResult{{Selector: SeriesSelector{Device: dev}, Series: []BatchSeries{{Device: dev, Quantity: "humidity", Samples: rows[2:]}, {Device: dev, Quantity: "temperature", Samples: rows[:1]}}}}},
+		{"no match", []BatchResult{{Selector: SeriesSelector{Device: "urn:nothing/*"}, Error: noMatch}, {Selector: sel, Series: []BatchSeries{{Device: dev, Quantity: "temperature"}}}}},
+		{"read error", []BatchResult{{Selector: sel, Series: []BatchSeries{{Device: dev, Quantity: "temperature", Samples: rows[:1]}}, Error: "tsdb: no such series"}}},
+	} {
+		if !checkBatchResponseOracle(t, renderBatchJSON(c.results)) {
+			t.Errorf("%s: the answer batchJSON writes fell back to encoding/json:\n%s", c.name, renderBatchJSON(c.results))
+		}
+	}
+
+	fallsBack := map[string]bool{"aggregate": true, "escapes": true, "latest": true, "raw_truncated": true, "raw_whole": true, "window": true}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "batch", "*.json"))
+	if err != nil || len(goldens) != 10 {
+		t.Fatalf("%d batch goldens, %v", len(goldens), err)
+	}
+	for _, path := range goldens {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := strings.TrimSuffix(filepath.Base(path), ".json")
+		if inPlace := checkBatchResponseOracle(t, raw); inPlace == fallsBack[name] {
+			t.Errorf("%s: decoded in place = %v", name, inPlace)
+		}
+		var answer BatchResponse
+		if err := DecodeBatchResponse(raw, &answer); err != nil {
+			t.Fatal(err)
+		}
+		if got := renderBatchJSON(answer.Results); !bytes.Equal(got, raw) {
+			t.Errorf("%s re-rendered:\ngot:  %s\nwant: %s", name, got, raw)
+		}
+	}
+}
+
 // A coordinator answers /v2/query with what one node holding every
 // series would: a 2-node cluster and a single node ingest the same rows
 // (spread over both nodes' shards), and for glob and exact selectors in

@@ -257,7 +257,9 @@ func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint6
 }
 
 // forwardJSON is forward for the callers that decode the whole reply
-// (bounded by api.MaxResponseBytes) into out.
+// (bounded by api.MaxResponseBytes) into out. A node's /v2/query answer
+// is read in place (DecodeBatchResponse); any other reply is
+// json.Unmarshal's.
 func (c *Coordinator) forwardJSON(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte, out any) error {
 	rsp, err := c.forward(ctx, method, u, epoch, header, body)
 	if err != nil {
@@ -268,7 +270,13 @@ func (c *Coordinator) forwardJSON(ctx context.Context, method, u string, epoch u
 	if err != nil {
 		return c.readErr(rsp, err)
 	}
-	if err := json.Unmarshal(raw, out); err != nil {
+	switch out := out.(type) {
+	case *BatchResponse:
+		err = DecodeBatchResponse(raw, out)
+	default:
+		err = json.Unmarshal(raw, out)
+	}
+	if err != nil {
 		return fmt.Errorf("bad reply from %s: %v", nodeOf(u), err)
 	}
 	return nil

@@ -10,7 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"net/http"
 	"net/url"
 	"path/filepath"
@@ -379,10 +379,10 @@ func (s *Service) Serve(addr string) (string, error) {
 func (s *Service) Close() {
 	s.srv.Close()
 	if err := s.streamS.Close(); err != nil {
-		log.Printf("measuredb: stream close: %v", err)
+		slog.Error("stream close", "service", "measuredb", "err", err)
 	}
 	if err := s.dedup.close(); err != nil {
-		log.Printf("measuredb: dedup journal close: %v", err)
+		slog.Error("dedup journal close", "service", "measuredb", "err", err)
 	}
 	s.store.Close()
 }

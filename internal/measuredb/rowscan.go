@@ -12,8 +12,10 @@ import (
 
 // The row decoder of the ingest plane, shared by the node, the
 // clustered node and the coordinator — and by the Go client's read side
-// (internal/client): a streamed NDJSON sample row is the canonical
-// ingest row, a JSON samples page an envelope around an array of them.
+// (internal/client) and the coordinator's fan-in: a streamed NDJSON
+// sample row is the canonical ingest row, a JSON samples page an
+// envelope around an array of them, and a /v2/query JSON answer nests
+// such arrays in its series.
 // It has one rule. A row in the canonical shape is parsed in place over
 // one pooled buffer, its device/quantity strings interned, so
 // steady-state ingest of a known device fleet allocates nothing per
@@ -65,6 +67,12 @@ type RowScanner struct {
 
 	interned map[string]string
 	pts      []Point // pooled row slice for whole-body decodes
+
+	// The parts of a /v2/query answer as DecodeBatchResponse parses them,
+	// before each kind is copied out into one block of its own.
+	results []resultSpan
+	series  []seriesSpan
+	aggs    []AggregateResponse
 }
 
 var rowScannerPool = sync.Pool{New: func() any { return new(RowScanner) }}
@@ -88,7 +96,7 @@ func NewRowScanner(r io.Reader) *RowScanner {
 // returned by decodeBatch are invalid after this; Next's rows are not.
 func (sc *RowScanner) Release() {
 	sc.r, sc.dec, sc.rerr = nil, nil, nil
-	sc.pts = sc.pts[:0]
+	sc.pts, sc.results, sc.series, sc.aggs = sc.pts[:0], sc.results[:0], sc.series[:0], sc.aggs[:0]
 	if len(sc.buf) > maxScanBuf {
 		sc.buf = nil
 	}
@@ -257,26 +265,16 @@ func (sc *RowScanner) parseBatch(b []byte, field string) bool {
 //
 // districtlint:hotpath
 func (sc *RowScanner) parseRows(b []byte, i int, dst []Point) ([]Point, int) {
-	if i = token(b, i, '['); i < 0 {
-		return dst, -1
-	}
-	if i < len(b) && b[i] == ']' {
-		return dst, i + 1
-	}
-	for {
+	i = array(b, i, func(i int) int {
 		var p Point
 		n, ok := sc.parseRow(b[i:], &p)
 		if !ok {
-			return dst, -1
+			return -1
 		}
 		dst = append(dst, p)
-		if i = skipWS(b, i+n); i < len(b) && b[i] == ']' {
-			return dst, i + 1
-		}
-		if i = token(b, i, ','); i < 0 {
-			return dst, -1
-		}
-	}
+		return i + n
+	})
+	return dst, i
 }
 
 // DecodeSamplesPage decodes the JSON body of GET /v2/.../samples into
@@ -293,6 +291,8 @@ func DecodeSamplesPage(body []byte, out *SamplesPage) error {
 	return json.Unmarshal(body, out)
 }
 
+var samplesPageKeys = []string{"device", "quantity", "samples", "count", "next_cursor"}
+
 // parseSamplesPage is the fast path of DecodeSamplesPage: one object of
 // "device", "quantity", "samples" (an array of canonical rows), "count"
 // (a plain integer) and "next_cursor", any order, each at most once,
@@ -301,26 +301,8 @@ func DecodeSamplesPage(body []byte, out *SamplesPage) error {
 //
 // districtlint:hotpath
 func (sc *RowScanner) parseSamplesPage(b []byte, out *SamplesPage) bool {
-	i := token(b, 0, '{')
-	if i < 0 {
-		return false
-	}
-	seen := 0
-	for {
-		key, j := plainString(b, i)
-		if j < 0 {
-			return false
-		}
-		if i = token(b, j, ':'); i < 0 {
-			return false
-		}
-		// The five keys differ in length, as the row's four do.
-		bit := 1 << len(key)
-		if seen&bit != 0 {
-			return false
-		}
-		seen |= bit
-		switch string(key) {
+	i := object(b, 0, samplesPageKeys, func(key string, i int) int {
+		switch key {
 		case "device":
 			out.Device, i = sc.name(b, i)
 		case "quantity":
@@ -328,32 +310,304 @@ func (sc *RowScanner) parseSamplesPage(b []byte, out *SamplesPage) bool {
 		case "next_cursor":
 			s, j := plainString(b, i)
 			if j < 0 || !utf8.Valid(s) {
-				return false
+				return -1
 			}
 			out.NextCursor, i = string(s), j
 		case "count":
-			j := numberEnd(b, i)
-			n, err := strconv.Atoi(string(b[i:j]))
-			if err != nil {
-				return false // no JSON number, a fraction or exponent, out of range
-			}
-			out.Count, i = n, j
+			out.Count, i = jsonInt(b, i)
 		case "samples":
 			// ~45 bytes a row: one allocation for the page this returns.
 			out.Samples, i = sc.parseRows(b, i, make([]Point, 0, (len(b)-i)/40+1))
-		default:
-			return false
 		}
-		if i < 0 {
-			return false
+		return i
+	})
+	return i >= 0 && skipWS(b, i) == len(b)
+}
+
+// DecodeBatchResponse decodes the JSON body of POST /v2/query into out
+// (zero on entry) as json.Unmarshal would: the canonical answer — what
+// batchJSON writes, on a node and on the coordinator — in place, any
+// other body by json.Unmarshal itself, from its first byte. A window
+// answer is one of those: its buckets are encoding/json's to decode.
+func DecodeBatchResponse(body []byte, out *BatchResponse) error {
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	if sc.parseBatchResponse(body, out) {
+		return nil
+	}
+	*out = BatchResponse{}
+	return json.Unmarshal(body, out)
+}
+
+// resultSpan is one BatchResult as parsed: its series are
+// sc.series[lo:hi], and hi < 0 when it has no "series" key.
+type resultSpan struct {
+	sel    SeriesSelector
+	err    string
+	lo, hi int
+}
+
+// seriesSpan is one BatchSeries as parsed: its samples are
+// sc.pts[lo:hi] (lo < 0: no "samples" key), its aggregate sc.aggs[agg]
+// (agg < 0: none).
+type seriesSpan struct {
+	device, quantity string
+	lo, hi, agg      int
+	truncated        bool
+}
+
+var (
+	batchResponseKeys = []string{"results", "series", "samples"}
+	batchResultKeys   = []string{"selector", "series", "error"}
+	selectorKeys      = []string{"device", "quantity"}
+	batchSeriesKeys   = []string{"device", "quantity", "samples", "aggregate", "truncated"}
+	aggregateKeys     = []string{"device", "quantity", "count", "min", "max", "mean", "sum"}
+)
+
+// parseBatchResponse is the fast path of DecodeBatchResponse: the
+// BatchResponse object whose every key is one of its fields' JSON names
+// ("buckets" excluded), at most once per object, whose strings are
+// plain and valid UTF-8, whose numbers are JSON-grammar ones that fit
+// their field, whose sample rows are canonical, and nothing but
+// whitespace after it. The parts land in the scanner's scratch first,
+// then in one block per kind — results, series, samples, aggregates —
+// so an answer costs four allocations however many series it holds.
+// false means "not canonical" and leaves out undefined.
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseBatchResponse(b []byte, out *BatchResponse) bool {
+	sc.pts, sc.results, sc.series, sc.aggs = sc.pts[:0], sc.results[:0], sc.series[:0], sc.aggs[:0]
+	hasResults := false
+	i := object(b, 0, batchResponseKeys, func(key string, i int) int {
+		switch key {
+		case "results":
+			hasResults = true
+			return array(b, i, func(i int) int { return sc.parseResult(b, i) })
+		case "series":
+			out.Series, i = jsonInt(b, i)
+		case "samples":
+			out.Samples, i = jsonInt(b, i)
 		}
-		if i = skipWS(b, i); i < len(b) && b[i] == '}' {
-			return skipWS(b, i+1) == len(b)
+		return i
+	})
+	if i < 0 || skipWS(b, i) != len(b) {
+		return false
+	}
+	if !hasResults {
+		return true
+	}
+	pts := append(make([]Point, 0, len(sc.pts)), sc.pts...)
+	aggs := append(make([]AggregateResponse, 0, len(sc.aggs)), sc.aggs...)
+	series := make([]BatchSeries, len(sc.series))
+	for k, s := range sc.series {
+		bs := &series[k]
+		bs.Device, bs.Quantity, bs.Truncated = s.device, s.quantity, s.truncated
+		if s.lo >= 0 {
+			bs.Samples = pts[s.lo:s.hi:s.hi]
 		}
-		if i = token(b, i, ','); i < 0 {
-			return false
+		if s.agg >= 0 {
+			bs.Aggregate = &aggs[s.agg]
 		}
 	}
+	out.Results = make([]BatchResult, len(sc.results))
+	for k, r := range sc.results {
+		res := &out.Results[k]
+		res.Selector, res.Error = r.sel, r.err
+		if r.hi >= 0 {
+			res.Series = series[r.lo:r.hi:r.hi]
+		}
+	}
+	return true
+}
+
+// parseResult parses the BatchResult object at b[i] into sc.results.
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseResult(b []byte, i int) int {
+	r := resultSpan{hi: -1}
+	i = object(b, i, batchResultKeys, func(key string, i int) int {
+		switch key {
+		case "selector":
+			return object(b, i, selectorKeys, func(key string, i int) int {
+				if key == "device" {
+					r.sel.Device, i = sc.name(b, i)
+				} else {
+					r.sel.Quantity, i = sc.name(b, i)
+				}
+				return i
+			})
+		case "series":
+			r.lo = len(sc.series)
+			i = array(b, i, func(i int) int { return sc.parseSeries(b, i) })
+			r.hi = len(sc.series)
+		case "error":
+			r.err, i = sc.name(b, i)
+		}
+		return i
+	})
+	sc.results = append(sc.results, r)
+	return i
+}
+
+// parseSeries parses the BatchSeries object at b[i] into sc.series, its
+// samples into sc.pts and its aggregate into sc.aggs.
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseSeries(b []byte, i int) int {
+	s := seriesSpan{lo: -1, agg: -1}
+	i = object(b, i, batchSeriesKeys, func(key string, i int) int {
+		switch key {
+		case "device":
+			s.device, i = sc.name(b, i)
+		case "quantity":
+			s.quantity, i = sc.name(b, i)
+		case "samples":
+			s.lo = len(sc.pts)
+			sc.pts, i = sc.parseRows(b, i, sc.pts)
+			s.hi = len(sc.pts)
+		case "aggregate":
+			s.agg = len(sc.aggs)
+			sc.aggs = append(sc.aggs, AggregateResponse{})
+			i = sc.parseAggregate(b, i, &sc.aggs[s.agg])
+		case "truncated":
+			s.truncated, i = jsonBool(b, i)
+		}
+		return i
+	})
+	sc.series = append(sc.series, s)
+	return i
+}
+
+// parseAggregate parses the AggregateResponse object at b[i] into a.
+//
+// districtlint:hotpath
+func (sc *RowScanner) parseAggregate(b []byte, i int, a *AggregateResponse) int {
+	return object(b, i, aggregateKeys, func(key string, i int) int {
+		switch key {
+		case "device":
+			a.Device, i = sc.name(b, i)
+		case "quantity":
+			a.Quantity, i = sc.name(b, i)
+		case "count":
+			a.Count, i = jsonInt(b, i)
+		case "min":
+			a.Min, i = jsonFloat(b, i)
+		case "max":
+			a.Max, i = jsonFloat(b, i)
+		case "mean":
+			a.Mean, i = jsonFloat(b, i)
+		case "sum":
+			a.Sum, i = jsonFloat(b, i)
+		}
+		return i
+	})
+}
+
+// object walks the JSON object at b[i], handing field each key — as
+// spelled in keys — with the index of its value; field returns the
+// index after the value, -1 for "not canonical". A key not in keys, or
+// written with an escape, or repeated (last-wins is encoding/json's to
+// apply), is not canonical either. It returns the index after the
+// closing brace, or -1.
+func object(b []byte, i int, keys []string, field func(key string, i int) int) int {
+	if i = token(b, i, '{'); i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == '}' {
+		return i + 1
+	}
+	seen := 0
+	for {
+		name, j := plainString(b, i)
+		if j < 0 {
+			return -1
+		}
+		k := 0
+		for k < len(keys) && string(name) != keys[k] {
+			k++
+		}
+		if k == len(keys) || seen&(1<<k) != 0 {
+			return -1
+		}
+		seen |= 1 << k
+		if i = token(b, j, ':'); i < 0 {
+			return -1
+		}
+		if i = field(keys[k], i); i < 0 {
+			return -1
+		}
+		if i = skipWS(b, i); i < len(b) && b[i] == '}' {
+			return i + 1
+		}
+		if i = token(b, i, ','); i < 0 {
+			return -1
+		}
+	}
+}
+
+// array walks the JSON array at b[i], handing elem the index of each
+// element; elem returns the index after it, -1 for "not canonical". It
+// returns the index after the closing bracket, or -1.
+func array(b []byte, i int, elem func(i int) int) int {
+	if i = token(b, i, '['); i < 0 {
+		return -1
+	}
+	if i < len(b) && b[i] == ']' {
+		return i + 1
+	}
+	for {
+		if i = elem(i); i < 0 {
+			return -1
+		}
+		if i = skipWS(b, i); i < len(b) && b[i] == ']' {
+			return i + 1
+		}
+		if i = token(b, i, ','); i < 0 {
+			return -1
+		}
+	}
+}
+
+// jsonInt decodes the JSON-grammar integer at b[i] that fits an int and
+// returns the index after it; -1 for a fraction, an exponent, a number
+// out of range or none at all, which encoding/json refuses for an int.
+func jsonInt(b []byte, i int) (int, int) {
+	j := numberEnd(b, i)
+	n, err := strconv.Atoi(string(b[i:j]))
+	if err != nil {
+		return 0, -1
+	}
+	return n, j
+}
+
+// jsonFloat decodes the JSON-grammar number at b[i] as encoding/json
+// decodes a float64 and returns the index after it; -1 when there is
+// none, or it is out of range.
+func jsonFloat(b []byte, i int) (float64, int) {
+	j := numberEnd(b, i)
+	if j == i {
+		return 0, -1
+	}
+	v, ok := fastFloat(b[i:j])
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(string(b[i:j]), 64); err != nil {
+			return 0, -1
+		}
+	}
+	return v, j
+}
+
+// jsonBool decodes the literal true or false at b[i] and returns the
+// index after it, -1 for anything else.
+func jsonBool(b []byte, i int) (bool, int) {
+	switch {
+	case bytes.HasPrefix(b[i:], []byte("true")):
+		return true, i + 4
+	case bytes.HasPrefix(b[i:], []byte("false")):
+		return false, i + 5
+	}
+	return false, -1
 }
 
 // parseRow is the fast path: it decodes the canonical row at the start
@@ -406,18 +660,9 @@ func (sc *RowScanner) parseRow(b []byte, p *Point) (n int, ok bool) {
 			}
 			i = j
 		case "value":
-			j := numberEnd(b, i)
-			if j == i {
+			if p.Value, i = jsonFloat(b, i); i < 0 {
 				return 0, false
 			}
-			v, ok := fastFloat(b[i:j])
-			if !ok {
-				var err error
-				if v, err = strconv.ParseFloat(string(b[i:j]), 64); err != nil {
-					return 0, false // out of range
-				}
-			}
-			p.Value, i = v, j
 		default:
 			return 0, false
 		}

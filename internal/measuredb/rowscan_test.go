@@ -9,6 +9,8 @@ import (
 	"math"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -448,6 +450,131 @@ func FuzzSamplesPage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkSamplesPageOracle(t, data)
+	})
+}
+
+// batchResponseCorpus seeds FuzzDecodeBatchResponse beside the goldens
+// under testdata/batch: a canonical answer of every series shape, then
+// that answer broken one way at a time — the shapes that are
+// encoding/json's to decode, and the ones nobody may decode.
+var batchResponseCorpus = func() []string {
+	at := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	canon := string(renderBatchJSON([]BatchResult{
+		{Selector: SeriesSelector{Device: "urn:d/*", Quantity: "temperature"}, Series: []BatchSeries{
+			{Device: "urn:d/1", Quantity: "temperature", Samples: []Point{{At: at, Value: 21.5}, {At: at.Add(1500 * time.Millisecond), Value: -1e-7}}, Truncated: true},
+			{Device: "urn:d/2", Quantity: "temperature", Aggregate: &AggregateResponse{Device: "urn:d/2", Quantity: "temperature", Count: 3, Min: -0.5, Max: 1e21, Mean: 1.0 / 3, Sum: 0.1}},
+			{Device: "urn:d/3", Quantity: "temperature"},
+		}, Error: "tsdb: no such series"},
+		{Selector: SeriesSelector{Device: "urn:nothing"}, Error: noMatch},
+	}))
+	mutants := []string{canon,
+		`{"results":[],"series":0,"samples":0}`, `{"series":1}`, `{}`, ``, `null`, `[]`,
+		`{"results":[{}]}`, `{"results":[{"selector":{}}]}`, `{"results":[{"series":[{}]}]}`,
+		`{"results":[{"series":[{"aggregate":{}}]}]}`, `{"results":[{"series":[{"samples":[]}]}]}`,
+		`{"results":null}`, `{"results":[{"series":null}]}`, `{"results":[{"series":[{"samples":null,"aggregate":null}]}]}`,
+		`{"results":[{"series":[{"buckets":[{"Start":"2015-03-09T10:00:00Z","Count":1}]}]}]}`,
+		`{"results":[{"series":[{"truncated":false}]}]}`, `{"results":[{"series":[{"truncated":"true"}]}]}`,
+		`{"results":[{"series":[{"truncated":tru}]}]}`, `{"results":[{"series":[{"truncated":truex}]}]}`,
+		` { "results" : [ { "selector" : { "device" : "d" } , "error" : "e" } ] , "series" : 0 } ` + "\n\t",
+		// A repeated object or array is merged into, not replaced, by
+		// encoding/json: only the refusal of repeated keys keeps these off
+		// the fast path.
+		`{"results":[{"selector":{"device":"a"},"error":"e"}],"results":[{"error":"f"}]}`,
+	}
+	for _, m := range [][2]string{
+		{`"results"`, `"Results"`},
+		{`"series":3`, `"series":3,"series":3`},
+		{`"series":3`, `"series":3.0`},
+		{`"series":3`, `"series":3e0`},
+		{`"series":3`, `"series":99999999999999999999`},
+		{`"samples":5`, `"samples":-0`},
+		{`"count":3`, `"count":3,"count":4`},
+		{`"count":3`, `"count":3.5`},
+		{`"max":1e+21`, `"max":1e400`},
+		{`"max":1e+21`, `"max":01`},
+		{`"min":-0.5`, `"min":-0`},
+		{`"min":-0.5`, `"min":-0.5,"extra":null`},
+		{`"sum":0.1`, `"sum":0.1000000000000000055511151231257827`},
+		{`"truncated":true`, `"truncated":true,"truncated":false`},
+		{`"sum":0.1}`, `"sum":0.1},"aggregate":{"count":9}`},
+		{`"error":"tsdb`, `"error":"tsd\u0062`},
+		{`"device":"urn:d/1"`, `"device":"urn:d/\u00e0"`},
+		{`"device":"urn:d/1"`, "\"device\":\"urn:d/\xff\""},
+		{`"device":"urn:d/1"`, "\"device\":\"urn:d/\x01\""},
+		{`"device":"urn:d/1"`, `"device":"urn:d/1","device":"urn:d/1"`},
+		{`"device":"urn:nothing"`, `"device":"urn:nothing","quantity":"q","quantity":"q"`},
+		{`"selector":{`, `"selector":{"x":1,`},
+		{`"value":21.5`, `"value":21.5,"device":"urn:d/1"`},
+		{`"at":"2015-03-09T10:00:00Z"`, `"at":"2015-03-09T11:00:00+01:00"`},
+		{`"at":"2015-03-09T10:00:00Z"`, `"at":"2015-03-09T10:00:00"`},
+		{`"aggregate":{`, `"aggregate":{"Count":9,`},
+		{`,"quantity":"temperature","aggregate"`, `,"aggregate"`},
+		{`"quantity":"temperature"}]`, `"quantity":"temperature","buckets":[]}]`},
+		{"}\n", "} trailing\n"},
+		{"}\n", "}{}"},
+		{"}\n", ""},
+		{`"error":"no matching series"}]`, `"error":"no matching series"},]`},
+	} {
+		if !strings.Contains(canon, m[0]) {
+			panic("batchResponseCorpus: no " + m[0] + " in " + canon)
+		}
+		mutants = append(mutants, strings.Replace(canon, m[0], m[1], 1))
+	}
+	return mutants
+}()
+
+// checkBatchResponseOracle: the in-place parse yields the answer
+// json.Unmarshal yields, or says "not canonical" — never a different
+// answer — and DecodeBatchResponse is json.Unmarshal either way, nil
+// against empty slices included. inPlace reports which path it took.
+func checkBatchResponseOracle(t *testing.T, data []byte) (inPlace bool) {
+	t.Helper()
+	var want, got, via BatchResponse
+	wantErr := json.Unmarshal(data, &want)
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	if inPlace = sc.parseBatchResponse(data, &got); inPlace {
+		if wantErr != nil {
+			t.Fatalf("input %q: parsed in place, json.Unmarshal refuses it: %v", data, wantErr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("input %q:\nin place:  %+v\nunmarshal: %+v", data, got, want)
+		}
+	}
+	if err := DecodeBatchResponse(data, &via); (err == nil) != (wantErr == nil) || err == nil && !reflect.DeepEqual(via, want) {
+		t.Fatalf("input %q: DecodeBatchResponse %+v, %v; json.Unmarshal %+v, %v", data, via, err, want, wantErr)
+	} else if err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("input %q: DecodeBatchResponse says %q, json.Unmarshal %q", data, err, wantErr)
+	}
+	return inPlace
+}
+
+func TestBatchResponseOracle(t *testing.T) {
+	for _, input := range batchResponseCorpus {
+		checkBatchResponseOracle(t, []byte(input))
+	}
+	if !checkBatchResponseOracle(t, []byte(batchResponseCorpus[0])) {
+		t.Fatalf("the canonical answer left the fast path: %s", batchResponseCorpus[0])
+	}
+}
+
+func FuzzDecodeBatchResponse(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "batch", "*.json"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no batch goldens: %v", err)
+	}
+	for _, path := range goldens {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, input := range batchResponseCorpus {
+		f.Add([]byte(input))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkBatchResponseOracle(t, data)
 	})
 }
 

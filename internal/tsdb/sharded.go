@@ -3,7 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
-	"log"
+	"log/slog"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -1062,7 +1062,7 @@ func (s *Sharded) Stats() Stats {
 func (s *Sharded) Drop(key SeriesKey) {
 	if s.bsets != nil {
 		if err := s.DropSeries(key); err != nil && !errors.Is(err, ErrClosed) {
-			log.Printf("tsdb: drop %s: %v", key, err)
+			slog.Error("drop series", "service", "tsdb", "shard", s.ShardFor(key.Device), "series", key.String(), "err", err)
 		}
 		return
 	}
@@ -1141,7 +1141,7 @@ func (s *Sharded) enqueueOp(i int, op *shardOp) error {
 // logged — use CloseErr to receive it instead.
 func (s *Sharded) Close() {
 	if err := s.CloseErr(); err != nil {
-		log.Printf("tsdb: close: %v", err)
+		slog.Error("close", "service", "tsdb", "err", err)
 	}
 }
 

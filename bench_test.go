@@ -438,10 +438,30 @@ func BenchmarkE5_DatabaseTranslation(b *testing.B) {
 // append and range-query rates of the time-series engine.
 // ---------------------------------------------------------------------
 
+// memEngine returns an in-memory one-shard engine holding up to 1<<20
+// samples a series, closed with the benchmark.
+func memEngine(b *testing.B) *tsdb.Sharded {
+	s := tsdb.NewSharded(tsdb.ShardedOptions{Shards: 1, Store: tsdb.Options{MaxSamplesPerSeries: 1 << 20}})
+	b.Cleanup(s.Close)
+	return s
+}
+
+// fillSeries appends n samples one second apart from benchT0, valued
+// 0..n-1, in one batch.
+func fillSeries(b *testing.B, s tsdb.Engine, key tsdb.SeriesKey, n int) {
+	rows := make([]tsdb.Row, n)
+	for i := range rows {
+		rows[i] = tsdb.Row{Key: key, Sample: tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)}}
+	}
+	if errs := s.AppendBatch(rows); errs != nil {
+		b.Fatal(errs[0])
+	}
+}
+
 func BenchmarkE6_TimeSeriesEngine(b *testing.B) {
 	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
 	b.Run("op=append", func(b *testing.B) {
-		s := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 20})
+		s := memEngine(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			_ = s.Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)})
@@ -449,10 +469,8 @@ func BenchmarkE6_TimeSeriesEngine(b *testing.B) {
 	})
 	for _, window := range []int{100, 10000} {
 		b.Run(fmt.Sprintf("op=query/window=%d", window), func(b *testing.B) {
-			s := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 20})
-			for i := 0; i < 100000; i++ {
-				_ = s.Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)})
-			}
+			s := memEngine(b)
+			fillSeries(b, s, key, 100000)
 			from := benchT0.Add(50000 * time.Second)
 			to := from.Add(time.Duration(window) * time.Second)
 			b.ResetTimer()
@@ -468,10 +486,8 @@ func BenchmarkE6_TimeSeriesEngine(b *testing.B) {
 		})
 	}
 	b.Run("op=aggregate", func(b *testing.B) {
-		s := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 20})
-		for i := 0; i < 100000; i++ {
-			_ = s.Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)})
-		}
+		s := memEngine(b)
+		fillSeries(b, s, key, 100000)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := s.Aggregate(key, benchT0, benchT0.Add(100000*time.Second)); err != nil {
@@ -836,12 +852,8 @@ func s3LivePathOp(tb testing.TB) hotPathOp {
 func BenchmarkQ1_TsdbIteratorVsQueryFlatten(b *testing.B) {
 	const n = 131072
 	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
-	s := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 20})
-	for i := 0; i < n; i++ {
-		if err := s.Append(key, tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
+	s := memEngine(b)
+	fillSeries(b, s, key, n)
 	from, to := benchT0, benchT0.Add(n*time.Second)
 	b.Run("op=query-flatten", func(b *testing.B) {
 		b.ReportAllocs()
@@ -1491,11 +1503,9 @@ func BenchmarkD4_RollupAggregate(b *testing.B) {
 		}
 	})
 	b.Run("path=raw", func(b *testing.B) {
-		mem := tsdb.New(tsdb.Options{MaxSamplesPerSeries: 1 << 20})
-		for _, r := range rows {
-			if err := mem.Append(r.Key, r.Sample); err != nil {
-				b.Fatal(err)
-			}
+		mem := memEngine(b)
+		if errs := mem.AppendBatch(rows); errs != nil {
+			b.Fatal(errs[0])
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

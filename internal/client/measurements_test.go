@@ -226,7 +226,7 @@ func (e *pageFailEngine) Iter(key tsdb.SeriesKey, from, to time.Time, pageSize i
 // TestStreamCutMidWayIsAnError: a node whose second page fails delivers
 // the first page's rows and then an error — never a short clean end.
 func TestStreamCutMidWayIsAnError(t *testing.T) {
-	eng := &pageFailEngine{Engine: tsdb.New(tsdb.Options{})}
+	eng := &pageFailEngine{Engine: tsdb.NewSharded(tsdb.ShardedOptions{})}
 	svc := measuredb.New(measuredb.Options{Engine: eng})
 	ts := httptest.NewServer(svc.Handler())
 	t.Cleanup(func() { ts.Close(); svc.Close() })

@@ -91,9 +91,10 @@ type Options struct {
 	Location *dataformat.Location
 	// PollEvery is the dedicated layer's sampling period (default 1s).
 	PollEvery time.Duration
-	// LocalEngine overrides the middle layer with any storage engine —
-	// e.g. a durable tsdb.OpenSharded engine so the proxy's sample
-	// buffer survives a restart (-data-dir on the deviceproxy binary).
+	// LocalEngine overrides the middle layer's engine. The default is an
+	// in-memory one-shard tsdb.NewSharded ring of 8192 samples per
+	// quantity; a durable tsdb.OpenSharded engine keeps the proxy's sample
+	// buffer across a restart (-data-dir on the deviceproxy binary).
 	LocalEngine tsdb.Engine
 	// Writer, when set, ships every collected sample to the measurements
 	// DB through the /v2 ingest plane (typically a client ingest
@@ -158,7 +159,7 @@ func New(opts Options) (*Proxy, error) {
 	}
 	store := opts.LocalEngine
 	if store == nil {
-		store = tsdb.New(tsdb.Options{MaxSamplesPerSeries: 8192})
+		store = tsdb.NewSharded(tsdb.ShardedOptions{Shards: 1, Store: tsdb.Options{MaxSamplesPerSeries: 8192}})
 	}
 	p := &Proxy{opts: opts, store: store, battery: -1, stopCh: make(chan struct{})}
 	// The proxy's own hub carries every sample it collects, so remote
@@ -240,9 +241,9 @@ func (p *Proxy) sampleLoop() {
 }
 
 // PollOnce performs one collection cycle: poll the driver, buffer the
-// readings in the local database, publish them to the middleware. It is
-// exported so simulations and benchmarks can drive the proxy without
-// waiting on timers.
+// readings in the local database with one batch append, publish the
+// stored ones to the middleware. It is exported so simulations and
+// benchmarks can drive the proxy without waiting on timers.
 func (p *Proxy) PollOnce() {
 	readings, err := p.opts.Driver.Poll()
 	p.stats.Lock()
@@ -257,8 +258,8 @@ func (p *Proxy) PollOnce() {
 		return
 	}
 	now := time.Now().UTC()
-	var ms []dataformat.Measurement
-	for _, r := range readings {
+	rows := make([]tsdb.Row, len(readings))
+	for i, r := range readings {
 		at := r.At
 		if at.IsZero() {
 			at = now
@@ -268,13 +269,17 @@ func (p *Proxy) PollOnce() {
 			p.battery = r.Battery
 			p.mu.Unlock()
 		}
-		key := tsdb.SeriesKey{Device: p.opts.DeviceURI, Quantity: string(r.Quantity)}
-		if err := p.store.Append(key, tsdb.Sample{At: at, Value: r.Value}); err != nil {
-			continue
+		rows[i] = tsdb.Row{
+			Key:    tsdb.SeriesKey{Device: p.opts.DeviceURI, Quantity: string(r.Quantity)},
+			Sample: tsdb.Sample{At: at, Value: r.Value},
 		}
-		p.stats.Lock()
-		p.stats.samples++
-		p.stats.Unlock()
+	}
+	errs := p.store.AppendBatch(rows)
+	ms := make([]dataformat.Measurement, 0, len(readings))
+	for i, r := range readings {
+		if errs != nil && errs[i] != nil {
+			continue // not buffered: neither counted nor published
+		}
 		ms = append(ms, dataformat.Measurement{
 			Source:    "http://" + p.srv.Addr() + "/",
 			Device:    p.opts.DeviceURI,
@@ -282,10 +287,13 @@ func (p *Proxy) PollOnce() {
 			Quantity:  r.Quantity,
 			Unit:      r.Unit,
 			Value:     r.Value,
-			Timestamp: at,
+			Timestamp: rows[i].Sample.At,
 			Location:  p.opts.Location,
 		})
 	}
+	p.stats.Lock()
+	p.stats.samples += uint64(len(ms))
+	p.stats.Unlock()
 	p.publish(ms)
 }
 

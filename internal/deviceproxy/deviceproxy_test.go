@@ -19,6 +19,7 @@ import (
 	"repro/internal/measuredb"
 	"repro/internal/middleware"
 	"repro/internal/stream"
+	"repro/internal/tsdb"
 )
 
 // fakeDriver is a scriptable dedicated layer.
@@ -158,6 +159,67 @@ func TestPollOnceBuffersAndPublishes(t *testing.T) {
 	wantTopic := measuredb.Topic(testURI, doc.Measurement.Quantity)
 	if events[0].Topic != wantTopic {
 		t.Errorf("topic = %q, want %q", events[0].Topic, wantTopic)
+	}
+}
+
+// refusingEngine fails every row of one quantity in AppendBatch, the
+// way a per-row engine error (a WAL failure on one shard) comes back.
+type refusingEngine struct {
+	tsdb.Engine
+	quantity string
+}
+
+func (e refusingEngine) AppendBatch(rows []tsdb.Row) []error {
+	errs := make([]error, len(rows))
+	var keep []tsdb.Row
+	for i, r := range rows {
+		if r.Key.Quantity == e.quantity {
+			errs[i] = errors.New("injected: shard refused the row")
+			continue
+		}
+		keep = append(keep, r)
+	}
+	if e.Engine.AppendBatch(keep) != nil {
+		panic("the in-memory engine refused a row")
+	}
+	return errs
+}
+
+// A poll stores its readings with one batch append; a reading whose row
+// the engine refuses is neither counted nor published, and the other
+// readings of the same poll are both.
+func TestPollSkipsReadingsTheEngineRefused(t *testing.T) {
+	eng := refusingEngine{Engine: tsdb.NewSharded(tsdb.ShardedOptions{Shards: 1}), quantity: string(dataformat.Humidity)}
+	p, err := New(Options{
+		DeviceURI: testURI,
+		Driver: &fakeDriver{readings: []Reading{
+			{Quantity: dataformat.Temperature, Value: 21.5, Unit: dataformat.Celsius, Battery: -1},
+			{Quantity: dataformat.Humidity, Value: 44, Unit: dataformat.Percent, Battery: -1},
+		}},
+		PollEvery:   time.Hour,
+		LocalEngine: eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	sub, _, err := p.Stream().Hub().Subscribe("measurements/#", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.PollOnce()
+	events := queued(sub)
+	if st := p.Stats(); st.Samples != 1 {
+		t.Fatalf("Stats = %+v, want the one stored reading counted", st)
+	}
+	if len(events) != 1 || events[0].Topic != measuredb.Topic(testURI, dataformat.Temperature) {
+		t.Fatalf("published %d events (%+v), want the temperature reading only", len(events), events)
+	}
+	if n := p.LocalDB().Len(tsdb.SeriesKey{Device: testURI, Quantity: string(dataformat.Temperature)}); n != 1 {
+		t.Fatalf("local buffer holds %d temperature samples, want 1", n)
 	}
 }
 

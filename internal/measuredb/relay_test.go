@@ -385,7 +385,7 @@ func (e *pageFailEngine) Iter(key tsdb.SeriesKey, from, to time.Time, pageSize i
 // NDJSON or CSV, gzip-coded or not. A first page that fails is still an
 // error envelope.
 func TestStreamFailingMidWayAbortsTheConnection(t *testing.T) {
-	eng := &pageFailEngine{Engine: tsdb.New(tsdb.Options{})}
+	eng := &pageFailEngine{Engine: tsdb.NewSharded(tsdb.ShardedOptions{})}
 	svc := New(Options{Engine: eng})
 	t.Cleanup(svc.Close)
 	at := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)

@@ -106,7 +106,7 @@ func (s *Service) resolveSelectorKeys(sel SeriesSelector) []tsdb.SeriesKey {
 	}
 	sh, sharded := s.store.(*tsdb.Sharded)
 	switch {
-	case sharded && exactDevice:
+	case exactDevice:
 		// One device → one shard; its key list is already device-local.
 		return matchKeys(s.store.KeysForDevice(sel.Device), sel)
 	case sharded && sh.NumShards() > 1:

@@ -167,20 +167,15 @@ func TestBlockAggregatePartialCoverMatchesRawFold(t *testing.T) {
 // -race).
 func TestAggregateWhileAppending(t *testing.T) {
 	const n = 20000
-	st := New(Options{SegmentSize: 64})
+	st := newStore(Options{SegmentSize: 64})
 	base := time.Unix(1_700_000_000, 0).UTC()
-	if err := st.Append(blockKey, Sample{At: base, Value: 1}); err != nil {
-		t.Fatal(err)
-	}
+	st.AppendBatch([]Row{{Key: blockKey, Sample: Sample{At: base, Value: 1}}})
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 1; i < n; i++ {
-			if err := st.Append(blockKey, Sample{At: base.Add(time.Duration(i) * time.Second), Value: 1}); err != nil {
-				t.Error(err)
-				return
-			}
+			st.AppendBatch([]Row{{Key: blockKey, Sample: Sample{At: base.Add(time.Duration(i) * time.Second), Value: 1}}})
 		}
 	}()
 	for prev := 0; prev < n; {

@@ -3,20 +3,23 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/block"
 )
 
-// The merged read path of a block-bearing shard. Every read captures a
-// consistent view — the in-memory head result plus retained references
-// to the overlapping blocks — under one blockSet read lock, then does
-// the block decoding after the unlock against the retained immutable
-// files. Compaction's publish+evict runs under the write lock, so a
-// reader sees the cut rows exactly once: in the head before the swap,
-// in the block after it.
+// The read path of every shard. Every read captures a consistent view —
+// the in-memory head result plus retained references to the overlapping
+// blocks — under one blockSet read lock, then does the block decoding
+// after the unlock against the retained immutable files. Compaction's
+// publish+evict runs under the write lock, so a reader sees the cut rows
+// exactly once: in the head before the swap, in the block after it. An
+// in-memory engine's block sets stay empty, so its reads are head reads
+// through the same code.
 
 // maxCursorSkip caps the per-source overfetch a merged page performs to
 // honour a cursor's same-timestamp skip count. It exceeds any plausible
@@ -102,15 +105,18 @@ func (s *Sharded) countRead(usedBlocks bool) {
 	}
 }
 
-// mergedQueryPage is Store.QueryPage over head+blocks: per-source
-// bounded fetches, a k-way merge in (timestamp, source) order with
-// blocks (cut order) before the head, and the cursor's same-timestamp
-// skip applied globally. The per-source fetch bound is
+// QueryPage is Store.QueryPage over the owning shard's head+blocks:
+// per-source bounded fetches, a k-way merge in (timestamp, source) order
+// with blocks (cut order) before the head, and the cursor's
+// same-timestamp skip applied globally. The per-source fetch bound is
 // limit+skip+1, so if the merged output fits in the limit every source
-// was exhausted — More is exact, never a guess.
-func (s *Sharded) mergedQueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
-	i := s.ShardFor(key.Device)
-	store, bs := s.shards[i], s.bsets[i]
+// was exhausted — More is exact, never a guess. A series lives in
+// exactly one shard, so the value-based cursor is a per-shard resume
+// position and keeps its mutation-safety across pages — including
+// across a compaction moving samples from the head into a block
+// mid-walk, since the cursor is a timestamp, not an offset.
+func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
+	store, bs := s.owner(key.Device)
 	if to.IsZero() {
 		to = time.Now()
 	}
@@ -281,15 +287,15 @@ func mergeSamplesInto(dst []Sample, srcs [][]Sample, max int) []Sample {
 	return dst
 }
 
-// mergedQuery materializes a full range query through the merged pager.
-func (s *Sharded) mergedQuery(key SeriesKey, from, to time.Time) ([]Sample, error) {
+// Query materializes a full range query through the merged pager.
+func (s *Sharded) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	if to.IsZero() {
 		to = time.Now()
 	}
 	if to.Before(from) {
 		return nil, ErrBadInterval
 	}
-	it := IterPager(s, key, from, to, 0)
+	it := s.Iter(key, from, to, 0)
 	var out []Sample
 	for {
 		smp, ok := it.Next()
@@ -304,13 +310,18 @@ func (s *Sharded) mergedQuery(key SeriesKey, from, to time.Time) ([]Sample, erro
 	return out, nil
 }
 
-// mergedLatest returns the newest sample across head and blocks. The
-// head normally wins (blocks hold strictly older rows), but an
-// out-of-order arrival after a cut can leave the head older than a
-// block's index tail, so both are consulted.
-func (s *Sharded) mergedLatest(key SeriesKey) (Sample, error) {
-	i := s.ShardFor(key.Device)
-	store, bs := s.shards[i], s.bsets[i]
+// Iter returns an iterator over the owning shard's head and blocks,
+// paging through QueryPage.
+func (s *Sharded) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
+	return IterPager(s, key, from, to, pageSize)
+}
+
+// Latest returns the newest sample across head and blocks. The head
+// normally wins (blocks hold strictly older rows), but an out-of-order
+// arrival after a cut can leave the head older than a block's index
+// tail, so both are consulted.
+func (s *Sharded) Latest(key SeriesKey) (Sample, error) {
+	store, bs := s.owner(key.Device)
 	var head Sample
 	var headErr error
 	var best Sample
@@ -336,13 +347,12 @@ func (s *Sharded) mergedLatest(key SeriesKey) (Sample, error) {
 	return Sample{}, headErr
 }
 
-// mergedLen counts stored samples across head and blocks. Demoted
-// series keep contributing their index counts — sample accounting stays
-// invariant across compaction and retention demotion (only rollup
-// deletion shrinks it).
-func (s *Sharded) mergedLen(key SeriesKey) int {
-	i := s.ShardFor(key.Device)
-	store, bs := s.shards[i], s.bsets[i]
+// Len counts stored samples across head and blocks. Demoted series keep
+// contributing their index counts — sample accounting stays invariant
+// across compaction and retention demotion (only rollup deletion
+// shrinks it).
+func (s *Sharded) Len(key SeriesKey) int {
+	store, bs := s.owner(key.Device)
 	n := store.Len(key)
 	bs.mu.RLock()
 	for _, b := range bs.blocks {
@@ -354,61 +364,52 @@ func (s *Sharded) mergedLen(key SeriesKey) int {
 	return n
 }
 
-// shardKeysMerged unions one shard's head catalog with its block
-// indexes. A series whose rows have all been cut (or whose head entry
-// was lost to a restart) still lists.
-func (s *Sharded) shardKeysMerged(i int) []SeriesKey {
-	seen := make(map[SeriesKey]struct{})
-	for _, k := range s.shards[i].Keys() {
-		seen[k] = struct{}{}
-	}
-	bs := s.bsets[i]
-	bs.mu.RLock()
-	for _, b := range bs.blocks {
-		for _, m := range b.Series() {
-			seen[SeriesKey{Device: m.Key.Device, Quantity: m.Key.Quantity}] = struct{}{}
-		}
-	}
-	bs.mu.RUnlock()
-	out := make([]SeriesKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
+// ShardKeys lists the series of one shard, head and blocks merged (the
+// scatter-gather planners fan over shards with it). A series whose rows
+// have all been cut (or whose head entry was lost to a restart) still
+// lists.
+func (s *Sharded) ShardKeys(i int) []SeriesKey {
+	return s.withBlockKeys(i, s.shards[i].Keys(), func(block.Key) bool { return true })
+}
+
+// KeysForDevice unions the owning shard's head and block series of one
+// device (a device's series never straddle shards), sorted by quantity.
+func (s *Sharded) KeysForDevice(device string) []SeriesKey {
+	i := s.ShardFor(device)
+	out := s.withBlockKeys(i, s.shards[i].KeysForDevice(device), func(k block.Key) bool { return k.Device == device })
+	slices.SortFunc(out, func(a, b SeriesKey) int { return strings.Compare(a.Quantity, b.Quantity) })
 	return out
 }
 
-// ShardKeys lists the series of one shard, head and blocks merged (the
-// scatter-gather planners fan over shards with it).
-func (s *Sharded) ShardKeys(i int) []SeriesKey {
-	if s.bsets == nil {
-		return s.shards[i].Keys()
-	}
-	return s.shardKeysMerged(i)
-}
-
-// mergedKeysForDevice unions the owning shard's head and block series
-// of one device, sorted by quantity like Store.KeysForDevice.
-func (s *Sharded) mergedKeysForDevice(device string) []SeriesKey {
-	i := s.ShardFor(device)
-	seen := make(map[SeriesKey]struct{})
-	for _, k := range s.shards[i].KeysForDevice(device) {
-		seen[k] = struct{}{}
-	}
+// withBlockKeys unions shard i's head keys with the series of its block
+// indexes that match accepts. A shard with no block published answers
+// with the head's slice itself, without building the union map, and so
+// does one whose blocks add no series.
+func (s *Sharded) withBlockKeys(i int, head []SeriesKey, match func(block.Key) bool) []SeriesKey {
 	bs := s.bsets[i]
 	bs.mu.RLock()
+	defer bs.mu.RUnlock()
+	if len(bs.blocks) == 0 {
+		return head
+	}
+	seen := make(map[SeriesKey]struct{}, len(head))
+	for _, k := range head {
+		seen[k] = struct{}{}
+	}
 	for _, b := range bs.blocks {
 		for _, m := range b.Series() {
-			if m.Key.Device == device {
-				seen[SeriesKey{Device: device, Quantity: m.Key.Quantity}] = struct{}{}
+			if match(m.Key) {
+				seen[SeriesKey{Device: m.Key.Device, Quantity: m.Key.Quantity}] = struct{}{}
 			}
 		}
 	}
-	bs.mu.RUnlock()
+	if len(seen) == len(head) {
+		return head
+	}
 	out := make([]SeriesKey, 0, len(seen))
 	for k := range seen {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Quantity < out[b].Quantity })
 	return out
 }
 
@@ -461,19 +462,19 @@ func (a *Aggregate) combine(src Aggregate) {
 	}
 }
 
-// mergedAggregate is the pushdown Aggregate over head+blocks; each
-// source answers from what it already knows. A block wholly inside the
-// range contributes its index statistics in O(1) without touching
-// sample data. A partially covered block with raw chunks is exact too
-// (rawBlockAggregate: whole 1h rollup buckets plus a decoded edge). A
-// demoted one folds whole 1m buckets — the documented boundary
-// approximation raw retention buys. The head folds its samples in place
-// (Store.Aggregate). Count, Min, Max, First and Last equal a raw scan of
-// the same rows; Sum (and so Mean) adds per-source partial sums, so it
-// may differ from a sequential scan in float association only.
-func (s *Sharded) mergedAggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
-	i := s.ShardFor(key.Device)
-	store, bs := s.shards[i], s.bsets[i]
+// Aggregate summarizes [from, to] of a series over the owning shard's
+// head+blocks, pushed down: each source answers from what it already
+// knows. A block wholly inside the range contributes its index
+// statistics in O(1) without touching sample data. A partially covered
+// block with raw chunks is exact too (rawBlockAggregate: whole 1h rollup
+// buckets plus a decoded edge). A demoted one folds whole 1m buckets —
+// the documented boundary approximation raw retention buys. The head
+// folds its samples in place (Store.Aggregate). Count, Min, Max, First
+// and Last equal a raw scan of the same rows; Sum (and so Mean) adds
+// per-source partial sums, so it may differ from a sequential scan in
+// float association only.
+func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
+	store, bs := s.owner(key.Device)
 	if to.IsZero() {
 		to = time.Now()
 	}
@@ -576,7 +577,8 @@ func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, from
 	return agg, nil
 }
 
-// mergedDownsample is the pushdown Downsample. Windows that are whole
+// Downsample splits [from, to) into fixed windows of the given width and
+// aggregates each; empty windows are omitted. Windows that are whole
 // multiples of a rollup resolution are served from precomputed 1m/1h
 // buckets for the fully covered stretches — a month-range scan touches
 // rollup frames, not raw chunks — with raw scans only at the window
@@ -587,7 +589,7 @@ func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, from
 // resolution, and time.Truncate windows do too (the zero-time offset is
 // divisible by both 60s and 3600s), so when res divides window every
 // rollup bucket lies wholly inside exactly one window.
-func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error) {
+func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("tsdb: non-positive window %v", window)
 	}
@@ -599,11 +601,10 @@ func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window tim
 		res = block.Res1m
 	default:
 		// No rollup grid divides the window: exact merged raw walk.
-		return downsampleIter(IterPager(s, key, from, to, 0), from, window)
+		return downsampleIter(s.Iter(key, from, to, 0), from, window)
 	}
 
-	i := s.ShardFor(key.Device)
-	store, bs := s.shards[i], s.bsets[i]
+	store, bs := s.owner(key.Device)
 	if to.IsZero() {
 		to = time.Now()
 	}
@@ -613,7 +614,7 @@ func (s *Sharded) mergedDownsample(key SeriesKey, from, to time.Time, window tim
 	fromN, toN := from.UnixNano(), to.UnixNano()
 
 	// windows accumulates per-window aggregates; keys are window start
-	// nanos (post from-clamp, matching Store.Downsample semantics).
+	// nanos (post from-clamp, matching downsampleIter's semantics).
 	windows := make(map[int64]*Aggregate)
 	fold := func(at time.Time, a Aggregate) {
 		startT := at.Truncate(window)

@@ -437,9 +437,10 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 	})
 }
 
-// dropSeries removes a series from a block-bearing shard: head drop
-// plus a rewrite of every block containing the key, anchored by a fresh
-// snapshot. Runs on the shard worker.
+// dropSeries removes a series from a shard: head drop plus a rewrite of
+// every block containing the key, anchored by a fresh snapshot (a shard
+// with no such block, as every in-memory one, stops at the head drop).
+// Runs on the shard worker.
 func (s *Sharded) dropSeries(store *Store, disk *shardDisk, bs *blockSet, key SeriesKey) error {
 	store.Drop(key)
 	target := bk(key)

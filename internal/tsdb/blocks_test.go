@@ -31,10 +31,11 @@ func oldRows(n int, keys ...SeriesKey) []Row {
 	return rows
 }
 
-// memReference loads rows into a plain in-memory store, the behavioural
-// oracle every merged read path is compared against.
-func memReference(rows []Row) *Store {
-	mem := New(Options{})
+// memReference loads rows into an in-memory engine, whose block sets
+// stay empty: the behavioural oracle every merged read path is compared
+// against.
+func memReference(t *testing.T, rows []Row) Engine {
+	mem := newMem(t, Options{})
 	for _, r := range rows {
 		_ = mem.Append(r.Key, r.Sample)
 	}
@@ -43,7 +44,7 @@ func memReference(rows []Row) *Store {
 
 // assertReadsEqual compares every read path between the oracle and the
 // engine under test, byte for byte.
-func assertReadsEqual(t *testing.T, want *Store, got Engine, key SeriesKey, from, to time.Time) {
+func assertReadsEqual(t *testing.T, want, got Engine, key SeriesKey, from, to time.Time) {
 	t.Helper()
 	a, errA := want.Query(key, from, to)
 	b, errB := got.Query(key, from, to)
@@ -101,7 +102,7 @@ func TestBlockCompactionPreservesEveryReadPath(t *testing.T) {
 	if bTotal == 0 {
 		t.Fatal("no blocks cut")
 	}
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 	from, to := time.Time{}, time.Now()
 	assertReadsEqual(t, mem, eng, blockKey, from, to)
 	assertReadsEqual(t, mem, eng, k2, from, to)
@@ -139,7 +140,7 @@ func TestBlockCompactionSurvivesRestartAndKill(t *testing.T) {
 	if err := eng.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 
 	// Clean close, reopen: the manifest snapshot anchors the blocks.
 	eng.Close()
@@ -221,7 +222,7 @@ func TestBlockReadsUnderConcurrentCompaction(t *testing.T) {
 	if errs := eng.AppendBatch(rows); errs != nil {
 		t.Fatalf("append: %v", errs)
 	}
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 	want, err := mem.Query(blockKey, time.Time{}, time.Now())
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +291,7 @@ func TestBlockOrphanAndTmpCleanedOnRecovery(t *testing.T) {
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("temp block not deleted: %v", err)
 	}
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
 }
 
@@ -523,7 +524,7 @@ func TestBlockImportAndReset(t *testing.T) {
 	if err := re.ImportShardBlocks(0, filepath.Join(src, "shard-0000")); err != nil {
 		t.Fatal(err)
 	}
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
 
 	// Reset wipes blocks too, durably.
@@ -643,7 +644,7 @@ func TestBlockHeadWindowDisabledKeepsLegacySnapshots(t *testing.T) {
 	eng.Close()
 	re := openDurable(t, dir, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: -1}})
 	defer re.Close()
-	mem := memReference(rows)
+	mem := memReference(t, rows)
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
 }
 

@@ -131,10 +131,9 @@ func searchSamples(samples []Sample, f func(Sample) bool) int {
 	return lo
 }
 
-// Pager serves bounded pages of one series range scan. The Store is
-// one implementation; a durable Sharded shard with block files is
-// another (its pages merge the in-memory head with the on-disk blocks).
-// The Iterator works against either.
+// Pager serves bounded pages of one series range scan: the Sharded
+// engine (its pages merge each shard's head with its blocks), one head
+// Store, or a wrapper around either. The Iterator works against any.
 type Pager interface {
 	QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error)
 }
@@ -156,15 +155,10 @@ type Iterator struct {
 	err     error
 }
 
-// Iter returns an iterator over the samples of a series with At in
-// [from, to]. A zero `to` pins the upper bound to "now" once, so the
-// walk is stable while the series keeps growing. pageSize <= 0 means
-// DefaultPageLimit.
-func (s *Store) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
-	return IterPager(s, key, from, to, pageSize)
-}
-
-// IterPager builds an Iterator over any Pager (a third Engine's Iter).
+// IterPager builds an Iterator over any Pager: the samples of a series
+// with At in [from, to]. A zero `to` pins the upper bound to "now" once,
+// so the walk is stable while the series keeps growing. pageSize <= 0
+// means DefaultPageLimit.
 func IterPager(p Pager, key SeriesKey, from, to time.Time, pageSize int) *Iterator {
 	if to.IsZero() {
 		to = time.Now()

@@ -6,7 +6,7 @@ import (
 )
 
 func TestQueryPageWalksWholeRange(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 1000, time.Second)
 
 	var got []Sample
@@ -38,7 +38,7 @@ func TestQueryPageWalksWholeRange(t *testing.T) {
 }
 
 func TestQueryPageExactBoundary(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 100, time.Second)
 
 	// A limit dividing the range exactly: the look-ahead must notice the
@@ -68,7 +68,7 @@ func TestQueryPageExactBoundary(t *testing.T) {
 }
 
 func TestQueryPageEmptyAndErrors(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	if _, err := s.QueryPage(key(), t0, t0.Add(time.Hour), Cursor{}, 10); err != ErrNoSeries {
 		t.Fatalf("missing series error = %v", err)
 	}
@@ -89,7 +89,7 @@ func TestQueryPageEmptyAndErrors(t *testing.T) {
 }
 
 func TestQueryPageDuplicateTimestamps(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	k := key()
 	// 30 samples sharing 10 timestamps, 3 each.
 	for i := 0; i < 30; i++ {
@@ -124,7 +124,7 @@ func TestQueryPageDuplicateTimestamps(t *testing.T) {
 }
 
 func TestQueryPageSurvivesMutation(t *testing.T) {
-	s := New(Options{MaxSamplesPerSeries: 1 << 20})
+	s := newMem(t, Options{MaxSamplesPerSeries: 1 << 20})
 	k := key()
 	fill(t, s, k, 100, time.Second)
 
@@ -168,7 +168,7 @@ func TestQueryPageSurvivesMutation(t *testing.T) {
 }
 
 func TestIteratorMatchesQuery(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 5000, time.Second)
 	from, to := t0.Add(100*time.Second), t0.Add(4200*time.Second)
 
@@ -199,7 +199,7 @@ func TestIteratorMatchesQuery(t *testing.T) {
 }
 
 func TestIteratorMissingSeries(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	it := s.Iter(key(), t0, t0.Add(time.Hour), 0)
 	if _, ok := it.Next(); ok {
 		t.Fatal("iterator over a missing series yielded a sample")
@@ -210,7 +210,7 @@ func TestIteratorMissingSeries(t *testing.T) {
 }
 
 func TestAggregateAndDownsampleViaIterator(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 1000, time.Second)
 	agg, err := s.Aggregate(key(), t0, t0.Add(999*time.Second))
 	if err != nil {

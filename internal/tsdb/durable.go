@@ -139,13 +139,7 @@ func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(tim
 		if err != nil {
 			return err
 		}
-		if errs := store.AppendBatch(rows); errs != nil {
-			for _, e := range errs {
-				if e != nil {
-					return e
-				}
-			}
-		}
+		store.AppendBatch(rows)
 		return nil
 	}
 

@@ -71,7 +71,7 @@ func TestDurableRecoveryAfterClose(t *testing.T) {
 	if got := re.Stats(); got.Samples != wantStats.Samples || got.Series != wantStats.Series {
 		t.Fatalf("recovered stats = %+v, want %+v", got, wantStats)
 	}
-	mem := New(Options{})
+	mem := newMem(t, Options{})
 	for _, r := range rows {
 		_ = mem.Append(r.Key, r.Sample)
 	}

@@ -14,11 +14,11 @@ import (
 	"repro/internal/wal"
 )
 
-// Engine is the storage surface the measurements services program
-// against: the single-lock Store implements it, and so does the
-// device-hash Sharded engine that partitions the key space for
-// write-parallel ingest. Readers and writers address series by key;
-// which shard (if any) owns a series is the engine's business.
+// Engine is the storage surface the measurements services and the
+// device proxy program against. The device-hash Sharded engine is its
+// one implementation, in memory or durable; tests and benchmarks wrap
+// it or fake it. Readers and writers address series by key; which shard
+// owns a series is the engine's business.
 type Engine interface {
 	Append(key SeriesKey, smp Sample) error
 	AppendBatch(rows []Row) []error
@@ -36,10 +36,7 @@ type Engine interface {
 	Close()
 }
 
-var (
-	_ Engine = (*Store)(nil)
-	_ Engine = (*Sharded)(nil)
-)
+var _ Engine = (*Sharded)(nil)
 
 // Row is one keyed sample, the unit of batched ingest.
 type Row struct {
@@ -47,30 +44,20 @@ type Row struct {
 	Sample Sample
 }
 
-// AppendBatch appends rows in order, coalescing consecutive rows of the
-// same series into one locked run: batched producers (device buffers,
-// NDJSON backfills, the ingest chunker) pay the map lookup and the
-// series lock once per run instead of once per sample. The returned
-// slice is aligned with rows — errs[i] is rows[i]'s failure — and nil
-// when every row landed.
-func (s *Store) AppendBatch(rows []Row) []error {
-	var errs []error
+// AppendBatch appends rows to the head in order, coalescing consecutive
+// rows of the same series into one locked run: batched producers (device
+// buffers, NDJSON backfills, the ingest chunker) pay the map lookup and
+// the series lock once per run instead of once per sample. A head append
+// cannot fail; the shard worker (and recovery) is its only caller.
+func (s *Store) AppendBatch(rows []Row) {
 	for j := 0; j < len(rows); {
 		k := j + 1
 		for k < len(rows) && rows[k].Key == rows[j].Key {
 			k++
 		}
-		if err := s.appendRun(rows[j].Key, rows[j:k]); err != nil {
-			if errs == nil {
-				errs = make([]error, len(rows))
-			}
-			for m := j; m < k; m++ {
-				errs[m] = err
-			}
-		}
+		s.appendRun(rows[j].Key, rows[j:k])
 		j = k
 	}
-	return errs
 }
 
 // DefaultShards is the shard count a zero ShardedOptions gets.
@@ -125,13 +112,14 @@ type ShardedOptions struct {
 	Metrics *obs.Registry
 }
 
-// Sharded is a device-hash-partitioned storage engine: N independent
-// Stores, each owning the series of the devices that hash to it, plus a
+// Sharded is a device-hash-partitioned storage engine: N shards, each
+// owning the series of the devices that hash to it as an in-memory head
+// Store plus a block set (empty on an in-memory engine), and a
 // single-writer append queue per shard. Reads route to the owning shard
-// and behave exactly like a Store (same value-based cursors, same
-// iterator); batched writes are split by shard and applied by the
-// per-shard workers in parallel, so ingest throughput scales with the
-// shard count instead of funnelling through one lock.
+// and merge its head with its blocks behind one value-cursor contract;
+// every write is split by shard and applied by the per-shard workers in
+// parallel, so ingest throughput scales with the shard count instead of
+// funnelling through one lock.
 type Sharded struct {
 	shards []*Store
 	queues []chan batchItem
@@ -139,8 +127,9 @@ type Sharded struct {
 	// disks is the per-shard durable state (nil for in-memory engines);
 	// after recovery only each shard's worker touches its entry.
 	disks []*shardDisk
-	// bsets is the per-shard published block view (nil for in-memory
-	// engines); workers mutate, readers capture under its read lock.
+	// bsets is the per-shard published block view (always empty on an
+	// in-memory engine); workers mutate, readers capture under its read
+	// lock.
 	bsets       []*blockSet
 	blockPolicy BlockPolicy
 	snapEvery   int
@@ -243,6 +232,7 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	s := &Sharded{
 		shards:    make([]*Store, n),
 		queues:    make([]chan batchItem, n),
+		bsets:     make([]*blockSet, n),
 		gens:      make([]atomic.Uint64, n),
 		snapEvery: opts.SnapshotEvery,
 	}
@@ -250,8 +240,9 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 		s.snapEvery = 1 << 16
 	}
 	for i := 0; i < n; i++ {
-		s.shards[i] = New(opts.Store)
+		s.shards[i] = newStore(opts.Store)
 		s.queues[i] = make(chan batchItem, qlen)
+		s.bsets[i] = &blockSet{}
 	}
 	reg := opts.Metrics
 	if reg != nil {
@@ -271,10 +262,17 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 				"Shard mutation generation: bumps on applied append waves, compaction passes, resets, and admin ops.",
 				shard, func() float64 { return float64(g.Load()) })
 		}
+		reg.CounterFunc("repro_tsdb_reads_total",
+			"Merged reads by whether any block file was consulted.",
+			obs.Labels{"path": "head"},
+			func() float64 { return float64(s.headReads.Load()) })
+		reg.CounterFunc("repro_tsdb_reads_total",
+			"Merged reads by whether any block file was consulted.",
+			obs.Labels{"path": "blocks"},
+			func() float64 { return float64(s.blockReads.Load()) })
 	}
 	if opts.Dir != "" {
 		s.disks = make([]*shardDisk, n)
-		s.bsets = make([]*blockSet, n)
 		s.blockPolicy = opts.Blocks
 		fail := func(i int, err error) error {
 			for _, d := range s.disks[:i] {
@@ -356,16 +354,6 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 			s.disks[i] = disk
 			s.bsets[i] = bs
 		}
-		if reg != nil {
-			reg.CounterFunc("repro_tsdb_reads_total",
-				"Merged reads by whether any block file was consulted.",
-				obs.Labels{"path": "head"},
-				func() float64 { return float64(s.headReads.Load()) })
-			reg.CounterFunc("repro_tsdb_reads_total",
-				"Merged reads by whether any block file was consulted.",
-				obs.Labels{"path": "blocks"},
-				func() float64 { return float64(s.blockReads.Load()) })
-		}
 	}
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
@@ -386,13 +374,10 @@ const maxCommitGroup = 64
 // covers the whole wave before any of it is acked.
 func (s *Sharded) worker(i int) {
 	defer s.wg.Done()
-	store := s.shards[i]
-	q := s.queues[i]
+	store, bs, q := s.shards[i], s.bsets[i], s.queues[i]
 	var disk *shardDisk
-	var bs *blockSet
 	if s.disks != nil {
 		disk = s.disks[i]
-		bs = s.bsets[i]
 	}
 	group := make([]batchItem, 0, maxCommitGroup)
 	for {
@@ -453,14 +438,14 @@ func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet,
 	op := item.op
 	var err error
 	switch {
+	case op.kind == opDrop:
+		err = s.dropSeries(store, disk, bs, op.key)
 	case disk == nil:
 		err = fmt.Errorf("tsdb: admin op requires a durable engine")
 	case op.kind == opCompact:
 		err = s.compactShard(store, disk, bs)
 	case op.kind == opImport:
 		err = s.importBlocks(store, disk, bs, op.dir)
-	case op.kind == opDrop:
-		err = s.dropSeries(store, disk, bs, op.key)
 	}
 	s.gens[i].Add(1)
 	op.done <- err
@@ -563,16 +548,9 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 			if it.stages != nil {
 				applyStart = time.Now()
 			}
-			errs := store.AppendBatch(it.rows)
+			store.AppendBatch(it.rows)
 			if it.stages != nil {
 				it.stages.Observe("store-apply", time.Since(applyStart))
-			}
-			if errs != nil {
-				for j, err := range errs {
-					if err != nil {
-						it.errs[it.idx[j]] = err
-					}
-				}
 			}
 			if disk != nil {
 				disk.sinceSnap.Add(int64(len(it.rows)))
@@ -639,10 +617,6 @@ func (s *Sharded) ShardFor(device string) int {
 func ShardOf(device string, n int) int {
 	return int(fnv64a(device) % uint64(n))
 }
-
-// Shard exposes one shard's Store (scatter-gather planners fan reads
-// over the shards directly).
-func (s *Sharded) Shard(i int) *Store { return s.shards[i] }
 
 // ShardDir reports shard i's on-disk directory ("" on an in-memory
 // engine). The cluster handoff archives the directory's files directly.
@@ -720,31 +694,30 @@ type ShardStatus struct {
 // on an in-memory engine). Series and Samples merge the head with the
 // block files.
 func (s *Sharded) ShardStatus(i int) ShardStatus {
-	st := s.shards[i].Stats()
-	out := ShardStatus{Shard: i, Series: st.Series, Samples: st.Samples}
+	out := ShardStatus{Shard: i, Series: len(s.ShardKeys(i)), Samples: s.shards[i].Stats().Samples}
 	if s.disks != nil {
 		d := s.disks[i]
 		out.WALPending = d.sinceSnap.Load()
 		out.WALSegments = d.log.Segments()
 		out.Dir = d.dir
-		bs := s.bsets[i]
-		out.Series = len(s.shardKeysMerged(i))
-		bs.mu.RLock()
-		out.Blocks = len(bs.blocks)
-		for _, b := range bs.blocks {
-			out.BlockBytes += b.Size()
-			out.BlockSamples += b.NumSamples()
-			out.RestartBytes += b.RestartBytes()
-		}
-		bs.mu.RUnlock()
-		out.Samples += int(out.BlockSamples)
 	}
+	bs := s.bsets[i]
+	bs.mu.RLock()
+	out.Blocks = len(bs.blocks)
+	for _, b := range bs.blocks {
+		out.BlockBytes += b.Size()
+		out.BlockSamples += b.NumSamples()
+		out.RestartBytes += b.RestartBytes()
+	}
+	bs.mu.RUnlock()
+	out.Samples += int(out.BlockSamples)
 	return out
 }
 
-// shard returns the Store owning a device.
-func (s *Sharded) shard(device string) *Store {
-	return s.shards[s.ShardFor(device)]
+// owner returns the head and the block set of the shard owning a device.
+func (s *Sharded) owner(device string) (*Store, *blockSet) {
+	i := s.ShardFor(device)
+	return s.shards[i], s.bsets[i]
 }
 
 // fnv64a is the FNV-1a hash, inlined to keep the per-row routing cost to
@@ -858,28 +831,14 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row) (per [][]Row, idx 
 	return per, idx
 }
 
-// Append stores one sample synchronously in the owning shard. On a
-// durable engine it funnels through the shard's append queue, so the
-// WAL keeps a single writer and the sample is journaled before the call
-// returns.
+// Append stores one sample synchronously in the owning shard. It is a
+// one-row AppendBatch: the sample rides the shard's append queue, so it
+// is ordered against queued batches, resets and admin ops, and on a
+// durable engine journaled before the call returns.
 func (s *Sharded) Append(key SeriesKey, smp Sample) error {
-	if s.disks != nil {
-		errs := s.AppendBatch([]Row{{Key: key, Sample: smp}})
-		if errs != nil {
-			return errs[0]
-		}
-		return nil
+	if errs := s.AppendBatch([]Row{{Key: key, Sample: smp}}); errs != nil {
+		return errs[0]
 	}
-	sh := s.ShardFor(key.Device)
-	//lint:ignore walorder memory-only engine (no Dir): there is no WAL to journal to on this path
-	if err := s.shards[sh].Append(key, smp); err != nil {
-		return err
-	}
-	// Store applied, so bump the shard generation before acknowledging:
-	// a result-cache key snapshotted after this ack can never collide
-	// with one built before the write (the queue workers keep the same
-	// apply-bump-ack order).
-	s.gens[sh].Add(1)
 	return nil
 }
 
@@ -942,52 +901,6 @@ func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
 	return nil
 }
 
-// Query routes to the owning shard; on a durable engine the result
-// merges the in-memory head with the shard's block files.
-func (s *Sharded) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
-	if s.bsets != nil {
-		return s.mergedQuery(key, from, to)
-	}
-	return s.shard(key.Device).Query(key, from, to)
-}
-
-// QueryPage routes to the owning shard. A series lives in exactly one
-// shard, so the value-based cursor is by construction a per-shard resume
-// position and keeps its mutation-safety across pages — including
-// across a compaction moving samples from the head into a block
-// mid-walk, since the cursor is a timestamp, not an offset.
-func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
-	if s.bsets != nil {
-		return s.mergedQueryPage(key, from, to, cur, limit)
-	}
-	return s.shard(key.Device).QueryPage(key, from, to, cur, limit)
-}
-
-// Iter returns an iterator over the owning shard (head and blocks
-// merged on a durable engine).
-func (s *Sharded) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
-	if s.bsets != nil {
-		return IterPager(s, key, from, to, pageSize)
-	}
-	return s.shard(key.Device).Iter(key, from, to, pageSize)
-}
-
-// Latest routes to the owning shard.
-func (s *Sharded) Latest(key SeriesKey) (Sample, error) {
-	if s.bsets != nil {
-		return s.mergedLatest(key)
-	}
-	return s.shard(key.Device).Latest(key)
-}
-
-// Len routes to the owning shard.
-func (s *Sharded) Len(key SeriesKey) int {
-	if s.bsets != nil {
-		return s.mergedLen(key)
-	}
-	return s.shard(key.Device).Len(key)
-}
-
 // Keys concatenates every shard's keys, in no particular order.
 func (s *Sharded) Keys() []SeriesKey {
 	var out []SeriesKey
@@ -997,35 +910,6 @@ func (s *Sharded) Keys() []SeriesKey {
 	return out
 }
 
-// KeysForDevice routes to the owning shard (a device's series never
-// straddle shards).
-func (s *Sharded) KeysForDevice(device string) []SeriesKey {
-	if s.bsets != nil {
-		return s.mergedKeysForDevice(device)
-	}
-	return s.shard(device).KeysForDevice(device)
-}
-
-// Aggregate routes to the owning shard. On a durable engine blocks
-// fully inside the range answer from their index statistics without
-// touching sample data.
-func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
-	if s.bsets != nil {
-		return s.mergedAggregate(key, from, to)
-	}
-	return s.shard(key.Device).Aggregate(key, from, to)
-}
-
-// Downsample routes to the owning shard. On a durable engine,
-// minute/hour-multiple windows are served from precomputed rollups over
-// the block-covered stretches of the range.
-func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error) {
-	if s.bsets != nil {
-		return s.mergedDownsample(key, from, to, window)
-	}
-	return s.shard(key.Device).Downsample(key, from, to, window)
-}
-
 // Stats sums the shard counters. Samples counts head and block samples
 // together, so it is invariant across compaction (and across retention
 // demotion — demoted series keep contributing their index counts).
@@ -1033,52 +917,32 @@ func (s *Sharded) Stats() Stats {
 	var st Stats
 	st.Shards = len(s.shards)
 	st.DroppedRows = s.dropped.Load()
-	for _, sh := range s.shards {
-		sub := sh.Stats()
-		st.Series += sub.Series
-		st.Samples += sub.Samples
-	}
-	if s.bsets != nil {
-		st.Series = 0
-		for i := range s.shards {
-			st.Series += len(s.ShardKeys(i))
+	for i, sh := range s.shards {
+		st.Series += len(s.ShardKeys(i))
+		st.Samples += sh.Stats().Samples
+		bs := s.bsets[i]
+		bs.mu.RLock()
+		for _, b := range bs.blocks {
+			st.Samples += int(b.NumSamples())
 		}
-		for _, bs := range s.bsets {
-			bs.mu.RLock()
-			for _, b := range bs.blocks {
-				st.Samples += int(b.NumSamples())
-			}
-			bs.mu.RUnlock()
-		}
+		bs.mu.RUnlock()
 	}
 	return st
 }
 
-// Drop removes a series from its owning shard. On a durable engine the
-// removal routes through the shard worker, which also rewrites any
+// Drop removes a series from its owning shard. The removal routes
+// through the shard worker like every write, which also rewrites any
 // block files containing the series and anchors the new view with a
 // snapshot; a failure there leaves the block copies in place (the head
 // part is already gone) and is reported via DropSeries.
 func (s *Sharded) Drop(key SeriesKey) {
-	if s.bsets != nil {
-		if err := s.DropSeries(key); err != nil && !errors.Is(err, ErrClosed) {
-			slog.Error("drop series", "service", "tsdb", "shard", s.ShardFor(key.Device), "series", key.String(), "err", err)
-		}
-		return
+	if err := s.DropSeries(key); err != nil && !errors.Is(err, ErrClosed) {
+		slog.Error("drop series", "service", "tsdb", "shard", s.ShardFor(key.Device), "series", key.String(), "err", err)
 	}
-	sh := s.ShardFor(key.Device)
-	s.shards[sh].Drop(key)
-	s.gens[sh].Add(1) // mutation acked below: retire cached reads of the series
 }
 
 // DropSeries is Drop with the block-rewrite outcome reported.
 func (s *Sharded) DropSeries(key SeriesKey) error {
-	if s.bsets == nil {
-		sh := s.ShardFor(key.Device)
-		s.shards[sh].Drop(key)
-		s.gens[sh].Add(1)
-		return nil
-	}
 	return s.enqueueOp(s.ShardFor(key.Device), &shardOp{kind: opDrop, key: key})
 }
 
@@ -1089,7 +953,7 @@ func (s *Sharded) CompactShard(i int) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
 	}
-	if s.bsets == nil {
+	if s.disks == nil {
 		return fmt.Errorf("tsdb: compaction requires a durable engine")
 	}
 	return s.enqueueOp(i, &shardOp{kind: opCompact})
@@ -1114,7 +978,7 @@ func (s *Sharded) ImportShardBlocks(i int, srcDir string) error {
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
 	}
-	if s.bsets == nil {
+	if s.disks == nil {
 		return fmt.Errorf("tsdb: block import requires a durable engine")
 	}
 	return s.enqueueOp(i, &shardOp{kind: opImport, dir: srcDir})
@@ -1134,8 +998,8 @@ func (s *Sharded) enqueueOp(i int, op *shardOp) error {
 	return <-op.done
 }
 
-// Close drains the append queues, stops the workers, syncs and closes
-// the per-shard WALs, and closes the shards. Subsequent writes fail
+// Close drains the append queues, stops the workers, and syncs and
+// closes the per-shard WALs and block files. Subsequent writes fail
 // with ErrClosed. It satisfies the void Engine interface; a WAL close
 // failure (the final segment flush may not have reached disk) is
 // logged — use CloseErr to receive it instead.
@@ -1175,9 +1039,6 @@ func (s *Sharded) CloseErr() error {
 				err = errors.Join(err, fmt.Errorf("shard %d: %w", i, cerr))
 			}
 		}
-	}
-	for _, sh := range s.shards {
-		sh.Close()
 	}
 	return err
 }

@@ -3,6 +3,8 @@ package tsdb
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -15,75 +17,131 @@ func shKey(d int) SeriesKey {
 }
 
 // TestShardedSingleShardEquivalence replays one mixed workload — in-order
-// appends, out-of-order spills, eviction pressure — into a plain Store
-// and a 1-shard Sharded engine and requires identical reads: the sharded
-// engine must be a pure partitioning layer, not a semantic change.
+// appends, out-of-order spills, eviction pressure, single-row Appends
+// beside batches — into a bare head Store, an in-memory one-shard engine
+// and a durable one-shard engine whose rows were all compacted into a
+// block, and requires every read to agree with the head's: the engine is
+// a pure partitioning and tiering layer, not a semantic change. Values
+// are integers, so per-source partial sums add up exactly.
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	opts := Options{MaxSamplesPerSeries: 128, SegmentSize: 16}
-	plain := New(opts)
-	defer plain.Close()
-	sharded := NewSharded(ShardedOptions{Shards: 1, Store: opts})
-	defer sharded.Close()
+	head := newStore(opts)
+	mem := newMem(t, opts)
+	dur := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Store: opts, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer dur.Close()
 
 	rng := rand.New(rand.NewSource(42))
 	const devices, rows = 5, 700
-	for i := 0; i < rows; i++ {
-		key := shKey(rng.Intn(devices))
-		at := shT0.Add(time.Duration(i) * time.Second)
-		if rng.Intn(10) == 0 { // out-of-order arrival
-			at = at.Add(-time.Duration(rng.Intn(500)) * time.Second)
+	for i := 0; i < rows; {
+		batch := make([]Row, min(1+rng.Intn(20), rows-i))
+		for j := range batch {
+			at := shT0.Add(time.Duration(i) * time.Second)
+			if rng.Intn(10) == 0 { // out-of-order arrival
+				at = at.Add(-time.Duration(rng.Intn(500)) * time.Second)
+			}
+			batch[j] = Row{Key: shKey(rng.Intn(devices)), Sample: Sample{At: at, Value: float64(i)}}
+			i++
 		}
-		smp := Sample{At: at, Value: float64(i)}
-		if err := plain.Append(key, smp); err != nil {
-			t.Fatal(err)
+		head.AppendBatch(batch)
+		for _, eng := range []*Sharded{mem, dur} {
+			if len(batch) == 1 {
+				if err := eng.Append(batch[0].Key, batch[0].Sample); err != nil {
+					t.Fatal(err)
+				}
+			} else if errs := eng.AppendBatch(batch); errs != nil {
+				t.Fatal(errs)
+			}
 		}
-		if err := sharded.Append(key, smp); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := dur.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st := dur.ShardStatus(0); st.Blocks != 1 || int(st.BlockSamples) != st.Samples {
+		t.Fatalf("durable engine not wholly in one block: %+v", st)
 	}
 
-	if p, s := plain.Stats(), sharded.Stats(); p.Series != s.Series || p.Samples != s.Samples {
-		t.Fatalf("stats diverge: plain %+v sharded %+v", p, s)
+	want := head.Stats()
+	for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
+		if got := eng.Stats(); got.Series != want.Series || got.Samples != want.Samples {
+			t.Fatalf("%s stats %+v, head %+v", name, got, want)
+		}
 	}
 	to := shT0.Add(rows * time.Second)
-	for d := 0; d < devices; d++ {
+	ranges := [][2]time.Time{{shT0.Add(-time.Hour), to}, {shT0.Add(150 * time.Second), time.Time{}}}
+	for len(ranges) < 8 {
+		a := shT0.Add(time.Duration(rng.Intn(rows)) * time.Second)
+		ranges = append(ranges, [2]time.Time{a, a.Add(time.Duration(rng.Intn(rows)) * time.Second)})
+	}
+	for d := 0; d <= devices; d++ { // device `devices` was never written
 		key := shKey(d)
-		want, err1 := plain.Query(key, shT0.Add(-time.Hour), to)
-		got, err2 := sharded.Query(key, shT0.Add(-time.Hour), to)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("query errs: %v / %v", err1, err2)
-		}
-		if len(want) != len(got) {
-			t.Fatalf("device %d: plain %d samples, sharded %d", d, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("device %d sample %d: %+v != %+v", d, i, want[i], got[i])
+		ref := readAll(t, head, IterPager(head, key, time.Time{}, to, 0), key, ranges,
+			func(from, to time.Time, w time.Duration) ([]Bucket, error) {
+				return downsampleIter(IterPager(head, key, from, to, 0), from, w)
+			})
+		for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
+			got := readAll(t, eng, eng.Iter(key, time.Time{}, to, 0), key, ranges,
+				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
+					return eng.Downsample(key, from, to, w)
+				})
+			for i := range ref {
+				if !reflect.DeepEqual(ref[i], got[i]) {
+					t.Fatalf("device %d, %s engine, read %d:\nhead   %+v\nengine %+v", d, name, i, ref[i], got[i])
+				}
 			}
 		}
-		wa, _ := plain.Aggregate(key, shT0.Add(-time.Hour), to)
-		ga, _ := sharded.Aggregate(key, shT0.Add(-time.Hour), to)
-		if wa != ga {
-			t.Fatalf("device %d aggregate: %+v != %+v", d, wa, ga)
-		}
-		// Page walks agree too (same value cursors).
+	}
+}
+
+// equivReader is the read surface a head Store shares with the engine.
+type equivReader interface {
+	Pager
+	Query(key SeriesKey, from, to time.Time) ([]Sample, error)
+	Latest(key SeriesKey) (Sample, error)
+	Len(key SeriesKey) int
+	KeysForDevice(device string) []SeriesKey
+	Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error)
+}
+
+// readAll runs every read of one series through r and returns the
+// outcomes in a fixed order, errors included: Latest, Len,
+// KeysForDevice, the whole-series iterator, then per range Query, a
+// 37-row QueryPage walk page by page, Aggregate, and Downsample at 1m,
+// 1h and an off-grid 90s.
+func readAll(t *testing.T, r equivReader, it *Iterator, key SeriesKey, ranges [][2]time.Time,
+	downsample func(from, to time.Time, w time.Duration) ([]Bucket, error)) []any {
+	t.Helper()
+	type result struct {
+		V   any
+		Err error
+	}
+	latest, err := r.Latest(key)
+	out := []any{result{latest, err}, r.Len(key), r.KeysForDevice(key.Device)}
+	var walked []Sample
+	for smp, ok := it.Next(); ok; smp, ok = it.Next() {
+		walked = append(walked, smp)
+	}
+	out = append(out, result{walked, it.Err()})
+	for _, rg := range ranges {
+		from, to := rg[0], rg[1]
+		samples, err := r.Query(key, from, to)
+		out = append(out, result{samples, err})
 		var cur Cursor
-		var paged int
 		for {
-			page, err := sharded.QueryPage(key, shT0.Add(-time.Hour), to, cur, 37)
-			if err != nil {
-				t.Fatal(err)
-			}
-			paged += len(page.Samples)
-			if !page.More {
+			page, err := r.QueryPage(key, from, to, cur, 37)
+			out = append(out, result{page, err})
+			if err != nil || !page.More {
 				break
 			}
 			cur = page.Next
 		}
-		if paged != len(want) {
-			t.Fatalf("device %d: paged %d of %d samples", d, paged, len(want))
+		agg, err := r.Aggregate(key, from, to)
+		out = append(out, result{agg, err})
+		for _, w := range []time.Duration{time.Minute, time.Hour, 90 * time.Second} {
+			buckets, err := downsample(from, to, w)
+			out = append(out, result{buckets, err})
 		}
 	}
+	return out
 }
 
 // TestShardedRouting pins every series of one device to one shard and
@@ -105,7 +163,7 @@ func TestShardedRouting(t *testing.T) {
 			t.Fatalf("device %d: %d keys", d, len(got))
 		}
 		sh := s.ShardFor(key.Device)
-		if s.Shard(sh).Len(key) != 1 {
+		if !slices.Contains(s.ShardKeys(sh), key) {
 			t.Fatalf("device %d not in shard %d", d, sh)
 		}
 	}
@@ -114,7 +172,7 @@ func TestShardedRouting(t *testing.T) {
 	}
 	populated := 0
 	for i := 0; i < s.NumShards(); i++ {
-		if len(s.Shard(i).Keys()) > 0 {
+		if s.ShardStatus(i).Series > 0 {
 			populated++
 		}
 	}

@@ -13,7 +13,6 @@ package tsdb
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -38,10 +37,10 @@ type Sample struct {
 var (
 	ErrNoSeries    = errors.New("tsdb: series not found")
 	ErrBadInterval = errors.New("tsdb: interval end before start")
-	ErrClosed      = errors.New("tsdb: store closed")
+	ErrClosed      = errors.New("tsdb: engine closed")
 )
 
-// Options configure a Store.
+// Options configure a shard's head Store.
 type Options struct {
 	// MaxSamplesPerSeries bounds each series; once exceeded the oldest
 	// samples are evicted. Zero means the engine default (65536).
@@ -65,7 +64,9 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// Store is a thread-safe multi-series sample store.
+// Store is one shard's in-memory head: a thread-safe multi-series
+// sample store. Only the Sharded engine builds one; its worker is the
+// head's single writer and every read merges it with the shard's blocks.
 type Store struct {
 	opts Options
 
@@ -73,7 +74,6 @@ type Store struct {
 	// series through it, so it must never cover disk or network time.
 	mu     sync.RWMutex // districtlint:lockio
 	series map[SeriesKey]*series
-	closed bool
 }
 
 // series holds the segments of one series. Segments are time-ordered
@@ -94,33 +94,18 @@ type segment struct {
 	samples []Sample
 }
 
-// New creates a Store with the given options.
-func New(opts Options) *Store {
+// newStore creates a head Store with the given options.
+func newStore(opts Options) *Store {
 	return &Store{opts: opts.withDefaults(), series: make(map[SeriesKey]*series)}
 }
 
-// Close marks the store closed; subsequent appends fail with ErrClosed.
-func (s *Store) Close() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-}
-
 // getOrCreate resolves (creating on first write) the series of a key.
-func (s *Store) getOrCreate(key SeriesKey) (*series, error) {
+func (s *Store) getOrCreate(key SeriesKey) *series {
 	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, ErrClosed
-	}
 	sr := s.series[key]
 	s.mu.RUnlock()
 	if sr == nil {
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, ErrClosed
-		}
 		sr = s.series[key]
 		if sr == nil {
 			sr = &series{}
@@ -128,7 +113,7 @@ func (s *Store) getOrCreate(key SeriesKey) (*series, error) {
 		}
 		s.mu.Unlock()
 	}
-	return sr, nil
+	return sr
 }
 
 // put stores one sample in a locked series: ordered tail append or
@@ -143,34 +128,14 @@ func (sr *series) put(smp Sample, segSize int) {
 	sr.count++
 }
 
-// Append stores one sample in the series for key. Samples older than the
-// retention window are dropped silently (they would be evicted
-// immediately anyway); the method still succeeds.
-func (s *Store) Append(key SeriesKey, smp Sample) error {
-	if s.opts.Retention > 0 && time.Since(smp.At) > s.opts.Retention {
-		return nil
-	}
-	sr, err := s.getOrCreate(key)
-	if err != nil {
-		return err
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	sr.put(smp, s.opts.SegmentSize)
-	sr.evict(s.opts.MaxSamplesPerSeries)
-	return nil
-}
-
 // appendRun stores a run of same-series rows (row keys are ignored;
 // the run is stored under key) with one series resolution and one lock
-// acquisition for the whole run. Per-sample semantics match Append;
-// eviction runs once after the run, so the per-series bound may
-// transiently overshoot by at most the run length.
-func (s *Store) appendRun(key SeriesKey, rows []Row) error {
-	sr, err := s.getOrCreate(key)
-	if err != nil {
-		return err
-	}
+// acquisition for the whole run. Samples older than the retention
+// window are dropped silently (they would be evicted immediately
+// anyway). Eviction runs once after the run, so the per-series bound
+// may transiently overshoot by at most the run length.
+func (s *Store) appendRun(key SeriesKey, rows []Row) {
+	sr := s.getOrCreate(key)
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	for i := range rows {
@@ -181,7 +146,6 @@ func (s *Store) appendRun(key SeriesKey, rows []Row) error {
 		sr.put(smp, s.opts.SegmentSize)
 	}
 	sr.evict(s.opts.MaxSamplesPerSeries)
-	return nil
 }
 
 func (sr *series) appendOrdered(smp Sample, segSize int) {
@@ -417,20 +381,9 @@ type Bucket struct {
 	Aggregate
 }
 
-// Downsample splits [from, to) into fixed windows of the given width and
-// aggregates each. Empty windows are omitted. Like Aggregate, the range
-// is walked through the paging iterator: only the running bucket is held
-// in memory, never the raw samples.
-func (s *Store) Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("tsdb: non-positive window %v", window)
-	}
-	return downsampleIter(s.Iter(key, from, to, 0), from, window)
-}
-
-// downsampleIter folds an iterator's samples into fixed windows — the
-// shared core of Store.Downsample and the merged head+block raw
-// fallback path.
+// downsampleIter folds an iterator's samples into fixed windows, holding
+// only the running bucket in memory, never the raw samples — Downsample's
+// exact walk for windows no rollup grid divides.
 func downsampleIter(it *Iterator, from time.Time, window time.Duration) ([]Bucket, error) {
 	var out []Bucket
 	var cur Aggregate
@@ -550,16 +503,14 @@ func (s *Store) evictBefore(t time.Time) {
 	}
 }
 
-// Stats summarizes the whole store (or, for a Sharded engine, all
-// shards together — Shards is then the partition count, 0 for a plain
-// Store).
+// Stats summarizes an engine (all shards together — Shards is the
+// partition count) or one head Store (Shards 0).
 type Stats struct {
 	Series  int
 	Samples int
 	Shards  int `json:",omitempty"`
-	// DroppedRows counts rows a durable Sharded engine discarded
-	// un-applied on WAL failure (always 0 for a plain or in-memory
-	// engine).
+	// DroppedRows counts rows a durable engine discarded un-applied on
+	// WAL failure (always 0 for an in-memory engine).
 	DroppedRows uint64 `json:",omitempty"`
 }
 

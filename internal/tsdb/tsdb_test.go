@@ -13,7 +13,14 @@ var t0 = time.Date(2015, 3, 9, 0, 0, 0, 0, time.UTC)
 
 func key() SeriesKey { return SeriesKey{Device: "urn:d/device:x", Quantity: "temperature"} }
 
-func fill(t *testing.T, s *Store, k SeriesKey, n int, step time.Duration) {
+// newMem returns an in-memory one-shard engine, closed with the test.
+func newMem(t *testing.T, opts Options) *Sharded {
+	s := NewSharded(ShardedOptions{Shards: 1, Store: opts})
+	t.Cleanup(s.Close)
+	return s
+}
+
+func fill(t *testing.T, s Engine, k SeriesKey, n int, step time.Duration) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if err := s.Append(k, Sample{At: t0.Add(time.Duration(i) * step), Value: float64(i)}); err != nil {
@@ -23,7 +30,7 @@ func fill(t *testing.T, s *Store, k SeriesKey, n int, step time.Duration) {
 }
 
 func TestAppendAndQuery(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 100, time.Second)
 	got, err := s.Query(key(), t0.Add(10*time.Second), t0.Add(19*time.Second))
 	if err != nil {
@@ -38,7 +45,7 @@ func TestAppendAndQuery(t *testing.T) {
 }
 
 func TestQueryUnknownSeries(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	if _, err := s.Query(key(), t0, t0.Add(time.Hour)); err != ErrNoSeries {
 		t.Fatalf("err = %v, want ErrNoSeries", err)
 	}
@@ -48,7 +55,7 @@ func TestQueryUnknownSeries(t *testing.T) {
 }
 
 func TestQueryBadInterval(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 1, time.Second)
 	if _, err := s.Query(key(), t0.Add(time.Hour), t0); err != ErrBadInterval {
 		t.Fatalf("err = %v, want ErrBadInterval", err)
@@ -56,7 +63,7 @@ func TestQueryBadInterval(t *testing.T) {
 }
 
 func TestLatest(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 50, time.Second)
 	got, err := s.Latest(key())
 	if err != nil {
@@ -68,7 +75,7 @@ func TestLatest(t *testing.T) {
 }
 
 func TestOutOfOrderMergedOnRead(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	k := key()
 	// Append even seconds forward, then odd seconds backwards.
 	for i := 0; i < 10; i += 2 {
@@ -92,7 +99,7 @@ func TestOutOfOrderMergedOnRead(t *testing.T) {
 }
 
 func TestEvictionBound(t *testing.T) {
-	s := New(Options{MaxSamplesPerSeries: 100, SegmentSize: 16})
+	s := newMem(t, Options{MaxSamplesPerSeries: 100, SegmentSize: 16})
 	fill(t, s, key(), 1000, time.Second)
 	if n := s.Len(key()); n > 100 {
 		t.Fatalf("Len = %d, want <= 100", n)
@@ -117,7 +124,7 @@ func TestEvictionBound(t *testing.T) {
 }
 
 func TestRetentionDropsOldAppends(t *testing.T) {
-	s := New(Options{Retention: time.Hour})
+	s := newMem(t, Options{Retention: time.Hour})
 	old := Sample{At: time.Now().Add(-2 * time.Hour), Value: 1}
 	if err := s.Append(key(), old); err != nil {
 		t.Fatal(err)
@@ -135,7 +142,7 @@ func TestRetentionDropsOldAppends(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	s.Close()
 	if err := s.Append(key(), Sample{At: time.Now()}); err != ErrClosed {
 		t.Fatalf("err = %v, want ErrClosed", err)
@@ -143,7 +150,7 @@ func TestClose(t *testing.T) {
 }
 
 func TestAggregate(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 10, time.Second) // values 0..9
 	a, err := s.Aggregate(key(), t0, t0.Add(time.Minute))
 	if err != nil {
@@ -158,7 +165,7 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestDownsample(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 120, time.Second) // two minutes of 1 Hz data
 	buckets, err := s.Downsample(key(), t0, t0.Add(2*time.Minute), time.Minute)
 	if err != nil {
@@ -179,7 +186,7 @@ func TestDownsample(t *testing.T) {
 }
 
 func TestDownsampleBadWindow(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	fill(t, s, key(), 1, time.Second)
 	if _, err := s.Downsample(key(), t0, t0.Add(time.Minute), 0); err == nil {
 		t.Fatal("zero window accepted")
@@ -187,7 +194,7 @@ func TestDownsampleBadWindow(t *testing.T) {
 }
 
 func TestKeysAndKeysForDevice(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	_ = s.Append(SeriesKey{"urn:a", "temperature"}, Sample{At: t0, Value: 1})
 	_ = s.Append(SeriesKey{"urn:a", "humidity"}, Sample{At: t0, Value: 2})
 	_ = s.Append(SeriesKey{"urn:b", "temperature"}, Sample{At: t0, Value: 3})
@@ -201,7 +208,7 @@ func TestKeysAndKeysForDevice(t *testing.T) {
 }
 
 func TestStatsAndDrop(t *testing.T) {
-	s := New(Options{})
+	s := newMem(t, Options{})
 	_ = s.Append(SeriesKey{"urn:a", "temperature"}, Sample{At: t0, Value: 1})
 	_ = s.Append(SeriesKey{"urn:b", "temperature"}, Sample{At: t0, Value: 1})
 	st := s.Stats()
@@ -215,7 +222,7 @@ func TestStatsAndDrop(t *testing.T) {
 }
 
 func TestConcurrentAppendAndQuery(t *testing.T) {
-	s := New(Options{MaxSamplesPerSeries: 10000})
+	s := newMem(t, Options{MaxSamplesPerSeries: 10000})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -244,7 +251,7 @@ func TestQuerySortedProperty(t *testing.T) {
 		n := int(nRaw%64) + 1
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(n)
-		s := New(Options{})
+		s := newMem(t, Options{})
 		k := key()
 		for _, i := range perm {
 			if err := s.Append(k, Sample{At: t0.Add(time.Duration(i) * time.Second), Value: float64(i)}); err != nil {
@@ -296,7 +303,7 @@ func TestDownsamplePartitionProperty(t *testing.T) {
 		n := int(nRaw%200) + 1
 		windowMin := int(windowMinRaw%30) + 1
 		rng := rand.New(rand.NewSource(seed))
-		s := New(Options{})
+		s := newMem(t, Options{})
 		k := key()
 		for i := 0; i < n; i++ {
 			at := t0.Add(time.Duration(rng.Intn(3600)) * time.Second)

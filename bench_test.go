@@ -1616,7 +1616,11 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // the Go client's Measurements.Query measures 46 allocations a call,
 // four of them the in-place decode and the rest the request
 // (json.Unmarshal: 381), so a per-series allocation would show here
-// too. CSV encode has no ceiling: its per-row conversions through
+// too. One series of that tile on a durable engine, an aggregate over a
+// block the range covers in part plus the head, measures 0 allocations
+// a call (2 while the chunk decoder and the captured-block slice were
+// heap-allocated); it runs 200 times for the same pool reason as gzip.
+// CSV encode has no ceiling: its per-row conversions through
 // encoding/csv are benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
 	if raceEnabled || testing.Short() {
@@ -1639,6 +1643,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"samples page 900 rows", 96.0, 20, func(tb testing.TB) hotPathOp { return samplesPageEncodeOp(tb, false) }},
 		{"batch query json", 180.0, 20, batchQueryJSONOp},
 		{"batch answer decode", 64.0, 20, func(tb testing.TB) hotPathOp { return clientBatchQueryOp(tb, false) }},
+		{"block aggregate", 0.5, 200, blockAggregateOp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)
@@ -2083,6 +2088,42 @@ func batchQueryJSONOp(tb testing.TB) hotPathOp {
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v2/query", bytes.NewReader(body)))
 		if w.status != 200 || w.wire < batchQueryDevices*200 {
 			tb.Fatalf("batch query: status %d, %d bytes", w.status, w.wire)
+		}
+	}}
+}
+
+// blockAggregateOp is one series of the dashboard tile on a durable
+// engine: Sharded.Aggregate over the last 24 h of a minute-cadence
+// series whose first 36 h sit in one block and whose last half hour is
+// in the head, so the read folds cached rollup buckets and decodes one
+// raw edge (perOp is the call).
+func blockAggregateOp(tb testing.TB) hotPathOp {
+	const headWindow = 2 * time.Hour
+	eng, err := tsdb.OpenSharded(tsdb.ShardedOptions{Dir: tb.TempDir(), Shards: 1, Blocks: tsdb.BlockPolicy{HeadWindow: headWindow}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	key := tsdb.SeriesKey{Device: "urn:district:turin/building:b000/device:d0", Quantity: "temperature"}
+	now := time.Now()
+	fill := func(at time.Time, n int) {
+		rows := make([]tsdb.Row, n)
+		for i := range rows {
+			rows[i] = tsdb.Row{Key: key, Sample: tsdb.Sample{At: at.Add(time.Duration(i) * time.Minute), Value: float64(i%97) + 0.25}}
+		}
+		if errs := eng.AppendBatch(rows); errs != nil {
+			tb.Fatal(errs)
+		}
+	}
+	fill(now.Add(-headWindow-36*time.Hour).Truncate(time.Minute), 36*60)
+	if err := eng.CompactAll(); err != nil {
+		tb.Fatal(err)
+	}
+	fill(now.Add(-30*time.Minute), 30)
+	from := now.Add(-24*time.Hour - 17*time.Minute)
+	return hotPathOp{perOp: 1, fn: func() {
+		if a, err := eng.Aggregate(key, from, now); err != nil || a.Count < 22*60 {
+			tb.Fatalf("block aggregate: %+v, %v", a, err)
 		}
 	}}
 }

@@ -103,8 +103,8 @@ func trailingZeros64(v uint64) int { return bits.TrailingZeros64(v) }
 
 // decodeChunk decodes every point in the chunk, appending to dst.
 func decodeChunk(dst []Point, buf []byte) ([]Point, error) {
-	it, err := newChunkIter(buf)
-	if err != nil {
+	var it chunkIter
+	if err := it.reset(buf); err != nil {
 		return dst, err
 	}
 	for it.Next() {
@@ -129,16 +129,19 @@ type chunkIter struct {
 	err     error
 }
 
-func newChunkIter(buf []byte) (*chunkIter, error) {
+// reset points it at the start of the encoded chunk in buf. An iterator
+// is a value: a read holds one on its stack rather than allocating it.
+func (it *chunkIter) reset(buf []byte) error {
 	count, n := binary.Uvarint(buf)
 	if n <= 0 {
-		return nil, fmt.Errorf("block: bad chunk count varint")
+		return fmt.Errorf("block: bad chunk count varint")
 	}
 	if count > uint64(len(buf))*8 {
-		return nil, fmt.Errorf("block: chunk count %d implausible for %d bytes", count, len(buf))
+		return fmt.Errorf("block: chunk count %d implausible for %d bytes", count, len(buf))
 	}
 	bits := buf[n:]
-	return &chunkIter{r: bitReader{b: bits}, bits: bits, n: int(count), first: true}, nil
+	*it = chunkIter{r: bitReader{b: bits}, bits: bits, n: int(count), first: true}
+	return nil
 }
 
 func (it *chunkIter) Next() bool {

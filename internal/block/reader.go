@@ -38,7 +38,10 @@ type Block struct {
 	// ahead in its chunk. Racing first readers may each build one; any
 	// copy is valid, and the last stored wins.
 	restarts []atomic.Pointer[restartTable]
-	refs     atomic.Int64
+	// hours[i] is series[i]'s decoded 1h rollup, nil until a read asks
+	// for it; racing first readers may each decode one, as above.
+	hours []atomic.Pointer[[]Bucket]
+	refs  atomic.Int64
 }
 
 // Open maps the block at path and parses its index.
@@ -105,6 +108,7 @@ func (b *Block) parse() error {
 	}
 	b.series = series
 	b.restarts = make([]atomic.Pointer[restartTable], len(series))
+	b.hours = make([]atomic.Pointer[[]Bucket], len(series))
 	b.minT, b.maxT = series[0].MinT, series[0].MaxT
 	for _, m := range series[1:] {
 		if m.MinT < b.minT {
@@ -184,8 +188,8 @@ func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]
 	if maxt < m.MinT || mint > m.MaxT {
 		return dst, nil
 	}
-	it, err := b.chunkFrom(i, mint)
-	if err != nil {
+	var it chunkIter
+	if err := b.chunkFrom(&it, i, mint); err != nil {
 		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
 	}
 	for added := 0; (max < 0 || added < max) && it.Next(); {
@@ -204,31 +208,30 @@ func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]
 	return dst, nil
 }
 
-// chunkFrom returns a decoder over series i's raw chunk, resumed at the
-// last restart before mint. A read from the series' first point needs
-// no table, and a chunk of a few restarts is cheaper to decode than to
+// chunkFrom sets it to decode series i's raw chunk, resumed at the last
+// restart before mint. A read from the series' first point needs no
+// table, and a chunk of a few restarts is cheaper to decode than to
 // index, so neither builds one.
-func (b *Block) chunkFrom(i int, mint int64) (*chunkIter, error) {
+func (b *Block) chunkFrom(it *chunkIter, i int, mint int64) error {
 	m := b.series[i]
 	payload, err := frameAt(b.data, m.raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	it, err := newChunkIter(payload)
-	if err != nil || mint <= m.MinT || m.Count <= 2*restartEvery {
-		return it, err
+	if err := it.reset(payload); err != nil || mint <= m.MinT || m.Count <= 2*restartEvery {
+		return err
 	}
 	tab := b.restarts[i].Load()
 	if tab == nil {
 		built, err := buildRestarts(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		tab = &built
 		b.restarts[i].Store(tab)
 	}
 	it.seek(*tab, mint)
-	return it, nil
+	return nil
 }
 
 // RestartBytes is the heap the block's restart tables hold: one entry
@@ -239,6 +242,39 @@ func (b *Block) RestartBytes() int64 {
 	for i := range b.restarts {
 		if tab := b.restarts[i].Load(); tab != nil {
 			n += int64(len(*tab)) * restartSize
+		}
+	}
+	return n
+}
+
+// HourRollup returns the 1h rollup buckets of key, decoded (and CRC
+// checked) on the first call and shared by every later one until the
+// block's mapping is torn down. The slice is shared; callers must not
+// mutate it.
+func (b *Block) HourRollup(key Key) ([]Bucket, error) {
+	i := b.find(key)
+	if i < 0 {
+		return nil, ErrNoSeries
+	}
+	if bks := b.hours[i].Load(); bks != nil {
+		return *bks, nil
+	}
+	bks, err := b.rollupOf(nil, b.series[i], Res1h)
+	if err != nil {
+		return nil, err
+	}
+	b.hours[i].Store(&bks)
+	return bks, nil
+}
+
+// RollupBytes is the heap the block's cached 1h rollups hold: one
+// Bucket (72 bytes on 64-bit platforms) per hour of each series a read
+// has asked HourRollup for.
+func (b *Block) RollupBytes() int64 {
+	var n int64
+	for i := range b.hours {
+		if bks := b.hours[i].Load(); bks != nil {
+			n += int64(cap(*bks)) * bucketSize
 		}
 	}
 	return n
@@ -257,6 +293,11 @@ func (b *Block) AppendRollup(dst []Bucket, key Key, res int64) ([]Bucket, error)
 	if !ok {
 		return nil, ErrNoSeries
 	}
+	return b.rollupOf(dst, m, res)
+}
+
+// rollupOf appends m's rollup buckets at res to dst.
+func (b *Block) rollupOf(dst []Bucket, m SeriesMeta, res int64) ([]Bucket, error) {
 	var s section
 	switch res {
 	case Res1m:
@@ -287,8 +328,8 @@ func (b *Block) Verify() error {
 			if err != nil {
 				return err
 			}
-			it, err := newChunkIter(payload)
-			if err != nil {
+			var it chunkIter
+			if err := it.reset(payload); err != nil {
 				return err
 			}
 			n := 0
@@ -342,6 +383,7 @@ func (b *Block) unref() error {
 	b.data = nil
 	b.series = nil
 	b.restarts = nil
+	b.hours = nil
 	if b.mapped && data != nil {
 		return unmapFile(data)
 	}

@@ -41,8 +41,8 @@ type restartTable []restart
 // buildRestarts decodes the whole chunk in payload once, noting the
 // decoder state at every restart.
 func buildRestarts(payload []byte) (restartTable, error) {
-	it, err := newChunkIter(payload)
-	if err != nil {
+	var it chunkIter
+	if err := it.reset(payload); err != nil {
 		return nil, err
 	}
 	tab := make(restartTable, 0, max(it.n-1, 0)/restartEvery)

@@ -1,8 +1,10 @@
 package block
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -110,8 +112,8 @@ func TestChunkSeekDecodesAtMostRestartEveryBeforeMint(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 500; trial++ {
 		mint := pts[rng.Intn(len(pts))].T + rng.Int63n(3) - 1
-		it, err := b.chunkFrom(0, mint)
-		if err != nil {
+		var it chunkIter
+		if err := b.chunkFrom(&it, 0, mint); err != nil {
 			t.Fatal(err)
 		}
 		before := 0
@@ -196,5 +198,60 @@ func TestBlockSeekConcurrentFirstReads(t *testing.T) {
 	wg.Wait()
 	if got, want := b.RestartBytes(), int64((len(all)-1)/restartEvery)*restartSize; got != want {
 		t.Fatalf("RestartBytes %d, want %d (one table for the one series read)", got, want)
+	}
+}
+
+// Many goroutines ask for one series' 1h rollup of a fresh block at
+// once: each may decode and publish it, every caller must get the
+// buckets a plain decode gives, and later calls share one slice.
+func TestBlockHourRollupConcurrentFirstReads(t *testing.T) {
+	path, _ := writeTestBlock(t, t.TempDir())
+	b, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	k := Key{Device: "dev-a", Quantity: "temp"}
+	want, err := b.Rollup(k, Res1h)
+	if err != nil || len(want) < 2 {
+		t.Fatalf("rollup: %d buckets, %v", len(want), err)
+	}
+	if n := b.RollupBytes(); n != 0 {
+		t.Fatalf("RollupBytes %d before any HourRollup", n)
+	}
+	const readers = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			got, err := b.HourRollup(k)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("reader %d: %v, want %v", g, got, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	one, _ := b.HourRollup(k)
+	two, _ := b.HourRollup(k)
+	if &one[0] != &two[0] {
+		t.Fatal("HourRollup decoded again instead of sharing its slice")
+	}
+	if got, want := b.RollupBytes(), int64(len(want))*bucketSize; got != want {
+		t.Fatalf("RollupBytes %d, want %d (one rollup for the one series read)", got, want)
+	}
+	if _, err := b.HourRollup(Key{Device: "nope", Quantity: "temp"}); !errors.Is(err, ErrNoSeries) {
+		t.Fatalf("missing series: %v, want ErrNoSeries", err)
 	}
 }

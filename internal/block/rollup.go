@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 )
 
 // Rollup resolutions maintained inside every block. Both divide the
@@ -31,6 +32,9 @@ type Bucket struct {
 	LastT  int64
 	LastV  float64
 }
+
+// bucketSize is the heap one decoded Bucket holds.
+const bucketSize = int64(unsafe.Sizeof(Bucket{}))
 
 // buildRollup folds ascending points into res-sized buckets.
 func buildRollup(pts []Point, res int64) []Bucket {

@@ -81,6 +81,143 @@ func partialCoverSeries(t testing.TB, rng *rand.Rand, nBlocks, perBlock, perHead
 	return eng, ts, blockEnds
 }
 
+// assertAggregateMatches checks got against a raw fold: every field
+// exactly, Sum and Mean to float association.
+func assertAggregateMatches(t *testing.T, what string, got, want Aggregate) {
+	t.Helper()
+	if !relClose(got.Sum, want.Sum) || !relClose(got.Mean, want.Mean) {
+		t.Fatalf("%s: sum/mean %v/%v, raw fold %v/%v", what, got.Sum, got.Mean, want.Sum, want.Mean)
+	}
+	got.Sum, got.Mean = want.Sum, want.Mean
+	if got != want {
+		t.Fatalf("%s:\n got %+v\nwant %+v", what, got, want)
+	}
+}
+
+// TestHeadAggregateSummariesMatchRawFold is the differential test of the
+// head's segment summaries: a seeded mix of in-order, out-of-order and
+// duplicate-timestamp appends, count eviction and compaction's
+// evictBefore over 16-sample segments, with every Store.Aggregate equal
+// to a fold over Store.Query of the same range. Ranges fall on segment
+// bounds, straddle them by a nanosecond, and land anywhere.
+func TestHeadAggregateSummariesMatchRawFold(t *testing.T) {
+	const segSize = 16
+	st := newStore(Options{SegmentSize: segSize, MaxSamplesPerSeries: 300})
+	rng := rand.New(rand.NewSource(29))
+	k := key()
+	base := time.Unix(1_700_000_000, 0).UTC()
+	last := base
+	stamps := []time.Time{base}
+	catchUps := 0
+	for step := 0; step < 2000; step++ {
+		var rows []Row
+		switch op := rng.Intn(10); {
+		case op < 6: // in order, 0–3 s apart (0: a duplicate timestamp)
+			for i := rng.Intn(20); i >= 0; i-- {
+				last = last.Add(time.Duration(rng.Intn(4)) * time.Second)
+				rows = append(rows, Row{Key: k, Sample: Sample{At: last, Value: rng.NormFloat64() * 100}})
+			}
+		case op < 8: // out of order, or a duplicate of a stored stamp
+			at := stamps[rng.Intn(len(stamps))]
+			if op == 6 {
+				at = at.Add(time.Duration(rng.Intn(1000)) * time.Millisecond)
+			}
+			rows = append(rows, Row{Key: k, Sample: Sample{At: at, Value: rng.NormFloat64() * 100}})
+		case op == 8 && rng.Intn(4) == 0: // a compaction cut
+			st.evictBefore(stamps[rng.Intn(len(stamps))])
+		}
+		for _, r := range rows {
+			stamps = append(stamps, r.Sample.At)
+		}
+		if len(rows) > 0 {
+			st.AppendBatch(rows)
+		}
+
+		sr := st.series[k]
+		sr.mu.Lock()
+		sr.foldSpill(segSize)
+		var bounds []time.Time
+		for _, seg := range sr.segments {
+			if n := len(seg.samples); n > 0 {
+				bounds = append(bounds, seg.samples[0].At, seg.samples[n-1].At)
+			}
+		}
+		sr.mu.Unlock()
+		if len(bounds) == 0 {
+			continue
+		}
+		bound := func() time.Time { return bounds[rng.Intn(len(bounds))] }
+		instant := func() time.Time {
+			return base.Add(-time.Second + time.Duration(rng.Int63n(int64(last.Sub(base)+2*time.Second))))
+		}
+		for i := 0; i < 4; i++ {
+			var from, to time.Time
+			switch i {
+			case 0: // on segment bounds
+				from, to = bound(), bound()
+			case 1: // straddling segment bounds by a nanosecond
+				from, to = bound().Add(time.Duration(rng.Intn(3)-1)), bound().Add(time.Duration(rng.Intn(3)-1))
+			case 2:
+				from, to = instant(), instant()
+			case 3: // everything
+				from, to = bounds[0], bounds[len(bounds)-1]
+			}
+			if to.Before(from) {
+				from, to = to, from
+			}
+			sr.mu.Lock()
+			for _, seg := range sr.segments {
+				if n := len(seg.samples); n > 0 && seg.agg.Count > 0 && seg.agg.Count < n && !seg.samples[0].At.Before(from) && !seg.samples[n-1].At.After(to) {
+					catchUps++ // a summary read before, appended to since
+				}
+			}
+			sr.mu.Unlock()
+			got, err := st.Aggregate(k, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			smps, err := st.Query(k, from, to)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAggregateMatches(t, fmt.Sprintf("step %d range [%v, %v] (%d samples)", step, from, to, len(smps)), got, foldSamples(smps))
+		}
+	}
+	if catchUps == 0 {
+		t.Fatal("no range covered a grown segment whole: the summary catch-up went untested")
+	}
+}
+
+// A series rebuilt after an out-of-order write keeps the store's
+// configured segment size.
+func TestSpillKeepsSegmentSize(t *testing.T) {
+	const segSize = 64
+	st := newStore(Options{SegmentSize: segSize})
+	rows := make([]Row, 500)
+	for i := range rows {
+		rows[i] = Row{Key: key(), Sample: Sample{At: t0.Add(time.Duration(i) * time.Second), Value: float64(i)}}
+	}
+	st.AppendBatch(rows)
+	st.AppendBatch([]Row{{Key: key(), Sample: Sample{At: t0.Add(250500 * time.Millisecond), Value: -1}}})
+	if n := st.Len(key()); n != 501 {
+		t.Fatalf("len %d, want 501", n)
+	}
+	if _, err := st.Query(key(), t0, t0.Add(time.Hour)); err != nil { // folds the spill
+		t.Fatal(err)
+	}
+	sr := st.series[key()]
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	if len(sr.spill) != 0 {
+		t.Fatal("spill not folded")
+	}
+	for i, seg := range sr.segments {
+		if len(seg.samples) > segSize || cap(seg.samples) != segSize {
+			t.Fatalf("segment %d: len %d cap %d, want at most %d samples in a %d-sample segment", i, len(seg.samples), cap(seg.samples), segSize, segSize)
+		}
+	}
+}
+
 // TestBlockAggregatePartialCoverMatchesRawFold is the differential test
 // of the pushdown aggregate over partially covered blocks: for random
 // ranges Sharded.Aggregate must equal a fold over Sharded.Query of the
@@ -110,10 +247,10 @@ func TestBlockAggregatePartialCoverMatchesRawFold(t *testing.T) {
 				instant := func() int64 { return first - int64(time.Hour) + rng.Int63n(last-first+int64(2*time.Hour)) }
 				hour := func() int64 { return instant() / int64(time.Hour) * int64(time.Hour) }
 				stamp := func() int64 { return ts[rng.Intn(len(ts))] }
-				rollupFolds := 0
-				for i := 0; i < 300; i++ {
+				rollupFolds, rightEdges := 0, 0
+				for i := 0; i < 350; i++ {
 					var from, to int64
-					switch i % 6 {
+					switch i % 7 {
 					case 0:
 						from, to = instant(), instant()
 					case 1: // the dashboard's "last N hours": ends past every block
@@ -127,13 +264,21 @@ func TestBlockAggregatePartialCoverMatchesRawFold(t *testing.T) {
 						from, to = stamp(), stamp()
 					case 5: // ends on, just before or just after a block's last sample
 						from, to = instant(), blockEnds[rng.Intn(nBlocks)]+rng.Int63n(3)-1
+					case 6: // most of one block, ending inside it
+						b := rng.Intn(nBlocks)
+						from = ts[b*c.perBlock] + rng.Int63n(int64(30*time.Minute)) - int64(15*time.Minute)
+						to = blockEnds[b] - 1 - rng.Int63n(int64(30*time.Minute))
 					}
 					if to < from {
 						from, to = to, from
 					}
 					for b, end := range blockEnds {
-						if start := ts[b*c.perBlock]; from > start && from < end-int64(2*time.Hour) && to >= end {
+						start := ts[b*c.perBlock]
+						if from > start && from < end-int64(2*time.Hour) && to >= end {
 							rollupFolds++
+						}
+						if to >= start && to < end && to-max(from, start) > int64(2*time.Hour) {
+							rightEdges++ // whole hours, then a decoded right edge
 						}
 					}
 					fromT, toT := time.Unix(0, from), time.Unix(0, to)
@@ -146,16 +291,13 @@ func TestBlockAggregatePartialCoverMatchesRawFold(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !relClose(got.Sum, want.Sum) || !relClose(got.Mean, want.Mean) {
-						t.Fatalf("range %d [%d, %d]: sum/mean %v/%v, raw fold %v/%v", i, from, to, got.Sum, got.Mean, want.Sum, want.Mean)
-					}
-					got.Sum, got.Mean = want.Sum, want.Mean
-					if got != want {
-						t.Fatalf("range %d [%d, %d] (%d samples):\n got %+v\nwant %+v", i, from, to, len(smps), got, want)
-					}
+					assertAggregateMatches(t, fmt.Sprintf("range %d [%d, %d] (%d samples)", i, from, to, len(smps)), got, want)
 				}
 				if rollupFolds == 0 {
 					t.Fatal("no range covered a block's tail from more than two hours inside it: the rollup fold went untested")
+				}
+				if rightEdges == 0 {
+					t.Fatal("no range ended inside a block more than two hours after its start: the right edge went untested")
 				}
 			})
 		}
@@ -164,10 +306,12 @@ func TestBlockAggregatePartialCoverMatchesRawFold(t *testing.T) {
 
 // TestAggregateWhileAppending folds a series in place while a writer
 // extends it: every aggregate must be one consistent cut (run it under
-// -race).
+// -race). Besides the whole series, each round asks for a run of whole
+// 64-sample segments (one sample a second), so segment summaries are
+// read while the writer grows the last of them.
 func TestAggregateWhileAppending(t *testing.T) {
-	const n = 20000
-	st := newStore(Options{SegmentSize: 64})
+	const n, segSize = 20000, 64
+	st := newStore(Options{SegmentSize: segSize})
 	base := time.Unix(1_700_000_000, 0).UTC()
 	st.AppendBatch([]Row{{Key: blockKey, Sample: Sample{At: base, Value: 1}}})
 	var wg sync.WaitGroup
@@ -178,16 +322,31 @@ func TestAggregateWhileAppending(t *testing.T) {
 			st.AppendBatch([]Row{{Key: blockKey, Sample: Sample{At: base.Add(time.Duration(i) * time.Second), Value: 1}}})
 		}
 	}()
-	for prev := 0; prev < n; {
+	consistent := func(a Aggregate, from time.Time) bool {
+		wantLast := from.Add(time.Duration(a.Count-1) * time.Second)
+		return a.Count == 0 || a.Sum == float64(a.Count) && a.First.At.Equal(from) && a.Last.At.Equal(wantLast)
+	}
+	for prev, round := 0, 0; prev < n; round++ {
 		a, err := st.Aggregate(blockKey, base, base.Add(n*time.Second))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantLast := base.Add(time.Duration(a.Count-1) * time.Second)
-		if a.Count < prev || a.Sum != float64(a.Count) || !a.First.At.Equal(base) || !a.Last.At.Equal(wantLast) {
+		if a.Count < prev || a.Count == 0 || !consistent(a, base) {
 			t.Fatalf("torn aggregate after %d samples: %+v", prev, a)
 		}
 		prev = a.Count
+		// Segments k..k+m-1 of what is written so far, the last one
+		// possibly still filling.
+		k := round % (a.Count/segSize + 1)
+		m := 1 + round%4
+		from := base.Add(time.Duration(k*segSize) * time.Second)
+		seg, err := st.Aggregate(blockKey, from, from.Add(time.Duration(m*segSize)*time.Second-1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seg.Count > m*segSize || !consistent(seg, from) {
+			t.Fatalf("torn aggregate of segments [%d, %d): %+v", k, k+m, seg)
+		}
 	}
 	wg.Wait()
 }
@@ -195,19 +354,41 @@ func TestAggregateWhileAppending(t *testing.T) {
 var benchAgg Aggregate
 
 // BenchmarkAggregatePartialBlock is the dashboard's glob-aggregate unit
-// of work: the last 24 h of a minute-cadence series whose first 36 h sit
-// in one block and whose last half hour sits in the head.
+// of work: the last 24 h (plus 0–59 min of jitter on `from`, so the
+// left edge falls anywhere in its hour) of a series whose first 36 h, at
+// minute cadence, sit in one block. In the head=1m arm the last half
+// hour is 30 minute samples in the head; in the head=1s arm it is the
+// dashboard's shape, 15 min at 1 min then 15 min at 1 s (915 samples).
 func BenchmarkAggregatePartialBlock(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	eng, ts, _ := partialCoverSeries(b, rng, 1, 36*60, 30, func() time.Duration { return time.Minute })
-	defer eng.Close()
-	to := time.Unix(0, ts[len(ts)-1])
-	from := to.Add(-24 * time.Hour)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if benchAgg, err = eng.Aggregate(blockKey, from, to); err != nil {
-			b.Fatal(err)
-		}
+	const blockMinutes = 36 * 60
+	for _, arm := range []struct {
+		name           string
+		head1m, head1s int
+	}{{"head=1m", 30, 0}, {"head=1s", 15, 900}} {
+		b.Run(arm.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			n := 0
+			gap := func() time.Duration {
+				if n++; n > blockMinutes+arm.head1m {
+					return time.Second
+				}
+				return time.Minute
+			}
+			eng, ts, _ := partialCoverSeries(b, rng, 1, blockMinutes, arm.head1m+arm.head1s, gap)
+			defer eng.Close()
+			to := time.Unix(0, ts[len(ts)-1])
+			froms := make([]time.Time, 64)
+			for i := range froms {
+				froms[i] = to.Add(-24*time.Hour - time.Duration(rng.Intn(60))*time.Minute)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if benchAgg, err = eng.Aggregate(blockKey, froms[i%len(froms)], to); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

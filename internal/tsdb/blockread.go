@@ -34,13 +34,14 @@ func sampleAt(t int64, v float64) Sample {
 }
 
 // readScratch is the block-decode scratch one merged read borrows: the
-// point-decode and rollup-decode buffers, the per-source slices of a
-// page merge, and the sample arena the decoded points land in. A request
-// touching many series (a batch query fanning over selectors) reuses one
-// scratch per merged call instead of re-growing these for every series.
-// Nothing handed back to callers may alias the scratch — page results
-// are copied out before release.
+// blocks it captured, the point-decode and rollup-decode buffers, the
+// per-source slices of a page merge, and the sample arena the decoded
+// points land in. A request touching many series (a batch query fanning
+// over selectors) reuses one scratch per merged call instead of
+// re-growing these for every series. Nothing handed back to callers may
+// alias the scratch — page results are copied out before release.
 type readScratch struct {
+	blks   []*block.Block
 	pts    []block.Point
 	bks    []block.Bucket
 	srcs   [][]Sample
@@ -54,9 +55,9 @@ var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 func getReadScratch() *readScratch { return readScratchPool.Get().(*readScratch) }
 
 func (rs *readScratch) release() {
-	for i := range rs.srcs {
-		rs.srcs[i] = nil
-	}
+	clear(rs.blks)
+	rs.blks = rs.blks[:0]
+	clear(rs.srcs)
 	rs.srcs = rs.srcs[:0]
 	rs.capped = rs.capped[:0]
 	rs.pts = rs.pts[:0]
@@ -66,14 +67,13 @@ func (rs *readScratch) release() {
 	readScratchPool.Put(rs)
 }
 
-// blocksFor returns retained references to the shard's blocks that
-// contain key and overlap [fromN, toN], in cut order. Callers must
-// Release every returned block. Head reads that must be consistent with
+// blocksFor appends to out retained references to the shard's blocks
+// that contain key and overlap [fromN, toN], in cut order. Callers must
+// Release every appended block. Head reads that must be consistent with
 // the returned view are performed by the capture callback, still under
 // the read lock.
-func (bs *blockSet) blocksFor(key block.Key, fromN, toN int64, capture func()) []*block.Block {
+func (bs *blockSet) blocksFor(out []*block.Block, key block.Key, fromN, toN int64, capture func()) []*block.Block {
 	bs.mu.RLock()
-	var out []*block.Block
 	for _, b := range bs.blocks {
 		if b.MaxT() < fromN || b.MinT() > toN {
 			continue
@@ -135,12 +135,15 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 	}
 	need := limit + min(skip, maxCursorSkip) + 1
 
+	rs := getReadScratch()
+	defer rs.release()
 	var headPage Page
 	var headErr error
 	startN, toN := start.UnixNano(), to.UnixNano()
-	blks := bs.blocksFor(bk(key), startN, toN, func() {
+	blks := bs.blocksFor(rs.blks, bk(key), startN, toN, func() {
 		headPage, headErr = store.QueryPage(key, start, to, Cursor{}, need)
 	})
+	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
 	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
@@ -156,8 +159,6 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 	// Sources in merge order: blocks in cut order, then the head.
 	// Decode scratch (points, per-source views into one sample arena)
 	// is pooled across calls; page.Samples below copies out of it.
-	rs := getReadScratch()
-	defer rs.release()
 	srcs, capped, pts, arena := rs.srcs, rs.capped, rs.pts, rs.smps
 	for _, b := range blks {
 		pts = pts[:0]
@@ -463,16 +464,18 @@ func (a *Aggregate) combine(src Aggregate) {
 }
 
 // Aggregate summarizes [from, to] of a series over the owning shard's
-// head+blocks, pushed down: each source answers from what it already
-// knows. A block wholly inside the range contributes its index
-// statistics in O(1) without touching sample data. A partially covered
-// block with raw chunks is exact too (rawBlockAggregate: whole 1h rollup
-// buckets plus a decoded edge). A demoted one folds whole 1m buckets —
-// the documented boundary approximation raw retention buys. The head
-// folds its samples in place (Store.Aggregate). Count, Min, Max, First
+// head+blocks from summaries, not samples: each source answers from what
+// it already knows, so the cost is O(segments + buckets + two edges),
+// not O(samples). A block wholly inside the range contributes its index
+// statistics without touching sample data. A partially covered block
+// with raw chunks is exact too (rawBlockAggregate: whole cached 1h
+// rollup buckets plus two decoded edges). A demoted one folds whole 1m
+// buckets — the documented boundary approximation raw retention buys.
+// The head combines the summaries of its segments inside the range and
+// folds only its boundary runs (Store.Aggregate). Count, Min, Max, First
 // and Last equal a raw scan of the same rows; Sum (and so Mean) adds
-// per-source partial sums, so it may differ from a sequential scan in
-// float association only.
+// per-segment and per-bucket partial sums, so it may differ from a
+// sequential scan in float association only.
 func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
 	store, bs := s.owner(key.Device)
 	if to.IsZero() {
@@ -483,11 +486,14 @@ func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error
 	}
 	fromN, toN := from.UnixNano(), to.UnixNano()
 
+	rs := getReadScratch()
+	defer rs.release()
 	var headAgg Aggregate
 	var headErr error
-	blks := bs.blocksFor(bk(key), fromN, toN, func() {
+	blks := bs.blocksFor(rs.blks, bk(key), fromN, toN, func() {
 		headAgg, headErr = store.Aggregate(key, from, to)
 	})
+	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
 	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
@@ -498,8 +504,6 @@ func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error
 	}
 
 	var agg Aggregate
-	rs := getReadScratch()
-	defer rs.release()
 	for _, b := range blks {
 		m, _ := b.Meta(bk(key))
 		switch {
@@ -535,46 +539,58 @@ func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error
 }
 
 // rawBlockAggregate folds the samples of series m in b with fromN <= T
-// <= toN, for a block the range covers only in part. When the block
-// ends inside the range — "the last N hours" over a block cut before
-// now — every 1h rollup bucket whose samples all lie at or after fromN
-// is folded whole, and only the stretch before the first such bucket is
-// decoded, from the chunk's last restart point before `from` (see
-// block.PointsLimit) to the edge hour: at most an hour of samples plus
-// 128, wherever `from` falls in the chunk. (The 1h tier, not 1m: at
-// minute cadence the 1m tier is as large as the chunk it would spare.)
-// A range that ends inside the block has to decode up to `to` whatever
-// the buckets say, so it folds the decoded points as they come, as does
-// a range with no whole bucket. Edge first, then buckets in time order:
-// First/Last ties resolve as in a raw scan.
+// <= toN, for a block the range covers only in part. Every 1h rollup
+// bucket whose samples all lie inside the range is folded whole from the
+// block's cached rollup (block.HourRollup); only the two edges are
+// decoded: the left one from the chunk's last restart point before
+// `from` (see block.PointsLimit) to the first whole hour, the right one
+// from the hour after the last whole bucket up to `to`. Each edge is at
+// most an hour of samples, plus 128 passed before its start. (The 1h
+// tier, not 1m: at minute cadence the 1m tier is as large as the chunk
+// it would spare.) A range with no whole hour in it is one edge. Left
+// edge, buckets, right edge: time order, so First/Last ties resolve as
+// in a raw scan.
 func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, fromN, toN int64) (Aggregate, error) {
-	var whole []block.Bucket
-	edge, edgeTo := true, toN
-	if m.MaxT <= toN {
-		var err error
-		if rs.bks, err = b.AppendRollup(rs.bks[:0], m.Key, block.Res1h); err != nil {
-			return Aggregate{}, err
-		}
-		lo := sort.Search(len(rs.bks), func(i int) bool { return rs.bks[i].FirstT >= fromN })
-		if whole = rs.bks[lo:]; len(whole) > 0 {
-			// What precedes the first whole bucket sits in bucket lo-1.
-			edge, edgeTo = lo > 0 && rs.bks[lo-1].LastT >= fromN, whole[0].Start-1
-		}
+	bks, err := b.HourRollup(m.Key)
+	if err != nil {
+		return Aggregate{}, err
 	}
+	lo := sort.Search(len(bks), func(i int) bool { return bks[i].FirstT >= fromN })
+	hi := sort.Search(len(bks), func(i int) bool { return bks[i].LastT > toN })
 	var agg Aggregate
-	if edge {
-		var err error
-		if rs.pts, err = b.PointsLimit(rs.pts[:0], m.Key, fromN, edgeTo, -1); err != nil {
+	if lo >= hi {
+		err := foldPoints(rs, b, m.Key, fromN, toN, &agg)
+		return agg, err
+	}
+	// What precedes the first whole bucket sits in bucket lo-1, what
+	// follows the last in bucket hi.
+	if lo > 0 && bks[lo-1].LastT >= fromN {
+		if err := foldPoints(rs, b, m.Key, fromN, bks[lo].Start-1, &agg); err != nil {
 			return Aggregate{}, err
 		}
-		for _, p := range rs.pts {
-			agg.add(sampleAt(p.T, p.V))
-		}
 	}
-	for _, rb := range whole {
+	for _, rb := range bks[lo:hi] {
 		agg.combine(bucketAggregate(rb))
 	}
+	if hi < len(bks) && bks[hi].FirstT <= toN {
+		if err := foldPoints(rs, b, m.Key, bks[hi].Start, toN, &agg); err != nil {
+			return Aggregate{}, err
+		}
+	}
 	return agg, nil
+}
+
+// foldPoints decodes key's raw points in [mint, maxt] into rs.pts and
+// folds them into agg.
+func foldPoints(rs *readScratch, b *block.Block, key block.Key, mint, maxt int64, agg *Aggregate) error {
+	var err error
+	if rs.pts, err = b.PointsLimit(rs.pts[:0], key, mint, maxt, -1); err != nil {
+		return err
+	}
+	for _, p := range rs.pts {
+		agg.add(sampleAt(p.T, p.V))
+	}
+	return nil
 }
 
 // Downsample splits [from, to) into fixed windows of the given width and
@@ -629,23 +645,24 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 		w.combine(a)
 	}
 
+	rs := getReadScratch()
+	defer rs.release()
 	var headSamples []Sample
 	var headErr error
-	blks := bs.blocksFor(bk(key), fromN, toN, func() {
+	blks := bs.blocksFor(rs.blks, bk(key), fromN, toN, func() {
 		// Materialize the head's contribution while the view is locked
 		// (it is bounded by the head window, so this stays small); an
 		// iterator paging after the unlock could race a compaction and
 		// miss rows mid-cut.
 		headSamples, headErr = store.Query(key, from, to)
 	})
+	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
 	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
 		return nil, headErr
 	}
 
-	rs := getReadScratch()
-	defer rs.release()
 	for _, b := range blks {
 		m, _ := b.Meta(bk(key))
 		var err error

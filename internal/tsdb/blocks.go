@@ -416,9 +416,7 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 				continue
 			}
 			sr.mu.Lock()
-			if len(sr.spill) > 0 {
-				sr.foldSpill()
-			}
+			sr.foldSpill(store.opts.SegmentSize)
 			samples := sr.flatten()
 			sr.mu.Unlock()
 			for _, smp := range samples {

@@ -9,6 +9,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
+
+	"repro/internal/block"
 )
 
 // blockKey is the single series most block tests revolve around.
@@ -621,6 +624,18 @@ func TestBlockStatsAndStatusAccounting(t *testing.T) {
 	}
 	if st := eng.ShardStatus(0); st.RestartBytes <= 0 || st.RestartBytes > 1000/128*48 {
 		t.Fatalf("restart bytes %d after a read from mid-block, want (0, %d]", st.RestartBytes, 1000/128*48)
+	}
+	// So are the cached 1h rollups: none until an aggregate covers the
+	// block in part, then one Bucket per hour the 1000 s touch.
+	if st.RollupBytes != 0 {
+		t.Fatalf("rollup bytes %d before any aggregate", st.RollupBytes)
+	}
+	if _, err := eng.Aggregate(blockKey, rows[600].Sample.At, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	size := int64(unsafe.Sizeof(block.Bucket{}))
+	if st := eng.ShardStatus(0); st.RollupBytes != size && st.RollupBytes != 2*size {
+		t.Fatalf("rollup bytes %d after a partial aggregate, want %d or %d", st.RollupBytes, size, 2*size)
 	}
 }
 

@@ -67,9 +67,7 @@ func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit i
 
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if len(sr.spill) > 0 {
-		sr.foldSpill()
-	}
+	sr.foldSpill(s.opts.SegmentSize)
 	// Collect limit+1 samples to learn whether the range continues.
 	page := Page{Samples: make([]Sample, 0, min(limit, 4096))}
 	for _, seg := range sr.segments {

@@ -683,11 +683,13 @@ type ShardStatus struct {
 	// Block-layer counters (zero on an in-memory engine): published
 	// block files, their on-disk bytes, the samples they cover (index
 	// counts — demoted series still contribute), and the heap their
-	// restart tables hold (block.Block.RestartBytes).
+	// restart tables and cached 1h rollups hold
+	// (block.Block.RestartBytes, RollupBytes).
 	Blocks       int   `json:"blocks,omitempty"`
 	BlockBytes   int64 `json:"block_bytes,omitempty"`
 	BlockSamples int64 `json:"block_samples,omitempty"`
 	RestartBytes int64 `json:"restart_bytes,omitempty"`
+	RollupBytes  int64 `json:"rollup_bytes,omitempty"`
 }
 
 // ShardStatus snapshots one shard's live counters (zero durable fields
@@ -708,6 +710,7 @@ func (s *Sharded) ShardStatus(i int) ShardStatus {
 		out.BlockBytes += b.Size()
 		out.BlockSamples += b.NumSamples()
 		out.RestartBytes += b.RestartBytes()
+		out.RollupBytes += b.RollupBytes()
 	}
 	bs.mu.RUnlock()
 	out.Samples += int(out.BlockSamples)

@@ -89,9 +89,28 @@ type series struct {
 	lastAt   time.Time
 }
 
-// segment is a bounded run of time-ordered samples.
+// segment is a bounded run of time-ordered samples and the fold of
+// its first agg.Count samples. Appends leave agg behind, so the write
+// path pays nothing for it; the next aggregate that covers the whole
+// segment folds only what was appended since. A front trim resets it.
 type segment struct {
 	samples []Sample
+	agg     Aggregate // unfinished: Mean is not filled
+}
+
+// summary returns the fold of every sample of the segment. The caller
+// holds the series lock.
+func (seg *segment) summary() Aggregate {
+	for i := seg.agg.Count; i < len(seg.samples); i++ {
+		seg.agg.add(seg.samples[i])
+	}
+	return seg.agg
+}
+
+// trimFront drops the segment's first n samples.
+func (seg *segment) trimFront(n int) {
+	seg.samples = seg.samples[n:]
+	seg.agg = Aggregate{}
 }
 
 // newStore creates a head Store with the given options.
@@ -145,7 +164,7 @@ func (s *Store) appendRun(key SeriesKey, rows []Row) {
 		}
 		sr.put(smp, s.opts.SegmentSize)
 	}
-	sr.evict(s.opts.MaxSamplesPerSeries)
+	sr.evict(s.opts.MaxSamplesPerSeries, s.opts.SegmentSize)
 }
 
 func (sr *series) appendOrdered(smp Sample, segSize int) {
@@ -160,13 +179,11 @@ func (sr *series) appendOrdered(smp Sample, segSize int) {
 
 // evict drops oldest samples until count <= max. The spill segment is
 // folded in first when eviction is needed, so ordering is preserved.
-func (sr *series) evict(max int) {
+func (sr *series) evict(max, segSize int) {
 	if sr.count <= max {
 		return
 	}
-	if len(sr.spill) > 0 {
-		sr.foldSpill()
-	}
+	sr.foldSpill(segSize)
 	excess := sr.count - max
 	for excess > 0 && len(sr.segments) > 0 {
 		head := sr.segments[0]
@@ -176,23 +193,28 @@ func (sr *series) evict(max int) {
 			sr.segments = sr.segments[1:]
 			continue
 		}
-		head.samples = head.samples[excess:]
+		head.trimFront(excess)
 		sr.count -= excess
 		excess = 0
 	}
 }
 
-// foldSpill merges the out-of-order spill into the ordered segments by a
-// full rebuild. Spills are rare in practice (device clocks are monotonic)
-// so the rebuild cost is acceptable.
-func (sr *series) foldSpill() {
+// foldSpill merges a pending out-of-order spill into the ordered
+// segments by a full rebuild into segments of segSize samples, so the
+// segments hold every sample of the series in time order. Spills are
+// rare in practice (device clocks are monotonic) so the rebuild cost is
+// acceptable.
+func (sr *series) foldSpill(segSize int) {
+	if len(sr.spill) == 0 {
+		return
+	}
 	all := sr.flatten()
 	sort.Slice(all, func(i, j int) bool { return all[i].At.Before(all[j].At) })
 	sr.segments = nil
 	sr.spill = nil
 	sr.count = 0
 	for _, smp := range all {
-		sr.appendOrdered(smp, 1024)
+		sr.appendOrdered(smp, segSize)
 		sr.count++
 	}
 	if n := len(all); n > 0 {
@@ -226,21 +248,21 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	sr.foldSpill(s.opts.SegmentSize)
 	var out []Sample
-	sr.eachRun(from, to, func(run []Sample) { out = append(out, run...) })
+	sr.eachRun(from, to, func(_ *segment, run []Sample) { out = append(out, run...) })
 	return out, nil
 }
 
-// eachRun hands f, in time order, every stored run of samples with At in
-// [from, to]. The runs alias the segments: f must not keep them past the
-// series lock, which the caller holds. Segments are time-ordered; whole
-// segments outside the range are skipped and only boundary segments are
-// binary-searched, so the walk is O(#segments + result), not O(series
-// length).
-func (sr *series) eachRun(from, to time.Time, f func(run []Sample)) {
-	if len(sr.spill) > 0 {
-		sr.foldSpill()
-	}
+// eachRun hands f, in time order, every segment holding samples with At
+// in [from, to] together with the run of them; the run is the whole of
+// seg.samples exactly when the segment lies inside the range. The runs
+// alias the segments: f must not keep them past the series lock, which
+// the caller holds after folding the spill. Segments are time-ordered;
+// whole segments outside the range are skipped and only boundary
+// segments are binary-searched, so the walk is O(#segments + result),
+// not O(series length).
+func (sr *series) eachRun(from, to time.Time, f func(seg *segment, run []Sample)) {
 	for _, seg := range sr.segments {
 		n := len(seg.samples)
 		if n == 0 || seg.samples[n-1].At.Before(from) {
@@ -249,9 +271,13 @@ func (sr *series) eachRun(from, to time.Time, f func(run []Sample)) {
 		if seg.samples[0].At.After(to) {
 			break
 		}
+		if !seg.samples[0].At.Before(from) && !seg.samples[n-1].At.After(to) {
+			f(seg, seg.samples)
+			continue
+		}
 		lo := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(from) })
 		hi := searchSamples(seg.samples, func(smp Sample) bool { return smp.At.After(to) })
-		f(seg.samples[lo:hi])
+		f(seg, seg.samples[lo:hi])
 	}
 }
 
@@ -265,9 +291,7 @@ func (s *Store) Latest(key SeriesKey) (Sample, error) {
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
-	if len(sr.spill) > 0 {
-		sr.foldSpill()
-	}
+	sr.foldSpill(s.opts.SegmentSize)
 	if len(sr.segments) == 0 {
 		return Sample{}, ErrNoSeries
 	}
@@ -322,9 +346,11 @@ type Aggregate struct {
 }
 
 // Aggregate computes summary statistics over [from, to] (a zero `to`
-// means "now"). The samples are folded where they are stored, under the
-// series lock: nothing is copied and the result is one consistent cut of
-// the series however large the range is.
+// means "now"), under the series lock, so the result is one consistent
+// cut of the series. A segment lying wholly inside the range contributes
+// its summary; only the boundary segments' in-range runs are folded
+// sample by sample, so the cost is O(segments + two runs), not
+// O(samples). Sum (and so Mean) adds one partial sum per whole segment.
 func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
 	if to.IsZero() {
 		to = time.Now()
@@ -340,8 +366,13 @@ func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) 
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
+	sr.foldSpill(s.opts.SegmentSize)
 	var a Aggregate
-	sr.eachRun(from, to, func(run []Sample) {
+	sr.eachRun(from, to, func(seg *segment, run []Sample) {
+		if len(run) == len(seg.samples) {
+			a.combine(seg.summary())
+			return
+		}
 		for i := range run {
 			a.add(run[i])
 		}
@@ -431,9 +462,7 @@ func (s *Store) collectBefore(t time.Time) map[SeriesKey][]Sample {
 			continue
 		}
 		sr.mu.Lock()
-		if len(sr.spill) > 0 {
-			sr.foldSpill()
-		}
+		sr.foldSpill(s.opts.SegmentSize)
 		var old []Sample
 		for _, seg := range sr.segments {
 			n := len(seg.samples)
@@ -471,9 +500,7 @@ func (s *Store) evictBefore(t time.Time) {
 			continue
 		}
 		sr.mu.Lock()
-		if len(sr.spill) > 0 {
-			sr.foldSpill()
-		}
+		sr.foldSpill(s.opts.SegmentSize)
 		for len(sr.segments) > 0 {
 			seg := sr.segments[0]
 			n := len(seg.samples)
@@ -490,7 +517,7 @@ func (s *Store) evictBefore(t time.Time) {
 				sr.segments = sr.segments[1:]
 				continue
 			}
-			seg.samples = seg.samples[hi:]
+			seg.trimFront(hi)
 			break
 		}
 		if len(sr.segments) == 0 {

@@ -1556,6 +1556,9 @@ type hotPathOp struct {
 	perOp  int
 	fn     func()
 	verify func()
+	// heapBytes makes the op's budget heap bytes per unit
+	// (runtime.MemStats.TotalAlloc) instead of allocations.
+	heapBytes bool
 }
 
 // mallocsDuring returns the heap allocations fn performs, counted from
@@ -1570,14 +1573,18 @@ func mallocsDuring(fn func()) uint64 {
 }
 
 // benchAllocsPer times op.fn and reports steady-state heap allocations
-// per unit. One untimed warm-up call primes pools, interners, and lazily
-// created metrics so the figure is the per-unit budget, not
-// first-request setup.
+// (heap bytes for a heapBytes op) per unit. One untimed warm-up call
+// primes pools, interners, and lazily created metrics so the figure is
+// the per-unit budget, not first-request setup.
 func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 	b.Helper()
 	op.fn()
 	b.ReportAllocs()
-	mallocs := mallocsDuring(func() {
+	measure, metric := mallocsDuring, "allocs/"+unit
+	if op.heapBytes {
+		measure, metric = heapBytesDuring, "B/"+unit
+	}
+	n := measure(func() {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			op.fn()
@@ -1588,7 +1595,7 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 		op.verify()
 	}
 	units := float64(b.N) * float64(op.perOp)
-	b.ReportMetric(float64(mallocs)/units, "allocs/"+unit)
+	b.ReportMetric(float64(n)/units, metric)
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		b.ReportMetric(units/secs, unit+"s/s")
 	}
@@ -1620,6 +1627,15 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // block the range covers in part plus the head, measures 0 allocations
 // a call (2 while the chunk decoder and the captured-block slice were
 // heap-allocated); it runs 200 times for the same pool reason as gzip.
+// The durable write path is gated in heap bytes, not allocations: its
+// regressions are buffers grown per commit group and per-sample copies,
+// few allocations but many bytes. 300 interleaved 1000-row batches
+// over 512 series on one durable shard, four compaction cycles
+// included, measure 132 B a row — the head's 16 KB segment arrays,
+// which a cut empties and the next rows refill, are 128 of them — and
+// 600-640 B a row while head samples held a time.Time, each commit
+// group grew its WAL record buffer from nil and a cut copied every
+// series into a map.
 // CSV encode has no ceiling: its per-row conversions through
 // encoding/csv are benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
@@ -1628,7 +1644,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		ceiling float64 // allocs per row or response
+		ceiling float64 // allocs (heap bytes for a heapBytes op) per row or response
 		calls   int
 		op      func(testing.TB) hotPathOp
 	}{
@@ -1644,11 +1660,16 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"batch query json", 180.0, 20, batchQueryJSONOp},
 		{"batch answer decode", 64.0, 20, func(tb testing.TB) hotPathOp { return clientBatchQueryOp(tb, false) }},
 		{"block aggregate", 0.5, 200, blockAggregateOp},
+		{"durable write bytes", 200.0, 300, durableWriteOp},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)
 			op.fn() // warm-up, as in benchAllocsPer
-			mallocs := mallocsDuring(func() {
+			measure, unit := mallocsDuring, "allocs"
+			if op.heapBytes {
+				measure, unit = heapBytesDuring, "heap bytes"
+			}
+			n := measure(func() {
 				for i := 0; i < tc.calls; i++ {
 					op.fn()
 				}
@@ -1656,11 +1677,65 @@ func TestHotPathAllocCeilings(t *testing.T) {
 			if op.verify != nil {
 				op.verify()
 			}
-			if per := float64(mallocs) / float64(tc.calls*op.perOp); per > tc.ceiling {
-				t.Fatalf("%.3f allocs per unit exceeds the ceiling %.1f", per, tc.ceiling)
+			if per := float64(n) / float64(tc.calls*op.perOp); per > tc.ceiling {
+				t.Fatalf("%.3f %s per unit exceeds the ceiling %.1f", per, unit, tc.ceiling)
 			}
 		})
 	}
+}
+
+// heapBytesDuring returns the heap bytes fn allocates, counted from the
+// MemStats TotalAlloc delta after a GC.
+func heapBytesDuring(fn func()) uint64 {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	fn()
+	runtime.ReadMemStats(&m1)
+	return m1.TotalAlloc - m0.TotalAlloc
+}
+
+// durableWriteOp is the write path in bytes: one call is a 1000-row
+// AppendBatch on a durable one-shard engine, rows interleaved over 512
+// series (a different series every row, as a poll cycle over many
+// devices ships them), each series one second further on per sweep,
+// backfilling from 30 days ago. The default snapshot cadence runs a
+// compaction cycle every 65536 rows, which cuts every row into a block
+// (all are older than the head window), so 300 calls include four
+// cycles: WAL encode, head apply, block cut and head snapshot.
+func durableWriteOp(tb testing.TB) hotPathOp {
+	const series, batch = 512, 1000
+	eng, err := tsdb.OpenSharded(tsdb.ShardedOptions{Dir: tb.TempDir(), Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	keys := make([]tsdb.SeriesKey, series)
+	for i := range keys {
+		keys[i] = tsdb.SeriesKey{Device: fmt.Sprintf("urn:district:turin/building:b%03d/device:d%d", i/2, i%2), Quantity: "temperature"}
+	}
+	base := time.Now().Add(-30 * 24 * time.Hour).Truncate(time.Second)
+	rows := make([]tsdb.Row, batch)
+	n := 0
+	return hotPathOp{perOp: batch, heapBytes: true, fn: func() {
+		for i := range rows {
+			rows[i] = tsdb.Row{Key: keys[n%series], Sample: tsdb.Sample{At: base.Add(time.Duration(n/series) * time.Second), Value: float64(n%89) + 0.5}}
+			n++
+		}
+		if errs := eng.AppendBatch(rows); errs != nil {
+			tb.Fatal(errs[0])
+		}
+	}, verify: func() {
+		if st := eng.ShardStatus(0); st.Samples != n || (n > 1<<16 && st.Blocks == 0) {
+			tb.Fatalf("after %d rows: %+v", n, st)
+		}
+	}}
+}
+
+// BenchmarkDurableWriteBytes reports durableWriteOp's heap bytes per row
+// (TestHotPathAllocCeilings holds the ceiling).
+func BenchmarkDurableWriteBytes(b *testing.B) {
+	benchAllocsPer(b, "row", durableWriteOp(b))
 }
 
 // H1 — ingest decode allocations. One op is a full POST /v2/ingest of

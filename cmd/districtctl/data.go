@@ -53,14 +53,15 @@ func cmdDataStatus(ctx context.Context, c *client.Client, args []string) error {
 		fmt.Println("engine is in-memory (no -data-dir); nothing on disk")
 	}
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
-	fmt.Fprintln(tw, "SHARD\tSERIES\tSAMPLES\tBLOCKS\tBLOCK BYTES\tBLOCK SAMPLES\tWAL ROWS\tWAL SEGS\tDISK\tRESTARTS\tROLLUPS\tDIR")
+	fmt.Fprintln(tw, "SHARD\tSERIES\tSAMPLES\tHEAD\tBLOCKS\tBLOCK BYTES\tBLOCK SAMPLES\tWAL ROWS\tWAL SEGS\tDISK\tRESTARTS\tROLLUPS\tDIR")
 	var blocks int
-	var blockBytes, diskBytes, restartBytes, rollupBytes int64
+	var headBytes, blockBytes, diskBytes, restartBytes, rollupBytes int64
 	for _, sh := range st.Shards {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
-			sh.Shard, sh.Series, sh.Samples, sh.Blocks, sizeOf(sh.BlockBytes),
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%s\t%d\t%s\t%d\t%d\t%d\t%s\t%s\t%s\t%s\n",
+			sh.Shard, sh.Series, sh.Samples, sizeOf(sh.HeadBytes), sh.Blocks, sizeOf(sh.BlockBytes),
 			sh.BlockSamples, sh.WALPending, sh.WALSegments, sizeOf(sh.DiskBytes), sizeOf(sh.RestartBytes), sizeOf(sh.RollupBytes), sh.Dir)
 		blocks += sh.Blocks
+		headBytes += sh.HeadBytes
 		blockBytes += sh.BlockBytes
 		diskBytes += sh.DiskBytes
 		restartBytes += sh.RestartBytes
@@ -69,8 +70,8 @@ func cmdDataStatus(ctx context.Context, c *client.Client, args []string) error {
 	if err := tw.Flush(); err != nil {
 		return err
 	}
-	fmt.Printf("%d shards, %d blocks, %s in blocks, %s on disk, %s of restart tables and %s of 1h rollups in memory\n",
-		len(st.Shards), blocks, sizeOf(blockBytes), sizeOf(diskBytes), sizeOf(restartBytes), sizeOf(rollupBytes))
+	fmt.Printf("%d shards, %d blocks, %s in blocks, %s on disk, %s of head samples, %s of restart tables and %s of 1h rollups in memory\n",
+		len(st.Shards), blocks, sizeOf(blockBytes), sizeOf(diskBytes), sizeOf(headBytes), sizeOf(restartBytes), sizeOf(rollupBytes))
 	return nil
 }
 

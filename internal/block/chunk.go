@@ -35,12 +35,14 @@ type Point struct {
 // meaningful bits.
 
 // appendChunk appends the encoded chunk for pts to dst and returns it.
+// The bitstream is written straight into dst, so a caller that reuses
+// dst (the block Writer's frame scratch) encodes without allocating.
 func appendChunk(dst []byte, pts []Point) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(pts)))
 	if len(pts) == 0 {
 		return dst
 	}
-	var w bitWriter
+	w := bitWriter{b: dst}
 	w.writeBits(uint64(pts[0].T), 64)
 	w.writeBits(math.Float64bits(pts[0].V), 64)
 	prevT := pts[0].T
@@ -95,7 +97,7 @@ func appendChunk(dst []byte, pts []Point) []byte {
 		w.writeBits(uint64(sig&0x3f), 6) // 64 encodes as 0
 		w.writeBits(xor>>trail, sig)
 	}
-	return append(dst, w.bytes()...)
+	return w.bytes()
 }
 
 func leadingZeros64(v uint64) int  { return bits.LeadingZeros64(v) }

@@ -25,8 +25,10 @@ type Writer struct {
 	w    *bufio.Writer
 	off  int64
 	meta []SeriesMeta
-	buf  []byte
-	err  error
+	// buf is one frame's payload, reused from one frame to the next; a
+	// raw chunk's bitstream is written straight into it.
+	buf []byte
+	err error
 }
 
 // NewWriter opens a block writer targeting the final path.

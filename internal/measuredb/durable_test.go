@@ -1,14 +1,18 @@
 package measuredb
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/tsdb"
 	"repro/internal/wal"
 )
 
@@ -194,4 +198,88 @@ func TestDedupWindowCompactsOnBoot(t *testing.T) {
 		t.Fatalf("fresh key = %v %v", tok, res)
 	}
 	tok.abandon()
+}
+
+// A row ingested with a zone offset reads back byte-identical through
+// every /v2 read before and after a compaction moves it from the head
+// into a block: both tiers answer in UTC.
+func TestV2ReadsSameFromHeadAndBlock(t *testing.T) {
+	s, ts := openDurableServer(t, t.TempDir())
+	defer func() { ts.Close(); s.Close() }()
+	body := `{"rows":[
+		{"device":"` + ingestDevice + `","quantity":"temperature","at":"2015-03-09T11:00:00+01:00","value":20.5},
+		{"device":"` + ingestDevice + `","quantity":"temperature","at":"2015-03-09T11:00:30.25+01:00","value":21}
+	]}`
+	if code, rsp := postIngest(t, ts.URL, "application/json", "", body); code != http.StatusOK || !strings.Contains(rsp, `"accepted":2`) {
+		t.Fatalf("ingest = %d: %s", code, rsp)
+	}
+	series := ts.URL + "/v2/series/" + url.PathEscape(ingestDevice) + "/temperature"
+	query := []byte(`{"selectors":[{"device":"` + ingestDevice + `","quantity":"temperature"}]}`)
+	read := func() [][]byte {
+		var out [][]byte
+		for _, u := range []string{series + "/samples", series + "/latest"} {
+			code, b := getRaw(t, u)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s = %d: %s", u, code, b)
+			}
+			out = append(out, b)
+		}
+		code, b := postRaw(t, ts.URL+"/v2/query", query)
+		if code != http.StatusOK {
+			t.Fatalf("POST /v2/query = %d: %s", code, b)
+		}
+		return append(out, b)
+	}
+	head := read()
+	for i, b := range head {
+		if !bytes.Contains(b, []byte(`"2015-03-09T10:00:30.25Z"`)) || bytes.Contains(b, []byte("+01:00")) {
+			t.Fatalf("head read %d not in UTC: %s", i, b)
+		}
+	}
+	if code, b := postRaw(t, ts.URL+"/v1/storage/compact", nil); code != http.StatusOK {
+		t.Fatalf("compact = %d: %s", code, b)
+	}
+	var st StorageStatus
+	if getJSON(t, ts.URL+"/v1/storage", &st) != http.StatusOK {
+		t.Fatal("storage status")
+	}
+	blocks := 0
+	for _, sh := range st.Shards {
+		blocks += sh.Blocks
+	}
+	if blocks != 1 {
+		t.Fatalf("compaction left %d blocks, want the rows in 1: %+v", blocks, st)
+	}
+	for i, b := range read() {
+		if !bytes.Equal(b, head[i]) {
+			t.Fatalf("read %d after compaction:\n%s\nbefore:\n%s", i, b, head[i])
+		}
+	}
+}
+
+// /v2/ingest rejects, row by row, the timestamps the store cannot keep
+// and accepts the rest of the batch.
+func TestV2IngestRejectsUnstorableInstants(t *testing.T) {
+	s, ts := openDurableServer(t, t.TempDir())
+	defer func() { ts.Close(); s.Close() }()
+	body := `{"rows":[
+		{"device":"` + ingestDevice + `","quantity":"temperature","at":"0001-06-01T00:00:00Z","value":1},
+		{"device":"` + ingestDevice + `","quantity":"temperature","at":"2015-03-09T10:00:00Z","value":2},
+		{"device":"` + ingestDevice + `","quantity":"temperature","at":"2300-01-01T00:00:00Z","value":3}
+	]}`
+	code, rsp := postIngest(t, ts.URL, "application/json", "", body)
+	if code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", code, rsp)
+	}
+	var res IngestResult
+	if err := json.Unmarshal([]byte(rsp), &res); err != nil {
+		t.Fatal(err)
+	}
+	want := []RowError{{Row: 0, Error: tsdb.ErrTimeRange.Error()}, {Row: 2, Error: tsdb.ErrTimeRange.Error()}}
+	if res.Accepted != 1 || res.Rejected != 2 || len(res.Errors) != 2 || res.Errors[0] != want[0] || res.Errors[1] != want[1] {
+		t.Fatalf("result %+v, want 1 accepted and rows 0, 2 rejected with %q", res, tsdb.ErrTimeRange)
+	}
+	if n := s.Store().Stats().Samples; n != 1 {
+		t.Fatalf("store holds %d samples, want 1", n)
+	}
 }

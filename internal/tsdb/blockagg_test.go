@@ -139,7 +139,7 @@ func TestHeadAggregateSummariesMatchRawFold(t *testing.T) {
 		var bounds []time.Time
 		for _, seg := range sr.segments {
 			if n := len(seg.samples); n > 0 {
-				bounds = append(bounds, seg.samples[0].At, seg.samples[n-1].At)
+				bounds = append(bounds, time.Unix(0, seg.samples[0].T).UTC(), time.Unix(0, seg.samples[n-1].T).UTC())
 			}
 		}
 		sr.mu.Unlock()
@@ -167,7 +167,7 @@ func TestHeadAggregateSummariesMatchRawFold(t *testing.T) {
 			}
 			sr.mu.Lock()
 			for _, seg := range sr.segments {
-				if n := len(seg.samples); n > 0 && seg.agg.Count > 0 && seg.agg.Count < n && !seg.samples[0].At.Before(from) && !seg.samples[n-1].At.After(to) {
+				if n := len(seg.samples); n > 0 && seg.agg.Count > 0 && seg.agg.Count < n && seg.samples[0].T >= from.UnixNano() && seg.samples[n-1].T <= to.UnixNano() {
 					catchUps++ // a summary read before, appended to since
 				}
 			}

@@ -29,10 +29,6 @@ import (
 // a page boundary.
 const maxCursorSkip = 1 << 17
 
-func sampleAt(t int64, v float64) Sample {
-	return Sample{At: time.Unix(0, t).UTC(), Value: v}
-}
-
 // readScratch is the block-decode scratch one merged read borrows: the
 // blocks it captured, the point-decode and rollup-decode buffers, the
 // per-source slices of a page merge, and the sample arena the decoded
@@ -139,7 +135,7 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 	defer rs.release()
 	var headPage Page
 	var headErr error
-	startN, toN := start.UnixNano(), to.UnixNano()
+	startN, toN := nanos(start), nanos(to)
 	blks := bs.blocksFor(rs.blks, bk(key), startN, toN, func() {
 		headPage, headErr = store.QueryPage(key, start, to, Cursor{}, need)
 	})
@@ -484,7 +480,7 @@ func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error
 	if to.Before(from) {
 		return Aggregate{}, ErrBadInterval
 	}
-	fromN, toN := from.UnixNano(), to.UnixNano()
+	fromN, toN := nanos(from), nanos(to)
 
 	rs := getReadScratch()
 	defer rs.release()
@@ -587,9 +583,7 @@ func foldPoints(rs *readScratch, b *block.Block, key block.Key, mint, maxt int64
 	if rs.pts, err = b.PointsLimit(rs.pts[:0], key, mint, maxt, -1); err != nil {
 		return err
 	}
-	for _, p := range rs.pts {
-		agg.add(sampleAt(p.T, p.V))
-	}
+	agg.addRun(rs.pts)
 	return nil
 }
 
@@ -627,7 +621,7 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 	if to.Before(from) {
 		return nil, ErrBadInterval
 	}
-	fromN, toN := from.UnixNano(), to.UnixNano()
+	fromN, toN := nanos(from), nanos(to)
 
 	// windows accumulates per-window aggregates; keys are window start
 	// nanos (post from-clamp, matching downsampleIter's semantics).

@@ -5,9 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -210,11 +211,6 @@ func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) erro
 		boundary = start.Add(-hw)
 	}
 
-	var cut map[SeriesKey][]Sample
-	if !boundary.IsZero() {
-		cut = store.collectBefore(boundary)
-	}
-
 	// Only the worker mutates bs.blocks, so reading the slice without
 	// the lock is safe on this goroutine.
 	old := bs.blocks
@@ -262,44 +258,18 @@ func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) erro
 	}
 
 	// Cut the new block from the head.
-	if len(cut) > 0 {
-		keys := make([]SeriesKey, 0, len(cut))
-		for k := range cut {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Device != keys[j].Device {
-				return keys[i].Device < keys[j].Device
-			}
-			return keys[i].Quantity < keys[j].Quantity
-		})
-		path := blockPath(bs.dir, blockName(bs.nextID))
-		w, err := block.NewWriter(path)
+	cut := false
+	if !boundary.IsZero() {
+		nb, path, err := cutBlock(store, bs, boundary)
 		if err != nil {
 			return fail(err)
 		}
-		var pts []block.Point
-		for _, k := range keys {
-			pts = pts[:0]
-			for _, smp := range cut[k] {
-				pts = append(pts, block.Point{T: smp.At.UnixNano(), V: smp.Value})
-			}
-			if err := w.Add(bk(k), pts); err != nil {
-				w.Abort()
-				return fail(err)
-			}
+		if nb != nil {
+			cut = true
+			written = append(written, path)
+			opened = append(opened, nb)
+			next = append(next, nb)
 		}
-		if _, _, err := w.Finish(); err != nil {
-			return fail(err)
-		}
-		bs.nextID++
-		written = append(written, path)
-		nb, err := block.Open(path)
-		if err != nil {
-			return fail(err)
-		}
-		opened = append(opened, nb)
-		next = append(next, nb)
 	}
 
 	// Durable point of no return: the snapshot names the new view and
@@ -318,7 +288,7 @@ func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) erro
 	// head-without + new blocks — never both or neither.
 	bs.mu.Lock()
 	bs.blocks = next
-	if !boundary.IsZero() && len(cut) > 0 {
+	if cut {
 		store.evictBefore(boundary)
 	}
 	bs.mu.Unlock()
@@ -351,6 +321,56 @@ func blockHasRaw(b *block.Block) bool {
 		}
 	}
 	return false
+}
+
+// cutBlock writes the head rows older than boundary into a new block
+// file and opens it; with no such row it writes nothing and returns a
+// nil block. The cut walks the series in key order (the order a block
+// takes them in) and copies each one's old points under its lock into
+// one reused buffer that goes straight to the writer, so a cut costs
+// the buffer and the writer's scratch, not a copy of every series. Runs
+// on the shard worker, so nothing appends to the head meanwhile.
+func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, string, error) {
+	var w *block.Writer
+	path := blockPath(bs.dir, blockName(bs.nextID))
+	hi := nanos(boundary) - 1
+	keys := store.Keys()
+	slices.SortFunc(keys, func(a, b SeriesKey) int {
+		if c := strings.Compare(a.Device, b.Device); c != 0 {
+			return c
+		}
+		return strings.Compare(a.Quantity, b.Quantity)
+	})
+	var pts []block.Point
+	for _, key := range keys {
+		pts = store.appendPoints(pts[:0], key, math.MinInt64, hi)
+		if len(pts) == 0 {
+			continue
+		}
+		if w == nil {
+			var err error
+			if w, err = block.NewWriter(path); err != nil {
+				return nil, "", err
+			}
+		}
+		if err := w.Add(bk(key), pts); err != nil {
+			w.Abort()
+			return nil, "", err
+		}
+	}
+	if w == nil {
+		return nil, "", nil
+	}
+	if _, _, err := w.Finish(); err != nil {
+		return nil, "", err
+	}
+	bs.nextID++
+	nb, err := block.Open(path)
+	if err != nil {
+		_ = os.Remove(path)
+		return nil, "", err
+	}
+	return nb, path, nil
 }
 
 // demoteBlock rewrites a block without its raw chunks (rollups and
@@ -392,8 +412,14 @@ func demoteBlock(bs *blockSet, b *block.Block) (*block.Block, string, error) {
 
 // writeHeadSnapshot writes the snapshot of a block-bearing shard: the
 // manifest record first, then every head row at/after boundary (all
-// rows when boundary is zero).
+// rows when boundary is zero). Each series' rows are copied under its
+// lock into one reused point buffer, then fed through one reused row
+// chunk into records of snapshotChunk rows.
 func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string, boundary time.Time) error {
+	lo := int64(math.MinInt64)
+	if !boundary.IsZero() {
+		lo = nanos(boundary)
+	}
 	return wal.WriteSnapshot(dir, seq, func(sw *wal.SnapshotWriter) error {
 		if err := sw.Record(encodeManifest(blockNames)); err != nil {
 			return err
@@ -408,22 +434,11 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 			rows = rows[:0]
 			return sw.Record(buf)
 		}
+		var pts []block.Point
 		for _, key := range store.Keys() {
-			store.mu.RLock()
-			sr := store.series[key]
-			store.mu.RUnlock()
-			if sr == nil {
-				continue
-			}
-			sr.mu.Lock()
-			sr.foldSpill(store.opts.SegmentSize)
-			samples := sr.flatten()
-			sr.mu.Unlock()
-			for _, smp := range samples {
-				if !boundary.IsZero() && smp.At.Before(boundary) {
-					continue
-				}
-				rows = append(rows, Row{Key: key, Sample: smp})
+			pts = store.appendPoints(pts[:0], key, lo, math.MaxInt64)
+			for _, p := range pts {
+				rows = append(rows, Row{Key: key, Sample: Sample{At: time.Unix(0, p.T), Value: p.V}})
 				if len(rows) == snapshotChunk {
 					if err := flush(); err != nil {
 						return err

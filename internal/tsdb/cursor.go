@@ -48,9 +48,7 @@ func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit i
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
-	s.mu.RLock()
-	sr := s.series[key]
-	s.mu.RUnlock()
+	sr := s.lookup(key)
 	if sr == nil {
 		return Page{}, ErrNoSeries
 	}
@@ -64,6 +62,7 @@ func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit i
 	if start.After(to) {
 		return Page{}, nil
 	}
+	startN, toN := nanos(start), nanos(to)
 
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
@@ -72,23 +71,22 @@ func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit i
 	page := Page{Samples: make([]Sample, 0, min(limit, 4096))}
 	for _, seg := range sr.segments {
 		n := len(seg.samples)
-		if n == 0 || seg.samples[n-1].At.Before(start) {
+		if n == 0 || seg.samples[n-1].T < startN {
 			continue
 		}
-		if seg.samples[0].At.After(to) {
+		if seg.samples[0].T > toN {
 			break
 		}
-		lo := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(start) })
-		hi := searchSamples(seg.samples, func(smp Sample) bool { return smp.At.After(to) })
-		for _, smp := range seg.samples[lo:hi] {
+		lo, hi := firstAtOrAfter(seg.samples, startN), firstAfter(seg.samples, toN)
+		for _, p := range seg.samples[lo:hi] {
 			// Only samples at the exact cursor timestamp are skipped:
 			// if some were evicted meanwhile, later samples must not
 			// be swallowed by a stale skip count.
-			if skip > 0 && smp.At.Equal(start) {
+			if skip > 0 && p.T == startN {
 				skip--
 				continue
 			}
-			page.Samples = append(page.Samples, smp)
+			page.Samples = append(page.Samples, sampleAt(p.T, p.V))
 			if len(page.Samples) > limit {
 				break
 			}
@@ -113,20 +111,6 @@ func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit i
 		page.Next = Cursor{After: last, Seen: seen}
 	}
 	return page, nil
-}
-
-// searchSamples is sort.Search specialised to a sample slice.
-func searchSamples(samples []Sample, f func(Sample) bool) int {
-	lo, hi := 0, len(samples)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if f(samples[mid]) {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // Pager serves bounded pages of one series range scan: the Sharded

@@ -40,6 +40,55 @@ type shardDisk struct {
 
 	sinceSnap atomic.Int64 // rows appended since the last snapshot
 	lastSnap  atomic.Int64 // unix-nanos of the last snapshot cut
+
+	// enc is the WAL record scratch of the shard's commit groups; only
+	// the worker touches it.
+	enc recordScratch
+}
+
+// recordScratch is the record buffer one shard's commit groups share:
+// every queue item of a group encodes into buf, and recs are the
+// records' windows over it. A group reuses what the previous one grew,
+// so the encoder allocates nothing in steady state.
+type recordScratch struct {
+	buf    []byte
+	bounds []int
+	recs   [][]byte
+}
+
+// maxRetainedRecordBytes bounds the record buffer a shard keeps between
+// groups: one outsized group (a restore replaying huge batches) must not
+// pin its buffer for the life of the engine.
+const maxRetainedRecordBytes = 4 << 20
+
+// encode encodes the rows of every item of group, one record per item
+// with rows, and returns the records. They alias the scratch: they are
+// valid until the next encode or release.
+func (rs *recordScratch) encode(group []batchItem) [][]byte {
+	buf, bounds := rs.buf[:0], rs.bounds[:0]
+	for _, it := range group {
+		if len(it.rows) == 0 {
+			continue
+		}
+		start := len(buf)
+		buf = encodeRows(buf, it.rows)
+		bounds = append(bounds, start, len(buf))
+	}
+	recs := rs.recs[:0]
+	for j := 0; j < len(bounds); j += 2 {
+		recs = append(recs, buf[bounds[j]:bounds[j+1]])
+	}
+	rs.buf, rs.bounds, rs.recs = buf, bounds, recs
+	return recs
+}
+
+// release ends the use of the last encode's records, dropping a buffer
+// grown past maxRetainedRecordBytes.
+func (rs *recordScratch) release() {
+	if cap(rs.buf) > maxRetainedRecordBytes {
+		clear(rs.recs) // the windows would pin the dropped buffer
+		rs.buf = nil
+	}
 }
 
 // shardMetrics holds one shard's latency histograms. Gauges over the

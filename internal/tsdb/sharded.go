@@ -482,6 +482,9 @@ func (s *Sharded) resetShard(store *Store, disk *shardDisk, bs *blockSet) error 
 // before the in-memory store, and the store before its producer is
 // unblocked. A WAL failure fails every row in the wave without applying
 // any of them — the engine never acknowledges state it cannot recover.
+// The wave's records are encoded into the shard's reused record buffer
+// (shardDisk.enc), so a steady ingest stream journals without growing
+// a buffer per group; the log copies them before AppendBatch returns.
 func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet, group []batchItem) {
 	if s.groupRows != nil {
 		rows := 0
@@ -493,22 +496,8 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 		}
 	}
 	if disk != nil {
-		var recs [][]byte
-		var buf []byte
-		var bounds []int
-		for _, it := range group {
-			if len(it.rows) == 0 {
-				continue
-			}
-			start := len(buf)
-			buf = encodeRows(buf, it.rows)
-			bounds = append(bounds, start, len(buf))
-		}
-		if len(bounds) > 0 {
-			recs = make([][]byte, 0, len(bounds)/2)
-			for j := 0; j < len(bounds); j += 2 {
-				recs = append(recs, buf[bounds[j]:bounds[j+1]])
-			}
+		recs := disk.enc.encode(group)
+		if len(recs) > 0 {
 			// The group commits as one WAL append, so the group's append
 			// latency IS each member request's wal-append wait. Timing
 			// only happens when someone is listening — the uninstrumented
@@ -519,6 +508,7 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 				walStart = time.Now()
 			}
 			_, err := disk.log.AppendBatch(recs)
+			disk.enc.release()
 			if timed {
 				walD := time.Since(walStart)
 				if disk.mx != nil {
@@ -690,13 +680,17 @@ type ShardStatus struct {
 	BlockSamples int64 `json:"block_samples,omitempty"`
 	RestartBytes int64 `json:"restart_bytes,omitempty"`
 	RollupBytes  int64 `json:"rollup_bytes,omitempty"`
+	// HeadBytes is the heap the head's sample arrays hold: segment and
+	// spill capacity at 16 bytes a sample.
+	HeadBytes int64 `json:"head_bytes,omitempty"`
 }
 
 // ShardStatus snapshots one shard's live counters (zero durable fields
 // on an in-memory engine). Series and Samples merge the head with the
 // block files.
 func (s *Sharded) ShardStatus(i int) ShardStatus {
-	out := ShardStatus{Shard: i, Series: len(s.ShardKeys(i)), Samples: s.shards[i].Stats().Samples}
+	out := ShardStatus{Shard: i, Series: len(s.ShardKeys(i)), Samples: s.shards[i].Stats().Samples,
+		HeadBytes: s.shards[i].headBytes()}
 	if s.disks != nil {
 		d := s.disks[i]
 		out.WALPending = d.sinceSnap.Load()
@@ -773,13 +767,15 @@ func (sc *partitionScratch) errSlots(n int) []error {
 // original index (so per-row errors line up). A counting pass sizes
 // every sub-batch exactly — no growth reallocations on the ingest hot
 // path — and the device hash is computed once per run of equal
-// devices, since batched producers ship per-device runs. The
+// devices, since batched producers ship per-device runs. The same pass
+// refuses a row whose At the store cannot keep (ErrTimeRange in its
+// errs slot): it joins no sub-batch, so it is never journaled. The
 // sub-batches are windows over one flat copy owned by sc: callers may
 // reuse their input immediately, and the whole wave recycles as one
 // unit once every worker is done with it.
 //
 // districtlint:hotpath
-func (s *Sharded) partition(sc *partitionScratch, rows []Row) (per [][]Row, idx [][]int) {
+func (s *Sharded) partition(sc *partitionScratch, rows []Row, errs []error) (per [][]Row, idx [][]int) {
 	n := len(s.shards)
 	if cap(sc.counts) < n {
 		sc.counts = make([]int, n)
@@ -795,9 +791,14 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row) (per [][]Row, idx 
 		sc.shardOf = make([]int32, len(rows))
 	}
 	shardOf := sc.shardOf[:len(rows)]
-	lastDev, sh := "", 0
+	lastDev, sh := "", -1
 	for i := range rows {
-		if i == 0 || rows[i].Key.Device != lastDev {
+		if !storable(rows[i].Sample.At) {
+			errs[i] = ErrTimeRange
+			shardOf[i] = -1
+			continue
+		}
+		if sh < 0 || rows[i].Key.Device != lastDev {
 			sh = s.ShardFor(rows[i].Key.Device)
 			lastDev = rows[i].Key.Device
 		}
@@ -828,6 +829,9 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row) (per [][]Row, idx 
 	}
 	for i, r := range rows {
 		shn := shardOf[i]
+		if shn < 0 {
+			continue
+		}
 		per[shn] = append(per[shn], r)
 		idx[shn] = append(idx[shn], i)
 	}
@@ -849,7 +853,9 @@ func (s *Sharded) Append(key SeriesKey, smp Sample) error {
 // parallel through the per-shard append queues, waiting for all of them.
 // The returned slice is aligned with rows (nil when every row landed);
 // each worker writes only its own rows' slots, so no locking is needed
-// around the shared slice.
+// around the shared slice. A row whose At lies outside the store's time
+// range (1677-09-21T01:00:00Z … 2262-04-11T23:47:16.854775807Z) fails
+// with ErrTimeRange and is neither journaled nor applied.
 func (s *Sharded) AppendBatch(rows []Row) []error {
 	return s.appendBatch(rows, nil)
 }
@@ -868,8 +874,8 @@ func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
 		return nil
 	}
 	sc := scratchPool.Get().(*partitionScratch)
-	per, idx := s.partition(sc, rows)
 	errs := sc.errSlots(len(rows))
+	per, idx := s.partition(sc, rows, errs)
 	var done sync.WaitGroup
 
 	s.mu.RLock()

@@ -13,9 +13,12 @@ package tsdb
 
 import (
 	"errors"
+	"math"
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/block"
 )
 
 // SeriesKey identifies one time series.
@@ -38,6 +41,10 @@ var (
 	ErrNoSeries    = errors.New("tsdb: series not found")
 	ErrBadInterval = errors.New("tsdb: interval end before start")
 	ErrClosed      = errors.New("tsdb: engine closed")
+	// ErrTimeRange refuses a row whose At lies outside the store's time
+	// range (minTime … maxTime): the store would keep, and replay, a
+	// different instant.
+	ErrTimeRange = errors.New("tsdb: timestamp outside 1677-09-21T01:00:00Z … 2262-04-11T23:47:16Z")
 )
 
 // Options configure a shard's head Store.
@@ -67,6 +74,14 @@ func (o *Options) withDefaults() Options {
 // Store is one shard's in-memory head: a thread-safe multi-series
 // sample store. Only the Sharded engine builds one; its worker is the
 // head's single writer and every read merges it with the shard's blocks.
+//
+// The head keeps what the WAL and the blocks keep: a Unix-nanosecond
+// timestamp and a value per sample (block.Point, 16 bytes, no pointer),
+// so the garbage collector never scans a segment and an append runs no
+// write barrier. time.Time exists only at the Engine boundary: a row's
+// At is converted once on the way in, and a read builds one per sample
+// it returns (sampleAt, always UTC), so the head and the blocks answer
+// alike.
 type Store struct {
 	opts Options
 
@@ -84,26 +99,26 @@ type series struct {
 	// copy under it and do their file IO after the unlock.
 	mu       sync.Mutex // districtlint:lockio
 	segments []*segment
-	spill    []Sample // out-of-order arrivals, unsorted
+	spill    []block.Point // out-of-order arrivals, unsorted
 	count    int
-	lastAt   time.Time
+	lastT    int64 // newest ordered timestamp; math.MinInt64 when none
 }
 
 // segment is a bounded run of time-ordered samples and the fold of
 // its first agg.Count samples. Appends leave agg behind, so the write
 // path pays nothing for it; the next aggregate that covers the whole
 // segment folds only what was appended since. A front trim resets it.
+// The samples are pointer-free (16 bytes each), so a segment is one
+// allocation the garbage collector never scans.
 type segment struct {
-	samples []Sample
+	samples []block.Point
 	agg     Aggregate // unfinished: Mean is not filled
 }
 
 // summary returns the fold of every sample of the segment. The caller
 // holds the series lock.
 func (seg *segment) summary() Aggregate {
-	for i := seg.agg.Count; i < len(seg.samples); i++ {
-		seg.agg.add(seg.samples[i])
-	}
+	seg.agg.addRun(seg.samples[seg.agg.Count:])
 	return seg.agg
 }
 
@@ -127,7 +142,7 @@ func (s *Store) getOrCreate(key SeriesKey) *series {
 		s.mu.Lock()
 		sr = s.series[key]
 		if sr == nil {
-			sr = &series{}
+			sr = &series{lastT: math.MinInt64}
 			s.series[key] = sr
 		}
 		s.mu.Unlock()
@@ -135,14 +150,22 @@ func (s *Store) getOrCreate(key SeriesKey) *series {
 	return sr
 }
 
+// lookup resolves an existing series (nil when absent).
+func (s *Store) lookup(key SeriesKey) *series {
+	s.mu.RLock()
+	sr := s.series[key]
+	s.mu.RUnlock()
+	return sr
+}
+
 // put stores one sample in a locked series: ordered tail append or
 // out-of-order spill.
-func (sr *series) put(smp Sample, segSize int) {
-	if !smp.At.Before(sr.lastAt) {
-		sr.appendOrdered(smp, segSize)
-		sr.lastAt = smp.At
+func (sr *series) put(p block.Point, segSize int) {
+	if p.T >= sr.lastT {
+		sr.appendOrdered(p, segSize)
+		sr.lastT = p.T
 	} else {
-		sr.spill = append(sr.spill, smp)
+		sr.spill = append(sr.spill, p)
 	}
 	sr.count++
 }
@@ -152,29 +175,35 @@ func (sr *series) put(smp Sample, segSize int) {
 // acquisition for the whole run. Samples older than the retention
 // window are dropped silently (they would be evicted immediately
 // anyway). Eviction runs once after the run, so the per-series bound
-// may transiently overshoot by at most the run length.
+// may transiently overshoot by at most the run length. Every row's At
+// must lie in the storable range (Sharded.AppendBatch refuses the
+// others before they are journaled).
 func (s *Store) appendRun(key SeriesKey, rows []Row) {
+	cutoff := int64(math.MinInt64)
+	if s.opts.Retention > 0 {
+		cutoff = time.Now().Add(-s.opts.Retention).UnixNano()
+	}
 	sr := s.getOrCreate(key)
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	for i := range rows {
-		smp := rows[i].Sample
-		if s.opts.Retention > 0 && time.Since(smp.At) > s.opts.Retention {
+		t := rows[i].Sample.At.UnixNano()
+		if t < cutoff {
 			continue
 		}
-		sr.put(smp, s.opts.SegmentSize)
+		sr.put(block.Point{T: t, V: rows[i].Sample.Value}, s.opts.SegmentSize)
 	}
 	sr.evict(s.opts.MaxSamplesPerSeries, s.opts.SegmentSize)
 }
 
-func (sr *series) appendOrdered(smp Sample, segSize int) {
+func (sr *series) appendOrdered(p block.Point, segSize int) {
 	n := len(sr.segments)
 	if n == 0 || len(sr.segments[n-1].samples) >= segSize {
-		sr.segments = append(sr.segments, &segment{samples: make([]Sample, 0, segSize)})
+		sr.segments = append(sr.segments, &segment{samples: make([]block.Point, 0, segSize)})
 		n++
 	}
 	seg := sr.segments[n-1]
-	seg.samples = append(seg.samples, smp)
+	seg.samples = append(seg.samples, p)
 }
 
 // evict drops oldest samples until count <= max. The spill segment is
@@ -208,27 +237,56 @@ func (sr *series) foldSpill(segSize int) {
 	if len(sr.spill) == 0 {
 		return
 	}
-	all := sr.flatten()
-	sort.Slice(all, func(i, j int) bool { return all[i].At.Before(all[j].At) })
+	all := make([]block.Point, 0, sr.count)
+	for _, seg := range sr.segments {
+		all = append(all, seg.samples...)
+	}
+	all = append(all, sr.spill...)
+	sort.Slice(all, func(i, j int) bool { return all[i].T < all[j].T })
 	sr.segments = nil
 	sr.spill = nil
 	sr.count = 0
-	for _, smp := range all {
-		sr.appendOrdered(smp, segSize)
+	for _, p := range all {
+		sr.appendOrdered(p, segSize)
 		sr.count++
 	}
 	if n := len(all); n > 0 {
-		sr.lastAt = all[n-1].At
+		sr.lastT = all[n-1].T
 	}
 }
 
-func (sr *series) flatten() []Sample {
-	out := make([]Sample, 0, sr.count)
-	for _, seg := range sr.segments {
-		out = append(out, seg.samples...)
+// The store's time range, both ends included. The WAL, the head and the
+// blocks keep a timestamp as Unix nanoseconds in an int64, which names
+// 1677-09-21T00:12:43.145224192Z … 2262-04-11T23:47:16.854775807Z; the
+// range starts at the first whole hour of that, because a block's 1h
+// rollup bucket starts on the hour at or before its samples and must be
+// an int64 too. A row outside the range is refused (ErrTimeRange), and a
+// read bound outside it saturates (nanos).
+var (
+	minTime = time.Date(1677, 9, 21, 1, 0, 0, 0, time.UTC)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// storable reports whether t lies in the store's time range.
+func storable(t time.Time) bool { return !t.Before(minTime) && !t.After(maxTime) }
+
+// nanos converts a read bound to Unix nanoseconds, saturating outside
+// the store's range: time.Time{} is math.MinInt64, not the instant
+// t.UnixNano() would wrap it to. Nothing stored lies outside the range,
+// so a saturated bound selects what the real one would.
+func nanos(t time.Time) int64 {
+	switch {
+	case t.Before(minTime):
+		return math.MinInt64
+	case t.After(maxTime):
+		return math.MaxInt64
 	}
-	out = append(out, sr.spill...)
-	return out
+	return t.UnixNano()
+}
+
+// sampleAt builds the Sample a read hands out for one stored point.
+func sampleAt(t int64, v float64) Sample {
+	return Sample{At: time.Unix(0, t).UTC(), Value: v}
 }
 
 // Query returns the samples of a series with At in [from, to], in
@@ -240,9 +298,7 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	if to.Before(from) {
 		return nil, ErrBadInterval
 	}
-	s.mu.RLock()
-	sr := s.series[key]
-	s.mu.RUnlock()
+	sr := s.lookup(key)
 	if sr == nil {
 		return nil, ErrNoSeries
 	}
@@ -250,11 +306,15 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
 	var out []Sample
-	sr.eachRun(from, to, func(_ *segment, run []Sample) { out = append(out, run...) })
+	sr.eachRun(nanos(from), nanos(to), func(_ *segment, run []block.Point) {
+		for _, p := range run {
+			out = append(out, sampleAt(p.T, p.V))
+		}
+	})
 	return out, nil
 }
 
-// eachRun hands f, in time order, every segment holding samples with At
+// eachRun hands f, in time order, every segment holding samples with T
 // in [from, to] together with the run of them; the run is the whole of
 // seg.samples exactly when the segment lies inside the range. The runs
 // alias the segments: f must not keep them past the series lock, which
@@ -262,30 +322,50 @@ func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 // whole segments outside the range are skipped and only boundary
 // segments are binary-searched, so the walk is O(#segments + result),
 // not O(series length).
-func (sr *series) eachRun(from, to time.Time, f func(seg *segment, run []Sample)) {
+func (sr *series) eachRun(from, to int64, f func(seg *segment, run []block.Point)) {
 	for _, seg := range sr.segments {
 		n := len(seg.samples)
-		if n == 0 || seg.samples[n-1].At.Before(from) {
+		if n == 0 || seg.samples[n-1].T < from {
 			continue
 		}
-		if seg.samples[0].At.After(to) {
+		if seg.samples[0].T > to {
 			break
 		}
-		if !seg.samples[0].At.Before(from) && !seg.samples[n-1].At.After(to) {
+		if seg.samples[0].T >= from && seg.samples[n-1].T <= to {
 			f(seg, seg.samples)
 			continue
 		}
-		lo := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(from) })
-		hi := searchSamples(seg.samples, func(smp Sample) bool { return smp.At.After(to) })
-		f(seg, seg.samples[lo:hi])
+		f(seg, seg.samples[firstAtOrAfter(seg.samples, from):firstAfter(seg.samples, to)])
 	}
+}
+
+// firstAtOrAfter returns the index of the first of the time-ordered
+// pts with T >= t (len(pts) when none).
+func firstAtOrAfter(pts []block.Point, t int64) int {
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if pts[mid].T >= t {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+// firstAfter returns the index of the first of the time-ordered pts
+// with T > t (len(pts) when none).
+func firstAfter(pts []block.Point, t int64) int {
+	if t == math.MaxInt64 {
+		return len(pts)
+	}
+	return firstAtOrAfter(pts, t+1)
 }
 
 // Latest returns the most recent sample of a series.
 func (s *Store) Latest(key SeriesKey) (Sample, error) {
-	s.mu.RLock()
-	sr := s.series[key]
-	s.mu.RUnlock()
+	sr := s.lookup(key)
 	if sr == nil {
 		return Sample{}, ErrNoSeries
 	}
@@ -296,14 +376,13 @@ func (s *Store) Latest(key SeriesKey) (Sample, error) {
 		return Sample{}, ErrNoSeries
 	}
 	last := sr.segments[len(sr.segments)-1]
-	return last.samples[len(last.samples)-1], nil
+	p := last.samples[len(last.samples)-1]
+	return sampleAt(p.T, p.V), nil
 }
 
 // Len reports the number of stored samples of a series (0 if absent).
 func (s *Store) Len(key SeriesKey) int {
-	s.mu.RLock()
-	sr := s.series[key]
-	s.mu.RUnlock()
+	sr := s.lookup(key)
 	if sr == nil {
 		return 0
 	}
@@ -349,7 +428,7 @@ type Aggregate struct {
 // means "now"), under the series lock, so the result is one consistent
 // cut of the series. A segment lying wholly inside the range contributes
 // its summary; only the boundary segments' in-range runs are folded
-// sample by sample, so the cost is O(segments + two runs), not
+// value by value, so the cost is O(segments + two runs), not
 // O(samples). Sum (and so Mean) adds one partial sum per whole segment.
 func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
 	if to.IsZero() {
@@ -358,9 +437,7 @@ func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) 
 	if to.Before(from) {
 		return Aggregate{}, ErrBadInterval
 	}
-	s.mu.RLock()
-	sr := s.series[key]
-	s.mu.RUnlock()
+	sr := s.lookup(key)
 	if sr == nil {
 		return Aggregate{}, ErrNoSeries
 	}
@@ -368,17 +445,40 @@ func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) 
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
 	var a Aggregate
-	sr.eachRun(from, to, func(seg *segment, run []Sample) {
+	sr.eachRun(nanos(from), nanos(to), func(seg *segment, run []block.Point) {
 		if len(run) == len(seg.samples) {
 			a.combine(seg.summary())
 			return
 		}
-		for i := range run {
-			a.add(run[i])
-		}
+		a.addRun(run)
 	})
 	a.finish()
 	return a, nil
+}
+
+// addRun folds a time-ordered run that follows everything folded so far
+// — exactly as add over each of its points would, but building a Sample
+// only for the run's two ends.
+func (a *Aggregate) addRun(run []block.Point) {
+	if len(run) == 0 {
+		return
+	}
+	if a.Count == 0 {
+		a.Min, a.Max = run[0].V, run[0].V
+		a.First = sampleAt(run[0].T, run[0].V)
+	}
+	for _, p := range run {
+		if p.V < a.Min {
+			a.Min = p.V
+		}
+		if p.V > a.Max {
+			a.Max = p.V
+		}
+		a.Sum += p.V
+	}
+	last := run[len(run)-1]
+	a.Last = sampleAt(last.T, last.V)
+	a.Count += len(run)
 }
 
 // add folds one sample into the running aggregate. Mean is filled by
@@ -448,42 +548,21 @@ func downsampleIter(it *Iterator, from time.Time, window time.Duration) ([]Bucke
 	return out, nil
 }
 
-// collectBefore returns, per series, copies of every stored sample with
-// At before t, in ascending time order (spills are folded first). The
-// compactor calls it on the shard worker to gather the rows a block cut
-// will cover; series with no old samples are omitted.
-func (s *Store) collectBefore(t time.Time) map[SeriesKey][]Sample {
-	out := make(map[SeriesKey][]Sample)
-	for _, key := range s.Keys() {
-		s.mu.RLock()
-		sr := s.series[key]
-		s.mu.RUnlock()
-		if sr == nil {
-			continue
-		}
-		sr.mu.Lock()
-		sr.foldSpill(s.opts.SegmentSize)
-		var old []Sample
-		for _, seg := range sr.segments {
-			n := len(seg.samples)
-			if n == 0 {
-				continue
-			}
-			if !seg.samples[0].At.Before(t) {
-				break
-			}
-			hi := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(t) })
-			old = append(old, seg.samples[:hi]...)
-			if hi < n {
-				break
-			}
-		}
-		sr.mu.Unlock()
-		if len(old) > 0 {
-			out[key] = old
-		}
+// appendPoints appends to buf the stored points of key with T in [lo,
+// hi], in ascending time order (the spill is folded first), copied
+// under the series lock: the caller may do IO with them after it, which
+// it must not do with the segments themselves. An absent series adds
+// nothing.
+func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo, hi int64) []block.Point {
+	sr := s.lookup(key)
+	if sr == nil {
+		return buf
 	}
-	return out
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
+	sr.foldSpill(s.opts.SegmentSize)
+	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) { buf = append(buf, run...) })
+	return buf
 }
 
 // evictBefore drops every stored sample with At before t from every
@@ -492,10 +571,9 @@ func (s *Store) collectBefore(t time.Time) map[SeriesKey][]Sample {
 // view's write lock to swap "rows in head" for "rows in the new block"
 // atomically against readers.
 func (s *Store) evictBefore(t time.Time) {
+	tn := nanos(t)
 	for _, key := range s.Keys() {
-		s.mu.RLock()
-		sr := s.series[key]
-		s.mu.RUnlock()
+		sr := s.lookup(key)
 		if sr == nil {
 			continue
 		}
@@ -508,10 +586,10 @@ func (s *Store) evictBefore(t time.Time) {
 				sr.segments = sr.segments[1:]
 				continue
 			}
-			if !seg.samples[0].At.Before(t) {
+			if seg.samples[0].T >= tn {
 				break
 			}
-			hi := searchSamples(seg.samples, func(smp Sample) bool { return !smp.At.Before(t) })
+			hi := firstAtOrAfter(seg.samples, tn)
 			sr.count -= hi
 			if hi == n {
 				sr.segments = sr.segments[1:]
@@ -521,13 +599,35 @@ func (s *Store) evictBefore(t time.Time) {
 			break
 		}
 		if len(sr.segments) == 0 {
-			sr.lastAt = time.Time{}
+			sr.lastT = math.MinInt64
 			if len(sr.spill) == 0 {
 				sr.count = 0
 			}
 		}
 		sr.mu.Unlock()
 	}
+}
+
+// pointSize is what one head sample costs: a block.Point, an int64 and a
+// float64.
+const pointSize = 16
+
+// headBytes is the heap the head's sample arrays hold: every segment's
+// and spill's capacity at 16 bytes a sample. Series and segment headers
+// are not counted.
+func (s *Store) headBytes() int64 {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var n int
+	for _, sr := range s.series {
+		sr.mu.Lock()
+		for _, seg := range sr.segments {
+			n += cap(seg.samples)
+		}
+		n += cap(sr.spill)
+		sr.mu.Unlock()
+	}
+	return int64(n) * pointSize
 }
 
 // Stats summarizes an engine (all shards together — Shards is the

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -22,21 +21,30 @@ import (
 // cadence each shard's worker CUTS the head rows older than the
 // configured head window into an immutable compressed block file
 // (delta-of-delta timestamps, XOR floats, 1m/1h rollups — see
-// internal/block), then writes a head snapshot whose FIRST record is a
-// manifest naming the live block files, truncates the WAL below the
-// watermark, and — atomically against readers — publishes the block and
-// evicts the cut rows from the in-memory head. Reads merge the head
-// with the blocks behind the same Iterator/QueryPage cursor contract,
-// so callers cannot tell where the RAM/disk boundary sits.
+// internal/block). Reads merge the head with the blocks behind the same
+// Iterator/QueryPage cursor contract, so callers cannot tell where the
+// RAM/disk boundary sits.
+//
+// Every change of a shard's block view — a compaction cycle, a series
+// drop, a block import, a reset — is one step, publish: write the head
+// snapshot whose FIRST record is a manifest naming the new view, at the
+// WAL watermark; swap the view, evicting the rows a cut moved into a
+// block from the head in the same write-locked section, so readers see
+// the move atomically; truncate the WAL and older snapshots below the
+// watermark; delete the blocks that left the view. The ops themselves
+// only decide the new view and write its new files, all through one
+// block writer (writeBlock).
 //
 // Crash safety is manifest-anchored: a block file becomes real only
-// when a durable snapshot names it. Recovery opens exactly the
-// manifest's blocks and deletes any stray *.blk — a crash between block
-// write and snapshot write leaves the WAL untruncated, so the orphan's
-// rows replay into the head and are simply cut again later.
+// when a durable snapshot names it. Until then the previous view stays
+// authoritative, and a failed change deletes the files it wrote.
+// Recovery opens exactly the manifest's blocks and deletes any stray
+// *.blk — a crash between block write and snapshot write leaves the WAL
+// untruncated, so the orphan's rows replay into the head and are simply
+// cut again later.
 //
-// Retention rides the same loop: blocks entirely older than the raw
-// horizon are demoted (rewritten without their raw chunks, keeping
+// Retention rides the compaction cycle: blocks entirely older than the
+// raw horizon are demoted (rewritten without their raw chunks, keeping
 // rollups and index aggregates), and blocks entirely older than the
 // rollup horizon are deleted.
 
@@ -70,9 +78,9 @@ func (p BlockPolicy) headWindow() time.Duration {
 }
 
 // blockSet is one shard's published view of its block files. Only the
-// shard worker mutates the list (cut, demote, drop, import, reset);
-// readers capture it under the read lock together with their head read,
-// which is what makes a compaction's publish+evict atomic to them.
+// shard worker changes the list, through publish; readers capture it
+// under the read lock together with their head read, which is what
+// makes a compaction's publish+evict atomic to them.
 type blockSet struct {
 	dir string
 
@@ -117,19 +125,8 @@ func decodeManifest(p []byte) (names []string, ok bool, err error) {
 // of a shard directory references, without opening a live engine. A
 // directory with no snapshot (or a pre-block snapshot) has none.
 func BlockFiles(dir string) ([]string, error) {
-	_, sr, err := wal.LatestSnapshot(dir)
-	if err != nil || sr == nil {
-		return nil, err
-	}
-	rec, err := sr.Record()
-	if errors.Is(err, io.EOF) {
-		err, rec = nil, nil
-	}
-	if err != nil {
-		return nil, errors.Join(err, sr.Close())
-	}
-	names, _, err := decodeManifest(rec)
-	return names, errors.Join(err, sr.Close())
+	_, names, err := readSnapshot(dir, nil)
+	return names, err
 }
 
 func blockPath(dir, name string) string { return filepath.Join(dir, name) }
@@ -193,121 +190,119 @@ func bk(key SeriesKey) block.Key {
 }
 
 // ---------------------------------------------------------------------
-// Compaction (runs on the shard worker — the shard's single writer)
+// View changes (run on the shard worker — the shard's single writer)
 // ---------------------------------------------------------------------
 
-// compactShard is the unified snapshot+compaction step of a durable
-// shard: cut head rows older than the head window into a new block,
-// demote/delete blocks past their retention horizons, write the
-// manifest-bearing snapshot at the WAL watermark, atomically publish
-// the new view while evicting the cut rows from the head, then truncate
-// the WAL and remove replaced files. Any failure before the snapshot
-// leaves the previous view fully intact (new files are unlinked; the
-// WAL still covers everything).
-func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) error {
+// viewChange is one change of a shard's block view: next replaces the
+// published list, created are the files written for it (deleted if the
+// change fails), removed the blocks leaving it (deleted once it is
+// durable). A non-zero boundary evicts the head rows before it — the
+// rows a cut moved into a created block — in the same swap.
+type viewChange struct {
+	next, created, removed []*block.Block
+	boundary               time.Time
+}
+
+// publish makes a view change durable and visible. It is the only step
+// that writes a head snapshot or truncates a shard's WAL, in this order:
+//  1. the snapshot naming vc.next, with the head rows at/after
+//     vc.boundary, at the WAL watermark — the durable point of no
+//     return; if it fails, the created files are deleted and the
+//     previous view stays authoritative;
+//  2. the view swap, with the eviction of the cut rows, under one write
+//     lock: a reader sees head-with-old-rows + old blocks, or
+//     head-without + new blocks — never both or neither;
+//  3. the WAL segments and older snapshots below the watermark dropped
+//     (best effort: the snapshot already covers them);
+//  4. the removed blocks closed and deleted;
+//  5. the snapshot gauges restarted and the duration observed.
+func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 	start := time.Now()
-	var boundary time.Time
-	if hw := s.blockPolicy.headWindow(); hw > 0 {
-		boundary = start.Add(-hw)
-	}
-
-	// Only the worker mutates bs.blocks, so reading the slice without
-	// the lock is safe on this goroutine.
-	old := bs.blocks
-
-	var rawHorizon, rollupHorizon time.Time
-	if d := s.blockPolicy.RetentionRaw; d > 0 {
-		rawHorizon = start.Add(-d)
-	}
-	if d := s.blockPolicy.RetentionRollup; d > 0 {
-		rollupHorizon = start.Add(-d)
-	}
-
-	var written []string       // files created this cycle, unlinked on failure
-	var opened []*block.Block  // blocks opened this cycle, closed on failure
-	var removed []*block.Block // old blocks leaving the view, deleted on success
-	next := make([]*block.Block, 0, len(old)+1)
-	fail := func(err error) error {
-		for _, b := range opened {
-			_ = b.Close()
-		}
-		for _, p := range written {
-			_ = os.Remove(p)
-		}
-		return err
-	}
-
-	for _, b := range old {
-		switch {
-		case !rollupHorizon.IsZero() && b.MaxT() < rollupHorizon.UnixNano():
-			removed = append(removed, b)
-		case !rawHorizon.IsZero() && b.MaxT() < rawHorizon.UnixNano() && blockHasRaw(b):
-			nb, path, err := demoteBlock(bs, b)
-			if err != nil {
-				// Keep the original this cycle; retry next cadence.
-				next = append(next, b)
-				continue
-			}
-			written = append(written, path)
-			opened = append(opened, nb)
-			next = append(next, nb)
-			removed = append(removed, b)
-		default:
-			next = append(next, b)
-		}
-	}
-
-	// Cut the new block from the head.
-	cut := false
-	if !boundary.IsZero() {
-		nb, path, err := cutBlock(store, bs, boundary)
-		if err != nil {
-			return fail(err)
-		}
-		if nb != nil {
-			cut = true
-			written = append(written, path)
-			opened = append(opened, nb)
-			next = append(next, nb)
-		}
-	}
-
-	// Durable point of no return: the snapshot names the new view and
-	// carries the head rows at/after the boundary.
-	names := make([]string, 0, len(next))
-	for _, b := range next {
-		names = append(names, filepath.Base(b.Path()))
+	names := make([]string, len(vc.next))
+	for i, b := range vc.next {
+		names[i] = filepath.Base(b.Path())
 	}
 	seq := disk.log.LastSeq()
-	if err := writeHeadSnapshot(store, disk.dir, seq, names, boundary); err != nil {
-		return fail(err)
+	if err := writeHeadSnapshot(store, disk.dir, seq, names, vc.boundary); err != nil {
+		unlink(vc.created)
+		return err
 	}
-
-	// Publish the new view and evict the cut rows in one write-locked
-	// swap: a reader sees either head-with-old-rows + old blocks, or
-	// head-without + new blocks — never both or neither.
 	bs.mu.Lock()
-	bs.blocks = next
-	if cut {
-		store.evictBefore(boundary)
+	bs.blocks = vc.next
+	if !vc.boundary.IsZero() {
+		store.evictBefore(vc.boundary)
 	}
 	bs.mu.Unlock()
-
 	_ = disk.log.TruncateBefore(seq + 1)
 	wal.RemoveSnapshotsBefore(disk.dir, seq)
-	for _, b := range removed {
-		path := b.Path()
-		// Drop the set's reference; in-flight readers that retained the
-		// block keep the mapping alive until their Release.
-		_ = b.Close() //lint:ignore closecheck munmap of a replaced read-only block; readers hold their own refs
-		_ = os.Remove(path)
-	}
+	unlink(vc.removed)
 	disk.sinceSnap.Store(0)
+	disk.lastSnap.Store(time.Now().UnixNano())
 	if disk.mx != nil {
 		disk.mx.snapDur.ObserveDuration(time.Since(start))
-		if disk.mx.compactDur != nil {
-			disk.mx.compactDur.ObserveDuration(time.Since(start))
+	}
+	return nil
+}
+
+// unlink drops the set's reference to each block and deletes its file.
+// In-flight readers that retained a block keep its mapping alive until
+// their Release.
+func unlink(blocks []*block.Block) {
+	for _, b := range blocks {
+		path := b.Path()
+		_ = b.Close() //lint:ignore closecheck munmap of a read-only block leaving the view; readers hold their own refs
+		_ = os.Remove(path)
+	}
+}
+
+// compactShard is the compaction cycle of a durable shard: demote or
+// delete blocks past their retention horizons, cut head rows older
+// than the head window into a new block, and publish the result.
+func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) error {
+	start := time.Now()
+	rawHorizon, rollupHorizon := int64(math.MinInt64), int64(math.MinInt64) // keep forever
+	if d := s.blockPolicy.RetentionRaw; d > 0 {
+		rawHorizon = start.Add(-d).UnixNano()
+	}
+	if d := s.blockPolicy.RetentionRollup; d > 0 {
+		rollupHorizon = start.Add(-d).UnixNano()
+	}
+	var vc viewChange
+	// Only the worker changes bs.blocks, so reading the slice without the
+	// lock is safe on this goroutine.
+	for _, b := range bs.blocks {
+		if b.MaxT() < rollupHorizon {
+			vc.removed = append(vc.removed, b)
+			continue
 		}
+		if b.MaxT() < rawHorizon && blockHasRaw(b) {
+			// On failure the original stays this cycle; the next retries.
+			if nb, err := copyBlock(bs, b, nil, true); err == nil {
+				vc.created = append(vc.created, nb)
+				vc.removed = append(vc.removed, b)
+				b = nb
+			}
+		}
+		vc.next = append(vc.next, b)
+	}
+	if hw := s.blockPolicy.headWindow(); hw > 0 {
+		boundary := start.Add(-hw)
+		nb, err := cutBlock(store, bs, boundary)
+		if err != nil {
+			unlink(vc.created)
+			return err
+		}
+		if nb != nil {
+			vc.created = append(vc.created, nb)
+			vc.next = append(vc.next, nb)
+			vc.boundary = boundary
+		}
+	}
+	if err := publish(store, disk, bs, vc); err != nil {
+		return err
+	}
+	if disk.mx != nil {
+		disk.mx.compactDur.ObserveDuration(time.Since(start))
 	}
 	return nil
 }
@@ -323,16 +318,150 @@ func blockHasRaw(b *block.Block) bool {
 	return false
 }
 
-// cutBlock writes the head rows older than boundary into a new block
-// file and opens it; with no such row it writes nothing and returns a
-// nil block. The cut walks the series in key order (the order a block
-// takes them in) and copies each one's old points under its lock into
-// one reused buffer that goes straight to the writer, so a cut costs
-// the buffer and the writer's scratch, not a copy of every series. Runs
-// on the shard worker, so nothing appends to the head meanwhile.
-func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, string, error) {
-	var w *block.Writer
-	path := blockPath(bs.dir, blockName(bs.nextID))
+// dropSeries removes a series from a shard: its head rows, and on a
+// durable shard every block holding it — rewritten without it, or
+// deleted when it was the block's only series — in one view change, so
+// the drop survives a reopen.
+func dropSeries(store *Store, disk *shardDisk, bs *blockSet, key SeriesKey) error {
+	store.Drop(key)
+	if disk == nil {
+		return nil
+	}
+	target := bk(key)
+	var vc viewChange
+	for _, b := range bs.blocks {
+		if _, ok := b.Meta(target); !ok {
+			vc.next = append(vc.next, b)
+			continue
+		}
+		nb, err := copyBlock(bs, b, &target, false)
+		if err != nil {
+			unlink(vc.created)
+			return err
+		}
+		vc.removed = append(vc.removed, b)
+		if nb != nil {
+			vc.created = append(vc.created, nb)
+			vc.next = append(vc.next, nb)
+		}
+	}
+	return publish(store, disk, bs, vc)
+}
+
+// importBlocks copies the manifest-listed blocks of srcDir into the
+// shard under fresh names and publishes them ahead of the local ones
+// (imported history is older than anything cut here). The cluster
+// restore path ships blocks wholesale with it: rollup-only (demoted)
+// data has no raw rows left to replay through the write path. Each
+// source block is read through its frame checks and rewritten by the
+// shard's block writer, which reproduces its bytes.
+func importBlocks(store *Store, disk *shardDisk, bs *blockSet, srcDir string) error {
+	names, err := BlockFiles(srcDir)
+	if err != nil || len(names) == 0 {
+		return err
+	}
+	var vc viewChange
+	for _, name := range names {
+		src, err := block.Open(blockPath(srcDir, name))
+		if err != nil {
+			unlink(vc.created)
+			return err
+		}
+		nb, err := copyBlock(bs, src, nil, false)
+		_ = src.Close() // munmap of a read-only source block, already copied
+		if err != nil {
+			unlink(vc.created)
+			return err
+		}
+		vc.created = append(vc.created, nb)
+	}
+	vc.next = append(slices.Clip(vc.created), bs.blocks...)
+	return publish(store, disk, bs, vc)
+}
+
+// resetShard empties one shard: the head, and on a durable shard the
+// block view, published empty — the snapshot at the watermark holds
+// nothing and the WAL below it is dropped, so a reopen recovers the
+// shard as empty.
+func resetShard(store *Store, disk *shardDisk, bs *blockSet) error {
+	store.Reset()
+	if disk == nil {
+		return nil
+	}
+	return publish(store, disk, bs, viewChange{removed: bs.blocks})
+}
+
+// ---------------------------------------------------------------------
+// The block writer
+// ---------------------------------------------------------------------
+
+// writeBlock writes the series fill adds into the set's next block file
+// and opens it. The file is created on fill's first series, so a fill
+// that adds none writes nothing and returns a nil block; on failure
+// nothing is left on disk.
+func (bs *blockSet) writeBlock(fill func(w *lazyWriter) error) (*block.Block, error) {
+	w := &lazyWriter{path: blockPath(bs.dir, blockName(bs.nextID))}
+	err := fill(w)
+	if w.w == nil {
+		return nil, err
+	}
+	if err == nil {
+		_, _, err = w.w.Finish()
+	}
+	if err != nil {
+		w.w.Abort()
+		return nil, err
+	}
+	bs.nextID++
+	b, err := block.Open(w.path)
+	if err != nil {
+		_ = os.Remove(w.path)
+		return nil, err
+	}
+	return b, nil
+}
+
+// lazyWriter is the block.Writer a fill sees: it creates the file on
+// the first series added.
+type lazyWriter struct {
+	path string
+	w    *block.Writer
+}
+
+func (lw *lazyWriter) open() (err error) {
+	if lw.w == nil {
+		lw.w, err = block.NewWriter(lw.path)
+	}
+	return err
+}
+
+// Add appends one series with its raw points; no points add nothing.
+func (lw *lazyWriter) Add(key block.Key, pts []block.Point) error {
+	if len(pts) == 0 {
+		return nil
+	}
+	if err := lw.open(); err != nil {
+		return err
+	}
+	return lw.w.Add(key, pts)
+}
+
+// AddRollups appends one series as its rollups and index aggregates.
+func (lw *lazyWriter) AddRollups(m block.SeriesMeta, r1m, r1h []block.Bucket) error {
+	if err := lw.open(); err != nil {
+		return err
+	}
+	return lw.w.AddRollups(m, r1m, r1h)
+}
+
+// cutBlock writes the head rows older than boundary into a new block;
+// with no such row it writes nothing and returns a nil block. The cut
+// walks the series in key order (the order a block takes them in) and
+// copies each one's old points under its lock into one reused buffer
+// that goes straight to the writer, so a cut costs the buffer and the
+// writer's scratch, not a copy of every series. Runs on the shard
+// worker, so nothing appends to the head meanwhile.
+func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, error) {
 	hi := nanos(boundary) - 1
 	keys := store.Keys()
 	slices.SortFunc(keys, func(a, b SeriesKey) int {
@@ -341,73 +470,49 @@ func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, str
 		}
 		return strings.Compare(a.Quantity, b.Quantity)
 	})
-	var pts []block.Point
-	for _, key := range keys {
-		pts = store.appendPoints(pts[:0], key, math.MinInt64, hi)
-		if len(pts) == 0 {
-			continue
-		}
-		if w == nil {
-			var err error
-			if w, err = block.NewWriter(path); err != nil {
-				return nil, "", err
+	return bs.writeBlock(func(w *lazyWriter) error {
+		var pts []block.Point
+		for _, key := range keys {
+			pts = store.appendPoints(pts[:0], key, math.MinInt64, hi)
+			if err := w.Add(bk(key), pts); err != nil {
+				return err
 			}
 		}
-		if err := w.Add(bk(key), pts); err != nil {
-			w.Abort()
-			return nil, "", err
-		}
-	}
-	if w == nil {
-		return nil, "", nil
-	}
-	if _, _, err := w.Finish(); err != nil {
-		return nil, "", err
-	}
-	bs.nextID++
-	nb, err := block.Open(path)
-	if err != nil {
-		_ = os.Remove(path)
-		return nil, "", err
-	}
-	return nb, path, nil
+		return nil
+	})
 }
 
-// demoteBlock rewrites a block without its raw chunks (rollups and
-// index aggregates survive) under a fresh name. The original stays
-// published until the caller's snapshot + swap.
-func demoteBlock(bs *blockSet, b *block.Block) (*block.Block, string, error) {
-	path := blockPath(bs.dir, blockName(bs.nextID))
-	w, err := block.NewWriter(path)
-	if err != nil {
-		return nil, "", err
-	}
-	for _, m := range b.Series() {
-		r1m, err := b.Rollup(m.Key, block.Res1m)
-		if err != nil {
-			w.Abort()
-			return nil, "", err
+// copyBlock writes b's series into a new block, leaving out the one
+// keyed drop (nil: none). A series keeps its raw points unless
+// rollupsOnly is set or it has none left; then its rollups and index
+// aggregates carry over. A retention demote, a series drop and a block
+// import all rewrite through it.
+func copyBlock(bs *blockSet, b *block.Block, drop *block.Key, rollupsOnly bool) (*block.Block, error) {
+	return bs.writeBlock(func(w *lazyWriter) error {
+		var pts []block.Point
+		for _, m := range b.Series() {
+			if drop != nil && m.Key == *drop {
+				continue
+			}
+			var err error
+			if m.HasRaw() && !rollupsOnly {
+				if pts, err = b.Points(pts[:0], m.Key, m.MinT, m.MaxT); err == nil {
+					err = w.Add(m.Key, pts)
+				}
+			} else {
+				var r1m, r1h []block.Bucket
+				if r1m, err = b.Rollup(m.Key, block.Res1m); err == nil {
+					if r1h, err = b.Rollup(m.Key, block.Res1h); err == nil {
+						err = w.AddRollups(m, r1m, r1h)
+					}
+				}
+			}
+			if err != nil {
+				return err
+			}
 		}
-		r1h, err := b.Rollup(m.Key, block.Res1h)
-		if err != nil {
-			w.Abort()
-			return nil, "", err
-		}
-		if err := w.AddRollups(m, r1m, r1h); err != nil {
-			w.Abort()
-			return nil, "", err
-		}
-	}
-	if _, _, err := w.Finish(); err != nil {
-		return nil, "", err
-	}
-	bs.nextID++
-	nb, err := block.Open(path)
-	if err != nil {
-		_ = os.Remove(path)
-		return nil, "", err
-	}
-	return nb, path, nil
+		return nil
+	})
 }
 
 // writeHeadSnapshot writes the snapshot of a block-bearing shard: the
@@ -448,215 +553,4 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 		}
 		return flush()
 	})
-}
-
-// dropSeries removes a series from a shard: head drop plus a rewrite of
-// every block containing the key, anchored by a fresh snapshot (a shard
-// with no such block, as every in-memory one, stops at the head drop).
-// Runs on the shard worker.
-func (s *Sharded) dropSeries(store *Store, disk *shardDisk, bs *blockSet, key SeriesKey) error {
-	store.Drop(key)
-	target := bk(key)
-	touched := false
-	for _, b := range bs.blocks {
-		if _, ok := b.Meta(target); ok {
-			touched = true
-			break
-		}
-	}
-	if !touched {
-		return nil
-	}
-	old := bs.blocks
-	next := make([]*block.Block, 0, len(old))
-	var written []string
-	var opened []*block.Block
-	var removed []*block.Block
-	fail := func(err error) error {
-		for _, b := range opened {
-			_ = b.Close()
-		}
-		for _, p := range written {
-			_ = os.Remove(p)
-		}
-		return err
-	}
-	for _, b := range old {
-		if _, ok := b.Meta(target); !ok {
-			next = append(next, b)
-			continue
-		}
-		if len(b.Series()) == 1 {
-			removed = append(removed, b)
-			continue
-		}
-		nb, path, err := rewriteWithout(bs, b, target)
-		if err != nil {
-			return fail(err)
-		}
-		written = append(written, path)
-		opened = append(opened, nb)
-		next = append(next, nb)
-		removed = append(removed, b)
-	}
-	names := make([]string, 0, len(next))
-	for _, b := range next {
-		names = append(names, filepath.Base(b.Path()))
-	}
-	seq := disk.log.LastSeq()
-	if err := writeHeadSnapshot(store, disk.dir, seq, names, time.Time{}); err != nil {
-		return fail(err)
-	}
-	bs.mu.Lock()
-	bs.blocks = next
-	bs.mu.Unlock()
-	_ = disk.log.TruncateBefore(seq + 1)
-	wal.RemoveSnapshotsBefore(disk.dir, seq)
-	for _, b := range removed {
-		path := b.Path()
-		_ = b.Close() //lint:ignore closecheck munmap of a replaced read-only block; readers hold their own refs
-		_ = os.Remove(path)
-	}
-	disk.sinceSnap.Store(0)
-	disk.lastSnap.Store(time.Now().UnixNano())
-	return nil
-}
-
-// rewriteWithout copies a block minus one series under a fresh name.
-func rewriteWithout(bs *blockSet, b *block.Block, drop block.Key) (*block.Block, string, error) {
-	path := blockPath(bs.dir, blockName(bs.nextID))
-	w, err := block.NewWriter(path)
-	if err != nil {
-		return nil, "", err
-	}
-	var pts []block.Point
-	for _, m := range b.Series() {
-		if m.Key == drop {
-			continue
-		}
-		if m.HasRaw() {
-			pts = pts[:0]
-			pts, err = b.Points(pts, m.Key, m.MinT, m.MaxT)
-			if err == nil {
-				err = w.Add(m.Key, pts)
-			}
-		} else {
-			var r1m, r1h []block.Bucket
-			if r1m, err = b.Rollup(m.Key, block.Res1m); err == nil {
-				if r1h, err = b.Rollup(m.Key, block.Res1h); err == nil {
-					err = w.AddRollups(m, r1m, r1h)
-				}
-			}
-		}
-		if err != nil {
-			w.Abort()
-			return nil, "", err
-		}
-	}
-	if _, _, err := w.Finish(); err != nil {
-		return nil, "", err
-	}
-	bs.nextID++
-	nb, err := block.Open(path)
-	if err != nil {
-		_ = os.Remove(path)
-		return nil, "", err
-	}
-	return nb, path, nil
-}
-
-// clear closes and deletes every block of the set (shard reset). Caller
-// must be the shard worker; the snapshot anchoring the empty view must
-// already be durable.
-func (bs *blockSet) clear() {
-	bs.mu.Lock()
-	old := bs.blocks
-	bs.blocks = nil
-	bs.mu.Unlock()
-	for _, b := range old {
-		path := b.Path()
-		_ = b.Close() //lint:ignore closecheck munmap of a removed read-only block; readers hold their own refs
-		_ = os.Remove(path)
-	}
-}
-
-// importBlocks copies the manifest-listed block files of srcDir into
-// the shard under fresh names, opens and publishes them, and anchors
-// the new view with a snapshot. The cluster restore path uses it so
-// blocks (including rollup-only ones whose raw rows no longer exist)
-// ship wholesale instead of being re-journaled row by row.
-func (s *Sharded) importBlocks(store *Store, disk *shardDisk, bs *blockSet, srcDir string) error {
-	names, err := BlockFiles(srcDir)
-	if err != nil {
-		return err
-	}
-	if len(names) == 0 {
-		return nil
-	}
-	var added []*block.Block
-	var written []string
-	fail := func(err error) error {
-		for _, b := range added {
-			_ = b.Close()
-		}
-		for _, p := range written {
-			_ = os.Remove(p)
-		}
-		return err
-	}
-	for _, name := range names {
-		dst := blockPath(bs.dir, blockName(bs.nextID))
-		if err := copyFileSync(blockPath(srcDir, name), dst); err != nil {
-			return fail(err)
-		}
-		bs.nextID++
-		written = append(written, dst)
-		b, err := block.Open(dst)
-		if err != nil {
-			return fail(err)
-		}
-		added = append(added, b)
-	}
-	// Imported blocks are older than anything local, so they go first
-	// in cut order.
-	next := append(added, bs.blocks...)
-	manifest := make([]string, 0, len(next))
-	for _, b := range next {
-		manifest = append(manifest, filepath.Base(b.Path()))
-	}
-	seq := disk.log.LastSeq()
-	if err := writeHeadSnapshot(store, disk.dir, seq, manifest, time.Time{}); err != nil {
-		return fail(err)
-	}
-	bs.mu.Lock()
-	bs.blocks = next
-	bs.mu.Unlock()
-	_ = disk.log.TruncateBefore(seq + 1)
-	wal.RemoveSnapshotsBefore(disk.dir, seq)
-	disk.lastSnap.Store(time.Now().UnixNano())
-	return nil
-}
-
-func copyFileSync(src, dst string) error {
-	in, err := os.Open(src)
-	if err != nil {
-		return err
-	}
-	out, err := os.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return errors.Join(err, in.Close())
-	}
-	_, err = io.Copy(out, in)
-	err = errors.Join(err, in.Close())
-	if err == nil {
-		err = out.Sync()
-	}
-	if cerr := out.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = os.Remove(dst)
-		return err
-	}
-	return nil
 }

@@ -12,6 +12,7 @@ import (
 	"unsafe"
 
 	"repro/internal/block"
+	"repro/internal/obs"
 )
 
 // blockKey is the single series most block tests revolve around.
@@ -661,6 +662,256 @@ func TestBlockHeadWindowDisabledKeepsLegacySnapshots(t *testing.T) {
 	defer re.Close()
 	mem := memReference(t, rows)
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
+}
+
+// TestBlockViewChangesResetSnapshotGauges holds every view change to the
+// same bookkeeping: after a forced compaction, a block import, a series
+// drop and a reset, the shard's snapshot age has restarted and no row
+// counts as pending above the new snapshot's watermark.
+func TestBlockViewChangesResetSnapshotGauges(t *testing.T) {
+	policy := BlockPolicy{HeadWindow: time.Minute}
+	src := t.TempDir()
+	srcEng := openDurable(t, src, ShardedOptions{Shards: 1, Blocks: policy})
+	if errs := srcEng.AppendBatch(oldRows(50, blockKey)); errs != nil {
+		t.Fatalf("append: %v", errs)
+	}
+	if err := srcEng.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	srcEng.Close()
+
+	reg := obs.NewRegistry()
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: policy, Metrics: reg})
+	defer eng.Close()
+	gauge := func(name string) float64 {
+		t.Helper()
+		for _, s := range reg.Snapshot() {
+			if s.Name == name {
+				return s.Value
+			}
+		}
+		t.Fatalf("%s not registered", name)
+		return 0
+	}
+	ops := []struct {
+		name string
+		run  func() error
+	}{
+		{"compact", func() error { return eng.CompactShard(0) }},
+		{"import", func() error { return eng.ImportShardBlocks(0, filepath.Join(src, "shard-0000")) }},
+		{"drop", func() error { return eng.DropSeries(blockKey) }},
+		{"reset", func() error { return eng.ResetShard(0) }},
+	}
+	head := SeriesKey{Device: "urn:district:turin/building:b02/device:d1", Quantity: "humidity"}
+	for round, op := range ops {
+		// N rows inside the head window, journaled above the watermark.
+		const n = 25
+		now := time.Now().UTC().Truncate(time.Second)
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{Key: head, Sample: Sample{At: now.Add(time.Duration(i-n) * time.Second), Value: float64(round*n + i)}}
+		}
+		if errs := eng.AppendBatch(rows); errs != nil {
+			t.Fatalf("%s: append: %v", op.name, errs)
+		}
+		if got := eng.ShardStatus(0).WALPending; got != n {
+			t.Fatalf("%s: %d rows pending before the op, want %d", op.name, got, n)
+		}
+		// Backdate the last snapshot an hour, so a restart shows without
+		// waiting for the clock.
+		eng.disks[0].lastSnap.Store(time.Now().Add(-time.Hour).UnixNano())
+		if err := op.run(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if age := gauge("repro_tsdb_snapshot_age_seconds"); age > 60 {
+			t.Errorf("%s: snapshot age %.0f s after the op, want it restarted", op.name, age)
+		}
+		if pending := gauge("repro_tsdb_wal_pending_rows"); pending != 0 || eng.ShardStatus(0).WALPending != 0 {
+			t.Errorf("%s: %v rows pending after the op's snapshot, want 0", op.name, pending)
+		}
+	}
+}
+
+// TestBlockAdminOpsSurviveReopen: every view change — a compaction that
+// also demotes, a series drop, a block import and a reset — leaves a
+// data dir that reopens, after a clean Close and after a kill (no
+// Close), to the reads of an in-memory oracle, with no orphan block or
+// temp file, and whose snapshot + WAL tail hold exactly the head rows.
+func TestBlockAdminOpsSurviveReopen(t *testing.T) {
+	opts := ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute, RetentionRaw: 2 * time.Hour}}
+	k2 := SeriesKey{Device: blockKey.Device, Quantity: "humidity"}
+	k3 := SeriesKey{Device: "urn:district:turin/building:b02/device:d1", Quantity: "temperature"}
+	// outcome is what an op leaves: live rows every read must return,
+	// demoted rows only aggregates still see, and the rows of the head.
+	type outcome struct {
+		eng                 *Sharded
+		live, demoted, head []Row
+	}
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply := func(t *testing.T, eng *Sharded, rows ...[]Row) {
+		t.Helper()
+		for _, r := range rows {
+			if errs := eng.AppendBatch(r); errs != nil {
+				t.Fatalf("append: %v", errs)
+			}
+		}
+	}
+	cat := func(rows ...[]Row) []Row {
+		var out []Row
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		return out
+	}
+	scenarios := []struct {
+		name string
+		run  func(t *testing.T, dir string, at func(n int, from time.Duration, keys ...SeriesKey) []Row) outcome
+	}{
+		{"compact", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
+			ancient, old, head := at(100, -3*time.Hour, blockKey), at(100, -90*time.Minute, k2, k3), at(20, -30*time.Second, k2, k3)
+			eng := openDurable(t, dir, opts)
+			apply(t, eng, ancient)
+			must(t, eng.CompactShard(0)) // cuts the ancient rows
+			apply(t, eng, old, head)
+			must(t, eng.CompactShard(0)) // demotes that block, cuts the old rows
+			if st := eng.ShardStatus(0); st.Blocks != 2 {
+				t.Fatalf("%d blocks after two cycles, want 2", st.Blocks)
+			}
+			return outcome{eng, cat(old, head), ancient, head}
+		}},
+		{"drop", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
+			old, head := at(100, -90*time.Minute, k2, k3), at(20, -30*time.Second, k2, k3)
+			eng := openDurable(t, dir, opts)
+			apply(t, eng, old, head)
+			must(t, eng.CompactShard(0))
+			must(t, eng.DropSeries(k3)) // in a block and in the head
+			// A series only the head holds, journaled after the last
+			// snapshot: its drop must be durable too.
+			apply(t, eng, at(10, -20*time.Second, blockKey))
+			must(t, eng.DropSeries(blockKey))
+			return outcome{eng, cat(at(100, -90*time.Minute, k2), at(20, -30*time.Second, k2)), nil, at(20, -30*time.Second, k2)}
+		}},
+		{"import", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
+			ancient, old, head := at(100, -3*time.Hour, blockKey), at(100, -90*time.Minute, k2), at(20, -30*time.Second, k3)
+			src := t.TempDir()
+			srcEng := openDurable(t, src, opts)
+			apply(t, srcEng, ancient)
+			must(t, srcEng.CompactShard(0))
+			apply(t, srcEng, old)
+			must(t, srcEng.CompactShard(0)) // a demoted block and a raw one
+			srcEng.Close()
+			eng := openDurable(t, dir, opts)
+			apply(t, eng, head)
+			must(t, eng.ImportShardBlocks(0, filepath.Join(src, "shard-0000")))
+			// The import rewrites each block through the shard's writer,
+			// which reproduces the source bytes.
+			srcNames, err := BlockFiles(filepath.Join(src, "shard-0000"))
+			must(t, err)
+			dstNames, err := BlockFiles(filepath.Join(dir, "shard-0000"))
+			must(t, err)
+			if len(srcNames) != 2 || len(dstNames) != 2 {
+				t.Fatalf("blocks: source %v, imported %v", srcNames, dstNames)
+			}
+			for i := range srcNames {
+				a, err := os.ReadFile(filepath.Join(src, "shard-0000", srcNames[i]))
+				must(t, err)
+				b, err := os.ReadFile(filepath.Join(dir, "shard-0000", dstNames[i]))
+				must(t, err)
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("imported %s differs from source %s", dstNames[i], srcNames[i])
+				}
+			}
+			return outcome{eng, cat(old, head), ancient, head}
+		}},
+		{"reset", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
+			old, head, after := at(100, -90*time.Minute, k2, k3), at(20, -30*time.Second, k2, k3), at(10, -15*time.Second, k2)
+			eng := openDurable(t, dir, opts)
+			apply(t, eng, old, head)
+			must(t, eng.CompactShard(0))
+			must(t, eng.ResetShard(0))
+			apply(t, eng, after)
+			return outcome{eng, after, nil, after}
+		}},
+	}
+	rowsKey := func(rows []Row) []string {
+		out := make([]string, len(rows))
+		for i, r := range rows {
+			out[i] = fmt.Sprintf("%s|%d|%v", r.Key, r.Sample.At.UnixNano(), r.Sample.Value)
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, sc := range scenarios {
+		for _, kill := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/kill=%v", sc.name, kill), func(t *testing.T) {
+				dir := t.TempDir()
+				now := time.Now().UTC().Truncate(time.Second)
+				at := func(n int, from time.Duration, keys ...SeriesKey) []Row {
+					var rows []Row
+					for i := 0; i < n; i++ {
+						for _, k := range keys {
+							rows = append(rows, Row{Key: k, Sample: Sample{At: now.Add(from + time.Duration(i)*time.Second), Value: float64(i) + 0.25}})
+						}
+					}
+					return rows
+				}
+				o := sc.run(t, dir, at)
+				if kill {
+					t.Cleanup(o.eng.Close) // after the checks: the reopen below never sees it close
+				} else {
+					o.eng.Close()
+				}
+				// The dir as the op left it, before a recovery tidies it.
+				results, err := VerifyDataDir(dir)
+				if err != nil {
+					t.Fatalf("verify: %v", err)
+				}
+				for _, r := range results {
+					if len(r.OrphanBlocks) != 0 {
+						t.Fatalf("orphan blocks: %v", r.OrphanBlocks)
+					}
+				}
+				if tmp, _ := filepath.Glob(filepath.Join(dir, "shard-*", "*.tmp")); len(tmp) != 0 {
+					t.Fatalf("temp files left: %v", tmp)
+				}
+
+				re := openDurable(t, dir, opts)
+				defer re.Close()
+				mem := memReference(t, o.live)
+				to := time.Now()
+				for _, k := range []SeriesKey{k2, k3} {
+					assertReadsEqual(t, mem, re, k, time.Time{}, to)
+				}
+				if o.demoted == nil {
+					assertReadsEqual(t, mem, re, blockKey, time.Time{}, to)
+				} else {
+					// Demoted: no raw samples, the exact whole-range aggregate.
+					if got, err := re.Query(blockKey, time.Time{}, to); err != nil || len(got) != 0 {
+						t.Fatalf("demoted series query = %d samples, %v; want none", len(got), err)
+					}
+					want, _ := memReference(t, o.demoted).Aggregate(blockKey, time.Time{}, to)
+					if got, err := re.Aggregate(blockKey, time.Time{}, to); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("demoted aggregate = %+v (%v), want %+v", got, err, want)
+					}
+				}
+				var replayed []Row
+				if err := ReadShardDir(filepath.Join(dir, "shard-0000"), func(rows []Row) error {
+					replayed = append(replayed, rows...)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := rowsKey(replayed), rowsKey(o.head); !reflect.DeepEqual(got, want) {
+					t.Fatalf("shard dir replays %d rows, want the %d head rows", len(got), len(want))
+				}
+			})
+		}
+	}
 }
 
 // TestBlockPagedWalkManyPages exercises the merged QueryPage More/Next

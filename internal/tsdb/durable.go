@@ -22,9 +22,10 @@ import (
 // worker journals every queued row batch (group-committed — one fsync
 // covers everything queued behind the first item) BEFORE applying it to
 // the in-memory store, so a row is never acked without being on disk
-// first. Periodically the worker dumps the shard's store into a
-// snapshot file at the current log watermark and deletes the segments
-// below it, bounding both recovery time and disk footprint. Boot-time
+// first. Periodically the worker runs a compaction cycle, whose view
+// change (publish, blocks.go) dumps the shard's head into a snapshot
+// file at the current log watermark and deletes the segments below it,
+// bounding both recovery time and disk footprint. Boot-time
 // recovery is the reverse: load the latest snapshot, replay the log
 // tail above its watermark, and the series catalog rebuilds itself as
 // rows land in the store.
@@ -176,68 +177,86 @@ func loadOrWriteMeta(dir string, shards int) (int, error) {
 	}
 }
 
-// recoverShard rebuilds one shard's store from its snapshot and log
-// tail, then leaves the log open for the shard worker to append to.
-// Workers are not running yet, so rows apply directly. onSync (may be
-// nil) is handed to the log as its fsync-latency observer. The returned
-// manifest names the block files the snapshot anchors (nil for legacy
-// or empty snapshots); the caller opens them.
-func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(time.Duration)) (*shardDisk, []string, error) {
-	apply := func(p []byte) error {
+// readSnapshot reads the latest snapshot of a shard directory: its
+// watermark, the block manifest its first record carries (nil for a
+// pre-block snapshot, or none at all), and — into rows, in order —
+// every rows record. With rows nil it stops after the manifest.
+func readSnapshot(dir string, rows func([]byte) error) (uint64, []string, error) {
+	seq, sr, err := wal.LatestSnapshot(dir)
+	if err != nil || sr == nil {
+		return 0, nil, err
+	}
+	var manifest []string
+	for first := true; ; first = false {
+		p, err := sr.Record()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			return 0, nil, errors.Join(err, sr.Close())
+		}
+		if first {
+			names, isManifest, err := decodeManifest(p)
+			if err != nil {
+				return 0, nil, errors.Join(err, sr.Close())
+			}
+			manifest = names
+			if isManifest && rows != nil {
+				continue
+			}
+		}
+		if rows == nil {
+			break
+		}
+		if err := rows(p); err != nil {
+			return 0, nil, errors.Join(err, sr.Close())
+		}
+	}
+	// A close error on the read-only file cannot invalidate what was
+	// decoded.
+	_ = sr.Close() //lint:ignore closecheck read-only snapshot already decoded; close error cannot lose data
+	return seq, manifest, nil
+}
+
+// replayShard streams the row batches of a shard directory into apply —
+// the latest snapshot's, then the WAL tail's above its watermark — and
+// returns the log, open at its tail, with the snapshot's block manifest.
+func replayShard(dir string, lopts wal.Options, apply func([]Row) error) (*wal.Log, []string, error) {
+	rec := func(p []byte) error {
 		rows, err := decodeRows(p)
 		if err != nil {
 			return err
 		}
-		store.AppendBatch(rows)
-		return nil
+		return apply(rows)
 	}
-
-	var manifest []string
-	snapSeq, sr, err := wal.LatestSnapshot(dir)
+	seq, manifest, err := readSnapshot(dir, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	if sr != nil {
-		first := true
-		for {
-			p, err := sr.Record()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return nil, nil, errors.Join(err, sr.Close())
-			}
-			if first {
-				first = false
-				// The first record of a block-bearing snapshot is the
-				// block manifest, not rows.
-				if names, ok, merr := decodeManifest(p); ok {
-					if merr != nil {
-						return nil, nil, errors.Join(merr, sr.Close())
-					}
-					manifest = names
-					continue
-				}
-			}
-			if err := apply(p); err != nil {
-				return nil, nil, errors.Join(err, sr.Close())
-			}
-		}
-		// The snapshot was applied to EOF; a close error on the
-		// read-only file cannot invalidate what was decoded.
-		_ = sr.Close() //lint:ignore closecheck read-only snapshot already applied to EOF; close error cannot lose data
+	log, err := wal.Open(dir, lopts)
+	if err != nil {
+		return nil, nil, err
 	}
+	if err := log.Replay(seq, func(_ uint64, p []byte) error { return rec(p) }); err != nil {
+		return nil, nil, errors.Join(err, log.Close())
+	}
+	return log, manifest, nil
+}
 
-	log, err := wal.Open(dir, wal.Options{
-		SegmentBytes: opts.SegmentBytes,
-		Fsync:        opts.Fsync,
-		OnSync:       onSync,
+// recoverShard rebuilds one shard's store from its snapshot and log
+// tail, then leaves the log open for the shard worker to append to.
+// Workers are not running yet, so rows apply directly. onSync (may be
+// nil) is handed to the log as its fsync-latency observer. The returned
+// manifest names the block files the snapshot anchors; the caller opens
+// them.
+func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(time.Duration)) (*shardDisk, []string, error) {
+	lopts := wal.Options{SegmentBytes: opts.SegmentBytes, Fsync: opts.Fsync, OnSync: onSync}
+	log, manifest, err := replayShard(dir, lopts, func(rows []Row) error {
+		store.AppendBatch(rows)
+		return nil
 	})
 	if err != nil {
 		return nil, nil, err
-	}
-	if err := log.Replay(snapSeq, func(_ uint64, p []byte) error { return apply(p) }); err != nil {
-		return nil, nil, errors.Join(err, log.Close())
 	}
 	disk := &shardDisk{log: log, dir: dir}
 	disk.lastSnap.Store(time.Now().UnixNano())
@@ -249,69 +268,27 @@ func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(tim
 // without opening a live engine. The cluster restore path replays a
 // copied shard directory through the receiving node's own write path
 // with it, so the rows are re-journaled locally instead of adopting the
-// source's files wholesale.
+// source's files wholesale. Block files are not rows: they ship
+// wholesale via BlockFiles/ImportShardBlocks, since demoted data has no
+// raw rows to replay.
 func ReadShardDir(dir string, fn func([]Row) error) error {
-	apply := func(p []byte) error {
-		rows, err := decodeRows(p)
-		if err != nil {
-			return err
-		}
-		return fn(rows)
-	}
-	snapSeq, sr, err := wal.LatestSnapshot(dir)
+	log, _, err := replayShard(dir, wal.Options{}, fn)
 	if err != nil {
 		return err
-	}
-	if sr != nil {
-		first := true
-		for {
-			p, err := sr.Record()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return errors.Join(err, sr.Close())
-			}
-			if first {
-				first = false
-				// Skip the block manifest: ReadShardDir emits only the
-				// rows that can replay through a write path (head
-				// snapshot rows + WAL tail). Block files ship wholesale
-				// via BlockFiles/ImportShardBlocks — demoted data has
-				// no raw rows to replay.
-				if _, ok, _ := decodeManifest(p); ok {
-					continue
-				}
-			}
-			if err := apply(p); err != nil {
-				return errors.Join(err, sr.Close())
-			}
-		}
-		_ = sr.Close() //lint:ignore closecheck read-only snapshot already applied to EOF; close error cannot lose data
-	}
-	log, err := wal.Open(dir, wal.Options{})
-	if err != nil {
-		return err
-	}
-	if err := log.Replay(snapSeq, func(_ uint64, p []byte) error { return apply(p) }); err != nil {
-		return errors.Join(err, log.Close())
 	}
 	return log.Close()
 }
 
 // maybeSnapshot runs the shard's compaction cycle once SnapshotEvery
-// rows have been journaled since the last one: a snapshot of the store
-// at the current log watermark, head rows past the head window moved
-// into a block file in the same pass, and the log segments and older
-// snapshots below it dropped. Runs on the shard worker, so the store
-// sees no concurrent writes while dumping. Reports whether a pass ran at
-// all (even a failed one) — the caller bumps the shard generation on
-// it, since a compaction pass may have republished the block view.
+// rows have been journaled since the last snapshot. Runs on the shard
+// worker, so the store sees no concurrent writes while dumping. Reports
+// whether a pass ran at all (even a failed one) — the caller bumps the
+// shard generation on it, since a compaction pass may have republished
+// the block view.
 func (s *Sharded) maybeSnapshot(store *Store, disk *shardDisk, bs *blockSet) bool {
 	if s.snapEvery <= 0 || int(disk.sinceSnap.Load()) < s.snapEvery {
 		return false
 	}
-	disk.lastSnap.Store(time.Now().UnixNano())
 	_ = s.compactShard(store, disk, bs) // on failure: log intact, previous view authoritative
 	return true
 }

@@ -172,19 +172,15 @@ type batchItem struct {
 	errs   []error
 	done   *sync.WaitGroup
 	stages *obs.Stages
-	// reset, when set, marks a shard-reset request: the worker empties
-	// the shard (store + durable state) and sends the outcome. Reset
-	// items never join a commit group — everything queued before one is
-	// committed first, everything after it applies to the emptied shard.
-	reset chan error
-	// op, when set, is a queued admin operation (forced compaction,
-	// block import, series drop). Like reset it never joins a commit
-	// group: everything queued before it commits first.
+	// op, when set, is a queued shard operation (reset, forced
+	// compaction, block import, series drop). It never joins a commit
+	// group: everything queued before it commits first, everything after
+	// it applies to the shard it left.
 	op *shardOp
 }
 
-// shardOp is one admin operation routed through a shard's worker so it
-// runs with single-writer semantics against the store and blocks.
+// shardOp is one operation routed through a shard's worker so it runs
+// with single-writer semantics against the store and blocks.
 type shardOp struct {
 	kind opKind
 	dir  string    // opImport: source shard directory
@@ -195,7 +191,8 @@ type shardOp struct {
 type opKind int
 
 const (
-	opCompact opKind = iota
+	opReset opKind = iota
+	opCompact
 	opImport
 	opDrop
 )
@@ -312,7 +309,7 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 					"Live WAL segment files of the shard.",
 					shard, func() float64 { return float64(d.log.Segments()) })
 				reg.GaugeFunc("repro_tsdb_snapshot_age_seconds",
-					"Seconds since the shard's last snapshot cut (or recovery).",
+					"Seconds since the shard's last snapshot of any view change (or recovery).",
 					shard, func() float64 {
 						return time.Since(time.Unix(0, d.lastSnap.Load())).Seconds()
 					})
@@ -385,13 +382,13 @@ func (s *Sharded) worker(i int) {
 		if !ok {
 			return
 		}
-		if item.reset != nil || item.op != nil {
-			s.runBarrier(i, store, disk, bs, item)
+		if item.op != nil {
+			s.runBarrier(i, store, disk, bs, item.op)
 			continue
 		}
 		group = append(group[:0], item)
 		closed := false
-		var pending *batchItem
+		var pending *shardOp
 	drain:
 		for len(group) < maxCommitGroup {
 			select {
@@ -400,13 +397,12 @@ func (s *Sharded) worker(i int) {
 					closed = true
 					break drain
 				}
-				if it.reset != nil || it.op != nil {
-					// A reset or admin op must not ride a commit group:
-					// rows queued behind it would be journaled before it
-					// runs and then truncated/compacted by it. Commit
-					// what came first, then run the barrier item.
-					it := it
-					pending = &it
+				if it.op != nil {
+					// An op must not ride a commit group: rows queued
+					// behind it would be journaled before it runs and
+					// then truncated/compacted by it. Commit what came
+					// first, then run the op.
+					pending = it.op
 					break drain
 				}
 				group = append(group, it)
@@ -416,7 +412,7 @@ func (s *Sharded) worker(i int) {
 		}
 		s.commitGroup(i, store, disk, bs, group)
 		if pending != nil {
-			s.runBarrier(i, store, disk, bs, *pending)
+			s.runBarrier(i, store, disk, bs, pending)
 		}
 		if closed {
 			return
@@ -424,57 +420,27 @@ func (s *Sharded) worker(i int) {
 	}
 }
 
-// runBarrier executes a reset or admin-op queue item on the shard
-// worker, outside any commit group. The shard generation bumps before
-// the outcome is sent: the caller — and anyone it tells — can never
-// observe a cached pre-op result after the op is acknowledged.
-func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet, item batchItem) {
-	if item.reset != nil {
-		err := s.resetShard(store, disk, bs)
-		s.gens[i].Add(1)
-		item.reset <- err
-		return
-	}
-	op := item.op
+// runBarrier executes an op on the shard worker, outside any commit
+// group. Reset and drop run on any shard; compaction and import need
+// its durable state. The shard generation bumps before the outcome is
+// sent: the caller — and anyone it tells — can never observe a cached
+// pre-op result after the op is acknowledged.
+func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet, op *shardOp) {
 	var err error
 	switch {
+	case op.kind == opReset:
+		err = resetShard(store, disk, bs)
 	case op.kind == opDrop:
-		err = s.dropSeries(store, disk, bs, op.key)
+		err = dropSeries(store, disk, bs, op.key)
 	case disk == nil:
-		err = fmt.Errorf("tsdb: admin op requires a durable engine")
+		err = errors.New("tsdb: compaction and block import require a durable engine")
 	case op.kind == opCompact:
 		err = s.compactShard(store, disk, bs)
 	case op.kind == opImport:
-		err = s.importBlocks(store, disk, bs, op.dir)
+		err = importBlocks(store, disk, bs, op.dir)
 	}
 	s.gens[i].Add(1)
 	op.done <- err
-}
-
-// resetShard empties one shard: the in-memory store, and on a durable
-// shard the WAL — an empty snapshot is cut at the current watermark and
-// every segment and older snapshot below it is dropped, so a reopen
-// recovers the shard as empty. Runs on the shard worker, never
-// concurrently with an append.
-func (s *Sharded) resetShard(store *Store, disk *shardDisk, bs *blockSet) error {
-	store.Reset()
-	if disk == nil {
-		return nil
-	}
-	// An empty snapshot carries no manifest, which recovery reads as
-	// "no blocks" — the durable statement that the block files are gone.
-	seq := disk.log.LastSeq()
-	if err := wal.WriteSnapshot(disk.dir, seq, func(*wal.SnapshotWriter) error { return nil }); err != nil {
-		return err
-	}
-	bs.clear()
-	if err := disk.log.TruncateBefore(seq + 1); err != nil {
-		return err
-	}
-	wal.RemoveSnapshotsBefore(disk.dir, seq)
-	disk.sinceSnap.Store(0)
-	disk.lastSnap.Store(time.Now().UnixNano())
-	return nil
 }
 
 // commitGroup journals, applies, and acks one wave of queue items, in
@@ -621,18 +587,11 @@ func (s *Sharded) ShardDir(i int) string {
 // fsyncs its WAL so the shard's segment files are complete on disk. A
 // frozen shard synced this way can be archived byte-for-byte.
 func (s *Sharded) SyncShard(i int) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
-	}
 	var done sync.WaitGroup
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
 	done.Add(1)
-	s.queues[i] <- batchItem{done: &done}
-	s.mu.RUnlock()
+	if err := s.enqueue(i, batchItem{done: &done}); err != nil {
+		return err
+	}
 	done.Wait()
 	if s.disks == nil {
 		return nil
@@ -647,18 +606,7 @@ func (s *Sharded) SyncShard(i int) error {
 // after ownership flips, and a restore target resets before replaying
 // so a retried restore cannot double-apply.
 func (s *Sharded) ResetShard(i int) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
-	}
-	ch := make(chan error, 1)
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return ErrClosed
-	}
-	s.queues[i] <- batchItem{reset: ch}
-	s.mu.RUnlock()
-	return <-ch
+	return s.enqueueOp(i, &shardOp{kind: opReset})
 }
 
 // ShardStatus is a point-in-time operational description of one shard,
@@ -959,12 +907,6 @@ func (s *Sharded) DropSeries(key SeriesKey) error {
 // worker queue: cut head rows past the head window into a block, apply
 // retention, snapshot, truncate the WAL. Requires a durable engine.
 func (s *Sharded) CompactShard(i int) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
-	}
-	if s.disks == nil {
-		return fmt.Errorf("tsdb: compaction requires a durable engine")
-	}
 	return s.enqueueOp(i, &shardOp{kind: opCompact})
 }
 
@@ -984,27 +926,32 @@ func (s *Sharded) CompactAll() error {
 // restore path ships block files wholesale with it — rollup-only
 // (demoted) data has no raw rows left to replay through the write path.
 func (s *Sharded) ImportShardBlocks(i int, srcDir string) error {
-	if i < 0 || i >= len(s.shards) {
-		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
-	}
-	if s.disks == nil {
-		return fmt.Errorf("tsdb: block import requires a durable engine")
-	}
 	return s.enqueueOp(i, &shardOp{kind: opImport, dir: srcDir})
 }
 
-// enqueueOp routes an admin op through shard i's worker and waits for
-// its outcome.
+// enqueueOp routes an op through shard i's worker and waits for its
+// outcome.
 func (s *Sharded) enqueueOp(i int, op *shardOp) error {
 	op.done = make(chan error, 1)
+	if err := s.enqueue(i, batchItem{op: op}); err != nil {
+		return err
+	}
+	return <-op.done
+}
+
+// enqueue puts one item on shard i's queue; it refuses a shard out of
+// range and a closed engine.
+func (s *Sharded) enqueue(i int, item batchItem) error {
+	if i < 0 || i >= len(s.shards) {
+		return fmt.Errorf("tsdb: shard %d out of range [0,%d)", i, len(s.shards))
+	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
 		return ErrClosed
 	}
-	s.queues[i] <- batchItem{op: op}
-	s.mu.RUnlock()
-	return <-op.done
+	s.queues[i] <- item
+	return nil
 }
 
 // Close drains the append queues, stops the workers, and syncs and

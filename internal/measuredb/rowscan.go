@@ -2,8 +2,10 @@ package measuredb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"io"
+	"math/bits"
 	"strconv"
 	"sync"
 	"time"
@@ -47,6 +49,10 @@ const (
 	// carries across requests; a full table is dropped when the scanner
 	// is next taken from the pool.
 	maxInterned = 4096
+	// frontBits sizes the direct-mapped table in front of the intern map
+	// (1<<frontBits names): a name found there costs a few word loads and
+	// one comparison instead of a hash of the whole string and a map probe.
+	frontBits = 10
 )
 
 // RowScanner decodes Point rows from one request or response body.
@@ -66,7 +72,10 @@ type RowScanner struct {
 	dec *json.Decoder
 
 	interned map[string]string
-	pts      []Point // pooled row slice for whole-body decodes
+	// front caches interned names by frontSlot; it is cleared with the
+	// map, so it never outlives the table it fronts.
+	front [1 << frontBits]string
+	pts   []Point // pooled row slice for whole-body decodes
 
 	// The parts of a /v2/query answer as DecodeBatchResponse parses them,
 	// before each kind is copied out into one block of its own.
@@ -88,6 +97,7 @@ func NewRowScanner(r io.Reader) *RowScanner {
 	}
 	if sc.interned == nil || len(sc.interned) >= maxInterned {
 		sc.interned = make(map[string]string, 64)
+		clear(sc.front[:])
 	}
 	return sc
 }
@@ -687,8 +697,13 @@ func skipWS(b []byte, i int) int {
 // token skips whitespace, the byte c, and the whitespace after it, and
 // returns the index reached; -1 when the next token is not c.
 func token(b []byte, i int, c byte) int {
-	if i = skipWS(b, i); i >= len(b) || b[i] != c {
-		return -1
+	if i >= len(b) || b[i] != c {
+		if i = skipWS(b, i); i >= len(b) || b[i] != c {
+			return -1
+		}
+	}
+	if i+1 < len(b) && b[i+1] > ' ' {
+		return i + 1 // every JSON whitespace byte is <= ' '
 	}
 	return skipWS(b, i+1)
 }
@@ -698,39 +713,108 @@ func token(b []byte, i int, c byte) int {
 // between the quotes and the index after the closing quote, -1 when
 // b[i] is not such a string.
 func plainString(b []byte, i int) (body []byte, end int) {
+	body, end, _ = scanString(b, i)
+	return body, end
+}
+
+const (
+	lsb = 0x0101010101010101 // 0x01 in every byte of a word
+	msb = 0x8080808080808080 // 0x80 in every byte of a word
+)
+
+// scanString is plainString that also reports whether the body holds a
+// byte >= 0x80, the only bytes utf8.Valid has to look at. It takes the
+// body eight bytes at a time: in each little-endian word the zero-byte
+// trick, (x - lsb) &^ x & msb, flags the bytes that equal '"' or '\\',
+// and (w - 0x20*lsb) &^ w & msb those below 0x20. A borrow can flag a
+// byte above a true hit, never below one, so the lowest flag is exact
+// and decides the string: its closing quote, or not plain. The last
+// bytes of b, fewer than eight, take the byte loop.
+func scanString(b []byte, i int) (body []byte, end int, high bool) {
 	if i >= len(b) || b[i] != '"' {
-		return nil, -1
+		return nil, -1, false
 	}
-	for j := i + 1; j < len(b) && b[j] != '\\' && b[j] >= 0x20; j++ {
-		if b[j] == '"' {
-			return b[i+1 : j], j + 1
+	var seen uint64 // every body byte OR-ed in, to test bit 7 once
+	j := i + 1
+	for ; j+8 <= len(b); j += 8 {
+		w := binary.LittleEndian.Uint64(b[j:])
+		q, bs := w^('"'*lsb), w^('\\'*lsb)
+		if m := ((q-lsb)&^q | (bs-lsb)&^bs | (w-0x20*lsb)&^w) & msb; m != 0 {
+			k := bits.TrailingZeros64(m) >> 3
+			if b[j+k] != '"' {
+				return nil, -1, false
+			}
+			seen |= w & (1<<(8*k) - 1) // the bytes before the quote
+			return b[i+1 : j+k], j + k + 1, seen&msb != 0
 		}
+		seen |= w
 	}
-	return nil, -1
+	for ; j < len(b) && b[j] != '\\' && b[j] >= 0x20; j++ {
+		if b[j] == '"' {
+			return b[i+1 : j], j + 1, seen&msb != 0
+		}
+		seen |= uint64(b[j])
+	}
+	return nil, -1, false
 }
 
 // name decodes the device or quantity string at b[i], interned, and
 // returns the index after it; -1 when it is not a plain string of valid
 // UTF-8 (encoding/json would substitute U+FFFD).
 func (sc *RowScanner) name(b []byte, i int) (string, int) {
-	s, end := plainString(b, i)
-	if end < 0 || !utf8.Valid(s) {
+	s, end, high := scanString(b, i)
+	if end < 0 || high && !utf8.Valid(s) {
 		return "", -1
 	}
 	return sc.intern(s), end
 }
 
 // intern returns b as a string, reusing the previous allocation for a
-// repeated value.
+// repeated value. The front table answers a repeat without hashing all
+// of b; the map behind it holds every name of the table's lifetime.
 func (sc *RowScanner) intern(b []byte) string {
-	if s, ok := sc.interned[string(b)]; ok {
-		return s
+	slot := &sc.front[frontSlot(b)]
+	if *slot == string(b) {
+		return *slot
 	}
-	s := string(b)
-	if len(sc.interned) < maxInterned {
-		sc.interned[s] = s
+	s, ok := sc.interned[string(b)]
+	if !ok {
+		s = string(b)
+		if len(sc.interned) < maxInterned {
+			sc.interned[s] = s
+		}
 	}
+	*slot = s
 	return s
+}
+
+// frontSlot picks b's front-table slot from its length, its last 16
+// bytes and a word from its middle. A district's device URIs differ
+// only near their end, and often not within the last 8 bytes
+// (".../building:b03/device:m01"), so those alone would pile the fleet
+// into a few slots.
+func frontSlot(b []byte) int {
+	n := len(b)
+	h := uint64(n)
+	if n >= 8 {
+		h = mixWord(h, binary.LittleEndian.Uint64(b[max(n-16, 0):]))
+		h = mixWord(h, binary.LittleEndian.Uint64(b[n/2-4:]))
+		h = mixWord(h, binary.LittleEndian.Uint64(b[n-8:]))
+	} else {
+		for _, c := range b {
+			h = h<<8 | uint64(c)
+		}
+		h = mixWord(h, 0)
+	}
+	return int(h >> (64 - frontBits))
+}
+
+// mixWord folds w into the hash h. The multiply carries every bit of
+// h^w upward; the shift brings the high half back down, so a later
+// word's low bits are not the only ones the next product sees.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9E3779B97F4A7C15
+	return h ^ h>>32
 }
 
 // numberEnd returns the end of the JSON-grammar number starting at
@@ -872,5 +956,25 @@ func parseRFC3339(b []byte) (time.Time, bool) {
 		hour > 23 || minute > 59 || sec > 59 {
 		return time.Time{}, false
 	}
-	return time.Date(year, time.Month(month), day, hour, minute, sec, nanos, time.UTC), true
+	secs := int64(daysFromCivil(year, month, day))*86400 + int64(hour*3600+minute*60+sec)
+	return time.Unix(secs, int64(nanos)).UTC(), true
+}
+
+// daysFromCivil counts the days from 1970-01-01 to a valid proleptic
+// Gregorian date, negative before it (H. Hinnant's algorithm). Years
+// run March to February, so a leap day ends its year, and a 400-year era
+// is 146097 days. The era division floors: year 0000 in January or
+// February is year −1 of the era before.
+func daysFromCivil(year, month, day int) int {
+	if month <= 2 {
+		year--
+	}
+	era := year / 400
+	if year < 0 {
+		era = (year - 399) / 400
+	}
+	yoe := year - era*400                     // [0, 399]
+	doy := (153*((month+9)%12)+2)/5 + day - 1 // [0, 365], from March 1
+	doe := yoe*365 + yoe/4 - yoe/100 + doy    // [0, 146096]
+	return era*146097 + doe - 719468          // 719468: 0000-03-01 to 1970-01-01
 }

@@ -685,23 +685,46 @@ func TestRowsSharingALineStayLinear(t *testing.T) {
 // TestInternTableResets: a pooled scanner whose intern table filled up
 // (one hostile body, or a district with more device URIs than
 // maxInterned) must start the next request with a fresh table, not
-// allocate every new name on every row for the rest of its life.
+// allocate every new name on every row for the rest of its life — and
+// with an empty front table, which holds nothing the map does not.
 func TestInternTableResets(t *testing.T) {
 	var junk bytes.Buffer
 	for i := 0; i <= maxInterned; i++ {
 		fmt.Fprintf(&junk, `{"device":"junk-%d","value":1}`+"\n", i)
 	}
-	if rows, errored := scanNDJSON(junk.Bytes()); errored || len(rows) != maxInterned+1 {
-		t.Fatalf("junk body: %d rows, errored=%v", len(rows), errored)
+	full := NewRowScanner(&junk)
+	var p Point
+	for n := 0; ; n++ {
+		if err := full.Next(&p); err != nil {
+			if !errors.Is(err, io.EOF) || n != maxInterned+1 || full.dec != nil {
+				t.Fatalf("junk body: %d rows, fallback %v, %v", n, full.dec != nil, err)
+			}
+			break
+		}
 	}
+	full.Release()
 	// The pool hands the scanner just released back to this goroutine; a
 	// new one would pass trivially, which is still the behavior wanted.
-	rows, errored := scanNDJSON([]byte(`{"device":"fresh-name","value":1}` + "\n" + `{"device":"fresh-name","value":2}`))
-	if errored || len(rows) != 2 {
-		t.Fatalf("fresh body: %d rows, errored=%v", len(rows), errored)
+	sc := NewRowScanner(strings.NewReader(`{"device":"fresh-name","value":1}` + "\n" + `{"device":"fresh-name","value":2}`))
+	defer sc.Release()
+	if sc == full {
+		for i, s := range sc.front {
+			if s != "" {
+				t.Fatalf("front slot %d still holds %q after the intern table was reset", i, s)
+			}
+		}
+	}
+	var rows [2]Point
+	for i := range rows {
+		if err := sc.Next(&rows[i]); err != nil {
+			t.Fatalf("fresh body, row %d: %v", i, err)
+		}
 	}
 	if unsafe.StringData(rows[0].Device) != unsafe.StringData(rows[1].Device) {
 		t.Fatal("a repeated new device name was allocated twice: the full intern table was not reset")
+	}
+	if sc == full && len(sc.interned) != 1 {
+		t.Fatalf("intern table after the fresh body holds %d names, want 1", len(sc.interned))
 	}
 }
 
@@ -753,4 +776,37 @@ func TestNoFallbackOnTheCorpusShape(t *testing.T) {
 	if !sc.parseSamplesPage(raw, &page) || page.Count != 200 || len(page.Samples) != 200 || page.NextCursor == "" || page.Device != rows[0].Device {
 		t.Fatalf("JSON page left the fast path or misread: %+v", page)
 	}
+}
+
+// BenchmarkDecodeIngestBatch decodes one /v2/ingest body shaped like the
+// benchmark's ingest_bulk batch: 1000 canonical rows over 128 device URIs
+// × 2 quantities, interleaved (the device changes every second row),
+// with whole-second UTC stamps. It prices the fast path alone: the
+// string scan, the interning, the timestamp and the number.
+func BenchmarkDecodeIngestBatch(b *testing.B) {
+	base := time.Date(2015, 3, 9, 10, 0, 0, 0, time.UTC)
+	rows := make([]Point, 1000)
+	for r := range rows {
+		s := r % 256
+		rows[r] = Point{
+			Device:   fmt.Sprintf("urn:district:turin/building:b%02d/device:m%02d", s/2/4, s/2%4),
+			Quantity: []string{"temperature", "humidity"}[s%2],
+			At:       base.Add(time.Duration(r/256) * time.Second),
+			Value:    math.Round(2000+1000*math.Sin(float64(r))) / 100,
+		}
+	}
+	body, ok := AppendBatch(nil, "rows", rows)
+	if !ok {
+		b.Fatal("unencodable rows")
+	}
+	sc := NewRowScanner(nil)
+	defer sc.Release()
+	b.SetBytes(int64(len(body)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !sc.parseBatch(body, "rows") || len(sc.pts) != len(rows) {
+			b.Fatal("the body left the fast path")
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/row")
 }

@@ -623,18 +623,21 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 	}
 	fromN, toN := nanos(from), nanos(to)
 
-	// windows accumulates per-window aggregates; keys are window start
-	// nanos (post from-clamp, matching downsampleIter's semantics).
-	windows := make(map[int64]*Aggregate)
+	// windows accumulates per-window aggregates, keyed by window start
+	// (post from-clamp, matching downsampleIter's semantics) in Unix
+	// seconds and nanoseconds: a window of a row near the store's first
+	// instant can start before 1677-09-21T00:12:43Z, where UnixNano wraps.
+	windows := make(map[windowStart]*Aggregate)
 	fold := func(at time.Time, a Aggregate) {
 		startT := at.Truncate(window)
 		if startT.Before(from) {
 			startT = from
 		}
-		w := windows[startT.UnixNano()]
+		k := windowStart{startT.Unix(), startT.Nanosecond()}
+		w := windows[k]
 		if w == nil {
 			w = &Aggregate{}
-			windows[startT.UnixNano()] = w
+			windows[k] = w
 		}
 		w.combine(a)
 	}
@@ -713,16 +716,24 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 		}
 		return nil, nil
 	}
-	starts := make([]int64, 0, len(windows))
-	for t := range windows {
-		starts = append(starts, t)
+	starts := make([]windowStart, 0, len(windows))
+	for k := range windows {
+		starts = append(starts, k)
 	}
-	sort.Slice(starts, func(a, b int) bool { return starts[a] < starts[b] })
+	sort.Slice(starts, func(a, b int) bool {
+		return starts[a].sec < starts[b].sec || starts[a].sec == starts[b].sec && starts[a].nsec < starts[b].nsec
+	})
 	out := make([]Bucket, 0, len(starts))
-	for _, t := range starts {
-		a := windows[t]
+	for _, k := range starts {
+		a := windows[k]
 		a.finish()
-		out = append(out, Bucket{Start: time.Unix(0, t).UTC(), Aggregate: *a})
+		out = append(out, Bucket{Start: time.Unix(k.sec, int64(k.nsec)).UTC(), Aggregate: *a})
 	}
 	return out, nil
+}
+
+// windowStart is a Downsample window's start instant.
+type windowStart struct {
+	sec  int64
+	nsec int
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/wal"
@@ -682,9 +683,9 @@ func fnv64a(s string) uint64 {
 
 // partitionScratch is the reusable working set of one append wave:
 // counting arrays, one flat row/index backing sliced into per-shard
-// windows, and the caller-aligned error slots. Waves recycle it through
-// scratchPool, so a steady-state ingest stream repartitions in place
-// instead of re-allocating per batch.
+// windows, the caller-aligned error slots, and a memo of device owners.
+// Waves recycle it through scratchPool, so a steady-state ingest stream
+// repartitions in place instead of re-allocating per batch.
 type partitionScratch struct {
 	counts  []int
 	offs    []int
@@ -694,9 +695,43 @@ type partitionScratch struct {
 	per     [][]Row
 	peridx  [][]int
 	errs    []error
+	owners  [1 << ownerBits]ownerEntry
+}
+
+// ownerBits sizes partitionScratch's owner memo (1<<ownerBits entries).
+const ownerBits = 10
+
+// ownerEntry memoises ShardOf(device, n). The pool is shared by engines
+// of every shard count, so n is part of the key; the zero entry (n = 0)
+// matches no engine.
+type ownerEntry struct {
+	device   string
+	n, shard int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(partitionScratch) }}
+
+// owner is ShardOf(device, n) through the memo, so a device that recurs
+// in an interleaved wave hashes once, not on every row. The slot comes
+// from the address of the device string's bytes: the ingest decoder
+// interns device names, so every row of a device shares one address and
+// finds its slot with one multiply. An equal string at another address
+// is just another key that fills its own slot; every hit is confirmed
+// by string equality, so the memo can only answer what ShardOf would.
+func (sc *partitionScratch) owner(device string, n int) int {
+	e := &sc.owners[ownerSlot(device)]
+	if int(e.n) != n || e.device != device {
+		*e = ownerEntry{device: device, n: int32(n), shard: int32(ShardOf(device, n))}
+	}
+	return int(e.shard)
+}
+
+// ownerSlot is device's slot in the owner memo: the address of its
+// bytes, Fibonacci-hashed.
+func ownerSlot(device string) int {
+	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(device))))
+	return int((p * 0x9E3779B97F4A7C15) >> (64 - ownerBits))
+}
 
 // errSlots returns n zeroed caller-aligned error slots backed by the
 // scratch.
@@ -714,8 +749,8 @@ func (sc *partitionScratch) errSlots(n int) []error {
 // partition splits rows into per-shard sub-batches, recording each row's
 // original index (so per-row errors line up). A counting pass sizes
 // every sub-batch exactly — no growth reallocations on the ingest hot
-// path — and the device hash is computed once per run of equal
-// devices, since batched producers ship per-device runs. The same pass
+// path — and takes each row's shard from sc.owner, so a device is
+// hashed once per wave however its rows interleave. The same pass
 // refuses a row whose At the store cannot keep (ErrTimeRange in its
 // errs slot): it joins no sub-batch, so it is never journaled. The
 // sub-batches are windows over one flat copy owned by sc: callers may
@@ -739,17 +774,13 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row, errs []error) (per
 		sc.shardOf = make([]int32, len(rows))
 	}
 	shardOf := sc.shardOf[:len(rows)]
-	lastDev, sh := "", -1
 	for i := range rows {
 		if !storable(rows[i].Sample.At) {
 			errs[i] = ErrTimeRange
 			shardOf[i] = -1
 			continue
 		}
-		if sh < 0 || rows[i].Key.Device != lastDev {
-			sh = s.ShardFor(rows[i].Key.Device)
-			lastDev = rows[i].Key.Device
-		}
+		sh := sc.owner(rows[i].Key.Device, n)
 		shardOf[i] = int32(sh)
 		counts[sh]++
 	}

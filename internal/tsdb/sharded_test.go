@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -286,4 +287,84 @@ func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
 			t.Fatalf("sample %d out of order or duplicated: value %v", i, smp.Value)
 		}
 	}
+}
+
+// checkPartition partitions rows on s with sc and requires every
+// storable row to land in the sub-batch of ShardOf(device, shards), at
+// its own index: the owner memo may only answer what ShardOf would.
+func checkPartition(t *testing.T, s *Sharded, sc *partitionScratch, rows []Row) {
+	t.Helper()
+	n := s.NumShards()
+	per, idx := s.partition(sc, rows, make([]error, len(rows)))
+	seen := 0
+	for sh := range per {
+		for k, r := range per[sh] {
+			if want := ShardOf(r.Key.Device, n); sh != want {
+				t.Fatalf("%d shards: %q routed to shard %d, ShardOf says %d", n, r.Key.Device, sh, want)
+			}
+			if rows[idx[sh][k]] != r {
+				t.Fatalf("%d shards: shard %d row %d carries index %d of another row", n, sh, k, idx[sh][k])
+			}
+			seen++
+		}
+	}
+	if seen != len(rows) {
+		t.Fatalf("%d shards: %d of %d rows partitioned", n, seen, len(rows))
+	}
+}
+
+// TestPartitionOwnerMemo holds the per-scratch owner memo to ShardOf:
+// across engines of different shard counts sharing one pooled scratch,
+// for two devices that share a memo slot, and for device strings equal
+// to the interned ones but stored elsewhere.
+func TestPartitionOwnerMemo(t *testing.T) {
+	s3, s8 := NewSharded(ShardedOptions{Shards: 3}), NewSharded(ShardedOptions{Shards: 8})
+	defer s3.Close()
+	defer s8.Close()
+	devices := make([]string, 64)
+	for d := range devices {
+		devices[d] = shKey(d).Device
+	}
+	interleaved := func(devs []string, n int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{Key: SeriesKey{Device: devs[i%len(devs)], Quantity: "temperature"},
+				Sample: Sample{At: shT0.Add(time.Duration(i) * time.Second)}}
+		}
+		return rows
+	}
+
+	t.Run("one scratch, two shard counts", func(t *testing.T) {
+		sc := new(partitionScratch)
+		rows := interleaved(devices, 500)
+		for round := 0; round < 3; round++ {
+			checkPartition(t, s3, sc, rows)
+			checkPartition(t, s8, sc, rows)
+		}
+	})
+
+	t.Run("two devices in one slot", func(t *testing.T) {
+		bySlot := map[int]string{}
+		var pair []string
+		for i := 0; pair == nil; i++ {
+			dev := fmt.Sprintf("urn:district:turin/building:b%03d/device:c%d", i%1000, i)
+			if other, ok := bySlot[ownerSlot(dev)]; ok && ShardOf(other, 8) != ShardOf(dev, 8) {
+				pair = []string{other, dev}
+			}
+			bySlot[ownerSlot(dev)] = dev
+		}
+		sc := new(partitionScratch)
+		checkPartition(t, s8, sc, interleaved(pair, 64))
+		checkPartition(t, s3, sc, interleaved(pair, 64))
+	})
+
+	t.Run("equal strings elsewhere", func(t *testing.T) {
+		sc := new(partitionScratch)
+		rows := interleaved(devices, 256)
+		checkPartition(t, s8, sc, rows)
+		for i := range rows {
+			rows[i].Key.Device = strings.Clone(rows[i].Key.Device)
+		}
+		checkPartition(t, s8, sc, rows)
+	})
 }

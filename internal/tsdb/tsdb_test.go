@@ -185,6 +185,48 @@ func TestDownsample(t *testing.T) {
 	}
 }
 
+// TestDownsampleBeforeUnixNanoRange: a day window over a row at the
+// store's first instant starts at 1677-09-21T00:00Z, before the first
+// instant an int64 of Unix nanoseconds can name. Its bucket must come
+// back dated that midnight and sorted first, from the head and from a
+// compacted block alike, not wrapped to 2262.
+func TestDownsampleBeforeUnixNanoRange(t *testing.T) {
+	k := key()
+	rows := []Row{
+		{Key: k, Sample: Sample{At: time.Date(1677, 9, 21, 1, 0, 0, 0, time.UTC), Value: 1}},
+		{Key: k, Sample: Sample{At: time.Date(1677, 9, 22, 12, 0, 0, 0, time.UTC), Value: 2}},
+	}
+	want := []time.Time{time.Date(1677, 9, 21, 0, 0, 0, 0, time.UTC), time.Date(1677, 9, 22, 0, 0, 0, 0, time.UTC)}
+	mem := newMem(t, Options{})
+	dur := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer dur.Close()
+	for _, eng := range []*Sharded{mem, dur} {
+		if errs := eng.AppendBatch(rows); errs != nil {
+			t.Fatal(errs)
+		}
+	}
+	if err := dur.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if st := dur.ShardStatus(0); st.Blocks != 1 || st.BlockSamples != 2 {
+		t.Fatalf("durable engine not compacted into one block: %+v", st)
+	}
+	for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
+		got, err := eng.Downsample(k, time.Time{}, time.Time{}, 24*time.Hour)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d buckets, want %d: %+v", name, len(got), len(want), got)
+		}
+		for i, b := range got {
+			if !b.Start.Equal(want[i]) || b.Count != 1 || b.Sum != rows[i].Sample.Value {
+				t.Errorf("%s: bucket %d starts %v with %d rows (sum %v), want %v with row %d", name, i, b.Start, b.Count, b.Sum, want[i], i)
+			}
+		}
+	}
+}
+
 func TestDownsampleBadWindow(t *testing.T) {
 	s := newMem(t, Options{})
 	fill(t, s, key(), 1, time.Second)

@@ -360,13 +360,13 @@ func TestV2ExactAndPatternRouting(t *testing.T) {
 	s.HandleV2(http.MethodPost, "/query", Body(func(ctx context.Context, in map[string]int) (map[string]int, error) {
 		return map[string]int{"n": in["n"] * 2}, nil
 	}))
-	s.GetV2("/series/{device}/{quantity}/samples", func(ctx context.Context, p Params, q url.Values) (any, error) {
+	s.HandleV2(http.MethodGet, "/series/{device}/{quantity}/samples", QueryP(func(ctx context.Context, p Params, q url.Values) (any, error) {
 		return map[string]string{
 			"device":   p.Get("device"),
 			"quantity": p.Get("quantity"),
 			"limit":    q.Get("limit"),
 		}, nil
-	})
+	}))
 	h := s.Handler()
 
 	// Exact /v2 route.
@@ -390,6 +390,24 @@ func TestV2ExactAndPatternRouting(t *testing.T) {
 	}
 	if out["device"] != device || out["quantity"] != "temperature" || out["limit"] != "5" {
 		t.Fatalf("params = %+v", out)
+	}
+
+	// Escaped values that hold empty, dot and trailing segments, a
+	// literal %, and dot-only names, each one parameter.
+	for _, tc := range []struct{ escaped, device string }{
+		{"a%2F%2Fb", "a//b"},
+		{"a%2F..%2Fb", "a/../b"},
+		{"urn:x%2F", "urn:x/"},
+		{"100%25", "100%"},
+		{PathSegment("."), "."},
+		{PathSegment(".."), ".."},
+	} {
+		rec := get(t, h, "/v2/series/"+tc.escaped+"/"+PathSegment(".")+"/samples", nil)
+		var out map[string]string
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &out) != nil ||
+			out["device"] != tc.device || out["quantity"] != "." {
+			t.Fatalf("%s = %d %q, want device %q quantity \".\"", tc.escaped, rec.Code, rec.Body, tc.device)
+		}
 	}
 
 	// Wrong method on a matched pattern draws the uniform 405.

@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -287,4 +288,29 @@ type MetricsSnapshot struct {
 	Routes      []RouteSnapshot `json:"routes"`
 	Limiters    []LimiterStats  `json:"limiters,omitempty"`
 	Instruments []obs.Snapshot  `json:"instruments,omitempty"`
+}
+
+// serve is the /v1/metrics endpoint: the Prometheus exposition on
+// explicit request (?format=prometheus) or when the Accept header
+// genuinely prefers text/plain over JSON; the JSON snapshot stays the
+// default.
+func (m *Metrics) serve(service string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		prom := r.URL.Query().Get("format") == "prometheus"
+		if !prom && r.URL.Query().Get("format") == "" {
+			prom = NegotiateMediaType(r.Header.Get("Accept"),
+				"application/json", "text/plain") == "text/plain"
+		}
+		if prom {
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			w.WriteHeader(http.StatusOK)
+			m.WritePrometheus(w, service)
+			return
+		}
+		WriteJSON(w, http.StatusOK, MetricsSnapshot{
+			Routes:      m.Snapshot(),
+			Limiters:    m.Limiters(),
+			Instruments: m.Instruments(),
+		})
+	}
 }

@@ -36,7 +36,7 @@ const (
 	ctxKeyRouteInfo
 )
 
-// RouteInfo carries the matched route pattern from the router back out
+// RouteInfo carries the matched route label from the router back out
 // to the observing middlewares (which run outside the router).
 type RouteInfo struct {
 	Pattern string
@@ -48,6 +48,17 @@ type RouteInfo struct {
 func routeInfoFrom(ctx context.Context) *RouteInfo {
 	ri, _ := ctx.Value(ctxKeyRouteInfo).(*RouteInfo)
 	return ri
+}
+
+// labelled records the route label the observing middlewares report,
+// then runs handler; the router wraps every route in it once.
+func labelled(label string, handler http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if ri := routeInfoFrom(r.Context()); ri != nil {
+			ri.Pattern = label
+		}
+		handler.ServeHTTP(w, r)
+	})
 }
 
 // RequestIDFrom returns the request ID middleware-injected into ctx, or

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -109,7 +108,7 @@ func (g *Ingest) AppendSeries(ctx context.Context, device, quantity string, samp
 		return &measuredb.IngestResult{}, nil
 	}
 	o := applyIngestOpts(opts)
-	u := api.URL2(g.base, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/samples")
+	u := api.URL2(g.base, "/series/"+api.PathSegment(device)+"/"+api.PathSegment(quantity)+"/samples")
 	return g.post(ctx, http.MethodPut, u, "samples", samples, o)
 }
 

@@ -127,7 +127,7 @@ func (o queryOpts) values() url.Values {
 
 // seriesURL builds a /v2 per-series route URL.
 func (m *Measurements) seriesURL(device, quantity, leaf string, q url.Values) string {
-	u := api.URL2(m.base, "/series/"+url.PathEscape(device)+"/"+url.PathEscape(quantity)+"/"+leaf)
+	u := api.URL2(m.base, "/series/"+api.PathSegment(device)+"/"+api.PathSegment(quantity)+"/"+leaf)
 	if enc := q.Encode(); enc != "" {
 		u += "?" + enc
 	}

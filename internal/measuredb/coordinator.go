@@ -365,7 +365,7 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 			}
 		}
 		suffix := strings.TrimPrefix(route, "put_") // PUT shares the samples path
-		path := "/series/" + url.PathEscape(device) + "/" + url.PathEscape(quantity) + "/" + suffix + "?" + r.URL.Query().Encode()
+		path := "/series/" + api.PathSegment(device) + "/" + api.PathSegment(quantity) + "/" + suffix + "?" + r.URL.Query().Encode()
 		header := http.Header{}
 		for _, h := range []string{"Accept", "Content-Type", "Idempotency-Key"} {
 			if v := r.Header.Get(h); v != "" {

@@ -35,7 +35,7 @@ import (
 //	POST /v2/query                                       batch multi-series read
 //
 // Device URIs contain "/", so the {device} path parameter travels
-// percent-encoded (url.PathEscape). Cursors are opaque: clients echo
+// percent-encoded (api.PathSegment). Cursors are opaque: clients echo
 // next_cursor back verbatim. POST /v2/query is one handler body on node
 // and coordinator (serveBatch), written by encode.go's batch writers.
 

@@ -440,21 +440,21 @@ func BenchmarkE5_DatabaseTranslation(b *testing.B) {
 
 // memEngine returns an in-memory one-shard engine holding up to 1<<20
 // samples a series, closed with the benchmark.
-func memEngine(b *testing.B) *tsdb.Sharded {
+func memEngine(tb testing.TB) *tsdb.Sharded {
 	s := tsdb.NewSharded(tsdb.ShardedOptions{Shards: 1, Store: tsdb.Options{MaxSamplesPerSeries: 1 << 20}})
-	b.Cleanup(s.Close)
+	tb.Cleanup(s.Close)
 	return s
 }
 
 // fillSeries appends n samples one second apart from benchT0, valued
 // 0..n-1, in one batch.
-func fillSeries(b *testing.B, s tsdb.Engine, key tsdb.SeriesKey, n int) {
+func fillSeries(tb testing.TB, s tsdb.Engine, key tsdb.SeriesKey, n int) {
 	rows := make([]tsdb.Row, n)
 	for i := range rows {
 		rows[i] = tsdb.Row{Key: key, Sample: tsdb.Sample{At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(i)}}
 	}
 	if errs := s.AppendBatch(rows); errs != nil {
-		b.Fatal(errs[0])
+		tb.Fatal(errs[0])
 	}
 }
 
@@ -866,19 +866,35 @@ func BenchmarkQ1_TsdbIteratorVsQueryFlatten(b *testing.B) {
 	})
 	for _, page := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("op=iter/page=%d", page), func(b *testing.B) {
+			walk := q1IterOp(b, page).fn
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				it := s.Iter(key, from, to, page)
-				rows := 0
-				for _, ok := it.Next(); ok; _, ok = it.Next() {
-					rows++
-				}
-				if err := it.Err(); err != nil || rows != n {
-					b.Fatalf("iterator returned %d rows, err %v", rows, err)
-				}
+				walk()
 			}
 		})
 	}
+}
+
+// q1IterOp is Q1's iterator arm: one call walks a 131,072-sample
+// in-memory series through Iter in pages of page rows.
+// TestHotPathAllocCeilings holds its heap bytes per sample.
+func q1IterOp(tb testing.TB, page int) hotPathOp {
+	const n = 131072
+	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
+	s := memEngine(tb)
+	fillSeries(tb, s, key, n)
+	from, to := benchT0, benchT0.Add(n*time.Second)
+	return hotPathOp{perOp: n, heapBytes: true, fn: func() {
+		it := s.Iter(key, from, to, page)
+		rows := 0
+		for _, ok := it.Next(); ok; _, ok = it.Next() {
+			rows++
+		}
+		if err := it.Err(); err != nil || rows != n {
+			tb.Fatalf("iterator returned %d rows, err %v", rows, err)
+		}
+	}}
 }
 
 // benchV2Service builds a measurements DB (legacy aliases off, as the
@@ -1635,7 +1651,10 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // which a cut empties and the next rows refill, are 128 of them — and
 // 600-640 B a row while head samples held a time.Time, each commit
 // group grew its WAL record buffer from nil and a cut copied every
-// series into a map.
+// series into a map. A 131,072-sample head walk in 1000-row pages is
+// gated in heap bytes too: it measures 33 B a sample, the returned
+// pages' Samples, and 164 B while the head built a page of its own that
+// the engine then re-merged as samples.
 // CSV encode has no ceiling: its per-row conversions through
 // encoding/csv are benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
@@ -1661,6 +1680,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"batch answer decode", 64.0, 20, func(tb testing.TB) hotPathOp { return clientBatchQueryOp(tb, false) }},
 		{"block aggregate", 0.5, 200, blockAggregateOp},
 		{"durable write bytes", 200.0, 300, durableWriteOp},
+		{"head iter bytes", 100.0, 20, func(tb testing.TB) hotPathOp { return q1IterOp(tb, 1000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)

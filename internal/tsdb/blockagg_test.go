@@ -98,8 +98,9 @@ func assertAggregateMatches(t *testing.T, what string, got, want Aggregate) {
 // head's segment summaries: a seeded mix of in-order, out-of-order and
 // duplicate-timestamp appends, count eviction and compaction's
 // evictBefore over 16-sample segments, with every Store.Aggregate equal
-// to a fold over Store.Query of the same range. Ranges fall on segment
-// bounds, straddle them by a nanosecond, and land anywhere.
+// to a fold over the head's points in the same range (headReader).
+// Ranges fall on segment bounds, straddle them by a nanosecond, and
+// land anywhere.
 func TestHeadAggregateSummariesMatchRawFold(t *testing.T) {
 	const segSize = 16
 	st := newStore(Options{SegmentSize: segSize, MaxSamplesPerSeries: 300})
@@ -176,7 +177,7 @@ func TestHeadAggregateSummariesMatchRawFold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			smps, err := st.Query(k, from, to)
+			smps, err := headReader{st}.Query(k, from, to)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -202,7 +203,7 @@ func TestSpillKeepsSegmentSize(t *testing.T) {
 	if n := st.Len(key()); n != 501 {
 		t.Fatalf("len %d, want 501", n)
 	}
-	if _, err := st.Query(key(), t0, t0.Add(time.Hour)); err != nil { // folds the spill
+	if _, err := (headReader{st}).Query(key(), t0, t0.Add(time.Hour)); err != nil { // folds the spill
 		t.Fatal(err)
 	}
 	sr := st.series[key()]

@@ -13,13 +13,13 @@ import (
 )
 
 // The read path of every shard. Every read captures a consistent view —
-// the in-memory head result plus retained references to the overlapping
-// blocks — under one blockSet read lock, then does the block decoding
-// after the unlock against the retained immutable files. Compaction's
-// publish+evict runs under the write lock, so a reader sees the cut rows
-// exactly once: in the head before the swap, in the block after it. An
-// in-memory engine's block sets stay empty, so its reads are head reads
-// through the same code.
+// the head's points or summary plus retained references to the
+// overlapping blocks — under one blockSet read lock, then does the
+// block decoding after the unlock against the retained immutable files.
+// Compaction's publish+evict runs under the write lock, so a reader sees
+// the cut rows exactly once: in the head before the swap, in the block
+// after it. An in-memory engine's block sets stay empty, so its reads
+// are head reads through the same code.
 
 // maxCursorSkip caps the per-source overfetch a merged page performs to
 // honour a cursor's same-timestamp skip count. It exceeds any plausible
@@ -29,21 +29,20 @@ import (
 // a page boundary.
 const maxCursorSkip = 1 << 17
 
-// readScratch is the block-decode scratch one merged read borrows: the
-// blocks it captured, the point-decode and rollup-decode buffers, the
-// per-source slices of a page merge, and the sample arena the decoded
-// points land in. A request touching many series (a batch query fanning
-// over selectors) reuses one scratch per merged call instead of
-// re-growing these for every series. Nothing handed back to callers may
-// alias the scratch — page results are copied out before release.
+// readScratch is the scratch one merged read borrows: the blocks it
+// captured, the head's copied points, the point arena the blocks decode
+// into (each page-merge source is a view of it), the rollup-decode
+// buffer, the per-source views of a page merge, and the merged points. A request touching many series (a batch query fanning over
+// selectors) reuses one scratch per merged call instead of re-growing
+// these for every series. Nothing handed back to callers may alias the
+// scratch — a page's Samples are built from it before release.
 type readScratch struct {
 	blks   []*block.Block
+	head   []block.Point
 	pts    []block.Point
 	bks    []block.Bucket
-	srcs   [][]Sample
-	capped []bool
-	smps   []Sample
-	merged []Sample
+	srcs   [][]block.Point
+	merged []block.Point
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -55,10 +54,9 @@ func (rs *readScratch) release() {
 	rs.blks = rs.blks[:0]
 	clear(rs.srcs)
 	rs.srcs = rs.srcs[:0]
-	rs.capped = rs.capped[:0]
+	rs.head = rs.head[:0]
 	rs.pts = rs.pts[:0]
 	rs.bks = rs.bks[:0]
-	rs.smps = rs.smps[:0]
 	rs.merged = rs.merged[:0]
 	readScratchPool.Put(rs)
 }
@@ -101,16 +99,20 @@ func (s *Sharded) countRead(usedBlocks bool) {
 	}
 }
 
-// QueryPage is Store.QueryPage over the owning shard's head+blocks:
-// per-source bounded fetches, a k-way merge in (timestamp, source) order
-// with blocks (cut order) before the head, and the cursor's
-// same-timestamp skip applied globally. The per-source fetch bound is
-// limit+skip+1, so if the merged output fits in the limit every source
-// was exhausted — More is exact, never a guess. A series lives in
-// exactly one shard, so the value-based cursor is a per-shard resume
-// position and keeps its mutation-safety across pages — including
-// across a compaction moving samples from the head into a block
-// mid-walk, since the cursor is a timestamp, not an offset.
+// QueryPage returns one bounded page of the samples of a series with At
+// in [from, to], resuming after cur, from the owning shard's head and
+// blocks. A zero `to` means "now"; limit <= 0 means DefaultPageLimit.
+// Each source yields at most limit+skip+1 points: the head copies its
+// points, each block decodes into one pooled arena. A k-way merge
+// orders them by (timestamp, source), blocks in cut order before the
+// head, and the cursor's same-timestamp skip applies to the merged
+// points; Samples are built for the returned page only. If the page
+// fits in the limit every source was exhausted, so More is exact, never
+// a guess. A series lives in exactly one shard, so the value-based
+// cursor is a per-shard resume position and stays valid across pages
+// while the store mutates — including a compaction moving samples from
+// the head into a block mid-walk, since the cursor is a timestamp, not
+// an offset.
 func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
 	store, bs := s.owner(key.Device)
 	if to.IsZero() {
@@ -122,6 +124,8 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
+	// Resume position: scan from the cursor timestamp (skipping the
+	// samples at that exact timestamp already returned) or from `from`.
 	start, skip := from, 0
 	if !cur.zero() && !cur.After.Before(from) {
 		start, skip = cur.After, cur.Seen
@@ -129,100 +133,81 @@ func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit
 	if start.After(to) {
 		return Page{}, nil
 	}
+	seen := skip // samples at start that earlier pages returned
 	need := limit + min(skip, maxCursorSkip) + 1
 
 	rs := getReadScratch()
 	defer rs.release()
-	var headPage Page
-	var headErr error
+	var inHead bool
 	startN, toN := nanos(start), nanos(to)
 	blks := bs.blocksFor(rs.blks, bk(key), startN, toN, func() {
-		headPage, headErr = store.QueryPage(key, start, to, Cursor{}, need)
+		rs.head, inHead = store.appendPoints(rs.head[:0], key, startN, toN, need)
 	})
 	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
-	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
-		return Page{}, headErr
-	}
-	if errors.Is(headErr, ErrNoSeries) && len(blks) == 0 {
+	if !inHead && len(blks) == 0 {
 		if s.keyInAnyBlock(bs, bk(key)) {
 			return Page{}, nil // series exists, nothing in range
 		}
 		return Page{}, ErrNoSeries
 	}
 
-	// Sources in merge order: blocks in cut order, then the head.
-	// Decode scratch (points, per-source views into one sample arena)
-	// is pooled across calls; page.Samples below copies out of it.
-	srcs, capped, pts, arena := rs.srcs, rs.capped, rs.pts, rs.smps
+	// Sources in merge order: blocks in cut order, then the head. A
+	// source is capped when it yielded all it was allowed to.
+	capped := len(rs.head) >= need
 	for _, b := range blks {
-		pts = pts[:0]
+		base := len(rs.pts)
 		var err error
-		pts, err = b.PointsLimit(pts, bk(key), startN, toN, need)
+		rs.pts, err = b.PointsLimit(rs.pts, bk(key), startN, toN, need)
 		if err != nil {
-			rs.pts = pts
 			if errors.Is(err, block.ErrRawDemoted) {
 				continue // raw data retired by retention; nothing to page
 			}
 			return Page{}, err
 		}
-		if len(pts) == 0 {
-			continue
+		if n := len(rs.pts) - base; n > 0 {
+			// Full slice expression: later arena appends must not stomp
+			// this source's tail.
+			rs.srcs = append(rs.srcs, rs.pts[base:len(rs.pts):len(rs.pts)])
+			capped = capped || n >= need
 		}
-		base := len(arena)
-		for _, p := range pts {
-			arena = append(arena, sampleAt(p.T, p.V))
-		}
-		// Full slice expression: later arena appends must not stomp
-		// this source's tail.
-		srcs = append(srcs, arena[base:len(arena):len(arena)])
-		capped = append(capped, len(pts) >= need)
 	}
-	srcs = append(srcs, headPage.Samples)
-	capped = append(capped, headPage.More)
-	rs.srcs, rs.capped, rs.pts, rs.smps = srcs, capped, pts, arena
-
-	merged := mergeSamplesInto(rs.merged[:0], srcs, limit+min(skip, maxCursorSkip)+1)
-	rs.merged = merged
+	rs.srcs = append(rs.srcs, rs.head)
+	rs.merged = mergePoints(rs.merged[:0], rs.srcs, need)
 
 	var page Page
-	page.Samples = make([]Sample, 0, min(limit, len(merged)))
-	for _, smp := range merged {
-		if skip > 0 && smp.At.Equal(start) {
+	page.Samples = make([]Sample, 0, min(limit, len(rs.merged)))
+	var lastT int64
+	run := 0 // page samples at lastT, the last one's timestamp
+	for _, p := range rs.merged {
+		// Only samples at the exact cursor timestamp are skipped: if
+		// some were evicted meanwhile, later samples must not be
+		// swallowed by a stale skip count.
+		if skip > 0 && p.T == startN {
 			skip--
 			continue
 		}
-		page.Samples = append(page.Samples, smp)
-		if len(page.Samples) > limit {
+		if len(page.Samples) == limit {
+			page.More = true
 			break
 		}
-	}
-	if len(page.Samples) > limit {
-		page.Samples = page.Samples[:limit]
-		page.More = true
-	} else {
-		// Output fits: More only if a capped source might hold more.
-		// (With the limit+skip+1 bound a capped source forces >limit
-		// output, so this only fires in the pathological over-skip
-		// case; resume conservatively from the last sample.)
-		for _, c := range capped {
-			if c {
-				page.More = true
-				break
-			}
+		if run == 0 || p.T != lastT {
+			lastT, run = p.T, 0
 		}
+		run++
+		page.Samples = append(page.Samples, sampleAt(p.T, p.V))
 	}
+	// A page that fits has More only if a capped source might hold
+	// more. (With the limit+skip+1 bound a capped source forces an
+	// overfull page, so this only decides the pathological over-skip
+	// case; resume conservatively from the last sample.)
+	page.More = page.More || capped
 	if n := len(page.Samples); n > 0 && page.More {
-		last := page.Samples[n-1].At
-		seen := 0
-		for j := n - 1; j >= 0 && page.Samples[j].At.Equal(last); j-- {
-			seen++
+		if lastT == startN {
+			run += seen
 		}
-		if !cur.zero() && last.Equal(cur.After) {
-			seen += cur.Seen
-		}
-		page.Next = Cursor{After: last, Seen: seen}
+		page.Next = Cursor{After: page.Samples[n-1].At, Seen: run}
 	}
 	return page, nil
 }
@@ -240,29 +225,23 @@ func (s *Sharded) keyInAnyBlock(bs *blockSet, key block.Key) bool {
 	return false
 }
 
-// mergeSamplesInto k-way merges ascending sources in (timestamp, source
-// index) order into dst, stopping after max samples. Equal timestamps
+// mergePoints k-way merges ascending sources in (timestamp, source
+// index) order into dst, stopping after max points. Equal timestamps
 // keep source order, which matches the pre-compaction in-head order
 // (the compactor cuts rows in stored order). The result is always
 // backed by dst's array (or a growth of it), never by a source, so dst
-// may be pooled scratch while sources alias store-owned memory.
-func mergeSamplesInto(dst []Sample, srcs [][]Sample, max int) []Sample {
+// and the sources may all be pooled scratch.
+func mergePoints(dst []block.Point, srcs [][]block.Point, max int) []block.Point {
 	live := 0
-	var only []Sample
+	var only []block.Point
 	for _, s := range srcs {
 		if len(s) > 0 {
 			live++
 			only = s
 		}
 	}
-	if live == 0 {
-		return dst
-	}
-	if live == 1 {
-		if len(only) > max {
-			only = only[:max]
-		}
-		return append(dst, only...)
+	if live <= 1 {
+		return append(dst, only[:min(len(only), max)]...)
 	}
 	idx := make([]int, len(srcs))
 	for len(dst) < max {
@@ -271,7 +250,7 @@ func mergeSamplesInto(dst []Sample, srcs [][]Sample, max int) []Sample {
 			if idx[si] >= len(s) {
 				continue
 			}
-			if best < 0 || s[idx[si]].At.Before(srcs[best][idx[best]].At) {
+			if best < 0 || s[idx[si]].T < srcs[best][idx[best]].T {
 				best = si
 			}
 		}
@@ -641,24 +620,29 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 		}
 		w.combine(a)
 	}
+	// foldEach folds raw points one by one (exact).
+	foldEach := func(pts []block.Point) {
+		for _, p := range pts {
+			smp := sampleAt(p.T, p.V)
+			var one Aggregate
+			one.add(smp)
+			fold(smp.At, one)
+		}
+	}
 
 	rs := getReadScratch()
 	defer rs.release()
-	var headSamples []Sample
-	var headErr error
+	var inHead bool
 	blks := bs.blocksFor(rs.blks, bk(key), fromN, toN, func() {
-		// Materialize the head's contribution while the view is locked
-		// (it is bounded by the head window, so this stays small); an
-		// iterator paging after the unlock could race a compaction and
-		// miss rows mid-cut.
-		headSamples, headErr = store.Query(key, from, to)
+		// Copy the head's contribution while the view is locked (it is
+		// bounded by the head window, so this stays small); an iterator
+		// paging after the unlock could race a compaction and miss rows
+		// mid-cut.
+		rs.head, inHead = store.appendPoints(rs.head[:0], key, fromN, toN, -1)
 	})
 	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
-	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
-		return nil, headErr
-	}
 
 	for _, b := range blks {
 		m, _ := b.Meta(bk(key))
@@ -694,24 +678,13 @@ func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Dura
 			if rs.pts, err = b.PointsLimit(rs.pts[:0], bk(key), lo, hi, -1); err != nil {
 				return nil, err
 			}
-			for _, p := range rs.pts {
-				smp := sampleAt(p.T, p.V)
-				var one Aggregate
-				one.add(smp)
-				fold(smp.At, one)
-			}
+			foldEach(rs.pts)
 		}
 	}
-
-	// Head samples fold individually (exact).
-	for _, smp := range headSamples {
-		var one Aggregate
-		one.add(smp)
-		fold(smp.At, one)
-	}
+	foldEach(rs.head)
 
 	if len(windows) == 0 {
-		if errors.Is(headErr, ErrNoSeries) && !s.keyInAnyBlock(bs, bk(key)) {
+		if !inHead && !s.keyInAnyBlock(bs, bk(key)) {
 			return nil, ErrNoSeries
 		}
 		return nil, nil

@@ -473,7 +473,7 @@ func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, err
 	return bs.writeBlock(func(w *lazyWriter) error {
 		var pts []block.Point
 		for _, key := range keys {
-			pts = store.appendPoints(pts[:0], key, math.MinInt64, hi)
+			pts, _ = store.appendPoints(pts[:0], key, math.MinInt64, hi, -1)
 			if err := w.Add(bk(key), pts); err != nil {
 				return err
 			}
@@ -541,7 +541,7 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 		}
 		var pts []block.Point
 		for _, key := range store.Keys() {
-			pts = store.appendPoints(pts[:0], key, lo, math.MaxInt64)
+			pts, _ = store.appendPoints(pts[:0], key, lo, math.MaxInt64, -1)
 			for _, p := range pts {
 				rows = append(rows, Row{Key: key, Sample: Sample{At: time.Unix(0, p.T), Value: p.V}})
 				if len(rows) == snapshotChunk {

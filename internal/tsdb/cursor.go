@@ -33,89 +33,9 @@ type Page struct {
 	More bool
 }
 
-// QueryPage returns one bounded page of the samples of a series with At
-// in [from, to], resuming after cur. A zero `to` means "now"; limit <= 0
-// means DefaultPageLimit. Unlike Query, the result is O(limit) in memory
-// regardless of the range size, so arbitrarily large ranges can be
-// walked page by page without ever materializing the whole range.
-func (s *Store) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
-	if to.IsZero() {
-		to = time.Now()
-	}
-	if to.Before(from) {
-		return Page{}, ErrBadInterval
-	}
-	if limit <= 0 {
-		limit = DefaultPageLimit
-	}
-	sr := s.lookup(key)
-	if sr == nil {
-		return Page{}, ErrNoSeries
-	}
-
-	// Resume position: scan from the cursor timestamp (skipping the
-	// samples at that exact timestamp already returned) or from `from`.
-	start, skip := from, 0
-	if !cur.zero() && !cur.After.Before(from) {
-		start, skip = cur.After, cur.Seen
-	}
-	if start.After(to) {
-		return Page{}, nil
-	}
-	startN, toN := nanos(start), nanos(to)
-
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	sr.foldSpill(s.opts.SegmentSize)
-	// Collect limit+1 samples to learn whether the range continues.
-	page := Page{Samples: make([]Sample, 0, min(limit, 4096))}
-	for _, seg := range sr.segments {
-		n := len(seg.samples)
-		if n == 0 || seg.samples[n-1].T < startN {
-			continue
-		}
-		if seg.samples[0].T > toN {
-			break
-		}
-		lo, hi := firstAtOrAfter(seg.samples, startN), firstAfter(seg.samples, toN)
-		for _, p := range seg.samples[lo:hi] {
-			// Only samples at the exact cursor timestamp are skipped:
-			// if some were evicted meanwhile, later samples must not
-			// be swallowed by a stale skip count.
-			if skip > 0 && p.T == startN {
-				skip--
-				continue
-			}
-			page.Samples = append(page.Samples, sampleAt(p.T, p.V))
-			if len(page.Samples) > limit {
-				break
-			}
-		}
-		if len(page.Samples) > limit {
-			break
-		}
-	}
-	if len(page.Samples) > limit {
-		page.Samples = page.Samples[:limit]
-		page.More = true
-	}
-	if n := len(page.Samples); n > 0 && page.More {
-		last := page.Samples[n-1].At
-		seen := 0
-		for i := n - 1; i >= 0 && page.Samples[i].At.Equal(last); i-- {
-			seen++
-		}
-		if !cur.zero() && last.Equal(cur.After) {
-			seen += cur.Seen
-		}
-		page.Next = Cursor{After: last, Seen: seen}
-	}
-	return page, nil
-}
-
 // Pager serves bounded pages of one series range scan: the Sharded
-// engine (its pages merge each shard's head with its blocks), one head
-// Store, or a wrapper around either. The Iterator works against any.
+// engine (its pages merge each shard's head with its blocks) or a
+// wrapper around it. The Iterator works against any.
 type Pager interface {
 	QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error)
 }

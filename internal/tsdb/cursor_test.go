@@ -167,6 +167,51 @@ func TestQueryPageSurvivesMutation(t *testing.T) {
 	}
 }
 
+// TestQueryPageKeepsArrivalOrderAcrossSpills walks a series whose rows
+// share timestamps, 50 a second, while out-of-order rows land before
+// the range between pages. Folding them in must keep the rows sharing a
+// timestamp in arrival order: the cursor counts the rows at its
+// timestamp, so a fold that permuted them would make the walk repeat
+// one row and skip another.
+func TestQueryPageKeepsArrivalOrderAcrossSpills(t *testing.T) {
+	s := newMem(t, Options{MaxSamplesPerSeries: 1 << 20})
+	k := key()
+	const n, perSecond, late = 4000, 50, 100
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Key: k, Sample: Sample{At: t0.Add(time.Duration(i/perSecond) * time.Second), Value: float64(i)}}
+	}
+	if errs := s.AppendBatch(rows); errs != nil {
+		t.Fatal(errs[0])
+	}
+	returned, spill := make([]int, n), make([]Row, late)
+	var cur Cursor
+	for page := 1; ; page++ {
+		p, err := s.QueryPage(k, t0, t0.Add(time.Hour), cur, 37)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, smp := range p.Samples {
+			returned[int(smp.Value)]++
+		}
+		if !p.More {
+			break
+		}
+		cur = p.Next
+		for i := range spill {
+			spill[i] = Row{Key: k, Sample: Sample{At: t0.Add(-time.Duration(page*late+i) * time.Millisecond), Value: -1}}
+		}
+		if errs := s.AppendBatch(spill); errs != nil {
+			t.Fatal(errs[0])
+		}
+	}
+	for i, c := range returned {
+		if c != 1 {
+			t.Fatalf("sample %d returned %d times", i, c)
+		}
+	}
+}
+
 func TestIteratorMatchesQuery(t *testing.T) {
 	s := newMem(t, Options{})
 	fill(t, s, key(), 5000, time.Second)

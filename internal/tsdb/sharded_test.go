@@ -21,9 +21,10 @@ func shKey(d int) SeriesKey {
 // appends, out-of-order spills, eviction pressure, single-row Appends
 // beside batches — into a bare head Store, an in-memory one-shard engine
 // and a durable one-shard engine whose rows were all compacted into a
-// block, and requires every read to agree with the head's: the engine is
-// a pure partitioning and tiering layer, not a semantic change. Values
-// are integers, so per-source partial sums add up exactly.
+// block, and requires every read to agree with the head's, read through
+// headReader: the engine is a pure partitioning and tiering layer, not a
+// semantic change. Values are integers, so per-source partial sums add
+// up exactly.
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	opts := Options{MaxSamplesPerSeries: 128, SegmentSize: 16}
 	head := newStore(opts)
@@ -75,9 +76,9 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	}
 	for d := 0; d <= devices; d++ { // device `devices` was never written
 		key := shKey(d)
-		ref := readAll(t, head, IterPager(head, key, time.Time{}, to, 0), key, ranges,
+		ref := readAll(t, headReader{head}, IterPager(headReader{head}, key, time.Time{}, to, 0), key, ranges,
 			func(from, to time.Time, w time.Duration) ([]Bucket, error) {
-				return downsampleIter(IterPager(head, key, from, to, 0), from, w)
+				return downsampleIter(IterPager(headReader{head}, key, from, to, 0), from, w)
 			})
 		for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
 			got := readAll(t, eng, eng.Iter(key, time.Time{}, to, 0), key, ranges,
@@ -91,6 +92,71 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// headReader reads a bare head Store the plain way, as the reference
+// the engines are checked against: a range read copies the whole range
+// out with appendPoints, and a page applies the cursor to that list. It
+// shares no code with Sharded.QueryPage.
+type headReader struct{ *Store }
+
+func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
+	if to.IsZero() {
+		to = time.Now()
+	}
+	if to.Before(from) {
+		return nil, ErrBadInterval
+	}
+	pts, ok := h.appendPoints(nil, key, nanos(from), nanos(to), -1)
+	if !ok {
+		return nil, ErrNoSeries
+	}
+	var out []Sample
+	for _, p := range pts {
+		out = append(out, sampleAt(p.T, p.V))
+	}
+	return out, nil
+}
+
+func (h headReader) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
+	all, err := h.Query(key, from, to)
+	if err != nil {
+		return Page{}, err
+	}
+	if limit <= 0 {
+		limit = DefaultPageLimit
+	}
+	if cur.zero() || cur.After.Before(from) {
+		cur = Cursor{}
+	}
+	page, skip := Page{Samples: []Sample{}}, cur.Seen
+	for _, smp := range all {
+		if smp.At.Before(cur.After) {
+			continue
+		}
+		if skip > 0 && smp.At.Equal(cur.After) {
+			skip--
+			continue
+		}
+		if len(page.Samples) == limit {
+			page.More = true
+			break
+		}
+		page.Samples = append(page.Samples, smp)
+	}
+	if page.More {
+		last := page.Samples[limit-1].At
+		for _, smp := range page.Samples {
+			if smp.At.Equal(last) {
+				page.Next.Seen++
+			}
+		}
+		if last.Equal(cur.After) {
+			page.Next.Seen += cur.Seen
+		}
+		page.Next.After = last
+	}
+	return page, nil
 }
 
 // equivReader is the read surface a head Store shares with the engine.

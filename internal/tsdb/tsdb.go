@@ -6,14 +6,16 @@
 // The engine stores samples per series, where a series is identified by a
 // (device URI, quantity) pair. Samples within a series are kept in
 // append-mostly segments ordered by timestamp; out-of-order arrivals are
-// tolerated and merged on read. A configurable retention bound keeps the
-// per-series footprint constant, matching the buffering role the proxy's
-// local database plays in the paper.
+// tolerated and merged on read. A per-series sample bound keeps the
+// footprint constant, matching the buffering role the proxy's local
+// database plays in the paper.
 package tsdb
 
 import (
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -52,9 +54,6 @@ type Options struct {
 	// MaxSamplesPerSeries bounds each series; once exceeded the oldest
 	// samples are evicted. Zero means the engine default (65536).
 	MaxSamplesPerSeries int
-	// Retention drops samples older than now-Retention at append time.
-	// Zero disables time-based retention.
-	Retention time.Duration
 	// SegmentSize is the number of samples per internal segment. Zero
 	// means the engine default (1024).
 	SegmentSize int
@@ -73,7 +72,9 @@ func (o *Options) withDefaults() Options {
 
 // Store is one shard's in-memory head: a thread-safe multi-series
 // sample store. Only the Sharded engine builds one; its worker is the
-// head's single writer and every read merges it with the shard's blocks.
+// head's single writer. The head answers ranges with plain points
+// (appendPoints), summaries and key listings; paging, the cursor and
+// the merge with the shard's blocks are Sharded.QueryPage's alone.
 //
 // The head keeps what the WAL and the blocks keep: a Unix-nanosecond
 // timestamp and a value per sample (block.Point, 16 bytes, no pointer),
@@ -172,26 +173,16 @@ func (sr *series) put(p block.Point, segSize int) {
 
 // appendRun stores a run of same-series rows (row keys are ignored;
 // the run is stored under key) with one series resolution and one lock
-// acquisition for the whole run. Samples older than the retention
-// window are dropped silently (they would be evicted immediately
-// anyway). Eviction runs once after the run, so the per-series bound
-// may transiently overshoot by at most the run length. Every row's At
-// must lie in the storable range (Sharded.AppendBatch refuses the
-// others before they are journaled).
+// acquisition for the whole run. Eviction runs once after the run, so
+// the per-series bound may transiently overshoot by at most the run
+// length. Every row's At must lie in the storable range
+// (Sharded.AppendBatch refuses the others before they are journaled).
 func (s *Store) appendRun(key SeriesKey, rows []Row) {
-	cutoff := int64(math.MinInt64)
-	if s.opts.Retention > 0 {
-		cutoff = time.Now().Add(-s.opts.Retention).UnixNano()
-	}
 	sr := s.getOrCreate(key)
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	for i := range rows {
-		t := rows[i].Sample.At.UnixNano()
-		if t < cutoff {
-			continue
-		}
-		sr.put(block.Point{T: t, V: rows[i].Sample.Value}, s.opts.SegmentSize)
+		sr.put(block.Point{T: rows[i].Sample.At.UnixNano(), V: rows[i].Sample.Value}, s.opts.SegmentSize)
 	}
 	sr.evict(s.opts.MaxSamplesPerSeries, s.opts.SegmentSize)
 }
@@ -229,30 +220,35 @@ func (sr *series) evict(max, segSize int) {
 }
 
 // foldSpill merges a pending out-of-order spill into the ordered
-// segments by a full rebuild into segments of segSize samples, so the
-// segments hold every sample of the series in time order. Spills are
-// rare in practice (device clocks are monotonic) so the rebuild cost is
-// acceptable.
+// segments, rebuilding them into segments of segSize samples, so the
+// segments hold every sample of the series in time order. Samples that
+// share a timestamp keep their arrival order: the spill is sorted
+// stably and merged behind the segment samples of equal T, which
+// arrived first. A cursor counts the samples at its timestamp, so a
+// fold that permuted them would make a walk repeat one and skip
+// another. Cost O(n + s log s) for n stored and s spilled samples.
 func (sr *series) foldSpill(segSize int) {
 	if len(sr.spill) == 0 {
 		return
 	}
-	all := make([]block.Point, 0, sr.count)
-	for _, seg := range sr.segments {
-		all = append(all, seg.samples...)
+	spill := sr.spill
+	slices.SortStableFunc(spill, func(a, b block.Point) int { return cmp.Compare(a.T, b.T) })
+	old := sr.segments
+	sr.segments, sr.spill = nil, nil
+	for _, seg := range old {
+		for _, p := range seg.samples {
+			for len(spill) > 0 && spill[0].T < p.T {
+				sr.appendOrdered(spill[0], segSize)
+				spill = spill[1:]
+			}
+			sr.appendOrdered(p, segSize)
+		}
 	}
-	all = append(all, sr.spill...)
-	sort.Slice(all, func(i, j int) bool { return all[i].T < all[j].T })
-	sr.segments = nil
-	sr.spill = nil
-	sr.count = 0
-	for _, p := range all {
+	for _, p := range spill {
 		sr.appendOrdered(p, segSize)
-		sr.count++
 	}
-	if n := len(all); n > 0 {
-		sr.lastT = all[n-1].T
-	}
+	last := sr.segments[len(sr.segments)-1]
+	sr.lastT = last.samples[len(last.samples)-1].T
 }
 
 // The store's time range, both ends included. The WAL, the head and the
@@ -287,31 +283,6 @@ func nanos(t time.Time) int64 {
 // sampleAt builds the Sample a read hands out for one stored point.
 func sampleAt(t int64, v float64) Sample {
 	return Sample{At: time.Unix(0, t).UTC(), Value: v}
-}
-
-// Query returns the samples of a series with At in [from, to], in
-// ascending time order. A zero `to` means "now".
-func (s *Store) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
-	if to.IsZero() {
-		to = time.Now()
-	}
-	if to.Before(from) {
-		return nil, ErrBadInterval
-	}
-	sr := s.lookup(key)
-	if sr == nil {
-		return nil, ErrNoSeries
-	}
-	sr.mu.Lock()
-	defer sr.mu.Unlock()
-	sr.foldSpill(s.opts.SegmentSize)
-	var out []Sample
-	sr.eachRun(nanos(from), nanos(to), func(_ *segment, run []block.Point) {
-		for _, p := range run {
-			out = append(out, sampleAt(p.T, p.V))
-		}
-	})
-	return out, nil
 }
 
 // eachRun hands f, in time order, every segment holding samples with T
@@ -548,21 +519,28 @@ func downsampleIter(it *Iterator, from time.Time, window time.Duration) ([]Bucke
 	return out, nil
 }
 
-// appendPoints appends to buf the stored points of key with T in [lo,
-// hi], in ascending time order (the spill is folded first), copied
-// under the series lock: the caller may do IO with them after it, which
-// it must not do with the segments themselves. An absent series adds
-// nothing.
-func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo, hi int64) []block.Point {
+// appendPoints appends to buf the first limit (-1: all) stored points
+// of key with T in [lo, hi], in ascending time order (the spill is
+// folded first), copied under the series lock: the caller may do IO
+// with them after it, which it must not do with the segments
+// themselves. It is the head's only range read. ok reports whether the
+// head holds the series; an absent one adds nothing.
+func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo, hi int64, limit int) (_ []block.Point, ok bool) {
 	sr := s.lookup(key)
 	if sr == nil {
-		return buf
+		return buf, false
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
-	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) { buf = append(buf, run...) })
-	return buf
+	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) {
+		if limit >= 0 {
+			run = run[:min(len(run), limit)]
+			limit -= len(run)
+		}
+		buf = append(buf, run...)
+	})
+	return buf, true
 }
 
 // evictBefore drops every stored sample with At before t from every

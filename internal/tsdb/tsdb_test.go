@@ -123,24 +123,6 @@ func TestEvictionBound(t *testing.T) {
 	}
 }
 
-func TestRetentionDropsOldAppends(t *testing.T) {
-	s := newMem(t, Options{Retention: time.Hour})
-	old := Sample{At: time.Now().Add(-2 * time.Hour), Value: 1}
-	if err := s.Append(key(), old); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Len(key()); n != 0 {
-		t.Fatalf("Len = %d, want 0 (sample beyond retention)", n)
-	}
-	fresh := Sample{At: time.Now(), Value: 2}
-	if err := s.Append(key(), fresh); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.Len(key()); n != 1 {
-		t.Fatalf("Len = %d, want 1", n)
-	}
-}
-
 func TestClose(t *testing.T) {
 	s := newMem(t, Options{})
 	s.Close()

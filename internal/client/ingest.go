@@ -125,8 +125,6 @@ type BatcherOptions struct {
 	// bounding staleness for slow producers (default 1s; negative
 	// disables the timer — size-only flushing).
 	FlushEvery time.Duration
-	// FlushTimeout bounds one delivery (default 10s).
-	FlushTimeout time.Duration
 	// OnError observes failed deliveries (nil: drop silently). The rows
 	// of a failed delivery — their count is passed along — are dropped,
 	// not retried: the transport already retried transient failures
@@ -136,10 +134,13 @@ type BatcherOptions struct {
 	OnResult func(*measuredb.IngestResult)
 }
 
+// flushTimeout bounds one Batcher delivery.
+const flushTimeout = 10 * time.Second
+
 // Batcher coalesces single samples into /v2/ingest batches, flushing on
 // size or interval. Most Adds only stage the row under a
 // lock; the Add that fills the batch to MaxRows delivers it inline
-// (bounded by FlushTimeout), which is the batcher's backpressure: a
+// (bounded by flushTimeout), which is the batcher's backpressure: a
 // producer outrunning the database slows to the delivery rate instead
 // of buffering without bound.
 type Batcher struct {
@@ -161,9 +162,6 @@ func (g *Ingest) Batcher(opts BatcherOptions) *Batcher {
 	}
 	if opts.FlushEvery == 0 {
 		opts.FlushEvery = time.Second
-	}
-	if opts.FlushTimeout <= 0 {
-		opts.FlushTimeout = 10 * time.Second
 	}
 	b := &Batcher{
 		g:    g,
@@ -213,7 +211,7 @@ func (b *Batcher) flush(rows []measuredb.Point) {
 	if len(rows) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), b.opts.FlushTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), flushTimeout)
 	defer cancel()
 	res, err := b.g.Append(ctx, rows)
 	if err != nil {

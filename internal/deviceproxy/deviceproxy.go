@@ -103,8 +103,6 @@ type Options struct {
 	Writer SampleWriter
 	// MasterURL, when set, registers the proxy with the master node.
 	MasterURL string
-	// ProxyID overrides the registration ID (default: derived from URI).
-	ProxyID string
 	// RateLimit, when set, throttles the hot data routes (/data, /latest,
 	// /aggregate) and the stream publish ingress per client IP. It is
 	// surfaced in /v1/metrics as the "read" tier.
@@ -198,14 +196,10 @@ func (p *Proxy) Run(addr string) (string, error) {
 		return "", err
 	}
 	if p.opts.MasterURL != "" {
-		id := p.opts.ProxyID
-		if id == "" {
-			id = "devproxy:" + p.opts.DeviceURI
-		}
 		p.reg = &proxyhttp.Registrar{
 			MasterURL: p.opts.MasterURL,
 			Registration: registry.Registration{
-				ID:        id,
+				ID:        "devproxy:" + p.opts.DeviceURI,
 				Kind:      registry.KindDevice,
 				BaseURL:   "http://" + bound + "/",
 				EntityURI: p.opts.DeviceURI,

@@ -42,14 +42,13 @@ import (
 // a byte-complete frozen directory, and release only wipes the source
 // copy after re-resolving the map and seeing ownership gone.
 
-// ClusterOptions attach a measuredb node to a cluster.
+// ClusterOptions attach a measuredb node to a cluster. The node's own
+// advertised base URL is only known once Serve binds a port: call
+// Service.SetClusterSelf then. Ownership checks are self-aware only once
+// the node knows its own address.
 type ClusterOptions struct {
 	// Master is the base URL publishing /v1/cluster/map.
 	Master string
-	// Self is this node's advertised base URL. Usually unknown until
-	// Serve binds a port — call Service.SetClusterSelf then. Ownership
-	// checks are self-aware only once the node knows its own address.
-	Self string
 	// Refresh is the shard-map cache TTL (0 = cluster.DefaultRefresh).
 	Refresh time.Duration
 	// Transport overrides the map-fetch transport (nil = default).
@@ -77,12 +76,10 @@ type clusterNode struct {
 }
 
 func newClusterNode(opts *ClusterOptions) *clusterNode {
-	c := &clusterNode{
+	return &clusterNode{
 		res:    cluster.NewResolver(opts.Master, opts.Transport, opts.Refresh),
 		moving: make(map[int]bool),
 	}
-	c.self.Store(opts.Self)
-	return c
 }
 
 // selfURL returns the node's advertised base URL ("" until known).

@@ -87,7 +87,7 @@ func TestDurableIngestAndDedupSurviveKill(t *testing.T) {
 // never stores or abandons) must not park retries of that key forever —
 // after the claim TTL, the next retry takes the claim over.
 func TestDedupClaimTTL(t *testing.T) {
-	d := newDedupWindow(0, 0)
+	d := newDedupWindow()
 	var clockMu sync.Mutex
 	now := time.Now()
 	d.now = func() time.Time { clockMu.Lock(); defer clockMu.Unlock(); return now }
@@ -108,7 +108,7 @@ func TestDedupClaimTTL(t *testing.T) {
 	}
 
 	// Past the TTL the claim is handed over and the retry re-executes.
-	advance(defaultClaimTTL + time.Second)
+	advance(claimTTL + time.Second)
 	tok2, res, err := d.begin(ctx, "k")
 	if err != nil || res != nil || tok2 == nil {
 		t.Fatalf("post-TTL begin = %v %v %v", tok2, res, err)
@@ -137,7 +137,7 @@ func TestDedupClaimTTL(t *testing.T) {
 		woken <- res
 	}()
 	time.Sleep(10 * time.Millisecond) // let the waiter block
-	advance(defaultClaimTTL + time.Second)
+	advance(claimTTL + time.Second)
 	tok4, res, err := d.begin(ctx, "k2") // steals
 	if tok4 == nil || res != nil || err != nil {
 		t.Fatalf("steal = %v %v %v", tok4, res, err)
@@ -153,27 +153,9 @@ func TestDedupClaimTTL(t *testing.T) {
 	}
 }
 
-func TestDedupClaimTTLDisabled(t *testing.T) {
-	d := newDedupWindow(0, -1)
-	now := time.Now()
-	d.now = func() time.Time { return now }
-	tok, _, _ := d.begin(context.Background(), "k")
-	if tok == nil {
-		t.Fatal("no claim")
-	}
-	// Well past any claim TTL but inside the idempotency window (the
-	// whole entry expires with the window either way).
-	now = now.Add(5 * time.Minute)
-	cctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, _, err := d.begin(cctx, "k"); err == nil {
-		t.Fatal("takeover happened with claimTTL disabled")
-	}
-}
-
 func TestDedupWindowCompactsOnBoot(t *testing.T) {
 	dir := t.TempDir()
-	d := newDedupWindow(0, 0)
+	d := newDedupWindow()
 	if err := d.openLog(dir, wal.FsyncNone); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +165,7 @@ func TestDedupWindowCompactsOnBoot(t *testing.T) {
 	}
 	d.close()
 
-	d2 := newDedupWindow(0, 0)
+	d2 := newDedupWindow()
 	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
 		t.Fatal(err)
 	}

@@ -75,12 +75,12 @@ type IngestResult struct {
 // Idempotency window
 // ---------------------------------------------------------------------
 
-// defaultIdempotencyWindow is how long ingest results are replayable.
-const defaultIdempotencyWindow = 10 * time.Minute
+// idempotencyWindow is how long ingest results are replayable.
+const idempotencyWindow = 10 * time.Minute
 
-// defaultClaimTTL is how long an unfinished claim may block retries
-// before a retry takes it over (see begin).
-const defaultClaimTTL = time.Minute
+// claimTTL is how long an unfinished claim may block retries before a
+// retry takes it over (see begin).
+const claimTTL = time.Minute
 
 // maxDedupEntries bounds the window's memory under hostile keys.
 const maxDedupEntries = 4096
@@ -107,12 +107,10 @@ const dedupCompactEvery = 4 * maxDedupEntries
 type dedupWindow struct {
 	// mu serializes the window map; every keyed request takes it, so
 	// journal IO must stay outside (see store and compact).
-	mu       sync.Mutex // districtlint:lockio
-	ttl      time.Duration
-	claimTTL time.Duration
-	entries  map[string]*dedupEntry
-	queue    []dedupRef // FIFO of insertions for TTL/cap eviction
-	now      func() time.Time
+	mu      sync.Mutex // districtlint:lockio
+	entries map[string]*dedupEntry
+	queue   []dedupRef // FIFO of insertions for TTL/cap eviction
+	now     func() time.Time
 
 	log         *wal.Log // nil: memory-only
 	dir         string
@@ -142,20 +140,9 @@ type dedupRecord struct {
 	Res IngestResult `json:"res"`
 }
 
-// newDedupWindow builds the window (ttl 0 = default; negative disables
-// deduplication and returns nil; claimTTL 0 = default, negative
-// disables claim takeover).
-func newDedupWindow(ttl, claimTTL time.Duration) *dedupWindow {
-	if ttl < 0 {
-		return nil
-	}
-	if ttl == 0 {
-		ttl = defaultIdempotencyWindow
-	}
-	if claimTTL == 0 {
-		claimTTL = defaultClaimTTL
-	}
-	return &dedupWindow{ttl: ttl, claimTTL: claimTTL, entries: make(map[string]*dedupEntry), now: time.Now}
+// newDedupWindow builds an empty, memory-only window.
+func newDedupWindow() *dedupWindow {
+	return &dedupWindow{entries: make(map[string]*dedupEntry), now: time.Now}
 }
 
 // closedChan is the pre-closed done channel of reloaded entries.
@@ -174,7 +161,7 @@ func (d *dedupWindow) openLog(dir string, mode wal.Mode) error {
 		if err := json.Unmarshal(p, &r); err != nil {
 			return nil // unreadable outcome: drop it, keep the rest
 		}
-		if d.now().Sub(r.At) >= d.ttl {
+		if d.now().Sub(r.At) >= idempotencyWindow {
 			return nil
 		}
 		d.entries[r.Key] = &dedupEntry{key: r.Key, res: r.Res, at: r.At, done: closedChan, ok: true}
@@ -256,36 +243,27 @@ func (d *dedupWindow) compact() {
 	wal.RemoveSnapshotsBefore(dir, seq)
 }
 
-// size reports how many keys the window currently remembers (nil-safe).
+// size reports how many keys the window currently remembers.
 func (d *dedupWindow) size() int {
-	if d == nil {
-		return 0
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return len(d.entries)
 }
 
 // persistErrors reports outcomes finalized in memory but lost to the
-// journal (nil-safe); non-zero means acked keyed batches stopped being
+// journal; non-zero means acked keyed batches stopped being
 // crash-replayable at some point.
 func (d *dedupWindow) persistErrors() uint64 {
-	if d == nil {
-		return 0
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.persistErrs
 }
 
-// close releases the persistence log (nil-safe). The log is detached
-// under the window mutex and closed outside it — the close may flush —
-// and the close error is returned: it is the last word on whether the
-// journaled outcomes reached disk.
+// close releases the persistence log. The log is detached under the
+// window mutex and closed outside it — the close may flush — and the
+// close error is returned: it is the last word on whether the journaled
+// outcomes reached disk.
 func (d *dedupWindow) close() error {
-	if d == nil {
-		return nil
-	}
 	d.mu.Lock()
 	log := d.log
 	d.log = nil
@@ -304,7 +282,7 @@ func (d *dedupWindow) pruneLocked() {
 	now := d.now()
 	for len(d.queue) > 0 {
 		ref := d.queue[0]
-		if now.Sub(ref.at) < d.ttl && len(d.queue) <= maxDedupEntries {
+		if now.Sub(ref.at) < idempotencyWindow && len(d.queue) <= maxDedupEntries {
 			break
 		}
 		d.queue = d.queue[1:]
@@ -419,14 +397,14 @@ func (t *dedupToken) abandon() {
 // a non-nil token (the caller owns the delivery and must store or
 // abandon), a non-nil result (a finished delivery to replay), or an
 // error (the context ended while waiting on an in-flight delivery).
-// An empty key (or disabled window) returns all nils: no idempotency.
+// An empty key returns all nils: no idempotency.
 //
 // An in-flight claim older than claimTTL is treated as abandoned by a
 // dead client and handed to the arriving retry: the old owner's late
 // outcome (if it ever settles) is discarded, and any requests waiting
 // on it wake up and line up behind the new claim.
 func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *IngestResult, error) {
-	if d == nil || key == "" {
+	if key == "" {
 		return nil, nil, nil
 	}
 	for {
@@ -446,7 +424,7 @@ func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *Inge
 			d.mu.Unlock()
 			return nil, &res, nil
 		}
-		if d.claimTTL > 0 && d.now().Sub(e.at) >= d.claimTTL {
+		if d.now().Sub(e.at) >= claimTTL {
 			e.stolen = true
 			close(e.done) // waiters re-examine and find the fresh claim
 			fresh := &dedupEntry{key: key, at: d.now(), done: make(chan struct{})}

@@ -406,7 +406,7 @@ func TestV2WriteRateLimitTier(t *testing.T) {
 // exists for: a retry arriving while the first delivery is still being
 // applied must wait and replay its outcome, never re-execute.
 func TestDedupWindowInFlightRetry(t *testing.T) {
-	d := newDedupWindow(0, 0)
+	d := newDedupWindow()
 	ctx := context.Background()
 
 	tok, res, err := d.begin(ctx, "k")

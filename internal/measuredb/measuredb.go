@@ -105,15 +105,6 @@ type Options struct {
 	// (POST /v2/ingest, PUT /v2/series/.../samples) per client IP — the
 	// "write" tier.
 	WriteLimiter *api.RateLimiter
-	// IdempotencyWindow is how long ingest Idempotency-Keys are
-	// remembered (0 = 10 minutes; negative disables deduplication).
-	IdempotencyWindow time.Duration
-	// IdempotencyClaimTTL is how long an unfinished idempotency claim
-	// (a keyed request that never stored an outcome — typically a client
-	// that died mid-request) may block retries of the same key before a
-	// retry takes the claim over and re-executes (0 = 1 minute;
-	// negative disables takeover).
-	IdempotencyClaimTTL time.Duration
 
 	// DataDir enables the durable storage layer: the default engine
 	// becomes a WAL-backed tsdb.Sharded under <DataDir>/tsdb, the stream
@@ -204,8 +195,8 @@ func Open(opts Options) (*Service, error) {
 			return nil, errors.New("cluster mode requires the sharded engine")
 		}
 	}
-	dedup := newDedupWindow(opts.IdempotencyWindow, opts.IdempotencyClaimTTL)
-	if dedup != nil && opts.DataDir != "" {
+	dedup := newDedupWindow()
+	if opts.DataDir != "" {
 		if err := dedup.openLog(filepath.Join(opts.DataDir, "dedup"), opts.Fsync); err != nil {
 			st.Close()
 			return nil, fmt.Errorf("open idempotency window: %w", err)

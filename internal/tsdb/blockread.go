@@ -31,11 +31,13 @@ const maxCursorSkip = 1 << 17
 
 // readScratch is the scratch one merged read borrows: the blocks it
 // captured, the head's copied points, the point arena the blocks decode
-// into (each page-merge source is a view of it), the rollup-decode
-// buffer, the per-source views of a page merge, and the merged points. A request touching many series (a batch query fanning over
-// selectors) reuses one scratch per merged call instead of re-growing
-// these for every series. Nothing handed back to callers may alias the
-// scratch — a page's Samples are built from it before release.
+// into (each page-merge source is a view of it; a fold decodes the
+// buckets a window boundary cuts into it), the 1m rollup-decode buffer,
+// the per-source views of a page merge, and the merged points. A
+// request touching many series (a batch query fanning over selectors)
+// reuses one scratch per merged call instead of re-growing these for
+// every series. Nothing handed back to callers may alias the scratch —
+// a page's Samples are built from it before release.
 type readScratch struct {
 	blks   []*block.Block
 	head   []block.Point
@@ -401,7 +403,7 @@ func metaAggregate(m block.SeriesMeta) Aggregate {
 }
 
 // bucketAggregate converts a rollup bucket into an Aggregate.
-func bucketAggregate(b block.Bucket) Aggregate {
+func bucketAggregate(b *block.Bucket) Aggregate {
 	return Aggregate{
 		Count: int(b.Count),
 		Min:   b.Min, Max: b.Max, Sum: b.Sum,
@@ -438,275 +440,240 @@ func (a *Aggregate) combine(src Aggregate) {
 	}
 }
 
-// Aggregate summarizes [from, to] of a series over the owning shard's
-// head+blocks from summaries, not samples: each source answers from what
-// it already knows, so the cost is O(segments + buckets + two edges),
-// not O(samples). A block wholly inside the range contributes its index
-// statistics without touching sample data. A partially covered block
-// with raw chunks is exact too (rawBlockAggregate: whole cached 1h
-// rollup buckets plus two decoded edges). A demoted one folds whole 1m
-// buckets — the documented boundary approximation raw retention buys.
-// The head combines the summaries of its segments inside the range and
-// folds only its boundary runs (Store.Aggregate). Count, Min, Max, First
-// and Last equal a raw scan of the same rows; Sum (and so Mean) adds
-// per-segment and per-bucket partial sums, so it may differ from a
-// sequential scan in float association only.
-func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
-	store, bs := s.owner(key.Device)
+// windows is what one fold of a series' [fromN, toN] accumulates: a
+// single aggregate of the whole range (width 0, Aggregate), or fixed
+// windows of the given width aligned as time.Truncate aligns them, the
+// first one starting no earlier than from (Downsample). Every source
+// folds in time order, so the window last looked up is cached: lo and
+// hi are its first and last in-range instants, start its Bucket.Start,
+// and idx its index in out, or where it goes while found is false.
+type windows struct {
+	from       time.Time
+	fromN, toN int64
+	width      time.Duration
+	one        Aggregate // the whole range, when width is 0
+	out        []Bucket  // ascending Start, only the non-empty windows
+
+	lo, hi int64
+	start  time.Time
+	idx    int
+	found  bool
+}
+
+// newWindows starts a fold of [from, to] (a zero `to` means "now") into
+// windows of width, 0 for one window over the whole range.
+func newWindows(from, to time.Time, width time.Duration) (windows, error) {
 	if to.IsZero() {
 		to = time.Now()
 	}
 	if to.Before(from) {
-		return Aggregate{}, ErrBadInterval
+		return windows{}, ErrBadInterval
 	}
-	fromN, toN := nanos(from), nanos(to)
+	return windows{from: from, fromN: nanos(from), toN: nanos(to), width: width, lo: 1}, nil
+}
 
+// window caches the window holding the in-range instant t and returns
+// its last in-range instant.
+func (w *windows) window(t int64) int64 {
+	if w.width == 0 {
+		return w.toN
+	}
+	if w.lo <= t && t <= w.hi {
+		return w.hi
+	}
+	// A window may start before the store's range: nanos saturates the
+	// start, and no stored instant precedes it anyway.
+	st := time.Unix(0, t).UTC().Truncate(w.width)
+	w.lo, w.hi = max(w.fromN, nanos(st)), w.toN
+	if end := st.Add(w.width); !end.After(maxTime) {
+		w.hi = min(w.toN, end.UnixNano()-1)
+	}
+	w.start = st
+	if st.Before(w.from) {
+		w.start = w.from.UTC()
+	}
+	n := len(w.out)
+	w.idx = n // sources fold in time order: the window is usually new and last
+	if n > 0 && !w.out[n-1].Start.Before(w.start) {
+		w.idx = sort.Search(n, func(i int) bool { return !w.out[i].Start.Before(w.start) })
+	}
+	w.found = w.idx < n && w.out[w.idx].Start.Equal(w.start)
+	return w.hi
+}
+
+// at returns the accumulator of the window holding the in-range
+// instant t, adding the window to out if it is new.
+func (w *windows) at(t int64) *Aggregate {
+	if w.width == 0 {
+		return &w.one
+	}
+	w.window(t)
+	if !w.found {
+		w.out = slices.Insert(w.out, w.idx, Bucket{Start: w.start})
+		w.found = true
+	}
+	return &w.out[w.idx].Aggregate
+}
+
+// addRun folds a time-ordered run of in-range points, each window's
+// share into a fresh partial: the window may already hold rows of an
+// earlier source that overlap the run in time.
+func (w *windows) addRun(run []block.Point) {
+	for len(run) > 0 {
+		n := firstAfter(run, w.window(run[0].T))
+		var part Aggregate
+		part.addRun(run[:n])
+		w.at(run[0].T).combine(part)
+		run = run[n:]
+	}
+}
+
+// foldBlock folds the rows of key in b that lie in the range. A block
+// inside the range and inside one window adds its index statistics.
+// Otherwise the rollup buckets that overlap the range are walked: the
+// cached 1h rollup of a raw block when every window is a whole number
+// of hours, and the 1m tier otherwise; a demoted block reads the 1m
+// tier for one window and the window's own tier for fixed windows. A
+// bucket inside the range and inside one window folds whole. Of any
+// other bucket a raw block decodes only the in-range points, split at
+// window boundaries, and a demoted one folds the bucket whole into the
+// window of its first in-range instant — the approximation raw
+// retention buys.
+func (w *windows) foldBlock(rs *readScratch, b *block.Block, key block.Key) error {
+	m, _ := b.Meta(key)
+	if w.fromN <= m.MinT && m.MaxT <= w.toN && m.MaxT <= w.window(m.MinT) {
+		w.at(m.MinT).combine(metaAggregate(m))
+		return nil
+	}
+	raw := m.HasRaw()
+	var bks []block.Bucket
+	var err error
+	if w.width%time.Hour == 0 && (raw || w.width > 0) {
+		bks, err = b.HourRollup(key)
+	} else {
+		rs.bks, err = b.AppendRollup(rs.bks[:0], key, block.Res1m)
+		bks = rs.bks
+	}
+	if err != nil {
+		return err
+	}
+	bks = bks[sort.Search(len(bks), func(i int) bool { return bks[i].LastT >= w.fromN }):]
+	for i := 0; i < len(bks) && bks[i].FirstT <= w.toN; i++ {
+		first := max(bks[i].FirstT, w.fromN)
+		if !raw || w.whole(&bks[i]) {
+			w.at(first).combine(bucketAggregate(&bks[i]))
+			continue
+		}
+		// Decode it together with the next buckets that do not fold
+		// whole either: every decode checks the chunk's CRC and rewinds
+		// to a restart point.
+		for i+1 < len(bks) && bks[i+1].FirstT <= w.toN && !w.whole(&bks[i+1]) {
+			i++
+		}
+		if rs.pts, err = b.PointsLimit(rs.pts[:0], key, first, min(bks[i].LastT, w.toN), -1); err != nil {
+			return err
+		}
+		w.addRun(rs.pts)
+	}
+	return nil
+}
+
+// whole reports whether rollup bucket rb lies inside the range and
+// inside one window.
+func (w *windows) whole(rb *block.Bucket) bool {
+	return rb.FirstT >= w.fromN && rb.LastT <= w.window(rb.FirstT)
+}
+
+// fold folds a series' rows in the range of w, on the owning shard,
+// into w. The view is captured as a page's is, and the head folds into
+// its own windows under the capture; the blocks then fold in cut order
+// and the head's windows last, so First and Last resolve ties as a raw
+// scan of the merged rows would. Each source answers from what it
+// already summarizes — block index entries, rollup buckets, head
+// segment summaries — and decodes only the rows a window boundary or
+// the range cuts through.
+func (s *Sharded) fold(key SeriesKey, w *windows) error {
+	store, bs := s.owner(key.Device)
 	rs := getReadScratch()
 	defer rs.release()
-	var headAgg Aggregate
-	var headErr error
-	blks := bs.blocksFor(rs.blks, bk(key), fromN, toN, func() {
-		headAgg, headErr = store.Aggregate(key, from, to)
+	head := *w
+	var inHead bool
+	blks := bs.blocksFor(rs.blks, bk(key), w.fromN, w.toN, func() {
+		inHead = store.fold(key, &head)
 	})
 	rs.blks = blks
 	defer releaseAll(blks)
 	s.countRead(len(blks) > 0)
-	if headErr != nil && !errors.Is(headErr, ErrNoSeries) {
-		return Aggregate{}, headErr
+	if !inHead && len(blks) == 0 && !s.keyInAnyBlock(bs, bk(key)) {
+		return ErrNoSeries
 	}
-	if errors.Is(headErr, ErrNoSeries) && len(blks) == 0 && !s.keyInAnyBlock(bs, bk(key)) {
-		return Aggregate{}, ErrNoSeries
+	if w.width > 0 {
+		// Size out once: every window holds a row, and the range spans
+		// a bounded number of windows.
+		n := uint64(len(head.out))
+		for _, b := range blks {
+			m, _ := b.Meta(bk(key))
+			n += uint64(m.Count)
+		}
+		if n = min(n, uint64(w.toN-w.fromN)/uint64(w.width)+2); n > 0 {
+			w.out = make([]Bucket, 0, n)
+		}
 	}
-
-	var agg Aggregate
 	for _, b := range blks {
-		m, _ := b.Meta(bk(key))
-		switch {
-		case fromN <= m.MinT && m.MaxT <= toN:
-			agg.combine(metaAggregate(m))
-		case m.HasRaw():
-			part, err := rawBlockAggregate(rs, b, m, fromN, toN)
-			if err != nil {
-				return Aggregate{}, err
-			}
-			agg.combine(part)
-		default:
-			// Demoted: fold every 1m bucket whose samples intersect the
-			// range. Boundary buckets are included whole — the
-			// approximation raw retention buys.
-			var err error
-			if rs.bks, err = b.AppendRollup(rs.bks[:0], bk(key), block.Res1m); err != nil {
-				return Aggregate{}, err
-			}
-			var part Aggregate
-			for _, rb := range rs.bks {
-				if rb.LastT < fromN || rb.FirstT > toN {
-					continue
-				}
-				part.combine(bucketAggregate(rb))
-			}
-			agg.combine(part)
+		if err := w.foldBlock(rs, b, bk(key)); err != nil {
+			return err
 		}
 	}
-	agg.combine(headAgg)
-	agg.finish()
-	return agg, nil
-}
-
-// rawBlockAggregate folds the samples of series m in b with fromN <= T
-// <= toN, for a block the range covers only in part. Every 1h rollup
-// bucket whose samples all lie inside the range is folded whole from the
-// block's cached rollup (block.HourRollup); only the two edges are
-// decoded: the left one from the chunk's last restart point before
-// `from` (see block.PointsLimit) to the first whole hour, the right one
-// from the hour after the last whole bucket up to `to`. Each edge is at
-// most an hour of samples, plus 128 passed before its start. (The 1h
-// tier, not 1m: at minute cadence the 1m tier is as large as the chunk
-// it would spare.) A range with no whole hour in it is one edge. Left
-// edge, buckets, right edge: time order, so First/Last ties resolve as
-// in a raw scan.
-func rawBlockAggregate(rs *readScratch, b *block.Block, m block.SeriesMeta, fromN, toN int64) (Aggregate, error) {
-	bks, err := b.HourRollup(m.Key)
-	if err != nil {
-		return Aggregate{}, err
+	w.one.combine(head.one)
+	for _, hb := range head.out {
+		w.at(hb.First.At.UnixNano()).combine(hb.Aggregate)
 	}
-	lo := sort.Search(len(bks), func(i int) bool { return bks[i].FirstT >= fromN })
-	hi := sort.Search(len(bks), func(i int) bool { return bks[i].LastT > toN })
-	var agg Aggregate
-	if lo >= hi {
-		err := foldPoints(rs, b, m.Key, fromN, toN, &agg)
-		return agg, err
-	}
-	// What precedes the first whole bucket sits in bucket lo-1, what
-	// follows the last in bucket hi.
-	if lo > 0 && bks[lo-1].LastT >= fromN {
-		if err := foldPoints(rs, b, m.Key, fromN, bks[lo].Start-1, &agg); err != nil {
-			return Aggregate{}, err
-		}
-	}
-	for _, rb := range bks[lo:hi] {
-		agg.combine(bucketAggregate(rb))
-	}
-	if hi < len(bks) && bks[hi].FirstT <= toN {
-		if err := foldPoints(rs, b, m.Key, bks[hi].Start, toN, &agg); err != nil {
-			return Aggregate{}, err
-		}
-	}
-	return agg, nil
-}
-
-// foldPoints decodes key's raw points in [mint, maxt] into rs.pts and
-// folds them into agg.
-func foldPoints(rs *readScratch, b *block.Block, key block.Key, mint, maxt int64, agg *Aggregate) error {
-	var err error
-	if rs.pts, err = b.PointsLimit(rs.pts[:0], key, mint, maxt, -1); err != nil {
-		return err
-	}
-	agg.addRun(rs.pts)
 	return nil
 }
 
-// Downsample splits [from, to) into fixed windows of the given width and
-// aggregates each; empty windows are omitted. Windows that are whole
-// multiples of a rollup resolution are served from precomputed 1m/1h
-// buckets for the fully covered stretches — a month-range scan touches
-// rollup frames, not raw chunks — with raw scans only at the window
-// boundaries the rollup grid cannot split. Other window widths fall
-// back to the exact merged raw walk.
-//
-// Alignment: rollup buckets start at unix-epoch multiples of their
-// resolution, and time.Truncate windows do too (the zero-time offset is
-// divisible by both 60s and 3600s), so when res divides window every
-// rollup bucket lies wholly inside exactly one window.
+// Aggregate summarizes [from, to] of a series over the owning shard's
+// head and blocks: one fold with a single window, so the cost is
+// O(segments + buckets + two edges), not O(samples), and it allocates
+// nothing. Count, Min, Max, First and Last equal a raw scan of the same
+// rows, except over a demoted block, whose boundary 1m buckets count
+// whole; Sum (and so Mean) adds per-segment and per-bucket partial
+// sums, so it may differ from a sequential scan in float association
+// only.
+func (s *Sharded) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
+	w, err := newWindows(from, to, 0)
+	if err == nil {
+		err = s.fold(key, &w)
+	}
+	if err != nil {
+		return Aggregate{}, err
+	}
+	w.one.finish()
+	return w.one, nil
+}
+
+// Downsample splits [from, to] into fixed windows of the given width,
+// aligned as time.Truncate aligns them (the first starts no earlier
+// than from), and aggregates each; empty windows are omitted. It is the
+// same fold as Aggregate, with one window per width: rollup buckets
+// that lie inside one window fold whole, so a month-range scan touches
+// rollup frames, not raw chunks, and only the buckets a window
+// boundary cuts are decoded.
 func (s *Sharded) Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error) {
 	if window <= 0 {
 		return nil, fmt.Errorf("tsdb: non-positive window %v", window)
 	}
-	var res int64
-	switch {
-	case window%time.Hour == 0:
-		res = block.Res1h
-	case window%time.Minute == 0:
-		res = block.Res1m
-	default:
-		// No rollup grid divides the window: exact merged raw walk.
-		return downsampleIter(s.Iter(key, from, to, 0), from, window)
+	w, err := newWindows(from, to, window)
+	if err == nil {
+		err = s.fold(key, &w)
 	}
-
-	store, bs := s.owner(key.Device)
-	if to.IsZero() {
-		to = time.Now()
+	if err != nil {
+		return nil, err
 	}
-	if to.Before(from) {
-		return nil, ErrBadInterval
+	for i := range w.out {
+		w.out[i].finish()
 	}
-	fromN, toN := nanos(from), nanos(to)
-
-	// windows accumulates per-window aggregates, keyed by window start
-	// (post from-clamp, matching downsampleIter's semantics) in Unix
-	// seconds and nanoseconds: a window of a row near the store's first
-	// instant can start before 1677-09-21T00:12:43Z, where UnixNano wraps.
-	windows := make(map[windowStart]*Aggregate)
-	fold := func(at time.Time, a Aggregate) {
-		startT := at.Truncate(window)
-		if startT.Before(from) {
-			startT = from
-		}
-		k := windowStart{startT.Unix(), startT.Nanosecond()}
-		w := windows[k]
-		if w == nil {
-			w = &Aggregate{}
-			windows[k] = w
-		}
-		w.combine(a)
-	}
-	// foldEach folds raw points one by one (exact).
-	foldEach := func(pts []block.Point) {
-		for _, p := range pts {
-			smp := sampleAt(p.T, p.V)
-			var one Aggregate
-			one.add(smp)
-			fold(smp.At, one)
-		}
-	}
-
-	rs := getReadScratch()
-	defer rs.release()
-	var inHead bool
-	blks := bs.blocksFor(rs.blks, bk(key), fromN, toN, func() {
-		// Copy the head's contribution while the view is locked (it is
-		// bounded by the head window, so this stays small); an iterator
-		// paging after the unlock could race a compaction and miss rows
-		// mid-cut.
-		rs.head, inHead = store.appendPoints(rs.head[:0], key, fromN, toN, -1)
-	})
-	rs.blks = blks
-	defer releaseAll(blks)
-	s.countRead(len(blks) > 0)
-
-	for _, b := range blks {
-		m, _ := b.Meta(bk(key))
-		var err error
-		if rs.bks, err = b.AppendRollup(rs.bks[:0], bk(key), res); err != nil {
-			return nil, err
-		}
-		raw := m.HasRaw()
-		for _, rb := range rs.bks {
-			if rb.LastT < fromN || rb.FirstT > toN {
-				continue
-			}
-			if rb.FirstT >= fromN && rb.LastT <= toN {
-				// Bucket fully inside the range: fold it whole. res
-				// divides window, so the bucket cannot straddle a
-				// window boundary.
-				fold(time.Unix(0, rb.Start).UTC(), bucketAggregate(rb))
-				continue
-			}
-			// Boundary bucket. Exact when raw survives; whole-bucket
-			// approximation once demoted.
-			if !raw {
-				fold(time.Unix(0, rb.Start).UTC(), bucketAggregate(rb))
-				continue
-			}
-			lo, hi := rb.FirstT, rb.LastT
-			if lo < fromN {
-				lo = fromN
-			}
-			if hi > toN {
-				hi = toN
-			}
-			if rs.pts, err = b.PointsLimit(rs.pts[:0], bk(key), lo, hi, -1); err != nil {
-				return nil, err
-			}
-			foldEach(rs.pts)
-		}
-	}
-	foldEach(rs.head)
-
-	if len(windows) == 0 {
-		if !inHead && !s.keyInAnyBlock(bs, bk(key)) {
-			return nil, ErrNoSeries
-		}
+	if len(w.out) == 0 {
 		return nil, nil
 	}
-	starts := make([]windowStart, 0, len(windows))
-	for k := range windows {
-		starts = append(starts, k)
-	}
-	sort.Slice(starts, func(a, b int) bool {
-		return starts[a].sec < starts[b].sec || starts[a].sec == starts[b].sec && starts[a].nsec < starts[b].nsec
-	})
-	out := make([]Bucket, 0, len(starts))
-	for _, k := range starts {
-		a := windows[k]
-		a.finish()
-		out = append(out, Bucket{Start: time.Unix(k.sec, int64(k.nsec)).UTC(), Aggregate: *a})
-	}
-	return out, nil
-}
-
-// windowStart is a Downsample window's start instant.
-type windowStart struct {
-	sec  int64
-	nsec int
+	return w.out, nil
 }

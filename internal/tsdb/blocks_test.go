@@ -965,3 +965,176 @@ func TestBlockPagedWalkManyPages(t *testing.T) {
 	}
 	_ = fmt.Sprintf // keep fmt imported if assertions change
 }
+
+// Over a demoted block every window width reads the rollups: 30 s and
+// 90 s windows, which no rollup tier divides, count the same samples as
+// 1m windows and as Aggregate, both over the whole series and over a
+// range that cuts minutes at both ends (those fold their 1m buckets
+// whole).
+func TestDemotedDownsampleCountsEveryWindowWidth(t *testing.T) {
+	base := time.Now().UTC().Truncate(time.Hour).Add(-6 * time.Hour)
+	rows := make([]Row, 7200)
+	for i := range rows {
+		rows[i] = Row{Key: blockKey, Sample: Sample{At: base.Add(time.Duration(i) * time.Second), Value: float64(i % 7)}}
+	}
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute, RetentionRaw: time.Hour}})
+	defer eng.Close()
+	if errs := eng.AppendBatch(rows); errs != nil {
+		t.Fatal(errs[0])
+	}
+	for i := 0; i < 2; i++ { // cut, then demote
+		if err := eng.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := eng.Query(blockKey, time.Time{}, time.Now()); err != nil || len(got) != 0 {
+		t.Fatalf("block not demoted: %d raw samples, %v", len(got), err)
+	}
+	for _, rg := range [][2]time.Time{{time.Time{}, time.Now()}, {base.Add(17*time.Minute + 30*time.Second), base.Add(100*time.Minute + 10*time.Second)}} {
+		agg, err := eng.Aggregate(blockKey, rg[0], rg[1])
+		if err != nil || agg.Count == 0 {
+			t.Fatalf("aggregate %v: %+v, %v", rg, agg, err)
+		}
+		for _, window := range []time.Duration{30 * time.Second, 90 * time.Second, time.Minute} {
+			buckets, err := eng.Downsample(blockKey, rg[0], rg[1], window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for _, b := range buckets {
+				n += b.Count
+			}
+			if n != agg.Count {
+				t.Fatalf("range %v, %v windows: %d buckets count %d samples, aggregate %d", rg, window, len(buckets), n, agg.Count)
+			}
+		}
+	}
+}
+
+// Blocks can overlap in time: after block A is cut, out-of-order rows
+// older than its end are cut into block B, some at A's very timestamps.
+// Every aggregate and downsample of a range cutting into both must equal
+// the in-memory engine's, ties of First and Last included: A's rows at
+// an instant come before B's, as in the head they were cut from.
+func TestOverlappingBlocksFoldLikeOneHead(t *testing.T) {
+	base := time.Now().UTC().Truncate(time.Hour).Add(-6 * time.Hour)
+	var a, b []Row
+	for i := 0; i < 1500; i++ {
+		a = append(a, Row{Key: blockKey, Sample: Sample{At: base.Add(time.Duration(i) * 7 * time.Second), Value: float64(i%50) + 0.25}})
+	}
+	for j := 0; j < 600; j++ {
+		b = append(b, Row{Key: blockKey, Sample: Sample{At: base.Add(time.Hour + time.Duration(j)*11*time.Second), Value: float64(j%40) + 0.5}})
+	}
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer eng.Close()
+	for _, rows := range [][]Row{a, b} {
+		if errs := eng.AppendBatch(rows); errs != nil {
+			t.Fatal(errs[0])
+		}
+		if err := eng.CompactAll(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := eng.ShardStatus(0); st.Blocks != 2 {
+		t.Fatalf("%d blocks, want 2", st.Blocks)
+	}
+	mem := memReference(t, append(a, b...))
+	at := func(d time.Duration) time.Time { return base.Add(d) }
+	for _, rg := range [][2]time.Time{
+		{time.Time{}, time.Now()},
+		{at(30*time.Minute + 13*time.Second), at(2*time.Hour + 7*time.Second)},
+		{at(time.Hour + 5*time.Minute), at(time.Hour + 50*time.Minute)},
+		{at(time.Hour + 77*time.Second), at(2*time.Hour + 154*time.Second)},
+		{at(90 * time.Minute), time.Now()},
+		{at(59 * time.Minute), at(61*time.Minute + 30*time.Second)},
+	} {
+		want, errW := mem.Aggregate(blockKey, rg[0], rg[1])
+		got, errG := eng.Aggregate(blockKey, rg[0], rg[1])
+		if errW != nil || errG != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("aggregate %v:\n got %+v (%v)\nwant %+v (%v)", rg, got, errG, want, errW)
+		}
+		for _, window := range []time.Duration{time.Minute, 5 * time.Minute, 90 * time.Second, time.Hour} {
+			want, errW := mem.Downsample(blockKey, rg[0], rg[1], window)
+			got, errG := eng.Downsample(blockKey, rg[0], rg[1], window)
+			if errW != nil || errG != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("downsample %v at %v:\n got %+v (%v)\nwant %+v (%v)", rg, window, got, errG, want, errW)
+			}
+		}
+	}
+}
+
+// Downsamples fold the head under its series lock while rows are
+// appended to the same series, and share a block's cached 1h rollup
+// while a compactor cuts the head into blocks: every fold of a range
+// the writer stays out of is the same consistent cut (run it under
+// -race).
+func TestDownsampleUnderConcurrentCompactionAndAppends(t *testing.T) {
+	rows := oldRows(4000, blockKey) // over an hour: the 1h folds walk the block's hour buckets
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer eng.Close()
+	if errs := eng.AppendBatch(rows); errs != nil {
+		t.Fatal(errs[0])
+	}
+	to := time.Now()
+	mem := memReference(t, rows)
+	windows := []time.Duration{time.Hour, 90 * time.Second}
+	want := make([][]Bucket, len(windows))
+	for i, w := range windows {
+		var err error
+		if want[i], err = mem.Downsample(blockKey, time.Time{}, to, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	var bg sync.WaitGroup
+	bg.Add(2)
+	go func() { // cuts the head into a block, then snapshots
+		defer bg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := eng.CompactAll(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	go func() { // grows the series past the range
+		defer bg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			row := Row{Key: blockKey, Sample: Sample{At: to.Add(time.Duration(i+1) * time.Millisecond), Value: 1}}
+			if errs := eng.AppendBatch([]Row{row}); errs != nil {
+				t.Error(errs[0])
+				return
+			}
+		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; i < 100; i++ {
+				for j, w := range windows {
+					got, err := eng.Downsample(blockKey, time.Time{}, to, w)
+					if err != nil || !reflect.DeepEqual(got, want[j]) {
+						t.Errorf("read %d at %v: %d buckets (%v), want %d", i, w, len(got), err, len(want[j]))
+						return
+					}
+				}
+			}
+		}()
+	}
+	readers.Wait()
+	close(stop)
+	bg.Wait()
+}

@@ -237,3 +237,76 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// A durable head is bounded by its head window, not by a sample count:
+// every acked row of a series is kept however many rows the window
+// holds, before and after a snapshot has truncated the WAL that
+// journaled them.
+func TestDurableHeadKeepsEveryAckedRow(t *testing.T) {
+	const n = 70000
+	end := time.Now().UTC().Truncate(time.Millisecond).Add(-10 * time.Minute)
+	rows := make([]Row, n)
+	for i := range rows {
+		rows[i] = Row{Key: blockKey, Sample: Sample{At: end.Add(-time.Duration(n-1-i) * time.Millisecond), Value: 1}}
+	}
+	dir := t.TempDir()
+	eng := openDurable(t, dir, ShardedOptions{Shards: 1})
+	if errs := eng.AppendBatch(rows); errs != nil {
+		t.Fatal(errs[0])
+	}
+	if got := eng.Len(blockKey); got != n {
+		t.Fatalf("len %d after %d acked rows", got, n)
+	}
+	if err := eng.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.CloseErr(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDurable(t, dir, ShardedOptions{Shards: 1})
+	defer re.Close()
+	if agg, err := re.Aggregate(blockKey, time.Time{}, time.Now()); err != nil || agg.Count != n {
+		t.Fatalf("reopened aggregate counts %d (%v), want %d", agg.Count, err, n)
+	}
+}
+
+// A WAL append failure fails every row of the wave without applying
+// any, counts them as dropped, and poisons the log: the next append
+// fails too. Removing the shard directory makes the next segment roll
+// fail.
+func TestDurableWALFailureDropsRows(t *testing.T) {
+	dir := t.TempDir()
+	eng := openDurable(t, dir, ShardedOptions{Shards: 1, SegmentBytes: 256})
+	defer eng.Close()
+	rows := durRows(30)
+	if errs := eng.AppendBatch(rows[:10]); errs != nil {
+		t.Fatal(errs[0])
+	}
+	keys := eng.Keys()
+	lens := make([]int, len(keys))
+	for i, k := range keys {
+		lens[i] = eng.Len(k)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	for i, batch := range [][]Row{rows[10:20], rows[20:]} {
+		errs := eng.AppendBatch(batch)
+		if len(errs) != len(batch) {
+			t.Fatalf("append %d: %d errors for %d rows", i, len(errs), len(batch))
+		}
+		for j, err := range errs {
+			if err == nil {
+				t.Fatalf("append %d: row %d acked on a failed WAL", i, j)
+			}
+		}
+		if got, want := eng.Stats().DroppedRows, uint64(10*(i+1)); got != want {
+			t.Fatalf("append %d: %d dropped rows, want %d", i, got, want)
+		}
+	}
+	for i, k := range keys {
+		if got := eng.Len(k); got != lens[i] {
+			t.Fatalf("%v: len %d after failed appends, want %d", k, got, lens[i])
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"path/filepath"
 	"strconv"
 	"sync"
@@ -237,8 +238,14 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	if s.snapEvery == 0 {
 		s.snapEvery = 1 << 16
 	}
+	headOpts := opts.Store
+	if opts.Dir != "" {
+		// The head window bounds a durable head; a count bound would
+		// evict acked rows that the next snapshot drops from the WAL.
+		headOpts.MaxSamplesPerSeries = math.MaxInt
+	}
 	for i := 0; i < n; i++ {
-		s.shards[i] = newStore(opts.Store)
+		s.shards[i] = newStore(headOpts)
 		s.queues[i] = make(chan batchItem, qlen)
 		s.bsets[i] = &blockSet{}
 	}

@@ -19,15 +19,17 @@ func shKey(d int) SeriesKey {
 
 // TestShardedSingleShardEquivalence replays one mixed workload — in-order
 // appends, out-of-order spills, eviction pressure, single-row Appends
-// beside batches — into a bare head Store, an in-memory one-shard engine
-// and a durable one-shard engine whose rows were all compacted into a
-// block, and requires every read to agree with the head's, read through
+// beside batches — into an in-memory one-shard engine and a durable
+// one-shard engine whose rows were all compacted into a block, and
+// requires every read to agree with a bare head Store's, read through
 // headReader: the engine is a pure partitioning and tiering layer, not a
-// semantic change. Values are integers, so per-source partial sums add
-// up exactly.
+// semantic change. The memory engine is checked against a head under
+// the same 128-sample bound; the durable engine keeps every acked row,
+// so it is checked against an unbounded head. Values are integers, so
+// per-source partial sums add up exactly.
 func TestShardedSingleShardEquivalence(t *testing.T) {
 	opts := Options{MaxSamplesPerSeries: 128, SegmentSize: 16}
-	head := newStore(opts)
+	head, full := newStore(opts), newStore(Options{SegmentSize: 16})
 	mem := newMem(t, opts)
 	dur := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Store: opts, Blocks: BlockPolicy{HeadWindow: time.Minute}})
 	defer dur.Close()
@@ -45,6 +47,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 			i++
 		}
 		head.AppendBatch(batch)
+		full.AppendBatch(batch)
 		for _, eng := range []*Sharded{mem, dur} {
 			if len(batch) == 1 {
 				if err := eng.Append(batch[0].Key, batch[0].Sample); err != nil {
@@ -62,10 +65,17 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		t.Fatalf("durable engine not wholly in one block: %+v", st)
 	}
 
-	want := head.Stats()
-	for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
-		if got := eng.Stats(); got.Series != want.Series || got.Samples != want.Samples {
-			t.Fatalf("%s stats %+v, head %+v", name, got, want)
+	if head.Stats().Samples >= full.Stats().Samples {
+		t.Fatalf("no eviction pressure: capped head %+v, full head %+v", head.Stats(), full.Stats())
+	}
+	engines := []struct {
+		name string
+		eng  *Sharded
+		head *Store
+	}{{"memory", mem, head}, {"durable", dur, full}}
+	for _, e := range engines {
+		if got, want := e.eng.Stats(), e.head.Stats(); got.Series != want.Series || got.Samples != want.Samples {
+			t.Fatalf("%s stats %+v, head %+v", e.name, got, want)
 		}
 	}
 	to := shT0.Add(rows * time.Second)
@@ -76,18 +86,19 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 	}
 	for d := 0; d <= devices; d++ { // device `devices` was never written
 		key := shKey(d)
-		ref := readAll(t, headReader{head}, IterPager(headReader{head}, key, time.Time{}, to, 0), key, ranges,
-			func(from, to time.Time, w time.Duration) ([]Bucket, error) {
-				return downsampleIter(IterPager(headReader{head}, key, from, to, 0), from, w)
-			})
-		for name, eng := range map[string]*Sharded{"memory": mem, "durable": dur} {
-			got := readAll(t, eng, eng.Iter(key, time.Time{}, to, 0), key, ranges,
+		for _, e := range engines {
+			h := headReader{e.head}
+			ref := readAll(t, h, IterPager(h, key, time.Time{}, to, 0), key, ranges,
 				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
-					return eng.Downsample(key, from, to, w)
+					return downsampleIter(IterPager(h, key, from, to, 0), from, w)
+				})
+			got := readAll(t, e.eng, e.eng.Iter(key, time.Time{}, to, 0), key, ranges,
+				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
+					return e.eng.Downsample(key, from, to, w)
 				})
 			for i := range ref {
 				if !reflect.DeepEqual(ref[i], got[i]) {
-					t.Fatalf("device %d, %s engine, read %d:\nhead   %+v\nengine %+v", d, name, i, ref[i], got[i])
+					t.Fatalf("device %d, %s engine, read %d:\nhead   %+v\nengine %+v", d, e.name, i, ref[i], got[i])
 				}
 			}
 		}
@@ -116,6 +127,15 @@ func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 		out = append(out, sampleAt(p.T, p.V))
 	}
 	return out, nil
+}
+
+// Aggregate is a raw scan of Query.
+func (h headReader) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
+	smps, err := h.Query(key, from, to)
+	if err != nil {
+		return Aggregate{}, err
+	}
+	return foldSamples(smps), nil
 }
 
 func (h headReader) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {

@@ -6,9 +6,14 @@
 // The engine stores samples per series, where a series is identified by a
 // (device URI, quantity) pair. Samples within a series are kept in
 // append-mostly segments ordered by timestamp; out-of-order arrivals are
-// tolerated and merged on read. A per-series sample bound keeps the
-// footprint constant, matching the buffering role the proxy's local
-// database plays in the paper.
+// tolerated and merged on read. An in-memory engine bounds each series
+// by a sample count, matching the buffering role the proxy's local
+// database plays in the paper; a durable engine keeps every acked row,
+// its head bounded by the head window and older rows in columnar
+// blocks. Reads page a series' merged rows (QueryPage) or fold them into
+// summaries: Aggregate and Downsample are one walk over block index
+// statistics, rollup buckets and head segment summaries, decoding only
+// the rows a range or window boundary cuts through.
 package tsdb
 
 import (
@@ -51,8 +56,10 @@ var (
 
 // Options configure a shard's head Store.
 type Options struct {
-	// MaxSamplesPerSeries bounds each series; once exceeded the oldest
-	// samples are evicted. Zero means the engine default (65536).
+	// MaxSamplesPerSeries bounds each series of an in-memory engine;
+	// once exceeded the oldest samples are evicted. A durable engine
+	// keeps every acked row: the head window bounds its head. Zero means
+	// the engine default (65536).
 	MaxSamplesPerSeries int
 	// SegmentSize is the number of samples per internal segment. Zero
 	// means the engine default (1024).
@@ -395,36 +402,28 @@ type Aggregate struct {
 	First, Last Sample
 }
 
-// Aggregate computes summary statistics over [from, to] (a zero `to`
-// means "now"), under the series lock, so the result is one consistent
-// cut of the series. A segment lying wholly inside the range contributes
-// its summary; only the boundary segments' in-range runs are folded
-// value by value, so the cost is O(segments + two runs), not
-// O(samples). Sum (and so Mean) adds one partial sum per whole segment.
-func (s *Store) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
-	if to.IsZero() {
-		to = time.Now()
-	}
-	if to.Before(from) {
-		return Aggregate{}, ErrBadInterval
-	}
+// fold folds the head's rows of key in the range of w into w, under
+// the series lock, so they are one consistent cut of the series. A
+// segment lying whole inside one window adds its summary; every other
+// run is folded value by value, split at window boundaries, so an
+// aggregate costs O(segments + two runs), not O(samples). It reports
+// whether the head holds the series.
+func (s *Store) fold(key SeriesKey, w *windows) bool {
 	sr := s.lookup(key)
 	if sr == nil {
-		return Aggregate{}, ErrNoSeries
+		return false
 	}
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
-	var a Aggregate
-	sr.eachRun(nanos(from), nanos(to), func(seg *segment, run []block.Point) {
-		if len(run) == len(seg.samples) {
-			a.combine(seg.summary())
+	sr.eachRun(w.fromN, w.toN, func(seg *segment, run []block.Point) {
+		if len(run) == len(seg.samples) && run[len(run)-1].T <= w.window(run[0].T) {
+			w.at(run[0].T).combine(seg.summary())
 			return
 		}
-		a.addRun(run)
+		w.addRun(run)
 	})
-	a.finish()
-	return a, nil
+	return true
 }
 
 // addRun folds a time-ordered run that follows everything folded so far
@@ -452,24 +451,6 @@ func (a *Aggregate) addRun(run []block.Point) {
 	a.Count += len(run)
 }
 
-// add folds one sample into the running aggregate. Mean is filled by
-// finish, once, not per row — add runs in the pushdown hot loops.
-func (a *Aggregate) add(smp Sample) {
-	if a.Count == 0 {
-		a.Min, a.Max = smp.Value, smp.Value
-		a.First = smp
-	}
-	if smp.Value < a.Min {
-		a.Min = smp.Value
-	}
-	if smp.Value > a.Max {
-		a.Max = smp.Value
-	}
-	a.Sum += smp.Value
-	a.Last = smp
-	a.Count++
-}
-
 // finish computes the derived fields of a folded aggregate.
 func (a *Aggregate) finish() {
 	if a.Count > 0 {
@@ -481,42 +462,6 @@ func (a *Aggregate) finish() {
 type Bucket struct {
 	Start time.Time
 	Aggregate
-}
-
-// downsampleIter folds an iterator's samples into fixed windows, holding
-// only the running bucket in memory, never the raw samples — Downsample's
-// exact walk for windows no rollup grid divides.
-func downsampleIter(it *Iterator, from time.Time, window time.Duration) ([]Bucket, error) {
-	var out []Bucket
-	var cur Aggregate
-	var curStart time.Time
-	flush := func() {
-		if cur.Count > 0 {
-			cur.finish()
-			out = append(out, Bucket{Start: curStart, Aggregate: cur})
-			cur = Aggregate{}
-		}
-	}
-	for {
-		smp, ok := it.Next()
-		if !ok {
-			break
-		}
-		start := smp.At.Truncate(window)
-		if start.Before(from) {
-			start = from
-		}
-		if !start.Equal(curStart) {
-			flush()
-			curStart = start
-		}
-		cur.add(smp)
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	flush()
-	return out, nil
 }
 
 // appendPoints appends to buf the first limit (-1: all) stored points

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -153,7 +156,7 @@ func TestDedupClaimTTL(t *testing.T) {
 	}
 }
 
-func TestDedupWindowCompactsOnBoot(t *testing.T) {
+func TestDedupWindowReplaysItsLog(t *testing.T) {
 	dir := t.TempDir()
 	d := newDedupWindow()
 	if err := d.openLog(dir, wal.FsyncNone); err != nil {
@@ -263,5 +266,208 @@ func TestV2IngestRejectsUnstorableInstants(t *testing.T) {
 	}
 	if n := s.Store().Stats().Samples; n != 1 {
 		t.Fatalf("store holds %d samples, want 1", n)
+	}
+}
+
+// TestDedupWindowDetachesFailedJournal: an outcome whose journal append
+// fails still replays from memory, the loss is counted once, and the
+// dead log is detached so later outcomes do not touch it.
+func TestDedupWindowDetachesFailedJournal(t *testing.T) {
+	d := newDedupWindow()
+	if err := d.openLog(t.TempDir(), wal.FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.log.Close(); err != nil { // the journal dies underneath the window
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i, key := range []string{"a", "b"} {
+		tok, _, _ := d.begin(ctx, key)
+		tok.store(IngestResult{Accepted: i + 1})
+		if d.log != nil {
+			t.Fatal("failed journal still attached")
+		}
+		if n := d.persistErrors(); n != 1 {
+			t.Fatalf("after %q: persistErrors = %d, want 1", key, n)
+		}
+	}
+	if _, res, err := d.begin(ctx, "a"); err != nil || res == nil || res.Accepted != 1 || !res.Replayed {
+		t.Fatalf("replay from memory = %+v, %v", res, err)
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDedupWindowTrimsUnderConcurrency: concurrent stores trim the
+// journal below the oldest remembered outcome, and a reopen still
+// replays every outcome the window remembered.
+func TestDedupWindowTrimsUnderConcurrency(t *testing.T) {
+	dir := t.TempDir()
+	d := newDedupWindow()
+	if err := d.openLog(dir, wal.FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1500; i++ {
+				tok, _, err := d.begin(context.Background(), fmt.Sprintf("g%d-%d", g, i))
+				if err != nil || tok == nil {
+					t.Errorf("claim g%d-%d = %v, %v", g, i, tok, err)
+					return
+				}
+				tok.store(IngestResult{Accepted: g*10000 + i})
+			}
+		}()
+	}
+	wg.Wait()
+	want := map[string]int{}
+	d.mu.Lock()
+	for k, e := range d.entries {
+		want[k] = e.res.Accepted
+	}
+	d.mu.Unlock()
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDedupWindow()
+	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	defer d2.close()
+	if n := d2.log.Segments(); n > 2 {
+		t.Fatalf("journal spans %d segments after trimming, want <= 2", n)
+	}
+	for k, accepted := range want {
+		e := d2.entries[k]
+		if e == nil || !e.ok || e.res.Accepted != accepted {
+			t.Fatalf("remembered outcome %q = %+v lost across the reopen (want accepted %d)", k, e, accepted)
+		}
+	}
+}
+
+// TestDedupWindowTrimDropsForgottenSegments: once the window has
+// forgotten the outcomes a sealed segment holds, a trim deletes it,
+// and the outcomes it still remembers replay after a reopen.
+func TestDedupWindowTrimDropsForgottenSegments(t *testing.T) {
+	dir := t.TempDir()
+	d := newDedupWindow()
+	if err := d.openLog(dir, wal.FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	pad := []RowError{{Error: strings.Repeat("x", 256)}} // ~3k records a segment
+	for i := 0; i < 3*maxDedupEntries; i++ {
+		tok, _, _ := d.begin(context.Background(), fmt.Sprintf("k%d", i))
+		tok.store(IngestResult{Accepted: i, Errors: pad})
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	d2 := newDedupWindow()
+	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
+		t.Fatal(err)
+	}
+	defer d2.close()
+	if _, ok := d2.entries["k0"]; ok {
+		t.Fatal("the first outcome's segment survived every trim")
+	}
+	for i := 2 * maxDedupEntries; i < 3*maxDedupEntries; i++ {
+		if e := d2.entries[fmt.Sprintf("k%d", i)]; e == nil || e.res.Accepted != i {
+			t.Fatalf("remembered outcome k%d = %+v lost across the reopen", i, e)
+		}
+	}
+}
+
+// TestDedupWindowUpgradesSnapshotLayout: a window written by the older
+// layout, as its compaction left it — a snapshot of the live outcomes
+// at a watermark, the log's active segment still holding records at and
+// below it, and a tail above — boots with every fresh outcome once,
+// leaves no snapshot behind, and replays the same after a second reopen.
+func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
+	dir := t.TempDir()
+	now := time.Now()
+	rec := func(key string, at time.Time, accepted int) []byte {
+		p, err := json.Marshal(dedupRecord{Key: key, At: at, Res: IngestResult{Accepted: accepted}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	// snap-1's segment was truncated: it lives in the snapshot alone.
+	const watermark = 40
+	log, err := wal.Open(dir, wal.Options{FirstSeq: watermark})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][]byte{
+		rec("snap-2", now.Add(-time.Minute), 2), // seq 40, also in the snapshot
+		rec("tail-1", now.Add(-30*time.Second), 10),
+		rec("tail-2", now.Add(-30*time.Second), 11),
+	} {
+		if _, err := log.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	err = wal.WriteSnapshot(dir, watermark, func(sw *wal.SnapshotWriter) error {
+		return errors.Join(
+			sw.Record(rec("snap-1", now.Add(-2*time.Minute), 1)),
+			sw.Record(rec("snap-2", now.Add(-time.Minute), 2)),
+			sw.Record(rec("snap-old", now.Add(-idempotencyWindow-time.Minute), 3)))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	want := map[string]int{"snap-1": 1, "snap-2": 2, "tail-1": 10, "tail-2": 11}
+	for boot := 1; boot <= 3; boot++ {
+		d := newDedupWindow()
+		if err := d.openLog(dir, wal.FsyncNone); err != nil {
+			t.Fatal(err)
+		}
+		if snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap")); len(snaps) != 0 {
+			t.Fatalf("boot %d left snapshots %v", boot, snaps)
+		}
+		if len(d.entries) != len(want) || len(d.queue) != len(want) {
+			t.Fatalf("boot %d: window holds %d keys under %d refs, want %d of each (the expired one dropped)",
+				boot, len(d.entries), len(d.queue), len(want))
+		}
+		if boot == 3 {
+			// The snapshot's outcomes are older than the tail's, though
+			// the log now holds them after it: they leave the window first.
+			d.now = func() time.Time { return now.Add(idempotencyWindow - 90*time.Second) }
+			if tok, res, _ := d.begin(context.Background(), "snap-1"); tok == nil || res != nil {
+				t.Fatalf("expired snap-1 = tok %v res %+v, want a fresh claim", tok, res)
+			}
+			want = map[string]int{"tail-1": 10}
+		}
+		for key, accepted := range want {
+			_, res, err := d.begin(context.Background(), key)
+			if err != nil || res == nil || res.Accepted != accepted || !res.Replayed {
+				t.Fatalf("boot %d: %q replayed %+v, %v (want accepted %d)", boot, key, res, err, accepted)
+			}
+		}
+		if err := d.close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A durable service opened and closed on an empty data dir journals its
+// idempotency window in a log alone: no snapshot file appears.
+func TestDurableServiceWritesNoDedupSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, ts := openDurableServer(t, dir)
+	ts.Close()
+	s.Close()
+	if snaps, _ := filepath.Glob(filepath.Join(dir, "dedup", "*.snap")); len(snaps) != 0 {
+		t.Fatalf("dedup snapshots %v", snaps)
 	}
 }

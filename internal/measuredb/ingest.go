@@ -8,8 +8,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
@@ -85,10 +87,6 @@ const claimTTL = time.Minute
 // maxDedupEntries bounds the window's memory under hostile keys.
 const maxDedupEntries = 4096
 
-// dedupCompactEvery rewrites the persisted window (snapshot + log
-// truncation) after this many appended outcome records.
-const dedupCompactEvery = 4 * maxDedupEntries
-
 // dedupWindow remembers recent ingest outcomes by Idempotency-Key, so a
 // client retrying a timed-out request (the shared transport replays
 // bodies on retry) does not double-append its rows. A key is claimed
@@ -99,33 +97,37 @@ const dedupCompactEvery = 4 * maxDedupEntries
 // mid-request holding the connection open) is handed over to the next
 // retry instead of parking it forever.
 //
-// With a log attached (openLog), finished outcomes are also persisted,
+// With a log attached (openLog), finished outcomes are also journaled,
 // so a batch acked before a crash replays after the restart instead of
-// double-appending. Claims are not persisted: a crash mid-delivery
-// leaves no outcome, and the retry re-executes against whatever prefix
-// of the batch the tsdb WAL preserved.
+// double-appending. The log is the window: boot replays it, and it is
+// trimmed below the oldest outcome the window still remembers, as the
+// stream hub trims its ring. Claims are not journaled: a crash
+// mid-delivery leaves no outcome, and the retry re-executes against
+// whatever prefix of the batch the tsdb WAL preserved.
 type dedupWindow struct {
+	// jmu serializes journal appends, trims and close, so a trim never
+	// sees a journaled outcome without its seq. Lock order: jmu, then mu.
+	jmu sync.Mutex
+	log *wal.Log // nil: memory-only; guarded by jmu
+
 	// mu serializes the window map; every keyed request takes it, so
-	// journal IO must stay outside (see store and compact).
+	// journal IO must stay outside.
 	mu      sync.Mutex // districtlint:lockio
 	entries map[string]*dedupEntry
 	queue   []dedupRef // FIFO of insertions for TTL/cap eviction
 	now     func() time.Time
 
-	log         *wal.Log // nil: memory-only
-	dir         string
-	appended    int
-	persistErrs uint64 // outcomes finalized in memory but not journaled
+	persistErrs atomic.Uint64 // outcomes finalized in memory but not journaled
 }
 
 type dedupEntry struct {
-	key     string
-	res     IngestResult
-	at      time.Time
-	done    chan struct{} // closed when res is final
-	ok      bool          // res is valid (false: delivery abandoned)
-	pending bool          // res set, journal append in flight (see store)
-	stolen  bool          // claim handed to a newer request (see begin)
+	key    string
+	res    IngestResult
+	at     time.Time
+	seq    uint64        // journal record of res (0: not journaled)
+	done   chan struct{} // closed when res is final
+	ok     bool          // res is valid (false: delivery abandoned)
+	stolen bool          // claim handed to a newer request (see begin)
 }
 
 type dedupRef struct {
@@ -152,95 +154,77 @@ var closedChan = func() chan struct{} {
 	return ch
 }()
 
-// openLog attaches persistence: reload still-fresh outcomes from the
-// snapshot and log in dir, then compact them into a fresh snapshot so
-// boot cost stays proportional to the live window, not ingest history.
+// openLog attaches the journal in dir and replays it: every still-fresh
+// outcome comes back with its record's seq.
 func (d *dedupWindow) openLog(dir string, mode wal.Mode) error {
-	insert := func(p []byte) error {
-		var r dedupRecord
-		if err := json.Unmarshal(p, &r); err != nil {
-			return nil // unreadable outcome: drop it, keep the rest
-		}
-		if d.now().Sub(r.At) >= idempotencyWindow {
-			return nil
-		}
-		d.entries[r.Key] = &dedupEntry{key: r.Key, res: r.Res, at: r.At, done: closedChan, ok: true}
-		d.queue = append(d.queue, dedupRef{key: r.Key, at: r.At})
-		return nil
-	}
-	snapSeq, sr, err := wal.LatestSnapshot(dir)
-	if err != nil {
-		return err
-	}
-	if sr != nil {
-		for {
-			p, err := sr.Record()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return errors.Join(err, sr.Close())
-			}
-			_ = insert(p)
-		}
-		// The snapshot was read to EOF; a close error on the read-only
-		// file cannot invalidate what was decoded.
-		_ = sr.Close() //lint:ignore closecheck read-only snapshot already decoded to EOF; close error cannot lose data
-	}
 	log, err := wal.Open(dir, wal.Options{Fsync: mode, SegmentBytes: 1 << 20})
 	if err != nil {
 		return err
 	}
-	if err := log.Replay(snapSeq, func(_ uint64, p []byte) error { return insert(p) }); err != nil {
+	if err := rejournalSnapshot(dir, log); err != nil {
 		return errors.Join(err, log.Close())
 	}
-	d.log = log
-	d.dir = dir
-	d.compact()
-	return nil
-}
-
-// compact snapshots the live outcomes at the log watermark and
-// truncates the segments below it. The window's mutex is held only to
-// copy the live set — the snapshot write (file IO, two fsyncs) runs
-// outside it, so keyed requests never queue behind a compaction.
-// Outcomes journaled while the snapshot is being written sit above the
-// captured watermark and survive the truncation.
-func (d *dedupWindow) compact() {
-	d.mu.Lock()
-	log := d.log
-	if log == nil {
-		d.mu.Unlock()
-		return
-	}
-	d.pruneLocked()
-	seq := log.LastSeq()
-	recs := make([][]byte, 0, len(d.entries))
-	for _, ref := range d.queue {
-		e := d.entries[ref.key]
-		if e == nil || !(e.ok || e.pending) || !e.at.Equal(ref.at) {
-			continue
+	err = log.Replay(0, func(seq uint64, p []byte) error {
+		var r dedupRecord
+		if json.Unmarshal(p, &r) != nil || d.now().Sub(r.At) >= idempotencyWindow {
+			return nil // unreadable or expired outcome: drop it, keep the rest
 		}
-		if p, err := json.Marshal(dedupRecord{Key: e.key, At: e.at, Res: e.res}); err == nil {
-			recs = append(recs, p)
+		// An upgraded window journals some outcomes twice: one ref each.
+		if e := d.entries[r.Key]; e == nil || !e.at.Equal(r.At) {
+			d.queue = append(d.queue, dedupRef{key: r.Key, at: r.At})
 		}
-	}
-	dir := d.dir
-	d.mu.Unlock()
-
-	err := wal.WriteSnapshot(dir, seq, func(sw *wal.SnapshotWriter) error {
-		for _, p := range recs {
-			if err := sw.Record(p); err != nil {
-				return err
-			}
-		}
+		d.entries[r.Key] = &dedupEntry{key: r.Key, res: r.Res, at: r.At, seq: seq, done: closedChan, ok: true}
 		return nil
 	})
 	if err != nil {
-		return // log intact; retried a full cadence later
+		return errors.Join(err, log.Close())
 	}
-	_ = log.TruncateBefore(seq + 1)
-	wal.RemoveSnapshotsBefore(dir, seq)
+	// Records are in store order; eviction wants claim order. The cap
+	// applies from the first claim on, so a reopen keeps every
+	// remembered outcome even where the log still holds evicted ones.
+	slices.SortStableFunc(d.queue, func(a, b dedupRef) int { return a.at.Compare(b.at) })
+	d.log = log
+	return nil
+}
+
+// rejournalSnapshot upgrades a window written by the older layout,
+// whose boot compaction left live outcomes in a snapshot alone: they
+// are appended to the log and synced before the snapshot files go.
+func rejournalSnapshot(dir string, log *wal.Log) error {
+	snapSeq, sr, err := wal.LatestSnapshot(dir)
+	if sr == nil {
+		return err
+	}
+	for p, err := sr.Record(); !errors.Is(err, io.EOF); p, err = sr.Record() {
+		if err == nil {
+			_, err = log.Append(p)
+		}
+		if err != nil {
+			return errors.Join(err, sr.Close())
+		}
+	}
+	_ = sr.Close() //lint:ignore closecheck read-only snapshot already decoded to EOF; close error cannot lose data
+	if err := log.Sync(); err != nil {
+		return err
+	}
+	wal.RemoveSnapshotsBefore(dir, snapSeq+1)
+	return nil
+}
+
+// trim drops the journal segments below the oldest outcome the window
+// still remembers; store runs it under jmu at every maxDedupEntries-th
+// record, so every journaled outcome carries its seq.
+func (d *dedupWindow) trim() {
+	floor := d.log.LastSeq() + 1
+	d.mu.Lock()
+	d.pruneLocked()
+	for _, e := range d.entries {
+		if e.ok && e.seq < floor {
+			floor = e.seq
+		}
+	}
+	d.mu.Unlock()
+	_ = d.log.TruncateBefore(floor)
 }
 
 // size reports how many keys the window currently remembers.
@@ -253,43 +237,44 @@ func (d *dedupWindow) size() int {
 // persistErrors reports outcomes finalized in memory but lost to the
 // journal; non-zero means acked keyed batches stopped being
 // crash-replayable at some point.
-func (d *dedupWindow) persistErrors() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.persistErrs
-}
+func (d *dedupWindow) persistErrors() uint64 { return d.persistErrs.Load() }
 
-// close releases the persistence log. The log is detached under the
-// window mutex and closed outside it — the close may flush — and the
-// close error is returned: it is the last word on whether the journaled
-// outcomes reached disk.
+// close releases the journal. It waits out an in-flight append, and
+// the close error is returned: it is the last word on whether the
+// journaled outcomes reached disk.
 func (d *dedupWindow) close() error {
-	d.mu.Lock()
+	d.jmu.Lock()
+	defer d.jmu.Unlock()
 	log := d.log
 	d.log = nil
-	d.mu.Unlock()
 	if log == nil {
 		return nil
 	}
 	return log.Close()
 }
 
-// pruneLocked drops expired entries and enforces the cap. In-flight
-// entries survive the cap sweep (they are completed or abandoned by
-// their request) but fall to TTL like any other — a delivery outliving
-// the whole window has no retry left to protect.
+// pruneLocked drops expired entries and enforces the cap. The cap never
+// evicts an in-flight claim — its ref goes to the back of the queue,
+// and a retry of it keeps waiting — but the TTL drops it like any
+// other: a delivery outliving the whole window has no retry left to
+// protect. One sweep visits each ref at most once.
 func (d *dedupWindow) pruneLocked() {
 	now := d.now()
-	for len(d.queue) > 0 {
+	for n := len(d.queue); n > 0; n-- {
 		ref := d.queue[0]
-		if now.Sub(ref.at) < idempotencyWindow && len(d.queue) <= maxDedupEntries {
+		expired := now.Sub(ref.at) >= idempotencyWindow
+		if !expired && len(d.queue) <= maxDedupEntries {
 			break
 		}
 		d.queue = d.queue[1:]
 		// A re-used key may have a fresher entry; only forget the one
 		// this ref inserted.
 		if e, ok := d.entries[ref.key]; ok && e.at.Equal(ref.at) {
-			delete(d.entries, ref.key)
+			if !expired && !e.ok {
+				d.queue = append(d.queue, ref)
+			} else {
+				delete(d.entries, ref.key)
+			}
 		}
 	}
 }
@@ -302,76 +287,52 @@ type dedupToken struct {
 }
 
 // store finalizes the claimed delivery: waiting and future retries
-// replay res, and with persistence attached the outcome is journaled
+// replay res, and with a journal attached the outcome is appended
 // (under the log's fsync policy) before it becomes replayable or the
 // caller can respond — an acked keyed batch replays after a crash
-// instead of double-appending. The journal append (an fsync, in always
-// mode) runs OUTSIDE the window's mutex: only same-key waiters block on
-// it (done is still open), not every other key's begin(). A claim that
-// was taken over (claimTTL) discards its late outcome: the stealer
-// owns the key now.
+// instead of double-appending. The append (an fsync, in always mode)
+// runs under jmu, OUTSIDE the window's mutex: only same-key waiters
+// block on it, not every other key's begin(). A claim that was taken
+// over (claimTTL) discards its late outcome: the stealer owns the key.
 func (t *dedupToken) store(res IngestResult) {
 	if t == nil {
 		return
 	}
 	d, e := t.d, t.e
+	d.jmu.Lock()
+	defer d.jmu.Unlock()
 	d.mu.Lock()
-	if e.stolen {
-		d.mu.Unlock()
+	stolen := e.stolen
+	d.mu.Unlock()
+	if stolen {
 		return
 	}
-	e.res = res
-	// pending makes the outcome visible to a concurrent compaction: its
-	// journal record may land just below the snapshot watermark and be
-	// truncated with the segments, so the snapshot must carry it.
-	e.pending = true
-	log := d.log
-	d.mu.Unlock()
-
-	journaled := false
-	if log != nil {
+	var seq uint64
+	if d.log != nil {
 		p, err := json.Marshal(dedupRecord{Key: e.key, At: e.at, Res: res})
 		if err == nil {
-			_, err = log.Append(p)
+			seq, err = d.log.Append(p)
 		}
 		if err != nil {
 			// The log is sticky-failed: detach it and count the loss, so
 			// the degradation (acked outcomes no longer crash-replayable)
-			// is visible in the stats instead of silent. The close runs
-			// outside the window mutex, after the detach.
-			var dead *wal.Log
-			d.mu.Lock()
-			d.persistErrs++
-			if d.log == log {
-				dead = d.log
-				d.log = nil
-			}
-			d.mu.Unlock()
-			if dead != nil {
-				_ = dead.Close() //lint:ignore closecheck log already sticky-failed; Close error carries no new information
-			}
-		} else {
-			journaled = true
+			// is visible in the stats instead of silent.
+			d.persistErrs.Add(1)
+			_ = d.log.Close() //lint:ignore closecheck log already sticky-failed; Close error carries no new information
+			d.log = nil
 		}
 	}
 
-	compactDue := false
 	d.mu.Lock()
 	if e.stolen { // taken over while journaling; the stealer owns done now
 		d.mu.Unlock()
 		return
 	}
-	e.ok, e.pending = true, false
+	e.res, e.seq, e.ok = res, seq, true
 	close(e.done)
-	if journaled {
-		if d.appended++; d.appended >= dedupCompactEvery {
-			d.appended = 0 // back off a full cadence, success or failure
-			compactDue = true
-		}
-	}
 	d.mu.Unlock()
-	if compactDue {
-		d.compact()
+	if seq != 0 && seq%maxDedupEntries == 0 {
+		d.trim()
 	}
 }
 

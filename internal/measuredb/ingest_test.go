@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -476,4 +478,30 @@ func TestDedupWindowInFlightRetry(t *testing.T) {
 		t.Fatal("canceled waiter returned nil error")
 	}
 	tok4.abandon()
+}
+
+// TestDedupCapSparesInFlightClaims: filling the window past its key cap
+// must not evict a claim whose delivery is still in flight — a retry of
+// it waits (and here times out) instead of re-executing its rows.
+func TestDedupCapSparesInFlightClaims(t *testing.T) {
+	d := newDedupWindow()
+	ctx := context.Background()
+	slow, _, _ := d.begin(ctx, "slow")
+	for i := 0; i < maxDedupEntries; i++ {
+		tok, _, _ := d.begin(ctx, fmt.Sprintf("k%d", i))
+		tok.store(IngestResult{Accepted: 1})
+	}
+	cctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	retry, res, err := d.begin(cctx, "slow")
+	if retry != nil || res != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("retry of an in-flight claim past the cap = tok %v res %v err %v, want it to wait", retry, res, err)
+	}
+	if n := d.size(); n != maxDedupEntries {
+		t.Fatalf("window holds %d keys, want the cap %d", n, maxDedupEntries)
+	}
+	slow.store(IngestResult{Accepted: 9})
+	if _, res, _ := d.begin(ctx, "slow"); res == nil || res.Accepted != 9 || !res.Replayed {
+		t.Fatalf("replay after the in-flight delivery stored = %+v", res)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"net/http"
 	"net/url"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -252,13 +251,6 @@ func (s *Service) registerMetrics() {
 		obs.CountBuckets, nil)
 	if s.qc != nil {
 		registerQCacheMetrics(s.reg, s.qc)
-		for i := 0; i < s.qsh.NumShards(); i++ {
-			shard := i
-			s.reg.GaugeFunc("repro_qcache_shard_generation",
-				"Mutation generation of one engine shard (every acked append wave, compaction publish, retention pass, or restore bumps it; cache keys embed the value, so a moving generation is what retires stale entries).",
-				obs.Labels{"shard": strconv.Itoa(shard)},
-				func() float64 { return float64(s.qsh.ShardGeneration(shard)) })
-		}
 	}
 	if s.cnode != nil {
 		s.registerClusterMetrics()

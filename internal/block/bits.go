@@ -1,8 +1,8 @@
 // Package block implements the immutable columnar block format used for
 // historical (cold) time-series storage: delta-of-delta timestamps and
 // XOR-compressed float values per series, precomputed 1m/1h rollup
-// buckets, a per-series index, CRC-framed sections, and an atomic
-// tmp+fsync+rename writer. Blocks are read via mmap where available so
+// buckets, a per-series index, CRC-framed sections, and a writer that
+// commits each file whole (wal.AtomicFile). Blocks are read via mmap where available so
 // cold data stays out of the Go heap.
 //
 // Chunk bitstreams are MSB-first. This file's writer and reader move

@@ -71,10 +71,10 @@ type SeriesMeta struct {
 // once raw retention has demoted the block to rollups only).
 func (m SeriesMeta) HasRaw() bool { return m.raw.len != 0 }
 
-func appendFrame(dst, payload []byte) []byte {
+// appendFrameHeader appends the header of payload's frame to dst.
+func appendFrameHeader(dst, payload []byte) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
-	return append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, crcTable))
 }
 
 // frameAt validates and returns the payload of the frame at s within

@@ -52,7 +52,8 @@ func seekPoints(seed uint64, n int) []Point {
 // memBlock is a one-series block over pts without a file: the raw frame
 // at offset 0 is all a read touches.
 func memBlock(pts []Point) *Block {
-	data := appendFrame(nil, appendChunk(nil, pts))
+	chunk := appendChunk(nil, pts)
+	data := append(appendFrameHeader(nil, chunk), chunk...)
 	m := SeriesMeta{
 		Key: seekKey, MinT: pts[0].T, MaxT: pts[len(pts)-1].T, Count: int64(len(pts)),
 		raw: section{off: 0, len: int64(len(data))},

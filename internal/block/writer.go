@@ -1,13 +1,11 @@
 package block
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"os"
-	"path/filepath"
+
+	"repro/internal/wal"
 )
 
 // Suffix is the filename extension of block files inside a shard dir.
@@ -15,14 +13,10 @@ const Suffix = ".blk"
 
 // Writer builds one block file. Series must be added in strictly
 // ascending (Device, Quantity) order with their points sorted by
-// ascending timestamp. The file is written to <path>.tmp and only
-// renamed into place by Finish, so a crash mid-write never leaves a
-// partial block under the final name.
+// ascending timestamp. The file is a wal.AtomicFile, so a crash
+// mid-write never leaves a partial block under the final path.
 type Writer struct {
-	path string
-	tmp  string
-	f    *os.File
-	w    *bufio.Writer
+	f    *wal.AtomicFile
 	off  int64
 	meta []SeriesMeta
 	// buf is one frame's payload, reused from one frame to the next; a
@@ -33,18 +27,15 @@ type Writer struct {
 
 // NewWriter opens a block writer targeting the final path.
 func NewWriter(path string) (*Writer, error) {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := wal.CreateAtomic(path)
 	if err != nil {
 		return nil, fmt.Errorf("block: %w", err)
 	}
-	w := &Writer{path: path, tmp: tmp, f: f, w: bufio.NewWriterSize(f, 1<<16)}
-	hdr := append([]byte(blockMagic), blockVersion)
-	if _, err := w.w.Write(hdr); err != nil {
+	w := &Writer{f: f}
+	if err := w.write(append([]byte(blockMagic), blockVersion)); err != nil {
 		w.Abort()
 		return nil, fmt.Errorf("block: %w", err)
 	}
-	w.off = int64(len(hdr))
 	return w, nil
 }
 
@@ -116,20 +107,23 @@ func (w *Writer) addRollups(m SeriesMeta, r1m, r1h []Bucket) error {
 func (w *Writer) writeFrame(payload []byte) (section, error) {
 	s := section{off: w.off, len: int64(frameHdrLen + len(payload))}
 	var h [frameHdrLen]byte
-	binary.LittleEndian.PutUint32(h[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:8], crc32.Checksum(payload, crcTable))
-	if _, err := w.w.Write(h[:]); err != nil {
-		return section{}, w.fail(err)
+	if err := w.write(appendFrameHeader(h[:0], payload)); err != nil {
+		return section{}, err
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return section{}, w.fail(err)
-	}
-	w.off += s.len
-	return s, nil
+	return s, w.write(payload)
 }
 
-// Finish writes the index and footer, fsyncs, and renames the file into
-// place. It returns the series metas as written (for the caller to
+// write appends p to the file, advancing the offset.
+func (w *Writer) write(p []byte) error {
+	if _, err := w.f.Write(p); err != nil {
+		return w.fail(err)
+	}
+	w.off += int64(len(p))
+	return nil
+}
+
+// Finish writes the index and footer and commits the file into place.
+// It returns the series metas as written (for the caller to
 // publish) and the final byte size.
 func (w *Writer) Finish() ([]SeriesMeta, int64, error) {
 	if w.err != nil {
@@ -147,42 +141,20 @@ func (w *Writer) Finish() ([]SeriesMeta, int64, error) {
 	var footer [footerLen]byte
 	binary.LittleEndian.PutUint64(footer[0:8], uint64(idxSec.off))
 	copy(footer[8:], blockMagic)
-	if _, err := w.w.Write(footer[:]); err != nil {
-		return nil, 0, w.fail(err)
+	if err := w.write(footer[:]); err != nil {
+		return nil, 0, err
 	}
-	w.off += footerLen
-	err = w.w.Flush()
-	if err == nil {
-		err = w.f.Sync()
-	}
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
+	if err := w.f.Commit(); err != nil {
 		w.err = fmt.Errorf("block: finish: %w", err)
-		os.Remove(w.tmp)
 		return nil, 0, w.err
 	}
-	w.f = nil
-	if err := os.Rename(w.tmp, w.path); err != nil {
-		os.Remove(w.tmp)
-		w.err = fmt.Errorf("block: %w", err)
-		return nil, 0, w.err
-	}
-	// Best effort: the data fsync above already landed, and some
-	// filesystems reject directory fsync.
-	_ = syncDir(filepath.Dir(w.path))
 	w.err = errors.New("block: writer finished")
 	return w.meta, w.off, nil
 }
 
 // Abort discards the writer and its temp file.
 func (w *Writer) Abort() {
-	if w.f != nil {
-		_ = w.f.Close() //lint:ignore closecheck aborting: the temp file is deleted below, nothing durable depends on it
-		w.f = nil
-	}
-	os.Remove(w.tmp)
+	w.f.Abort()
 	if w.err == nil {
 		w.err = errors.New("block: writer aborted")
 	}
@@ -193,13 +165,4 @@ func (w *Writer) fail(err error) error {
 		w.err = err
 	}
 	return w.err
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	return errors.Join(err, d.Close())
 }

@@ -2,10 +2,10 @@
 // analysis suite over the standard library's go/parser and go/types
 // that machine-checks the project invariants PRs 1–5 established by
 // convention — error-envelope discipline in handler packages, context
-// threading, no IO under fan-out locks, WAL-before-store ordering, and
-// checked Close/Sync on durability paths. Each invariant is one
-// Analyzer; cmd/districtlint loads every package of the module and runs
-// the suite, and LINTING.md documents what each rule enforces and why.
+// threading, no IO under fan-out locks, and checked Close/Sync on
+// durability paths. Each invariant is one Analyzer; cmd/districtlint
+// loads every package of the module and runs the suite, and LINTING.md
+// documents what each rule enforces and why.
 //
 // Findings can be suppressed, one line at a time, with a directive
 // comment naming the rule and the reason:
@@ -74,7 +74,6 @@ func All() []*Analyzer {
 		Analyzers.HotAlloc,
 		Analyzers.LockIO,
 		Analyzers.ObsNames,
-		Analyzers.WALOrder,
 	}
 }
 
@@ -87,7 +86,6 @@ var Analyzers = struct {
 	HotAlloc    *Analyzer
 	LockIO      *Analyzer
 	ObsNames    *Analyzer
-	WALOrder    *Analyzer
 }{
 	APIEnvelope: apiEnvelopeAnalyzer,
 	CloseCheck:  closeCheckAnalyzer,
@@ -95,7 +93,6 @@ var Analyzers = struct {
 	HotAlloc:    hotAllocAnalyzer,
 	LockIO:      lockIOAnalyzer,
 	ObsNames:    obsNamesAnalyzer,
-	WALOrder:    walOrderAnalyzer,
 }
 
 // Run applies analyzers to every package, resolves //lint:ignore

@@ -133,10 +133,6 @@ func TestLockIO(t *testing.T) {
 	checkFixture(t, "lockio", "repro/internal/stream", []*Analyzer{Analyzers.LockIO})
 }
 
-func TestWALOrder(t *testing.T) {
-	checkFixture(t, "walorder", "repro/internal/tsdb", []*Analyzer{Analyzers.WALOrder})
-}
-
 func TestObsNames(t *testing.T) {
 	checkFixture(t, "obsnames", "repro/internal/fixtureobs", []*Analyzer{Analyzers.ObsNames})
 }

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -131,44 +130,28 @@ func BlockFiles(dir string) ([]string, error) {
 
 func blockPath(dir, name string) string { return filepath.Join(dir, name) }
 
-func blockName(id uint64) string { return fmt.Sprintf("%016x%s", id, block.Suffix) }
-
-func parseBlockName(name string) (uint64, bool) {
-	if !strings.HasSuffix(name, block.Suffix) {
-		return 0, false
-	}
-	id, err := strconv.ParseUint(strings.TrimSuffix(name, block.Suffix), 16, 64)
-	return id, err == nil
-}
-
-// openManifestBlocks opens the manifest-listed blocks of a shard dir
-// and deletes every other *.blk file (orphans of a crash between block
+// openManifestBlocks opens the manifest-listed blocks of a shard dir,
+// deletes every other block file (orphans of a crash between block
 // write and snapshot write — their rows are still in the WAL and replay
-// into the head).
+// into the head) and sweeps the temp files a crash left. The next block
+// id is past every listed one; a dir that cannot be listed is an error,
+// since guessing the id could write over a listed block.
 func openManifestBlocks(dir string, names []string) ([]*block.Block, uint64, error) {
+	ids, err := wal.ListSeq(dir, block.Suffix)
+	if err != nil {
+		return nil, 0, err
+	}
+	wal.SweepTemps(dir)
 	listed := make(map[string]bool, len(names))
 	for _, n := range names {
 		listed[n] = true
 	}
 	var nextID uint64 = 1
-	if ents, err := os.ReadDir(dir); err == nil {
-		for _, e := range ents {
-			name := e.Name()
-			if strings.HasSuffix(name, block.Suffix+".tmp") {
-				_ = os.Remove(blockPath(dir, name))
-				continue
-			}
-			id, ok := parseBlockName(name)
-			if !ok {
-				continue
-			}
-			if !listed[name] {
-				_ = os.Remove(blockPath(dir, name))
-				continue
-			}
-			if id >= nextID {
-				nextID = id + 1
-			}
+	for _, id := range ids {
+		if name := wal.SeqName(id, block.Suffix); !listed[name] {
+			_ = os.Remove(blockPath(dir, name))
+		} else {
+			nextID = id + 1
 		}
 	}
 	blocks := make([]*block.Block, 0, len(names))
@@ -400,7 +383,7 @@ func resetShard(store *Store, disk *shardDisk, bs *blockSet) error {
 // that adds none writes nothing and returns a nil block; on failure
 // nothing is left on disk.
 func (bs *blockSet) writeBlock(fill func(w *lazyWriter) error) (*block.Block, error) {
-	w := &lazyWriter{path: blockPath(bs.dir, blockName(bs.nextID))}
+	w := &lazyWriter{path: blockPath(bs.dir, wal.SeqName(bs.nextID, block.Suffix))}
 	err := fill(w)
 	if w.w == nil {
 		return nil, err

@@ -299,6 +299,19 @@ func TestBlockOrphanAndTmpCleanedOnRecovery(t *testing.T) {
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
 }
 
+// A shard dir that cannot be listed fails the open: taking the next
+// block id as 1 would let the next cut rename its file over a listed
+// block.
+func TestBlockUnlistableDirFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "shard-0000")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if blocks, nextID, err := openManifestBlocks(path, nil); err == nil {
+		t.Fatalf("openManifestBlocks on a regular file = %d blocks, next id %d, no error", len(blocks), nextID)
+	}
+}
+
 func TestBlockCorruptManifestBlockFailsOpenLoudly(t *testing.T) {
 	dir := t.TempDir()
 	rows := oldRows(200, blockKey)

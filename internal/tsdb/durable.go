@@ -140,37 +140,26 @@ func loadOrWriteMeta(dir string, shards int) (int, error) {
 	switch {
 	case err == nil:
 		var m engineMeta
-		if err := json.Unmarshal(raw, &m); err != nil || m.Shards <= 0 {
-			return 0, fmt.Errorf("tsdb: corrupt %s: %v", path, err)
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return 0, fmt.Errorf("tsdb: corrupt %s: %w", path, err)
+		}
+		if m.Shards <= 0 {
+			return 0, fmt.Errorf("tsdb: corrupt %s: %d shards", path, m.Shards)
 		}
 		return m.Shards, nil
 	case os.IsNotExist(err):
-		// tmp + fsync + rename (+ directory sync), like snapshots: a
-		// crash during first boot must leave either no meta file or a
-		// whole one — a truncated engine.json would brick the data dir
-		// on every reopen.
+		// Atomic, like snapshots: a crash during first boot must leave
+		// either no meta file or a whole one — a truncated engine.json
+		// would brick the data dir on every reopen.
 		raw, _ := json.Marshal(engineMeta{Shards: shards})
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+		f, err := wal.CreateAtomic(path)
+		if err == nil {
+			_, _ = f.Write(raw) // a write error is sticky: Commit returns it
+			err = f.Commit()
+		}
 		if err != nil {
 			return 0, fmt.Errorf("tsdb: %w", err)
 		}
-		_, werr := f.Write(raw)
-		if serr := f.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp, path)
-		}
-		if werr != nil {
-			os.Remove(tmp)
-			return 0, fmt.Errorf("tsdb: %w", werr)
-		}
-		// Best effort, like the WAL's own directory fsyncs.
-		_ = wal.SyncDir(dir)
 		return shards, nil
 	default:
 		return 0, fmt.Errorf("tsdb: %w", err)

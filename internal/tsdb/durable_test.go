@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -308,5 +309,52 @@ func TestDurableWALFailureDropsRows(t *testing.T) {
 		if got := eng.Len(k); got != lens[i] {
 			t.Fatalf("%v: len %d after failed appends, want %d", k, got, lens[i])
 		}
+	}
+}
+
+// engine.json pins the shard count: a file that does not parse, or
+// names no shards, refuses the open and names the file; a temp file
+// left by a first boot cut short is overwritten, and the requested
+// count adopted.
+func TestEngineMetaFile(t *testing.T) {
+	for _, tc := range []struct {
+		name, file, content string
+		wantErr             string // "" = the open succeeds
+	}{
+		{name: "unparsable", file: metaFile, content: `{"shards":`, wantErr: "unexpected end of JSON input"},
+		{name: "zero shards", file: metaFile, content: `{"shards":0}`, wantErr: "0 shards"},
+		{name: "leftover temp", file: metaFile + ".tmp", content: `{"sha`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, tc.file), []byte(tc.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			eng, err := OpenSharded(ShardedOptions{Dir: dir, Shards: 3})
+			if tc.wantErr != "" {
+				if err == nil {
+					eng.Close()
+					t.Fatal("open succeeded")
+				}
+				if msg := err.Error(); !strings.Contains(msg, filepath.Join(dir, metaFile)) || !strings.Contains(msg, tc.wantErr) {
+					t.Fatalf("err = %q, want it to name %s and %q", msg, metaFile, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Close()
+			if got := eng.NumShards(); got != 3 {
+				t.Fatalf("shards = %d, want 3", got)
+			}
+			raw, err := os.ReadFile(filepath.Join(dir, metaFile))
+			if err != nil || string(raw) != `{"shards":3}` {
+				t.Fatalf("%s = %q, %v", metaFile, raw, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, metaFile+".tmp")); !os.IsNotExist(err) {
+				t.Fatalf("temp file left behind: %v", err)
+			}
+		})
 	}
 }

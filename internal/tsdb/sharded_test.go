@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -302,7 +303,10 @@ func TestShardedAppendBatchPerRowErrors(t *testing.T) {
 // the series being read). The walk must see every sample that existed
 // when it started, exactly once, in order.
 func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
-	s := NewSharded(ShardedOptions{Shards: 8})
+	// Unbounded series: on a loaded host writer 0 can pass the default
+	// per-series cap mid-walk, and the cap's eviction of the oldest
+	// (pinned) rows is not what this test is about.
+	s := NewSharded(ShardedOptions{Shards: 8, Store: Options{MaxSamplesPerSeries: math.MaxInt}})
 	defer s.Close()
 	readKey := shKey(0)
 	const preloaded = 2000

@@ -62,13 +62,13 @@ func VerifyShardDir(dir string) (ShardVerifyResult, error) {
 			return res, verr
 		}
 	}
-	ents, err := os.ReadDir(dir)
+	ids, err := wal.ListSeq(dir, block.Suffix)
 	if err != nil {
-		return res, fmt.Errorf("tsdb: %w", err)
+		return res, err
 	}
-	for _, e := range ents {
-		if strings.HasSuffix(e.Name(), block.Suffix) && !listed[e.Name()] {
-			res.OrphanBlocks = append(res.OrphanBlocks, e.Name())
+	for _, id := range ids {
+		if name := wal.SeqName(id, block.Suffix); !listed[name] {
+			res.OrphanBlocks = append(res.OrphanBlocks, name)
 		}
 	}
 	return res, nil

@@ -1,111 +1,58 @@
 package wal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Snapshots are the compaction half of the durability layer: a snapshot
 // file captures the full state of a store as of one log sequence, after
 // which every log segment at or below that watermark can be deleted
-// (TruncateBefore). Snapshot files are written to a temp name, fsynced,
-// and renamed into place, so a crash mid-snapshot leaves the previous
-// snapshot (and the uncompacted log) authoritative. Content is a stream
-// of CRC-framed records in the same format as log segments.
+// (TruncateBefore). A snapshot is an AtomicFile, so a crash
+// mid-snapshot leaves the previous snapshot (and the uncompacted log)
+// authoritative. Content is a stream of CRC-framed records in the same
+// format as log segments.
 
-const (
-	snapSuffix = ".snap"
-	tmpSuffix  = ".tmp"
-)
+const snapSuffix = ".snap"
 
 // SnapshotWriter frames records into a snapshot file.
 type SnapshotWriter struct {
-	w   *bufio.Writer
-	max int
+	f *AtomicFile
 }
 
 // Record appends one framed record to the snapshot.
 func (sw *SnapshotWriter) Record(p []byte) error {
-	if len(p) == 0 || len(p) > sw.max {
+	if len(p) == 0 || len(p) > maxRecord {
 		return ErrTooBig
 	}
 	var hdr [frameHeader]byte
-	putFrameHeader(hdr[:], p)
-	if _, err := sw.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := sw.w.Write(p)
+	_, _ = sw.f.Write(appendFrameHeader(hdr[:0], p)) // a write error is sticky: the next Write returns it
+	_, err := sw.f.Write(p)
 	return err
 }
 
-func putFrameHeader(hdr []byte, p []byte) {
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
-}
-
 // WriteSnapshot atomically writes the snapshot for watermark seq into
-// dir: fn streams the records, then the file is fsynced and renamed to
-// <seq>.snap (the directory is fsynced too, so the rename survives a
-// crash). After it returns, TruncateBefore(seq+1) is safe.
+// dir: fn streams the records, then the file is committed as
+// <seq>.snap. After it returns, TruncateBefore(seq+1) is safe.
 func WriteSnapshot(dir string, seq uint64, fn func(*SnapshotWriter) error) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	final := snapPath(dir, seq)
-	tmp := final + tmpSuffix
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := CreateAtomic(snapPath(dir, seq))
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	sw := &SnapshotWriter{w: bufio.NewWriterSize(f, 1<<16), max: 64 << 20}
-	if err := fn(sw); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
 		return err
 	}
-	if err := sw.w.Flush(); err == nil {
-		err = f.Sync()
+	if err := fn(&SnapshotWriter{f: f}); err != nil {
+		f.Abort()
+		return err
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	// Best effort, like every directory fsync here: some filesystems
-	// reject it, and the data fsync above already landed.
-	_ = SyncDir(dir)
-	return nil
+	return f.Commit()
 }
 
 func snapPath(dir string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%016x%s", seq, snapSuffix))
-}
-
-// SyncDir fsyncs a directory so renames and removes inside it are
-// durable. Exported for the other durable layers (the tsdb engine meta
-// file uses the same tmp+fsync+rename dance). Callers on filesystems
-// that reject directory fsync may treat the error as best-effort.
-func SyncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	return errors.Join(err, d.Close())
+	return filepath.Join(dir, SeqName(seq, snapSuffix))
 }
 
 // SnapshotReader streams the records of one snapshot file.
@@ -131,58 +78,31 @@ func (sr *SnapshotReader) Close() error { return sr.f.Close() }
 // LatestSnapshot opens the newest snapshot in dir, returning its
 // watermark sequence. A (0, nil, nil) return means no snapshot exists.
 func LatestSnapshot(dir string) (uint64, *SnapshotReader, error) {
-	seqs, err := listSnapshots(dir)
+	seqs, err := ListSeq(dir, snapSuffix)
 	if err != nil || len(seqs) == 0 {
 		return 0, nil, err
 	}
 	seq := seqs[len(seqs)-1]
-	f, err := os.Open(snapPath(dir, seq))
-	if err != nil {
-		return 0, nil, fmt.Errorf("wal: %w", err)
-	}
-	return seq, &SnapshotReader{f: f, fr: &frameReader{r: bufio.NewReaderSize(f, 1<<16), max: 64 << 20}}, nil
+	sr, err := openSnapshot(dir, seq)
+	return seq, sr, err
 }
 
-// RemoveSnapshotsBefore deletes snapshots with watermark < seq, plus
-// any abandoned temp files. Best effort.
-func RemoveSnapshotsBefore(dir string, seq uint64) {
-	seqs, err := listSnapshots(dir)
+func openSnapshot(dir string, seq uint64) (*SnapshotReader, error) {
+	f, err := os.Open(snapPath(dir, seq))
 	if err != nil {
-		return
+		return nil, fmt.Errorf("wal: %w", err)
 	}
+	return &SnapshotReader{f: f, fr: newFrameReader(f, maxRecord)}, nil
+}
+
+// RemoveSnapshotsBefore deletes snapshots with watermark < seq, then
+// sweeps the temp files of abandoned ones (SweepTemps). Best effort.
+func RemoveSnapshotsBefore(dir string, seq uint64) {
+	seqs, _ := ListSeq(dir, snapSuffix)
 	for _, s := range seqs {
 		if s < seq {
 			_ = os.Remove(snapPath(dir, s))
 		}
 	}
-	if stray, err := filepath.Glob(filepath.Join(dir, "*"+tmpSuffix)); err == nil {
-		for _, p := range stray {
-			_ = os.Remove(p)
-		}
-	}
-}
-
-// listSnapshots returns snapshot watermarks in dir, ascending.
-func listSnapshots(dir string) ([]uint64, error) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var seqs []uint64
-	for _, e := range names {
-		name := e.Name()
-		if !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		seq, err := strconv.ParseUint(strings.TrimSuffix(name, snapSuffix), 16, 64)
-		if err != nil {
-			continue
-		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
+	SweepTemps(dir)
 }

@@ -1,11 +1,11 @@
 package wal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 )
 
 // VerifyResult summarizes a read-only integrity scan of one log
@@ -31,13 +31,13 @@ type VerifyResult struct {
 // (Open recovers it); corruption anywhere else is.
 func VerifyDir(dir string) (VerifyResult, error) {
 	var res VerifyResult
-	bases, err := listSegments(dir)
+	bases, err := ListSeq(dir, segSuffix)
 	if err != nil {
 		return res, err
 	}
 	for i, base := range bases {
-		path := fmt.Sprintf("%s/%016x%s", dir, base, segSuffix)
-		count, valid, err := scanSegment(path, 64<<20)
+		path := filepath.Join(dir, SeqName(base, segSuffix))
+		count, valid, err := scanSegment(path, maxRecord)
 		if err != nil {
 			return res, err
 		}
@@ -51,39 +51,23 @@ func VerifyDir(dir string) (VerifyResult, error) {
 			res.TornTailBytes = info.Size() - valid
 		}
 	}
-	seqs, err := listSnapshots(dir)
+	seqs, err := ListSeq(dir, snapSuffix)
 	if err != nil {
 		return res, err
 	}
 	for _, seq := range seqs {
-		n, err := verifySnapshot(snapPath(dir, seq))
+		sr, err := openSnapshot(dir, seq)
 		if err != nil {
 			return res, err
 		}
+		for _, err = sr.Record(); err == nil; _, err = sr.Record() {
+			res.SnapshotRecords++
+		}
+		_ = sr.Close() //lint:ignore closecheck read-only verification scan; close error cannot lose data
+		if !errors.Is(err, io.EOF) {
+			return res, err
+		}
 		res.Snapshots++
-		res.SnapshotRecords += n
 	}
 	return res, nil
-}
-
-// verifySnapshot reads one snapshot file to EOF, CRC-checking every
-// record.
-func verifySnapshot(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close() //lint:ignore closecheck read-only verification scan; close error cannot lose data
-	fr := &frameReader{r: bufio.NewReaderSize(f, 1<<16), max: 64 << 20}
-	n := 0
-	for {
-		_, err := fr.next()
-		if errors.Is(err, io.EOF) {
-			return n, nil
-		}
-		if err != nil {
-			return n, fmt.Errorf("wal: snapshot %s record %d: %w", path, n, err)
-		}
-		n++
-	}
 }

@@ -29,8 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -114,14 +112,15 @@ func (o Options) withDefaults() Options {
 		o.FirstSeq = 1
 	}
 	if o.MaxRecord <= 0 {
-		o.MaxRecord = 64 << 20
+		o.MaxRecord = maxRecord
 	}
 	return o
 }
 
 const (
 	segSuffix   = ".seg"
-	frameHeader = 8 // len + crc
+	frameHeader = 8        // len + crc
+	maxRecord   = 64 << 20 // default MaxRecord, and every snapshot record's bound
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -138,7 +137,7 @@ type Log struct {
 
 	mu     sync.Mutex
 	f      *os.File // active segment
-	w      *bufWriter
+	buf    []byte   // frames not yet written to f
 	segs   []uint64 // base seq of every segment, ascending; last is active
 	next   uint64   // next seq to assign
 	size   int64    // bytes in the active segment
@@ -150,27 +149,6 @@ type Log struct {
 	wg   sync.WaitGroup
 }
 
-// bufWriter is a minimal buffered writer (bufio.Writer sized for frame
-// bursts) that tracks nothing else; split out so the header scratch can
-// live beside it.
-type bufWriter struct {
-	f   *os.File
-	buf []byte
-}
-
-func (b *bufWriter) write(p []byte) {
-	b.buf = append(b.buf, p...)
-}
-
-func (b *bufWriter) flush() error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	_, err := b.f.Write(b.buf)
-	b.buf = b.buf[:0]
-	return err
-}
-
 // Open opens (creating if needed) the log in dir. The tail segment is
 // scanned and truncated at the first torn or corrupt frame, so a log
 // cut down mid-append by a crash recovers to its last whole record.
@@ -179,7 +157,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	bases, err := listSegments(dir)
+	bases, err := ListSeq(dir, segSuffix)
 	if err != nil {
 		return nil, err
 	}
@@ -204,7 +182,6 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: %w", err)
 		}
 		l.f = f
-		l.w = &bufWriter{f: f}
 		l.segs = bases
 		l.next = base + uint64(count)
 		l.size = valid
@@ -217,40 +194,18 @@ func Open(dir string, opts Options) (*Log, error) {
 }
 
 func (l *Log) segPath(base uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%016x%s", base, segSuffix))
-}
-
-// listSegments returns the base sequences of every segment, ascending.
-func listSegments(dir string) ([]uint64, error) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var bases []uint64
-	for _, e := range names {
-		name := e.Name()
-		if !strings.HasSuffix(name, segSuffix) {
-			continue
-		}
-		base, err := strconv.ParseUint(strings.TrimSuffix(name, segSuffix), 16, 64)
-		if err != nil {
-			continue // foreign file; leave it alone
-		}
-		bases = append(bases, base)
-	}
-	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	return bases, nil
+	return filepath.Join(l.dir, SeqName(base, segSuffix))
 }
 
 // scanSegment counts the whole frames of a segment and the byte length
 // they occupy; a torn or corrupt tail is simply excluded.
-func scanSegment(path string, maxRecord int) (count int, valid int64, err error) {
+func scanSegment(path string, limit int) (count int, valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close() //lint:ignore closecheck read-only scan; close error cannot lose data
-	r := &frameReader{r: bufio.NewReaderSize(f, 1<<16), max: maxRecord}
+	r := newFrameReader(f, limit)
 	for {
 		_, err := r.next()
 		if err != nil {
@@ -273,6 +228,16 @@ type frameReader struct {
 	max int
 	off int64
 	buf []byte
+}
+
+func newFrameReader(r io.Reader, max int) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), max: max}
+}
+
+// appendFrameHeader appends the header of p's frame to dst.
+func appendFrameHeader(dst, p []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(p, castagnoli))
 }
 
 func (fr *frameReader) next() ([]byte, error) {
@@ -309,7 +274,6 @@ func (l *Log) createSegment(base uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.f = f
-	l.w = &bufWriter{f: f}
 	l.segs = append(l.segs, base)
 	l.next = base
 	l.size = 0
@@ -320,7 +284,7 @@ func (l *Log) createSegment(base uint64) error {
 // base (normally l.next). Sealed segments are fsynced in the durable
 // modes so compaction never deletes the only synced copy of a record.
 func (l *Log) rollLocked(base uint64) error {
-	if err := l.w.flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	if l.opts.Fsync != FsyncNone {
@@ -390,21 +354,17 @@ func (l *Log) AppendBatch(ps [][]byte) (uint64, error) {
 			return 0, ErrTooBig
 		}
 	}
-	var hdr [frameHeader]byte
 	for _, p := range ps {
 		if l.size >= l.opts.SegmentBytes {
 			if err := l.rollLocked(l.next); err != nil {
 				return 0, l.failLocked(fmt.Errorf("wal: roll segment: %w", err))
 			}
 		}
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(p, castagnoli))
-		l.w.write(hdr[:])
-		l.w.write(p)
+		l.buf = append(appendFrameHeader(l.buf, p), p...)
 		l.size += frameHeader + int64(len(p))
 		l.next++
 	}
-	if err := l.w.flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return 0, l.failLocked(fmt.Errorf("wal: %w", err))
 	}
 	if l.opts.Fsync == FsyncAlways {
@@ -415,6 +375,16 @@ func (l *Log) AppendBatch(ps [][]byte) (uint64, error) {
 		l.dirty = true
 	}
 	return l.next - 1, nil
+}
+
+// flushLocked writes the buffered frames to the active segment.
+func (l *Log) flushLocked() error {
+	if len(l.buf) == 0 {
+		return nil
+	}
+	_, err := l.f.Write(l.buf)
+	l.buf = l.buf[:0]
+	return err
 }
 
 // syncFile fsyncs one of the log's data files, reporting the stall to
@@ -461,7 +431,7 @@ func (l *Log) syncLocked() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	if !l.dirty {
@@ -522,7 +492,7 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, rec []byte) error) error 
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.flush(); err != nil {
+	if err := l.flushLocked(); err != nil {
 		return err
 	}
 	for i, base := range l.segs {
@@ -543,7 +513,7 @@ func (l *Log) replaySegment(base uint64, last bool, after uint64, fn func(uint64
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close() //lint:ignore closecheck read-only replay; close error cannot lose data
-	r := &frameReader{r: bufio.NewReaderSize(f, 1<<16), max: l.opts.MaxRecord}
+	r := newFrameReader(f, l.opts.MaxRecord)
 	seq := base
 	for {
 		p, err := r.next()
@@ -605,7 +575,7 @@ func (l *Log) Close() error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	err := l.w.flush()
+	err := l.flushLocked()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}

@@ -89,11 +89,11 @@ func TestFirstSeqAndEmptyLastSeq(t *testing.T) {
 // tailSegment returns the path of the newest segment file.
 func tailSegment(t *testing.T, dir string) string {
 	t.Helper()
-	bases, err := listSegments(dir)
+	bases, err := ListSeq(dir, segSuffix)
 	if err != nil || len(bases) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
-	return filepath.Join(dir, fmt.Sprintf("%016x%s", bases[len(bases)-1], segSuffix))
+	return filepath.Join(dir, SeqName(bases[len(bases)-1], segSuffix))
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
@@ -316,7 +316,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	sr.Close()
 
 	RemoveSnapshotsBefore(dir, 25)
-	seqs, err := listSnapshots(dir)
+	seqs, err := ListSeq(dir, snapSuffix)
 	if err != nil || len(seqs) != 1 || seqs[0] != 25 {
 		t.Fatalf("after prune: %v, %v", seqs, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -39,12 +40,18 @@ type trajectoryLine struct {
 // names to BENCHMARK.json: every workload is a declared workload and
 // every metric a declared end-to-end or per-layer metric. It then logs,
 // per workload and metric, each PR's parent median beside the change
-// median of the PR before it. A parent far from the previous change
-// (further than the metric's A/A spread) is drift or an unclaimed
-// regression for a reader to chase; the chain itself never fails.
+// median of the PR before it, and the running product of change/parent,
+// which compares across sessions where absolute medians do not. A
+// parent further from the previous change than the metric's bound is
+// flagged "sessions differ": the two PRs ran on hosts (or at times)
+// that disagree, which is not a regression of either. The chain itself
+// never fails.
 func TestBenchTrajectoryNamesMatchBenchmark(t *testing.T) {
 	var bench struct {
-		EndToEnd  []struct{ Name string } `json:"end_to_end"`
+		EndToEnd []struct {
+			Name  string
+			Bound float64
+		} `json:"end_to_end"`
 		PerLayer  []struct{ Name string } `json:"per_layer"`
 		Workloads []struct{ Name string } `json:"workloads"`
 	}
@@ -55,8 +62,11 @@ func TestBenchTrajectoryNamesMatchBenchmark(t *testing.T) {
 	if err := json.Unmarshal(raw, &bench); err != nil {
 		t.Fatalf("BENCHMARK.json: %v", err)
 	}
-	metrics, workloads := map[string]bool{}, map[string]bool{}
-	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+	metrics, workloads, bounds := map[string]bool{}, map[string]bool{}, map[string]float64{}
+	for _, m := range bench.EndToEnd {
+		metrics[m.Name], bounds[m.Name] = true, m.Bound
+	}
+	for _, m := range bench.PerLayer {
 		metrics[m.Name] = true
 	}
 	for _, w := range bench.Workloads {
@@ -119,14 +129,21 @@ func TestBenchTrajectoryNamesMatchBenchmark(t *testing.T) {
 	})
 	for _, k := range keys {
 		var b strings.Builder
+		product := 1.0
 		for i, l := range chains[k] {
 			if i > 0 {
 				prev := chains[k][i-1].Change
-				fmt.Fprintf(&b, " | PR %d parent %.4g (previous change %.4g, %+.1f%%)", l.PR, l.Parent, prev, 100*(l.Parent-prev)/prev)
+				drift := (l.Parent - prev) / prev
+				fmt.Fprintf(&b, " | PR %d parent %.4g (previous change %.4g, %+.1f%%", l.PR, l.Parent, prev, 100*drift)
+				if bound := bounds[k.metric]; bound > 0 && math.Abs(drift) > bound {
+					b.WriteString(", sessions differ")
+				}
+				b.WriteString(")")
 			} else {
 				fmt.Fprintf(&b, "PR %d parent %.4g", l.PR, l.Parent)
 			}
-			fmt.Fprintf(&b, " → change %.4g", l.Change)
+			product *= l.Change / l.Parent
+			fmt.Fprintf(&b, " → change %.4g (running ×%.3f)", l.Change, product)
 		}
 		t.Logf("%s %s: %s", k.workload, k.metric, b.String())
 	}

@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -28,6 +29,7 @@ import (
 	"bytes"
 	"repro/internal/api"
 	"repro/internal/bim"
+	"repro/internal/block"
 	"repro/internal/client"
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -845,10 +847,14 @@ func s3LivePathOp(tb testing.TB) hotPathOp {
 // ---------------------------------------------------------------------
 
 // Q1 — reading one large stored range. Query materializes the whole
-// range in a single slice (O(range) memory per call); the cursor
-// iterator walks it in bounded pages (O(page) memory), which is the
-// primitive under /v2 pagination and the NDJSON/CSV streams. Both
-// produce the same rows — the contrast is allocation shape.
+// range in a single slice (O(range) memory per call); the iterator
+// walks it holding a bounded refill of head points (O(page) memory),
+// which is the primitive under /v2 pagination and the NDJSON/CSV
+// streams. Both produce the same rows — the contrast is allocation
+// shape. The block arms read the same rows cut into one block file:
+// iter-block walks them through the engine's scanner, and decode-block
+// is the whole-chunk decode the scanner's per-sample cost is judged
+// against.
 func BenchmarkQ1_TsdbIteratorVsQueryFlatten(b *testing.B) {
 	const n = 131072
 	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
@@ -874,17 +880,52 @@ func BenchmarkQ1_TsdbIteratorVsQueryFlatten(b *testing.B) {
 			}
 		})
 	}
+	b.Run("op=iter-block/page=1000", func(b *testing.B) {
+		walk := q1BlockIterOp(b, 1000).fn
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			walk()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+	})
+	b.Run("op=decode-block", func(b *testing.B) {
+		blk, key := q1Block(b)
+		pts := make([]block.Point, 0, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if pts, err = blk.Points(pts[:0], key, math.MinInt64, math.MaxInt64); err != nil || len(pts) != n {
+				b.Fatalf("decode returned %d points, err %v", len(pts), err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/sample")
+	})
 }
 
 // q1IterOp is Q1's iterator arm: one call walks a 131,072-sample
-// in-memory series through Iter in pages of page rows.
+// in-memory series through Iter, copying head points page at a time.
 // TestHotPathAllocCeilings holds its heap bytes per sample.
 func q1IterOp(tb testing.TB, page int) hotPathOp {
 	const n = 131072
 	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
 	s := memEngine(tb)
 	fillSeries(tb, s, key, n)
-	from, to := benchT0, benchT0.Add(n*time.Second)
+	return iterOp(tb, s, key, n, page)
+}
+
+// q1BlockIterOp is the iterator arm over q1BlockEngine's block.
+// TestHotPathAllocCeilings holds its heap bytes per sample.
+func q1BlockIterOp(tb testing.TB, page int) hotPathOp {
+	s, key := q1BlockEngine(tb)
+	return iterOp(tb, s, key, 131072, page)
+}
+
+// iterOp walks the n samples of key stored from benchT0 through s.Iter
+// (perOp is the sample).
+func iterOp(tb testing.TB, s *tsdb.Sharded, key tsdb.SeriesKey, n, page int) hotPathOp {
+	from, to := benchT0, benchT0.Add(time.Duration(n)*time.Second)
 	return hotPathOp{perOp: n, heapBytes: true, fn: func() {
 		it := s.Iter(key, from, to, page)
 		rows := 0
@@ -895,6 +936,42 @@ func q1IterOp(tb testing.TB, page int) hotPathOp {
 			tb.Fatalf("iterator returned %d rows, err %v", rows, err)
 		}
 	}}
+}
+
+// q1BlockEngine is a one-shard durable engine holding Q1's 131,072
+// samples in one block: they are far older than the head window, so
+// one compaction cuts them all.
+func q1BlockEngine(tb testing.TB) (*tsdb.Sharded, tsdb.SeriesKey) {
+	const n = 131072
+	key := tsdb.SeriesKey{Device: "urn:d", Quantity: "temperature"}
+	s, err := tsdb.OpenSharded(tsdb.ShardedOptions{Dir: tb.TempDir(), Shards: 1})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(s.Close)
+	fillSeries(tb, s, key, n)
+	if err := s.CompactAll(); err != nil {
+		tb.Fatal(err)
+	}
+	if st := s.ShardStatus(0); st.Blocks != 1 || st.BlockSamples != n {
+		tb.Fatalf("rows not in one block: %+v", st)
+	}
+	return s, key
+}
+
+// q1Block opens the block file of q1BlockEngine, closed with the test.
+func q1Block(tb testing.TB) (*block.Block, block.Key) {
+	s, key := q1BlockEngine(tb)
+	names, err := tsdb.BlockFiles(s.ShardDir(0))
+	if err != nil || len(names) != 1 {
+		tb.Fatalf("block files %v, err %v", names, err)
+	}
+	blk, err := block.Open(filepath.Join(s.ShardDir(0), names[0]))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = blk.Close() })
+	return blk, block.Key{Device: key.Device, Quantity: key.Quantity}
 }
 
 // benchV2Service builds a measurements DB (legacy aliases off, as the
@@ -1651,10 +1728,11 @@ func benchAllocsPer(b *testing.B, unit string, op hotPathOp) {
 // which a cut empties and the next rows refill, are 128 of them — and
 // 600-640 B a row while head samples held a time.Time, each commit
 // group grew its WAL record buffer from nil and a cut copied every
-// series into a map. A 131,072-sample head walk in 1000-row pages is
-// gated in heap bytes too: it measures 33 B a sample, the returned
-// pages' Samples, and 164 B while the head built a page of its own that
-// the engine then re-merged as samples.
+// series into a map. A 131,072-sample head walk in 1000-row refills is
+// gated in heap bytes too: it measures 0.0075 B a sample, the scanner
+// itself (33 B while every page built its own Samples, 164 B while the
+// head also built a page the engine then re-merged), and the same walk
+// over one block file 0.0013 B.
 // CSV encode has no ceiling: its per-row conversions through
 // encoding/csv are benchmarked for reference only.
 func TestHotPathAllocCeilings(t *testing.T) {
@@ -1681,6 +1759,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"block aggregate", 0.5, 200, blockAggregateOp},
 		{"durable write bytes", 200.0, 300, durableWriteOp},
 		{"head iter bytes", 100.0, 20, func(tb testing.TB) hotPathOp { return q1IterOp(tb, 1000) }},
+		{"block iter bytes", 100.0, 20, func(tb testing.TB) hotPathOp { return q1BlockIterOp(tb, 1000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			op := tc.op(t)

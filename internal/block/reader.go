@@ -168,44 +168,70 @@ func (b *Block) find(key Key) int {
 // (inclusive bounds, matching the tsdb query contract), appending to
 // dst.
 func (b *Block) Points(dst []Point, key Key, mint, maxt int64) ([]Point, error) {
-	return b.PointsLimit(dst, key, mint, maxt, -1)
+	it, err := b.Iter(key, mint, maxt)
+	if err != nil {
+		return dst, err
+	}
+	for it.Next() {
+		dst = append(dst, it.At())
+	}
+	return dst, it.Err()
 }
 
-// PointsLimit is Points bounded to at most max appended points (max < 0
-// means unbounded). The decode starts at the last restart point before
-// mint (see restart.go), so it passes at most 128 points before the
-// range, and it stops as soon as the page is satisfied instead of
-// materializing the whole range.
-func (b *Block) PointsLimit(dst []Point, key Key, mint, maxt int64, max int) ([]Point, error) {
+// SeriesIter walks the raw points of one series with T in [mint, maxt]
+// in time order, decoding the chunk once from the last restart point
+// before mint (see restart.go): the frame's CRC is checked once, when
+// the walk starts. It is a value a reader holds in place; the zero
+// SeriesIter yields nothing and reports no error.
+type SeriesIter struct {
+	it         chunkIter
+	mint, maxt int64
+	b          *Block
+	i          int // the series' index entry
+}
+
+// Iter starts a walk over the raw points of key with mint <= T <= maxt.
+// The block must stay open (retained) while the walk runs.
+func (b *Block) Iter(key Key, mint, maxt int64) (SeriesIter, error) {
 	i := b.find(key)
 	if i < 0 {
-		return dst, ErrNoSeries
+		return SeriesIter{}, ErrNoSeries
 	}
 	m := b.series[i]
 	if !m.HasRaw() {
-		return dst, ErrRawDemoted
+		return SeriesIter{}, ErrRawDemoted
 	}
+	si := SeriesIter{mint: mint, maxt: maxt, b: b, i: i}
 	if maxt < m.MinT || mint > m.MaxT {
-		return dst, nil
+		return si, nil // the zero chunk iterator yields nothing
 	}
-	var it chunkIter
-	if err := b.chunkFrom(&it, i, mint); err != nil {
-		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
+	if err := b.chunkFrom(&si.it, i, mint); err != nil {
+		return SeriesIter{}, b.seriesErr(i, err)
 	}
-	for added := 0; (max < 0 || added < max) && it.Next(); {
-		p := it.At()
-		if p.T > maxt {
-			break
+	return si, nil
+}
+
+// Next moves to the next point in range, or reports false (see Err).
+func (si *SeriesIter) Next() bool {
+	for si.it.Next() {
+		if t := si.it.cur.T; t >= si.mint {
+			return t <= si.maxt
 		}
-		if p.T >= mint {
-			dst = append(dst, p)
-			added++
-		}
 	}
-	if err := it.Err(); err != nil {
-		return dst, fmt.Errorf("block: %s: series %v: %w", b.path, m.Key, err)
+	return false
+}
+
+// At returns the point Next moved to.
+func (si *SeriesIter) At() Point { return si.it.cur }
+
+// Err returns the decode error that stopped the walk, if any.
+func (si *SeriesIter) Err() error { return si.b.seriesErr(si.i, si.it.err) }
+
+func (b *Block) seriesErr(i int, err error) error {
+	if err == nil {
+		return nil
 	}
-	return dst, nil
+	return fmt.Errorf("block: %s: series %v: %w", b.path, b.series[i].Key, err)
 }
 
 // chunkFrom sets it to decode series i's raw chunk, resumed at the last

@@ -61,7 +61,8 @@ func memBlock(pts []Point) *Block {
 	return &Block{path: "mem", data: data, series: []SeriesMeta{m}, restarts: make([]atomic.Pointer[restartTable], 1)}
 }
 
-// filterPoints is PointsLimit's contract over a sequential decode.
+// filterPoints is the contract of a walk through Iter stopped after
+// max points (max < 0: never), over a sequential decode.
 func filterPoints(all []Point, mint, maxt int64, max int) []Point {
 	var out []Point
 	for _, p := range all {
@@ -75,7 +76,21 @@ func filterPoints(all []Point, mint, maxt int64, max int) []Point {
 	return out
 }
 
-// FuzzChunkSeek holds the seeking PointsLimit — the read that builds the
+// takePoints walks seekKey in b through Iter, stopping after max points
+// (max < 0: never), as a scan that ends early does.
+func takePoints(b *Block, mint, maxt int64, max int) ([]Point, error) {
+	it, err := b.Iter(seekKey, mint, maxt)
+	if err != nil {
+		return nil, err
+	}
+	var out []Point
+	for (max < 0 || len(out) < max) && it.Next() {
+		out = append(out, it.At())
+	}
+	return out, it.Err()
+}
+
+// FuzzChunkSeek holds the seeking walk — the read that builds the
 // restart table and the one that uses it — to a sequential decode of the
 // same chunk, filtered the same way. mint and maxt land on, just before
 // or just after a point's timestamp, so runs of duplicates get split.
@@ -95,7 +110,7 @@ func FuzzChunkSeek(f *testing.F) {
 		}
 		want := filterPoints(all, mint, maxt, int(max))
 		for pass := 0; pass < 2; pass++ {
-			got, err := b.PointsLimit(nil, seekKey, mint, maxt, int(max))
+			got, err := takePoints(b, mint, maxt, int(max))
 			if err != nil {
 				t.Fatalf("pass %d: %v", pass, err)
 			}
@@ -106,7 +121,7 @@ func FuzzChunkSeek(f *testing.F) {
 
 // An edge read passes at most restartEvery points before mint, wherever
 // mint falls in the chunk — the bound the restart table exists for,
-// checked on the iterator PointsLimit reads, not by timing it.
+// checked on the iterator Iter walks, not by timing it.
 func TestChunkSeekDecodesAtMostRestartEveryBeforeMint(t *testing.T) {
 	pts := seekPoints(26, 20000)
 	b := memBlock(pts)

@@ -205,22 +205,43 @@ func TestMeasurementsIterResumesFromCursor(t *testing.T) {
 	}
 }
 
-// pageFailEngine fails every QueryPage after the first: a later page
-// of a streamed read that cannot be served.
+// pageFailEngine's scans serve `good` pages of DefaultPageLimit rows
+// in all, then fail: a later page of a streamed read that cannot be
+// served.
 type pageFailEngine struct {
 	tsdb.Engine
 	good atomic.Int32
 }
 
-func (e *pageFailEngine) QueryPage(key tsdb.SeriesKey, from, to time.Time, cur tsdb.Cursor, limit int) (tsdb.Page, error) {
-	if e.good.Add(-1) < 0 {
-		return tsdb.Page{}, errors.New("injected: series dropped mid-read")
-	}
-	return e.Engine.QueryPage(key, from, to, cur, limit)
+func (e *pageFailEngine) Scan(key tsdb.SeriesKey, from, to time.Time, cur tsdb.Cursor) tsdb.Iterator {
+	return &pageFailIter{Iterator: e.Engine.Scan(key, from, to, cur), good: &e.good}
 }
 
-func (e *pageFailEngine) Iter(key tsdb.SeriesKey, from, to time.Time, pageSize int) *tsdb.Iterator {
-	return tsdb.IterPager(e, key, from, to, pageSize)
+// pageFailIter takes one of good's pages at every DefaultPageLimit
+// rows, and fails once none is left.
+type pageFailIter struct {
+	tsdb.Iterator
+	good *atomic.Int32
+	rows int
+	err  error
+}
+
+func (it *pageFailIter) Next() (tsdb.Sample, bool) {
+	if it.err == nil && it.rows%tsdb.DefaultPageLimit == 0 && it.good.Add(-1) < 0 {
+		it.err = errors.New("injected: series dropped mid-read")
+	}
+	if it.err != nil {
+		return tsdb.Sample{}, false
+	}
+	it.rows++
+	return it.Iterator.Next()
+}
+
+func (it *pageFailIter) Err() error {
+	if it.err != nil {
+		return it.err
+	}
+	return it.Iterator.Err()
 }
 
 // TestStreamCutMidWayIsAnError: a node whose second page fails delivers

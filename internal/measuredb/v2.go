@@ -371,23 +371,23 @@ func (s *Service) v2Samples(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Streaming encodings ride the store iterator: rows go out as they
-	// are read, a bounded page at a time, so the response never
-	// materializes the range. An explicit limit still caps the stream;
-	// the default streams the whole range.
+	// Streaming encodings ride the store's scanner: rows go out as they
+	// are read, so the response never materializes the range. An
+	// explicit limit still caps the stream; the default streams the
+	// whole range.
 	streamLimit := 0
 	if q.Get("limit") != "" {
 		streamLimit = limit
 	}
-	it := s.store.Iter(key, from, to, 0)
-	it = it.StartAt(cur)
+	it := s.store.Scan(key, from, to, cur)
+	defer it.Close() // a limit or a gone client ends the scan early
 	s.streamSamples(w, r, key, it, mediaType, streamLimit)
 }
 
 // streamSamples writes iterator rows in the negotiated encoding,
 // flushing periodically so slow consumers see progress. An iterator that
 // fails after the first row aborts the connection.
-func (s *Service) streamSamples(w http.ResponseWriter, r *http.Request, key tsdb.SeriesKey, it *tsdb.Iterator, mediaType string, limit int) {
+func (s *Service) streamSamples(w http.ResponseWriter, r *http.Request, key tsdb.SeriesKey, it tsdb.Iterator, mediaType string, limit int) {
 	// Surface a missing series as a proper envelope before committing
 	// the streaming content type.
 	first, ok := it.Next()

@@ -40,7 +40,7 @@ func foldSamples(smps []Sample) Aggregate {
 // downsampleIter is the raw-scan downsample every fold must equal: it
 // folds an iterator's samples into fixed windows, holding only the
 // running bucket in memory.
-func downsampleIter(it *Iterator, from time.Time, window time.Duration) ([]Bucket, error) {
+func downsampleIter(it Iterator, from time.Time, window time.Duration) ([]Bucket, error) {
 	var out []Bucket
 	var cur Aggregate
 	var curStart time.Time

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,38 +12,25 @@ import (
 )
 
 // The read path of every shard. Every read captures a consistent view —
-// the head's points or summary plus retained references to the
-// overlapping blocks — under one blockSet read lock, then does the
-// block decoding after the unlock against the retained immutable files.
-// Compaction's publish+evict runs under the write lock, so a reader sees
-// the cut rows exactly once: in the head before the swap, in the block
-// after it. An in-memory engine's block sets stay empty, so its reads
-// are head reads through the same code.
+// retained references to the overlapping blocks, and the head's points
+// or summary read under the same view — under the blockSet read lock,
+// then does the block decoding after the unlock against the retained
+// immutable files. Compaction's publish+evict runs under the write
+// lock, so a reader sees the cut rows exactly once: in the head before
+// the swap, in the block after it. An in-memory engine's block sets stay
+// empty, so its reads are head reads through the same code.
 
-// maxCursorSkip caps the per-source overfetch a merged page performs to
-// honour a cursor's same-timestamp skip count. It exceeds any plausible
-// number of samples sharing one nanosecond timestamp (and the default
-// per-series head bound), so the cap is theoretical; a series with more
-// duplicates at a single instant than this could repeat samples across
-// a page boundary.
-const maxCursorSkip = 1 << 17
-
-// readScratch is the scratch one merged read borrows: the blocks it
-// captured, the head's copied points, the point arena the blocks decode
-// into (each page-merge source is a view of it; a fold decodes the
-// buckets a window boundary cuts into it), the 1m rollup-decode buffer,
-// the per-source views of a page merge, and the merged points. A
-// request touching many series (a batch query fanning over selectors)
-// reuses one scratch per merged call instead of re-growing these for
-// every series. Nothing handed back to callers may alias the scratch —
-// a page's Samples are built from it before release.
+// readScratch is the scratch one read borrows: the blocks it captured;
+// for a scan, their walks and the head's copied points; for a fold, the
+// point arena the buckets a window boundary cuts decode into and the 1m
+// rollup buffer. A request touching many series reuses one scratch per
+// read instead of re-growing these. Nothing handed back may alias it.
 type readScratch struct {
-	blks   []*block.Block
-	head   []block.Point
-	pts    []block.Point
-	bks    []block.Bucket
-	srcs   [][]block.Point
-	merged []block.Point
+	blks []*block.Block
+	srcs []block.SeriesIter
+	head []block.Point
+	pts  []block.Point
+	bks  []block.Bucket
 }
 
 var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
@@ -52,6 +38,11 @@ var readScratchPool = sync.Pool{New: func() any { return new(readScratch) }}
 func getReadScratch() *readScratch { return readScratchPool.Get().(*readScratch) }
 
 func (rs *readScratch) release() {
+	rs.reset()
+	readScratchPool.Put(rs)
+}
+
+func (rs *readScratch) reset() {
 	clear(rs.blks)
 	rs.blks = rs.blks[:0]
 	clear(rs.srcs)
@@ -59,8 +50,6 @@ func (rs *readScratch) release() {
 	rs.head = rs.head[:0]
 	rs.pts = rs.pts[:0]
 	rs.bks = rs.bks[:0]
-	rs.merged = rs.merged[:0]
-	readScratchPool.Put(rs)
 }
 
 // blocksFor appends to out retained references to the shard's blocks
@@ -79,9 +68,7 @@ func (bs *blockSet) blocksFor(out []*block.Block, key block.Key, fromN, toN int6
 			out = append(out, b)
 		}
 	}
-	if capture != nil {
-		capture()
-	}
+	capture()
 	bs.mu.RUnlock()
 	return out
 }
@@ -101,119 +88,6 @@ func (s *Sharded) countRead(usedBlocks bool) {
 	}
 }
 
-// QueryPage returns one bounded page of the samples of a series with At
-// in [from, to], resuming after cur, from the owning shard's head and
-// blocks. A zero `to` means "now"; limit <= 0 means DefaultPageLimit.
-// Each source yields at most limit+skip+1 points: the head copies its
-// points, each block decodes into one pooled arena. A k-way merge
-// orders them by (timestamp, source), blocks in cut order before the
-// head, and the cursor's same-timestamp skip applies to the merged
-// points; Samples are built for the returned page only. If the page
-// fits in the limit every source was exhausted, so More is exact, never
-// a guess. A series lives in exactly one shard, so the value-based
-// cursor is a per-shard resume position and stays valid across pages
-// while the store mutates — including a compaction moving samples from
-// the head into a block mid-walk, since the cursor is a timestamp, not
-// an offset.
-func (s *Sharded) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error) {
-	store, bs := s.owner(key.Device)
-	if to.IsZero() {
-		to = time.Now()
-	}
-	if to.Before(from) {
-		return Page{}, ErrBadInterval
-	}
-	if limit <= 0 {
-		limit = DefaultPageLimit
-	}
-	// Resume position: scan from the cursor timestamp (skipping the
-	// samples at that exact timestamp already returned) or from `from`.
-	start, skip := from, 0
-	if !cur.zero() && !cur.After.Before(from) {
-		start, skip = cur.After, cur.Seen
-	}
-	if start.After(to) {
-		return Page{}, nil
-	}
-	seen := skip // samples at start that earlier pages returned
-	need := limit + min(skip, maxCursorSkip) + 1
-
-	rs := getReadScratch()
-	defer rs.release()
-	var inHead bool
-	startN, toN := nanos(start), nanos(to)
-	blks := bs.blocksFor(rs.blks, bk(key), startN, toN, func() {
-		rs.head, inHead = store.appendPoints(rs.head[:0], key, startN, toN, need)
-	})
-	rs.blks = blks
-	defer releaseAll(blks)
-	s.countRead(len(blks) > 0)
-	if !inHead && len(blks) == 0 {
-		if s.keyInAnyBlock(bs, bk(key)) {
-			return Page{}, nil // series exists, nothing in range
-		}
-		return Page{}, ErrNoSeries
-	}
-
-	// Sources in merge order: blocks in cut order, then the head. A
-	// source is capped when it yielded all it was allowed to.
-	capped := len(rs.head) >= need
-	for _, b := range blks {
-		base := len(rs.pts)
-		var err error
-		rs.pts, err = b.PointsLimit(rs.pts, bk(key), startN, toN, need)
-		if err != nil {
-			if errors.Is(err, block.ErrRawDemoted) {
-				continue // raw data retired by retention; nothing to page
-			}
-			return Page{}, err
-		}
-		if n := len(rs.pts) - base; n > 0 {
-			// Full slice expression: later arena appends must not stomp
-			// this source's tail.
-			rs.srcs = append(rs.srcs, rs.pts[base:len(rs.pts):len(rs.pts)])
-			capped = capped || n >= need
-		}
-	}
-	rs.srcs = append(rs.srcs, rs.head)
-	rs.merged = mergePoints(rs.merged[:0], rs.srcs, need)
-
-	var page Page
-	page.Samples = make([]Sample, 0, min(limit, len(rs.merged)))
-	var lastT int64
-	run := 0 // page samples at lastT, the last one's timestamp
-	for _, p := range rs.merged {
-		// Only samples at the exact cursor timestamp are skipped: if
-		// some were evicted meanwhile, later samples must not be
-		// swallowed by a stale skip count.
-		if skip > 0 && p.T == startN {
-			skip--
-			continue
-		}
-		if len(page.Samples) == limit {
-			page.More = true
-			break
-		}
-		if run == 0 || p.T != lastT {
-			lastT, run = p.T, 0
-		}
-		run++
-		page.Samples = append(page.Samples, sampleAt(p.T, p.V))
-	}
-	// A page that fits has More only if a capped source might hold
-	// more. (With the limit+skip+1 bound a capped source forces an
-	// overfull page, so this only decides the pathological over-skip
-	// case; resume conservatively from the last sample.)
-	page.More = page.More || capped
-	if n := len(page.Samples); n > 0 && page.More {
-		if lastT == startN {
-			run += seen
-		}
-		page.Next = Cursor{After: page.Samples[n-1].At, Seen: run}
-	}
-	return page, nil
-}
-
 // keyInAnyBlock reports whether any published block of the set carries
 // the key (range-independent existence check).
 func (s *Sharded) keyInAnyBlock(bs *blockSet, key block.Key) bool {
@@ -225,73 +99,6 @@ func (s *Sharded) keyInAnyBlock(bs *blockSet, key block.Key) bool {
 		}
 	}
 	return false
-}
-
-// mergePoints k-way merges ascending sources in (timestamp, source
-// index) order into dst, stopping after max points. Equal timestamps
-// keep source order, which matches the pre-compaction in-head order
-// (the compactor cuts rows in stored order). The result is always
-// backed by dst's array (or a growth of it), never by a source, so dst
-// and the sources may all be pooled scratch.
-func mergePoints(dst []block.Point, srcs [][]block.Point, max int) []block.Point {
-	live := 0
-	var only []block.Point
-	for _, s := range srcs {
-		if len(s) > 0 {
-			live++
-			only = s
-		}
-	}
-	if live <= 1 {
-		return append(dst, only[:min(len(only), max)]...)
-	}
-	idx := make([]int, len(srcs))
-	for len(dst) < max {
-		best := -1
-		for si, s := range srcs {
-			if idx[si] >= len(s) {
-				continue
-			}
-			if best < 0 || s[idx[si]].T < srcs[best][idx[best]].T {
-				best = si
-			}
-		}
-		if best < 0 {
-			break
-		}
-		dst = append(dst, srcs[best][idx[best]])
-		idx[best]++
-	}
-	return dst
-}
-
-// Query materializes a full range query through the merged pager.
-func (s *Sharded) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
-	if to.IsZero() {
-		to = time.Now()
-	}
-	if to.Before(from) {
-		return nil, ErrBadInterval
-	}
-	it := s.Iter(key, from, to, 0)
-	var out []Sample
-	for {
-		smp, ok := it.Next()
-		if !ok {
-			break
-		}
-		out = append(out, smp)
-	}
-	if err := it.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Iter returns an iterator over the owning shard's head and blocks,
-// paging through QueryPage.
-func (s *Sharded) Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator {
-	return IterPager(s, key, from, to, pageSize)
 }
 
 // Latest returns the newest sample across head and blocks. The head
@@ -570,7 +377,7 @@ func (w *windows) foldBlock(rs *readScratch, b *block.Block, key block.Key) erro
 		for i+1 < len(bks) && bks[i+1].FirstT <= w.toN && !w.whole(&bks[i+1]) {
 			i++
 		}
-		if rs.pts, err = b.PointsLimit(rs.pts[:0], key, first, min(bks[i].LastT, w.toN), -1); err != nil {
+		if rs.pts, err = b.Points(rs.pts[:0], key, first, min(bks[i].LastT, w.toN)); err != nil {
 			return err
 		}
 		w.addRun(rs.pts)
@@ -585,7 +392,7 @@ func (w *windows) whole(rb *block.Bucket) bool {
 }
 
 // fold folds a series' rows in the range of w, on the owning shard,
-// into w. The view is captured as a page's is, and the head folds into
+// into w. The view is captured as a scan's is, and the head folds into
 // its own windows under the capture; the blocks then fold in cut order
 // and the head's windows last, so First and Last resolve ties as a raw
 // scan of the merged rows would. Each source answers from what it

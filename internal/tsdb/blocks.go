@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -20,9 +21,9 @@ import (
 // cadence each shard's worker CUTS the head rows older than the
 // configured head window into an immutable compressed block file
 // (delta-of-delta timestamps, XOR floats, 1m/1h rollups — see
-// internal/block). Reads merge the head with the blocks behind the same
-// Iterator/QueryPage cursor contract, so callers cannot tell where the
-// RAM/disk boundary sits.
+// internal/block). Reads merge the head with the blocks in one scanner
+// behind one cursor contract, so callers cannot tell where the RAM/disk
+// boundary sits.
 //
 // Every change of a shard's block view — a compaction cycle, a series
 // drop, a block import, a reset — is one step, publish: write the head
@@ -89,6 +90,7 @@ type blockSet struct {
 	mu     sync.RWMutex   // districtlint:lockio
 	blocks []*block.Block // ascending cut order
 	nextID uint64
+	gen    atomic.Uint64 // view swaps: publish bumps it under mu; a scan that sees it move re-captures
 }
 
 // manifestPrefix marks the snapshot record that carries the block
@@ -215,6 +217,7 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 	if !vc.boundary.IsZero() {
 		store.evictBefore(vc.boundary)
 	}
+	bs.gen.Add(1)
 	bs.mu.Unlock()
 	_ = disk.log.TruncateBefore(seq + 1)
 	wal.RemoveSnapshotsBefore(disk.dir, seq)
@@ -456,7 +459,7 @@ func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, err
 	return bs.writeBlock(func(w *lazyWriter) error {
 		var pts []block.Point
 		for _, key := range keys {
-			pts, _ = store.appendPoints(pts[:0], key, math.MinInt64, hi, -1)
+			pts, _ = store.appendPoints(pts[:0], key, math.MinInt64, 0, hi, -1)
 			if err := w.Add(bk(key), pts); err != nil {
 				return err
 			}
@@ -524,7 +527,7 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 		}
 		var pts []block.Point
 		for _, key := range store.Keys() {
-			pts, _ = store.appendPoints(pts[:0], key, lo, math.MaxInt64, -1)
+			pts, _ = store.appendPoints(pts[:0], key, lo, 0, math.MaxInt64, -1)
 			for _, p := range pts {
 				rows = append(rows, Row{Key: key, Sample: Sample{At: time.Unix(0, p.T), Value: p.V}})
 				if len(rows) == snapshotChunk {

@@ -26,7 +26,8 @@ type Engine interface {
 	AppendBatch(rows []Row) []error
 	Query(key SeriesKey, from, to time.Time) ([]Sample, error)
 	QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error)
-	Iter(key SeriesKey, from, to time.Time, pageSize int) *Iterator
+	Iter(key SeriesKey, from, to time.Time, pageSize int) Iterator
+	Scan(key SeriesKey, from, to time.Time, cur Cursor) Iterator
 	Latest(key SeriesKey) (Sample, error)
 	Len(key SeriesKey) int
 	Keys() []SeriesKey

@@ -89,9 +89,9 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 		key := shKey(d)
 		for _, e := range engines {
 			h := headReader{e.head}
-			ref := readAll(t, h, IterPager(h, key, time.Time{}, to, 0), key, ranges,
+			ref := readAll(t, h, h.iter(key, time.Time{}, to), key, ranges,
 				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
-					return downsampleIter(IterPager(h, key, from, to, 0), from, w)
+					return downsampleIter(h.iter(key, from, to), from, w)
 				})
 			got := readAll(t, e.eng, e.eng.Iter(key, time.Time{}, to, 0), key, ranges,
 				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
@@ -109,7 +109,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 // headReader reads a bare head Store the plain way, as the reference
 // the engines are checked against: a range read copies the whole range
 // out with appendPoints, and a page applies the cursor to that list. It
-// shares no code with Sharded.QueryPage.
+// shares no code with the engine's scanner.
 type headReader struct{ *Store }
 
 func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
@@ -119,7 +119,7 @@ func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	if to.Before(from) {
 		return nil, ErrBadInterval
 	}
-	pts, ok := h.appendPoints(nil, key, nanos(from), nanos(to), -1)
+	pts, ok := h.appendPoints(nil, key, nanos(from), 0, nanos(to), -1)
 	if !ok {
 		return nil, ErrNoSeries
 	}
@@ -129,6 +129,30 @@ func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 	}
 	return out, nil
 }
+
+// iter walks Query's answer.
+func (h headReader) iter(key SeriesKey, from, to time.Time) Iterator {
+	smps, err := h.Query(key, from, to)
+	return &sliceIter{smps: smps, err: err}
+}
+
+// sliceIter is an Iterator over a materialized answer.
+type sliceIter struct {
+	smps []Sample
+	err  error
+}
+
+func (it *sliceIter) Next() (Sample, bool) {
+	if len(it.smps) == 0 {
+		return Sample{}, false
+	}
+	smp := it.smps[0]
+	it.smps = it.smps[1:]
+	return smp, true
+}
+
+func (it *sliceIter) Err() error { return it.err }
+func (it *sliceIter) Close()     {}
 
 // Aggregate is a raw scan of Query.
 func (h headReader) Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error) {
@@ -182,7 +206,7 @@ func (h headReader) QueryPage(key SeriesKey, from, to time.Time, cur Cursor, lim
 
 // equivReader is the read surface a head Store shares with the engine.
 type equivReader interface {
-	Pager
+	QueryPage(key SeriesKey, from, to time.Time, cur Cursor, limit int) (Page, error)
 	Query(key SeriesKey, from, to time.Time) ([]Sample, error)
 	Latest(key SeriesKey) (Sample, error)
 	Len(key SeriesKey) int
@@ -195,7 +219,7 @@ type equivReader interface {
 // KeysForDevice, the whole-series iterator, then per range Query, a
 // 37-row QueryPage walk page by page, Aggregate, and Downsample at 1m,
 // 1h and an off-grid 90s.
-func readAll(t *testing.T, r equivReader, it *Iterator, key SeriesKey, ranges [][2]time.Time,
+func readAll(t *testing.T, r equivReader, it Iterator, key SeriesKey, ranges [][2]time.Time,
 	downsample func(from, to time.Time, w time.Duration) ([]Bucket, error)) []any {
 	t.Helper()
 	type result struct {
@@ -317,17 +341,27 @@ func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
 	}
 	to := shT0.Add(preloaded * time.Second) // pin the upper bound: new ingest lands beyond it
 
-	stop := make(chan struct{})
+	// Between two pages the reader hands writer 0 an ack channel and
+	// waits for it to close: writer 0 closes it once it has landed a
+	// batch it began after the request, so every page boundary sees one.
+	stop, failed := make(chan struct{}), make(chan struct{})
+	between := make(chan chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			asked := between
+			if w != 0 {
+				asked = nil
+			}
 			i := 0
 			for {
+				var ack chan struct{}
 				select {
 				case <-stop:
 					return
+				case ack = <-asked:
 				default:
 				}
 				rows := make([]Row, 64)
@@ -346,7 +380,16 @@ func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
 				i++
 				if errs := s.AppendBatch(rows); errs != nil {
 					t.Errorf("ingest batch failed: %v", errs[0])
+					if w == 0 {
+						close(failed)
+					}
+					if ack != nil {
+						close(ack)
+					}
 					return
+				}
+				if ack != nil {
+					close(ack)
 				}
 			}
 		}(w)
@@ -364,7 +407,15 @@ func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
 			break
 		}
 		cur = page.Next
-		time.Sleep(time.Millisecond) // let writers interleave between pages
+		ack := make(chan struct{})
+		select {
+		case between <- ack:
+			<-ack
+		case <-failed:
+			close(stop)
+			wg.Wait()
+			t.FailNow()
+		}
 	}
 	close(stop)
 	wg.Wait()

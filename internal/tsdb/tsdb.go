@@ -10,7 +10,7 @@
 // by a sample count, matching the buffering role the proxy's local
 // database plays in the paper; a durable engine keeps every acked row,
 // its head bounded by the head window and older rows in columnar
-// blocks. Reads page a series' merged rows (QueryPage) or fold them into
+// blocks. Reads scan a series' merged rows (Scan) or fold them into
 // summaries: Aggregate and Downsample are one walk over block index
 // statistics, rollup buckets and head segment summaries, decoding only
 // the rows a range or window boundary cuts through.
@@ -80,8 +80,8 @@ func (o *Options) withDefaults() Options {
 // Store is one shard's in-memory head: a thread-safe multi-series
 // sample store. Only the Sharded engine builds one; its worker is the
 // head's single writer. The head answers ranges with plain points
-// (appendPoints), summaries and key listings; paging, the cursor and
-// the merge with the shard's blocks are Sharded.QueryPage's alone.
+// (appendPoints), summaries and key listings; the cursor and the merge
+// with the shard's blocks are the scanner's alone.
 //
 // The head keeps what the WAL and the blocks keep: a Unix-nanosecond
 // timestamp and a value per sample (block.Point, 16 bytes, no pointer),
@@ -466,11 +466,12 @@ type Bucket struct {
 
 // appendPoints appends to buf the first limit (-1: all) stored points
 // of key with T in [lo, hi], in ascending time order (the spill is
-// folded first), copied under the series lock: the caller may do IO
-// with them after it, which it must not do with the segments
-// themselves. It is the head's only range read. ok reports whether the
-// head holds the series; an absent one adds nothing.
-func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo, hi int64, limit int) (_ []block.Point, ok bool) {
+// folded first), passing over the first skip of them at exactly lo,
+// copied under the series lock: the caller may do IO with them after
+// it, which it must not do with the segments themselves. It is the
+// head's only range read. ok reports whether the head holds the series;
+// an absent one adds nothing.
+func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo int64, skip int, hi int64, limit int) (_ []block.Point, ok bool) {
 	sr := s.lookup(key)
 	if sr == nil {
 		return buf, false
@@ -479,6 +480,8 @@ func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo, hi int64, lim
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
 	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) {
+		n := min(skip, firstAfter(run, lo))
+		run, skip = run[n:], skip-n
 		if limit >= 0 {
 			run = run[:min(len(run), limit)]
 			limit -= len(run)

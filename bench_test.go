@@ -880,6 +880,20 @@ func BenchmarkQ1_TsdbIteratorVsQueryFlatten(b *testing.B) {
 			}
 		})
 	}
+	// A 1,048,576-sample head: a page's refill starts at the segment
+	// holding its cursor, so a sample costs what it does in a short head.
+	b.Run("op=iter-head/samples=1048576/page=1000", func(b *testing.B) {
+		const big = 1 << 20
+		s := memEngine(b)
+		fillSeries(b, s, key, big)
+		walk := iterOp(b, s, key, big, 1000).fn
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			walk()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*big), "ns/sample")
+	})
 	b.Run("op=iter-block/page=1000", func(b *testing.B) {
 		walk := q1BlockIterOp(b, 1000).fn
 		b.ReportAllocs()
@@ -1255,6 +1269,51 @@ func BenchmarkD2_Recovery(b *testing.B) {
 	}
 }
 
+// D5 — a keyed /v2/ingest request on a durable 8-shard node under
+// -fsync always, its 64 rows on one shard or spread over all eight: the
+// price of a request's shard spread on the durable write path. Reported
+// time is per request, through the node's handler (no socket).
+func BenchmarkD5_KeyedIngestShardSpread(b *testing.B) {
+	const rows, shards = 64, 8
+	var byShard [shards][]string
+	for i, filled := 0, 0; filled < shards; i++ {
+		dev := fmt.Sprintf("urn:district:turin/building:b%02d/device:k%d", i%16, i)
+		if sh := tsdb.ShardOf(dev, shards); len(byShard[sh]) < rows {
+			byShard[sh] = append(byShard[sh], dev)
+			if len(byShard[sh]) == rows {
+				filled++
+			}
+		}
+	}
+	for _, spread := range []int{1, shards} {
+		b.Run(fmt.Sprintf("shards=%d", spread), func(b *testing.B) {
+			svc, err := measuredb.Open(measuredb.Options{DataDir: b.TempDir(), Fsync: wal.FsyncAlways, Shards: shards})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(svc.Close)
+			h := svc.Handler()
+			pts := make([]measuredb.Point, rows)
+			var body []byte
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range pts {
+					pts[j] = measuredb.Point{Device: byShard[j%spread][j], Quantity: "temperature",
+						At: benchT0.Add(time.Duration(i) * time.Second), Value: float64(j)}
+				}
+				body, _ = measuredb.AppendBatch(body[:0], "rows", pts)
+				req := httptest.NewRequest(http.MethodPost, "/v2/ingest", bytes.NewReader(body))
+				req.Header.Set("Idempotency-Key", fmt.Sprintf("d5-%d", i))
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					b.Fatalf("ingest = %d: %s", rec.Code, rec.Body)
+				}
+			}
+		})
+	}
+}
+
 // ---------------------------------------------------------------------
 // O — the observability tax. O1 prices full instrumentation on the
 // durable write path: the same AppendBatch waves with metrics off (nil
@@ -1293,7 +1352,7 @@ func BenchmarkO1_ObsOverhead(b *testing.B) {
 			durBenchRows(rows, keys, i)
 			var errs []error
 			if staged {
-				errs = eng.AppendBatchStages(rows, &obs.Stages{})
+				errs, _ = eng.AppendBatchNote(rows, &obs.Stages{}, nil)
 			} else {
 				errs = eng.AppendBatch(rows)
 			}

@@ -36,7 +36,7 @@ func main() {
 	measureNodes := flag.Int("measure-nodes", 0, "deploy the measurements DB as this many cluster nodes behind one coordinator (0/1 = single service)")
 	dataDir := flag.String("data-dir", "", "durable storage directory: WAL+snapshots under the measurements DB, persisted stream replay ring and ingest dedup window (empty = in-memory)")
 	fsync := flag.String("fsync", "none", "WAL fsync policy with -data-dir: none | interval | always")
-	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot+compact each storage shard's WAL after N rows (0 = engine default)")
+	snapshotEvery := flag.Int("snapshot-every", 0, "snapshot+compact each storage shard after N applied rows (0 = engine default)")
 	headWindow := flag.Duration("head-window", 0, "with -data-dir: keep this much recent data in the RAM head, compact older samples into columnar block files (0 = engine default 30m, negative = disable blocks)")
 	retentionRaw := flag.Duration("retention-raw", 0, "with -data-dir: demote raw samples older than this to 1m/1h rollups (0 = keep forever)")
 	retentionRollup := flag.Duration("retention-rollup", 0, "with -data-dir: drop rollups of raw-expired data older than this (0 = keep forever)")

@@ -87,18 +87,19 @@ type Spec struct {
 	// coordinator; the /v2 surface is unchanged for clients.
 	MeasureNodes int
 	// DataDir enables the durable storage layer under the measurements
-	// DB (in <DataDir>/measuredb): per-shard WAL + snapshots beneath the
-	// tsdb engine, a journaled stream replay ring (SSE Last-Event-ID
-	// resume survives a service restart), and a persisted ingest
-	// idempotency window. Empty keeps the district fully in-memory — the
+	// DB (in <DataDir>/measuredb): the node log + per-shard snapshots
+	// beneath the tsdb engine, whose records carry the ingest
+	// idempotency window's notes too, and a journaled stream replay ring
+	// (SSE Last-Event-ID resume survives a service restart). Empty keeps
+	// the district fully in-memory — the
 	// default, so existing tests and benches are unaffected.
 	DataDir string
 	// FsyncMode is the WAL fsync policy: "none" (default — acked writes
 	// survive a process kill, not a machine crash), "interval", or
-	// "always" (fsync before ack, group-committed per shard).
+	// "always" (fsync before ack, group-committed per node-log group).
 	FsyncMode string
-	// SnapshotEvery compacts each tsdb shard's WAL into a snapshot
-	// after this many appended rows (0 = engine default).
+	// SnapshotEvery snapshots each tsdb shard's head after this many
+	// applied rows (0 = engine default).
 	SnapshotEvery int
 	// HeadWindow bounds how much recent data each storage shard keeps in
 	// its RAM head with DataDir set; older samples compact into columnar

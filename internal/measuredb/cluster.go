@@ -224,7 +224,7 @@ func (s *Service) clusterIngest(w http.ResponseWriter, r *http.Request, tok *ded
 			return
 		}
 	}
-	g := s.newIngester(obs.StagesFrom(r.Context()))
+	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
 	for _, p := range pts {
 		g.add(p)
 	}
@@ -330,9 +330,10 @@ func (s *Service) clusterShardArg(w http.ResponseWriter, r *http.Request) (*tsdb
 
 // clusterFreeze stops writes into one shard and drains it: the moving
 // mark is flipped under the gate's write lock (waiting out every
-// admitted in-flight write), the queue flushes, and the WAL fsyncs —
-// after the response the shard directory is byte-complete and no new
-// row can enter it.
+// admitted in-flight write), the queue flushes, and the shard publishes
+// — after the response the shard directory holds a snapshot of the
+// head and its blocks, nothing of it lives only in the node log, and no
+// new row can enter it.
 func (s *Service) clusterFreeze(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
 	if !ok {
@@ -389,8 +390,10 @@ type archiveHeader struct {
 
 // clusterArchive streams a frozen shard's directory: a JSON header
 // frame, then one frame per file (uvarint name length, name, uvarint
-// size, bytes), then a zero-length terminator. Requires the shard to be
-// frozen — archiving a live WAL would race its writer.
+// size, bytes), then a zero-length terminator: a snapshot and blocks
+// (or, from a node of the per-shard layout, a WAL beside them).
+// Requires the shard to be frozen — archiving a live shard would race
+// its writer.
 func (s *Service) clusterArchive(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
 	if !ok {
@@ -463,7 +466,7 @@ func (s *Service) clusterArchive(w http.ResponseWriter, r *http.Request) {
 
 // clusterRestore rebuilds one shard from an archive stream. The files
 // land in a temp directory and are replayed through the engine's own
-// write path (re-journaled under this node's WAL), after a ResetShard
+// write path (re-journaled in this node's node log), after a ResetShard
 // that makes a retried restore idempotent instead of double-applying.
 func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
@@ -547,8 +550,8 @@ func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 	}
 	// Compacted blocks ship wholesale: their raw-expired series exist
 	// only as rollups, which have no row form to replay. The copy runs
-	// before the row replay so the restored read view layers the WAL
-	// tail over the blocks exactly like the source did. Block-less
+	// before the row replay so the restored read view layers the head
+	// rows over the blocks exactly like the source did. Block-less
 	// archives skip the import so they restore onto any engine.
 	if names, err := tsdb.BlockFiles(tmp); err != nil {
 		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive block manifest: %v", err)))

@@ -751,7 +751,6 @@ func (c *Coordinator) stats(ctx context.Context, q url.Values) (any, error) {
 		out.Store.Series += parts[i].Store.Series
 		out.Store.Samples += parts[i].Store.Samples
 		out.Store.DroppedRows += parts[i].Store.DroppedRows
-		out.DedupPersistErrors += parts[i].DedupPersistErrors
 	}
 	out.Store.Shards = m.Shards
 	return out, nil

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -156,35 +157,6 @@ func TestDedupClaimTTL(t *testing.T) {
 	}
 }
 
-func TestDedupWindowReplaysItsLog(t *testing.T) {
-	dir := t.TempDir()
-	d := newDedupWindow()
-	if err := d.openLog(dir, wal.FsyncNone); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		tok, _, _ := d.begin(context.Background(), string(rune('a'+i)))
-		tok.store(IngestResult{Accepted: i})
-	}
-	d.close()
-
-	d2 := newDedupWindow()
-	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
-		t.Fatal(err)
-	}
-	defer d2.close()
-	_, res, err := d2.begin(context.Background(), "c")
-	if err != nil || res == nil || res.Accepted != 2 || !res.Replayed {
-		t.Fatalf("reloaded outcome = %+v, %v", res, err)
-	}
-	// An unknown key executes fresh.
-	tok, res, _ := d2.begin(context.Background(), "zz")
-	if tok == nil || res != nil {
-		t.Fatalf("fresh key = %v %v", tok, res)
-	}
-	tok.abandon()
-}
-
 // A row ingested with a zone offset reads back byte-identical through
 // every /v2 read before and after a compaction moves it from the head
 // into a block: both tiers answer in UTC.
@@ -269,57 +241,80 @@ func TestV2IngestRejectsUnstorableInstants(t *testing.T) {
 	}
 }
 
-// TestDedupWindowDetachesFailedJournal: an outcome whose journal append
-// fails still replays from memory, the loss is counted once, and the
-// dead log is detached so later outcomes do not touch it.
-func TestDedupWindowDetachesFailedJournal(t *testing.T) {
-	d := newDedupWindow()
-	if err := d.openLog(t.TempDir(), wal.FsyncNone); err != nil {
-		t.Fatal(err)
+// deliver runs one keyed delivery of rows the way the ingester's last
+// flush does — the rows and the final note in one node-log record —
+// and stores res.
+func deliver(t *testing.T, d *dedupWindow, sh *tsdb.Sharded, key string, rows []tsdb.Row, res IngestResult) {
+	t.Helper()
+	tok, replay, err := d.begin(context.Background(), key)
+	if err != nil || tok == nil || replay != nil {
+		t.Errorf("claim %s = %v %v %v", key, tok, replay, err)
+		return
 	}
-	if err := d.log.Close(); err != nil { // the journal dies underneath the window
-		t.Fatal(err)
+	errs, seq := sh.AppendBatchNote(rows, nil, tok.note(len(rows), &res))
+	if errs != nil || seq == 0 {
+		t.Errorf("journal %s: seq %d, %v", key, seq, errs)
 	}
-	ctx := context.Background()
-	for i, key := range []string{"a", "b"} {
-		tok, _, _ := d.begin(ctx, key)
-		tok.store(IngestResult{Accepted: i + 1})
-		if d.log != nil {
-			t.Fatal("failed journal still attached")
-		}
-		if n := d.persistErrors(); n != 1 {
-			t.Fatalf("after %q: persistErrors = %d, want 1", key, n)
-		}
-	}
-	if _, res, err := d.begin(ctx, "a"); err != nil || res == nil || res.Accepted != 1 || !res.Replayed {
-		t.Fatalf("replay from memory = %+v, %v", res, err)
-	}
-	if err := d.close(); err != nil {
-		t.Fatal(err)
-	}
+	tok.applied(seq, len(rows))
+	tok.store(res)
 }
 
-// TestDedupWindowTrimsUnderConcurrency: concurrent stores trim the
-// journal below the oldest remembered outcome, and a reopen still
-// replays every outcome the window remembered.
-func TestDedupWindowTrimsUnderConcurrency(t *testing.T) {
-	dir := t.TempDir()
-	d := newDedupWindow()
-	if err := d.openLog(dir, wal.FsyncNone); err != nil {
+// openWindow opens a durable engine over dir and a window attached to
+// its node log, the way a durable service does.
+func openWindow(t *testing.T, dir string, opts tsdb.ShardedOptions) (*dedupWindow, *tsdb.Sharded) {
+	t.Helper()
+	opts.Dir = dir
+	sh, err := tsdb.OpenSharded(opts)
+	if err != nil {
 		t.Fatal(err)
 	}
+	d := newDedupWindow()
+	d.attach(sh, sh.Notes())
+	return d, sh
+}
+
+func TestDedupWindowReplaysItsLog(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := openDurableServer(t, dir)
+	for i := 0; i < 10; i++ {
+		body := fmt.Sprintf(`{"rows":[{"device":%q,"quantity":"temperature","at":"2015-03-09T10:00:%02dZ","value":%d}]}`, ingestDevice, i, i)
+		if code, rsp := postIngest(t, ts1.URL, "application/json", string(rune('a'+i)), body); code != http.StatusOK {
+			t.Fatalf("ingest %d = %d: %s", i, code, rsp)
+		}
+	}
+	ts1.Close()
+	s1.Close()
+
+	s2, ts2 := openDurableServer(t, dir)
+	defer func() { ts2.Close(); s2.Close() }()
+	_, res, err := s2.dedup.begin(context.Background(), "c")
+	if err != nil || res == nil || res.Accepted != 1 || !res.Replayed {
+		t.Fatalf("reloaded outcome = %+v, %v", res, err)
+	}
+	// An unknown key executes fresh.
+	tok, res, _ := s2.dedup.begin(context.Background(), "zz")
+	if tok == nil || res != nil {
+		t.Fatalf("fresh key = %v %v", tok, res)
+	}
+	tok.abandon()
+}
+
+// TestDedupWindowTrimsUnderConcurrency: concurrent keyed deliveries
+// snapshot the shards and truncate the node log under the window's
+// pin, and a reopen still replays every outcome the window remembered.
+func TestDedupWindowTrimsUnderConcurrency(t *testing.T) {
+	dir := t.TempDir()
+	opts := tsdb.ShardedOptions{Shards: 2, SnapshotEvery: 256, SegmentBytes: 16 << 10}
+	d, sh := openWindow(t, dir, opts)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1500; i++ {
-				tok, _, err := d.begin(context.Background(), fmt.Sprintf("g%d-%d", g, i))
-				if err != nil || tok == nil {
-					t.Errorf("claim g%d-%d = %v, %v", g, i, tok, err)
-					return
-				}
-				tok.store(IngestResult{Accepted: g*10000 + i})
+				row := tsdb.Row{Key: tsdb.SeriesKey{Device: fmt.Sprintf("urn:d/%d", g), Quantity: "q"},
+					Sample: tsdb.Sample{At: time.Unix(int64(i), 0), Value: 1}}
+				deliver(t, d, sh, fmt.Sprintf("g%d-%d", g, i), []tsdb.Row{row}, IngestResult{Accepted: g*10000 + i})
 			}
 		}()
 	}
@@ -330,17 +325,17 @@ func TestDedupWindowTrimsUnderConcurrency(t *testing.T) {
 		want[k] = e.res.Accepted
 	}
 	d.mu.Unlock()
-	if err := d.close(); err != nil {
+	if err := sh.CloseErr(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2 := newDedupWindow()
-	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
-		t.Fatal(err)
+	d2, sh2 := openWindow(t, dir, opts)
+	defer sh2.Close()
+	if n := sh2.ShardStatus(0).WALSegments; n > 40 {
+		t.Fatalf("node log spans %d segments after trimming", n)
 	}
-	defer d2.close()
-	if n := d2.log.Segments(); n > 2 {
-		t.Fatalf("journal spans %d segments after trimming, want <= 2", n)
+	if got := sh2.Stats().Samples; got != 8*1500 {
+		t.Fatalf("%d samples after the reopen, want %d", got, 8*1500)
 	}
 	for k, accepted := range want {
 		e := d2.entries[k]
@@ -351,30 +346,30 @@ func TestDedupWindowTrimsUnderConcurrency(t *testing.T) {
 }
 
 // TestDedupWindowTrimDropsForgottenSegments: once the window has
-// forgotten the outcomes a sealed segment holds, a trim deletes it,
-// and the outcomes it still remembers replay after a reopen.
+// forgotten the outcomes a sealed node-log segment holds, and the
+// shards have snapshotted its rows, a truncation deletes it, and the
+// outcomes the window still remembers replay after a reopen.
 func TestDedupWindowTrimDropsForgottenSegments(t *testing.T) {
 	dir := t.TempDir()
-	d := newDedupWindow()
-	if err := d.openLog(dir, wal.FsyncNone); err != nil {
-		t.Fatal(err)
-	}
-	pad := []RowError{{Error: strings.Repeat("x", 256)}} // ~3k records a segment
+	opts := tsdb.ShardedOptions{Shards: 1, SnapshotEvery: 512, SegmentBytes: 256 << 10}
+	d, sh := openWindow(t, dir, opts)
+	pad := []RowError{{Error: strings.Repeat("x", 256)}} // ~900 records a segment
+	key := tsdb.SeriesKey{Device: ingestDevice, Quantity: "temperature"}
 	for i := 0; i < 3*maxDedupEntries; i++ {
-		tok, _, _ := d.begin(context.Background(), fmt.Sprintf("k%d", i))
-		tok.store(IngestResult{Accepted: i, Errors: pad})
+		row := tsdb.Row{Key: key, Sample: tsdb.Sample{At: time.Unix(int64(i), 0), Value: 1}}
+		deliver(t, d, sh, fmt.Sprintf("k%d", i), []tsdb.Row{row}, IngestResult{Accepted: i, Errors: pad})
 	}
-	if err := d.close(); err != nil {
+	if err := sh.CloseErr(); err != nil {
 		t.Fatal(err)
 	}
 
-	d2 := newDedupWindow()
-	if err := d2.openLog(dir, wal.FsyncNone); err != nil {
-		t.Fatal(err)
-	}
-	defer d2.close()
+	d2, sh2 := openWindow(t, dir, opts)
+	defer sh2.Close()
 	if _, ok := d2.entries["k0"]; ok {
-		t.Fatal("the first outcome's segment survived every trim")
+		t.Fatal("the first outcome's segment survived every truncation")
+	}
+	if got := sh2.Stats().Samples; got != 3*maxDedupEntries {
+		t.Fatalf("%d samples after the reopen, want %d", got, 3*maxDedupEntries)
 	}
 	for i := 2 * maxDedupEntries; i < 3*maxDedupEntries; i++ {
 		if e := d2.entries[fmt.Sprintf("k%d", i)]; e == nil || e.res.Accepted != i {
@@ -383,16 +378,18 @@ func TestDedupWindowTrimDropsForgottenSegments(t *testing.T) {
 	}
 }
 
-// TestDedupWindowUpgradesSnapshotLayout: a window written by the older
-// layout, as its compaction left it — a snapshot of the live outcomes
-// at a watermark, the log's active segment still holding records at and
-// below it, and a tail above — boots with every fresh outcome once,
-// leaves no snapshot behind, and replays the same after a second reopen.
+// TestDedupWindowUpgradesSnapshotLayout: the idempotency log of an older
+// layout, as its compaction left it — a snapshot of the live outcomes at
+// a watermark, the log's active segment still holding records at and
+// below it, and a tail above — moves into the node log on the first
+// boot: every fresh outcome replays once, dedup/ is gone, and the next
+// boots replay the same from the node log.
 func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 	dir := t.TempDir()
+	dedupDir := filepath.Join(dir, "dedup")
 	now := time.Now()
 	rec := func(key string, at time.Time, accepted int) []byte {
-		p, err := json.Marshal(dedupRecord{Key: key, At: at, Res: IngestResult{Accepted: accepted}})
+		p, err := json.Marshal(dedupNote{Key: key, At: at, Res: &IngestResult{Accepted: accepted}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,7 +397,7 @@ func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 	}
 	// snap-1's segment was truncated: it lives in the snapshot alone.
 	const watermark = 40
-	log, err := wal.Open(dir, wal.Options{FirstSeq: watermark})
+	log, err := wal.Open(dedupDir, wal.Options{FirstSeq: watermark})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,6 +405,7 @@ func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 		rec("snap-2", now.Add(-time.Minute), 2), // seq 40, also in the snapshot
 		rec("tail-1", now.Add(-30*time.Second), 10),
 		rec("tail-2", now.Add(-30*time.Second), 11),
+		[]byte("not an outcome"),
 	} {
 		if _, err := log.Append(p); err != nil {
 			t.Fatal(err)
@@ -416,7 +414,7 @@ func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	err = wal.WriteSnapshot(dir, watermark, func(sw *wal.SnapshotWriter) error {
+	err = wal.WriteSnapshot(dedupDir, watermark, func(sw *wal.SnapshotWriter) error {
 		return errors.Join(
 			sw.Record(rec("snap-1", now.Add(-2*time.Minute), 1)),
 			sw.Record(rec("snap-2", now.Add(-time.Minute), 2)),
@@ -428,12 +426,10 @@ func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 
 	want := map[string]int{"snap-1": 1, "snap-2": 2, "tail-1": 10, "tail-2": 11}
 	for boot := 1; boot <= 3; boot++ {
-		d := newDedupWindow()
-		if err := d.openLog(dir, wal.FsyncNone); err != nil {
-			t.Fatal(err)
-		}
-		if snaps, _ := filepath.Glob(filepath.Join(dir, "*.snap")); len(snaps) != 0 {
-			t.Fatalf("boot %d left snapshots %v", boot, snaps)
+		s, ts := openDurableServer(t, dir)
+		d := s.dedup
+		if _, err := os.Stat(dedupDir); !os.IsNotExist(err) {
+			t.Fatalf("boot %d left %s: %v", boot, dedupDir, err)
 		}
 		if len(d.entries) != len(want) || len(d.queue) != len(want) {
 			t.Fatalf("boot %d: window holds %d keys under %d refs, want %d of each (the expired one dropped)",
@@ -454,20 +450,49 @@ func TestDedupWindowUpgradesSnapshotLayout(t *testing.T) {
 				t.Fatalf("boot %d: %q replayed %+v, %v (want accepted %d)", boot, key, res, err, accepted)
 			}
 		}
-		if err := d.close(); err != nil {
-			t.Fatal(err)
-		}
+		ts.Close()
+		s.Close()
 	}
 }
 
-// A durable service opened and closed on an empty data dir journals its
-// idempotency window in a log alone: no snapshot file appears.
+// A durable service keeps one log directory for the store and the
+// idempotency window, tsdb/wal, beside the stream journal: no dedup/,
+// and no shard directory holds log segments — before a restart and
+// after it.
 func TestDurableServiceWritesNoDedupSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := openDurableServer(t, dir)
-	ts.Close()
-	s.Close()
-	if snaps, _ := filepath.Glob(filepath.Join(dir, "dedup", "*.snap")); len(snaps) != 0 {
-		t.Fatalf("dedup snapshots %v", snaps)
+	for boot := 1; boot <= 2; boot++ {
+		s, ts := openDurableServer(t, dir)
+		body := `{"rows":[{"device":"` + ingestDevice + `","quantity":"temperature","at":"2015-03-09T10:00:00Z","value":1}]}`
+		if code, rsp := postIngest(t, ts.URL, "application/json", fmt.Sprintf("layout-%d", boot), body); code != http.StatusOK {
+			t.Fatalf("ingest = %d: %s", code, rsp)
+		}
+		ts.Close()
+		s.Close()
+		var got []string
+		err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+			if err != nil || path == dir {
+				return err
+			}
+			rel, _ := filepath.Rel(dir, path)
+			switch {
+			case e.IsDir() && (rel == "tsdb" || rel == "stream" || rel == filepath.Join("tsdb", "wal") || strings.HasPrefix(rel, filepath.Join("tsdb", "shard-"))):
+			case !e.IsDir() && (rel == filepath.Join("tsdb", "engine.json") || strings.HasPrefix(rel, "stream"+string(filepath.Separator)) ||
+				strings.HasPrefix(rel, filepath.Join("tsdb", "wal")+string(filepath.Separator)) && strings.HasSuffix(rel, ".seg") ||
+				strings.HasPrefix(rel, filepath.Join("tsdb", "shard-")) && (strings.HasSuffix(rel, ".snap") || strings.HasSuffix(rel, ".blk"))):
+			default:
+				got = append(got, rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 0 {
+			t.Fatalf("boot %d: the data dir holds %v beyond tsdb/wal, tsdb/shard-NNNN snapshots and blocks, tsdb/engine.json and stream/", boot, got)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "tsdb", "wal")); err != nil {
+			t.Fatalf("boot %d: no node log: %v", boot, err)
+		}
 	}
 }

@@ -11,13 +11,11 @@ import (
 	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
-	"repro/internal/wal"
 )
 
 // The /v2 ingest data plane: the write half of the resource-oriented
@@ -95,39 +93,41 @@ const maxDedupEntries = 4096
 // the in-flight window is exactly when timed-out retries land. A claim
 // older than claimTTL whose owner never settled (a client that died
 // mid-request holding the connection open) is handed over to the next
-// retry instead of parking it forever.
+// retry instead of parking it forever; the retry resumes past the body
+// rows the first delivery applied.
 //
-// With a log attached (openLog), finished outcomes are also journaled,
-// so a batch acked before a crash replays after the restart instead of
-// double-appending. The log is the window: boot replays it, and it is
-// trimmed below the oldest outcome the window still remembers, as the
-// stream hub trims its ring. Claims are not journaled: a crash
-// mid-delivery leaves no outcome, and the retry re-executes against
-// whatever prefix of the batch the tsdb WAL preserved.
+// On a durable engine the window lives in the node log (attach): every
+// chunk a keyed delivery applies journals a note in its rows' record —
+// the key, the claim time, the body rows done, and on the last chunk
+// the outcome — so an outcome is durable exactly when its rows are.
+// Boot rebuilds the window from the notes: a final note replays, and a
+// partial one is resumed by the next retry of its key, which counts the
+// body rows before the note's index without applying them and applies
+// the rest. The window pins the log at the oldest delivery it
+// remembers.
 type dedupWindow struct {
-	// jmu serializes journal appends, trims and close, so a trim never
-	// sees a journaled outcome without its seq. Lock order: jmu, then mu.
-	jmu sync.Mutex
-	log *wal.Log // nil: memory-only; guarded by jmu
-
-	// mu serializes the window map; every keyed request takes it, so
-	// journal IO must stay outside.
+	// mu serializes the window map; every keyed request takes it, so no
+	// IO may happen under it.
 	mu      sync.Mutex // districtlint:lockio
 	entries map[string]*dedupEntry
 	queue   []dedupRef // FIFO of insertions for TTL/cap eviction
 	now     func() time.Time
-
-	persistErrs atomic.Uint64 // outcomes finalized in memory but not journaled
+	durable bool   // attached to a node log
+	last    uint64 // the highest node-log seq the window has seen
 }
 
 type dedupEntry struct {
-	key    string
-	res    IngestResult
-	at     time.Time
-	seq    uint64        // journal record of res (0: not journaled)
+	key string
+	res IngestResult
+	at  time.Time
+	// seq is the oldest node-log record the delivery may need: a bound
+	// taken at the claim, then its latest note's record.
+	seq    uint64
+	next   int           // body rows the delivery has applied
 	done   chan struct{} // closed when res is final
 	ok     bool          // res is valid (false: delivery abandoned)
 	stolen bool          // claim handed to a newer request (see begin)
+	orphan bool          // a partial delivery recovered from the log: nobody owns it
 }
 
 type dedupRef struct {
@@ -135,11 +135,15 @@ type dedupRef struct {
 	at  time.Time
 }
 
-// dedupRecord is the persisted form of one finished outcome.
-type dedupRecord struct {
-	Key string       `json:"key"`
-	At  time.Time    `json:"at"`
-	Res IngestResult `json:"res"`
+// dedupNote is a keyed delivery's note in the node log, where a record
+// carries a JSON array of them: Next is the body row its chunk ends at,
+// and Res, set on the last chunk's note alone, the outcome. The older
+// layout's idempotency log held finished outcomes in this shape.
+type dedupNote struct {
+	Key  string        `json:"key"`
+	At   time.Time     `json:"at"`
+	Next int           `json:"next,omitempty"`
+	Res  *IngestResult `json:"res,omitempty"`
 }
 
 // newDedupWindow builds an empty, memory-only window.
@@ -147,84 +151,48 @@ func newDedupWindow() *dedupWindow {
 	return &dedupWindow{entries: make(map[string]*dedupEntry), now: time.Now}
 }
 
-// closedChan is the pre-closed done channel of reloaded entries.
-var closedChan = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// openLog attaches the journal in dir and replays it: every still-fresh
-// outcome comes back with its record's seq.
-func (d *dedupWindow) openLog(dir string, mode wal.Mode) error {
-	log, err := wal.Open(dir, wal.Options{Fsync: mode, SegmentBytes: 1 << 20})
-	if err != nil {
-		return err
-	}
-	if err := rejournalSnapshot(dir, log); err != nil {
-		return errors.Join(err, log.Close())
-	}
-	err = log.Replay(0, func(seq uint64, p []byte) error {
-		var r dedupRecord
-		if json.Unmarshal(p, &r) != nil || d.now().Sub(r.At) >= idempotencyWindow {
-			return nil // unreadable or expired outcome: drop it, keep the rest
+// attach moves the window into a durable engine's node log: it rebuilds
+// from notes, in log order — the latest note of a delivery wins — and
+// pins the log at the oldest delivery it remembers.
+func (d *dedupWindow) attach(sh *tsdb.Sharded, notes []tsdb.Note) {
+	for _, n := range notes {
+		var dns []dedupNote
+		_ = json.Unmarshal(n.Data, &dns) // an unreadable record drops its notes, not the rest
+		d.last = max(d.last, n.Seq)
+		for _, dn := range dns {
+			if d.now().Sub(dn.At) >= idempotencyWindow {
+				continue // expired: drop it, keep the rest
+			}
+			// A reloaded outcome is final: nothing waits on its done.
+			e := &dedupEntry{key: dn.Key, at: dn.At, seq: n.Seq, next: dn.Next, ok: true}
+			if dn.Res != nil {
+				e.res = *dn.Res
+			} else {
+				e.done, e.ok, e.orphan = make(chan struct{}), false, true
+			}
+			if old := d.entries[dn.Key]; old == nil || !old.at.Equal(dn.At) {
+				d.queue = append(d.queue, dedupRef{key: dn.Key, at: dn.At})
+			}
+			d.entries[dn.Key] = e
 		}
-		// An upgraded window journals some outcomes twice: one ref each.
-		if e := d.entries[r.Key]; e == nil || !e.at.Equal(r.At) {
-			d.queue = append(d.queue, dedupRef{key: r.Key, at: r.At})
-		}
-		d.entries[r.Key] = &dedupEntry{key: r.Key, res: r.Res, at: r.At, seq: seq, done: closedChan, ok: true}
-		return nil
-	})
-	if err != nil {
-		return errors.Join(err, log.Close())
 	}
-	// Records are in store order; eviction wants claim order. The cap
-	// applies from the first claim on, so a reopen keeps every
-	// remembered outcome even where the log still holds evicted ones.
+	// Records are in log order; eviction wants claim order.
 	slices.SortStableFunc(d.queue, func(a, b dedupRef) int { return a.at.Compare(b.at) })
-	d.log = log
-	return nil
+	d.durable = true
+	sh.PinLog(d.oldest)
 }
 
-// rejournalSnapshot upgrades a window written by the older layout,
-// whose boot compaction left live outcomes in a snapshot alone: they
-// are appended to the log and synced before the snapshot files go.
-func rejournalSnapshot(dir string, log *wal.Log) error {
-	snapSeq, sr, err := wal.LatestSnapshot(dir)
-	if sr == nil {
-		return err
-	}
-	for p, err := sr.Record(); !errors.Is(err, io.EOF); p, err = sr.Record() {
-		if err == nil {
-			_, err = log.Append(p)
-		}
-		if err != nil {
-			return errors.Join(err, sr.Close())
-		}
-	}
-	_ = sr.Close() //lint:ignore closecheck read-only snapshot already decoded to EOF; close error cannot lose data
-	if err := log.Sync(); err != nil {
-		return err
-	}
-	wal.RemoveSnapshotsBefore(dir, snapSeq+1)
-	return nil
-}
-
-// trim drops the journal segments below the oldest outcome the window
-// still remembers; store runs it under jmu at every maxDedupEntries-th
-// record, so every journaled outcome carries its seq.
-func (d *dedupWindow) trim() {
-	floor := d.log.LastSeq() + 1
+// oldest is the window's pin on the node log: the lowest seq a
+// remembered delivery may need, past every seq when there is none.
+func (d *dedupWindow) oldest() uint64 {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	d.pruneLocked()
+	floor := uint64(math.MaxUint64)
 	for _, e := range d.entries {
-		if e.ok && e.seq < floor {
-			floor = e.seq
-		}
+		floor = min(floor, e.seq)
 	}
-	d.mu.Unlock()
-	_ = d.log.TruncateBefore(floor)
+	return floor
 }
 
 // size reports how many keys the window currently remembers.
@@ -234,30 +202,11 @@ func (d *dedupWindow) size() int {
 	return len(d.entries)
 }
 
-// persistErrors reports outcomes finalized in memory but lost to the
-// journal; non-zero means acked keyed batches stopped being
-// crash-replayable at some point.
-func (d *dedupWindow) persistErrors() uint64 { return d.persistErrs.Load() }
-
-// close releases the journal. It waits out an in-flight append, and
-// the close error is returned: it is the last word on whether the
-// journaled outcomes reached disk.
-func (d *dedupWindow) close() error {
-	d.jmu.Lock()
-	defer d.jmu.Unlock()
-	log := d.log
-	d.log = nil
-	if log == nil {
-		return nil
-	}
-	return log.Close()
-}
-
 // pruneLocked drops expired entries and enforces the cap. The cap never
-// evicts an in-flight claim — its ref goes to the back of the queue,
-// and a retry of it keeps waiting — but the TTL drops it like any
-// other: a delivery outliving the whole window has no retry left to
-// protect. One sweep visits each ref at most once.
+// evicts an unfinished delivery — its ref goes to the back of the
+// queue, and a retry of it keeps waiting or resumes — but the TTL drops
+// it like any other: a delivery outliving the whole window has no retry
+// left to protect. One sweep visits each ref at most once.
 func (d *dedupWindow) pruneLocked() {
 	now := d.now()
 	for n := len(d.queue); n > 0; n-- {
@@ -279,61 +228,68 @@ func (d *dedupWindow) pruneLocked() {
 	}
 }
 
+// claimLocked makes a fresh claim on key, resuming past body row next.
+// Every record the delivery writes is above any the window has seen.
+func (d *dedupWindow) claimLocked(key string, next int) *dedupEntry {
+	e := &dedupEntry{key: key, at: d.now(), seq: d.last + 1, next: next, done: make(chan struct{})}
+	d.entries[key] = e
+	d.queue = append(d.queue, dedupRef{key: key, at: e.at})
+	return e
+}
+
 // dedupToken is one request's claim on an idempotency key; exactly one
-// of store or abandon must be called once the request settles.
+// of store or abandon must be called once the request settles. from is
+// the body rows an earlier delivery of the key applied.
 type dedupToken struct {
-	d *dedupWindow
-	e *dedupEntry
+	d    *dedupWindow
+	e    *dedupEntry
+	from int
+}
+
+// note is the node-log note of the delivery's chunk ending at body row
+// next — with res, its last — or nil on a memory-only window or without
+// a claim.
+func (t *dedupToken) note(next int, res *IngestResult) []byte {
+	if t == nil || !t.d.durable {
+		return nil
+	}
+	p, _ := json.Marshal([]dedupNote{{Key: t.e.key, At: t.e.at, Next: next, Res: res}})
+	return p
+}
+
+// applied records that the delivery's body rows before next are
+// applied — journaled in record seq, when seq is not 0 — so a retry
+// that takes the claim over resumes there.
+func (t *dedupToken) applied(seq uint64, next int) {
+	if t == nil {
+		return
+	}
+	t.d.mu.Lock()
+	t.e.next = next
+	if seq != 0 {
+		t.e.seq = seq
+		t.d.last = max(t.d.last, seq)
+	}
+	t.d.mu.Unlock()
 }
 
 // store finalizes the claimed delivery: waiting and future retries
-// replay res, and with a journal attached the outcome is appended
-// (under the log's fsync policy) before it becomes replayable or the
-// caller can respond — an acked keyed batch replays after a crash
-// instead of double-appending. The append (an fsync, in always mode)
-// runs under jmu, OUTSIDE the window's mutex: only same-key waiters
-// block on it, not every other key's begin(). A claim that was taken
-// over (claimTTL) discards its late outcome: the stealer owns the key.
+// replay res. On a durable engine the last chunk's note already carries
+// res, so the outcome is as durable as its rows before the caller can
+// respond. A claim that was taken over (claimTTL) discards its late
+// outcome: the stealer owns the key.
 func (t *dedupToken) store(res IngestResult) {
 	if t == nil {
 		return
 	}
 	d, e := t.d, t.e
-	d.jmu.Lock()
-	defer d.jmu.Unlock()
 	d.mu.Lock()
-	stolen := e.stolen
-	d.mu.Unlock()
-	if stolen {
+	defer d.mu.Unlock()
+	if e.stolen {
 		return
 	}
-	var seq uint64
-	if d.log != nil {
-		p, err := json.Marshal(dedupRecord{Key: e.key, At: e.at, Res: res})
-		if err == nil {
-			seq, err = d.log.Append(p)
-		}
-		if err != nil {
-			// The log is sticky-failed: detach it and count the loss, so
-			// the degradation (acked outcomes no longer crash-replayable)
-			// is visible in the stats instead of silent.
-			d.persistErrs.Add(1)
-			_ = d.log.Close() //lint:ignore closecheck log already sticky-failed; Close error carries no new information
-			d.log = nil
-		}
-	}
-
-	d.mu.Lock()
-	if e.stolen { // taken over while journaling; the stealer owns done now
-		d.mu.Unlock()
-		return
-	}
-	e.res, e.seq, e.ok = res, seq, true
+	e.res, e.ok = res, true
 	close(e.done)
-	d.mu.Unlock()
-	if seq != 0 && seq%maxDedupEntries == 0 {
-		d.trim()
-	}
 }
 
 // abandon releases the claim without an outcome (the request failed
@@ -361,9 +317,11 @@ func (t *dedupToken) abandon() {
 // An empty key returns all nils: no idempotency.
 //
 // An in-flight claim older than claimTTL is treated as abandoned by a
-// dead client and handed to the arriving retry: the old owner's late
-// outcome (if it ever settles) is discarded, and any requests waiting
-// on it wake up and line up behind the new claim.
+// dead client, and a partial delivery recovered from the log has no
+// owner at all: either is handed to the arriving retry, which resumes
+// where the delivery got to. The old owner's late outcome (if it ever
+// settles) is discarded, and any requests waiting on it wake up and
+// line up behind the new claim.
 func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *IngestResult, error) {
 	if key == "" {
 		return nil, nil, nil
@@ -373,9 +331,7 @@ func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *Inge
 		d.pruneLocked()
 		e := d.entries[key]
 		if e == nil {
-			e = &dedupEntry{key: key, at: d.now(), done: make(chan struct{})}
-			d.entries[key] = e
-			d.queue = append(d.queue, dedupRef{key: key, at: e.at})
+			e = d.claimLocked(key, 0)
 			d.mu.Unlock()
 			return &dedupToken{d: d, e: e}, nil, nil
 		}
@@ -385,14 +341,13 @@ func (d *dedupWindow) begin(ctx context.Context, key string) (*dedupToken, *Inge
 			d.mu.Unlock()
 			return nil, &res, nil
 		}
-		if d.now().Sub(e.at) >= claimTTL {
+		if e.orphan || d.now().Sub(e.at) >= claimTTL {
 			e.stolen = true
 			close(e.done) // waiters re-examine and find the fresh claim
-			fresh := &dedupEntry{key: key, at: d.now(), done: make(chan struct{})}
-			d.entries[key] = fresh
-			d.queue = append(d.queue, dedupRef{key: key, at: fresh.at})
+			fresh := d.claimLocked(key, e.next)
+			fresh.seq = min(fresh.seq, e.seq) // the log keeps where e got to until fresh journals past it
 			d.mu.Unlock()
-			return &dedupToken{d: d, e: fresh}, nil, nil
+			return &dedupToken{d: d, e: fresh, from: fresh.next}, nil, nil
 		}
 		done := e.done
 		d.mu.Unlock()
@@ -428,6 +383,12 @@ type ingester struct {
 	next int   // next global row index
 	live liveChunk
 
+	// tok is the request's idempotency claim (nil: unkeyed), and from
+	// the body rows an interrupted delivery of its key already applied:
+	// they are validated and counted again, not applied.
+	tok  *dedupToken
+	from int
+
 	// stages receives the request's store-apply / wal-append /
 	// hub-publish timings (nil outside a traced request; all uses are
 	// guarded so the untraced path takes no timestamps).
@@ -438,7 +399,7 @@ type ingester struct {
 // slices) across requests; finish returns them.
 var ingesterPool = sync.Pool{New: func() any { return new(ingester) }}
 
-func (s *Service) newIngester(st *obs.Stages) *ingester {
+func (s *Service) newIngester(st *obs.Stages, tok *dedupToken) *ingester {
 	g := ingesterPool.Get().(*ingester)
 	if g.rows == nil {
 		g.rows = make([]tsdb.Row, 0, ingestChunk)
@@ -447,6 +408,10 @@ func (s *Service) newIngester(st *obs.Stages) *ingester {
 	g.s = s
 	g.stages = st
 	g.next = 0
+	g.tok, g.from = tok, 0
+	if tok != nil {
+		g.from = tok.from
+	}
 	return g
 }
 
@@ -490,7 +455,10 @@ func (g *ingester) addTo(key tsdb.SeriesKey, p Point) {
 	g.stage(row, key, p)
 }
 
-// stage applies the shared value/time validation and queues the row.
+// stage applies the shared value/time validation — the store's time
+// range included, so a chunk's outcome is known before it is journaled
+// — and queues the row. A row an interrupted delivery already applied
+// is only counted.
 //
 // districtlint:hotpath
 func (g *ingester) stage(row int, key tsdb.SeriesKey, p Point) {
@@ -502,26 +470,61 @@ func (g *ingester) stage(row int, key tsdb.SeriesKey, p Point) {
 	if at.IsZero() {
 		at = time.Now().UTC()
 	}
+	if !tsdb.Storable(at) {
+		g.res.reject(row, tsdb.ErrTimeRange.Error())
+		return
+	}
+	if row < g.from {
+		g.res.Accepted++
+		return
+	}
 	g.rows = append(g.rows, tsdb.Row{Key: key, Sample: tsdb.Sample{At: at, Value: p.Value}})
 	g.src = append(g.src, row)
 	if len(g.rows) >= ingestChunk {
-		g.flush()
+		g.flush(false)
 	}
 }
 
+// chunkJournaled, when set (tests only), runs after a keyed chunk is
+// journaled and applied — at the point a kill would leave the chunk
+// durable and the response unsent — with the body row it ends at.
+var chunkJournaled func(next int)
+
 // flush applies the staged chunk and folds per-row outcomes into the
-// summary. On the sharded engine the stage collector rides into the
-// shard workers, which attribute the WAL and store waits themselves;
-// other engines get a single store-apply timing around the batch call.
+// summary; last marks the request's final flush. On the sharded engine
+// a keyed request's chunk journals its dedup note in the rows' record —
+// the last one carrying the outcome, in a record of its own when no row
+// is left — and the stage collector rides into the journal writer and
+// the shard workers, which attribute the WAL and store waits
+// themselves; other engines get a single store-apply timing around the
+// batch call.
 //
 // districtlint:hotpath
-func (g *ingester) flush() {
-	if len(g.rows) == 0 {
+func (g *ingester) flush(last bool) {
+	sh, sharded := g.s.store.(*tsdb.Sharded)
+	if len(g.rows) == 0 && !(last && g.tok != nil && sharded) {
 		return
 	}
 	var errs []error
-	if sh, ok := g.s.store.(*tsdb.Sharded); ok {
-		errs = sh.AppendBatchStages(g.rows, g.stages)
+	if sharded {
+		var note []byte
+		if g.tok != nil {
+			var res *IngestResult
+			if last {
+				r := g.res
+				r.Accepted += len(g.rows)
+				res = &r
+			}
+			note = g.tok.note(g.next, res)
+		}
+		var seq uint64
+		errs, seq = sh.AppendBatchNote(g.rows, g.stages, note)
+		if g.tok != nil && errs == nil {
+			g.tok.applied(seq, g.next)
+			if chunkJournaled != nil {
+				chunkJournaled(g.next)
+			}
+		}
 	} else {
 		var start time.Time
 		if g.stages != nil {
@@ -533,7 +536,7 @@ func (g *ingester) flush() {
 		}
 	}
 	hub := g.s.streamS.Hub()
-	live := hub.Live()
+	live := len(g.rows) > 0 && hub.Live()
 	var pubStart time.Time
 	if live {
 		if g.stages != nil {
@@ -568,15 +571,20 @@ func (g *ingester) flush() {
 // the ingester: it must not be touched afterwards. The result's error
 // slice escapes to the caller, so res is detached rather than reused.
 func (g *ingester) finish() IngestResult {
-	g.flush()
+	g.flush(true)
 	g.s.ingested.Add(uint64(g.res.Accepted))
 	g.s.rejected.Add(uint64(g.res.Rejected))
 	res := g.res
-	g.res = IngestResult{}
-	g.s = nil
-	g.stages = nil
-	ingesterPool.Put(g)
+	g.release()
 	return res
+}
+
+// release recycles the ingester without applying anything.
+func (g *ingester) release() {
+	g.res = IngestResult{}
+	g.rows, g.src = g.rows[:0], g.src[:0]
+	g.s, g.stages, g.tok = nil, nil, nil
+	ingesterPool.Put(g)
 }
 
 // ---------------------------------------------------------------------
@@ -677,16 +685,17 @@ func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
 		s.clusterIngest(w, r, tok)
 		return
 	}
-	g := s.newIngester(obs.StagesFrom(r.Context()))
+	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
 	malformed, err := decodeIngest(w, r, g.add)
+	if err != nil { // nothing was staged
+		g.release()
+		api.WriteError(w, r, err)
+		return
+	}
 	if malformed != "" {
 		g.res.reject(g.next, malformed)
 	}
 	res := g.finish()
-	if err != nil {
-		api.WriteError(w, r, err)
-		return
-	}
 	tok.store(res)
 	api.WriteJSON(w, http.StatusOK, res)
 }
@@ -724,7 +733,7 @@ func (s *Service) v2PutSamples(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	g := s.newIngester(obs.StagesFrom(r.Context()))
+	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
 	for _, smp := range samples {
 		g.addTo(key, smp)
 	}

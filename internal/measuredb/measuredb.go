@@ -106,22 +106,23 @@ type Options struct {
 	WriteLimiter *api.RateLimiter
 
 	// DataDir enables the durable storage layer: the default engine
-	// becomes a WAL-backed tsdb.Sharded under <DataDir>/tsdb, the stream
-	// replay ring is journaled under <DataDir>/stream (Last-Event-ID
-	// resume survives a restart), and finished ingest idempotency
-	// outcomes persist under <DataDir>/dedup (acked keyed batches replay
-	// after a crash instead of double-appending). Empty keeps everything
-	// in memory. Ignored by the engine when Engine is supplied;
-	// the stream and dedup state still persist.
+	// becomes a tsdb.Sharded under <DataDir>/tsdb whose node log
+	// journals every row batch — and, in the same record, a keyed
+	// request's idempotency note, so an acked keyed batch replays after
+	// a crash instead of double-appending — and the stream replay ring
+	// is journaled under <DataDir>/stream (Last-Event-ID resume survives
+	// a restart). Empty keeps everything in memory. With an Engine
+	// supplied, the engine is the caller's and the idempotency window
+	// stays in memory; the stream state still persists.
 	DataDir string
-	// Fsync is the WAL durability policy for all three logs (default
+	// Fsync is the WAL durability policy for both logs (default
 	// wal.FsyncNone: acked writes survive a process kill; "interval"
 	// bounds machine-crash loss to the WAL's 100ms sync period; "always"
-	// fsyncs before acking, group-committed per shard queue wave).
+	// fsyncs before acking, group-committed per node-log group).
 	Fsync wal.Mode
-	// SnapshotEvery compacts each tsdb shard's WAL into a snapshot after
-	// this many appended rows (0 = engine default, 65536; negative
-	// disables record-based snapshots).
+	// SnapshotEvery snapshots each tsdb shard's head after this many
+	// applied rows (0 = engine default, 65536; negative disables
+	// record-based snapshots).
 	SnapshotEvery int
 	// Blocks tunes the columnar block layer of the durable engine: how
 	// much recent data stays in the RAM head, and how long raw samples
@@ -165,8 +166,8 @@ func New(opts Options) *Service {
 }
 
 // Open creates a measurements database service, recovering the storage
-// engine, the stream replay ring, and the ingest idempotency window
-// from Options.DataDir when set.
+// engine — and from its node log the ingest idempotency window — and
+// the stream replay ring from Options.DataDir when set.
 func Open(opts Options) (*Service, error) {
 	reg := obs.NewRegistry()
 	st := opts.Engine
@@ -195,11 +196,14 @@ func Open(opts Options) (*Service, error) {
 		}
 	}
 	dedup := newDedupWindow()
-	if opts.DataDir != "" {
-		if err := dedup.openLog(filepath.Join(opts.DataDir, "dedup"), opts.Fsync); err != nil {
+	if sh, ok := st.(*tsdb.Sharded); ok && opts.Engine == nil && opts.DataDir != "" {
+		notes := sh.Notes()
+		legacy, err := upgradeDedup(filepath.Join(opts.DataDir, "dedup"), sh)
+		if err != nil {
 			st.Close()
 			return nil, fmt.Errorf("open idempotency window: %w", err)
 		}
+		dedup.attach(sh, append(notes, legacy...))
 	}
 	s := &Service{store: st, dedup: dedup, reg: reg}
 	if opts.QCacheBytes > 0 {
@@ -218,7 +222,7 @@ func Open(opts Options) (*Service, error) {
 	}
 	if s.streamS, err = stream.NewService(streamOpts); err != nil {
 		st.Close()
-		return nil, errors.Join(fmt.Errorf("stream service: %w", err), dedup.close())
+		return nil, fmt.Errorf("stream service: %w", err)
 	}
 	s.registerMetrics()
 	s.apiS = s.buildAPI(opts)
@@ -237,9 +241,6 @@ func (s *Service) registerMetrics() {
 	s.reg.CounterFunc("repro_ingest_rejected_rows_total",
 		"Rows rejected by validation or the store.", nil,
 		func() float64 { return float64(s.rejected.Load()) })
-	s.reg.CounterFunc("repro_ingest_dedup_persist_errors_total",
-		"Idempotency outcomes acked but not journaled.", nil,
-		func() float64 { return float64(s.dedup.persistErrors()) })
 	s.reg.GaugeFunc("repro_ingest_dedup_window_entries",
 		"Idempotency keys currently remembered.", nil,
 		func() float64 { return float64(s.dedup.size()) })
@@ -269,20 +270,15 @@ type Stats struct {
 	Rejected uint64          `json:"rejected"`
 	Store    tsdb.Stats      `json:"store"`
 	Stream   stream.HubStats `json:"stream"`
-	// DedupPersistErrors counts idempotency outcomes that were acked but
-	// could not be journaled (durable services only): non-zero means
-	// keyed retries of those batches would re-execute after a crash.
-	DedupPersistErrors uint64 `json:"dedup_persist_errors,omitempty"`
 }
 
 // Stats returns a snapshot of service counters.
 func (s *Service) Stats() Stats {
 	return Stats{
-		Ingested:           s.ingested.Load(),
-		Rejected:           s.rejected.Load(),
-		Store:              s.store.Stats(),
-		Stream:             s.streamS.Hub().Stats(),
-		DedupPersistErrors: s.dedup.persistErrors(),
+		Ingested: s.ingested.Load(),
+		Rejected: s.rejected.Load(),
+		Store:    s.store.Stats(),
+		Stream:   s.streamS.Hub().Stats(),
 	}
 }
 
@@ -356,16 +352,12 @@ func (s *Service) Serve(addr string) (string, error) {
 	return s.srv.Serve(addr, s.Handler())
 }
 
-// Close stops the web interface, the streaming subsystem, the
-// idempotency window, and the store (draining and syncing any durable
-// state).
+// Close stops the web interface, the streaming subsystem, and the store
+// (draining and syncing any durable state).
 func (s *Service) Close() {
 	s.srv.Close()
 	if err := s.streamS.Close(); err != nil {
 		slog.Error("stream close", "service", "measuredb", "err", err)
-	}
-	if err := s.dedup.close(); err != nil {
-		slog.Error("dedup journal close", "service", "measuredb", "err", err)
 	}
 	s.store.Close()
 }

@@ -43,7 +43,8 @@ func (s *Service) mountStorage(srv *api.Server) {
 }
 
 // storageStatus reports every shard's live storage counters: head
-// series/samples, WAL watermarks, block files and their bytes.
+// series/samples, WAL depth and the node log's segments, block files
+// and their bytes.
 func (s *Service) storageStatus(w http.ResponseWriter, r *http.Request) {
 	sh := s.store.(*tsdb.Sharded)
 	out := StorageStatus{Shards: make([]StorageShard, 0, sh.NumShards())}
@@ -59,7 +60,7 @@ func (s *Service) storageStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // storageCompact forces a compaction cycle — cut head rows past the
-// head window into a block, apply retention, snapshot, truncate the WAL
+// head window into a block, apply retention, snapshot, truncate the node log
 // — on one shard (?shard=N) or all of them.
 func (s *Service) storageCompact(w http.ResponseWriter, r *http.Request) {
 	sh := s.store.(*tsdb.Sharded)

@@ -26,22 +26,23 @@ import (
 // boundary sits.
 //
 // Every change of a shard's block view — a compaction cycle, a series
-// drop, a block import, a reset — is one step, publish: write the head
-// snapshot whose FIRST record is a manifest naming the new view, at the
-// WAL watermark; swap the view, evicting the rows a cut moved into a
+// drop, a block import, a reset, a publish before a handoff — is one
+// step, publish: write the head snapshot whose FIRST record is a
+// manifest naming the new view, at the seq of the last node-log record
+// the shard applied; swap the view, evicting the rows a cut moved into a
 // block from the head in the same write-locked section, so readers see
-// the move atomically; truncate the WAL and older snapshots below the
-// watermark; delete the blocks that left the view. The ops themselves
-// only decide the new view and write its new files, all through one
-// block writer (writeBlock).
+// the move atomically; truncate the node log below its floor and drop
+// the shard's older snapshots; delete the blocks that left the view.
+// The ops themselves only decide the new view and write its new files,
+// all through one block writer (writeBlock).
 //
 // Crash safety is manifest-anchored: a block file becomes real only
 // when a durable snapshot names it. Until then the previous view stays
 // authoritative, and a failed change deletes the files it wrote.
 // Recovery opens exactly the manifest's blocks and deletes any stray
-// *.blk — a crash between block write and snapshot write leaves the WAL
-// untruncated, so the orphan's rows replay into the head and are simply
-// cut again later.
+// *.blk — a crash between block write and snapshot write leaves the
+// shard's records above its old snapshot in the node log, so the
+// orphan's rows replay into the head and are simply cut again later.
 //
 // Retention rides the compaction cycle: blocks entirely older than the
 // raw horizon are demoted (rewritten without their raw chunks, keeping
@@ -134,7 +135,7 @@ func blockPath(dir, name string) string { return filepath.Join(dir, name) }
 
 // openManifestBlocks opens the manifest-listed blocks of a shard dir,
 // deletes every other block file (orphans of a crash between block
-// write and snapshot write — their rows are still in the WAL and replay
+// write and snapshot write — their rows are still in the node log and replay
 // into the head) and sweeps the temp files a crash left. The next block
 // id is past every listed one; a dir that cannot be listed is an error,
 // since guessing the id could write over a listed block.
@@ -189,16 +190,17 @@ type viewChange struct {
 }
 
 // publish makes a view change durable and visible. It is the only step
-// that writes a head snapshot or truncates a shard's WAL, in this order:
+// that writes a head snapshot or truncates the node log, in this order:
 //  1. the snapshot naming vc.next, with the head rows at/after
-//     vc.boundary, at the WAL watermark — the durable point of no
-//     return; if it fails, the created files are deleted and the
-//     previous view stays authoritative;
+//     vc.boundary, at the seq of the last record the shard applied —
+//     the durable point of no return; if it fails, the created files
+//     are deleted and the previous view stays authoritative;
 //  2. the view swap, with the eviction of the cut rows, under one write
 //     lock: a reader sees head-with-old-rows + old blocks, or
 //     head-without + new blocks — never both or neither;
-//  3. the WAL segments and older snapshots below the watermark dropped
-//     (best effort: the snapshot already covers them);
+//  3. the node log truncated below its floor, which the new watermark
+//     may raise, and the shard's older snapshots dropped (best effort:
+//     the snapshot already covers them);
 //  4. the removed blocks closed and deleted;
 //  5. the snapshot gauges restarted and the duration observed.
 func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
@@ -207,7 +209,7 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 	for i, b := range vc.next {
 		names[i] = filepath.Base(b.Path())
 	}
-	seq := disk.log.LastSeq()
+	seq := disk.applied
 	if err := writeHeadSnapshot(store, disk.dir, seq, names, vc.boundary); err != nil {
 		unlink(vc.created)
 		return err
@@ -219,7 +221,9 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 	}
 	bs.gen.Add(1)
 	bs.mu.Unlock()
-	_ = disk.log.TruncateBefore(seq + 1)
+	disk.snapRows.Store(disk.appliedRows)
+	disk.snapSeq.Store(seq)
+	disk.node.truncate()
 	wal.RemoveSnapshotsBefore(disk.dir, seq)
 	unlink(vc.removed)
 	disk.sinceSnap.Store(0)
@@ -367,7 +371,7 @@ func importBlocks(store *Store, disk *shardDisk, bs *blockSet, srcDir string) er
 
 // resetShard empties one shard: the head, and on a durable shard the
 // block view, published empty — the snapshot at the watermark holds
-// nothing and the WAL below it is dropped, so a reopen recovers the
+// nothing and covers every record below it, so a reopen recovers the
 // shard as empty.
 func resetShard(store *Store, disk *shardDisk, bs *blockSet) error {
 	store.Reset()

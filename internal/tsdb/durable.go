@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -17,87 +18,44 @@ import (
 	"repro/internal/wal"
 )
 
-// The durable layer of the Sharded engine. Each shard owns a segmented
-// write-ahead log under <Dir>/shard-NNNN: the shard's single-writer
-// worker journals every queued row batch (group-committed — one fsync
-// covers everything queued behind the first item) BEFORE applying it to
-// the in-memory store, so a row is never acked without being on disk
-// first. Periodically the worker runs a compaction cycle, whose view
-// change (publish, blocks.go) dumps the shard's head into a snapshot
-// file at the current log watermark and deletes the segments below it,
-// bounding both recovery time and disk footprint. Boot-time
-// recovery is the reverse: load the latest snapshot, replay the log
-// tail above its watermark, and the series catalog rebuilds itself as
-// rows land in the store.
+// The shard side of the durable Sharded engine. Every row is journaled
+// in the node log (nodelog.go) before a shard applies it; each shard
+// keeps its head in snapshot files under <Dir>/shard-NNNN, cut at the
+// seq of the last record it applied (publish, blocks.go), which lets
+// the log be truncated. Boot-time recovery loads every shard's latest
+// snapshot, then replays the node log once, applying a shard's part
+// where its seq is above that shard's snapshot watermark.
 
-// shardDisk is one shard's durable state; only that shard's worker
-// goroutine mutates it after recovery. sinceSnap and lastSnap are
-// atomics purely so metric scrapes can read them from other
-// goroutines — the worker remains the only writer.
+// shardDisk is one shard's durable state. The atomics are read by
+// metric scrapes and the floor; the shard worker is their only writer
+// after recovery, but for journaled, which the journal writer sets.
 type shardDisk struct {
-	log *wal.Log
-	dir string
-	mx  *shardMetrics // nil when the engine runs unmetered
+	dir  string
+	node *nodeLog
+	mx   *shardMetrics // nil when the engine runs unmetered
 
-	sinceSnap atomic.Int64 // rows appended since the last snapshot
+	sinceSnap atomic.Int64 // rows applied since the last snapshot
 	lastSnap  atomic.Int64 // unix-nanos of the last snapshot cut
 
-	// enc is the WAL record scratch of the shard's commit groups; only
-	// the worker touches it.
-	enc recordScratch
-}
-
-// recordScratch is the record buffer one shard's commit groups share:
-// every queue item of a group encodes into buf, and recs are the
-// records' windows over it. A group reuses what the previous one grew,
-// so the encoder allocates nothing in steady state.
-type recordScratch struct {
-	buf    []byte
-	bounds []int
-	recs   [][]byte
-}
-
-// maxRetainedRecordBytes bounds the record buffer a shard keeps between
-// groups: one outsized group (a restore replaying huge batches) must not
-// pin its buffer for the life of the engine.
-const maxRetainedRecordBytes = 4 << 20
-
-// encode encodes the rows of every item of group, one record per item
-// with rows, and returns the records. They alias the scratch: they are
-// valid until the next encode or release.
-func (rs *recordScratch) encode(group []batchItem) [][]byte {
-	buf, bounds := rs.buf[:0], rs.bounds[:0]
-	for _, it := range group {
-		if len(it.rows) == 0 {
-			continue
-		}
-		start := len(buf)
-		buf = encodeRows(buf, it.rows)
-		bounds = append(bounds, start, len(buf))
-	}
-	recs := rs.recs[:0]
-	for j := 0; j < len(bounds); j += 2 {
-		recs = append(recs, buf[bounds[j]:bounds[j+1]])
-	}
-	rs.buf, rs.bounds, rs.recs = buf, bounds, recs
-	return recs
-}
-
-// release ends the use of the last encode's records, dropping a buffer
-// grown past maxRetainedRecordBytes.
-func (rs *recordScratch) release() {
-	if cap(rs.buf) > maxRetainedRecordBytes {
-		clear(rs.recs) // the windows would pin the dropped buffer
-		rs.buf = nil
-	}
+	// snapSeq is the node-log seq the latest snapshot covers; journaled
+	// the seq of the last record with a part for the shard, set before
+	// the part is handed over. journaled > snapSeq means the log holds
+	// rows of the shard that no snapshot does.
+	snapSeq, journaled atomic.Uint64
+	// snapRows is the node's count of journaled rows through snapSeq.
+	snapRows atomic.Int64
+	// applied is the seq of the last record the shard applied, and
+	// appliedRows the journaled-row count through it; worker-only.
+	applied     uint64
+	appliedRows int64
+	// forced is set while a publish the journal writer queued is pending.
+	forced atomic.Bool
 }
 
 // shardMetrics holds one shard's latency histograms. Gauges over the
 // shard's live state are registered as scrape-time callbacks instead,
 // so the append hot path never updates them.
 type shardMetrics struct {
-	walAppend  *obs.Histogram
-	fsync      *obs.Histogram
 	snapDur    *obs.Histogram
 	compactDur *obs.Histogram
 }
@@ -105,12 +63,6 @@ type shardMetrics struct {
 func newShardMetrics(reg *obs.Registry, i int) *shardMetrics {
 	shard := obs.Labels{"shard": strconv.Itoa(i)}
 	return &shardMetrics{
-		walAppend: reg.Histogram("repro_tsdb_wal_append_seconds",
-			"WAL group-commit append latency, per shard.",
-			obs.LatencyBuckets, shard),
-		fsync: reg.Histogram("repro_tsdb_wal_fsync_seconds",
-			"WAL data-file fsync latency, per shard.",
-			obs.FastLatencyBuckets, shard),
 		snapDur: reg.Histogram("repro_tsdb_snapshot_duration_seconds",
 			"Snapshot cut duration, per shard.",
 			obs.LatencyBuckets, shard),
@@ -208,9 +160,12 @@ func readSnapshot(dir string, rows func([]byte) error) (uint64, []string, error)
 }
 
 // replayShard streams the row batches of a shard directory into apply —
-// the latest snapshot's, then the WAL tail's above its watermark — and
-// returns the log, open at its tail, with the snapshot's block manifest.
-func replayShard(dir string, lopts wal.Options, apply func([]Row) error) (*wal.Log, []string, error) {
+// the latest snapshot's, then the shard's own log tail above the
+// snapshot's watermark, which only a directory of the per-shard layout
+// (one log per shard, before the node log) holds — and returns the last
+// seq it read, the snapshot's watermark when no record is above it,
+// with the snapshot's block manifest.
+func replayShard(dir string, apply func([]Row) error) (uint64, []string, error) {
 	rec := func(p []byte) error {
 		rows, err := decodeRows(p)
 		if err != nil {
@@ -218,58 +173,163 @@ func replayShard(dir string, lopts wal.Options, apply func([]Row) error) (*wal.L
 		}
 		return apply(rows)
 	}
-	seq, manifest, err := readSnapshot(dir, rec)
+	last, manifest, err := readSnapshot(dir, rec)
 	if err != nil {
-		return nil, nil, err
+		return 0, nil, err
 	}
-	log, err := wal.Open(dir, lopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := log.Replay(seq, func(_ uint64, p []byte) error { return rec(p) }); err != nil {
-		return nil, nil, errors.Join(err, log.Close())
-	}
-	return log, manifest, nil
+	err = wal.ReadDir(dir, last, func(seq uint64, p []byte) error {
+		last = seq
+		return rec(p)
+	})
+	return last, manifest, err
 }
 
-// recoverShard rebuilds one shard's store from its snapshot and log
-// tail, then leaves the log open for the shard worker to append to.
-// Workers are not running yet, so rows apply directly. onSync (may be
-// nil) is handed to the log as its fsync-latency observer. The returned
-// manifest names the block files the snapshot anchors; the caller opens
-// them.
-func recoverShard(dir string, store *Store, opts ShardedOptions, onSync func(time.Duration)) (*shardDisk, []string, error) {
-	lopts := wal.Options{SegmentBytes: opts.SegmentBytes, Fsync: opts.Fsync, OnSync: onSync}
-	log, manifest, err := replayShard(dir, lopts, func(rows []Row) error {
-		store.AppendBatch(rows)
-		return nil
+// openDurable recovers a durable engine. Every shard loads its latest
+// snapshot and blocks — and, on the first boot over the per-shard
+// layout, replays its own log tail — then one pass over the node log
+// applies each shard's parts above its watermark and collects the
+// notes. A new node log starts above every shard's seq, so the
+// snapshots it cuts outrank the older layout's; a shard that had its own
+// log is then published and the log removed. Workers are not running
+// yet, so rows apply directly.
+func (s *Sharded) openDurable(opts ShardedOptions, reg *obs.Registry) (err error) {
+	node := &nodeLog{disks: make([]*shardDisk, len(s.shards))}
+	defer func() {
+		if err == nil {
+			return
+		}
+		if node.log != nil {
+			err = errors.Join(err, node.log.Close())
+		}
+		for _, bs := range s.bsets {
+			for _, b := range bs.blocks {
+				err = errors.Join(err, b.Close())
+			}
+		}
+	}()
+	var top uint64
+	var legacy []int
+	for i := range node.disks {
+		d := &shardDisk{dir: filepath.Join(opts.Dir, fmt.Sprintf("shard-%04d", i)), node: node}
+		if err := os.MkdirAll(d.dir, 0o755); err != nil {
+			return fmt.Errorf("tsdb: %w", err)
+		}
+		segs, err := wal.ListLog(d.dir)
+		if err != nil {
+			return fmt.Errorf("tsdb: recover shard %d: %w", i, err)
+		}
+		if len(segs) > 0 {
+			legacy = append(legacy, i)
+		}
+		store := s.shards[i]
+		last, manifest, err := replayShard(d.dir, func(rows []Row) error {
+			store.AppendBatch(rows)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("tsdb: recover shard %d: %w", i, err)
+		}
+		blocks, nextID, err := openManifestBlocks(d.dir, manifest)
+		if err != nil {
+			return fmt.Errorf("tsdb: recover shard %d: %w", i, err)
+		}
+		s.bsets[i] = &blockSet{dir: d.dir, blocks: blocks, nextID: nextID}
+		d.snapSeq.Store(last)
+		d.journaled.Store(last)
+		d.applied = last
+		d.lastSnap.Store(time.Now().UnixNano())
+		top = max(top, last)
+		node.disks[i] = d
+	}
+	lopts := wal.Options{SegmentBytes: opts.SegmentBytes, Fsync: opts.Fsync, FirstSeq: top + 1}
+	if reg != nil {
+		node.walAppend = reg.Histogram("repro_tsdb_wal_append_seconds",
+			"Node-log group-commit append latency.", obs.LatencyBuckets, nil)
+		lopts.OnSync = reg.Histogram("repro_tsdb_wal_fsync_seconds",
+			"Node-log data-file fsync latency.", obs.FastLatencyBuckets, nil).ObserveDuration
+	}
+	if node.log, err = wal.Open(filepath.Join(opts.Dir, "wal"), lopts); err != nil {
+		return fmt.Errorf("tsdb: open node log: %w", err)
+	}
+	err = node.log.Replay(0, func(seq uint64, p []byte) error {
+		note, err := walkRecord(p, func(sh int, part []byte) error {
+			if sh < 0 || sh >= len(node.disks) {
+				return errBadRecord
+			}
+			d := node.disks[sh]
+			if seq <= d.snapSeq.Load() {
+				return nil
+			}
+			rows, err := decodeRows(part)
+			if err != nil {
+				return err
+			}
+			store := s.shards[sh]
+			store.AppendBatch(rows)
+			d.journaled.Store(seq)
+			d.applied = seq
+			d.sinceSnap.Add(int64(len(rows)))
+			return nil
+		})
+		if len(note) > 0 {
+			node.notes = append(node.notes, Note{Seq: seq, Data: bytes.Clone(note)})
+		}
+		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return fmt.Errorf("tsdb: replay node log: %w", err)
 	}
-	disk := &shardDisk{log: log, dir: dir}
-	disk.lastSnap.Store(time.Now().UnixNano())
-	return disk, manifest, nil
+	node.marked.Store(node.log.LastSeq())
+	s.node, s.disks, s.blockPolicy = node, node.disks, opts.Blocks
+	for _, i := range legacy {
+		d := node.disks[i]
+		d.applied = node.log.LastSeq()
+		if err := publish(s.shards[i], d, s.bsets[i], viewChange{next: s.bsets[i].blocks}); err != nil {
+			return fmt.Errorf("tsdb: upgrade shard %d: %w", i, err)
+		}
+		if err := wal.RemoveLog(d.dir); err != nil {
+			return fmt.Errorf("tsdb: upgrade shard %d: %w", i, err)
+		}
+	}
+	if reg != nil {
+		s.registerDurableMetrics(reg)
+	}
+	return nil
 }
 
-// ReadShardDir streams the row batches a shard directory holds — the
-// latest snapshot first, then the WAL tail above its watermark —
-// without opening a live engine. The cluster restore path replays a
-// copied shard directory through the receiving node's own write path
-// with it, so the rows are re-journaled locally instead of adopting the
-// source's files wholesale. Block files are not rows: they ship
-// wholesale via BlockFiles/ImportShardBlocks, since demoted data has no
-// raw rows to replay.
+// ReadShardDir streams the row batches a shard directory holds — its
+// latest snapshot, then the records above the snapshot's watermark —
+// without opening a live engine. Those records are the directory's own
+// log tail in an archive a node of the per-shard layout sent, and the
+// shard's parts of the node log beside it (<dir>/../wal) when the
+// directory is an engine's shard-NNNN. The cluster restore path replays
+// an archived shard through the receiving node's own write path with
+// it. Block files are not rows: they ship wholesale via
+// BlockFiles/ImportShardBlocks, since demoted data has no raw rows to
+// replay.
 func ReadShardDir(dir string, fn func([]Row) error) error {
-	log, _, err := replayShard(dir, wal.Options{}, fn)
-	if err != nil {
+	last, _, err := replayShard(dir, fn)
+	var shard int
+	if _, serr := fmt.Sscanf(filepath.Base(dir), "shard-%04d", &shard); err != nil || serr != nil {
 		return err
 	}
-	return log.Close()
+	return wal.ReadDir(filepath.Join(filepath.Dir(dir), "wal"), last, func(_ uint64, p []byte) error {
+		_, err := walkRecord(p, func(sh int, part []byte) error {
+			if sh != shard {
+				return nil
+			}
+			rows, err := decodeRows(part)
+			if err != nil {
+				return err
+			}
+			return fn(rows)
+		})
+		return err
+	})
 }
 
 // maybeSnapshot runs the shard's compaction cycle once SnapshotEvery
-// rows have been journaled since the last snapshot. Runs on the shard
+// rows have been applied since the last snapshot. Runs on the shard
 // worker, so the store sees no concurrent writes while dumping. Reports
 // whether a pass ran at all (even a failed one) — the caller bumps the
 // shard generation on it, since a compaction pass may have republished
@@ -282,12 +342,12 @@ func (s *Sharded) maybeSnapshot(store *Store, disk *shardDisk, bs *blockSet) boo
 	return true
 }
 
-// snapshotChunk is how many rows one snapshot record carries.
-const snapshotChunk = 2048
-
 // ---------------------------------------------------------------------
 // Row record codec
 // ---------------------------------------------------------------------
+
+// snapshotChunk is how many rows one snapshot record carries.
+const snapshotChunk = 2048
 
 // encodeRows appends the WAL/snapshot encoding of a row batch to dst.
 // Consecutive rows of the same series carry a 1-byte key-reuse flag

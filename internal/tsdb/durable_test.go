@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -107,9 +108,9 @@ func TestDurableTornTailDiscarded(t *testing.T) {
 	}
 	eng.Close()
 
-	// A kill mid-append leaves a torn frame at the tail of the shard's
-	// WAL; recovery must keep every whole record and drop the tear.
-	segs, err := filepath.Glob(filepath.Join(dir, "shard-0000", "*.seg"))
+	// A kill mid-append leaves a torn frame at the tail of the node
+	// log; recovery must keep every whole record and drop the tear.
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no segments: %v", err)
 	}
@@ -163,7 +164,10 @@ func TestDurableSnapshotCompaction(t *testing.T) {
 	if len(snaps) > 1 {
 		t.Fatalf("old snapshots not pruned: %v", snaps)
 	}
-	segs, _ := filepath.Glob(filepath.Join(shardDir, "*.seg"))
+	if segs, _ := filepath.Glob(filepath.Join(shardDir, "*.seg")); len(segs) != 0 {
+		t.Fatalf("shard dir holds log segments %v", segs)
+	}
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal", "*.seg"))
 	// 1100 rows at ~17 bytes each over 1 KiB segments would be ~19
 	// segments without compaction; the truncation must have removed the
 	// bulk of them.
@@ -356,5 +360,89 @@ func TestEngineMetaFile(t *testing.T) {
 				t.Fatalf("temp file left behind: %v", err)
 			}
 		})
+	}
+}
+
+// The node log stays bounded however cold a shard is: one shard holds
+// a single row above its snapshot while another goes through many
+// snapshot cycles. The cold shard is made to publish, the floor moves
+// past its row, and the row survives a reopen.
+func TestDurableNodeLogStaysBounded(t *testing.T) {
+	dir := t.TempDir()
+	opts := ShardedOptions{Shards: 2, SnapshotEvery: 100, SegmentBytes: 2 << 10}
+	eng := openDurable(t, dir, opts)
+	var keys [2]SeriesKey
+	for i := 0; keys[0].Device == "" || keys[1].Device == ""; i++ {
+		dev := fmt.Sprintf("urn:district:turin/building:b01/device:n%d", i)
+		keys[ShardOf(dev, 2)] = SeriesKey{Device: dev, Quantity: "temperature"}
+	}
+	cold, hot := keys[0], keys[1]
+	if err := eng.Append(cold, Sample{At: durT0, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+	first := eng.node.floor()
+	most := 0
+	for i := 0; i < 100; i++ { // 50 snapshot cycles of the hot shard
+		rows := make([]Row, 50)
+		for j := range rows {
+			rows[j] = Row{Key: hot, Sample: Sample{At: durT0.Add(time.Duration(i*50+j) * time.Second), Value: float64(j)}}
+		}
+		if errs := eng.AppendBatch(rows); errs != nil {
+			t.Fatal(errs[0])
+		}
+		most = max(most, eng.node.log.Segments())
+	}
+	if most > 8 {
+		t.Fatalf("the node log grew to %d segments", most)
+	}
+	if f := eng.node.floor(); f <= first {
+		t.Fatalf("floor %d never passed the cold shard's row (floor %d)", f, first)
+	}
+	if err := eng.CloseErr(); err != nil {
+		t.Fatal(err)
+	}
+	re := openDurable(t, dir, opts)
+	defer re.Close()
+	if got, err := re.Latest(cold); err != nil || got.Value != 1 {
+		t.Fatalf("cold row after the reopen = %+v, %v", got, err)
+	}
+	if got := re.Len(hot); got != 5000 {
+		t.Fatalf("hot series holds %d rows after the reopen, want 5000", got)
+	}
+}
+
+// A node-log record hands back its note and each shard's part; a
+// record cut anywhere fails or yields a prefix of its parts, never a
+// part it did not hold.
+func TestNodeRecordCodecRoundTrip(t *testing.T) {
+	rows := durRows(9)
+	per := [][]Row{rows[:4], nil, rows[4:5], rows[5:]}
+	enc := appendRecord(nil, []byte("note"), per)
+	walk := func(p []byte) ([]byte, map[int][]Row, error) {
+		got := map[int][]Row{}
+		note, err := walkRecord(p, func(sh int, part []byte) error {
+			r, err := decodeRows(part)
+			got[sh] = r
+			return err
+		})
+		return note, got, err
+	}
+	note, got, err := walk(enc)
+	if err != nil || string(note) != "note" || len(got) != 3 {
+		t.Fatalf("walk = %q, %d parts, %v", note, len(got), err)
+	}
+	for sh, part := range per {
+		if len(part) > 0 && !reflect.DeepEqual(got[sh], part) {
+			t.Fatalf("shard %d part %+v, want %+v", sh, got[sh], part)
+		}
+	}
+	for cut := 0; cut < len(enc); cut++ {
+		if _, got, err := walk(enc[:cut]); err == nil {
+			for sh, part := range got {
+				if !reflect.DeepEqual(part, per[sh]) {
+					t.Fatalf("a %d-byte prefix yields shard %d part %+v", cut, sh, part)
+				}
+			}
+		}
 	}
 }

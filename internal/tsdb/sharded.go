@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -82,22 +81,23 @@ type ShardedOptions struct {
 	// which back-pressures producers instead of growing memory.
 	QueueLen int
 
-	// Dir enables the durable layer: every shard journals its row
-	// batches through a segmented write-ahead log under
-	// <Dir>/shard-NNNN before acking, and compacts the log into
-	// snapshots. Empty keeps the engine purely in-memory. The shard
+	// Dir enables the durable layer: every row batch is journaled in
+	// the node log under <Dir>/wal before any shard applies it, and
+	// each shard snapshots its head under <Dir>/shard-NNNN, which
+	// bounds the log. Empty keeps the engine purely in-memory. The shard
 	// count is pinned in <Dir>/engine.json at creation; reopening adopts
 	// the stored count (rows are placed by device-hash % shards).
 	Dir string
-	// Fsync is the WAL durability policy (default wal.FsyncNone: acked
+	// Fsync is the node log's durability policy (default wal.FsyncNone: acked
 	// rows survive a process kill, an fsync policy decides what a
 	// machine crash can lose).
 	Fsync wal.Mode
-	// SegmentBytes sizes the WAL segments (default 8 MiB).
+	// SegmentBytes sizes the node log's segments (default 8 MiB).
 	SegmentBytes int64
-	// SnapshotEvery compacts a shard's WAL into a snapshot after this
-	// many appended rows (default 65536; negative disables record-based
-	// snapshots).
+	// SnapshotEvery runs a shard's compaction cycle, which snapshots
+	// its head, after this many applied rows, and in a shard holding
+	// rows that 2 × SnapshotEvery × shards journaled rows have passed
+	// (default 65536; negative disables record-based snapshots).
 	SnapshotEvery int
 	// Blocks configures the columnar block layer of a durable engine:
 	// at snapshot cadence each shard cuts head rows older than the head
@@ -108,9 +108,9 @@ type ShardedOptions struct {
 	Blocks BlockPolicy
 
 	// Metrics, when set, registers the engine's internals on the given
-	// registry: per-shard WAL append/fsync latency histograms, WAL
-	// depth and segment gauges, snapshot age/duration, queue depth, and
-	// the commit-group row distribution. Nil disables instrumentation
+	// registry: node-log append/fsync latency histograms and segment
+	// gauge, per-shard WAL depth, snapshot age/duration and queue depth,
+	// and the commit-group row distribution. Nil disables instrumentation
 	// (the hot path then takes no timestamps).
 	Metrics *obs.Registry
 }
@@ -120,15 +120,20 @@ type ShardedOptions struct {
 // Store plus a block set (empty on an in-memory engine), and a
 // single-writer append queue per shard. Reads route to the owning shard
 // and merge its head with its blocks behind one value-cursor contract;
-// every write is split by shard and applied by the per-shard workers in
-// parallel, so ingest throughput scales with the shard count instead of
-// funnelling through one lock.
+// every write is split by shard — on a durable engine journaled first,
+// one node-log record per batch — and applied by the per-shard workers
+// in parallel, so ingest throughput scales with the shard count instead
+// of funnelling through one lock.
 type Sharded struct {
 	shards []*Store
 	queues []chan batchItem
 
-	// disks is the per-shard durable state (nil for in-memory engines);
-	// after recovery only each shard's worker touches its entry.
+	// node is the node log and jq the journal writer's queue (both nil
+	// for in-memory engines); disks is node.disks, the per-shard durable
+	// state.
+	node  *nodeLog
+	jq    chan *journalItem
+	jwg   sync.WaitGroup
 	disks []*shardDisk
 	// bsets is the per-shard published block view (always empty on an
 	// in-memory engine); workers mutate, readers capture under its read
@@ -136,13 +141,13 @@ type Sharded struct {
 	bsets       []*blockSet
 	blockPolicy BlockPolicy
 	snapEvery   int
-	// dropped counts rows a durable shard discarded un-applied because
-	// their WAL append failed (each also fails its caller's error slot),
-	// surfaced in Stats.
+	// dropped counts rows discarded un-applied because their node-log
+	// append failed (each also fails its caller's error slot), surfaced
+	// in Stats.
 	dropped atomic.Uint64
 
-	// groupRows is the commit-group size distribution (nil when the
-	// engine is uninstrumented).
+	// groupRows is the node-log commit-group size distribution (nil
+	// when the engine is uninstrumented).
 	groupRows *obs.Histogram
 
 	// headReads/blockReads classify merged reads by whether any block
@@ -164,21 +169,23 @@ type Sharded struct {
 }
 
 // batchItem is one unit of work on a shard's append queue. rows are the
-// shard's slice of a caller batch; idx maps them back to the caller's
+// shard's part of a caller batch; idx maps them back to the caller's
 // indices inside errs. done, when set, is signalled after the rows are
-// applied. stages, when set, receives the wal-append and store-apply
-// wait times the originating request experienced (see
-// AppendBatchStages).
+// applied. stages, when set, receives the store-apply wait the
+// originating request experienced (see AppendBatchNote). seq is the
+// node-log record the part came from and jrows the node's journaled-row
+// count through it (both 0 on an in-memory engine).
 type batchItem struct {
 	rows   []Row
 	idx    []int
 	errs   []error
 	done   *sync.WaitGroup
 	stages *obs.Stages
-	// op, when set, is a queued shard operation (reset, forced
-	// compaction, block import, series drop). It never joins a commit
-	// group: everything queued before it commits first, everything after
-	// it applies to the shard it left.
+	seq    uint64
+	jrows  int64
+	// op, when set, is a queued shard operation (reset, compaction,
+	// block import, series drop, publish): everything queued before it
+	// applies first, everything after it applies to the shard it left.
 	op *shardOp
 }
 
@@ -198,6 +205,7 @@ const (
 	opCompact
 	opImport
 	opDrop
+	opPublish
 )
 
 // NewSharded creates a Sharded engine and starts its append workers.
@@ -212,7 +220,7 @@ func NewSharded(opts ShardedOptions) *Sharded {
 }
 
 // OpenSharded creates a Sharded engine, recovering each shard from its
-// snapshot and WAL tail when Options.Dir enables durability, and starts
+// snapshot and the node log when Options.Dir enables durability, and starts
 // the append workers.
 func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	n := opts.Shards
@@ -253,9 +261,9 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	reg := opts.Metrics
 	if reg != nil {
 		s.groupRows = reg.Histogram("repro_tsdb_commit_group_rows",
-			"Rows covered by one shard commit group.", obs.CountBuckets, nil)
+			"Rows covered by one node-log commit group.", obs.CountBuckets, nil)
 		reg.CounterFunc("repro_tsdb_dropped_rows_total",
-			"Rows discarded un-applied after a WAL append failure.", nil,
+			"Rows discarded un-applied after a node-log append failure.", nil,
 			func() float64 { return float64(s.dropped.Load()) })
 		for i := 0; i < n; i++ {
 			q := s.queues[i]
@@ -278,88 +286,14 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 			func() float64 { return float64(s.blockReads.Load()) })
 	}
 	if opts.Dir != "" {
-		s.disks = make([]*shardDisk, n)
-		s.blockPolicy = opts.Blocks
-		fail := func(i int, err error) error {
-			for _, d := range s.disks[:i] {
-				err = errors.Join(err, d.log.Close())
-			}
-			for _, bs := range s.bsets[:i] {
-				for _, b := range bs.blocks {
-					err = errors.Join(err, b.Close())
-				}
-			}
-			return err
+		if err := s.openDurable(opts, reg); err != nil {
+			return nil, err
 		}
-		for i := 0; i < n; i++ {
-			var mx *shardMetrics
-			var onSync func(time.Duration)
-			if reg != nil {
-				mx = newShardMetrics(reg, i)
-				onSync = mx.fsync.ObserveDuration
-			}
-			disk, manifest, err := recoverShard(filepath.Join(opts.Dir, fmt.Sprintf("shard-%04d", i)), s.shards[i], opts, onSync)
-			if err != nil {
-				return nil, fail(i, fmt.Errorf("tsdb: recover shard %d: %w", i, err))
-			}
-			blocks, nextID, err := openManifestBlocks(disk.dir, manifest)
-			if err != nil {
-				return nil, fail(i, errors.Join(fmt.Errorf("tsdb: recover shard %d: %w", i, err), disk.log.Close()))
-			}
-			disk.mx = mx
-			bs := &blockSet{dir: disk.dir, blocks: blocks, nextID: nextID}
-			if reg != nil {
-				d := disk
-				shard := obs.Labels{"shard": strconv.Itoa(i)}
-				reg.GaugeFunc("repro_tsdb_wal_pending_rows",
-					"Rows journaled above the shard's snapshot watermark (WAL depth).",
-					shard, func() float64 { return float64(d.sinceSnap.Load()) })
-				reg.GaugeFunc("repro_tsdb_wal_segments",
-					"Live WAL segment files of the shard.",
-					shard, func() float64 { return float64(d.log.Segments()) })
-				reg.GaugeFunc("repro_tsdb_snapshot_age_seconds",
-					"Seconds since the shard's last snapshot of any view change (or recovery).",
-					shard, func() float64 {
-						return time.Since(time.Unix(0, d.lastSnap.Load())).Seconds()
-					})
-				reg.GaugeFunc("repro_tsdb_block_files",
-					"Published columnar block files of the shard.",
-					shard, func() float64 {
-						bs.mu.RLock()
-						defer bs.mu.RUnlock()
-						return float64(len(bs.blocks))
-					})
-				reg.GaugeFunc("repro_tsdb_block_bytes",
-					"On-disk bytes of the shard's published block files.",
-					shard, func() float64 {
-						bs.mu.RLock()
-						defer bs.mu.RUnlock()
-						var sum int64
-						for _, b := range bs.blocks {
-							sum += b.Size()
-						}
-						return float64(sum)
-					})
-				reg.GaugeFunc("repro_tsdb_block_rollup_lag_seconds",
-					"Age of the newest block-covered sample — how far the rollup tier trails the head (0 until the first cut).",
-					shard, func() float64 {
-						bs.mu.RLock()
-						defer bs.mu.RUnlock()
-						var maxT int64
-						for _, b := range bs.blocks {
-							if b.MaxT() > maxT {
-								maxT = b.MaxT()
-							}
-						}
-						if maxT == 0 {
-							return 0
-						}
-						return time.Since(time.Unix(0, maxT)).Seconds()
-					})
-			}
-			s.disks[i] = disk
-			s.bsets[i] = bs
-		}
+		// As deep as a shard queue: producers back up on the writer no
+		// sooner than they would on one shard.
+		s.jq = make(chan *journalItem, qlen)
+		s.jwg.Add(1)
+		go s.journal()
 	}
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
@@ -368,72 +302,86 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	return s, nil
 }
 
-// maxCommitGroup bounds how many queued batches one WAL group commit
-// (and one store pass) covers.
-const maxCommitGroup = 64
+// registerDurableMetrics registers the durable engine's gauges: the
+// node log's segments, and per shard its WAL depth, snapshot age and
+// block files.
+func (s *Sharded) registerDurableMetrics(reg *obs.Registry) {
+	log := s.node.log
+	reg.GaugeFunc("repro_tsdb_wal_segments", "Live segment files of the node log.", nil,
+		func() float64 { return float64(log.Segments()) })
+	for i, d := range s.disks {
+		d.mx = newShardMetrics(reg, i)
+		bs := s.bsets[i]
+		shard := obs.Labels{"shard": strconv.Itoa(i)}
+		reg.GaugeFunc("repro_tsdb_wal_pending_rows",
+			"Rows the shard applied above its snapshot watermark (its WAL depth).",
+			shard, func() float64 { return float64(d.sinceSnap.Load()) })
+		reg.GaugeFunc("repro_tsdb_snapshot_age_seconds",
+			"Seconds since the shard's last snapshot of any view change (or recovery).",
+			shard, func() float64 {
+				return time.Since(time.Unix(0, d.lastSnap.Load())).Seconds()
+			})
+		reg.GaugeFunc("repro_tsdb_block_files",
+			"Published columnar block files of the shard.",
+			shard, func() float64 {
+				bs.mu.RLock()
+				defer bs.mu.RUnlock()
+				return float64(len(bs.blocks))
+			})
+		reg.GaugeFunc("repro_tsdb_block_bytes",
+			"On-disk bytes of the shard's published block files.",
+			shard, func() float64 {
+				bs.mu.RLock()
+				defer bs.mu.RUnlock()
+				var sum int64
+				for _, b := range bs.blocks {
+					sum += b.Size()
+				}
+				return float64(sum)
+			})
+		reg.GaugeFunc("repro_tsdb_block_rollup_lag_seconds",
+			"Age of the newest block-covered sample — how far the rollup tier trails the head (0 until the first cut).",
+			shard, func() float64 {
+				bs.mu.RLock()
+				defer bs.mu.RUnlock()
+				var maxT int64
+				for _, b := range bs.blocks {
+					if b.MaxT() > maxT {
+						maxT = b.MaxT()
+					}
+				}
+				if maxT == 0 {
+					return 0
+				}
+				return time.Since(time.Unix(0, maxT)).Seconds()
+			})
+	}
+}
 
 // worker drains one shard's append queue; it is the shard's only queued
 // writer, so queued appends never contend with each other and ride the
-// run-grouped batch path. Everything already queued behind the first
-// item is committed as one group — on a durable shard that is the
-// group-commit path: one WAL append (and one fsync, in always mode)
-// covers the whole wave before any of it is acked.
+// run-grouped batch path.
 func (s *Sharded) worker(i int) {
 	defer s.wg.Done()
-	store, bs, q := s.shards[i], s.bsets[i], s.queues[i]
+	store, bs := s.shards[i], s.bsets[i]
 	var disk *shardDisk
 	if s.disks != nil {
 		disk = s.disks[i]
 	}
-	group := make([]batchItem, 0, maxCommitGroup)
-	for {
-		item, ok := <-q
-		if !ok {
-			return
-		}
+	for item := range s.queues[i] {
 		if item.op != nil {
 			s.runBarrier(i, store, disk, bs, item.op)
 			continue
 		}
-		group = append(group[:0], item)
-		closed := false
-		var pending *shardOp
-	drain:
-		for len(group) < maxCommitGroup {
-			select {
-			case it, ok := <-q:
-				if !ok {
-					closed = true
-					break drain
-				}
-				if it.op != nil {
-					// An op must not ride a commit group: rows queued
-					// behind it would be journaled before it runs and
-					// then truncated/compacted by it. Commit what came
-					// first, then run the op.
-					pending = it.op
-					break drain
-				}
-				group = append(group, it)
-			default:
-				break drain
-			}
-		}
-		s.commitGroup(i, store, disk, bs, group)
-		if pending != nil {
-			s.runBarrier(i, store, disk, bs, pending)
-		}
-		if closed {
-			return
-		}
+		s.apply(i, store, disk, bs, item)
 	}
 }
 
-// runBarrier executes an op on the shard worker, outside any commit
-// group. Reset and drop run on any shard; compaction and import need
-// its durable state. The shard generation bumps before the outcome is
-// sent: the caller — and anyone it tells — can never observe a cached
-// pre-op result after the op is acknowledged.
+// runBarrier executes an op on the shard worker. Reset, drop and
+// publish run on any shard (publish is a no-op in memory); compaction
+// and import need its durable state. The shard generation bumps before
+// the outcome is sent: the caller — and anyone it tells — can never
+// observe a cached pre-op result after the op is acknowledged.
 func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet, op *shardOp) {
 	var err error
 	switch {
@@ -441,93 +389,47 @@ func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet,
 		err = resetShard(store, disk, bs)
 	case op.kind == opDrop:
 		err = dropSeries(store, disk, bs, op.key)
+	case disk == nil && op.kind == opPublish:
 	case disk == nil:
 		err = errors.New("tsdb: compaction and block import require a durable engine")
 	case op.kind == opCompact:
 		err = s.compactShard(store, disk, bs)
 	case op.kind == opImport:
 		err = importBlocks(store, disk, bs, op.dir)
+	case op.kind == opPublish:
+		err = publish(store, disk, bs, viewChange{next: bs.blocks})
+	}
+	if disk != nil {
+		disk.forced.Store(false)
 	}
 	s.gens[i].Add(1)
 	op.done <- err
 }
 
-// commitGroup journals, applies, and acks one wave of queue items, in
-// that order: a row reaches the WAL (under the shard's fsync policy)
-// before the in-memory store, and the store before its producer is
-// unblocked. A WAL failure fails every row in the wave without applying
-// any of them — the engine never acknowledges state it cannot recover.
-// The wave's records are encoded into the shard's reused record buffer
-// (shardDisk.enc), so a steady ingest stream journals without growing
-// a buffer per group; the log copies them before AppendBatch returns.
-func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet, group []batchItem) {
-	if s.groupRows != nil {
-		rows := 0
-		for _, it := range group {
-			rows += len(it.rows)
+// apply applies one shard part and acks it, in that order: on a durable
+// engine the part's record is already in the node log, and the store
+// takes it before its producer is unblocked.
+func (s *Sharded) apply(i int, store *Store, disk *shardDisk, bs *blockSet, it batchItem) {
+	if len(it.rows) > 0 {
+		var applyStart time.Time
+		if it.stages != nil {
+			applyStart = time.Now()
 		}
-		if rows > 0 {
-			s.groupRows.Observe(float64(rows))
+		store.AppendBatch(it.rows)
+		if it.stages != nil {
+			it.stages.Observe("store-apply", time.Since(applyStart))
 		}
+		if disk != nil {
+			disk.applied, disk.appliedRows = it.seq, it.jrows
+			disk.sinceSnap.Add(int64(len(it.rows)))
+		}
+		// Generation bump before the ack: a producer unblocked by
+		// done.Done() re-reading its own write can never match a cache
+		// entry keyed to the pre-append generation.
+		s.gens[i].Add(1)
 	}
-	if disk != nil {
-		recs := disk.enc.encode(group)
-		if len(recs) > 0 {
-			// The group commits as one WAL append, so the group's append
-			// latency IS each member request's wal-append wait. Timing
-			// only happens when someone is listening — the uninstrumented
-			// hot path takes no timestamps.
-			timed := disk.mx != nil || anyStages(group)
-			var walStart time.Time
-			if timed {
-				walStart = time.Now()
-			}
-			_, err := disk.log.AppendBatch(recs)
-			disk.enc.release()
-			if timed {
-				walD := time.Since(walStart)
-				if disk.mx != nil {
-					disk.mx.walAppend.ObserveDuration(walD)
-				}
-				for _, it := range group {
-					it.stages.Observe("wal-append", walD)
-				}
-			}
-			if err != nil {
-				for _, it := range group {
-					for _, j := range it.idx {
-						it.errs[j] = err
-					}
-					s.dropped.Add(uint64(len(it.rows)))
-					if it.done != nil {
-						it.done.Done()
-					}
-				}
-				return
-			}
-		}
-	}
-	for _, it := range group {
-		if len(it.rows) > 0 {
-			var applyStart time.Time
-			if it.stages != nil {
-				applyStart = time.Now()
-			}
-			store.AppendBatch(it.rows)
-			if it.stages != nil {
-				it.stages.Observe("store-apply", time.Since(applyStart))
-			}
-			if disk != nil {
-				disk.sinceSnap.Add(int64(len(it.rows)))
-			}
-			// Generation bump before the ack: a producer unblocked by
-			// done.Done() re-reading its own write can never match a
-			// cache entry keyed to the pre-append generation.
-			s.gens[i].Add(1)
-		}
-		if it.done != nil {
-			it.done.Done()
-		}
+	if it.done != nil {
+		it.done.Done()
 	}
 	if disk != nil && s.maybeSnapshot(store, disk, bs) {
 		// A snapshot pass on a block-bearing shard IS the compaction
@@ -535,17 +437,6 @@ func (s *Sharded) commitGroup(i int, store *Store, disk *shardDisk, bs *blockSet
 		// cached merged reads over the pre-compaction view expire.
 		s.gens[i].Add(1)
 	}
-}
-
-// anyStages reports whether any item in the wave carries a stage
-// collector.
-func anyStages(group []batchItem) bool {
-	for _, it := range group {
-		if it.stages != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // NumShards reports the shard count.
@@ -592,26 +483,19 @@ func (s *Sharded) ShardDir(i int) string {
 	return s.disks[i].dir
 }
 
-// SyncShard waits for everything queued on shard i to be applied, then
-// fsyncs its WAL so the shard's segment files are complete on disk. A
-// frozen shard synced this way can be archived byte-for-byte.
+// SyncShard waits for everything queued on shard i to be applied — so
+// for every append whose call returned — then publishes the shard: its
+// directory then holds a snapshot of the head and its blocks, and
+// nothing of it lives only in the node log. A frozen shard synced this
+// way can be archived byte-for-byte.
 func (s *Sharded) SyncShard(i int) error {
-	var done sync.WaitGroup
-	done.Add(1)
-	if err := s.enqueue(i, batchItem{done: &done}); err != nil {
-		return err
-	}
-	done.Wait()
-	if s.disks == nil {
-		return nil
-	}
-	return s.disks[i].log.Sync()
+	return s.enqueueOp(i, &shardOp{kind: opPublish})
 }
 
-// ResetShard empties shard i through its worker queue: appends enqueued
-// before the call commit first, the shard is then wiped (store and, on
-// a durable engine, WAL + snapshots), and appends enqueued after land
-// in the emptied shard. The handoff protocol resets the source copy
+// ResetShard empties shard i through its worker queue: appends queued
+// on the shard before the call apply first, the shard is then wiped
+// (store and, on a durable engine, blocks, with an empty snapshot), and
+// appends queued after land in the emptied shard. The handoff protocol resets the source copy
 // after ownership flips, and a restore target resets before replaying
 // so a retried restore cannot double-apply.
 func (s *Sharded) ResetShard(i int) error {
@@ -621,10 +505,12 @@ func (s *Sharded) ResetShard(i int) error {
 // ShardStatus is a point-in-time operational description of one shard,
 // the unit `districtctl cluster status` reports per node.
 type ShardStatus struct {
-	Shard       int    `json:"shard"`
-	Series      int    `json:"series"`
-	Samples     int    `json:"samples"`
-	WALPending  int64  `json:"wal_pending_rows"`
+	Shard      int   `json:"shard"`
+	Series     int   `json:"series"`
+	Samples    int   `json:"samples"`
+	WALPending int64 `json:"wal_pending_rows"`
+	// WALSegments counts the node log's segments, which every shard of
+	// the engine shares.
 	WALSegments int    `json:"wal_segments"`
 	Dir         string `json:"dir,omitempty"`
 	// Block-layer counters (zero on an in-memory engine): published
@@ -651,7 +537,7 @@ func (s *Sharded) ShardStatus(i int) ShardStatus {
 	if s.disks != nil {
 		d := s.disks[i]
 		out.WALPending = d.sinceSnap.Load()
-		out.WALSegments = d.log.Segments()
+		out.WALSegments = s.node.log.Segments()
 		out.Dir = d.dir
 	}
 	bs := s.bsets[i]
@@ -704,6 +590,8 @@ type partitionScratch struct {
 	peridx  [][]int
 	errs    []error
 	owners  [1 << ownerBits]ownerEntry
+	item    journalItem
+	rec     []byte
 }
 
 // ownerBits sizes partitionScratch's owner memo (1<<ownerBits entries).
@@ -783,7 +671,7 @@ func (s *Sharded) partition(sc *partitionScratch, rows []Row, errs []error) (per
 	}
 	shardOf := sc.shardOf[:len(rows)]
 	for i := range rows {
-		if !storable(rows[i].Sample.At) {
+		if !Storable(rows[i].Sample.At) {
 			errs[i] = ErrTimeRange
 			shardOf[i] = -1
 			continue
@@ -837,33 +725,50 @@ func (s *Sharded) Append(key SeriesKey, smp Sample) error {
 }
 
 // AppendBatch splits rows by owning shard and applies the sub-batches in
-// parallel through the per-shard append queues, waiting for all of them.
-// The returned slice is aligned with rows (nil when every row landed);
-// each worker writes only its own rows' slots, so no locking is needed
+// parallel through the per-shard append queues, waiting for all of them;
+// a durable engine journals them first, as one node-log record. The
+// returned slice is aligned with rows (nil when every row landed); each
+// worker writes only its own rows' slots, so no locking is needed
 // around the shared slice. A row whose At lies outside the store's time
-// range (1677-09-21T01:00:00Z … 2262-04-11T23:47:16.854775807Z) fails
-// with ErrTimeRange and is neither journaled nor applied.
+// range (1677-09-21T01:00:00Z … 2262-04-11T23:47:16.854775807Z; see
+// Storable) fails with ErrTimeRange and is neither journaled nor
+// applied.
 func (s *Sharded) AppendBatch(rows []Row) []error {
-	return s.appendBatch(rows, nil)
+	errs, _ := s.AppendBatchNote(rows, nil, nil)
+	return errs
 }
 
-// AppendBatchStages is AppendBatch with per-request stage attribution:
-// the shard workers record the WAL group-append and store-apply waits
-// the batch experienced into st (nil-safe). With the batch split over
-// several shards the stages accumulate across them — the totals then
-// read as work done on the request's behalf, not wall-clock.
-func (s *Sharded) AppendBatchStages(rows []Row, st *obs.Stages) []error {
-	return s.appendBatch(rows, st)
-}
-
-func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
-	if len(rows) == 0 {
-		return nil
+// AppendBatchNote is AppendBatch with per-request stage attribution
+// and a caller note. The journal writer and the shard workers record the
+// wal-append and store-apply waits the batch experienced into st
+// (nil-safe); with the batch split over several shards the store-apply
+// stages accumulate across them — the totals then read as work done on
+// the request's behalf, not wall-clock. A durable engine journals note
+// (nil: none) in the rows' record, so it recovers the note exactly when
+// it recovers the rows (Notes); a note with no rows rides a record of
+// its own. It returns the record's seq: 0 on an in-memory engine, which
+// keeps no note, and when nothing was journaled.
+func (s *Sharded) AppendBatchNote(rows []Row, st *obs.Stages, note []byte) ([]error, uint64) {
+	if s.node == nil {
+		note = nil
+	}
+	if len(rows) == 0 && note == nil {
+		return nil, 0
 	}
 	sc := scratchPool.Get().(*partitionScratch)
 	errs := sc.errSlots(len(rows))
 	per, idx := s.partition(sc, rows, errs)
 	var done sync.WaitGroup
+	it := &sc.item
+	*it = journalItem{per: per, idx: idx, errs: errs, done: &done, stages: st}
+	journal := note != nil
+	for _, part := range per {
+		journal = journal || len(part) > 0
+	}
+	if journal = journal && s.node != nil; journal {
+		sc.rec = appendRecord(sc.rec[:0], note, per)
+		it.rec = sc.rec
+	}
 
 	s.mu.RLock()
 	if s.closed {
@@ -871,30 +776,35 @@ func (s *Sharded) appendBatch(rows []Row, st *obs.Stages) []error {
 		for i := range errs {
 			errs[i] = ErrClosed
 		}
+		*it = journalItem{}
 		sc.errs = nil // the slice escapes to the caller
 		scratchPool.Put(sc)
-		return errs
+		return errs, 0
 	}
-	for sh, sub := range per {
-		if len(sub) == 0 {
-			continue
-		}
-		done.Add(1)
-		s.queues[sh] <- batchItem{rows: sub, idx: idx[sh], errs: errs, done: &done, stages: st}
+	done.Add(1)
+	if journal {
+		s.jq <- it
+	} else {
+		s.dispatch(it)
 	}
 	s.mu.RUnlock()
 	done.Wait()
 	// Every worker has acked: the row windows are dead, the scratch can
 	// carry the next wave. The error slice only escapes on failure.
+	seq := it.seq
+	*it = journalItem{}
+	if cap(sc.rec) > maxRetainedRecordBytes {
+		sc.rec = nil // one outsized batch must not pin its buffer in the pool
+	}
 	for _, err := range errs {
 		if err != nil {
 			sc.errs = nil
 			scratchPool.Put(sc)
-			return errs
+			return errs, seq
 		}
 	}
 	scratchPool.Put(sc)
-	return nil
+	return nil, seq
 }
 
 // Keys concatenates every shard's keys, in no particular order.
@@ -944,7 +854,7 @@ func (s *Sharded) DropSeries(key SeriesKey) error {
 
 // CompactShard forces one compaction cycle on shard i through its
 // worker queue: cut head rows past the head window into a block, apply
-// retention, snapshot, truncate the WAL. Requires a durable engine.
+// retention, snapshot, truncate the node log. Requires a durable engine.
 func (s *Sharded) CompactShard(i int) error {
 	return s.enqueueOp(i, &shardOp{kind: opCompact})
 }
@@ -993,19 +903,20 @@ func (s *Sharded) enqueue(i int, item batchItem) error {
 	return nil
 }
 
-// Close drains the append queues, stops the workers, and syncs and
-// closes the per-shard WALs and block files. Subsequent writes fail
-// with ErrClosed. It satisfies the void Engine interface; a WAL close
-// failure (the final segment flush may not have reached disk) is
-// logged — use CloseErr to receive it instead.
+// Close drains the journal and append queues, stops the writer and the
+// workers, and syncs and closes the node log and the block files.
+// Subsequent writes fail with ErrClosed. It satisfies the void Engine
+// interface; a log close failure (the final segment flush may not have
+// reached disk) is logged — use CloseErr to receive it instead.
 func (s *Sharded) Close() {
 	if err := s.CloseErr(); err != nil {
 		slog.Error("close", "service", "tsdb", "err", err)
 	}
 }
 
-// CloseErr is Close returning the joined per-shard WAL close errors: the
-// last word on whether every journaled batch reached disk.
+// CloseErr is Close returning the node log's close error joined with
+// the block files': the last word on whether every journaled batch
+// reached disk.
 func (s *Sharded) CloseErr() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1013,15 +924,21 @@ func (s *Sharded) CloseErr() error {
 		return nil
 	}
 	s.closed = true
+	if s.jq != nil {
+		close(s.jq)
+	}
+	s.mu.Unlock()
+	// The writer hands its last parts to the shard queues before they
+	// close; nothing else can send once closed is set.
+	s.jwg.Wait()
 	for _, q := range s.queues {
 		close(q)
 	}
-	s.mu.Unlock()
 	s.wg.Wait()
 	var err error
-	for i, d := range s.disks {
-		if cerr := d.log.Close(); cerr != nil {
-			err = errors.Join(err, fmt.Errorf("shard %d: %w", i, cerr))
+	if s.node != nil {
+		if cerr := s.node.log.Close(); cerr != nil {
+			err = fmt.Errorf("node log: %w", cerr)
 		}
 	}
 	for i, bs := range s.bsets {

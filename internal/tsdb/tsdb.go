@@ -270,8 +270,9 @@ var (
 	maxTime = time.Unix(0, math.MaxInt64)
 )
 
-// storable reports whether t lies in the store's time range.
-func storable(t time.Time) bool { return !t.Before(minTime) && !t.After(maxTime) }
+// Storable reports whether t lies in the store's time range: a row at
+// any other instant fails with ErrTimeRange.
+func Storable(t time.Time) bool { return !t.Before(minTime) && !t.After(maxTime) }
 
 // nanos converts a read bound to Unix nanoseconds, saturating outside
 // the store's range: time.Time{} is math.MinInt64, not the instant
@@ -293,15 +294,23 @@ func sampleAt(t int64, v float64) Sample {
 }
 
 // eachRun hands f, in time order, every segment holding samples with T
-// in [from, to] together with the run of them; the run is the whole of
-// seg.samples exactly when the segment lies inside the range. The runs
-// alias the segments: f must not keep them past the series lock, which
-// the caller holds after folding the spill. Segments are time-ordered;
-// whole segments outside the range are skipped and only boundary
-// segments are binary-searched, so the walk is O(#segments + result),
-// not O(series length).
-func (sr *series) eachRun(from, to int64, f func(seg *segment, run []block.Point)) {
-	for _, seg := range sr.segments {
+// in [from, to] together with the run of them, until f returns false;
+// the run is the whole of seg.samples exactly when the segment lies
+// inside the range. The runs alias the segments: f must not keep them
+// past the series lock, which the caller holds after folding the spill.
+// Segments are time-ordered, so the walk starts at the segment holding
+// from, found by binary search over the segments' ends, and only
+// boundary segments are searched inside: a walk costs O(log #segments
+// + the segments f takes), not O(series length).
+func (sr *series) eachRun(from, to int64, f func(seg *segment, run []block.Point) bool) {
+	segs := sr.segments
+	// An empty segment reads as ending after every bound: the search may
+	// stop at one, never past a segment holding from.
+	first := sort.Search(len(segs), func(i int) bool {
+		n := len(segs[i].samples)
+		return n == 0 || segs[i].samples[n-1].T >= from
+	})
+	for _, seg := range segs[first:] {
 		n := len(seg.samples)
 		if n == 0 || seg.samples[n-1].T < from {
 			continue
@@ -309,11 +318,13 @@ func (sr *series) eachRun(from, to int64, f func(seg *segment, run []block.Point
 		if seg.samples[0].T > to {
 			break
 		}
-		if seg.samples[0].T >= from && seg.samples[n-1].T <= to {
-			f(seg, seg.samples)
-			continue
+		run := seg.samples
+		if seg.samples[0].T < from || seg.samples[n-1].T > to {
+			run = seg.samples[firstAtOrAfter(seg.samples, from):firstAfter(seg.samples, to)]
 		}
-		f(seg, seg.samples[firstAtOrAfter(seg.samples, from):firstAfter(seg.samples, to)])
+		if !f(seg, run) {
+			return
+		}
 	}
 }
 
@@ -416,12 +427,13 @@ func (s *Store) fold(key SeriesKey, w *windows) bool {
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
-	sr.eachRun(w.fromN, w.toN, func(seg *segment, run []block.Point) {
+	sr.eachRun(w.fromN, w.toN, func(seg *segment, run []block.Point) bool {
 		if len(run) == len(seg.samples) && run[len(run)-1].T <= w.window(run[0].T) {
 			w.at(run[0].T).combine(seg.summary())
-			return
+		} else {
+			w.addRun(run)
 		}
-		w.addRun(run)
+		return true
 	})
 	return true
 }
@@ -479,7 +491,7 @@ func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo int64, skip in
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	sr.foldSpill(s.opts.SegmentSize)
-	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) {
+	sr.eachRun(lo, hi, func(_ *segment, run []block.Point) bool {
 		n := min(skip, firstAfter(run, lo))
 		run, skip = run[n:], skip-n
 		if limit >= 0 {
@@ -487,6 +499,7 @@ func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo int64, skip in
 			limit -= len(run)
 		}
 		buf = append(buf, run...)
+		return limit != 0
 	})
 	return buf, true
 }
@@ -563,7 +576,7 @@ type Stats struct {
 	Samples int
 	Shards  int `json:",omitempty"`
 	// DroppedRows counts rows a durable engine discarded un-applied on
-	// WAL failure (always 0 for an in-memory engine).
+	// node-log failure (always 0 for an in-memory engine).
 	DroppedRows uint64 `json:",omitempty"`
 }
 

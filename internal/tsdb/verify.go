@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 
 	"repro/internal/block"
@@ -76,7 +77,9 @@ func VerifyShardDir(dir string) (ShardVerifyResult, error) {
 
 // VerifyDataDir verifies every shard-NNNN directory under an engine
 // data dir (the tsdb directory OpenSharded was pointed at), or dir
-// itself when it is a single shard directory.
+// itself when it is a single shard directory. The engine's node log
+// (wal/) is CRC-checked too: a corrupt record fails the verification,
+// though the results list the shard directories alone.
 func VerifyDataDir(dir string) ([]ShardVerifyResult, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -97,6 +100,9 @@ func VerifyDataDir(dir string) ([]ShardVerifyResult, error) {
 	if out == nil {
 		res, err := VerifyShardDir(dir)
 		return []ShardVerifyResult{res}, err
+	}
+	if _, err := wal.VerifyDir(filepath.Join(dir, "wal")); err != nil {
+		verr = errors.Join(verr, fmt.Errorf("wal: %w", err))
 	}
 	return out, verr
 }

@@ -1,10 +1,12 @@
 // Package wal is the durable storage substrate of the infrastructure: a
 // segmented, CRC-checked, append-only record log plus atomic snapshot
-// files. The tsdb engine journals every acked row batch through one Log
-// per shard, the stream hub re-backs its replay ring with one, and the
-// ingest idempotency window persists delivery outcomes alongside — all
-// three ride the same segment abstraction, so crash recovery, torn-tail
-// handling and compaction behave identically across the write path.
+// files. A measurements node keeps two logs: the tsdb engine's node log,
+// which journals every acked row batch — and, beside its rows, the
+// caller's note, such as a keyed ingest request's outcome — before any
+// shard applies it, and the stream hub's journal, which re-backs its
+// replay ring. Both ride the same segment abstraction, so crash
+// recovery, torn-tail handling and compaction behave identically across
+// the write path.
 //
 // Records are framed as [len uint32][crc32c uint32][payload]; a torn
 // frame at the tail (the normal shape of a SIGKILL mid-append) fails the
@@ -495,25 +497,59 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, rec []byte) error) error 
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
-	for i, base := range l.segs {
-		last := i == len(l.segs)-1
-		if !last && l.segs[i+1] <= after+1 {
+	return replaySegments(l.dir, l.segs, l.opts.MaxRecord, after, fn)
+}
+
+// ReadDir is Replay over the log in dir without opening it: nothing is
+// created, truncated or repaired, and a dir without segments holds no
+// records. It reads an archived copy, a log a newer layout replaced, or
+// a live log up to its last whole record.
+func ReadDir(dir string, after uint64, fn func(seq uint64, rec []byte) error) error {
+	segs, err := ListLog(dir)
+	if err != nil {
+		return err
+	}
+	return replaySegments(dir, segs, maxRecord, after, fn)
+}
+
+// ListLog returns the base sequences of the log segments in dir,
+// ascending.
+func ListLog(dir string) ([]uint64, error) { return ListSeq(dir, segSuffix) }
+
+// RemoveLog deletes every segment of the log in dir; nothing may have
+// the log open.
+func RemoveLog(dir string) error {
+	segs, err := ListLog(dir)
+	for _, base := range segs {
+		if rerr := os.Remove(filepath.Join(dir, SeqName(base, segSuffix))); rerr != nil && !os.IsNotExist(rerr) {
+			err = errors.Join(err, rerr)
+		}
+	}
+	return err
+}
+
+// replaySegments streams the records with sequence > after of the
+// segments segs of dir.
+func replaySegments(dir string, segs []uint64, limit int, after uint64, fn func(uint64, []byte) error) error {
+	for i, base := range segs {
+		last := i == len(segs)-1
+		if !last && segs[i+1] <= after+1 {
 			continue // every record in this segment is <= after
 		}
-		if err := l.replaySegment(base, last, after, fn); err != nil {
+		if err := replaySegment(filepath.Join(dir, SeqName(base, segSuffix)), base, limit, last, after, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (l *Log) replaySegment(base uint64, last bool, after uint64, fn func(uint64, []byte) error) error {
-	f, err := os.Open(l.segPath(base))
+func replaySegment(path string, base uint64, limit int, last bool, after uint64, fn func(uint64, []byte) error) error {
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close() //lint:ignore closecheck read-only replay; close error cannot lose data
-	r := newFrameReader(f, l.opts.MaxRecord)
+	r := newFrameReader(f, limit)
 	seq := base
 	for {
 		p, err := r.next()

@@ -501,8 +501,8 @@ func TestSystemDurableIngestSurvivesRestart(t *testing.T) {
 	samplesPath := "/v2/series/" + url.PathEscape(dev) + "/temperature/samples"
 	pre := httpGetBody(t, url1+samplesPath)
 
-	// The kill also tears the tail of a shard WAL mid-frame.
-	segs, err := filepath.Glob(filepath.Join(dir, "tsdb", "shard-*", "*.seg"))
+	// The kill also tears the tail of the node log mid-frame.
+	segs, err := filepath.Glob(filepath.Join(dir, "tsdb", "wal", "*.seg"))
 	if err != nil || len(segs) == 0 {
 		t.Fatalf("no WAL segments under the data dir: %v", err)
 	}

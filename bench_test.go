@@ -1810,6 +1810,7 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		{"S3 ingest publish", 3.0, 1, s3LivePathOp},
 		{"gzip 100B", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 1); return op }},
 		{"gzip 8KiB", 8.0, 200, func(tb testing.TB) hotPathOp { op, _ := gzipOp(tb, 177); return op }},
+		{"api chain 204", 13.0, 200, apiChainOp},
 		{"client append 1000 rows", 64.0, 20, func(tb testing.TB) hotPathOp { return clientAppendOp(tb, false) }},
 		{"client stream row", 0.1, 1, func(tb testing.TB) hotPathOp { return clientStreamOp(tb, false) }},
 		{"samples page 900 rows", 96.0, 20, func(tb testing.TB) hotPathOp { return samplesPageEncodeOp(tb, false) }},
@@ -2002,6 +2003,34 @@ func h2QueryEncodeOp(tb testing.TB, encoding string) hotPathOp {
 	}}
 }
 
+// apiChainOp is one request through api.Server's handler, no logger, on
+// a route that answers 204 without a body: what the request observer,
+// gzip, recover and the router cost a request beyond its handler
+// (perOp is the request).
+func apiChainOp(tb testing.TB) hotPathOp {
+	s := api.NewServer(api.Options{})
+	s.HandleFunc(http.MethodGet, "/nothing", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNoContent)
+	})
+	h := s.Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/nothing", nil)
+	w := &discardResponseWriter{h: make(http.Header)}
+	return hotPathOp{perOp: 1, fn: func() {
+		clear(w.h)
+		w.status = 0
+		h.ServeHTTP(w, req)
+		if w.status != http.StatusNoContent {
+			tb.Fatalf("status %d", w.status)
+		}
+	}}
+}
+
+// BenchmarkAPIChain reports apiChainOp's allocations per request
+// (TestHotPathAllocCeilings holds the ceiling).
+func BenchmarkAPIChain(b *testing.B) {
+	benchAllocsPer(b, "request", apiChainOp(b))
+}
+
 // BenchmarkGzipMiddleware — the response compression path on its own:
 // one op is a JSON sample page of the given size written through
 // api.Gzip for a client that accepts gzip. 100 B stays under the 1 KiB
@@ -2036,11 +2065,11 @@ func gzipOp(tb testing.TB, samples int) (op hotPathOp, ratio func() float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h := api.Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	h := api.Gzip(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)
-	}), api.Gzip())
+	}))
 	req := httptest.NewRequest("GET", "/v2/series/urn:d/t/samples", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	w := &discardResponseWriter{h: make(http.Header)}

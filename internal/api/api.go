@@ -15,9 +15,9 @@
 //   - typed endpoint adapters (handler.go) so service handlers take
 //     decoded requests and return values + errors — they never touch
 //     http.ResponseWriter;
-//   - a middleware chain (middleware.go): request-ID injection, access
-//     logging, per-route latency/count metrics, gzip compression, and
-//     panic recovery;
+//   - one request observer (middleware.go) around gzip compression,
+//     panic recovery and the router: request and trace IDs, per-route
+//     instruments (metrics.go), span records and access logging;
 //   - real Accept-header content negotiation (negotiate.go);
 //   - a context-aware retrying client transport (transport.go) shared
 //     by the end-user client and the proxy registration/heartbeat path.
@@ -33,7 +33,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/obs"
 )
@@ -73,21 +72,15 @@ func versionedURL(base, version, pathAndQuery string) string {
 type Options struct {
 	// Service names the service in access-log lines (e.g. "master").
 	Service string
-	// Logger receives access-log lines; nil disables access logging.
+	// Logger receives access-log lines and the log of requests that
+	// took 1s or more; nil disables both.
 	Logger Logger
-	// DisableGzip turns the gzip middleware off (mainly for tests that
-	// want to inspect raw bytes on the wire).
-	DisableGzip bool
 	// DisableLegacyAliases drops the unversioned route aliases; only
 	// /v1/... paths are then served.
 	DisableLegacyAliases bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by
 	// default: the profiling surface stays opt-in per service).
 	EnablePprof bool
-	// SlowRequest is the slow-request log threshold: requests at or
-	// above it are logged with their trace ID and stage timings
-	// (requires Logger). Zero means a 1s default; negative disables.
-	SlowRequest time.Duration
 }
 
 // Logger is the minimal logging interface the layer needs; *log.Logger
@@ -98,15 +91,17 @@ type Logger interface {
 
 // Server registers typed endpoints and serves them under /v1 plus
 // legacy aliases (and, when registered, resource-style /v2 routes),
-// wrapped in the standard middleware chain, routed by one ServeMux.
+// wrapped in the request observer, routed by one ServeMux.
 type Server struct {
 	opts    Options
 	aliases atomic.Bool // bare legacy paths answer
 	metrics *Metrics
 	tracer  *obs.Tracer
 
+	miss, unmatched *routeLabel // the labels of a 404 and of a request no route labelled
+
 	once    sync.Once    // runs build on the first request
-	handler http.Handler // the middleware chain around mux
+	handler http.Handler // the observer around gzip, recover and mux
 
 	mu     sync.Mutex     // guards routes and mux
 	routes []route        // every registration, in order
@@ -114,24 +109,20 @@ type Server struct {
 }
 
 // route is one registration: handler for method on a versioned mux
-// path, counted under label. A /v1 route's label is its bare alias.
+// path, counted under label. A /v1 route's label is its bare alias;
+// routes sharing a label share its instruments.
 type route struct {
-	method, path, label string
-	handler             http.Handler
+	method, path string
+	label        *routeLabel
+	handler      http.Handler
 }
 
 // NewServer creates a Server with the built-in /healthz, /metrics, and
 // /trace/{id} endpoints already registered.
 func NewServer(opts Options) *Server {
-	s := &Server{opts: opts, metrics: NewMetrics(), tracer: obs.NewTracer(0)}
+	s := &Server{opts: opts, metrics: NewMetrics(), tracer: obs.NewTracer(0),
+		miss: &routeLabel{name: "404"}, unmatched: &routeLabel{name: "unmatched"}}
 	s.aliases.Store(!opts.DisableLegacyAliases)
-	if opts.Logger != nil && opts.SlowRequest >= 0 {
-		slow := opts.SlowRequest
-		if slow == 0 {
-			slow = time.Second
-		}
-		s.tracer.SetSlowLog(slow, opts.Logger.Printf)
-	}
 	s.HandleFunc(http.MethodGet, "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		w.WriteHeader(http.StatusOK)
@@ -197,14 +188,17 @@ func (s *Server) HandleV2(method, path string, handler http.Handler) {
 // /v2 route with its path) and binds it once the mux exists. A bad or
 // repeated route panics here, not at the first request.
 func (s *Server) add(method, version, path string, handler http.Handler) {
-	rt := route{method, "/" + version + path, path, handler}
+	rt := route{method: method, path: "/" + version + path, label: &routeLabel{name: path}, handler: handler}
 	if version != Version {
-		rt.label = rt.path
+		rt.label.name = rt.path
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !strings.HasPrefix(path, "/") || slices.ContainsFunc(s.routes, func(o route) bool { return o.method == method && o.path == rt.path }) {
 		panic(fmt.Sprintf("api: route %s %q must start with / and be registered once", method, path))
+	}
+	if i := slices.IndexFunc(s.routes, func(o route) bool { return o.label.name == rt.label.name }); i >= 0 {
+		rt.label = s.routes[i].label
 	}
 	s.routes = append(s.routes, rt)
 	if s.mux != nil {
@@ -220,7 +214,7 @@ func (s *Server) bind(i int) {
 	rt := s.routes[i]
 	first := !slices.ContainsFunc(s.routes[:i], func(o route) bool { return o.path == rt.path })
 	notAllowed := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { s.notAllowed(w, r, rt) })
-	for _, p := range slices.Compact([]string{rt.path, rt.label}) {
+	for _, p := range slices.Compact([]string{rt.path, rt.label.name}) {
 		h, na := labelled(rt.label, rt.handler), labelled(rt.label, notAllowed)
 		if p != rt.path {
 			h, na = s.alias(h), s.alias(na)
@@ -246,7 +240,7 @@ func (s *Server) notAllowed(w http.ResponseWriter, r *http.Request, rt route) {
 	slices.Sort(methods)
 	allow := strings.Join(methods, ", ")
 	w.Header().Set("Allow", allow)
-	WriteError(w, r, MethodNotAllowed(fmt.Errorf("method %s not allowed on %s (use %s)", r.Method, rt.label, allow)))
+	WriteError(w, r, MethodNotAllowed(fmt.Errorf("method %s not allowed on %s (use %s)", r.Method, rt.label.name, allow)))
 }
 
 // alias serves handler on a bare legacy path only while aliases are
@@ -263,9 +257,7 @@ func (s *Server) alias(handler http.Handler) http.Handler {
 
 // notFound writes the uniform 404 envelope, labelled "404".
 func (s *Server) notFound(w http.ResponseWriter, r *http.Request) {
-	if ri := routeInfoFrom(r.Context()); ri != nil {
-		ri.Pattern = "404"
-	}
+	routeInfoFrom(r.Context()).route = s.miss
 	hint, p := "", r.URL.Path+"/"
 	if !s.aliases.Load() && !strings.HasPrefix(p, "/"+Version+"/") && !strings.HasPrefix(p, "/"+Version2+"/") {
 		hint = " (unversioned aliases disabled)"
@@ -291,13 +283,10 @@ func (s *Server) SetLegacyAliases(enabled bool) { s.aliases.Store(enabled) }
 // Metrics exposes the per-route counters.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// Handler returns the service's complete http.Handler: the router
-// wrapped in the standard middleware chain. The chain order is
-// request-ID (outermost) → trace → access log → metrics → gzip →
-// recover → router, so log lines carry request IDs, every request gets
-// a span record with its stage timings, metrics see every outcome
-// including panics (and the bytes gzip put on the wire), and gzip sees
-// the panic envelope like any other short body.
+// Handler returns the service's complete http.Handler: the request
+// observer (outermost) → gzip → recover → router, so the observer sees
+// every outcome including panics (and the bytes gzip put on the wire),
+// and gzip sees the panic envelope like any other short body.
 func (s *Server) Handler() http.Handler { return http.HandlerFunc(s.ServeHTTP) }
 
 // ServeHTTP lets a Server be used directly as an http.Handler.
@@ -306,7 +295,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.handler.ServeHTTP(w, r)
 }
 
-// build assembles the chain and the ServeMux on the first request: a
+// build assembles the handler and the ServeMux on the first request: a
 // ServeMux pattern costs microseconds to register (it records the
 // caller's file:line), and most servers of a district idle for a while
 // after boot, or for good.
@@ -317,23 +306,16 @@ func (s *Server) build() {
 	s.mux.HandleFunc("/", s.notFound)
 	if s.opts.EnablePprof {
 		// Mounted directly, not through http.DefaultServeMux.
-		s.mux.Handle("/debug/pprof/", labelled("/debug/pprof", http.HandlerFunc(pprof.Index)))
+		pp := &routeLabel{name: "/debug/pprof"}
+		s.mux.Handle("/debug/pprof/", labelled(pp, http.HandlerFunc(pprof.Index)))
 		for name, h := range map[string]http.HandlerFunc{
 			"cmdline": pprof.Cmdline, "profile": pprof.Profile, "symbol": pprof.Symbol, "trace": pprof.Trace,
 		} {
-			s.mux.Handle("/debug/pprof/"+name, labelled("/debug/pprof", h))
+			s.mux.Handle("/debug/pprof/"+name, labelled(pp, h))
 		}
 	}
 	for i := range s.routes {
 		s.bind(i)
 	}
-	mws := []Middleware{RequestID(), Trace(s.opts.Service, s.tracer)}
-	if s.opts.Logger != nil {
-		mws = append(mws, AccessLog(s.opts.Service, s.opts.Logger))
-	}
-	mws = append(mws, Observe(s.metrics))
-	if !s.opts.DisableGzip {
-		mws = append(mws, Gzip())
-	}
-	s.handler = Chain(s.mux, append(mws, Recover())...)
+	s.handler = s.observe(Gzip(Recover(s.mux)))
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/dataformat"
+	"repro/internal/obs"
 )
 
 // testServer builds a Server with a few representative routes.
@@ -220,7 +221,7 @@ func TestRequestIDPropagatesAndEchoes(t *testing.T) {
 // is already in the context when the handler (and any panic envelope)
 // runs, and metrics observe panics as 500s.
 func TestMiddlewareChainOrder(t *testing.T) {
-	s := NewServer(Options{DisableGzip: true})
+	s := NewServer(Options{})
 	var seenID string
 	s.Get("/probe", func(ctx context.Context, q url.Values) (any, error) {
 		seenID = RequestIDFrom(ctx)
@@ -344,19 +345,16 @@ func TestMetricsExposesLimiterTiers(t *testing.T) {
 	}
 
 	rec = get(t, s.Handler(), "/v1/metrics?format=prometheus", nil)
-	body := rec.Body.String()
-	for _, want := range []string{
-		`repro_rate_limit_allowed_total{service="",tier="read"} 1`,
-		`repro_rate_limit_rejected_total{service="",tier="read"} 1`,
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("prometheus exposition missing %q in:\n%s", want, body)
+	fams := parseProm(t, rec.Body.String())
+	for _, name := range []string{"repro_rate_limit_allowed_total", "repro_rate_limit_rejected_total"} {
+		if v, ok := promValue(fams, name, obs.Labels{"service": "", "tier": "read"}); !ok || v != 1 {
+			t.Errorf("%s{service=\"\",tier=\"read\"} = %v (present %v), want 1 in:\n%s", name, v, ok, rec.Body)
 		}
 	}
 }
 
 func TestV2ExactAndPatternRouting(t *testing.T) {
-	s := NewServer(Options{DisableGzip: true})
+	s := NewServer(Options{})
 	s.HandleV2(http.MethodPost, "/query", Body(func(ctx context.Context, in map[string]int) (map[string]int, error) {
 		return map[string]int{"n": in["n"] * 2}, nil
 	}))

@@ -1,35 +1,34 @@
 package api
 
 import (
-	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// Metrics accumulates per-route request counters and delegates
-// distributions to an internal obs.Registry: every observed route gets
-// a latency histogram (repro_http_request_duration_seconds), and
-// services attach their own registries (storage internals, stream
-// counters) so one /v1/metrics scrape serves the whole picture.
-// Routes are keyed by "METHOD pattern" (the matched pattern, not the
-// raw path, so metrics cardinality stays bounded under hostile paths).
+// Metrics is a service's instrument set: its own registry (every
+// route's request and error counters, latency histogram and windowed
+// max gauge, the response byte counters, the registered rate limiters)
+// and the service-internals registries attached to it, so one
+// /v1/metrics scrape serves the whole picture. Routes are labelled by
+// their matched pattern, not the raw path, so metrics cardinality stays
+// bounded under hostile paths.
 type Metrics struct {
-	mu       sync.Mutex
-	routes   map[string]*routeStats
-	limiters []limiterEntry
-	reg      *obs.Registry   // route latency histograms, response byte counters
-	attached []*obs.Registry // service-internals registries
-	now      func() time.Time
+	reg *obs.Registry
 
 	// Response sizes: wire bytes by content coding, and the same bodies
 	// before compression — their quotient is the compression ratio.
 	wireGzip, wireIdentity, plainBytes *obs.Counter
+
+	mu       sync.Mutex
+	limiters []limiterEntry
+	attached []*obs.Registry // service-internals registries
 }
 
 // limiterEntry labels one registered rate limiter with its tier.
@@ -38,39 +37,17 @@ type limiterEntry struct {
 	rl   *RateLimiter
 }
 
-// maxLatencyWindow is the rotation period of the per-route max-latency
-// gauge: the reported max covers the current and previous window, so a
-// cold-start outlier ages out instead of pinning the gauge forever.
-const maxLatencyWindow = 5 * time.Minute
-
-type routeStats struct {
-	count   uint64
-	errors  uint64 // responses with status >= 400
-	totalNS int64
-
-	curMaxNS    int64
-	prevMaxNS   int64
-	windowStart time.Time
-
-	hist *obs.Histogram
-}
-
-// maxNS is the windowed max: the slowest request of the current and
-// previous rotation windows.
-func (rs *routeStats) maxNS() int64 {
-	if rs.prevMaxNS > rs.curMaxNS {
-		return rs.prevMaxNS
-	}
-	return rs.curMaxNS
-}
+// The per-route HTTP families.
+const (
+	requestsName = "repro_http_requests_total"
+	errorsName   = "repro_http_request_errors_total"
+	durationName = "repro_http_request_duration_seconds"
+	maxName      = "repro_http_request_duration_seconds_max"
+)
 
 // NewMetrics creates an empty metrics set.
 func NewMetrics() *Metrics {
-	m := &Metrics{
-		routes: make(map[string]*routeStats),
-		reg:    obs.NewRegistry(),
-		now:    time.Now,
-	}
+	m := &Metrics{reg: obs.NewRegistry()}
 	const wireHelp = "Response body bytes written to the wire, by content coding."
 	m.wireGzip = m.reg.Counter("repro_http_response_bytes_total", wireHelp, obs.Labels{"encoding": "gzip"})
 	m.wireIdentity = m.reg.Counter("repro_http_response_bytes_total", wireHelp, obs.Labels{"encoding": "identity"})
@@ -79,48 +56,82 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// observeBytes records one response's size on the wire and before
-// compression.
-func (m *Metrics) observeBytes(gzipped bool, wire, plain int64) {
-	if gzipped {
-		m.wireGzip.Add(uint64(wire))
-	} else {
-		m.wireIdentity.Add(uint64(wire))
-	}
-	m.plainBytes.Add(uint64(plain))
+// stdMethods are the methods a route finds its instruments for by
+// index; any other method goes through routeLabel.other.
+var stdMethods = [...]string{
+	http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
+	http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
 }
 
-func (m *Metrics) observe(method, pattern string, status int, d time.Duration) {
-	key := method + " " + pattern
-	now := m.now()
-	m.mu.Lock()
-	rs := m.routes[key]
-	if rs == nil {
-		rs = &routeStats{
-			windowStart: now,
-			hist: m.reg.Histogram("repro_http_request_duration_seconds",
-				"Handler latency distribution, by route.",
-				obs.LatencyBuckets, obs.Labels{"method": method, "route": pattern}),
-		}
-		m.routes[key] = rs
+// routeLabel is a label requests are counted under (a route's
+// unversioned path, a /v2 path, "404", "unmatched") with its
+// instruments, one set per request method, registered by the first
+// request of that method.
+type routeLabel struct {
+	name  string
+	std   [len(stdMethods)]atomic.Pointer[routeMetrics]
+	other sync.Map // any other method → *atomic.Pointer[routeMetrics]
+}
+
+// routeMetrics are the instruments of one method on one route. The
+// max gauge reads the slowest request of the current and previous
+// rotation windows (maxLatencyWindow) from start, cur and prev.
+type routeMetrics struct {
+	requests, errors *obs.Counter
+	duration         *obs.Histogram
+	start, cur, prev atomic.Int64 // Unix ns the current window began; max ns in it and the last
+}
+
+// metrics returns the instruments of method on l, registering them in
+// m on first use. Racing first requests get the same counters and
+// histogram from the registry; the set whose pointer lands is the one
+// whose max is registered and kept.
+func (l *routeLabel) metrics(m *Metrics, method string) *routeMetrics {
+	slot := l.slot(method)
+	if rm := slot.Load(); rm != nil {
+		return rm
 	}
-	rs.count++
+	labels := obs.Labels{"method": method, "route": l.name}
+	rm := &routeMetrics{
+		requests: m.reg.Counter(requestsName, "Requests served, by route.", labels),
+		errors:   m.reg.Counter(errorsName, "Responses with status >= 400, by route.", labels),
+		duration: m.reg.Histogram(durationName, "Handler latency distribution, by route.", obs.LatencyBuckets, labels),
+	}
+	if slot.CompareAndSwap(nil, rm) {
+		m.reg.GaugeFunc(maxName, "Slowest handler time in the recent window, by route.", labels, rm.maxSeconds)
+	}
+	return slot.Load()
+}
+
+func (l *routeLabel) slot(method string) *atomic.Pointer[routeMetrics] {
+	if i := slices.Index(stdMethods[:], method); i >= 0 {
+		return &l.std[i]
+	}
+	p, _ := l.other.LoadOrStore(method, new(atomic.Pointer[routeMetrics]))
+	return p.(*atomic.Pointer[routeMetrics])
+}
+
+// maxLatencyWindow is the rotation period of the per-route max-latency
+// gauge: the reported max covers the current and previous window, so a
+// cold-start outlier ages out instead of pinning the gauge forever.
+const maxLatencyWindow = 5 * time.Minute
+
+// observe counts one request that ended at end after d.
+func (rm *routeMetrics) observe(status int, end time.Time, d time.Duration) {
+	rm.requests.Inc()
 	if status >= 400 {
-		rs.errors++
+		rm.errors.Inc()
 	}
-	ns := d.Nanoseconds()
-	rs.totalNS += ns
-	if now.Sub(rs.windowStart) >= maxLatencyWindow {
-		rs.prevMaxNS = rs.curMaxNS
-		rs.curMaxNS = 0
-		rs.windowStart = now
+	rm.duration.ObserveDuration(d)
+	if start, now := rm.start.Load(), end.UnixNano(); now-start >= int64(maxLatencyWindow) && rm.start.CompareAndSwap(start, now) {
+		rm.prev.Store(rm.cur.Swap(0))
 	}
-	if ns > rs.curMaxNS {
-		rs.curMaxNS = ns
+	for cur := rm.cur.Load(); int64(d) > cur && !rm.cur.CompareAndSwap(cur, int64(d)); cur = rm.cur.Load() {
 	}
-	hist := rs.hist
-	m.mu.Unlock()
-	hist.ObserveDuration(d)
+}
+
+func (rm *routeMetrics) maxSeconds() float64 {
+	return float64(max(rm.cur.Load(), rm.prev.Load())) / 1e9
 }
 
 // AttachRegistry includes a service-internals registry in the metrics
@@ -132,26 +143,21 @@ func (m *Metrics) AttachRegistry(r *obs.Registry) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, a := range m.attached {
-		if a == r {
-			return
-		}
+	if !slices.Contains(m.attached, r) {
+		m.attached = append(m.attached, r)
 	}
-	m.attached = append(m.attached, r)
 }
 
-// registries snapshots the route-histogram registry plus everything
+// registries snapshots the metrics set's own registry plus everything
 // attached.
 func (m *Metrics) registries() []*obs.Registry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]*obs.Registry, 0, len(m.attached)+1)
-	out = append(out, m.reg)
-	return append(out, m.attached...)
+	return append([]*obs.Registry{m.reg}, m.attached...)
 }
 
 // Instruments reads every obs instrument visible through this metrics
-// set — route latency histograms first, then attached registries.
+// set — the HTTP and limiter families first, then attached registries.
 func (m *Metrics) Instruments() []obs.Snapshot {
 	var out []obs.Snapshot
 	for _, r := range m.registries() {
@@ -173,29 +179,34 @@ type RouteSnapshot struct {
 }
 
 // RegisterLimiter labels a rate limiter with its route-class tier
-// ("read", "batch", "publish", ...) and includes its counters in the
-// metrics endpoints. Registering the same limiter again under the same
-// tier is a no-op.
+// ("read", "batch", "publish", ...) and registers its allowed and
+// rejected counters and its bucket gauge. Registering the same limiter
+// again under the same tier is a no-op.
 func (m *Metrics) RegisterLimiter(tier string, rl *RateLimiter) {
 	if rl == nil {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, e := range m.limiters {
-		if e.tier == tier && e.rl == rl {
-			return
-		}
+	e := limiterEntry{tier: tier, rl: rl}
+	if slices.Contains(m.limiters, e) {
+		return
 	}
-	m.limiters = append(m.limiters, limiterEntry{tier: tier, rl: rl})
+	m.limiters = append(m.limiters, e)
+	labels := obs.Labels{"tier": tier}
+	m.reg.CounterFunc("repro_rate_limit_allowed_total", "Requests admitted by the tier's limiter.", labels,
+		func() float64 { return float64(rl.Stats().Allowed) })
+	m.reg.CounterFunc("repro_rate_limit_rejected_total", "Requests rejected with 429 by the tier's limiter.", labels,
+		func() float64 { return float64(rl.Stats().Rejected) })
+	m.reg.GaugeFunc("repro_rate_limit_buckets", "Live per-client buckets held by the tier's limiter.", labels,
+		func() float64 { return float64(rl.Len()) })
 }
 
 // Limiters returns a stats snapshot of every registered limiter, sorted
 // by tier.
 func (m *Metrics) Limiters() []LimiterStats {
 	m.mu.Lock()
-	entries := make([]limiterEntry, len(m.limiters))
-	copy(entries, m.limiters)
+	entries := slices.Clone(m.limiters)
 	m.mu.Unlock()
 	out := make([]LimiterStats, 0, len(entries))
 	for _, e := range entries {
@@ -207,74 +218,48 @@ func (m *Metrics) Limiters() []LimiterStats {
 	return out
 }
 
-// Snapshot returns the counters of every route, sorted by route key.
+// Snapshot reads the route instruments into one RouteSnapshot per
+// method and route, sorted by route key ("METHOD label").
 func (m *Metrics) Snapshot() []RouteSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]RouteSnapshot, 0, len(m.routes))
-	for key, rs := range m.routes {
-		snap := RouteSnapshot{
-			Route:   key,
-			Count:   rs.count,
-			Errors:  rs.errors,
-			MaxMs:   float64(rs.maxNS()) / 1e6,
-			TotalMs: float64(rs.totalNS) / 1e6,
+	out := []RouteSnapshot{}
+	at := make(map[string]int)
+	for _, in := range m.reg.Snapshot() {
+		route, ok := in.Labels["route"]
+		if !ok {
+			continue
 		}
-		if rs.count > 0 {
-			snap.MeanMs = snap.TotalMs / float64(rs.count)
+		key := in.Labels["method"] + " " + route
+		i, seen := at[key]
+		if !seen {
+			i, at[key] = len(out), len(out)
+			out = append(out, RouteSnapshot{Route: key})
 		}
-		out = append(out, snap)
+		switch s := &out[i]; in.Name {
+		case requestsName:
+			s.Count = uint64(in.Value)
+		case errorsName:
+			s.Errors = uint64(in.Value)
+		case durationName:
+			s.TotalMs = in.Histogram.Sum * 1e3
+		case maxName:
+			s.MaxMs = in.Value * 1e3
+		}
+	}
+	for i := range out {
+		if out[i].Count > 0 {
+			out[i].MeanMs = out[i].TotalMs / float64(out[i].Count)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Route < out[j].Route })
 	return out
 }
 
-// labelEscaper escapes a Prometheus label value per the text exposition
-// format (backslash, double quote, and newline).
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-func escapeLabel(v string) string { return labelEscaper.Replace(v) }
-
-// WritePrometheus renders everything in the Prometheus text exposition
-// format (version 0.0.4), labelled with the owning service: per-route
-// request/error counters and the windowed max gauge, the route latency
-// histograms (_bucket/_sum/_count), rate-limiter counters, and every
-// attached service-internals registry. Scrapers hit
+// WritePrometheus renders every registry of the metrics set in the
+// Prometheus text exposition format (version 0.0.4), each series
+// labelled with the owning service. Scrapers hit
 // /v1/metrics?format=prometheus (or negotiate text/plain) instead of
 // the JSON snapshot.
 func (m *Metrics) WritePrometheus(w io.Writer, service string) {
-	snaps := m.Snapshot()
-	emit := func(name, help, typ string, value func(RouteSnapshot) float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-		for _, s := range snaps {
-			method, route, _ := strings.Cut(s.Route, " ")
-			fmt.Fprintf(w, "%s{service=%q,method=%q,route=%q} %g\n",
-				name, escapeLabel(service), escapeLabel(method), escapeLabel(route), value(s))
-		}
-	}
-	emit("repro_http_requests_total", "Requests served, by route.", "counter",
-		func(s RouteSnapshot) float64 { return float64(s.Count) })
-	emit("repro_http_request_errors_total", "Responses with status >= 400, by route.", "counter",
-		func(s RouteSnapshot) float64 { return float64(s.Errors) })
-	emit("repro_http_request_duration_seconds_max", "Slowest handler time in the recent window, by route.", "gauge",
-		func(s RouteSnapshot) float64 { return s.MaxMs / 1e3 })
-
-	if limiters := m.Limiters(); len(limiters) > 0 {
-		emitL := func(name, help, typ string, value func(LimiterStats) float64) {
-			fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
-			for _, l := range limiters {
-				fmt.Fprintf(w, "%s{service=%q,tier=%q} %g\n",
-					name, escapeLabel(service), escapeLabel(l.Tier), value(l))
-			}
-		}
-		emitL("repro_rate_limit_allowed_total", "Requests admitted by the tier's limiter.", "counter",
-			func(l LimiterStats) float64 { return float64(l.Allowed) })
-		emitL("repro_rate_limit_rejected_total", "Requests rejected with 429 by the tier's limiter.", "counter",
-			func(l LimiterStats) float64 { return float64(l.Rejected) })
-		emitL("repro_rate_limit_buckets", "Live per-client buckets held by the tier's limiter.", "gauge",
-			func(l LimiterStats) float64 { return float64(l.Buckets) })
-	}
-
 	extra := obs.Labels{"service": service}
 	for _, r := range m.registries() {
 		r.WritePrometheus(w, extra)

@@ -16,132 +16,140 @@ import (
 	"repro/internal/obs"
 )
 
-// Middleware wraps an http.Handler with cross-cutting behaviour.
-type Middleware func(http.Handler) http.Handler
+// ctxKey is the context key of a request's routeInfo.
+type ctxKey struct{}
 
-// Chain applies middlewares to h with the first middleware outermost:
-// Chain(h, a, b) serves a(b(h)).
-func Chain(h http.Handler, mws ...Middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
-
-// ctxKey namespaces the layer's context values.
-type ctxKey int
-
-const (
-	ctxKeyRequestID ctxKey = iota
-	ctxKeyRouteInfo
-)
-
-// RouteInfo carries the matched route label from the router back out
-// to the observing middlewares (which run outside the router).
-type RouteInfo struct {
-	Pattern string
-	// plainBytes is the pre-compression body size, set by Gzip when it
-	// wrapped the response.
+// routeInfo is one request's observer state, carried in its context:
+// the request ID, the label the router counted it under (set by
+// labelled, or by notFound), the body size gzip saw before
+// compressing, and the stage timings of its span.
+type routeInfo struct {
+	id         string
+	route      *routeLabel
 	plainBytes int64
+	stages     obs.Stages
 }
 
-func routeInfoFrom(ctx context.Context) *RouteInfo {
-	ri, _ := ctx.Value(ctxKeyRouteInfo).(*RouteInfo)
+func routeInfoFrom(ctx context.Context) *routeInfo {
+	ri, _ := ctx.Value(ctxKey{}).(*routeInfo)
 	return ri
 }
 
-// labelled records the route label the observing middlewares report,
-// then runs handler; the router wraps every route in it once.
-func labelled(label string, handler http.Handler) http.Handler {
+// labelled records route as the request's label, then runs handler;
+// the router wraps every route in it once.
+func labelled(route *routeLabel, handler http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if ri := routeInfoFrom(r.Context()); ri != nil {
-			ri.Pattern = label
-		}
+		routeInfoFrom(r.Context()).route = route
 		handler.ServeHTTP(w, r)
 	})
 }
 
-// RequestIDFrom returns the request ID middleware-injected into ctx, or
-// "" outside a request.
+// RequestIDFrom returns the request ID of the request ctx belongs to,
+// or "" outside a request.
 func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(ctxKeyRequestID).(string)
-	return id
+	if ri := routeInfoFrom(ctx); ri != nil {
+		return ri.id
+	}
+	return ""
 }
 
 // NewRequestID mints a 16-hex-char random request ID.
 func NewRequestID() string {
 	var b [8]byte
+	var out [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return "0000000000000000"
 	}
-	return hex.EncodeToString(b[:])
+	hex.Encode(out[:], b[:])
+	return string(out[:])
 }
 
-// RequestID injects a request ID (honouring an inbound X-Request-ID so
-// IDs propagate across service hops) into the context and echoes it on
-// the response.
-func RequestID() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id := r.Header.Get("X-Request-ID")
-			if id == "" {
-				id = NewRequestID()
-			}
-			ctx := context.WithValue(r.Context(), ctxKeyRequestID, id)
-			ctx = context.WithValue(ctx, ctxKeyRouteInfo, &RouteInfo{})
-			w.Header().Set("X-Request-ID", id)
-			next.ServeHTTP(w, r.WithContext(ctx))
-		})
-	}
-}
+// requestIDHeader carries a request ID across service hops. It is
+// spelled in canonical form so that Header.Get and Header.Set need not
+// build that form per call.
+const requestIDHeader = "X-Request-Id"
 
-// Trace is the cross-service tracing middleware: it adopts an inbound
-// Traceparent header's trace ID (minting one otherwise, so every
-// request is traceable), exposes the ID and a stage-timing collector
-// through the context (obs.TraceIDFrom / obs.StagesFrom), echoes a
-// traceparent on the response so callers learn the ID, and records a
-// span into the tracer's ring when the handler returns. The built-in
-// /healthz and /metrics routes are not recorded — scrapes would churn
-// the ring out of its useful spans.
-func Trace(service string, t *obs.Tracer) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			traceID, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
-			if !ok {
-				traceID = obs.NewTraceID()
-			}
-			stages := &obs.Stages{}
-			ctx := obs.WithTraceID(r.Context(), traceID)
-			ctx = obs.WithStages(ctx, stages)
-			w.Header().Set(obs.TraceHeader, obs.FormatTraceparent(traceID, obs.NewSpanID()))
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r.WithContext(ctx))
-			pattern := "unmatched"
-			if ri := routeInfoFrom(ctx); ri != nil && ri.Pattern != "" {
-				pattern = ri.Pattern
-			}
-			switch pattern {
-			case "/healthz", "/metrics", "/debug/pprof":
-				return
-			}
+// slowRequest is the span duration from which a request is also logged
+// with its stage timings, on a server with a logger.
+const slowRequest = time.Second
+
+// observe wraps next (gzip, recover and the router) in the request
+// observer. It adopts the inbound X-Request-ID and Traceparent trace ID
+// (so IDs propagate across service hops), mints whichever is missing,
+// echoes both and stores them in the context once. Around one
+// statusWriter and one timing it then counts the request under its
+// route and records its span; on a server with a logger it also logs
+// a slow request's span and writes the access-log line. The /healthz,
+// /metrics and /debug/pprof routes get no span: scrapes would churn the
+// ring out of its useful spans.
+func (s *Server) observe(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ri := &routeInfo{id: r.Header.Get(requestIDHeader)}
+		if ri.id == "" {
+			ri.id = NewRequestID()
+		}
+		traceID, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader))
+		if !ok {
+			traceID = obs.NewTraceID()
+		}
+		h := w.Header()
+		h.Set(requestIDHeader, ri.id)
+		h.Set(obs.TraceHeader, obs.FormatTraceparent(traceID, obs.NewSpanID()))
+		ctx := obs.WithTraceID(context.WithValue(r.Context(), ctxKey{}, ri), traceID)
+		sw := &statusWriter{ResponseWriter: w}
+		start := time.Now()
+		next.ServeHTTP(sw, r.WithContext(obs.WithStages(ctx, &ri.stages)))
+		d := time.Since(start)
+
+		route := ri.route
+		if route == nil {
+			route = s.unmatched
+		}
+		m := s.metrics
+		route.metrics(m, r.Method).observe(sw.status, start.Add(d), d)
+		wire, plain := m.wireIdentity, sw.bytes
+		if h.Get("Content-Encoding") == "gzip" {
+			wire = m.wireGzip
+		}
+		if ri.plainBytes > 0 {
+			plain = ri.plainBytes
+		}
+		wire.Add(uint64(sw.bytes))
+		m.plainBytes.Add(uint64(plain))
+		switch route.name {
+		case "/healthz", "/metrics", "/debug/pprof":
+		default:
 			status := sw.status
 			if status == 0 {
 				status = http.StatusOK
 			}
-			t.Record(obs.SpanRecord{
+			rec := obs.SpanRecord{
 				TraceID:    traceID,
-				RequestID:  RequestIDFrom(ctx),
-				Service:    service,
+				RequestID:  ri.id,
+				Service:    s.opts.Service,
 				Method:     r.Method,
-				Route:      pattern,
+				Route:      route.name,
 				Status:     status,
 				Start:      start.UTC(),
-				DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
-				Stages:     stages.Snapshot(),
-			})
-		})
-	}
+				DurationMS: float64(d) / float64(time.Millisecond),
+				Stages:     ri.stages.Snapshot(),
+			}
+			s.tracer.Record(rec)
+			if s.opts.Logger != nil && d >= slowRequest {
+				s.opts.Logger.Printf("slow request trace=%s %s %s status=%d %.1fms stages=%v",
+					traceID, r.Method, route.name, status, rec.DurationMS, rec.Stages)
+			}
+		}
+		if s.opts.Logger != nil {
+			label := r.URL.Path
+			if ri.route != nil {
+				label = ri.route.name
+			}
+			s.opts.Logger.Printf("%s: %s %s -> %s %d %dB %s rid=%s trace=%s",
+				s.opts.Service, r.Method, r.URL.RequestURI(), label,
+				sw.status, sw.bytes, d.Round(time.Microsecond), ri.id, traceID)
+		}
+	})
 }
 
 // statusWriter records the response status and size.
@@ -169,73 +177,29 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 }
 
 // Flush forwards to the underlying writer so streaming endpoints
-// (Server-Sent Events) keep working through the observing middlewares.
+// (Server-Sent Events) keep working through the observer.
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
 }
 
-// AccessLog logs one line per request: service, method, path, matched
-// route, status, bytes, duration, and request ID.
-func AccessLog(service string, logger Logger) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			pattern := r.URL.Path
-			if ri := routeInfoFrom(r.Context()); ri != nil && ri.Pattern != "" {
-				pattern = ri.Pattern
-			}
-			logger.Printf("%s: %s %s -> %s %d %dB %s rid=%s",
-				service, r.Method, r.URL.RequestURI(), pattern,
-				sw.status, sw.bytes, time.Since(start).Round(time.Microsecond),
-				RequestIDFrom(r.Context()))
-		})
-	}
-}
-
-// Observe records per-route count, error count, and latency.
-func Observe(m *Metrics) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(sw, r)
-			pattern := "unmatched"
-			ri := routeInfoFrom(r.Context())
-			if ri != nil && ri.Pattern != "" {
-				pattern = ri.Pattern
-			}
-			m.observe(r.Method, pattern, sw.status, time.Since(start))
-			plain := sw.bytes
-			if ri != nil && ri.plainBytes > 0 {
-				plain = ri.plainBytes
-			}
-			m.observeBytes(sw.Header().Get("Content-Encoding") == "gzip", sw.bytes, plain)
-		})
-	}
-}
-
 // Recover converts handler panics into a 500 envelope instead of a
 // dropped connection. http.ErrAbortHandler is re-raised: a handler
 // panics with it precisely to drop the connection.
-func Recover() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			defer func() {
-				if v := recover(); v != nil {
-					if v == http.ErrAbortHandler {
-						panic(v)
-					}
-					WriteErrorStatus(w, r, http.StatusInternalServerError,
-						fmt.Errorf("internal error: %v", v))
+func Recover(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() {
+			if v := recover(); v != nil {
+				if v == http.ErrAbortHandler {
+					panic(v)
 				}
-			}()
-			next.ServeHTTP(w, r)
-		})
-	}
+				WriteErrorStatus(w, r, http.StatusInternalServerError,
+					fmt.Errorf("internal error: %v", v))
+			}
+		}()
+		next.ServeHTTP(w, r)
+	})
 }
 
 // gzipMinBytes is the body size below which a response goes out plain:
@@ -406,19 +370,17 @@ func acceptsGzip(r *http.Request) bool {
 // streams) for clients that accept it. Event-stream requests are
 // exempt: compressing an unbounded SSE response trades per-event
 // latency for ratio, the opposite of what live subscribers want.
-func Gzip() Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if !acceptsGzip(r) || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
-				next.ServeHTTP(w, r)
-				return
-			}
-			gw := &gzipWriter{ResponseWriter: w}
-			defer gw.close()
-			next.ServeHTTP(gw, r)
-			if ri := routeInfoFrom(r.Context()); ri != nil {
-				ri.plainBytes = gw.plain
-			}
-		})
-	}
+func Gzip(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !acceptsGzip(r) || strings.Contains(r.Header.Get("Accept"), "text/event-stream") {
+			next.ServeHTTP(w, r)
+			return
+		}
+		gw := &gzipWriter{ResponseWriter: w}
+		defer gw.close()
+		next.ServeHTTP(gw, r)
+		if ri := routeInfoFrom(r.Context()); ri != nil {
+			ri.plainBytes = gw.plain
+		}
+	})
 }

@@ -3,7 +3,11 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"log"
+	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -76,8 +80,8 @@ func TestMetricsHistogramExposition(t *testing.T) {
 // pinning the gauge forever.
 func TestMaxLatencyGaugeWindows(t *testing.T) {
 	m := NewMetrics()
+	rm := (&routeLabel{name: "/x"}).metrics(m, http.MethodGet)
 	clock := time.Unix(1700000000, 0)
-	m.now = func() time.Time { return clock }
 
 	maxMs := func() float64 {
 		snaps := m.Snapshot()
@@ -87,21 +91,21 @@ func TestMaxLatencyGaugeWindows(t *testing.T) {
 		return snaps[0].MaxMs
 	}
 
-	m.observe(http.MethodGet, "/x", 200, 100*time.Millisecond)
+	rm.observe(200, clock, 100*time.Millisecond)
 	if got := maxMs(); got != 100 {
 		t.Fatalf("max = %gms, want 100", got)
 	}
 
 	// One window later the outlier survives as the previous window's max.
 	clock = clock.Add(maxLatencyWindow + time.Second)
-	m.observe(http.MethodGet, "/x", 200, 10*time.Millisecond)
+	rm.observe(200, clock, 10*time.Millisecond)
 	if got := maxMs(); got != 100 {
 		t.Fatalf("max after one rotation = %gms, want 100 (prev window)", got)
 	}
 
 	// Two windows later it has aged out entirely.
 	clock = clock.Add(maxLatencyWindow + time.Second)
-	m.observe(http.MethodGet, "/x", 200, 5*time.Millisecond)
+	rm.observe(200, clock, 5*time.Millisecond)
 	if got := maxMs(); got != 10 {
 		t.Fatalf("max after two rotations = %gms, want 10", got)
 	}
@@ -164,5 +168,154 @@ func TestTraceMiddlewareAndEndpoint(t *testing.T) {
 	rec = get(t, s.Handler(), "/v1/trace/"+obs.NewTraceID(), nil)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown trace status = %d", rec.Code)
+	}
+}
+
+// parseProm parses a text exposition, failing the test if it is not
+// well-formed.
+func parseProm(t *testing.T, body string) map[string]*obs.PromFamily {
+	t.Helper()
+	fams, err := obs.ParseProm(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, body)
+	}
+	return fams
+}
+
+// promValue returns the counter or gauge sample of family name whose
+// label set is exactly labels, in whatever order the exposition put
+// them.
+func promValue(fams map[string]*obs.PromFamily, name string, labels obs.Labels) (float64, bool) {
+	if f := fams[name]; f != nil {
+		return sampleValue(f.Samples, labels)
+	}
+	return 0, false
+}
+
+func sampleValue(samples []obs.PromSample, labels obs.Labels) (float64, bool) {
+	for _, s := range samples {
+		if maps.Equal(s.Labels, labels) {
+			return s.Value, true
+		}
+	}
+	return 0, false
+}
+
+// TestRouteCountersAgreeAcrossFormats sends a mix of outcomes through
+// the observer — successes, a 4xx, a panic and unknown paths — and holds
+// the JSON route counters to the Prometheus families they are read
+// from: count to repro_http_requests_total and the histogram's _count,
+// errors to repro_http_request_errors_total, totalMs to the histogram's
+// _sum.
+func TestRouteCountersAgreeAcrossFormats(t *testing.T) {
+	s := NewServer(Options{Service: "agree"})
+	s.Get("/probe", func(ctx context.Context, q url.Values) (any, error) {
+		switch q.Get("do") {
+		case "fail":
+			return nil, BadRequest(errors.New("asked to fail"))
+		case "panic":
+			panic("asked to panic")
+		}
+		return map[string]string{"ok": "yes"}, nil
+	})
+	h := s.Handler()
+	want := map[string]RouteSnapshot{
+		"GET /probe": {Count: 7, Errors: 2},
+		"GET 404":    {Count: 2, Errors: 2},
+	}
+	for _, target := range []string{
+		"/v1/probe", "/v1/probe", "/probe", "/v1/probe", "/v1/probe",
+		"/v1/probe?do=fail", "/v1/probe?do=panic", "/v1/nope", "/v2/nope",
+	} {
+		get(t, h, target, nil)
+	}
+
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(get(t, h, "/v1/metrics", nil).Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	fams := parseProm(t, get(t, h, "/v1/metrics?format=prometheus", nil).Body.String())
+	hist := fams["repro_http_request_duration_seconds"]
+	if hist == nil {
+		t.Fatal("no duration histogram in the exposition")
+	}
+	seen := 0
+	for _, r := range snap.Routes {
+		w, ok := want[r.Route]
+		if !ok {
+			continue
+		}
+		seen++
+		if r.Count != w.Count || r.Errors != w.Errors {
+			t.Errorf("%s: JSON count %d errors %d, want %d and %d", r.Route, r.Count, r.Errors, w.Count, w.Errors)
+		}
+		method, route, _ := strings.Cut(r.Route, " ")
+		labels := obs.Labels{"service": "agree", "method": method, "route": route}
+		requests, _ := promValue(fams, "repro_http_requests_total", labels)
+		errs, _ := promValue(fams, "repro_http_request_errors_total", labels)
+		count, _ := sampleValue(hist.Counts, labels)
+		sum, _ := sampleValue(hist.Sums, labels)
+		if requests != float64(r.Count) || count != float64(r.Count) || errs != float64(r.Errors) {
+			t.Errorf("%s: prometheus requests %v, histogram count %v, errors %v; JSON count %d, errors %d",
+				r.Route, requests, count, errs, r.Count, r.Errors)
+		}
+		if math.Abs(sum*1e3-r.TotalMs) > 1e-9*math.Max(1, r.TotalMs) || r.TotalMs <= 0 {
+			t.Errorf("%s: histogram sum %vs, JSON totalMs %v", r.Route, sum, r.TotalMs)
+		}
+		if r.MeanMs != r.TotalMs/float64(r.Count) {
+			t.Errorf("%s: meanMs %v, want totalMs/count %v", r.Route, r.MeanMs, r.TotalMs/float64(r.Count))
+		}
+		if max, ok := promValue(fams, "repro_http_request_duration_seconds_max", labels); !ok || max*1e3 != r.MaxMs || r.MaxMs <= 0 {
+			t.Errorf("%s: max gauge %vs (present %v), JSON maxMs %v", r.Route, max, ok, r.MaxMs)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("JSON routes %+v, want %v among them", snap.Routes, want)
+	}
+}
+
+// TestAccessLogCarriesTraceID: the access-log line names the request
+// and trace IDs, so a line leads to GET /v1/trace/{id}.
+func TestAccessLogCarriesTraceID(t *testing.T) {
+	var buf strings.Builder
+	s := testServer(Options{Service: "logged", Logger: log.New(&buf, "", 0)})
+	traceID := obs.NewTraceID()
+	get(t, s.Handler(), "/v1/hello?name=a", map[string]string{
+		"X-Request-ID":  "rid-7",
+		obs.TraceHeader: obs.FormatTraceparent(traceID, obs.NewSpanID()),
+	})
+	line := buf.String()
+	if !strings.HasPrefix(line, "logged: GET /v1/hello?name=a -> /hello 200 ") ||
+		!strings.HasSuffix(line, " rid=rid-7 trace="+traceID+"\n") {
+		t.Fatalf("access log line = %q", line)
+	}
+	if rec := get(t, s.Handler(), "/v1/trace/"+traceID, nil); rec.Code != http.StatusOK {
+		t.Fatalf("the logged trace ID does not resolve: %d %s", rec.Code, rec.Body)
+	}
+}
+
+// TestSlowRequestLogged: on a server with a logger, a request of
+// slowRequest or more is logged with its trace ID and stage timings
+// before its access-log line; a quick one gets the access line alone.
+func TestSlowRequestLogged(t *testing.T) {
+	var buf strings.Builder
+	s := NewServer(Options{Service: "slow", Logger: log.New(&buf, "", 0)})
+	s.Get("/nap", func(ctx context.Context, q url.Values) (any, error) {
+		obs.StagesFrom(ctx).Observe("nap", slowRequest)
+		time.Sleep(slowRequest)
+		return "ok", nil
+	})
+	h := s.Handler()
+	get(t, h, "/v1/healthz", nil)
+	if lines := strings.Split(strings.TrimSpace(buf.String()), "\n"); len(lines) != 1 {
+		t.Fatalf("quick request logged %q", lines)
+	}
+	buf.Reset()
+	traceID := obs.NewTraceID()
+	get(t, h, "/v1/nap", map[string]string{obs.TraceHeader: obs.FormatTraceparent(traceID, obs.NewSpanID())})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(lines) != 2 || !strings.HasPrefix(lines[0], "slow request trace="+traceID+" GET /nap status=200 ") ||
+		!strings.HasSuffix(lines[0], "ms stages=[{nap 1000}]") || !strings.HasPrefix(lines[1], "slow: GET /v1/nap -> /nap 200 ") {
+		t.Fatalf("slow request logged %q", lines)
 	}
 }

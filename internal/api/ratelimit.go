@@ -151,7 +151,7 @@ func clientIP(r *http.Request) string {
 // Rejected requests draw a 429 envelope with a Retry-After header in
 // whole seconds (rounded up), which the shared client transport honours
 // before its next retry attempt.
-func RateLimit(rl *RateLimiter) Middleware {
+func RateLimit(rl *RateLimiter) func(http.Handler) http.Handler {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			ok, wait := rl.Allow(clientIP(r))

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRateLimiterTokenBucket(t *testing.T) {
@@ -171,12 +173,12 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := string(raw)
-	want := `repro_http_requests_total{service="promtest",method="GET",route="/thing"} 3`
-	if !strings.Contains(body, want) {
-		t.Fatalf("exposition missing %q:\n%s", want, body)
+	fams := parseProm(t, string(raw))
+	want := obs.Labels{"service": "promtest", "method": "GET", "route": "/thing"}
+	if v, ok := promValue(fams, "repro_http_requests_total", want); !ok || v != 3 {
+		t.Fatalf("repro_http_requests_total%v = %v (present %v), want 3:\n%s", want, v, ok, raw)
 	}
-	if !strings.Contains(body, "# TYPE repro_http_requests_total counter") {
+	if fams["repro_http_requests_total"].Type != "counter" {
 		t.Fatal("missing TYPE header")
 	}
 

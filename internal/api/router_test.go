@@ -35,7 +35,7 @@ func envelopeOf(t *testing.T, rec *httptest.ResponseRecorder) Envelope {
 // path, {param} routes keep their pattern, a 405 counts under the route
 // it missed, and a miss under "404".
 func TestRouteLabels(t *testing.T) {
-	s := testServer(Options{DisableGzip: true})
+	s := testServer(Options{})
 	s.HandleFunc(http.MethodPost, "/multi", func(w http.ResponseWriter, r *http.Request) {})
 	s.HandleFunc(http.MethodDelete, "/multi", func(w http.ResponseWriter, r *http.Request) {})
 	s.HandleV2(http.MethodGet, "/series/{device}/{quantity}/samples", QueryP(func(ctx context.Context, p Params, q url.Values) (any, error) {
@@ -119,7 +119,7 @@ func TestHeadOnGetRoute(t *testing.T) {
 // is a 404 envelope carrying the hint, whatever the method and whether
 // or not the path is registered, and it is counted as a miss.
 func TestDisabledAliasesAnswerEveryMethod(t *testing.T) {
-	s := testServer(Options{DisableLegacyAliases: true, DisableGzip: true})
+	s := testServer(Options{DisableLegacyAliases: true})
 	h := s.Handler()
 	for _, method := range []string{http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodDelete, http.MethodPatch} {
 		for _, path := range []string{"/hello", "/echo", "/healthz", "/trace/x", "/nope"} {
@@ -160,7 +160,7 @@ func FuzzSeriesPath(f *testing.F) {
 	} {
 		f.Add(seed[0], seed[1])
 	}
-	s := NewServer(Options{DisableGzip: true})
+	s := NewServer(Options{})
 	var gotDevice, gotQuantity string
 	s.HandleV2(http.MethodGet, "/series/{device}/{quantity}/samples", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotDevice, gotQuantity = r.PathValue("device"), r.PathValue("quantity")
@@ -194,7 +194,7 @@ func FuzzSeriesPath(f *testing.F) {
 // request, so requests racing that build, and routes registered while
 // the server already serves, must all land on their route.
 func TestRoutesRegisteredWhileServing(t *testing.T) {
-	s := testServer(Options{DisableGzip: true})
+	s := testServer(Options{})
 	h := s.Handler()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

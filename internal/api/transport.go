@@ -185,7 +185,7 @@ func (t *Transport) Open(ctx context.Context, method, url string, header http.He
 // do is the attempt loop behind Do and Open. With buffer unset, a 2xx
 // response is returned with its body still open.
 func (t *Transport) do(ctx context.Context, method, url string, header http.Header, body []byte, buffer bool) ([]byte, *http.Response, error) {
-	requestID := header.Get("X-Request-ID")
+	requestID := header.Get(requestIDHeader)
 	if requestID == "" {
 		if requestID = RequestIDFrom(ctx); requestID == "" {
 			requestID = NewRequestID()
@@ -221,7 +221,7 @@ func (t *Transport) do(ctx context.Context, method, url string, header http.Head
 		for k, vs := range header {
 			req.Header[k] = vs
 		}
-		req.Header.Set("X-Request-ID", requestID)
+		req.Header.Set(requestIDHeader, requestID)
 		if traceparent != "" {
 			req.Header.Set(obs.TraceHeader, traceparent)
 		}

@@ -114,9 +114,6 @@ type Options struct {
 	DisableLegacyAliases bool
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof.
 	EnablePprof bool
-	// SlowRequest is the span-duration threshold above which requests are
-	// logged (0 = 1s; negative disables).
-	SlowRequest time.Duration
 }
 
 // Proxy is a running device proxy.
@@ -389,7 +386,6 @@ func (p *Proxy) buildAPI() *api.Server {
 		Service:              "deviceproxy",
 		DisableLegacyAliases: p.opts.DisableLegacyAliases,
 		EnablePprof:          p.opts.EnablePprof,
-		SlowRequest:          p.opts.SlowRequest,
 	})
 	reg := obs.NewRegistry()
 	p.streamS.RegisterMetrics(reg)

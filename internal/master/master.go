@@ -54,9 +54,6 @@ type Options struct {
 	Stream stream.Options
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof.
 	EnablePprof bool
-	// SlowRequest is the span-duration threshold above which requests are
-	// logged (0 = 1s; negative disables).
-	SlowRequest time.Duration
 }
 
 // Master is the ontology + registry service.
@@ -170,7 +167,6 @@ func (m *Master) buildAPI() *api.Server {
 		Logger:               m.apiLogger(),
 		DisableLegacyAliases: m.opts.DisableLegacyAliases,
 		EnablePprof:          m.opts.EnablePprof,
-		SlowRequest:          m.opts.SlowRequest,
 	})
 	reg := obs.NewRegistry()
 	m.stream.RegisterMetrics(reg)

@@ -71,9 +71,6 @@ type CoordinatorOptions struct {
 	Transport *api.Transport
 	// EnablePprof mounts /debug/pprof on the coordinator's interface.
 	EnablePprof bool
-	// SlowRequest is the span-duration threshold above which requests
-	// are logged (0 = 1s; negative disables).
-	SlowRequest time.Duration
 }
 
 // coordinator fan-out and retry bounds.
@@ -150,7 +147,6 @@ func (c *Coordinator) buildAPI(opts CoordinatorOptions) *api.Server {
 		Service:     "measuredb-coordinator",
 		Logger:      opts.Logger,
 		EnablePprof: opts.EnablePprof,
-		SlowRequest: opts.SlowRequest,
 	})
 	srv.Metrics().AttachRegistry(c.reg)
 	srv.HandleV2(http.MethodGet, "/series", http.HandlerFunc(c.v2Series))

@@ -149,9 +149,6 @@ type Options struct {
 	// EnablePprof mounts the net/http/pprof handlers under /debug/pprof
 	// on the service's web interface.
 	EnablePprof bool
-	// SlowRequest is the span-duration threshold above which requests are
-	// logged (0 = 1s; negative disables).
-	SlowRequest time.Duration
 }
 
 // New creates a measurements database service. It can only fail when
@@ -309,7 +306,6 @@ func (s *Service) buildAPI(opts Options) *api.Server {
 		Logger:               opts.Logger,
 		DisableLegacyAliases: opts.DisableLegacyAliases,
 		EnablePprof:          opts.EnablePprof,
-		SlowRequest:          opts.SlowRequest,
 	})
 	srv.Metrics().AttachRegistry(s.reg)
 	tier := func(rl *api.RateLimiter, name string) func(http.Handler) http.Handler {
@@ -322,9 +318,7 @@ func (s *Service) buildAPI(opts Options) *api.Server {
 	read := tier(opts.ReadLimiter, "read")
 	batch := tier(opts.BatchLimiter, "batch")
 	write := tier(opts.WriteLimiter, "write")
-	if opts.Stream.PublishLimiter != nil {
-		srv.Metrics().RegisterLimiter("publish", opts.Stream.PublishLimiter)
-	}
+	srv.Metrics().RegisterLimiter("publish", opts.Stream.PublishLimiter)
 
 	srv.Get("/stats", func(ctx context.Context, q url.Values) (any, error) {
 		return s.Stats(), nil

@@ -18,15 +18,16 @@ import (
 // TraceHeader is the propagation header, in canonical form.
 const TraceHeader = "Traceparent"
 
-// randHex returns n random bytes as lowercase hex.
+// randHex returns n (at most 16) random bytes as lowercase hex.
 func randHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
+	var b [16]byte
+	var out [32]byte
+	if _, err := rand.Read(b[:n]); err != nil {
 		// crypto/rand failing means the platform is broken; a
 		// time-derived ID would silently collide, so fail loudly.
 		panic("obs: crypto/rand: " + err.Error())
 	}
-	return hex.EncodeToString(b)
+	return string(out[:hex.Encode(out[:], b[:n])])
 }
 
 // NewTraceID mints a 16-byte (32 hex char) trace ID.
@@ -46,18 +47,16 @@ func FormatTraceparent(traceID, spanID string) string {
 // spec) as long as the version-00 prefix fields parse; all-zero IDs
 // and malformed values are rejected.
 func ParseTraceparent(v string) (traceID, spanID string, ok bool) {
-	parts := strings.Split(strings.TrimSpace(v), "-")
-	if len(parts) < 4 {
+	ver, rest, _ := strings.Cut(strings.TrimSpace(v), "-")
+	tid, rest, _ := strings.Cut(rest, "-")
+	sid, _, ok := strings.Cut(rest, "-")
+	if !ok || len(ver) != 2 || !isLowerHex(ver) || ver == "ff" {
 		return "", "", false
 	}
-	ver, tid, sid := parts[0], parts[1], parts[2]
-	if len(ver) != 2 || !isLowerHex(ver) || ver == "ff" {
+	if len(tid) != 32 || !isLowerHex(tid) || strings.Trim(tid, "0") == "" {
 		return "", "", false
 	}
-	if len(tid) != 32 || !isLowerHex(tid) || tid == strings.Repeat("0", 32) {
-		return "", "", false
-	}
-	if len(sid) != 16 || !isLowerHex(sid) || sid == strings.Repeat("0", 16) {
+	if len(sid) != 16 || !isLowerHex(sid) || strings.Trim(sid, "0") == "" {
 		return "", "", false
 	}
 	return tid, sid, true
@@ -169,16 +168,12 @@ type SpanRecord struct {
 // defaultTracerCap bounds the span ring when the caller passes 0.
 const defaultTracerCap = 512
 
-// Tracer keeps the most recent span records in a fixed ring and,
-// optionally, logs requests slower than a threshold.
+// Tracer keeps the most recent span records in a fixed ring.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []SpanRecord
 	next int
 	n    int
-
-	slow time.Duration
-	logf func(format string, args ...any)
 }
 
 // NewTracer creates a tracer retaining up to capacity spans
@@ -190,28 +185,14 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{ring: make([]SpanRecord, capacity)}
 }
 
-// SetSlowLog arms the slow-request log: spans at or above threshold
-// are reported through logf. A zero threshold disables it.
-func (t *Tracer) SetSlowLog(threshold time.Duration, logf func(format string, args ...any)) {
-	t.mu.Lock()
-	t.slow = threshold
-	t.logf = logf
-	t.mu.Unlock()
-}
-
 // Record stores one finished span, evicting the oldest when full.
 func (t *Tracer) Record(rec SpanRecord) {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.ring[t.next] = rec
 	t.next = (t.next + 1) % len(t.ring)
 	if t.n < len(t.ring) {
 		t.n++
-	}
-	slow, logf := t.slow, t.logf
-	t.mu.Unlock()
-	if logf != nil && slow > 0 && rec.DurationMS >= float64(slow)/float64(time.Millisecond) {
-		logf("slow request trace=%s %s %s status=%d %.1fms stages=%v",
-			rec.TraceID, rec.Method, rec.Route, rec.Status, rec.DurationMS, rec.Stages)
 	}
 }
 

@@ -56,21 +56,27 @@ func NewMetrics() *Metrics {
 	return m
 }
 
-// stdMethods are the methods a route finds its instruments for by
-// index; any other method goes through routeLabel.other.
+// stdMethods are the methods a route counts by name, each finding its
+// instruments by index.
 var stdMethods = [...]string{
 	http.MethodGet, http.MethodHead, http.MethodPost, http.MethodPut, http.MethodPatch,
 	http.MethodDelete, http.MethodConnect, http.MethodOptions, http.MethodTrace,
 }
 
+// otherMethod labels every request whose method is not in stdMethods:
+// one instrument set per route counts them all, so a client inventing
+// methods cannot grow the registry.
+const otherMethod = "OTHER"
+
 // routeLabel is a label requests are counted under (a route's
 // unversioned path, a /v2 path, "404", "unmatched") with its
-// instruments, one set per request method, registered by the first
-// request of that method.
+// instruments, one set per method label, registered by the first
+// request of that label.
 type routeLabel struct {
-	name  string
-	std   [len(stdMethods)]atomic.Pointer[routeMetrics]
-	other sync.Map // any other method → *atomic.Pointer[routeMetrics]
+	name string
+	// methods holds the set of each stdMethods entry at its index and
+	// the otherMethod set last.
+	methods [len(stdMethods) + 1]atomic.Pointer[routeMetrics]
 }
 
 // routeMetrics are the instruments of one method on one route. The
@@ -82,12 +88,16 @@ type routeMetrics struct {
 	start, cur, prev atomic.Int64 // Unix ns the current window began; max ns in it and the last
 }
 
-// metrics returns the instruments of method on l, registering them in
-// m on first use. Racing first requests get the same counters and
-// histogram from the registry; the set whose pointer lands is the one
-// whose max is registered and kept.
+// metrics returns the instruments of method on l (otherMethod's for a
+// non-standard one), registering them in m on first use. Racing first
+// requests get the same counters and histogram from the registry; the
+// set whose pointer lands is the one whose max is registered and kept.
 func (l *routeLabel) metrics(m *Metrics, method string) *routeMetrics {
-	slot := l.slot(method)
+	i := slices.Index(stdMethods[:], method)
+	if i < 0 {
+		i, method = len(stdMethods), otherMethod
+	}
+	slot := &l.methods[i]
 	if rm := slot.Load(); rm != nil {
 		return rm
 	}
@@ -101,14 +111,6 @@ func (l *routeLabel) metrics(m *Metrics, method string) *routeMetrics {
 		m.reg.GaugeFunc(maxName, "Slowest handler time in the recent window, by route.", labels, rm.maxSeconds)
 	}
 	return slot.Load()
-}
-
-func (l *routeLabel) slot(method string) *atomic.Pointer[routeMetrics] {
-	if i := slices.Index(stdMethods[:], method); i >= 0 {
-		return &l.std[i]
-	}
-	p, _ := l.other.LoadOrStore(method, new(atomic.Pointer[routeMetrics]))
-	return p.(*atomic.Pointer[routeMetrics])
 }
 
 // maxLatencyWindow is the rotation period of the per-route max-latency

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"maps"
@@ -11,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -271,6 +273,54 @@ func TestRouteCountersAgreeAcrossFormats(t *testing.T) {
 	}
 	if seen != len(want) {
 		t.Fatalf("JSON routes %+v, want %v among them", snap.Routes, want)
+	}
+}
+
+// TestInventedMethodsShareOneSeries sends 50 distinct invented methods
+// to one unknown path: each HTTP family gains one method="OTHER" series
+// for the 404 label, not one per method, and the JSON routes one entry.
+func TestInventedMethodsShareOneSeries(t *testing.T) {
+	h := NewServer(Options{Service: "methods"}).Handler()
+	for i := 0; i < 50; i++ {
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(fmt.Sprintf("X%dY", i), "/v1/nope", nil))
+	}
+	fams := parseProm(t, get(t, h, "/v1/metrics?format=prometheus", nil).Body.String())
+	other := obs.Labels{"service": "methods", "method": otherMethod, "route": "404"}
+	for name, series := range map[string]func(*obs.PromFamily) []obs.PromSample{
+		"repro_http_requests_total":               func(f *obs.PromFamily) []obs.PromSample { return f.Samples },
+		"repro_http_request_errors_total":         func(f *obs.PromFamily) []obs.PromSample { return f.Samples },
+		"repro_http_request_duration_seconds":     func(f *obs.PromFamily) []obs.PromSample { return f.Counts },
+		"repro_http_request_duration_seconds_max": func(f *obs.PromFamily) []obs.PromSample { return f.Samples },
+	} {
+		f := fams[name]
+		if f == nil {
+			t.Fatalf("no %s family", name)
+		}
+		var on404 []obs.PromSample
+		for _, smp := range series(f) {
+			if smp.Labels["route"] == "404" {
+				on404 = append(on404, smp)
+			}
+		}
+		if len(on404) != 1 || !maps.Equal(on404[0].Labels, other) {
+			t.Errorf("%s has %d series on the 404 label, want the one %v", name, len(on404), other)
+		}
+	}
+	if v, _ := promValue(fams, "repro_http_requests_total", other); v != 50 {
+		t.Errorf("OTHER 404 counted %v requests, want 50", v)
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(get(t, h, "/v1/metrics", nil).Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	var routes []string
+	for _, r := range snap.Routes {
+		if strings.HasSuffix(r.Route, " 404") {
+			routes = append(routes, r.Route)
+		}
+	}
+	if !slices.Equal(routes, []string{"OTHER 404"}) {
+		t.Errorf("JSON 404 routes %v, want [OTHER 404]", routes)
 	}
 }
 

@@ -41,6 +41,13 @@ import (
 // coordinator retries them against the new owner), the restore replays
 // a byte-complete frozen directory, and release only wipes the source
 // copy after re-resolving the map and seeing ownership gone.
+//
+// Write admission runs inside the one ingest body (v2Ingest) for POST
+// and PUT alike: where a plain node applies an NDJSON body while reading
+// it, a clustered node decodes the whole body first and admits it over
+// the decoded rows (ingester.admit) before staging any, so a refused
+// request has written no row to the node log — otherwise the
+// coordinator's retry against the new owner would duplicate the prefix.
 
 // ClusterOptions attach a measuredb node to a cluster. The node's own
 // advertised base URL is only known once Serve binds a port: call
@@ -127,13 +134,6 @@ func retryableClusterErr(code string, err error) error {
 	return &api.Error{Status: http.StatusServiceUnavailable, Code: code, Err: err}
 }
 
-// writeClusterRetry writes a retryable rejection: Retry-After plus the
-// standard envelope with the cluster code.
-func writeClusterRetry(w http.ResponseWriter, r *http.Request, err error) {
-	w.Header().Set("Retry-After", "1")
-	api.WriteError(w, r, err)
-}
-
 // clusterEngine returns the sharded engine (cluster mode pins it).
 func (s *Service) clusterEngine() *tsdb.Sharded { return s.store.(*tsdb.Sharded) }
 
@@ -163,11 +163,10 @@ func (s *Service) clusterCheckEpoch(r *http.Request) error {
 	return nil
 }
 
-// clusterCheckDevice enforces shard ownership for one device. Caller
-// holds the gate in read mode.
-func (s *Service) clusterCheckDevice(device string) error {
+// clusterCheckShard enforces ownership of one shard. Caller holds the
+// gate in read mode.
+func (s *Service) clusterCheckShard(shard int) error {
 	c := s.cnode
-	shard := s.clusterEngine().ShardFor(device)
 	if c.isMoving(shard) {
 		c.movingRejects.Add(1)
 		return retryableClusterErr(cluster.CodeShardMoving,
@@ -183,71 +182,45 @@ func (s *Service) clusterCheckDevice(device string) error {
 	return nil
 }
 
-// heldRowsPool recycles the slices clusterIngest holds a request's rows
-// in, so the coordinator-to-node hop allocates no row storage in steady
-// state.
-var heldRowsPool = sync.Pool{New: func() any { return new([]Point) }}
-
-// clusterIngest is the clustered body of POST /v2/ingest. Unlike the
-// single-node path it buffers the whole request before applying
-// anything: a request addressed to a frozen or foreign shard must be
-// rejected BEFORE any row reaches the WAL, otherwise the coordinator's
-// retry against the new owner would duplicate the prefix. tok is the
-// request's idempotency claim (abandoned by the caller's defer on
-// rejection, so the retry re-executes).
-func (s *Service) clusterIngest(w http.ResponseWriter, r *http.Request, tok *dedupToken) {
-	held := heldRowsPool.Get().(*[]Point)
-	pts := (*held)[:0]
-	defer func() {
-		*held = pts[:0]
-		heldRowsPool.Put(held)
-	}()
-	malformed, err := decodeIngest(w, r, func(p Point) { pts = append(pts, p) })
+// admit is a clustered node's write admission, run over a request's
+// whole decoded body before any row of it is staged (see the package
+// comment): the epoch check, then the gate's read lock — held until the
+// ingester is released — then one ownership check per distinct shard
+// the rows' devices hash to, in body order. Ownership is a shard's, so
+// that covers every distinct device, and a refusal names the shard of
+// the first refused row. A PUT checks its one path device; a row
+// without a device is left to the ingester, which rejects it per row. A
+// refusal leaves the gate again.
+func (g *ingester) admit(r *http.Request, pts []Point) error {
+	s := g.s
+	if err := s.clusterCheckEpoch(r); err != nil {
+		return err
+	}
+	sh := s.clusterEngine()
+	s.cnode.gate.RLock()
+	var err error
+	if g.key.Device != "" {
+		err = s.clusterCheckShard(sh.ShardFor(g.key.Device))
+	} else {
+		checked := make([]bool, sh.NumShards())
+		for i := range pts {
+			if pts[i].Device == "" {
+				continue
+			}
+			if shard := sh.ShardFor(pts[i].Device); !checked[shard] {
+				if err = s.clusterCheckShard(shard); err != nil {
+					break
+				}
+				checked[shard] = true
+			}
+		}
+	}
 	if err != nil {
-		api.WriteError(w, r, err)
-		return
+		s.cnode.gate.RUnlock()
+		return err
 	}
-	if err := s.clusterCheckEpoch(r); err != nil {
-		writeClusterRetry(w, r, err)
-		return
-	}
-
-	c := s.cnode
-	c.gate.RLock()
-	defer c.gate.RUnlock()
-	for i := range pts {
-		if pts[i].Device == "" {
-			continue // the ingester rejects it per-row below
-		}
-		if err := s.clusterCheckDevice(pts[i].Device); err != nil {
-			writeClusterRetry(w, r, err)
-			return
-		}
-	}
-	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
-	for _, p := range pts {
-		g.add(p)
-	}
-	if malformed != "" {
-		g.res.reject(g.next, malformed)
-	}
-	res := g.finish()
-	tok.store(res)
-	api.WriteJSON(w, http.StatusOK, res)
-}
-
-// clusterAdmitKey is the PUT /v2/.../samples guard: one path-named
-// device, checked (and held) under the gate by the caller.
-func (s *Service) clusterAdmitKey(w http.ResponseWriter, r *http.Request, device string) bool {
-	if err := s.clusterCheckEpoch(r); err != nil {
-		writeClusterRetry(w, r, err)
-		return false
-	}
-	if err := s.clusterCheckDevice(device); err != nil {
-		writeClusterRetry(w, r, err)
-		return false
-	}
-	return true
+	g.gated = true
+	return nil
 }
 
 // ---------------------------------------------------------------------

@@ -160,11 +160,17 @@ func deviceInShard(shard, shards int) string {
 // result.
 func postJSON(t *testing.T, url string, hdr map[string]string, body, out any) (int, http.Header) {
 	t.Helper()
+	return sendJSON(t, http.MethodPost, url, hdr, body, out)
+}
+
+// sendJSON is postJSON for any method.
+func sendJSON(t *testing.T, method, url string, hdr map[string]string, body, out any) (int, http.Header) {
+	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(raw))
+	req, err := http.NewRequest(method, url, bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,15 +237,58 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 		}
 	}
 
-	// Direct write to the wrong node: retryable not_owner envelope.
-	var env api.Envelope
-	status, hdr := postJSON(t, tc.nodeURLs[1]+"/v2/ingest", nil,
-		IngestBatch{Rows: []Point{{Device: devs[0], Quantity: "temperature", At: base, Value: 1}}}, &env)
-	if status != http.StatusServiceUnavailable || env.Code != cluster.CodeNotOwner {
-		t.Fatalf("wrong-node write: status=%d env=%+v", status, env)
+	// refused sends one row of devs[0] to node through both write
+	// entrances, POST /v2/ingest and PUT samples: one guard refuses both
+	// with the same retryable envelope.
+	refused := func(what, node string, hdr map[string]string, code string) {
+		t.Helper()
+		for _, w := range []struct {
+			method, path string
+			body         any
+		}{
+			{http.MethodPost, "/v2/ingest",
+				IngestBatch{Rows: []Point{{Device: devs[0], Quantity: "temperature", At: base, Value: 1}}}},
+			{http.MethodPut, "/v2/series/" + api.PathSegment(devs[0]) + "/temperature/samples",
+				SeriesAppend{Samples: []Point{{At: base, Value: 1}}}},
+		} {
+			var env api.Envelope
+			status, rh := sendJSON(t, w.method, node+w.path, hdr, w.body, &env)
+			if status != http.StatusServiceUnavailable || env.Code != code {
+				t.Fatalf("%s %s: status=%d env=%+v", what, w.method, status, env)
+			}
+			if rh.Get("Retry-After") != "1" {
+				t.Fatalf("%s %s: Retry-After %q, want 1", what, w.method, rh.Get("Retry-After"))
+			}
+		}
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("wrong-node write: missing Retry-After")
+
+	// Direct write to the wrong node: retryable not_owner envelope.
+	refused("wrong-node write", tc.nodeURLs[1], nil, cluster.CodeNotOwner)
+
+	// An NDJSON body is collected whole before it is admitted: the owned
+	// device's rows ahead of a foreign device's row — more than a chunk,
+	// which a plain node would have applied by then — are refused with
+	// it, and none of them is stored.
+	var nd bytes.Buffer
+	for j := 0; j <= ingestChunk; j++ {
+		fmt.Fprintf(&nd, `{"device":%q,"quantity":"temperature","at":%q,"value":%d}`+"\n",
+			devs[0], base.Add(time.Duration(10+j)*time.Second).Format(time.RFC3339), j)
+	}
+	fmt.Fprintf(&nd, `{"device":%q,"quantity":"temperature","at":%q,"value":9}`+"\n", devs[1], base.Format(time.RFC3339))
+	ndRsp, err := http.Post(tc.nodeURLs[0]+"/v2/ingest", NDJSONType, &nd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ndEnv api.Envelope
+	err = json.NewDecoder(ndRsp.Body).Decode(&ndEnv)
+	ndRsp.Body.Close()
+	if ndRsp.StatusCode != http.StatusServiceUnavailable || err != nil || ndEnv.Code != cluster.CodeNotOwner ||
+		ndRsp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("NDJSON write with a foreign row: status=%d Retry-After=%q env=%+v (%v)",
+			ndRsp.StatusCode, ndRsp.Header.Get("Retry-After"), ndEnv, err)
+	}
+	if n := tc.nodes[0].Store().Len(tsdb.SeriesKey{Device: devs[0], Quantity: "temperature"}); n != 3 {
+		t.Fatalf("refused NDJSON write stored its owned rows: %d samples, want 3", n)
 	}
 
 	// Frozen shard: retryable shard_moving envelope on the owner.
@@ -248,14 +297,7 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 		t.Fatalf("freeze: %v status=%d", err, rsp.StatusCode)
 	}
 	rsp.Body.Close()
-	status, hdr = postJSON(t, tc.nodeURLs[0]+"/v2/ingest", nil,
-		IngestBatch{Rows: []Point{{Device: devs[0], Quantity: "temperature", At: base, Value: 1}}}, &env)
-	if status != http.StatusServiceUnavailable || env.Code != cluster.CodeShardMoving {
-		t.Fatalf("frozen-shard write: status=%d env=%+v", status, env)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("frozen-shard write: missing Retry-After")
-	}
+	refused("frozen-shard write", tc.nodeURLs[0], nil, cluster.CodeShardMoving)
 	// Release (map unchanged: node still owns shard 0, data stays).
 	rsp, err = http.Post(tc.nodeURLs[0]+"/v1/cluster/shards/0/release", "application/json", nil)
 	if err != nil || rsp.StatusCode != http.StatusOK {
@@ -271,12 +313,8 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 	if _, err := tc.master.ClusterMap().Move(0, tc.nodeURLs[0]); err != nil { // no-op move, epoch++
 		t.Fatal(err)
 	}
-	status, _ = postJSON(t, tc.nodeURLs[0]+"/v2/ingest",
-		map[string]string{cluster.EpochHeader: fmt.Sprint(cur.Epoch - 1)},
-		IngestBatch{Rows: []Point{{Device: devs[0], Quantity: "temperature", At: base, Value: 1}}}, &env)
-	if status != http.StatusServiceUnavailable || env.Code != cluster.CodeStaleEpoch {
-		t.Fatalf("stale-epoch write: status=%d env=%+v", status, env)
-	}
+	refused("stale-epoch write", tc.nodeURLs[0],
+		map[string]string{cluster.EpochHeader: fmt.Sprint(cur.Epoch - 1)}, cluster.CodeStaleEpoch)
 
 	// Merged catalog and batch query through the coordinator.
 	var page SeriesPage

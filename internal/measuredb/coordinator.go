@@ -601,89 +601,81 @@ func mergeBatchResults(sel SeriesSelector, parts []BatchResult) BatchResult {
 // POST /v2/ingest: partition by owner, forward, remap row errors
 // ---------------------------------------------------------------------
 
-// pendingRow is one not-yet-delivered ingest row with its position in
-// the client's request body.
-type pendingRow struct {
-	idx int
-	p   Point
-}
-
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("ingest", time.Now())
-	key := r.Header.Get("Idempotency-Key")
 	var res IngestResult
-	var pending []pendingRow
-	malformed, err := decodeIngest(w, r, func(p Point) {
-		pending = append(pending, pendingRow{idx: len(pending), p: p})
+	err := decodeIngest(w, r, "rows", true, func(pts []Point, malformed string) error {
+		if malformed != "" {
+			res.reject(len(pts), malformed)
+		}
+		return c.deliver(w, r, pts, &res)
 	})
 	if err != nil {
-		api.WriteError(w, r, err)
-		return
-	}
-	total := len(pending)
-	if malformed != "" {
-		res.reject(total, malformed)
-	}
-
-	var lastErr error
-	for attempt := 0; attempt < coordIngestAttempts && len(pending) > 0; attempt++ {
-		m, rerr := c.resolve(r.Context())
-		if rerr != nil {
-			api.WriteError(w, r, rerr)
-			return
-		}
-		var failed []pendingRow
-		failed, lastErr = c.fanIngest(r.Context(), m, key, pending, &res)
-		if lastErr == nil && len(failed) == 0 {
-			pending = nil
-			break
-		}
-		pending = failed
-		if lastErr != nil && !reroutable(lastErr) {
-			writeUpstream(w, r, lastErr)
-			return
-		}
-		c.res.Refresh(r.Context())
-	}
-	if len(pending) > 0 {
-		// Some rows never reached an owner. The request fails whole with
-		// a retryable envelope: a keyed client retry replays the applied
-		// partitions from each node's idempotency window (sub-keys) and
-		// re-attempts only what is still missing — exactly-once stands.
-		w.Header().Set("Retry-After", "1")
-		err := lastErr
-		if err == nil {
-			err = errors.New("rows undeliverable after re-routing")
-		}
-		api.WriteError(w, r, &api.Error{Status: http.StatusServiceUnavailable, Code: "rows_undelivered",
-			Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), total, err)})
+		writeUpstream(w, r, err)
 		return
 	}
 	slices.SortFunc(res.Errors, func(a, b RowError) int { return a.Row - b.Row })
 	api.WriteJSON(w, http.StatusOK, res)
 }
 
-// fanIngest delivers one round: partitions pending rows by owner,
-// forwards the partitions concurrently under derived idempotency
-// sub-keys, folds per-row outcomes into res (indices remapped to the
-// client's request), and returns the rows whose owner call failed.
-func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, pending []pendingRow, res *IngestResult) ([]pendingRow, error) {
-	perNode := make(map[string][]pendingRow)
-	for _, pr := range pending {
-		node := m.OwnerOf(pr.p.Device)
-		perNode[node] = append(perNode[node], pr)
+// deliver forwards the decoded rows pts to their owners, folding each
+// node's outcome into res, in at most coordIngestAttempts rounds: each
+// round forwards the indexes of the rows still pending, against a map
+// refreshed after every round that left some.
+func (c *Coordinator) deliver(w http.ResponseWriter, r *http.Request, pts []Point, res *IngestResult) error {
+	key := r.Header.Get("Idempotency-Key")
+	pending := make([]int, len(pts))
+	for i := range pending {
+		pending[i] = i
+	}
+	var lastErr error
+	for attempt := 0; attempt < coordIngestAttempts && len(pending) > 0; attempt++ {
+		m, err := c.resolve(r.Context())
+		if err != nil {
+			return err
+		}
+		if pending, lastErr = c.fanIngest(r.Context(), m, key, pts, pending, res); len(pending) == 0 {
+			return nil
+		}
+		if !reroutable(lastErr) {
+			return lastErr
+		}
+		c.res.Refresh(r.Context())
+	}
+	if len(pending) == 0 {
+		return nil
+	}
+	// Some rows never reached an owner. The request fails whole with a
+	// retryable envelope: a keyed client retry replays the applied
+	// partitions from each node's idempotency window (sub-keys) and
+	// re-attempts only what is still missing — exactly-once stands.
+	w.Header().Set("Retry-After", "1")
+	return &api.Error{Status: http.StatusServiceUnavailable, Code: "rows_undelivered",
+		Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), len(pts), lastErr)}
+}
+
+// fanIngest delivers one round: partitions the pending row indexes by
+// owner, encodes each owner's body straight from pts and forwards the
+// bodies concurrently under derived idempotency sub-keys, folds per-row
+// outcomes into res (indices remapped to the client's request), and
+// returns the indexes whose owner call failed.
+func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, pts []Point, pending []int, res *IngestResult) ([]int, error) {
+	perNode := make(map[string][]int)
+	for _, i := range pending {
+		node := m.OwnerOf(pts[i].Device)
+		perNode[node] = append(perNode[node], i)
 	}
 	nodes := slices.Sorted(maps.Keys(perNode))
 	rsps := make([]IngestResult, len(nodes))
 	errs := make([]error, len(nodes))
-	_, _ = fanOut(nodes, func(i int) error {
+	_, _ = fanOut(nodes, func(k int) error {
 		// The bytes encoding/json renders an IngestBatch to, through the
 		// one row encoder: the last row's separator becomes the closing
 		// bracket.
-		rows := perNode[nodes[i]]
-		body := append(make([]byte, 0, 128*len(rows)), `{"rows":[`...)
-		for _, pr := range rows {
-			body = append(AppendPoint(body, pr.p), ',')
+		idx := perNode[nodes[k]]
+		body := append(make([]byte, 0, 128*len(idx)), `{"rows":[`...)
+		for _, i := range idx {
+			body = append(AppendPoint(body, pts[i]), ',')
 		}
 		body[len(body)-1] = ']'
 		body = append(body, '}')
@@ -691,25 +683,25 @@ func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, 
 		if key != "" {
 			// Derived sub-key: stable per (client key, node), so this
 			// partition replays instead of re-applying on any retry.
-			h.Set("Idempotency-Key", key+"@"+nodes[i])
+			h.Set("Idempotency-Key", key+"@"+nodes[k])
 		}
-		errs[i] = c.forwardJSON(ctx, http.MethodPost, api.URL2(nodes[i], "/ingest"), m.Epoch, h, body, &rsps[i])
-		return errs[i]
+		errs[k] = c.forwardJSON(ctx, http.MethodPost, api.URL2(nodes[k], "/ingest"), m.Epoch, h, body, &rsps[k])
+		return errs[k]
 	})
-	var failed []pendingRow
+	var failed []int
 	var lastErr error
-	for i, node := range nodes {
-		rows, rsp := perNode[node], &rsps[i]
-		if errs[i] != nil {
+	for k, node := range nodes {
+		idx, rsp := perNode[node], &rsps[k]
+		if errs[k] != nil {
 			c.forwardRetry(nodeOf(node))
-			failed = append(failed, rows...)
-			lastErr = errs[i]
+			failed = append(failed, idx...)
+			lastErr = errs[k]
 			continue
 		}
 		res.Accepted += rsp.Accepted
 		for _, re := range rsp.Errors {
-			if re.Row >= 0 && re.Row < len(rows) {
-				res.reject(rows[re.Row].idx, re.Error)
+			if re.Row >= 0 && re.Row < len(idx) {
+				res.reject(idx[re.Row], re.Error)
 			}
 		}
 		if extra := rsp.Rejected - len(rsp.Errors); extra > 0 {

@@ -24,12 +24,13 @@ import (
 //	POST /v2/ingest                                  batched JSON or NDJSON rows
 //	PUT  /v2/series/{device}/{quantity}/samples      single-series append
 //
-// Both routes report per-row outcomes: a row that fails validation (or
-// lands on a closed store) is counted and located in the summary
-// envelope instead of failing the request. NDJSON bodies are decoded
-// row at a time and applied in bounded chunks, so a request is O(chunk)
-// in server memory however many rows it carries. An optional
-// Idempotency-Key header deduplicates retries inside a sliding window.
+// Both routes are one handler body (v2Ingest) and report per-row
+// outcomes: a row that fails validation (or lands on a closed store) is
+// counted and located in the summary envelope instead of failing the
+// request. On a plain node NDJSON bodies are decoded row at a time and
+// applied in bounded chunks, so a request is O(chunk) in server memory
+// however many rows it carries. An optional Idempotency-Key header
+// deduplicates retries inside a sliding window.
 
 // maxIngestBody bounds ingest (and batch query) request bodies.
 const maxIngestBody = 64 << 20
@@ -378,6 +379,13 @@ type ingester struct {
 	s   *Service
 	res IngestResult
 
+	// key is the series a PUT names in its path; zero on a POST, whose
+	// rows name their own.
+	key tsdb.SeriesKey
+	// gated: admit took the cluster write gate in read mode; release
+	// leaves it.
+	gated bool
+
 	rows []tsdb.Row
 	src  []int // global row index per staged row
 	next int   // next global row index
@@ -396,10 +404,10 @@ type ingester struct {
 }
 
 // ingesterPool recycles ingesters (and their chunk-sized staging
-// slices) across requests; finish returns them.
+// slices) across requests; release returns them.
 var ingesterPool = sync.Pool{New: func() any { return new(ingester) }}
 
-func (s *Service) newIngester(st *obs.Stages, tok *dedupToken) *ingester {
+func (s *Service) newIngester(st *obs.Stages, tok *dedupToken, key tsdb.SeriesKey) *ingester {
 	g := ingesterPool.Get().(*ingester)
 	if g.rows == nil {
 		g.rows = make([]tsdb.Row, 0, ingestChunk)
@@ -407,6 +415,7 @@ func (s *Service) newIngester(st *obs.Stages, tok *dedupToken) *ingester {
 	}
 	g.s = s
 	g.stages = st
+	g.key = key
 	g.next = 0
 	g.tok, g.from = tok, 0
 	if tok != nil {
@@ -428,13 +437,17 @@ func (res *IngestResult) reject(row int, msg string) {
 	}
 }
 
-// add validates and stages one self-contained row (device and quantity
-// on the row itself).
+// add validates and stages one decoded row: under the path's series on
+// a PUT, under the row's own device and quantity on a POST.
 //
 // districtlint:hotpath
 func (g *ingester) add(p Point) {
 	row := g.next
 	g.next++
+	if g.key.Device != "" {
+		g.stage(row, g.key, p)
+		return
+	}
 	if p.Device == "" {
 		g.res.reject(row, "missing device")
 		return
@@ -444,15 +457,6 @@ func (g *ingester) add(p Point) {
 		return
 	}
 	g.stage(row, tsdb.SeriesKey{Device: p.Device, Quantity: p.Quantity}, p)
-}
-
-// addTo validates and stages one row of a path-named series.
-//
-// districtlint:hotpath
-func (g *ingester) addTo(key tsdb.SeriesKey, p Point) {
-	row := g.next
-	g.next++
-	g.stage(row, key, p)
 }
 
 // stage applies the shared value/time validation — the store's time
@@ -567,23 +571,26 @@ func (g *ingester) flush(last bool) {
 	g.src = g.src[:0]
 }
 
-// finish applies any staged tail and returns the summary, recycling
-// the ingester: it must not be touched afterwards. The result's error
-// slice escapes to the caller, so res is detached rather than reused.
+// finish applies any staged tail and returns the summary.
 func (g *ingester) finish() IngestResult {
 	g.flush(true)
 	g.s.ingested.Add(uint64(g.res.Accepted))
 	g.s.rejected.Add(uint64(g.res.Rejected))
-	res := g.res
-	g.release()
-	return res
+	return g.res
 }
 
-// release recycles the ingester without applying anything.
+// release leaves the cluster write gate if admit took it and recycles
+// the ingester: it must not be touched afterwards. A finished result's
+// error slice has escaped to the caller, so res is detached rather than
+// reused.
 func (g *ingester) release() {
+	if g.gated {
+		g.s.cnode.gate.RUnlock()
+	}
 	g.res = IngestResult{}
 	g.rows, g.src = g.rows[:0], g.src[:0]
 	g.s, g.stages, g.tok = nil, nil, nil
+	g.key, g.gated = tsdb.SeriesKey{}, false
 	ingesterPool.Put(g)
 }
 
@@ -621,121 +628,114 @@ func (s *Service) claimIdempotency(w http.ResponseWriter, r *http.Request) (tok 
 	return tok, false
 }
 
-// decodeIngest is the one reader of POST /v2/ingest bodies, on node,
-// clustered node and coordinator alike: a batched JSON body
-// ({"rows":[...]}) by default, or a row-at-a-time NDJSON stream when the
-// request body is application/x-ndjson or says encoding=ndjson (curl's
-// default form content type decodes as JSON). The body is bounded by
-// maxIngestBody and every decoded row is handed to add in body order.
+// decodeIngest is the one reader of ingest bodies, on node, clustered
+// node and coordinator alike. A POST /v2/ingest body (field "rows") is
+// a batched JSON body ({"rows":[...]}) by default, or a row-at-a-time
+// NDJSON stream when the request body is application/x-ndjson or says
+// encoding=ndjson (curl's default form content type decodes as JSON); a
+// PUT samples body (field "samples") is always a JSON batch. The body
+// is bounded by maxIngestBody.
 //
-// A JSON batch fails whole: err (bad encoding, undecodable body, empty
-// rows) means add was never called. An NDJSON stream does not: its
-// first malformed line poisons the rest, so reading stops there, the
-// rows before it stand, and malformed is the message the caller rejects
-// at the next row index.
-func decodeIngest(w http.ResponseWriter, r *http.Request, add func(Point)) (malformed string, err error) {
-	ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
-	ndjson := strings.TrimSpace(ct) == NDJSONType
-	switch enc := r.URL.Query().Get("encoding"); enc {
-	case "":
-	case "json":
-		ndjson = false
-	case "ndjson":
-		ndjson = true
-	default:
-		return "", api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc))
-	}
-	sc := NewRowScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	defer sc.Release()
-	if ndjson {
-		var p Point
-		for {
-			if err := sc.Next(&p); err != nil {
-				if !errors.Is(err, io.EOF) {
-					malformed = "malformed row: " + err.Error()
-				}
-				return malformed, nil
-			}
-			add(p)
+// The decoded rows reach use in body order as a slice of the scanner's
+// own, valid only until use returns: whatever the caller does with them
+// — admit, stage, forward — it does inside use, so no hop copies them to
+// outlive the decode. A JSON batch comes in one call once the body is
+// read; so does an NDJSON stream when whole is set, while otherwise its
+// rows come ingestChunk at a time as they are read. An error from use
+// ends the decode and is returned.
+//
+// A JSON batch fails whole: an error (bad encoding, undecodable body,
+// empty rows) means use was never called. An NDJSON stream does not:
+// its first malformed line poisons the rest, so reading stops there, the
+// rows before it stand, and malformed, set on the last call only, is the
+// message the caller rejects at the row after them.
+func decodeIngest(w http.ResponseWriter, r *http.Request, field string, whole bool, use func(pts []Point, malformed string) error) error {
+	ndjson := false
+	if field == "rows" {
+		ct, _, _ := strings.Cut(r.Header.Get("Content-Type"), ";")
+		ndjson = strings.TrimSpace(ct) == NDJSONType
+		switch enc := r.URL.Query().Get("encoding"); enc {
+		case "":
+		case "json":
+			ndjson = false
+		case "ndjson":
+			ndjson = true
+		default:
+			return api.BadRequest(fmt.Errorf("bad encoding %q (want json or ndjson)", enc))
 		}
 	}
-	pts, err := sc.decodeBatch("rows")
-	if err != nil {
-		return "", api.BadRequest(fmt.Errorf("bad request body: %v", err))
-	}
-	if len(pts) == 0 {
-		return "", api.BadRequest(errors.New("empty rows"))
-	}
-	for i := range pts {
-		add(pts[i])
-	}
-	return "", nil
-}
-
-// v2Ingest serves POST /v2/ingest. Rows are applied in bounded chunks
-// through the sharded engine as they are decoded; the response is a
-// per-row summary envelope.
-func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
-	tok, handled := s.claimIdempotency(w, r)
-	if handled {
-		return
-	}
-	defer tok.abandon() // no-op once the outcome is stored
-	if s.cnode != nil {
-		s.clusterIngest(w, r, tok)
-		return
-	}
-	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
-	malformed, err := decodeIngest(w, r, g.add)
-	if err != nil { // nothing was staged
-		g.release()
-		api.WriteError(w, r, err)
-		return
-	}
-	if malformed != "" {
-		g.res.reject(g.next, malformed)
-	}
-	res := g.finish()
-	tok.store(res)
-	api.WriteJSON(w, http.StatusOK, res)
-}
-
-// v2PutSamples serves PUT /v2/series/{device}/{quantity}/samples: an
-// append to one path-named series, with the same summary envelope and
-// idempotency window as POST /v2/ingest.
-func (s *Service) v2PutSamples(w http.ResponseWriter, r *http.Request) {
-	p := api.ParamsOf(r)
-	key := tsdb.SeriesKey{Device: p.Get("device"), Quantity: p.Get("quantity")}
-	if key.Device == "" || key.Quantity == "" {
-		api.WriteError(w, r, api.BadRequest(errors.New("missing device or quantity path segment")))
-		return
-	}
-	tok, handled := s.claimIdempotency(w, r)
-	if handled {
-		return
-	}
-	defer tok.abandon() // no-op once the outcome is stored
 	sc := NewRowScanner(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	defer sc.Release()
-	samples, err := sc.decodeBatch("samples")
-	if err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad request body: %v", err)))
-		return
+	if !ndjson {
+		pts, err := sc.decodeBatch(field)
+		if err != nil {
+			return api.BadRequest(fmt.Errorf("bad request body: %v", err))
+		}
+		if len(pts) == 0 {
+			return api.BadRequest(errors.New("empty " + field))
+		}
+		return use(pts, "")
 	}
-	if len(samples) == 0 {
-		api.WriteError(w, r, api.BadRequest(errors.New("empty samples")))
-		return
+	for {
+		if !whole && len(sc.pts) == ingestChunk {
+			if err := use(sc.pts, ""); err != nil {
+				return err
+			}
+			sc.pts = sc.pts[:0]
+		}
+		sc.pts = append(sc.pts, Point{})
+		if err := sc.Next(&sc.pts[len(sc.pts)-1]); err != nil {
+			sc.pts = sc.pts[:len(sc.pts)-1]
+			malformed := ""
+			if !errors.Is(err, io.EOF) {
+				malformed = "malformed row: " + err.Error()
+			}
+			return use(sc.pts, malformed)
+		}
 	}
-	if s.cnode != nil {
-		s.cnode.gate.RLock()
-		defer s.cnode.gate.RUnlock()
-		if !s.clusterAdmitKey(w, r, key.Device) {
+}
+
+// v2Ingest serves both write entrances, POST /v2/ingest and PUT
+// /v2/series/{device}/{quantity}/samples (an append to one path-named
+// series), with one body: validate the PUT's path key, claim the
+// idempotency key, decode, admit (clustered nodes only, over the whole
+// body: see admit), stage, then finish, store the outcome and respond
+// with the per-row summary envelope.
+func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
+	field, key := "rows", tsdb.SeriesKey{}
+	if r.Method == http.MethodPut {
+		p := api.ParamsOf(r)
+		field, key = "samples", tsdb.SeriesKey{Device: p.Get("device"), Quantity: p.Get("quantity")}
+		if key.Device == "" || key.Quantity == "" {
+			api.WriteError(w, r, api.BadRequest(errors.New("missing device or quantity path segment")))
 			return
 		}
 	}
-	g := s.newIngester(obs.StagesFrom(r.Context()), tok)
-	for _, smp := range samples {
-		g.addTo(key, smp)
+	tok, handled := s.claimIdempotency(w, r)
+	if handled {
+		return
+	}
+	defer tok.abandon() // no-op once the outcome is stored
+	g := s.newIngester(obs.StagesFrom(r.Context()), tok, key)
+	defer g.release()
+	err := decodeIngest(w, r, field, s.cnode != nil, func(pts []Point, malformed string) error {
+		if s.cnode != nil {
+			if err := g.admit(r, pts); err != nil {
+				w.Header().Set("Retry-After", "1")
+				return err
+			}
+		}
+		for i := range pts {
+			g.add(pts[i])
+		}
+		if malformed != "" {
+			g.res.reject(g.next, malformed)
+		}
+		return nil
+	})
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
 	}
 	res := g.finish()
 	tok.store(res)

@@ -75,7 +75,7 @@ type RowScanner struct {
 	// front caches interned names by frontSlot; it is cleared with the
 	// map, so it never outlives the table it fronts.
 	front [1 << frontBits]string
-	pts   []Point // pooled row slice for whole-body decodes
+	pts   []Point // pooled row slice: a batch's rows, or decodeIngest's NDJSON rows
 
 	// The parts of a /v2/query answer as DecodeBatchResponse parses them,
 	// before each kind is copied out into one block of its own.

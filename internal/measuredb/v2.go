@@ -241,7 +241,7 @@ func (s *Service) mountV2(srv *api.Server, read, batch, write func(http.Handler)
 	srv.HandleV2(http.MethodGet, "/series/{device}/{quantity}/aggregate", read(api.QueryP(s.v2Aggregate)))
 	srv.HandleV2(http.MethodPost, "/query", batch(http.HandlerFunc(s.v2Query)))
 	srv.HandleV2(http.MethodPost, "/ingest", write(http.HandlerFunc(s.v2Ingest)))
-	srv.HandleV2(http.MethodPut, "/series/{device}/{quantity}/samples", write(http.HandlerFunc(s.v2PutSamples)))
+	srv.HandleV2(http.MethodPut, "/series/{device}/{quantity}/samples", write(http.HandlerFunc(s.v2Ingest)))
 }
 
 // pageLimit parses the limit query parameter with the shared bounds.

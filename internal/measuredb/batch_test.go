@@ -301,48 +301,81 @@ func TestV2QueryBodySameOnNodeAndCoordinator(t *testing.T) {
 	}
 }
 
-// The catalog re-routes like every other coordinator read: a first map
-// naming a node that is gone is refreshed, the call counted against
-// that node, and the page served by the owner the new map names.
+// The catalog, a glob batch and the stats re-route like every other
+// coordinator route: a first map naming a node that is gone is
+// refreshed, the call counted against that node, and the answer served
+// by the owner the new map names. The live node owned the other shard
+// all along, so each probe asks it twice, and its answer still counts
+// once: the glob's body is the live node's own, byte for byte, and the
+// stats are its counters.
 func TestCoordinatorReroutesSeriesAroundADeadNode(t *testing.T) {
 	svc, live := newTestServer(t)
 	fillSeries(t, svc, v2Device, "temperature", 2)
-	dead := httptest.NewServer(http.NotFoundHandler())
-	dead.Close()
-	ms := master.New(master.Options{})
-	addr, err := ms.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ms.Close)
-	if _, err := ms.ClusterMap().Set(cluster.Map{Shards: 1, Owners: []string{dead.URL}}); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCoordinator(CoordinatorOptions{Master: "http://" + addr, Refresh: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	h := c.Handler()
-	probe := func(path string) *httptest.ResponseRecorder {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		return rec
-	}
-	if rec := probe("/v1/cluster/map"); !strings.Contains(rec.Body.String(), dead.URL) {
-		t.Fatalf("coordinator map = %s, want the dead node cached", rec.Body)
-	}
-	if _, err := ms.ClusterMap().Move(0, live.URL); err != nil {
-		t.Fatal(err)
-	}
-	rec := probe("/v2/series")
-	var page SeriesPage
-	if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || rec.Code != http.StatusOK || page.Count != 1 {
-		t.Fatalf("catalog through a stale map = %d %s", rec.Code, rec.Body)
-	}
-	retried := `repro_cluster_forward_retries_total{node="` + dead.URL + `",service="measuredb-coordinator"} 1`
-	if !strings.Contains(probe("/v1/metrics?format=prometheus").Body.String(), retried) {
-		t.Fatalf("the re-route was not counted against %s", dead.URL)
+	// agg_glob's request: every temperature series of buildings b0*.
+	const aggGlob = `{"selectors":[{"device":"urn:district:turin/building:b0*","quantity":"temperature"}],` +
+		`"from":"2015-03-09T09:00:00Z","to":"2015-03-09T11:00:00Z","aggregate":true}`
+	for _, p := range []struct {
+		name, method, path, body string
+		check                    func(t *testing.T, rec *httptest.ResponseRecorder)
+	}{
+		{"catalog", http.MethodGet, "/v2/series", "", func(t *testing.T, rec *httptest.ResponseRecorder) {
+			var page SeriesPage
+			if err := json.Unmarshal(rec.Body.Bytes(), &page); err != nil || rec.Code != http.StatusOK || page.Count != 1 {
+				t.Fatalf("catalog through a stale map = %d %s", rec.Code, rec.Body)
+			}
+		}},
+		{"glob aggregate", http.MethodPost, "/v2/query", aggGlob, func(t *testing.T, rec *httptest.ResponseRecorder) {
+			want := postBatch(t, svc.Handler(), aggGlob, "json").Body.Bytes()
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("glob aggregate through a stale map = %d\n%s\nthe live node answers\n%s", rec.Code, rec.Body, want)
+			}
+		}},
+		{"stats", http.MethodGet, "/v1/stats", "", func(t *testing.T, rec *httptest.ResponseRecorder) {
+			var got Stats
+			if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("stats through a stale map = %d %s", rec.Code, rec.Body)
+			}
+			want := svc.Stats()
+			if got.Ingested != want.Ingested || got.Store.Series != want.Store.Series ||
+				got.Store.Samples != want.Store.Samples || got.Store.Shards != 2 {
+				t.Fatalf("stats = %+v, want the live node's %+v over 2 shards", got, want)
+			}
+		}},
+	} {
+		t.Run(p.name, func(t *testing.T) {
+			dead := httptest.NewServer(http.NotFoundHandler())
+			dead.Close()
+			ms := master.New(master.Options{})
+			addr, err := ms.Serve("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(ms.Close)
+			if _, err := ms.ClusterMap().Set(cluster.Map{Shards: 2, Owners: []string{live.URL, dead.URL}}); err != nil {
+				t.Fatal(err)
+			}
+			c, err := OpenCoordinator(CoordinatorOptions{Master: "http://" + addr, Refresh: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			probe := func(method, path, body string) *httptest.ResponseRecorder {
+				rec := httptest.NewRecorder()
+				c.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+				return rec
+			}
+			if rec := probe(http.MethodGet, "/v1/cluster/map", ""); !strings.Contains(rec.Body.String(), dead.URL) {
+				t.Fatalf("coordinator map = %s, want the dead node cached", rec.Body)
+			}
+			if _, err := ms.ClusterMap().Move(1, live.URL); err != nil {
+				t.Fatal(err)
+			}
+			p.check(t, probe(p.method, p.path, p.body))
+			retried := `repro_cluster_forward_retries_total{node="` + dead.URL + `",service="measuredb-coordinator"} 1`
+			if !strings.Contains(probe(http.MethodGet, "/v1/metrics?format=prometheus", "").Body.String(), retried) {
+				t.Fatalf("the re-route was not counted once against %s", dead.URL)
+			}
+		})
 	}
 }
 

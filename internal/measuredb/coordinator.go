@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
 	"net/url"
 	"slices"
@@ -23,26 +22,29 @@ import (
 )
 
 // Coordinator is the cluster's query/ingest router: a measuredb-shaped
-// /v2 surface that owns no shards. It resolves the master-published
-// shard map and fans each request out to the owner nodes — an exact
-// device routes straight to its one owner, globs scatter to every node
-// and k-way merge — so /v2 clients see one database however many hosts
-// hold it; POST /v2/query answers, through the node's own handler body,
-// what one node holding every series would.
+// /v2 surface that owns no shards. Every route runs through one
+// fan-out, scatter: it places the request's items (an ingest's rows, a
+// batch's selectors, or the one item of any other route) on shards —
+// an exact device or a row on its device's shard, a glob, the catalog
+// and the stats on every shard — forwards each owner its items and
+// folds the answers, so /v2 clients see one database however many
+// hosts hold it; POST /v2/query answers, through the node's own handler
+// body, what one node holding every series would.
 //
 // Routing is epoch-aware end to end: every forwarded request carries
-// X-Cluster-Epoch, a node that rejects it with a retryable cluster
-// envelope (stale epoch, shard frozen mid-handoff, ownership moved)
-// triggers a map refresh and a bounded re-route (reroute). Page
-// cursors are the nodes' own: they are value-based, so a cursor cut
-// under one owner resumes correctly against the next.
+// X-Cluster-Epoch, and a node that rejects it with a retryable cluster
+// envelope (stale epoch, shard frozen mid-handoff, ownership moved), or
+// cannot be reached, triggers a map refresh and a bounded re-route of
+// that node's shards alone. Page cursors are the nodes' own: they are
+// value-based, so a cursor cut under one owner resumes correctly
+// against the next.
 //
-// Ingest is exactly-once end to end when the client sends an
-// Idempotency-Key: the batch is partitioned per owner and forwarded
-// under derived sub-keys ("<key>@<node>"), so a coordinator-level retry
-// — or the client replaying the whole request after a 503 — replays
-// already-applied partitions from each node's idempotency window
-// instead of re-appending them.
+// Keyed ingest forwards each owner's rows under a derived sub-key
+// ("<key>@<node>"), so a client replaying the whole request after a 503
+// replays the partitions that landed from each node's idempotency
+// window instead of re-appending them — unless a failed partition's
+// shard moved to a node that already holds another partition under the
+// same key (see API.md, Caveats).
 type Coordinator struct {
 	res *cluster.Resolver
 	t   *api.Transport
@@ -51,10 +53,7 @@ type Coordinator struct {
 	apiS *api.Server
 	reg  *obs.Registry
 
-	fanout     map[string]*obs.Histogram // per-route fan-out latency
-	mu         sync.Mutex
-	fwdErrs    map[string]*obs.Counter // per-node forward errors
-	fwdRetries map[string]*obs.Counter // per-node ownership retries
+	fanout map[string]*obs.Histogram // per-route fan-out latency
 }
 
 // CoordinatorOptions configure a cluster coordinator.
@@ -94,12 +93,10 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		t = &api.Transport{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	}
 	c := &Coordinator{
-		res:        cluster.NewResolver(opts.Master, t, opts.Refresh),
-		t:          t,
-		reg:        obs.NewRegistry(),
-		fanout:     make(map[string]*obs.Histogram),
-		fwdErrs:    make(map[string]*obs.Counter),
-		fwdRetries: make(map[string]*obs.Counter),
+		res:    cluster.NewResolver(opts.Master, t, opts.Refresh),
+		t:      t,
+		reg:    obs.NewRegistry(),
+		fanout: make(map[string]*obs.Histogram),
 	}
 	for _, route := range []string{"series", "samples", "latest", "aggregate", "query", "ingest", "put_samples", "stats"} {
 		c.fanout[route] = c.reg.Histogram("repro_cluster_fanout_seconds",
@@ -111,33 +108,6 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		func() float64 { return float64(c.res.CachedEpoch()) })
 	c.apiS = c.buildAPI(opts)
 	return c, nil
-}
-
-// forwardErr bumps the per-node forward-failure counter, lazily
-// creating the labelset (node cardinality is bounded by cluster size).
-func (c *Coordinator) forwardErr(node string) {
-	c.mu.Lock()
-	ctr := c.fwdErrs[node]
-	if ctr == nil {
-		ctr = c.reg.Counter("repro_cluster_forward_errors_total",
-			"Forwarded requests that failed, by owner node.", obs.Labels{"node": node})
-		c.fwdErrs[node] = ctr
-	}
-	c.mu.Unlock()
-	ctr.Inc()
-}
-
-// forwardRetry bumps the per-node reroute counter.
-func (c *Coordinator) forwardRetry(node string) {
-	c.mu.Lock()
-	ctr := c.fwdRetries[node]
-	if ctr == nil {
-		ctr = c.reg.Counter("repro_cluster_forward_retries_total",
-			"Forwards re-routed after a map refresh, by the node that rejected.", obs.Labels{"node": node})
-		c.fwdRetries[node] = ctr
-	}
-	c.mu.Unlock()
-	ctr.Inc()
 }
 
 // buildAPI mounts the coordinator's /v2 surface (mirroring mountV2) and
@@ -247,7 +217,7 @@ func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint6
 	header.Set("Accept-Encoding", "identity")
 	rsp, err := c.t.Open(ctx, method, u, header, body)
 	if err != nil {
-		c.forwardErr(nodeOf(u))
+		c.forwardErr(u)
 	}
 	return rsp, err
 }
@@ -280,50 +250,129 @@ func (c *Coordinator) forwardJSON(ctx context.Context, method, u string, epoch u
 
 // readErr counts a reply that failed mid-body against its node.
 func (c *Coordinator) readErr(rsp *http.Response, err error) error {
-	c.forwardErr(nodeOf(rsp.Request.URL.String()))
+	c.forwardErr(rsp.Request.URL.String())
 	return fmt.Errorf("read %s %s: %w", rsp.Request.Method, rsp.Request.URL, err)
 }
 
-// reroute runs one read against the freshest shard map. call returns
-// the node whose call failed with the failure; a reroutable one (see
-// reroutable) is counted against that node, refreshes the map and
-// retries, coordReadAttempts calls in all.
-func (c *Coordinator) reroute(ctx context.Context, call func(m cluster.Map) (node string, err error)) error {
+// forwardErr counts a failed forward to the URL u against its node.
+// Node cardinality is bounded by cluster size.
+func (c *Coordinator) forwardErr(u string) {
+	c.reg.Counter("repro_cluster_forward_errors_total",
+		"Forwarded requests that failed, by owner node.", obs.Labels{"node": nodeOf(u)}).Inc()
+}
+
+// everyShard is the placement of an item every shard must answer: a
+// glob selector, the catalog, the stats.
+const everyShard = -1
+
+// placed is one (item, shard) pair of a scatter.
+type placed struct{ item, shard int }
+
+// scatter runs one request's n items over the shard map, in at most
+// attempts rounds. place maps item i to the one shard it needs, or to
+// everyShard. Each round resolves the map, groups the pending (item,
+// shard) pairs by owner and calls call for every owner with its items,
+// each once and in order: concurrently, except that a lone owner is
+// called on the caller's goroutine, so a relay may abort the handler.
+// The answers are folded (fold may be nil) in node order.
+//
+// A failure that reroutable allows is counted against its node,
+// refreshes the map, and only that node's pairs are placed again in
+// the next round, so an owner that answered is asked again only for a
+// shard that moved to it; any other failure ends the request. An answer
+// a node gives twice must therefore fold once: series and results merge
+// by key (kmerge), stats keep one slot per node. The error is the first
+// failure, in node order, of the last round. No items need no map.
+func scatter[A any](c *Coordinator, ctx context.Context, n, attempts int,
+	place func(m *cluster.Map, i int) int,
+	call func(node string, epoch uint64, items []int) (A, error),
+	fold func(node string, items []int, a A)) error {
+	var pending []placed
 	var err error
-	for attempt := 0; attempt < coordReadAttempts; attempt++ {
+	for round := 0; round < attempts && n > 0; round++ {
 		m, rerr := c.resolve(ctx)
 		if rerr != nil {
 			return rerr
 		}
-		var node string
-		if node, err = call(m); err == nil || !reroutable(err) {
-			return err
+		if round == 0 {
+			for i := 0; i < n; i++ {
+				if s := place(&m, i); s != everyShard {
+					pending = append(pending, placed{i, s})
+					continue
+				}
+				for s := range m.Shards {
+					pending = append(pending, placed{i, s})
+				}
+			}
 		}
-		c.forwardRetry(nodeOf(node))
+		nodes, items, pairs := byOwner(&m, pending)
+		answers, errs := make([]A, len(nodes)), make([]error, len(nodes))
+		if len(nodes) == 1 {
+			answers[0], errs[0] = call(nodes[0], m.Epoch, items[0])
+		} else {
+			var wg sync.WaitGroup
+			for k := range nodes {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					answers[k], errs[k] = call(nodes[k], m.Epoch, items[k])
+				}()
+			}
+			wg.Wait()
+		}
+		pending, err = nil, nil
+		for k, node := range nodes {
+			switch {
+			case errs[k] == nil:
+				if fold != nil {
+					fold(node, items[k], answers[k])
+				}
+				continue
+			case !reroutable(errs[k]):
+				return errs[k]
+			case err == nil:
+				err = errs[k]
+			}
+			c.reg.Counter("repro_cluster_forward_retries_total",
+				"Forwards re-routed after a map refresh, by the node that rejected.", obs.Labels{"node": nodeOf(node)}).Inc()
+			pending = append(pending, pairs[k]...)
+		}
+		if len(pending) == 0 {
+			return nil
+		}
+		// Item-major again, so an owner inheriting several failed nodes'
+		// shards is sent each item once.
+		slices.SortFunc(pending, func(a, b placed) int { return a.item - b.item })
 		c.res.Refresh(ctx)
 	}
 	return err
 }
 
-// fanOut runs call for every node concurrently and returns the first
-// failure in node order, with its node.
-func fanOut(nodes []string, call func(i int) error) (string, error) {
-	errs := make([]error, len(nodes))
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = call(i)
-		}(i)
+// byOwner groups pairs by the node m names for their shard: the owners
+// with work, sorted, each with its items (once each, in pair order) and
+// its pairs.
+func byOwner(m *cluster.Map, pending []placed) (nodes []string, items [][]int, pairs [][]placed) {
+	nodes = m.Nodes()
+	at := make([]int, len(m.Owners))
+	for s, o := range m.Owners {
+		at[s], _ = slices.BinarySearch(nodes, o)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nodes[i], err
+	items, pairs = make([][]int, len(nodes)), make([][]placed, len(nodes))
+	for _, p := range pending {
+		k := at[p.shard]
+		if l := items[k]; len(l) == 0 || l[len(l)-1] != p.item {
+			items[k] = append(items[k], p.item)
+		}
+		pairs[k] = append(pairs[k], p)
+	}
+	busy := 0
+	for k := range nodes {
+		if len(items[k]) > 0 {
+			nodes[busy], items[busy], pairs[busy] = nodes[k], items[k], pairs[k]
+			busy++
 		}
 	}
-	return "", nil
+	return nodes[:busy], items[:busy], pairs[:busy]
 }
 
 // nodeOf reduces a forwarded URL to its node base for metric labels.
@@ -368,14 +417,15 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 				header.Set(h, v)
 			}
 		}
-		err := c.reroute(r.Context(), func(m cluster.Map) (string, error) {
-			owner := m.Owner(m.ShardFor(device))
-			rsp, err := c.forward(r.Context(), r.Method, api.URL2(owner, path), m.Epoch, header, body)
-			if err == nil {
-				err = c.relay(w, rsp)
-			}
-			return owner, err
-		})
+		err := scatter(c, r.Context(), 1, coordReadAttempts,
+			func(m *cluster.Map, _ int) int { return m.ShardFor(device) },
+			func(node string, epoch uint64, _ []int) (struct{}, error) {
+				rsp, err := c.forward(r.Context(), r.Method, api.URL2(node, path), epoch, header, body)
+				if err == nil {
+					err = c.relay(w, rsp)
+				}
+				return struct{}{}, err
+			}, nil)
 		if err != nil {
 			writeUpstream(w, r, err)
 		}
@@ -448,15 +498,14 @@ func (c *Coordinator) v2Series(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.BadRequest(err))
 		return
 	}
+	path := "/series?" + q.Encode()
 	var pages []*SeriesPage
-	err = c.reroute(r.Context(), func(m cluster.Map) (string, error) {
-		nodes := m.Nodes()
-		pages = make([]*SeriesPage, len(nodes))
-		return fanOut(nodes, func(i int) error {
-			pages[i] = new(SeriesPage)
-			return c.forwardJSON(r.Context(), http.MethodGet, api.URL2(nodes[i], "/series?"+q.Encode()), m.Epoch, nil, nil, pages[i])
-		})
-	})
+	err = scatter(c, r.Context(), 1, coordReadAttempts, func(*cluster.Map, int) int { return everyShard },
+		func(node string, epoch uint64, _ []int) (*SeriesPage, error) {
+			page := new(SeriesPage)
+			return page, c.forwardJSON(r.Context(), http.MethodGet, api.URL2(node, path), epoch, nil, nil, page)
+		},
+		func(_ string, _ []int, page *SeriesPage) { pages = append(pages, page) })
 	if err != nil {
 		writeUpstream(w, r, err)
 		return
@@ -475,10 +524,8 @@ func (c *Coordinator) v2Series(w http.ResponseWriter, r *http.Request) {
 func mergeSeriesPages(pages []*SeriesPage, limit int) (out []SeriesInfo, more bool) {
 	lists := make([][]SeriesInfo, len(pages))
 	for i, p := range pages {
-		if p != nil {
-			// A node page cut at its own limit has more behind it.
-			lists[i], more = p.Series, more || p.NextCursor != ""
-		}
+		// A node page cut at its own limit has more behind it.
+		lists[i], more = p.Series, more || p.NextCursor != ""
 	}
 	out = kmerge(lists, func(si *SeriesInfo) tsdb.SeriesKey {
 		return tsdb.SeriesKey{Device: si.Device, Quantity: si.Quantity}
@@ -494,21 +541,49 @@ func mergeSeriesPages(pages []*SeriesPage, limit int) (out []SeriesInfo, more bo
 // ---------------------------------------------------------------------
 
 // v2Query answers a batch with what one node holding every series would
-// answer: the nodes' merged results, rendered by the node's own batch
-// writers (serveBatch).
+// answer: exact devices go to their one owner, globs to every node, each
+// node's part runs as JSON (so its result cache serves it), and each
+// selector's parts merge into the rows the node's own batch writers
+// render (serveBatch).
 func (c *Coordinator) v2Query(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("query", time.Now())
 	serveBatch(w, r, func(plan batchPlan, _ []byte, out batchWriter) error {
-		var results []BatchResult
-		err := c.reroute(r.Context(), func(m cluster.Map) (node string, err error) {
-			results, node, err = c.fanQuery(r.Context(), m, plan.req)
-			return node, err
-		})
+		sels := plan.req.Selectors
+		parts := make([][]BatchResult, len(sels))
+		err := scatter(c, r.Context(), len(sels), coordReadAttempts,
+			func(m *cluster.Map, i int) int {
+				if d := sels[i].Device; d != "" && !hasGlob(d) {
+					return m.ShardFor(d)
+				}
+				return everyShard
+			},
+			func(node string, epoch uint64, items []int) (BatchResponse, error) {
+				// Only the selectors are replaced, so a field added to
+				// BatchQuery reaches the nodes without an edit here.
+				part := plan.req
+				part.Selectors = make([]SeriesSelector, len(items))
+				for k, i := range items {
+					part.Selectors[k] = sels[i]
+				}
+				body, _ := json.Marshal(part)
+				var answer BatchResponse
+				h := http.Header{"Content-Type": {"application/json"}}
+				err := c.forwardJSON(r.Context(), http.MethodPost, api.URL2(node, "/query"), epoch, h, body, &answer)
+				if n := len(answer.Results); err == nil && n != len(items) {
+					err = fmt.Errorf("node %s returned %d results for %d selectors", node, n, len(items))
+				}
+				return answer, err
+			},
+			func(_ string, items []int, answer BatchResponse) {
+				for k, i := range items {
+					parts[i] = append(parts[i], answer.Results[k])
+				}
+			})
 		if err != nil {
 			return err
 		}
-		for i := range results {
-			res := &results[i]
+		for i, sel := range sels {
+			res := mergeBatchResults(sel, parts[i])
 			out.selector(i, res.Selector)
 			for j := range res.Series {
 				out.series(&res.Series[j])
@@ -519,60 +594,8 @@ func (c *Coordinator) v2Query(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// fanQuery partitions the selectors over the map — exact devices to
-// their one owner, globs to every node — runs the per-node batches
-// concurrently as JSON (so each node's result cache serves its part),
-// and merges each selector's parts in m.Nodes() order. A failure names
-// the node it came from.
-func (c *Coordinator) fanQuery(ctx context.Context, m cluster.Map, req BatchQuery) ([]BatchResult, string, error) {
-	nodes := m.Nodes()
-	sels := make([][]SeriesSelector, len(nodes))
-	idx := make([][]int, len(nodes)) // request index of each node's selectors
-	for i, sel := range req.Selectors {
-		for k, node := range nodes {
-			if sel.Device != "" && !hasGlob(sel.Device) && node != m.OwnerOf(sel.Device) {
-				continue
-			}
-			sels[k] = append(sels[k], sel)
-			idx[k] = append(idx[k], i)
-		}
-	}
-	answers := make([]BatchResponse, len(nodes))
-	if node, err := fanOut(nodes, func(k int) error {
-		if len(idx[k]) == 0 {
-			return nil
-		}
-		// Only the selectors are replaced, so a field added to
-		// BatchQuery reaches the nodes without an edit here.
-		part := req
-		part.Selectors = sels[k]
-		body, _ := json.Marshal(part)
-		h := http.Header{"Content-Type": {"application/json"}}
-		if err := c.forwardJSON(ctx, http.MethodPost, api.URL2(nodes[k], "/query"), m.Epoch, h, body, &answers[k]); err != nil {
-			return err
-		}
-		if n := len(answers[k].Results); n != len(idx[k]) {
-			return fmt.Errorf("node %s returned %d results for %d selectors", nodes[k], n, len(idx[k]))
-		}
-		return nil
-	}); err != nil {
-		return nil, node, err
-	}
-	parts := make([][]BatchResult, len(req.Selectors))
-	for k := range nodes {
-		for local, i := range idx[k] {
-			parts[i] = append(parts[i], answers[k].Results[local])
-		}
-	}
-	out := make([]BatchResult, len(req.Selectors))
-	for i := range parts {
-		out[i] = mergeBatchResults(req.Selectors[i], parts[i])
-	}
-	return out, "", nil
-}
-
-// mergeBatchResults folds one selector's per-node results, given in
-// m.Nodes() order, into what one node holding all their series would
+// mergeBatchResults folds one selector's per-node results, in the order
+// they were answered, into what one node holding all their series would
 // answer: the series merged by key (kmerge, the fuller copy of a
 // mid-handoff duplicate kept), the first read error standing even
 // beside matched series, and "no matching series" only when no node
@@ -598,17 +621,67 @@ func mergeBatchResults(sel SeriesSelector, parts []BatchResult) BatchResult {
 }
 
 // ---------------------------------------------------------------------
-// POST /v2/ingest: partition by owner, forward, remap row errors
+// POST /v2/ingest: place rows on their shards, forward, remap row errors
 // ---------------------------------------------------------------------
 
+// v2Ingest forwards the decoded rows to their owners, each owner's body
+// encoded straight from them, and folds each node's outcome into one
+// result, row errors remapped to the client's row indexes.
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("ingest", time.Now())
+	key := r.Header.Get("Idempotency-Key")
 	var res IngestResult
 	err := decodeIngest(w, r, "rows", true, func(pts []Point, malformed string) error {
 		if malformed != "" {
 			res.reject(len(pts), malformed)
 		}
-		return c.deliver(w, r, pts, &res)
+		delivered := 0
+		err := scatter(c, r.Context(), len(pts), coordIngestAttempts,
+			func(m *cluster.Map, i int) int { return m.ShardFor(pts[i].Device) },
+			func(node string, epoch uint64, rows []int) (IngestResult, error) {
+				// The bytes encoding/json renders an IngestBatch to, through
+				// the one row encoder: the last row's separator becomes the
+				// closing bracket.
+				body := append(make([]byte, 0, 128*len(rows)), `{"rows":[`...)
+				for _, i := range rows {
+					body = append(AppendPoint(body, pts[i]), ',')
+				}
+				body[len(body)-1] = ']'
+				body = append(body, '}')
+				h := http.Header{"Content-Type": {"application/json"}}
+				if key != "" {
+					// Derived sub-key: stable per (client key, node), so this
+					// partition replays instead of re-applying on a retry.
+					h.Set("Idempotency-Key", key+"@"+node)
+				}
+				var rsp IngestResult
+				err := c.forwardJSON(r.Context(), http.MethodPost, api.URL2(node, "/ingest"), epoch, h, body, &rsp)
+				return rsp, err
+			},
+			func(_ string, rows []int, rsp IngestResult) {
+				delivered += len(rows)
+				res.Accepted += rsp.Accepted
+				for _, re := range rsp.Errors {
+					if re.Row >= 0 && re.Row < len(rows) {
+						res.reject(rows[re.Row], re.Error)
+					}
+				}
+				if extra := rsp.Rejected - len(rsp.Errors); extra > 0 {
+					// Rejected rows beyond the node's error cap still count.
+					res.Rejected += extra
+					res.ErrorsTruncated = true
+				}
+			})
+		var noMap *api.Error
+		if err == nil || errors.As(err, &noMap) || !reroutable(err) {
+			return err
+		}
+		// Some rows never reached an owner: the request fails whole with
+		// a retryable envelope, and a keyed retry replays the partitions
+		// that landed from their nodes' idempotency windows.
+		w.Header().Set("Retry-After", "1")
+		return &api.Error{Status: http.StatusServiceUnavailable, Code: "rows_undelivered",
+			Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pts)-delivered, len(pts), err)}
 	})
 	if err != nil {
 		writeUpstream(w, r, err)
@@ -618,128 +691,43 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, res)
 }
 
-// deliver forwards the decoded rows pts to their owners, folding each
-// node's outcome into res, in at most coordIngestAttempts rounds: each
-// round forwards the indexes of the rows still pending, against a map
-// refreshed after every round that left some.
-func (c *Coordinator) deliver(w http.ResponseWriter, r *http.Request, pts []Point, res *IngestResult) error {
-	key := r.Header.Get("Idempotency-Key")
-	pending := make([]int, len(pts))
-	for i := range pending {
-		pending[i] = i
-	}
-	var lastErr error
-	for attempt := 0; attempt < coordIngestAttempts && len(pending) > 0; attempt++ {
-		m, err := c.resolve(r.Context())
-		if err != nil {
-			return err
-		}
-		if pending, lastErr = c.fanIngest(r.Context(), m, key, pts, pending, res); len(pending) == 0 {
-			return nil
-		}
-		if !reroutable(lastErr) {
-			return lastErr
-		}
-		c.res.Refresh(r.Context())
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-	// Some rows never reached an owner. The request fails whole with a
-	// retryable envelope: a keyed client retry replays the applied
-	// partitions from each node's idempotency window (sub-keys) and
-	// re-attempts only what is still missing — exactly-once stands.
-	w.Header().Set("Retry-After", "1")
-	return &api.Error{Status: http.StatusServiceUnavailable, Code: "rows_undelivered",
-		Err: fmt.Errorf("%d of %d rows not yet applied: %v; retry with the same Idempotency-Key", len(pending), len(pts), lastErr)}
-}
-
-// fanIngest delivers one round: partitions the pending row indexes by
-// owner, encodes each owner's body straight from pts and forwards the
-// bodies concurrently under derived idempotency sub-keys, folds per-row
-// outcomes into res (indices remapped to the client's request), and
-// returns the indexes whose owner call failed.
-func (c *Coordinator) fanIngest(ctx context.Context, m cluster.Map, key string, pts []Point, pending []int, res *IngestResult) ([]int, error) {
-	perNode := make(map[string][]int)
-	for _, i := range pending {
-		node := m.OwnerOf(pts[i].Device)
-		perNode[node] = append(perNode[node], i)
-	}
-	nodes := slices.Sorted(maps.Keys(perNode))
-	rsps := make([]IngestResult, len(nodes))
-	errs := make([]error, len(nodes))
-	_, _ = fanOut(nodes, func(k int) error {
-		// The bytes encoding/json renders an IngestBatch to, through the
-		// one row encoder: the last row's separator becomes the closing
-		// bracket.
-		idx := perNode[nodes[k]]
-		body := append(make([]byte, 0, 128*len(idx)), `{"rows":[`...)
-		for _, i := range idx {
-			body = append(AppendPoint(body, pts[i]), ',')
-		}
-		body[len(body)-1] = ']'
-		body = append(body, '}')
-		h := http.Header{"Content-Type": {"application/json"}}
-		if key != "" {
-			// Derived sub-key: stable per (client key, node), so this
-			// partition replays instead of re-applying on any retry.
-			h.Set("Idempotency-Key", key+"@"+nodes[k])
-		}
-		errs[k] = c.forwardJSON(ctx, http.MethodPost, api.URL2(nodes[k], "/ingest"), m.Epoch, h, body, &rsps[k])
-		return errs[k]
-	})
-	var failed []int
-	var lastErr error
-	for k, node := range nodes {
-		idx, rsp := perNode[node], &rsps[k]
-		if errs[k] != nil {
-			c.forwardRetry(nodeOf(node))
-			failed = append(failed, idx...)
-			lastErr = errs[k]
-			continue
-		}
-		res.Accepted += rsp.Accepted
-		for _, re := range rsp.Errors {
-			if re.Row >= 0 && re.Row < len(idx) {
-				res.reject(idx[re.Row], re.Error)
-			}
-		}
-		if extra := rsp.Rejected - len(rsp.Errors); extra > 0 {
-			// Rejected rows beyond the node's error cap still count.
-			res.Rejected += extra
-			res.ErrorsTruncated = true
-		}
-	}
-	return failed, lastErr
-}
-
 // ---------------------------------------------------------------------
 // GET /v1/stats: sum the cluster
 // ---------------------------------------------------------------------
 
 // stats fans /v1/stats over the nodes and sums the counters into the
-// familiar single-node shape (stream stats stay per-node).
+// familiar single-node shape (stream stats stay per-node). A node
+// answering twice, once for a shard that moved to it, keeps its later
+// answer.
 func (c *Coordinator) stats(ctx context.Context, q url.Values) (any, error) {
 	defer c.observe("stats", time.Now())
-	m, err := c.resolve(ctx)
+	var out Stats
+	parts := make(map[string]Stats)
+	err := scatter(c, ctx, 1, coordReadAttempts,
+		func(m *cluster.Map, _ int) int {
+			out.Store.Shards = m.Shards
+			return everyShard
+		},
+		func(node string, epoch uint64, _ []int) (Stats, error) {
+			var st Stats
+			h := http.Header{"Accept": {"application/json"}}
+			err := c.forwardJSON(ctx, http.MethodGet, api.URL(node, "/stats"), epoch, h, nil, &st)
+			return st, err
+		},
+		func(node string, _ []int, st Stats) { parts[node] = st })
 	if err != nil {
+		var noMap *api.Error
+		if !errors.As(err, &noMap) {
+			err = api.WithStatus(http.StatusBadGateway, fmt.Errorf("stats: %v", err))
+		}
 		return nil, err
 	}
-	nodes := m.Nodes()
-	parts := make([]Stats, len(nodes))
-	if node, err := fanOut(nodes, func(i int) error {
-		return c.t.GetJSON(ctx, api.URL(nodes[i], "/stats"), &parts[i])
-	}); err != nil {
-		return nil, api.WithStatus(http.StatusBadGateway, fmt.Errorf("stats from %s: %v", node, err))
+	for _, st := range parts {
+		out.Ingested += st.Ingested
+		out.Rejected += st.Rejected
+		out.Store.Series += st.Store.Series
+		out.Store.Samples += st.Store.Samples
+		out.Store.DroppedRows += st.Store.DroppedRows
 	}
-	var out Stats
-	for i := range parts {
-		out.Ingested += parts[i].Ingested
-		out.Rejected += parts[i].Rejected
-		out.Store.Series += parts[i].Store.Series
-		out.Store.Samples += parts[i].Store.Samples
-		out.Store.DroppedRows += parts[i].Store.DroppedRows
-	}
-	out.Store.Shards = m.Shards
 	return out, nil
 }

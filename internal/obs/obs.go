@@ -128,8 +128,10 @@ func validName(name string) bool {
 	return true
 }
 
-// register finds or creates the instrument for (name, labels).
-func (r *Registry) register(name, help string, k kind, labels Labels) *instrument {
+// register finds or creates the instrument for (name, labels) and runs
+// fill on it under the registry lock, so no caller or scrape sees an
+// instrument before its value holder is set.
+func (r *Registry) register(name, help string, k kind, labels Labels, fill func(*instrument)) *instrument {
 	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q (want repro_[a-z0-9_]+)", name))
 	}
@@ -137,60 +139,58 @@ func (r *Registry) register(name, help string, k kind, labels Labels) *instrumen
 	id := name + "{" + lstr + "}"
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if in := r.byID[id]; in != nil {
-		if in.kind != k {
-			panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", id, k, in.kind))
-		}
-		return in
+	in := r.byID[id]
+	if in == nil {
+		in = &instrument{name: name, help: help, kind: k, labels: labels, lstr: lstr}
+		r.byID[id] = in
+		r.list = append(r.list, in)
+	} else if in.kind != k {
+		panic(fmt.Sprintf("obs: %s re-registered as %s (was %s)", id, k, in.kind))
 	}
-	in := &instrument{name: name, help: help, kind: k, labels: labels, lstr: lstr}
-	r.byID[id] = in
-	r.list = append(r.list, in)
+	fill(in)
 	return in
 }
 
 // Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	in := r.register(name, help, kindCounter, labels)
-	if in.c == nil && in.fn == nil {
-		in.c = &Counter{}
-	}
-	return in.c
+	return r.register(name, help, kindCounter, labels, func(in *instrument) {
+		if in.c == nil && in.fn == nil {
+			in.c = &Counter{}
+		}
+	}).c
 }
 
 // CounterFunc registers a callback-backed counter: fn is read at
 // scrape time, so an existing atomic (HubStats fields, dropped-row
 // counts) is exported without double accounting.
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
-	in := r.register(name, help, kindCounter, labels)
-	in.fn = fn
+	r.register(name, help, kindCounter, labels, func(in *instrument) { in.fn = fn })
 }
 
 // Gauge registers (or finds) a settable gauge.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	in := r.register(name, help, kindGauge, labels)
-	if in.g == nil && in.fn == nil {
-		in.g = &Gauge{}
-	}
-	return in.g
+	return r.register(name, help, kindGauge, labels, func(in *instrument) {
+		if in.g == nil && in.fn == nil {
+			in.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a callback-backed gauge, evaluated at scrape
 // time — the idiom for live internals like queue depths and snapshot
 // age.
 func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64) {
-	in := r.register(name, help, kindGauge, labels)
-	in.fn = fn
+	r.register(name, help, kindGauge, labels, func(in *instrument) { in.fn = fn })
 }
 
 // Histogram registers (or finds) a histogram with the given bucket
 // upper bounds (ascending; a final +Inf bucket is implicit).
 func (r *Registry) Histogram(name, help string, bounds []float64, labels Labels) *Histogram {
-	in := r.register(name, help, kindHistogram, labels)
-	if in.h == nil {
-		in.h = newHistogram(bounds)
-	}
-	return in.h
+	return r.register(name, help, kindHistogram, labels, func(in *instrument) {
+		if in.h == nil {
+			in.h = newHistogram(bounds)
+		}
+	}).h
 }
 
 // Snapshot is one instrument's point-in-time reading, JSON-shaped for

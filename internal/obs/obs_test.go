@@ -32,6 +32,28 @@ func TestCounterGauge(t *testing.T) {
 	}
 }
 
+// Callers registering one new counter at once, beside scrapes, get the
+// same counter and lose no increment, and no scrape sees it unset.
+func TestCounterRegisteredConcurrently(t *testing.T) {
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			r.Counter("repro_test_races_total", "races", Labels{"node": "a"}).Inc()
+		}()
+		go func() {
+			defer wg.Done()
+			r.Snapshot()
+		}()
+	}
+	wg.Wait()
+	if v := r.Counter("repro_test_races_total", "races", Labels{"node": "a"}).Value(); v != 8 {
+		t.Fatalf("counter = %d, want 8", v)
+	}
+}
+
 func TestRegistryRejectsBadNames(t *testing.T) {
 	r := NewRegistry()
 	for _, name := range []string{"http_requests_total", "repro_Bad", "repro_a-b", ""} {

@@ -32,6 +32,24 @@ var sharedHTTPClient = &http.Client{
 // SharedHTTPClient returns the process-wide pooled HTTP client.
 func SharedHTTPClient() *http.Client { return sharedHTTPClient }
 
+// streamHTTPClient carries bodies read as they arrive: NDJSON/CSV
+// ranges, uploads, SSE streams and the coordinator's relays. It has no
+// whole-request timeout, which would cut a long body mid-read; a peer
+// that never answers is bounded by the response-header timeout, the
+// body by the caller's context.
+var streamHTTPClient = &http.Client{
+	Transport: &http.Transport{
+		MaxIdleConns:          64,
+		MaxIdleConnsPerHost:   16,
+		IdleConnTimeout:       90 * time.Second,
+		ResponseHeaderTimeout: 10 * time.Second,
+	},
+}
+
+// StreamHTTPClient returns the process-wide pooled HTTP client for
+// streamed bodies.
+func StreamHTTPClient() *http.Client { return streamHTTPClient }
+
 // StatusError reports a non-2xx response, preserving the status for
 // callers that branch on it and a trimmed body excerpt for logs.
 type StatusError struct {

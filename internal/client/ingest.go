@@ -300,7 +300,7 @@ func (g *Ingest) Stream(ctx context.Context, opts ...IngestOption) (*IngestStrea
 	}
 	// Like the read-side Stream: reuse a caller transport for pooling but
 	// never its whole-request timeout, which would cut a long upload.
-	hc := streamHTTPClient
+	hc := api.StreamHTTPClient()
 	if g.c.HTTP != nil {
 		hc = &http.Client{Transport: g.c.HTTP.Transport, Jar: g.c.HTTP.Jar}
 	}

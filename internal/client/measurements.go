@@ -300,18 +300,6 @@ func (it *SampleIter) Err() error { return it.err }
 // Pages reports how many pages the iterator fetched so far.
 func (it *SampleIter) Pages() int { return it.pages }
 
-// streamHTTPClient carries NDJSON/CSV sample streams. Deliberately not
-// the shared api client: its whole-request timeout would amputate a
-// long streaming read.
-var streamHTTPClient = &http.Client{
-	Transport: &http.Transport{
-		MaxIdleConns:          64,
-		MaxIdleConnsPerHost:   16,
-		IdleConnTimeout:       90 * time.Second,
-		ResponseHeaderTimeout: 10 * time.Second,
-	},
-}
-
 // SampleStream is a row-at-a-time NDJSON sample stream: the whole range
 // crosses the wire without either end materializing it.
 type SampleStream struct {
@@ -338,7 +326,7 @@ func (m *Measurements) Stream(ctx context.Context, device, quantity string, opts
 	// A caller-supplied client usually carries a whole-request Timeout,
 	// which would amputate a long stream mid-read: reuse its transport
 	// (pooling, TLS) but never its deadline — cancel via ctx instead.
-	hc := streamHTTPClient
+	hc := api.StreamHTTPClient()
 	if m.c.HTTP != nil {
 		hc = &http.Client{Transport: m.c.HTTP.Transport, Jar: m.c.HTTP.Jar}
 	}

@@ -98,7 +98,9 @@ func commentHas(field *ast.Field, marker string) bool {
 // package-based: anything in os (minus pure predicates/env lookups),
 // anything in net (minus parsers/formatters), the request/response IO
 // of net/http, and every entry point of internal/wal — a WAL call is a
-// journal write, a segment scan, or a blocked wait behind one.
+// journal write, a segment scan, or a blocked wait behind one — but for
+// its pure accessors and Log.Stage, which frames a record in memory
+// under a lock never held across IO.
 func ioCall(obj types.Object) bool {
 	fn, ok := obj.(*types.Func)
 	if !ok || fn.Pkg() == nil {
@@ -129,7 +131,7 @@ func ioCall(obj types.Object) bool {
 		return false
 	case walPkgPath:
 		switch name {
-		case "String", "ParseMode", "withDefaults", "LastSeq", "Segments":
+		case "String", "ParseMode", "withDefaults", "LastSeq", "Segments", "Stage":
 			return false
 		}
 		return true

@@ -6,6 +6,8 @@ package fixture
 import (
 	"os"
 	"sync"
+
+	"repro/internal/wal"
 )
 
 type thing struct {
@@ -76,4 +78,26 @@ func (t *thing) pure() {
 	t.mu.Lock()
 	_ = os.Getenv("HOME") // env lookup is not IO in this rule's sense
 	t.mu.Unlock()
+}
+
+// journaled binds its order to a log's by staging under its hot lock
+// and committing after it.
+type journaled struct {
+	mu  sync.Mutex // districtlint:lockio
+	log *wal.Log
+}
+
+func (j *journaled) stage(p []byte) uint64 {
+	j.mu.Lock()
+	seq, _ := j.log.Stage(p) // staging frames the record in memory: fine
+	j.mu.Unlock()
+	_, _, _ = j.log.Commit(seq) // after the unlock: fine
+	return seq
+}
+
+func (j *journaled) commitHeld(seq uint64, p []byte) {
+	j.mu.Lock()
+	_, _, _ = j.log.Commit(seq) // want "lockio: Commit performs file or network IO"
+	_, _ = j.log.Append(p)      // want "lockio: Append performs file or network IO"
+	j.mu.Unlock()
 }

@@ -48,6 +48,10 @@ import (
 type Coordinator struct {
 	res *cluster.Resolver
 	t   *api.Transport
+	// relayT is t on the streaming client: a per-device relay copies a
+	// body of any size through as it arrives, which the pooled client's
+	// whole-request timeout would cut mid-read.
+	relayT *api.Transport
 
 	srv  proxyhttp.Server
 	apiS *api.Server
@@ -92,9 +96,14 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if t == nil {
 		t = &api.Transport{MaxAttempts: 2, BaseDelay: 25 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	}
+	relayT := *t
+	if relayT.Client == nil {
+		relayT.Client = api.StreamHTTPClient()
+	}
 	c := &Coordinator{
 		res:    cluster.NewResolver(opts.Master, t, opts.Refresh),
 		t:      t,
+		relayT: &relayT,
 		reg:    obs.NewRegistry(),
 		fanout: make(map[string]*obs.Histogram),
 	}
@@ -204,18 +213,18 @@ func writeUpstream(w http.ResponseWriter, r *http.Request, err error) {
 	api.WriteErrorStatus(w, r, se.Status, errors.New(se.Body))
 }
 
-// forward performs one epoch-stamped call to a node and returns the
-// 2xx response with its body unread (the caller closes it), bumping the
+// forward performs one epoch-stamped call to a node over t and returns
+// the 2xx response with its body unread (the caller closes it), bumping the
 // per-node error counter on failure. Hops inside the cluster ask for
 // identity coding: the edge compresses once for clients that want it,
 // so a node deflating for the coordinator to inflate is pure waste.
-func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte) (*http.Response, error) {
+func (c *Coordinator) forward(ctx context.Context, t *api.Transport, method, u string, epoch uint64, header http.Header, body []byte) (*http.Response, error) {
 	if header == nil {
 		header = http.Header{}
 	}
 	header.Set(cluster.EpochHeader, strconv.FormatUint(epoch, 10))
 	header.Set("Accept-Encoding", "identity")
-	rsp, err := c.t.Open(ctx, method, u, header, body)
+	rsp, err := t.Open(ctx, method, u, header, body)
 	if err != nil {
 		c.forwardErr(u)
 	}
@@ -227,7 +236,7 @@ func (c *Coordinator) forward(ctx context.Context, method, u string, epoch uint6
 // is read in place (DecodeBatchResponse); any other reply is
 // json.Unmarshal's.
 func (c *Coordinator) forwardJSON(ctx context.Context, method, u string, epoch uint64, header http.Header, body []byte, out any) error {
-	rsp, err := c.forward(ctx, method, u, epoch, header, body)
+	rsp, err := c.forward(ctx, c.t, method, u, epoch, header, body)
 	if err != nil {
 		return err
 	}
@@ -420,7 +429,7 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 		err := scatter(c, r.Context(), 1, coordReadAttempts,
 			func(m *cluster.Map, _ int) int { return m.ShardFor(device) },
 			func(node string, epoch uint64, _ []int) (struct{}, error) {
-				rsp, err := c.forward(r.Context(), r.Method, api.URL2(node, path), epoch, header, body)
+				rsp, err := c.forward(r.Context(), c.relayT, r.Method, api.URL2(node, path), epoch, header, body)
 				if err == nil {
 					err = c.relay(w, rsp)
 				}

@@ -498,9 +498,8 @@ var chunkJournaled func(next int)
 // summary; last marks the request's final flush. On the sharded engine
 // a keyed request's chunk journals its dedup note in the rows' record —
 // the last one carrying the outcome, in a record of its own when no row
-// is left — and the stage collector rides into the journal writer and
-// the shard workers, which attribute the WAL and store waits
-// themselves; other engines get a single store-apply timing around the
+// is left — and the stage collector rides into the shard workers,
+// which attribute the WAL and store waits themselves; other engines get a single store-apply timing around the
 // batch call.
 //
 // districtlint:hotpath

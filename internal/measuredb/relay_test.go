@@ -312,6 +312,26 @@ func TestCoordinatorStreamsRangesPastTheBufferLimit(t *testing.T) {
 	}
 }
 
+// A relayed range takes as long as its node takes to send it: a node
+// that pauses mid-body for longer than the pooled client's whole-request
+// timeout still reaches the client whole.
+func TestCoordinatorRelayOutlivesClientTimeout(t *testing.T) {
+	const timeout = 300 * time.Millisecond
+	hc := api.SharedHTTPClient()
+	old := hc.Timeout
+	hc.Timeout = timeout
+	t.Cleanup(func() { hc.Timeout = old })
+	coord := stubCoordinator(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		streamNDJSON(w, 256)
+		time.Sleep(2 * timeout)
+		streamNDJSON(w, 256)
+	}))
+	_, body := fetchWire(t, "GET", coord+stubSamples, "identity", NDJSONType, nil)
+	if n := bytes.Count(body, []byte("\n")); n != 512 || !bytes.HasSuffix(body, []byte(ndjsonLine)) {
+		t.Fatalf("%d rows arrived, want 512 whole rows", n)
+	}
+}
+
 // A node that dies before its first body byte is re-routed around; one
 // that dies mid-body cannot be, and the client must see a broken
 // response, not a short one that ends cleanly.

@@ -9,14 +9,13 @@ import (
 
 // Radio simulates the shared 2.4 GHz medium of one PAN: every frame
 // transmitted is delivered to all attached transceivers except the
-// sender, subject to a configurable loss probability and propagation
-// delay. It replaces the physical antennas of the paper's testbed while
-// preserving broadcast semantics, loss, and ack timing behaviour.
+// sender, subject to a configurable loss probability. It replaces the
+// physical antennas of the paper's testbed while preserving broadcast
+// semantics, loss, and ack timing behaviour.
 type Radio struct {
 	mu       sync.Mutex
 	xcvrs    map[*Transceiver]struct{}
 	lossProb float64
-	delay    time.Duration
 	rng      *rand.Rand
 	closed   bool
 
@@ -28,8 +27,6 @@ type Radio struct {
 type RadioOptions struct {
 	// LossProb in [0,1] drops each delivery independently.
 	LossProb float64
-	// Delay is the propagation + processing latency per delivery.
-	Delay time.Duration
 	// Seed makes the loss process reproducible; 0 uses a fixed default.
 	Seed int64
 }
@@ -43,7 +40,6 @@ func NewRadio(opts RadioOptions) *Radio {
 	return &Radio{
 		xcvrs:    make(map[*Transceiver]struct{}),
 		lossProb: opts.LossProb,
-		delay:    opts.Delay,
 		rng:      rand.New(rand.NewSource(seed)),
 	}
 }
@@ -86,7 +82,8 @@ func (t *Transceiver) Detach() {
 // Addr returns the transceiver's short address.
 func (t *Transceiver) Addr() uint16 { return t.addr }
 
-// Transmit puts raw frame bytes on the air. Delivery is asynchronous.
+// Transmit puts raw frame bytes on the air: each receiver's queue gets
+// them before Transmit returns.
 func (t *Transceiver) Transmit(raw []byte) error {
 	r := t.radio
 	r.mu.Lock()
@@ -106,24 +103,16 @@ func (t *Transceiver) Transmit(raw []byte) error {
 		}
 		targets = append(targets, x)
 	}
-	delay := r.delay
 	r.mu.Unlock()
 
-	deliver := func() {
-		for _, x := range targets {
-			select {
-			case x.rx <- raw:
-			default:
-				r.mu.Lock()
-				r.dropped++
-				r.mu.Unlock()
-			}
+	for _, x := range targets {
+		select {
+		case x.rx <- raw:
+		default:
+			r.mu.Lock()
+			r.dropped++
+			r.mu.Unlock()
 		}
-	}
-	if delay > 0 {
-		time.AfterFunc(delay, deliver)
-	} else {
-		deliver()
 	}
 	return nil
 }

@@ -268,11 +268,13 @@ func (n *Network) SetDemand(nodeID string, demandKW float64) bool {
 type SynthOptions struct {
 	ID          string
 	Kind        NetworkKind
-	Substations int     // leaves; zero means 8
-	Branching   int     // junction fan-out; zero means 3
-	MeanDemand  float64 // kW per substation; zero means 150
+	Substations int // leaves; zero means 8
+	Branching   int // junction fan-out; zero means 3
 	Seed        int64
 }
+
+// meanDemandKW is the mean demand of a synthetic substation.
+const meanDemandKW = 150
 
 // Synthesize builds a deterministic, valid radial network: a plant, a
 // layer of junctions, and substations attached breadth-first.
@@ -285,9 +287,6 @@ func Synthesize(opts SynthOptions) *Network {
 	}
 	if opts.Branching <= 0 {
 		opts.Branching = 3
-	}
-	if opts.MeanDemand <= 0 {
-		opts.MeanDemand = 150
 	}
 	if opts.Kind == "" {
 		opts.Kind = Heating
@@ -318,7 +317,7 @@ func Synthesize(opts SynthOptions) *Network {
 	}
 	for s := 0; s < opts.Substations; s++ {
 		id := fmt.Sprintf("%s-s%03d", opts.ID, s)
-		demand := opts.MeanDemand * (0.5 + rng.Float64())
+		demand := meanDemandKW * (0.5 + rng.Float64())
 		n.Nodes = append(n.Nodes, Node{
 			ID: id, Kind: NodeSubstation, Name: fmt.Sprintf("Substation %d", s),
 			Lat: 45.05 + rng.Float64()*0.04, Lon: 7.62 + rng.Float64()*0.08,

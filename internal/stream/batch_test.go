@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/middleware"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // batchOf builds n events on topic, payloads "<tag>:<i>".
@@ -82,6 +83,63 @@ func TestHubBatchIDsContiguousUnderConcurrentPublishers(t *testing.T) {
 	}
 	if st := h.Stats(); st.Published != uint64(total) || st.Delivered != uint64(total) || h.LastID() != uint64(total) {
 		t.Fatalf("stats = %+v, lastID %d, want %d events", st, h.LastID(), total)
+	}
+}
+
+// TestHubDurableConcurrentPublishersReloadUnderTheirIDs: publishers
+// racing on a durable hub under FsyncAlways share the ring log's
+// writes, and every event reloads under the ID it was delivered with.
+func TestHubDurableConcurrentPublishersReloadUnderTheirIDs(t *testing.T) {
+	const publishers, batches = 4, 25
+	dir := t.TempDir()
+	opts := HubOptions{Dir: dir, FirstID: 100, History: 1024, Fsync: wal.FsyncAlways}
+	h, err := OpenHub(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	total := 0
+	for p := 0; p < publishers; p++ {
+		for b := 0; b < batches; b++ {
+			total += 1 + (p+b)%3
+		}
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				if _, err := h.PublishBatch(batchOf("x/y", fmt.Sprintf("p%d.b%d", p, b), 1+(p+b)%3)); err != nil {
+					t.Error(err)
+				}
+			}
+		}(p)
+	}
+	wg.Wait()
+	sub, live, err := h.Subscribe("#", 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h2, err := OpenHub(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	sub2, reloaded, err := h2.Subscribe("#", 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub2.Close()
+	if len(live) != total || len(reloaded) != len(live) || h2.LastID() != h.LastID() {
+		t.Fatalf("%d entries reloaded (last ID %d), %d live (last ID %d)", len(reloaded), h2.LastID(), len(live), h.LastID())
+	}
+	for i := range live {
+		if reloaded[i].ID != live[i].ID || string(reloaded[i].Event.Payload) != string(live[i].Event.Payload) {
+			t.Fatalf("entry %d reloaded as ID %d %q, was ID %d %q", i,
+				reloaded[i].ID, reloaded[i].Event.Payload, live[i].ID, live[i].Event.Payload)
+		}
 	}
 }
 
@@ -256,6 +314,78 @@ func TestHubDurableBatchKeepsIDEqualSeq(t *testing.T) {
 	mustPublishBatch(t, h2, batchOf("m/a", "b3", 2))
 	if got := collect(t, sub2.C, 2); got[0].ID != 109 || got[1].ID != 110 {
 		t.Fatalf("post-restart IDs = %d, %d; want 109, 110", got[0].ID, got[1].ID)
+	}
+}
+
+// TestHubDurableJournalFailureDetaches: when the ring log fails, fan-out
+// stays live, PersistErrors counts the events the failed write carried,
+// and a reopen resumes from the last journaled event — a cursor past it
+// draws the gap marker.
+func TestHubDurableJournalFailureDetaches(t *testing.T) {
+	dir := t.TempDir()
+	h, err := OpenHub(HubOptions{Dir: dir, History: 64, FirstID: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, _, err := h.Subscribe("#", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPublishBatch(t, h, batchOf("m/a", "kept", 3)) // IDs 100..102, journaled
+	// The log fails beneath the hub: closed, it refuses every later
+	// write as a failed disk would.
+	h.mu.Lock()
+	log := h.log
+	h.mu.Unlock()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustPublishBatch(t, h, batchOf("m/a", "lost", 2))           // 103, 104: the failed write
+	if err := h.Publish(event("m/a", "detached")); err != nil { // 105: the log is gone
+		t.Fatal(err)
+	}
+	got := collect(t, sub.C, 6)
+	for i, e := range got {
+		if e.ID != 100+uint64(i) {
+			t.Fatalf("live entry %d has ID %d, want %d", i, e.ID, 100+i)
+		}
+	}
+	if st := h.Stats(); st.PersistErrors != 2 || st.Published != 6 {
+		t.Fatalf("stats after the failure: %+v; want 6 published, 2 persist errors", st)
+	}
+	sub.Close()
+	if err := h.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	h2, err := OpenHub(HubOptions{Dir: dir, History: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h2.Close()
+	resumed, replay, err := h2.Subscribe("#", 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if resumed.Gap || len(replay) != 2 || replay[0].ID != 101 || replay[1].ID != 102 {
+		t.Fatalf("resume after 100: gap %v, replay %v; want 101, 102 gaplessly", resumed.Gap, replay)
+	}
+	tail, replay, err := h2.Subscribe("#", 102)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	if tail.Gap || len(replay) != 0 {
+		t.Fatalf("resume at the journal tail: gap %v, replay %v", tail.Gap, replay)
+	}
+	past, _, err := h2.Subscribe("#", 104)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer past.Close()
+	if !past.Gap {
+		t.Fatal("a cursor past the last journaled event resumed without the gap marker")
 	}
 }
 

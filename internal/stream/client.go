@@ -18,18 +18,6 @@ import (
 	"repro/internal/middleware"
 )
 
-// sseHTTPClient is the pooled client for long-lived SSE connections.
-// Deliberately not the api shared client: that one carries a 15s
-// whole-request timeout, which would amputate every stream.
-var sseHTTPClient = &http.Client{
-	Transport: &http.Transport{
-		MaxIdleConns:          64,
-		MaxIdleConnsPerHost:   16,
-		IdleConnTimeout:       90 * time.Second,
-		ResponseHeaderTimeout: 10 * time.Second,
-	},
-}
-
 // IDHeader is stamped on every event a Subscription delivers: the
 // event's stream ID at the server it came from. A consumer that wants
 // exactly-once across its own death records EventID(ev) of the last
@@ -66,7 +54,7 @@ type SubscribeOptions struct {
 
 func (o SubscribeOptions) withDefaults() SubscribeOptions {
 	if o.HTTP == nil {
-		o.HTTP = sseHTTPClient
+		o.HTTP = api.StreamHTTPClient()
 	}
 	if o.Buffer <= 0 {
 		o.Buffer = 64

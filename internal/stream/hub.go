@@ -127,17 +127,13 @@ type Hub struct {
 	evicted   uint64
 	replayed  uint64
 
-	log         *wal.Log // nil: memory-only ring; pointer guarded by mu
-	jpending    [][]byte // staged journal records (entry wire bytes), ID order; guarded by mu
-	jspare      [][]byte // the drained batch's backing array, reused for staging; guarded by mu
+	// log is the ring log (nil: memory-only ring). Publishers stage
+	// their entries in it under mu and commit them after unlocking, so
+	// an fsync never stalls fan-out, and the log group-commits the
+	// publishers waiting on it.
+	log         *wal.Log
 	persistErrs uint64
 	sinceTrim   int
-
-	// jmu serializes journal IO. It is only ever acquired with mu NOT
-	// held (lock order: jmu then mu), so a publisher paying for an
-	// fsync never stalls fan-out for the publishers behind it — they
-	// stage under mu and one drainer group-commits the batch.
-	jmu sync.Mutex
 }
 
 // NewHub creates a Hub. It can only fail when Options.Dir requests a
@@ -378,10 +374,11 @@ func (h *Hub) Publish(ev middleware.Event) error {
 // count (events sequenced) and error say so. The slice is not retained.
 //
 // On a durable hub the batch is journaled before PublishBatch returns,
-// but the journal write runs outside the fan-out lock: the records are
-// staged under mu and written under jmu, where concurrent publishers
-// group-commit each other's staged records. An fsync therefore never
-// blocks fan-out, only the publishers waiting on their own ack.
+// but the journal write runs outside the fan-out lock: each event is
+// staged in the ring log under mu, which makes its ID the log's seq,
+// and committed after unlocking, one log write covering every publisher
+// staged by then. An fsync therefore never blocks fan-out, only the
+// publishers waiting on their own ack.
 func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
 	// Refusals are rare: evs is only copied once one turns up.
 	var refused error
@@ -418,16 +415,18 @@ func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
 		h.mu.Unlock()
 		return 0, ErrHubClosed
 	}
-	// Pass 1, per event: ID, which subscribers match (each records the
-	// event's index — no copy yet), and the wire bytes when a matching
-	// subscriber or the journal will use them. A memory-only hub with
-	// nobody listening encodes nothing.
+	// Pass 1, per event: which subscribers match (each records the
+	// event's index — no copy yet), the wire bytes when a matching
+	// subscriber or the journal will use them, and the ID — the seq the
+	// journal stages the wire bytes under. A memory-only hub with nobody
+	// listening encodes nothing.
 	var wire []byte
-	journal := h.log != nil
+	log := h.log
+	var last uint64 // seq of the last entry staged
+	staged, lost := 0, 0
 	for i := range evs {
 		e := &entries[i]
-		h.lastID++
-		e.ID, e.Event = h.lastID, evs[i]
+		e.Event = evs[i]
 		if e.Event.At.IsZero() {
 			if now.IsZero() {
 				now = h.now().UTC()
@@ -436,7 +435,7 @@ func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
 		}
 		h.matchAt, h.matchHit = i, false
 		h.idx.Match(e.Event.Topic, h.visit)
-		if h.matchHit || journal {
+		if h.matchHit || log != nil {
 			if wire == nil { // the first event with a reader sizes the buffer for the rest
 				wire = make([]byte, 0, eventsWireLen(evs[i:]))
 			}
@@ -444,12 +443,24 @@ func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
 			wire = appendEvent(wire, &e.Event)
 			e.wire = wire[start:len(wire):len(wire)]
 		}
-		h.ringPush(*e)
-		if journal {
-			h.stageLocked(e.wire)
+		e.ID = h.lastID + 1
+		if log != nil && lost == 0 {
+			if seq, err := log.Stage(e.wire); err != nil {
+				lost = len(evs) - i
+			} else {
+				e.ID, last = seq, seq
+				staged++
+			}
 		}
+		h.lastID = e.ID
+		h.ringPush(*e)
 	}
 	h.published += uint64(len(entries))
+	h.sinceTrim += staged
+	trim := h.sinceTrim > h.opts.History/2
+	if trim {
+		h.sinceTrim = 0
+	}
 
 	// Pass 2, per matched subscriber: one queue item. A subscriber that
 	// matched the whole batch shares the batch slice itself.
@@ -468,7 +479,12 @@ func (h *Hub) PublishBatch(evs []middleware.Event) (int, error) {
 	h.touched = h.touched[:0]
 	h.mu.Unlock()
 
-	h.drainJournal()
+	if lost > 0 {
+		h.detach(log, lost)
+	}
+	if staged > 0 {
+		h.commit(log, last, staged, trim)
+	}
 	return len(entries), refused
 }
 
@@ -530,72 +546,37 @@ func (h *Hub) ringPush(e Entry) {
 	}
 }
 
-// stageLocked queues one published entry's wire bytes for the ring log.
-// It runs under mu, in ID order — staging order is what keeps the
-// event-ID == log-sequence invariant; the write happens in drainJournal,
-// outside the fan-out lock.
-func (h *Hub) stageLocked(rec []byte) {
-	if h.jpending == nil {
-		h.jpending, h.jspare = h.jspare, nil
+// commit writes a publisher's staged entries, through seq last, to the
+// ring log, and when trim is due drops the segments that have fallen
+// out of the replay window. Persistence is best-effort relative to
+// fan-out: a failure is counted and never stalls live delivery — but it
+// also DETACHES the log, degrading the hub to its memory-only ring.
+// Skipping single records instead would break the event-ID ==
+// log-sequence invariant recovery depends on: every later record would
+// land one seq behind its live ID, and a restart would replay shifted,
+// wrong IDs. After a detach, a restart resumes from the last journaled
+// event and resume points beyond it draw the normal gap marker.
+func (h *Hub) commit(log *wal.Log, last uint64, staged int, trim bool) {
+	if _, _, err := log.Commit(last); err != nil {
+		h.detach(log, staged)
+	} else if trim && last >= uint64(h.opts.History) {
+		_ = log.TruncateBefore(last - uint64(h.opts.History) + 1)
 	}
-	h.jpending = append(h.jpending, rec)
 }
 
-// drainJournal writes every staged record to the ring log and
-// periodically drops the segments that have fallen out of the replay
-// window. Persistence is best-effort relative to fan-out: a failure is
-// counted and never stalls live delivery — but it also DETACHES the
-// log, degrading the hub to its memory-only ring. Skipping single
-// records instead would break the event-ID == log-sequence invariant
-// recovery depends on: every later record would land one seq behind
-// its live ID, and a restart would replay shifted, wrong IDs. After a
-// detach, a restart resumes from the last journaled event and resume
-// points beyond it draw the normal gap marker.
-//
-// The jmu critical section is where the disk time goes; mu is only
-// taken briefly to swap the staged batch out. A caller returning from
-// drainJournal knows its own staged records were written: they were
-// staged before the call, so either this drain wrote them or a
-// concurrent drainer did before releasing jmu.
-func (h *Hub) drainJournal() {
-	h.jmu.Lock()
-	defer h.jmu.Unlock()
-	for {
-		h.mu.Lock()
-		log := h.log
-		batch := h.jpending
-		h.jpending = nil
-		h.mu.Unlock()
-		if log == nil || len(batch) == 0 {
-			return
-		}
-
-		last, err := log.AppendBatch(batch)
-		if err != nil {
-			h.mu.Lock()
-			h.persistErrs += uint64(len(batch))
-			if h.log == log {
-				h.log = nil
-			}
-			h.mu.Unlock()
-			// The log is already sticky-failed; Close is cleanup, not
-			// durability.
-			_ = log.Close() //lint:ignore closecheck log already sticky-failed; Close error carries no new information
-			return
-		}
-
-		h.mu.Lock()
-		h.sinceTrim += len(batch)
-		due := h.sinceTrim >= h.opts.History/2+1
-		if due {
-			h.sinceTrim = 0
-		}
-		clear(batch) // the ring owns the records now
-		h.jspare = batch[:0]
-		h.mu.Unlock()
-		if due && last >= uint64(h.opts.History) {
-			_ = log.TruncateBefore(last - uint64(h.opts.History) + 1)
-		}
+// detach counts events the failed ring log lost, and detaches and
+// closes it the first time it fails.
+func (h *Hub) detach(log *wal.Log, lost int) {
+	h.mu.Lock()
+	h.persistErrs += uint64(lost)
+	first := h.log == log
+	if first {
+		h.log = nil
+	}
+	h.mu.Unlock()
+	if first {
+		// The log has failed; Close is cleanup, not durability.
+		_ = log.Close() //lint:ignore closecheck log already failed; Close error carries no new information
 	}
 }
 
@@ -682,12 +663,8 @@ func (h *Hub) Close() error {
 	for _, s := range h.subs {
 		h.removeLocked(s)
 	}
-	h.mu.Unlock()
-
-	// Flush anything still staged (closed is set, so no new records can
-	// appear behind the drain), then detach and close outside mu.
-	h.drainJournal()
-	h.mu.Lock()
+	// Detach under mu, close outside it: closed is set, so nothing is
+	// staged behind the close, which writes what publishers staged.
 	log := h.log
 	h.log = nil
 	h.mu.Unlock()

@@ -28,7 +28,7 @@ import (
 
 // shardDisk is one shard's durable state. The atomics are read by
 // metric scrapes and the floor; the shard worker is their only writer
-// after recovery, but for journaled, which the journal writer sets.
+// after recovery, but for journaled, which staging sets.
 type shardDisk struct {
 	dir  string
 	node *nodeLog
@@ -48,7 +48,7 @@ type shardDisk struct {
 	// appliedRows the journaled-row count through it; worker-only.
 	applied     uint64
 	appliedRows int64
-	// forced is set while a publish the journal writer queued is pending.
+	// forced is set while a publish forcePublish queued is pending.
 	forced atomic.Bool
 }
 
@@ -193,7 +193,10 @@ func replayShard(dir string, apply func([]Row) error) (uint64, []string, error) 
 // log is then published and the log removed. Workers are not running
 // yet, so rows apply directly.
 func (s *Sharded) openDurable(opts ShardedOptions, reg *obs.Registry) (err error) {
-	node := &nodeLog{disks: make([]*shardDisk, len(s.shards))}
+	node := &nodeLog{disks: make([]*shardDisk, len(s.shards)), groupRows: s.groupRows}
+	if s.groupRows != nil {
+		node.uncounted = make(map[uint64]int)
+	}
 	defer func() {
 		if err == nil {
 			return

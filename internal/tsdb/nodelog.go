@@ -12,16 +12,25 @@ import (
 )
 
 // The node log: a durable engine's one write-ahead log, under
-// <Dir>/wal. A single journal writer appends one record per caller
-// batch — the batch's shard parts and its caller's note — group-
-// committing everything queued, then hands each shard its parts in log
-// order (sharded.go applies them). Shard snapshots (publish, blocks.go)
-// let the log be truncated below its floor.
+// <Dir>/wal. Each caller batch stages one record — its shard parts and
+// its caller's note — and hands each shard its part, then commits the
+// record while the shards work through their queues; a shard worker
+// commits the record too before it applies the part (sharded.go), which
+// is a no-op once it is written. The log group-commits them. Shard
+// snapshots (publish, blocks.go) let the log be truncated below its
+// floor.
 
 // nodeLog is the engine's one write-ahead log and what bounds it.
 type nodeLog struct {
 	log   *wal.Log
 	disks []*shardDisk
+	// mu orders the log's records with the shard queues: a batch stages
+	// its record, sets its shards' journaled marks and hands its parts
+	// to the shard queues under it, so every shard receives its parts in
+	// seq order. A full queue holds it (backpressure), which cannot
+	// deadlock: the shard workers that drain the queues never take it.
+	// Log IO never runs under it.
+	mu sync.Mutex // districtlint:lockio
 	// marked is the seq of the last record whose shards' journaled marks
 	// are set: a record above it may not be marked yet.
 	marked atomic.Uint64
@@ -29,10 +38,17 @@ type nodeLog struct {
 	pin atomic.Pointer[func() uint64]
 	// notes are the notes recovery found, until Notes hands them out.
 	notes []Note
-	// rows counts the rows journaled since open; writer-only.
-	rows int64
+
+	// gmu guards staging against the commit-group count: rows counts
+	// the rows journaled since open (written under mu and gmu), uncounted
+	// the rows of each staged record no node-log write has counted yet
+	// (instrumented engines only).
+	gmu       sync.Mutex
+	rows      int64
+	uncounted map[uint64]int
 
 	walAppend *obs.Histogram // nil when unmetered
+	groupRows *obs.Histogram // nil when unmetered
 }
 
 // Note is a caller's note as the node log holds it: the seq of its
@@ -65,11 +81,43 @@ func (n *nodeLog) truncate() {
 	_ = n.log.TruncateBefore(n.floor())
 }
 
+// commit returns once the record seq is in the node log. The record's
+// producer times its wait as the record's wal-append (timed), once
+// however many shards the record spans; the call that wrote counts the
+// rows its write covered, so one commit group is one node-log write.
+func (n *nodeLog) commit(seq uint64, timed bool, st *obs.Stages) error {
+	timed = timed && (n.walAppend != nil || st != nil)
+	var start time.Time
+	if timed {
+		start = time.Now()
+	}
+	first, last, err := n.log.Commit(seq)
+	if timed {
+		d := time.Since(start)
+		if n.walAppend != nil {
+			n.walAppend.ObserveDuration(d)
+		}
+		st.Observe("wal-append", d)
+	}
+	if last > 0 && n.uncounted != nil {
+		n.gmu.Lock()
+		rows := 0
+		for q := first; q <= last; q++ {
+			rows += n.uncounted[q]
+			delete(n.uncounted, q)
+		}
+		n.gmu.Unlock()
+		if rows > 0 {
+			n.groupRows.Observe(float64(rows))
+		}
+	}
+	return err
+}
+
 // journalItem is one caller batch on its way through the node log: the
 // shard parts partition made, their record (encoded by the caller, so
-// producers encode in parallel), and the outcome slots. The journal
-// writer sets seq (the record's; 0 when the append failed) and jrows
-// before it releases its hold on done.
+// producers encode in parallel), and the outcome slots. stage sets seq
+// (the record's; 0 when nothing was journaled) and jrows.
 type journalItem struct {
 	per    [][]Row
 	idx    [][]int
@@ -81,104 +129,45 @@ type journalItem struct {
 	jrows  int64
 }
 
-// maxCommitGroup bounds how many queued batches one node-log group
-// commit covers.
-const maxCommitGroup = 64
-
-// journal is the node log's single writer. Everything already queued
-// behind the first item is committed as one group: one node-log append,
-// so one write(2) and, in always mode, one fsync, covers the whole wave
-// before any of it is applied.
-func (s *Sharded) journal() {
-	defer s.jwg.Done()
-	group := make([]*journalItem, 0, maxCommitGroup)
-	recs := make([][]byte, 0, maxCommitGroup)
-	for it := range s.jq {
-		group = append(group[:0], it)
-	drain:
-		for len(group) < maxCommitGroup {
-			select {
-			case it, ok := <-s.jq:
-				if !ok {
-					break drain
-				}
-				group = append(group, it)
-			default:
-				break drain
-			}
-		}
-		recs = recs[:0]
-		for _, it := range group {
-			recs = append(recs, it.rec)
-		}
-		s.commit(group, recs)
-	}
-}
-
-// commit journals one group, recs being its items' records, then hands
-// every record's shard parts to the shard queues in log order. Each
-// shard's journaled mark is set before its part is handed over, and
-// marked after all of them, so the floor never passes a record a shard
-// still needs. A node-log failure fails every row of the group without
-// applying any of them — the engine never acknowledges state it cannot
-// recover.
-func (s *Sharded) commit(group []*journalItem, recs [][]byte) {
+// stage journals one caller batch: under the node log's lock it stages
+// the batch's record, sets the journaled mark of every shard the record
+// has rows for, and hands each shard its part, so every shard queue
+// holds its parts in log order. Each part commits the record before it
+// applies (apply). A log that refuses the record fails every row of the
+// batch — the engine never acknowledges state it cannot recover — and
+// leaves it.seq 0.
+func (s *Sharded) stage(it *journalItem) {
 	n := s.node
 	rows := 0
-	for _, it := range group {
-		for _, part := range it.per {
-			rows += len(part)
+	for _, part := range it.per {
+		rows += len(part)
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.gmu.Lock()
+	seq, err := n.log.Stage(it.rec)
+	if err == nil {
+		n.rows += int64(rows)
+		if n.uncounted != nil {
+			n.uncounted[seq] = rows
 		}
 	}
-	if s.groupRows != nil && rows > 0 {
-		s.groupRows.Observe(float64(rows))
-	}
-	// The group commits as one append, so its latency IS each member
-	// request's wal-append wait. Timing only happens when someone is
-	// listening — the uninstrumented hot path takes no timestamps.
-	timed := n.walAppend != nil || anyStages(group)
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	last, err := n.log.AppendBatch(recs)
-	if timed {
-		d := time.Since(start)
-		if n.walAppend != nil {
-			n.walAppend.ObserveDuration(d)
-		}
-		for _, it := range group {
-			it.stages.Observe("wal-append", d)
-		}
-	}
+	n.gmu.Unlock()
 	if err != nil {
-		for _, it := range group {
-			for sh, part := range it.per {
-				for _, j := range it.idx[sh] {
-					it.errs[j] = err
-				}
-				s.dropped.Add(uint64(len(part)))
-			}
-			it.done.Done()
+		for sh, part := range it.per {
+			s.drop(part, it.idx[sh], it.errs, err)
 		}
+		it.done.Done()
 		return
 	}
-	seq := last + 1 - uint64(len(group))
-	for _, it := range group {
-		it.seq = seq
-		seq++
-		for sh, part := range it.per {
-			if len(part) > 0 {
-				n.disks[sh].journaled.Store(it.seq)
-				n.rows += int64(len(part))
-			}
+	it.seq, it.jrows = seq, n.rows
+	for sh, part := range it.per {
+		if len(part) > 0 {
+			n.disks[sh].journaled.Store(seq)
 		}
-		it.jrows = n.rows
 	}
-	n.marked.Store(last)
-	for _, it := range group {
-		s.dispatch(it)
-	}
+	n.marked.Store(seq)
+	s.dispatch(it)
 	s.forcePublish()
 }
 
@@ -202,7 +191,7 @@ func (s *Sharded) dispatch(it *journalItem) {
 // snapshots it and lets the floor past it. A shard taking its share of
 // the rows reaches SnapshotEvery of its own after about SnapshotEvery ×
 // shards; the factor 2 leaves that cycle to it instead of doubling it.
-// Runs on the journal writer.
+// Runs under the node log's lock.
 func (s *Sharded) forcePublish() {
 	if s.snapEvery <= 0 {
 		return
@@ -213,17 +202,6 @@ func (s *Sharded) forcePublish() {
 			s.queues[i] <- batchItem{op: &shardOp{kind: opCompact, done: make(chan error, 1)}}
 		}
 	}
-}
-
-// anyStages reports whether any item in the wave carries a stage
-// collector.
-func anyStages(group []*journalItem) bool {
-	for _, it := range group {
-		if it.stages != nil {
-			return true
-		}
-	}
-	return false
 }
 
 // Notes hands back, in log order, the notes of the records a durable

@@ -128,12 +128,9 @@ type Sharded struct {
 	shards []*Store
 	queues []chan batchItem
 
-	// node is the node log and jq the journal writer's queue (both nil
-	// for in-memory engines); disks is node.disks, the per-shard durable
-	// state.
+	// node is the node log (nil for in-memory engines); disks is
+	// node.disks, the per-shard durable state.
 	node  *nodeLog
-	jq    chan *journalItem
-	jwg   sync.WaitGroup
 	disks []*shardDisk
 	// bsets is the per-shard published block view (always empty on an
 	// in-memory engine); workers mutate, readers capture under its read
@@ -289,11 +286,6 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 		if err := s.openDurable(opts, reg); err != nil {
 			return nil, err
 		}
-		// As deep as a shard queue: producers back up on the writer no
-		// sooner than they would on one shard.
-		s.jq = make(chan *journalItem, qlen)
-		s.jwg.Add(1)
-		go s.journal()
 	}
 	for i := 0; i < n; i++ {
 		s.wg.Add(1)
@@ -407,10 +399,19 @@ func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet,
 }
 
 // apply applies one shard part and acks it, in that order: on a durable
-// engine the part's record is already in the node log, and the store
-// takes it before its producer is unblocked.
+// engine it first commits the part's record to the node log, so the
+// head never holds a row the log does not, and the store takes the part
+// before its producer is unblocked. A failed commit fails the part's
+// rows without applying them.
 func (s *Sharded) apply(i int, store *Store, disk *shardDisk, bs *blockSet, it batchItem) {
 	if len(it.rows) > 0 {
+		if disk != nil {
+			if err := s.node.commit(it.seq, false, nil); err != nil {
+				s.drop(it.rows, it.idx, it.errs, err)
+				it.done.Done()
+				return
+			}
+		}
 		var applyStart time.Time
 		if it.stages != nil {
 			applyStart = time.Now()
@@ -437,6 +438,15 @@ func (s *Sharded) apply(i int, store *Store, disk *shardDisk, bs *blockSet, it b
 		// cached merged reads over the pre-compaction view expire.
 		s.gens[i].Add(1)
 	}
+}
+
+// drop fails rows the engine will never apply, their node-log record
+// having failed, in their callers' error slots.
+func (s *Sharded) drop(rows []Row, idx []int, errs []error, err error) {
+	for _, j := range idx {
+		errs[j] = err
+	}
+	s.dropped.Add(uint64(len(rows)))
 }
 
 // NumShards reports the shard count.
@@ -739,15 +749,16 @@ func (s *Sharded) AppendBatch(rows []Row) []error {
 }
 
 // AppendBatchNote is AppendBatch with per-request stage attribution
-// and a caller note. The journal writer and the shard workers record the
-// wal-append and store-apply waits the batch experienced into st
-// (nil-safe); with the batch split over several shards the store-apply
-// stages accumulate across them — the totals then read as work done on
-// the request's behalf, not wall-clock. A durable engine journals note
-// (nil: none) in the rows' record, so it recovers the note exactly when
-// it recovers the rows (Notes); a note with no rows rides a record of
-// its own. It returns the record's seq: 0 on an in-memory engine, which
-// keeps no note, and when nothing was journaled.
+// and a caller note. It records into st (nil-safe) the wal-append wait
+// (its record's commit), and the shard workers the store-apply waits
+// the batch experienced; with the batch split over several shards the
+// store-apply stages accumulate across them — the totals then read as
+// work done on the request's behalf, not wall-clock. A durable engine
+// journals note (nil: none) in the rows' record, so it recovers the
+// note exactly when it recovers the rows (Notes); a note with no rows
+// rides a record of its own. It returns the record's seq: 0 on an
+// in-memory engine, which keeps no note, and when nothing was
+// journaled.
 func (s *Sharded) AppendBatchNote(rows []Row, st *obs.Stages, note []byte) ([]error, uint64) {
 	if s.node == nil {
 		note = nil
@@ -783,15 +794,20 @@ func (s *Sharded) AppendBatchNote(rows []Row, st *obs.Stages, note []byte) ([]er
 	}
 	done.Add(1)
 	if journal {
-		s.jq <- it
+		s.stage(it)
 	} else {
 		s.dispatch(it)
 	}
 	s.mu.RUnlock()
+	// The producer writes its record while the shards work through what
+	// is queued ahead of its parts; a failure fails the parts' rows there.
+	seq := it.seq
+	if seq != 0 && s.node.commit(seq, true, st) != nil {
+		seq = 0
+	}
 	done.Wait()
 	// Every worker has acked: the row windows are dead, the scratch can
 	// carry the next wave. The error slice only escapes on failure.
-	seq := it.seq
 	*it = journalItem{}
 	if cap(sc.rec) > maxRetainedRecordBytes {
 		sc.rec = nil // one outsized batch must not pin its buffer in the pool
@@ -903,8 +919,8 @@ func (s *Sharded) enqueue(i int, item batchItem) error {
 	return nil
 }
 
-// Close drains the journal and append queues, stops the writer and the
-// workers, and syncs and closes the node log and the block files.
+// Close drains the append queues, stops the workers, and syncs and
+// closes the node log and the block files.
 // Subsequent writes fail with ErrClosed. It satisfies the void Engine
 // interface; a log close failure (the final segment flush may not have
 // reached disk) is logged — use CloseErr to receive it instead.
@@ -924,13 +940,8 @@ func (s *Sharded) CloseErr() error {
 		return nil
 	}
 	s.closed = true
-	if s.jq != nil {
-		close(s.jq)
-	}
 	s.mu.Unlock()
-	// The writer hands its last parts to the shard queues before they
-	// close; nothing else can send once closed is set.
-	s.jwg.Wait()
+	// Nothing can send once closed is set.
 	for _, q := range s.queues {
 		close(q)
 	}

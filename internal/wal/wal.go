@@ -11,15 +11,15 @@
 // Records are framed as [len uint32][crc32c uint32][payload]; a torn
 // frame at the tail (the normal shape of a SIGKILL mid-append) fails the
 // CRC, is truncated away on Open, and its sequence number is reused by
-// the next append. Every append is write(2)-flushed to the OS before it
-// returns, so a process kill never loses acked records in any fsync
-// mode; the fsync policy only decides what a whole-machine crash can
-// take with it:
+// the next append. The log group-commits its appenders itself (see
+// Log), and a committed record has been write(2)-flushed to the OS, so
+// a process kill never loses it in any fsync mode; the fsync policy
+// only decides what a whole-machine crash can take with it:
 //
 //	FsyncNone      no fsync — survives process kill, not power loss
 //	FsyncInterval  fsync at most every SyncEvery — bounded loss window
-//	FsyncAlways    fsync before the append returns — group-committed
-//	               by callers that batch, full durability
+//	FsyncAlways    fsync before the commit returns — one per log write,
+//	               however many appenders' records it carries
 package wal
 
 import (
@@ -33,6 +33,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,9 +82,10 @@ var (
 
 // Options configure a Log.
 type Options struct {
-	// SegmentBytes rolls the active segment once it exceeds this many
-	// bytes (default 8 MiB). Sealed segments are the unit of compaction:
-	// TruncateBefore deletes whole segments below a snapshot watermark.
+	// SegmentBytes rolls the active segment, before the next write,
+	// once it exceeds this many bytes (default 8 MiB). Sealed segments
+	// are the unit of compaction: TruncateBefore deletes whole segments
+	// below a snapshot watermark.
 	SegmentBytes int64
 	// Fsync is the durability policy (default FsyncNone).
 	Fsync Mode
@@ -98,8 +100,8 @@ type Options struct {
 	// the decoder against reading a garbage length as an allocation.
 	MaxRecord int
 	// OnSync, when set, receives the duration of every data-file fsync
-	// (observability hook). It is called with the log's mutex held and
-	// must not block or call back into the log.
+	// (observability hook). It is called with the log's write side held
+	// and must not block or call back into the log.
 	OnSync func(d time.Duration)
 }
 
@@ -127,25 +129,38 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Log is a segmented append-only record log. Appends assign contiguous
-// sequence numbers; segment files are named by the sequence of their
-// first record, so a reader derives every record's sequence from the
-// file name and its position. One goroutine may append at a time (the
-// log serializes internally); Replay is meant for recovery, before
-// concurrent appends start.
+// Log is a segmented append-only record log that group-commits its
+// concurrent appenders: Stage numbers and frames a record in memory,
+// and Commit writes everything staged so far — LevelDB's writer queue,
+// where the front writer commits for everyone queued behind it. Segment
+// roll, interval sync and truncation run on that write side. Segment
+// files are named by the sequence of their first record, so a reader
+// derives every record's sequence from the file name and its position.
+// Replay is meant for recovery, before appends start.
 type Log struct {
 	dir  string
 	opts Options
 
+	// mu is the staging lock: it is held to frame a record into buf or
+	// to take buf for a write, never across IO. Lock order: wmu, mu.
 	mu     sync.Mutex
-	f      *os.File // active segment
-	buf    []byte   // frames not yet written to f
-	segs   []uint64 // base seq of every segment, ascending; last is active
-	next   uint64   // next seq to assign
-	size   int64    // bytes in the active segment
-	dirty  bool     // bytes flushed to the OS but not fsynced
-	err    error    // sticky background sync failure
+	buf    []byte // staged frames, from seq committed+1 on
+	next   uint64 // next seq to assign
+	err    error  // sticky write-path failure
 	closed bool
+
+	// wmu is the write side: held across write(2), fsync, segment roll
+	// and truncation, and guarding what they touch.
+	wmu   sync.Mutex
+	f     *os.File // active segment; nil once closed
+	spare []byte   // the last written buffer, staged into next
+	segs  []uint64 // base seq of every segment, ascending; last is active
+	size  int64    // bytes in the active segment
+	dirty bool     // bytes written to the OS but not fsynced
+
+	// committed is the seq of the last record written (and, under
+	// FsyncAlways, synced).
+	committed atomic.Uint64
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -168,6 +183,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err := l.createSegment(opts.FirstSeq); err != nil {
 			return nil, err
 		}
+		l.next = opts.FirstSeq
 	} else {
 		base := bases[len(bases)-1]
 		count, valid, err := scanSegment(l.segPath(base), opts.MaxRecord)
@@ -188,6 +204,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.next = base + uint64(count)
 		l.size = valid
 	}
+	l.committed.Store(l.next - 1)
 	if opts.Fsync == FsyncInterval {
 		l.wg.Add(1)
 		go l.syncLoop()
@@ -277,18 +294,14 @@ func (l *Log) createSegment(base uint64) error {
 	}
 	l.f = f
 	l.segs = append(l.segs, base)
-	l.next = base
 	l.size = 0
 	return nil
 }
 
 // rollLocked seals the active segment and opens the next one, based at
-// base (normally l.next). Sealed segments are fsynced in the durable
-// modes so compaction never deletes the only synced copy of a record.
+// base. Sealed segments are fsynced in the durable modes so compaction
+// never deletes the only synced copy of a record. Held: wmu.
 func (l *Log) rollLocked(base uint64) error {
-	if err := l.flushLocked(); err != nil {
-		return err
-	}
 	if l.opts.Fsync != FsyncNone {
 		if err := l.syncFile(l.f); err != nil {
 			return err
@@ -306,36 +319,44 @@ func (l *Log) rollLocked(base uint64) error {
 // after a restart to jump past IDs that may have been assigned live
 // but lost from the journal's tail — re-issuing those to different
 // records would let a resuming consumer mistake fresh data for
-// already-seen. No-op when seq is not ahead of the log.
+// already-seen. No-op when seq is not ahead of the log. Like Replay it
+// belongs before appends start.
 func (l *Log) SkipTo(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if seq <= l.next {
-		return nil
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if _, _, err := l.writeLocked(); err != nil || seq <= l.committed.Load()+1 {
+		return err
 	}
 	if err := l.rollLocked(seq); err != nil {
-		return l.failLocked(fmt.Errorf("wal: skip to %d: %w", seq, err))
+		return l.fail(fmt.Errorf("wal: skip to %d: %w", seq, err))
 	}
+	l.mu.Lock()
+	l.next = seq
+	l.mu.Unlock()
+	l.committed.Store(seq - 1)
 	return nil
 }
 
-// Append writes one record and returns its sequence number, honouring
-// the fsync policy. The payload reaches the OS (write(2)) before Append
-// returns in every mode.
+// Append stages one record and commits it, returning its sequence
+// number (meaningless with an error).
 func (l *Log) Append(p []byte) (uint64, error) {
-	return l.AppendBatch([][]byte{p})
+	seq, err := l.Stage(p)
+	if err == nil {
+		_, _, err = l.Commit(seq)
+	}
+	return seq, err
 }
 
-// AppendBatch writes records contiguously and returns the sequence of
-// the last. In FsyncAlways mode the whole batch is covered by a single
-// fsync — the group-commit path for callers that queue writes.
-func (l *Log) AppendBatch(ps [][]byte) (uint64, error) {
+// Stage assigns p the next sequence number and frames it into the
+// staging buffer; it waits on no IO, so a caller may stage under a lock
+// of its own to bind its order to the log's. The record reaches the log
+// at the first Commit through its seq or any later one; until then a
+// crash loses it along with every record staged after it. A log that
+// failed (see fail) or closed stages nothing.
+func (l *Log) Stage(p []byte) (uint64, error) {
+	if len(p) == 0 || len(p) > l.opts.MaxRecord {
+		return 0, ErrTooBig
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -344,49 +365,84 @@ func (l *Log) AppendBatch(ps [][]byte) (uint64, error) {
 	if l.err != nil {
 		return 0, l.err
 	}
-	if len(ps) == 0 {
-		return l.next - 1, nil
+	l.buf = append(appendFrameHeader(l.buf, p), p...)
+	seq := l.next
+	l.next++
+	return seq, nil
+}
+
+// Commit returns once every record staged through seq is written to the
+// OS and, under FsyncAlways, synced. A committer that finds the write
+// side busy waits, and then usually finds its record written by the one
+// ahead of it; otherwise it writes everything staged so far, with one
+// write(2) and one fsync. It returns the seqs of the first and the last
+// record this call wrote, both 0 when an earlier write covered seq. A
+// failed write poisons the log, and every record it did not cover
+// reports the failure.
+func (l *Log) Commit(seq uint64) (first, last uint64, err error) {
+	if l.committed.Load() >= seq {
+		return 0, 0, nil
 	}
-	// Validate the whole batch before buffering any of it: rejecting a
-	// record mid-batch would leave its predecessors buffered with
-	// sequence numbers assigned — flushed by the next successful append
-	// as phantom records of a batch the caller was told failed.
-	for _, p := range ps {
-		if len(p) == 0 || len(p) > l.opts.MaxRecord {
-			return 0, ErrTooBig
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.committed.Load() >= seq {
+		return 0, 0, nil
+	}
+	first, last, err = l.writeLocked()
+	if err == nil && last < seq {
+		err = fmt.Errorf("wal: commit of seq %d, never staged", seq)
+	}
+	return first, last, err
+}
+
+// maxRetainedBuf bounds the staging buffer a write hands back for reuse:
+// one outsized group must not pin its buffer for the life of the log.
+const maxRetainedBuf = 1 << 20
+
+// writeLocked writes every staged frame with one write(2) — into a new
+// segment when the active one is full, so a write never spans two — and
+// under FsyncAlways syncs them. It returns the seqs of the first and
+// the last record written (0, 0: nothing was staged). Held: wmu.
+func (l *Log) writeLocked() (first, last uint64, err error) {
+	if l.f == nil {
+		return 0, 0, ErrClosed
+	}
+	l.mu.Lock()
+	b := l.buf
+	last, err = l.next-1, l.err
+	if err == nil {
+		l.buf, l.spare = l.spare[:0], nil
+	}
+	l.mu.Unlock()
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(b) == 0 {
+		l.spare = b
+		return 0, 0, nil
+	}
+	first = l.committed.Load() + 1
+	if l.size >= l.opts.SegmentBytes {
+		if err := l.rollLocked(first); err != nil {
+			return 0, 0, l.fail(fmt.Errorf("wal: roll segment: %w", err))
 		}
 	}
-	for _, p := range ps {
-		if l.size >= l.opts.SegmentBytes {
-			if err := l.rollLocked(l.next); err != nil {
-				return 0, l.failLocked(fmt.Errorf("wal: roll segment: %w", err))
-			}
-		}
-		l.buf = append(appendFrameHeader(l.buf, p), p...)
-		l.size += frameHeader + int64(len(p))
-		l.next++
+	if _, err := l.f.Write(b); err != nil {
+		return 0, 0, l.fail(fmt.Errorf("wal: %w", err))
 	}
-	if err := l.flushLocked(); err != nil {
-		return 0, l.failLocked(fmt.Errorf("wal: %w", err))
-	}
+	l.size += int64(len(b))
 	if l.opts.Fsync == FsyncAlways {
 		if err := l.syncFile(l.f); err != nil {
-			return 0, l.failLocked(fmt.Errorf("wal: %w", err))
+			return 0, 0, l.fail(fmt.Errorf("wal: %w", err))
 		}
 	} else {
 		l.dirty = true
 	}
-	return l.next - 1, nil
-}
-
-// flushLocked writes the buffered frames to the active segment.
-func (l *Log) flushLocked() error {
-	if len(l.buf) == 0 {
-		return nil
+	if cap(b) <= maxRetainedBuf {
+		l.spare = b[:0]
 	}
-	_, err := l.f.Write(l.buf)
-	l.buf = l.buf[:0]
-	return err
+	l.committed.Store(last)
+	return first, last, nil
 }
 
 // syncFile fsyncs one of the log's data files, reporting the stall to
@@ -401,53 +457,43 @@ func (l *Log) syncFile(f *os.File) error {
 	return err
 }
 
-// failLocked poisons the log after a write-path failure. A failed or
-// short write can leave a torn frame mid-segment; anything appended
-// after it would sit beyond the tear and be silently truncated by the
-// next recovery scan — acked-but-unrecoverable, the one thing a WAL
-// must never produce. So the first failure is sticky: every later
-// append fails fast until the log is reopened (which truncates at the
+// fail poisons the log after a write-path failure. A failed or short
+// write can leave a torn frame mid-segment; anything appended after it
+// would sit beyond the tear and be silently truncated by the next
+// recovery scan — acked-but-unrecoverable, the one thing a WAL must
+// never produce. So the first failure is sticky: every later stage and
+// commit fails fast until the log is reopened (which truncates at the
 // tear and restores the invariant).
-func (l *Log) failLocked(err error) error {
+func (l *Log) fail(err error) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	if l.err == nil {
 		l.err = err
 	}
 	return err
 }
 
-// Sync flushes and fsyncs the active segment. Like append failures, a
-// sync failure poisons the log (see failLocked).
+// Sync writes what is staged and fsyncs the active segment. Like a
+// failed write, a failed sync poisons the log (see fail).
 func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.syncLocked(); err != nil {
-		if !errors.Is(err, ErrClosed) {
-			return l.failLocked(err)
-		}
-		return err
-	}
-	return nil
-}
-
-func (l *Log) syncLocked() error {
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.flushLocked(); err != nil {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if _, _, err := l.writeLocked(); err != nil {
 		return err
 	}
 	if !l.dirty {
 		return nil
 	}
 	if err := l.syncFile(l.f); err != nil {
-		return err
+		return l.fail(fmt.Errorf("wal: %w", err))
 	}
 	l.dirty = false
 	return nil
 }
 
-// syncLoop is the FsyncInterval background syncer; a failure parks in
-// l.err so the next Append surfaces it instead of acking unsynced data.
+// syncLoop is the FsyncInterval background syncer; a failure poisons
+// the log, so the next Stage or Commit surfaces it instead of acking
+// unsynced data.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
 	t := time.NewTicker(l.opts.SyncEvery)
@@ -455,21 +501,15 @@ func (l *Log) syncLoop() {
 	for {
 		select {
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				if err := l.syncLocked(); err != nil && l.err == nil {
-					l.err = err
-				}
-			}
-			l.mu.Unlock()
+			_ = l.Sync() //lint:ignore closecheck a failure is sticky in l.err, where the next Stage or Commit reports it
 		case <-l.stop:
 			return
 		}
 	}
 }
 
-// LastSeq returns the sequence of the most recent record (FirstSeq-1
-// when the log is empty).
+// LastSeq returns the sequence of the most recently staged record
+// (FirstSeq-1 when the log is empty).
 func (l *Log) LastSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -478,23 +518,21 @@ func (l *Log) LastSeq() uint64 {
 
 // Segments reports how many segment files the log currently spans.
 func (l *Log) Segments() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
 	return len(l.segs)
 }
 
 // Replay streams every record with sequence > after, in order. A torn
 // tail in the last segment ends the replay cleanly; corruption in an
 // earlier segment is unreachable-data loss and is returned as an error
-// wrapping ErrCorrupt. The log is locked for the duration — Replay is a
-// recovery-time operation.
+// wrapping ErrCorrupt. What is staged is written first, and the write
+// side stays locked for the duration — Replay is a recovery-time
+// operation.
 func (l *Log) Replay(after uint64, fn func(seq uint64, rec []byte) error) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.flushLocked(); err != nil {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if _, _, err := l.writeLocked(); err != nil {
 		return err
 	}
 	return replaySegments(l.dir, l.segs, l.opts.MaxRecord, after, fn)
@@ -578,9 +616,9 @@ func replaySegment(path string, base uint64, limit int, last bool, after uint64,
 // sequence < seq — the compaction step after a snapshot at seq-1. The
 // active segment is never deleted.
 func (l *Log) TruncateBefore(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if l.f == nil {
 		return ErrClosed
 	}
 	kept := l.segs[:0]
@@ -598,26 +636,29 @@ func (l *Log) TruncateBefore(seq uint64) error {
 	return nil
 }
 
-// Close flushes, fsyncs and closes the log. Safe to call twice.
+// Close writes what is staged, fsyncs and closes the log; it stages
+// nothing from its start on. Safe to call twice, and a commit of a
+// record staged before Close returns once Close has written it.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return nil
 	}
-	close(l.stop)
+	l.closed = true
 	l.mu.Unlock()
+	close(l.stop)
 	l.wg.Wait()
 
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	err := l.flushLocked()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	_, _, err := l.writeLocked()
 	if serr := l.f.Sync(); err == nil {
 		err = serr
 	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.closed = true
+	l.f = nil
 	return err
 }

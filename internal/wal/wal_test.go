@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -218,21 +220,115 @@ func TestSegmentRollAndTruncateBefore(t *testing.T) {
 	}
 }
 
-func TestAppendBatchGroupAndTooBig(t *testing.T) {
+func TestStageGroupAndTooBig(t *testing.T) {
 	l, err := Open(t.TempDir(), Options{MaxRecord: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	last, err := l.AppendBatch([][]byte{[]byte("a"), []byte("b"), []byte("c")})
-	if err != nil || last != 3 {
-		t.Fatalf("batch = %d, %v", last, err)
+	for i, p := range []string{"a", "b", "c"} {
+		if seq, err := l.Stage([]byte(p)); err != nil || seq != uint64(i+1) {
+			t.Fatalf("stage %q = %d, %v; want %d", p, seq, err, i+1)
+		}
+	}
+	if first, last, err := l.Commit(2); err != nil || first != 1 || last != 3 {
+		t.Fatalf("commit through 2 = %d..%d, %v; want the whole group, 1..3", first, last, err)
+	}
+	if first, last, err := l.Commit(3); err != nil || first != 0 || last != 0 {
+		t.Fatalf("commit of a written seq = %d..%d, %v; want nothing written", first, last, err)
 	}
 	if _, err := l.Append(bytes.Repeat([]byte("x"), 9)); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized append err = %v", err)
 	}
-	if _, err := l.Append(nil); !errors.Is(err, ErrTooBig) {
-		t.Fatalf("empty append err = %v", err)
+	if _, err := l.Stage(nil); !errors.Is(err, ErrTooBig) {
+		t.Fatalf("empty stage err = %v", err)
+	}
+	if seq, err := l.Append([]byte("d")); err != nil || seq != 4 {
+		t.Fatalf("append after refusals = %d, %v; want 4", seq, err)
+	}
+}
+
+// TestGroupCommitConcurrentAppenders: appenders staging and committing
+// concurrently under FsyncAlways get contiguous seqs, every record
+// replays under its seq, and the committers share fsyncs — a commit
+// that finds its record written by the one ahead of it syncs nothing.
+func TestGroupCommitConcurrentAppenders(t *testing.T) {
+	const appenders, each = 8, 40
+	dir := t.TempDir()
+	var syncs atomic.Int64
+	l, err := Open(dir, Options{Fsync: FsyncAlways, OnSync: func(time.Duration) { syncs.Add(1) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	want := map[uint64]string{}
+	run := func(phase string, commitAfterAll bool) {
+		var staged, done sync.WaitGroup
+		staged.Add(appenders)
+		errs := make(chan error, appenders)
+		for g := 0; g < appenders; g++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				seqs := make([]uint64, 0, each)
+				for i := 0; i < each; i++ {
+					p := fmt.Sprintf("%s/%d/%d", phase, g, i)
+					seq, err := l.Stage([]byte(p))
+					if err != nil {
+						errs <- err
+						staged.Done()
+						return
+					}
+					mu.Lock()
+					want[seq] = p
+					mu.Unlock()
+					if !commitAfterAll {
+						if _, _, err := l.Commit(seq); err != nil {
+							errs <- err
+						}
+					}
+					seqs = append(seqs, seq)
+				}
+				staged.Done()
+				if commitAfterAll {
+					staged.Wait()
+					for _, seq := range seqs {
+						if _, _, err := l.Commit(seq); err != nil {
+							errs <- err
+						}
+					}
+				}
+			}()
+		}
+		done.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+	run("free", false)  // stage and commit as each appender goes
+	run("queued", true) // everyone staged before anyone commits
+	commits := 2 * appenders * each
+	t.Logf("%d fsyncs for %d commits", syncs.Load(), commits)
+	if n := syncs.Load(); n == 0 || n >= int64(commits) {
+		t.Fatalf("%d fsyncs for %d commits; want at least one and fewer than one a commit", n, commits)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	seqs, recs := collect(t, l2, 0)
+	if len(seqs) != commits {
+		t.Fatalf("replayed %d records, want %d", len(seqs), commits)
+	}
+	for i, seq := range seqs {
+		if seq != uint64(i+1) || string(recs[i]) != want[seq] {
+			t.Fatalf("record %d replays as seq %d %q; want seq %d %q", i, seq, recs[i], i+1, want[uint64(i+1)])
+		}
 	}
 }
 

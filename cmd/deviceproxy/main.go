@@ -26,13 +26,10 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/client"
-	"repro/internal/dataformat"
+	"repro/internal/core"
 	"repro/internal/deviceproxy"
-	"repro/internal/protocol/enocean"
-	"repro/internal/protocol/ieee802154"
 	"repro/internal/tsdb"
 	"repro/internal/wal"
-	"repro/internal/wsn"
 )
 
 func main() {
@@ -55,15 +52,11 @@ func main() {
 		logger.Fatal("missing -uri")
 	}
 
-	signals := map[dataformat.Quantity]wsn.Signal{
-		dataformat.Temperature: {Base: 21, Amplitude: 2, Period: 24 * time.Hour, NoiseStd: 0.1, Min: -10, Max: 40},
-		dataformat.Humidity:    {Base: 45, Amplitude: 8, Period: 24 * time.Hour, NoiseStd: 0.8, Min: 0, Max: 100},
-	}
-	driver, cleanup, actuates, err := buildDriver(*protocol, signals, *seed, *poll)
+	opts, stop, err := core.SimulatedDevice(core.Protocol(*protocol), *seed, *poll)
 	if err != nil {
-		logger.Fatalf("driver: %v", err)
+		logger.Fatalf("device: %v", err)
 	}
-	defer cleanup()
+	defer stop()
 
 	var writer deviceproxy.SampleWriter
 	if *ingestURL != "" {
@@ -99,20 +92,14 @@ func main() {
 		}
 	}
 
-	proxy, err := deviceproxy.New(deviceproxy.Options{
-		DeviceURI:            *uri,
-		Name:                 *protocol + " device",
-		Driver:               driver,
-		Senses:               []dataformat.Quantity{dataformat.Temperature, dataformat.Humidity},
-		Actuates:             actuates,
-		PollEvery:            *poll,
-		LocalEngine:          localEngine,
-		Writer:               writer,
-		MasterURL:            *masterURL,
-		RateLimit:            limiter,
-		DisableLegacyAliases: !*legacy,
-		EnablePprof:          *pprof,
-	})
+	opts.DeviceURI = *uri
+	opts.LocalEngine = localEngine
+	opts.Writer = writer
+	opts.MasterURL = *masterURL
+	opts.RateLimit = limiter
+	opts.DisableLegacyAliases = !*legacy
+	opts.EnablePprof = *pprof
+	proxy, err := deviceproxy.New(opts)
 	if err != nil {
 		logger.Fatalf("proxy: %v", err)
 	}
@@ -127,55 +114,4 @@ func main() {
 	<-sig
 	logger.Print("shutting down")
 	proxy.Close()
-}
-
-// buildDriver wires one simulated device plus its driver.
-func buildDriver(protocol string, signals map[dataformat.Quantity]wsn.Signal, seed int64, poll time.Duration) (deviceproxy.Driver, func(), []dataformat.Quantity, error) {
-	switch protocol {
-	case "ieee802.15.4":
-		radio := ieee802154.NewRadio(ieee802154.RadioOptions{Seed: seed})
-		node, err := wsn.NewNode802154(radio, 0x0D15, 0x0010, signals, seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		drv, err := wsn.NewDriver802154(radio, 0x0D15, 0x0001, 0x0010, len(signals))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return drv, func() { node.Close(); radio.Close() }, nil, nil
-	case "zigbee":
-		radio := ieee802154.NewRadio(ieee802154.RadioOptions{Seed: seed})
-		node, err := wsn.NewNodeZigbee(radio, 0x0D15, 0x0020, signals, true, seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		drv, err := wsn.NewDriverZigbee(radio, 0x0D15, 0x0002, 0x0020,
-			[]dataformat.Quantity{dataformat.Temperature, dataformat.Humidity, dataformat.SwitchState})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return drv, func() { node.Close(); radio.Close() }, []dataformat.Quantity{dataformat.SwitchState}, nil
-	case "enocean":
-		link := &wsn.SerialLink{}
-		node := wsn.NewNodeEnOcean(link, enocean.EEPTempHumA50401, 0x01800001, signals, seed)
-		node.Start(poll / 2)
-		node.Emit()
-		drv := wsn.NewDriverEnOcean(link, enocean.EEPTempHumA50401, 0x01800001, nil)
-		return drv, node.Close, nil, nil
-	case "opc-ua":
-		node, err := wsn.NewNodeOPCUA(signals, []dataformat.Quantity{dataformat.Temperature}, seed)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		drv, err := wsn.NewDriverOPCUA(node.Addr(),
-			[]dataformat.Quantity{dataformat.Temperature, dataformat.Humidity},
-			[]dataformat.Quantity{dataformat.Temperature})
-		if err != nil {
-			node.Close()
-			return nil, nil, nil, err
-		}
-		return drv, node.Close, []dataformat.Quantity{dataformat.Temperature}, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown protocol %q", protocol)
-	}
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // Cluster commands: "cluster status" renders the master's shard map and
-// every node's shard-level state (ownership, on-disk size, WAL depth);
+// every node's shard-level state from its /v1/storage report
+// (ownership, on-disk size, WAL depth);
 // "cluster move <shard> <node>" performs a live shard handoff —
 // freeze, archive copy, replay on the target, map flip, release — while
 // ingest keeps running against the coordinator.
@@ -34,8 +35,7 @@ func cmdCluster(ctx context.Context, c *client.Client, args []string) error {
 func cmdClusterStatus(ctx context.Context, c *client.Client, args []string) error {
 	fs := flag.NewFlagSet("cluster status", flag.ExitOnError)
 	fs.Parse(args)
-	cc := c.Cluster()
-	m, err := cc.Map(ctx)
+	m, err := c.Cluster().Map(ctx)
 	if err != nil {
 		return fmt.Errorf("shard map: %w", err)
 	}
@@ -43,7 +43,7 @@ func cmdClusterStatus(ctx context.Context, c *client.Client, args []string) erro
 	tw := tabwriter.NewWriter(os.Stdout, 2, 8, 2, ' ', 0)
 	fmt.Fprintln(tw, "NODE\tSHARD\tOWNED\tMOVING\tSERIES\tSAMPLES\tDISK\tWAL ROWS\tWAL SEGS")
 	for _, node := range m.Nodes() {
-		st, err := cc.NodeStatus(ctx, node)
+		st, err := c.Ops(node).StorageStatus(ctx)
 		if err != nil {
 			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\t-\t-\t(%v)\n", node, err)
 			continue

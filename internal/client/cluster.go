@@ -9,12 +9,11 @@ import (
 
 	"repro/internal/api"
 	"repro/internal/cluster"
-	"repro/internal/measuredb"
 )
 
 // ClusterClient is the cluster-operations sub-client: it reads and
-// publishes the master's shard map, inspects node shard state, and
-// orchestrates live shard handoffs.
+// publishes the master's shard map and orchestrates live shard
+// handoffs. A node's shard state is its /v1/storage report (Ops).
 type ClusterClient struct {
 	c *Client
 }
@@ -43,16 +42,6 @@ func (cc *ClusterClient) MoveShard(ctx context.Context, shard int, node string) 
 		return cluster.Map{}, err
 	}
 	return out, nil
-}
-
-// NodeStatus fetches one node's cluster status (map view, per-shard
-// ownership, sizes, WAL depth).
-func (cc *ClusterClient) NodeStatus(ctx context.Context, node string) (*measuredb.ClusterNodeStatus, error) {
-	var out measuredb.ClusterNodeStatus
-	if err := cc.c.transport().GetJSON(ctx, api.URL(node, "/cluster/status"), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
 }
 
 // MoveReport summarizes one completed shard handoff.

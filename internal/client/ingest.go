@@ -206,7 +206,9 @@ func (b *Batcher) take(threshold int) []measuredb.Point {
 	return rows
 }
 
-// flush delivers one taken batch.
+// flush delivers one taken batch. Append mints the batch's
+// Idempotency-Key, and the transport retries under it, so a batch a node
+// applied but whose answer was lost replays rather than re-applies.
 func (b *Batcher) flush(rows []measuredb.Point) {
 	if len(rows) == 0 {
 		return

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -132,6 +133,58 @@ func TestIngestBatcherSizeFlush(t *testing.T) {
 	}
 	if err := b.Add(ingestRow(99)); err != ErrBatcherClosed {
 		t.Fatalf("Add after close = %v", err)
+	}
+}
+
+// TestIngestBatcherRetryAppliesOnce: a batch the node applied but whose
+// answer was lost — the first POST passes through and is answered 503
+// anyway — is retried by the transport under the same Idempotency-Key,
+// so the node replays it and holds every row once.
+func TestIngestBatcherRetryAppliesOnce(t *testing.T) {
+	svc := measuredb.New(measuredb.Options{})
+	t.Cleanup(svc.Close)
+	node := svc.Handler()
+	var mu sync.Mutex
+	var keys []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			node.ServeHTTP(w, r)
+			return
+		}
+		mu.Lock()
+		keys = append(keys, r.Header.Get("Idempotency-Key"))
+		first := len(keys) == 1
+		mu.Unlock()
+		if !first {
+			node.ServeHTTP(w, r)
+			return
+		}
+		node.ServeHTTP(httptest.NewRecorder(), r) // applied, answer lost
+		w.Header().Set("Retry-After", "0")
+		http.Error(w, "lost", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ts.Close)
+	c := &Client{MasterURL: "http://unused/", BaseDelay: time.Millisecond}
+	var delivered atomic.Int64
+	b := c.Ingest(ts.URL).Batcher(BatcherOptions{
+		MaxRows:    4,
+		FlushEvery: -1,
+		OnError:    func(_ int, err error) { t.Errorf("flush: %v", err) },
+		OnResult:   func(r *measuredb.IngestResult) { delivered.Add(int64(r.Accepted)) },
+	})
+	for i := 0; i < 8; i++ {
+		if err := b.Add(ingestRow(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b.Close()
+	mu.Lock()
+	defer mu.Unlock()
+	if got := svc.Store().Len(tsdb.SeriesKey{Device: measDevice, Quantity: "temperature"}); got != 8 || delivered.Load() != 8 {
+		t.Fatalf("stored %d rows, delivered %d; want each of 8 once", got, delivered.Load())
+	}
+	if len(keys) != 3 || keys[0] == "" || keys[0] != keys[1] || keys[2] == keys[0] {
+		t.Fatalf("Idempotency-Keys of the attempts = %q; want the retry under its batch's key and a fresh one per batch", keys)
 	}
 }
 

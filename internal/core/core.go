@@ -448,80 +448,84 @@ func (d *District) addBuilding(districtURI string, index int) error {
 	return nil
 }
 
-// addDevice spins one simulated device and its device proxy.
-func (d *District) addDevice(deviceURI string, proto Protocol, seed int64) error {
-	signals := map[dataformat.Quantity]wsn.Signal{
-		dataformat.Temperature: {Base: 21, Amplitude: 2, Period: 24 * time.Hour, NoiseStd: 0.1, Min: -10, Max: 40},
-		dataformat.Humidity:    {Base: 45, Amplitude: 8, Period: 24 * time.Hour, NoiseStd: 0.8, Min: 0, Max: 100},
+// SimulatedDevice wires one simulated device of proto — its radio or
+// serial link, a node sensing wsn.DefaultSignals, and the driver that
+// polls it — and returns the device-proxy options the device decides:
+// Name, Driver, Senses, Actuates and PollEvery. The caller sets the
+// rest and calls stop once the proxy is closed.
+func SimulatedDevice(proto Protocol, seed int64, poll time.Duration) (opts deviceproxy.Options, stop func(), err error) {
+	signals := wsn.DefaultSignals()
+	opts = deviceproxy.Options{
+		Name:      string(proto) + " device",
+		Senses:    []dataformat.Quantity{dataformat.Temperature, dataformat.Humidity},
+		PollEvery: poll,
 	}
-	senses := []dataformat.Quantity{dataformat.Temperature, dataformat.Humidity}
-	var driver deviceproxy.Driver
-	var actuates []dataformat.Quantity
 	switch proto {
 	case ProtoIEEE802154:
 		radio := ieee802154.NewRadio(ieee802154.RadioOptions{Seed: seed})
 		node, err := wsn.NewNode802154(radio, 0x0D15, 0x0010, signals, seed)
 		if err != nil {
-			return err
+			radio.Close()
+			return opts, nil, err
 		}
-		drv, err := wsn.NewDriver802154(radio, 0x0D15, 0x0001, 0x0010, len(signals))
-		if err != nil {
-			return err
+		if opts.Driver, err = wsn.NewDriver802154(radio, 0x0D15, 0x0001, 0x0010, len(signals)); err != nil {
+			node.Close()
+			radio.Close()
+			return opts, nil, err
 		}
-		driver = drv
-		d.closers = append(d.closers, node.Close, radio.Close)
+		return opts, func() { node.Close(); radio.Close() }, nil
 	case ProtoZigBee:
+		opts.Senses = append(opts.Senses, dataformat.SwitchState)
+		opts.Actuates = []dataformat.Quantity{dataformat.SwitchState}
 		radio := ieee802154.NewRadio(ieee802154.RadioOptions{Seed: seed})
 		node, err := wsn.NewNodeZigbee(radio, 0x0D15, 0x0020, signals, true, seed)
 		if err != nil {
-			return err
+			radio.Close()
+			return opts, nil, err
 		}
-		drv, err := wsn.NewDriverZigbee(radio, 0x0D15, 0x0002, 0x0020,
-			[]dataformat.Quantity{dataformat.Temperature, dataformat.Humidity, dataformat.SwitchState})
-		if err != nil {
-			return err
+		if opts.Driver, err = wsn.NewDriverZigbee(radio, 0x0D15, 0x0002, 0x0020, opts.Senses); err != nil {
+			node.Close()
+			radio.Close()
+			return opts, nil, err
 		}
-		driver = drv
-		senses = append(senses, dataformat.SwitchState)
-		actuates = []dataformat.Quantity{dataformat.SwitchState}
-		d.closers = append(d.closers, node.Close, radio.Close)
+		return opts, func() { node.Close(); radio.Close() }, nil
 	case ProtoEnOcean:
 		link := &wsn.SerialLink{}
 		sender := uint32(0x01800000) + uint32(seed&0xFFFF)
 		node := wsn.NewNodeEnOcean(link, enocean.EEPTempHumA50401, sender, signals, seed)
-		node.Start(d.Spec.PollEvery / 2)
+		node.Start(poll / 2)
 		node.Emit() // make the first poll succeed immediately
-		driver = wsn.NewDriverEnOcean(link, enocean.EEPTempHumA50401, sender, nil)
-		d.closers = append(d.closers, node.Close)
+		opts.Driver = wsn.NewDriverEnOcean(link, enocean.EEPTempHumA50401, sender, nil)
+		return opts, node.Close, nil
 	case ProtoOPCUA:
-		node, err := wsn.NewNodeOPCUA(signals, []dataformat.Quantity{dataformat.Temperature}, seed)
+		opts.Actuates = []dataformat.Quantity{dataformat.Temperature}
+		node, err := wsn.NewNodeOPCUA(signals, opts.Actuates, seed)
 		if err != nil {
-			return err
+			return opts, nil, err
 		}
-		drv, err := wsn.NewDriverOPCUA(node.Addr(), senses, []dataformat.Quantity{dataformat.Temperature})
-		if err != nil {
+		if opts.Driver, err = wsn.NewDriverOPCUA(node.Addr(), opts.Senses, opts.Actuates); err != nil {
 			node.Close()
-			return err
+			return opts, nil, err
 		}
-		driver = drv
-		actuates = []dataformat.Quantity{dataformat.Temperature}
-		d.closers = append(d.closers, node.Close)
+		return opts, node.Close, nil
 	default:
-		return fmt.Errorf("core: unknown protocol %q", proto)
+		return opts, nil, fmt.Errorf("core: unknown protocol %q", proto)
 	}
+}
 
-	proxy, err := deviceproxy.New(deviceproxy.Options{
-		DeviceURI:            deviceURI,
-		Name:                 string(proto) + " device",
-		Driver:               driver,
-		Senses:               senses,
-		Actuates:             actuates,
-		PollEvery:            d.Spec.PollEvery,
-		MasterURL:            d.MasterURL,
-		DisableLegacyAliases: !d.Spec.LegacyAliases,
-		EnablePprof:          d.Spec.EnablePprof,
-		Writer:               d.ingest,
-	})
+// addDevice spins one simulated device and its device proxy.
+func (d *District) addDevice(deviceURI string, proto Protocol, seed int64) error {
+	opts, stop, err := SimulatedDevice(proto, seed, d.Spec.PollEvery)
+	if err != nil {
+		return err
+	}
+	d.closers = append(d.closers, stop)
+	opts.DeviceURI = deviceURI
+	opts.MasterURL = d.MasterURL
+	opts.DisableLegacyAliases = !d.Spec.LegacyAliases
+	opts.EnablePprof = d.Spec.EnablePprof
+	opts.Writer = d.ingest
+	proxy, err := deviceproxy.New(opts)
 	if err != nil {
 		return err
 	}

@@ -496,3 +496,34 @@ func TestBuildAreaModelHistoryPagesPastTheBatchLimit(t *testing.T) {
 		t.Fatalf("one-minute history = %d samples (err=%v), want the two polled rows", len(model.MeasurementsFor(device)), err)
 	}
 }
+
+// TestSimulatedDevicePollsWhatItAdvertises: every protocol's simulated
+// device reports on its first poll only quantities its options advertise
+// in /v1/info (Senses), and senses each of them.
+func TestSimulatedDevicePollsWhatItAdvertises(t *testing.T) {
+	for _, proto := range AllProtocols {
+		t.Run(string(proto), func(t *testing.T) {
+			opts, stop, err := SimulatedDevice(proto, 1, 50*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			defer opts.Driver.Close()
+			readings, err := opts.Driver.Poll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			polled := map[dataformat.Quantity]bool{}
+			for _, r := range readings {
+				polled[r.Quantity] = true
+			}
+			advertised := map[dataformat.Quantity]bool{}
+			for _, q := range opts.Senses {
+				advertised[q] = true
+			}
+			if !reflect.DeepEqual(polled, advertised) {
+				t.Fatalf("first poll reports %v, the device advertises %v", polled, opts.Senses)
+			}
+		})
+	}
+}

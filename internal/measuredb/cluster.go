@@ -28,7 +28,6 @@ import (
 // retryable 503 envelopes (the coordinator re-resolves the map and
 // retries against the new owner), and serves the handoff plane:
 //
-//	GET  /v1/cluster/status                      per-shard ownership + sizes
 //	POST /v1/cluster/shards/{shard}/freeze       stop writes, drain, fsync
 //	GET  /v1/cluster/shards/{shard}/archive      stream the shard directory
 //	POST /v1/cluster/shards/{shard}/restore      replay an archived shard
@@ -40,7 +39,8 @@ import (
 // because: rows rejected during the freeze were never journaled (the
 // coordinator retries them against the new owner), the restore replays
 // a byte-complete frozen directory, and release only wipes the source
-// copy after re-resolving the map and seeing ownership gone.
+// copy after re-resolving the map and seeing ownership gone. The node's
+// shard report, ownership and freezes included, is /v1/storage.
 //
 // Write admission runs inside the one ingest body (v2Ingest) for POST
 // and PUT alike: where a plain node applies an NDJSON body while reading
@@ -230,64 +230,10 @@ func (g *ingester) admit(r *http.Request, pts []Point) error {
 // mountCluster registers the node-side cluster plane (clustered nodes
 // only).
 func (s *Service) mountCluster(srv *api.Server) {
-	srv.HandleFunc(http.MethodGet, "/cluster/status", s.clusterStatus)
 	srv.HandleFunc(http.MethodPost, "/cluster/shards/{shard}/freeze", s.clusterFreeze)
 	srv.HandleFunc(http.MethodGet, "/cluster/shards/{shard}/archive", s.clusterArchive)
 	srv.HandleFunc(http.MethodPost, "/cluster/shards/{shard}/restore", s.clusterRestore)
 	srv.HandleFunc(http.MethodPost, "/cluster/shards/{shard}/release", s.clusterRelease)
-}
-
-// ClusterShardStatus is one shard's slice of a node status report.
-type ClusterShardStatus struct {
-	tsdb.ShardStatus
-	Owned     bool  `json:"owned"`
-	Moving    bool  `json:"moving,omitempty"`
-	DiskBytes int64 `json:"disk_bytes,omitempty"`
-}
-
-// ClusterNodeStatus is the GET /v1/cluster/status body.
-type ClusterNodeStatus struct {
-	Self   string               `json:"self,omitempty"`
-	Epoch  uint64               `json:"epoch"`
-	Shards []ClusterShardStatus `json:"shards"`
-}
-
-// clusterStatus reports the node's map view and per-shard counters —
-// the per-node half of `districtctl cluster status`.
-func (s *Service) clusterStatus(w http.ResponseWriter, r *http.Request) {
-	sh := s.clusterEngine()
-	c := s.cnode
-	m, _ := c.res.Get(r.Context())
-	self := c.selfURL()
-	out := ClusterNodeStatus{Self: self, Epoch: m.Epoch}
-	for i := 0; i < sh.NumShards(); i++ {
-		st := ClusterShardStatus{
-			ShardStatus: sh.ShardStatus(i),
-			Owned:       self != "" && m.Owner(i) == self,
-			Moving:      c.isMoving(i),
-		}
-		if st.Dir != "" {
-			st.DiskBytes = dirBytes(st.Dir)
-		}
-		out.Shards = append(out.Shards, st)
-	}
-	api.WriteJSON(w, http.StatusOK, out)
-}
-
-// dirBytes sums the regular files directly inside dir (shard
-// directories are flat).
-func dirBytes(dir string) int64 {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	for _, e := range ents {
-		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
-			n += info.Size()
-		}
-	}
-	return n
 }
 
 // clusterShardArg parses the {shard} path parameter against the engine.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -339,32 +340,35 @@ func TestClusterRoutingAndGuards(t *testing.T) {
 	}
 }
 
-// TestIngestBodySameOnEveryEntrance posts the same bodies to a plain
-// node, to a clustered node and through the coordinator: one decoder
-// reads all three, so status, message and per-row outcome agree — a
-// JSON batch fails whole, an NDJSON stream keeps the rows before its
-// first malformed line and rejects that line at its index.
+// TestIngestBodySameOnEveryEntrance posts and PUTs the same bodies to a
+// plain node, to a clustered node and through the coordinator: one
+// decoder and one ingest body read all three, so status, message and
+// per-row outcome agree — a JSON batch fails whole, an NDJSON stream
+// keeps the rows before its first malformed line and rejects that line
+// at its index, and a PUT's rows are located at their body index.
 func TestIngestBodySameOnEveryEntrance(t *testing.T) {
 	const shards = 4
 	tc := newTestCluster(t, shards)
 	_, plain := newTestServer(t)
 	dev := deviceInShard(0, shards) // owned by node 0
 	entrances := []string{plain.URL, tc.nodeURLs[0], tc.coordURL}
+	samples := "/v2/series/" + api.PathSegment(dev) + "/temp/samples"
 
 	for _, c := range []struct {
 		name, query, contentType, body string
 		status                         int
 		want                           string // error message, or the whole summary envelope
+		put                            bool   // PUT to samples, not POST to /v2/ingest
 	}{
 		{"bad encoding", "?encoding=xml", "application/json", `{}`, http.StatusBadRequest,
-			`bad encoding "xml" (want json or ndjson)`},
+			`bad encoding "xml" (want json or ndjson)`, false},
 		{"malformed batch", "", "application/json", `{"rows":[{"device":"` + dev + `","value":}]}`, http.StatusBadRequest,
-			`bad request body: invalid character '}' looking for beginning of value`},
-		{"empty body", "", "application/json", ``, http.StatusBadRequest, `bad request body: EOF`},
-		{"empty rows", "", "application/json", `{"rows":[]}`, http.StatusBadRequest, `empty rows`},
+			`bad request body: invalid character '}' looking for beginning of value`, false},
+		{"empty body", "", "application/json", ``, http.StatusBadRequest, `bad request body: EOF`, false},
+		{"empty rows", "", "application/json", `{"rows":[]}`, http.StatusBadRequest, `empty rows`, false},
 		{"non-canonical batch", "?encoding=json", NDJSONType,
 			`{"note":"x","ROWS":[{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T10:0%d:00Z","value":1}]}`,
-			http.StatusOK, `{"accepted":1,"rejected":0}` + "\n"},
+			http.StatusOK, `{"accepted":1,"rejected":0}` + "\n", false},
 		{"ndjson seam", "", NDJSONType + "; charset=utf-8",
 			`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:00Z","value":1}` + "\n" +
 				`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:01Z","value":2,"unit":null}` + "\n" +
@@ -372,14 +376,24 @@ func TestIngestBodySameOnEveryEntrance(t *testing.T) {
 				"this is not json\n" +
 				`{"device":"` + dev + `","quantity":"temp","at":"2015-03-09T11:0%[1]d:02Z","value":4}` + "\n",
 			http.StatusOK,
-			`{"accepted":2,"rejected":2,"errors":[{"row":2,"error":"missing device"},{"row":3,"error":"malformed row: invalid character 'h' in literal true (expecting 'r')"}]}` + "\n"},
+			`{"accepted":2,"rejected":2,"errors":[{"row":2,"error":"missing device"},{"row":3,"error":"malformed row: invalid character 'h' in literal true (expecting 'r')"}]}` + "\n", false},
+		{"put samples", "", "application/json",
+			`{"samples":[{"at":"2015-03-09T12:0%[1]d:00Z","value":1},{"at":"0001-06-01T00:00:00Z","value":2},{"device":"urn:other","at":"2015-03-09T12:0%[1]d:01Z","value":3}]}`,
+			http.StatusOK, `{"accepted":2,"rejected":1,"errors":[{"row":1,"error":"` + tsdb.ErrTimeRange.Error() + `"}]}` + "\n", true},
+		{"put malformed", "", "application/json", `{"samples":[{"at":"2015-03-09T12:00:00Z","value":}]}`, http.StatusBadRequest,
+			`bad request body: invalid character '}' looking for beginning of value`, true},
+		{"put empty samples", "", "application/json", `{"samples":[]}`, http.StatusBadRequest, `empty samples`, true},
 	} {
 		for i, base := range entrances {
 			body := c.body
 			if c.status == http.StatusOK {
 				body = fmt.Sprintf(c.body, i) // fresh timestamps per entrance: two of them share a store
 			}
-			req, err := http.NewRequest(http.MethodPost, base+"/v2/ingest"+c.query, bytes.NewReader([]byte(body)))
+			method, path := http.MethodPost, "/v2/ingest"
+			if c.put {
+				method, path = http.MethodPut, samples
+			}
+			req, err := http.NewRequest(method, base+path+c.query, bytes.NewReader([]byte(body)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -401,6 +415,105 @@ func TestIngestBodySameOnEveryEntrance(t *testing.T) {
 			if rsp.StatusCode != c.status || got != c.want {
 				t.Errorf("%s via entrance %d: status %d, %q\nwant %d, %q", c.name, i, rsp.StatusCode, got, c.status, c.want)
 			}
+		}
+	}
+}
+
+// TestCoordinatorPutIsAnIngest: a PUT through the coordinator is an
+// ingest like a POST — the rows are placed, forwarded under the derived
+// key and re-routed in the ingest's rounds — so when the map names an
+// unreachable owner for the PUT's shard, both entrances answer the
+// retryable rows_undelivered envelope, and a keyed PUT that did land
+// replays instead of re-applying.
+func TestCoordinatorPutIsAnIngest(t *testing.T) {
+	const shards = 2
+	tc := newTestCluster(t, shards)
+	dev := deviceInShard(1, shards) // owned by node 1
+	put := "/v2/series/" + api.PathSegment(dev) + "/temperature/samples"
+	base := time.Now().UTC().Add(-time.Hour).Truncate(time.Second)
+	body := SeriesAppend{Samples: []Point{{At: base, Value: 1}, {At: base.Add(time.Second), Value: 2}}}
+
+	for range 2 {
+		var res IngestResult
+		status, _ := sendJSON(t, http.MethodPut, tc.coordURL+put, map[string]string{"Idempotency-Key": "p1"}, body, &res)
+		if status != http.StatusOK || res.Accepted != 2 || res.Rejected != 0 {
+			t.Fatalf("keyed PUT through the coordinator: status=%d res=%+v", status, res)
+		}
+	}
+	if n := tc.nodes[1].Store().Len(tsdb.SeriesKey{Device: dev, Quantity: "temperature"}); n != 2 {
+		t.Fatalf("owner holds %d samples after a keyed PUT and its retry, want 2", n)
+	}
+
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close()
+	if _, err := tc.master.ClusterMap().Set(cluster.Map{Shards: shards, Owners: []string{tc.nodeURLs[0], dead.URL}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.coord.res.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		method, path string
+		body         any
+	}{
+		{http.MethodPut, put, body},
+		{http.MethodPost, "/v2/ingest", IngestBatch{Rows: []Point{{Device: dev, Quantity: "temperature", At: base, Value: 1}}}},
+	} {
+		var env api.Envelope
+		status, h := sendJSON(t, w.method, tc.coordURL+w.path, nil, w.body, &env)
+		if status != http.StatusServiceUnavailable || env.Code != "rows_undelivered" || h.Get("Retry-After") != "1" {
+			t.Fatalf("%s with a dead owner: status=%d Retry-After=%q env=%+v", w.method, status, h.Get("Retry-After"), env)
+		}
+	}
+}
+
+// TestStorageReportCarriesTheMapView: /v1/storage is a node's one shard
+// report. On a clustered node it carries the node's URL, its cached map
+// epoch, and per shard whether the map names it the owner and whether
+// the shard is frozen mid-handoff; a plain node's report has none of
+// these fields.
+func TestStorageReportCarriesTheMapView(t *testing.T) {
+	const shards = 4
+	tc := newTestCluster(t, shards)
+	var rows []Point
+	for s := 0; s < shards; s++ {
+		rows = append(rows, Point{Device: deviceInShard(s, shards), Quantity: "temperature", Value: float64(s)})
+	}
+	var res IngestResult
+	if status, _ := postJSON(t, tc.coordURL+"/v2/ingest", nil, IngestBatch{Rows: rows}, &res); status != http.StatusOK || res.Accepted != shards {
+		t.Fatalf("seed ingest: status=%d res=%+v", status, res) // every node now caches the map
+	}
+	if code, b := postRaw(t, tc.nodeURLs[0]+"/v1/cluster/shards/2/freeze", nil); code != http.StatusOK {
+		t.Fatalf("freeze = %d: %s", code, b)
+	}
+	m, _ := tc.master.ClusterMap().Current()
+	for k, node := range tc.nodeURLs {
+		var st StorageStatus
+		if getJSON(t, node+"/v1/storage", &st) != http.StatusOK {
+			t.Fatalf("node %d storage status", k)
+		}
+		if st.Self != node || st.Epoch != m.Epoch || len(st.Shards) != shards {
+			t.Fatalf("node %d report: self=%q epoch=%d shards=%d, want %q %d %d", k, st.Self, st.Epoch, len(st.Shards), node, m.Epoch, shards)
+		}
+		for i, sh := range st.Shards {
+			series := 0 // each shard's one seeded series lives on its owner
+			if m.Owner(i) == node {
+				series = 1
+			}
+			if sh.Owned != (m.Owner(i) == node) || sh.Moving != (k == 0 && i == 2) || sh.Series != series {
+				t.Errorf("node %d shard %d: owned=%v moving=%v series=%d", k, i, sh.Owned, sh.Moving, sh.Series)
+			}
+		}
+	}
+
+	_, plain := newTestServer(t)
+	code, raw := getRaw(t, plain.URL+"/v1/storage")
+	if code != http.StatusOK {
+		t.Fatalf("plain storage status = %d", code)
+	}
+	for _, field := range []string{`"self"`, `"epoch"`, `"owned"`, `"moving"`} {
+		if bytes.Contains(raw, []byte(field)) {
+			t.Errorf("plain node's report carries %s: %s", field, raw)
 		}
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -107,7 +106,7 @@ func OpenCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		reg:    obs.NewRegistry(),
 		fanout: make(map[string]*obs.Histogram),
 	}
-	for _, route := range []string{"series", "samples", "latest", "aggregate", "query", "ingest", "put_samples", "stats"} {
+	for _, route := range []string{"series", "samples", "latest", "aggregate", "query", "ingest", "stats"} {
 		c.fanout[route] = c.reg.Histogram("repro_cluster_fanout_seconds",
 			"Coordinator fan-out latency per route (resolve + forward + merge).",
 			obs.LatencyBuckets, obs.Labels{"route": route})
@@ -134,7 +133,7 @@ func (c *Coordinator) buildAPI(opts CoordinatorOptions) *api.Server {
 	srv.HandleV2(http.MethodGet, "/series/{device}/{quantity}/aggregate", c.deviceProxy("aggregate"))
 	srv.HandleV2(http.MethodPost, "/query", http.HandlerFunc(c.v2Query))
 	srv.HandleV2(http.MethodPost, "/ingest", http.HandlerFunc(c.v2Ingest))
-	srv.HandleV2(http.MethodPut, "/series/{device}/{quantity}/samples", c.deviceProxy("put_samples"))
+	srv.HandleV2(http.MethodPut, "/series/{device}/{quantity}/samples", http.HandlerFunc(c.v2Ingest))
 	srv.Get("/stats", c.stats)
 	srv.Get("/cluster/map", func(ctx context.Context, q url.Values) (any, error) {
 		return c.resolve(ctx)
@@ -393,10 +392,10 @@ func nodeOf(u string) string {
 }
 
 // ---------------------------------------------------------------------
-// Per-device routes: one owner, straight proxy
+// Per-device reads: one owner, straight relay
 // ---------------------------------------------------------------------
 
-// deviceProxy forwards one exact-device route to the shard owner,
+// deviceProxy relays one exact-device read to the shard owner,
 // re-resolving and re-routing once when the owner rejects with a
 // retryable cluster envelope (or fails before its first body byte).
 // Every body — JSON pages, NDJSON and CSV ranges of any size — is
@@ -410,26 +409,15 @@ func (c *Coordinator) deviceProxy(route string) http.Handler {
 			api.WriteError(w, r, api.BadRequest(errors.New("missing device or quantity path segment")))
 			return
 		}
-		var body []byte
-		if r.Body != nil && (r.Method == http.MethodPut || r.Method == http.MethodPost) {
-			var err error
-			if body, err = readAll(w, r); err != nil {
-				api.WriteError(w, r, api.BadRequest(err))
-				return
-			}
-		}
-		suffix := strings.TrimPrefix(route, "put_") // PUT shares the samples path
-		path := "/series/" + api.PathSegment(device) + "/" + api.PathSegment(quantity) + "/" + suffix + "?" + r.URL.Query().Encode()
+		path := "/series/" + api.PathSegment(device) + "/" + api.PathSegment(quantity) + "/" + route + "?" + r.URL.Query().Encode()
 		header := http.Header{}
-		for _, h := range []string{"Accept", "Content-Type", "Idempotency-Key"} {
-			if v := r.Header.Get(h); v != "" {
-				header.Set(h, v)
-			}
+		if v := r.Header.Get("Accept"); v != "" {
+			header.Set("Accept", v)
 		}
 		err := scatter(c, r.Context(), 1, coordReadAttempts,
 			func(m *cluster.Map, _ int) int { return m.ShardFor(device) },
 			func(node string, epoch uint64, _ []int) (struct{}, error) {
-				rsp, err := c.forward(r.Context(), c.relayT, r.Method, api.URL2(node, path), epoch, header, body)
+				rsp, err := c.forward(r.Context(), c.relayT, r.Method, api.URL2(node, path), epoch, header, nil)
 				if err == nil {
 					err = c.relay(w, rsp)
 				}
@@ -484,15 +472,6 @@ func (c *Coordinator) relay(w http.ResponseWriter, rsp *http.Response) error {
 			return nil
 		}
 	}
-}
-
-// readAll buffers a bounded request body.
-func readAll(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBody))
-	if err != nil {
-		return nil, fmt.Errorf("bad request body: %v", err)
-	}
-	return raw, nil
 }
 
 // ---------------------------------------------------------------------
@@ -630,19 +609,32 @@ func mergeBatchResults(sel SeriesSelector, parts []BatchResult) BatchResult {
 }
 
 // ---------------------------------------------------------------------
-// POST /v2/ingest: place rows on their shards, forward, remap row errors
+// POST /v2/ingest and PUT samples: place rows on their shards, forward,
+// remap row errors
 // ---------------------------------------------------------------------
 
-// v2Ingest forwards the decoded rows to their owners, each owner's body
-// encoded straight from them, and folds each node's outcome into one
-// result, row errors remapped to the client's row indexes.
+// v2Ingest serves both write entrances, as the node's v2Ingest does: it
+// forwards the decoded rows — a PUT's stamped with the series its path
+// names — to their owners, each owner's body encoded straight from
+// them, and folds each node's outcome into one result, row errors
+// remapped to the client's row indexes.
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("ingest", time.Now())
+	field, series, err := ingestEntrance(r)
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
+	}
 	key := r.Header.Get("Idempotency-Key")
 	var res IngestResult
-	err := decodeIngest(w, r, "rows", true, func(pts []Point, malformed string) error {
+	err = decodeIngest(w, r, field, true, func(pts []Point, malformed string) error {
 		if malformed != "" {
 			res.reject(len(pts), malformed)
+		}
+		if series.Device != "" {
+			for i := range pts {
+				pts[i].Device, pts[i].Quantity = series.Device, series.Quantity
+			}
 		}
 		delivered := 0
 		err := scatter(c, r.Context(), len(pts), coordIngestAttempts,

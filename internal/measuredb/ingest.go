@@ -694,21 +694,33 @@ func decodeIngest(w http.ResponseWriter, r *http.Request, field string, whole bo
 	}
 }
 
+// ingestEntrance reads which write entrance r came through: a POST's
+// body field is "rows", each row naming its own series (zero key); a
+// PUT's is "samples", every row belonging to the series its path names,
+// which must be whole.
+func ingestEntrance(r *http.Request) (field string, key tsdb.SeriesKey, err error) {
+	if r.Method != http.MethodPut {
+		return "rows", key, nil
+	}
+	p := api.ParamsOf(r)
+	key = tsdb.SeriesKey{Device: p.Get("device"), Quantity: p.Get("quantity")}
+	if key.Device == "" || key.Quantity == "" {
+		return "", key, api.BadRequest(errors.New("missing device or quantity path segment"))
+	}
+	return "samples", key, nil
+}
+
 // v2Ingest serves both write entrances, POST /v2/ingest and PUT
 // /v2/series/{device}/{quantity}/samples (an append to one path-named
-// series), with one body: validate the PUT's path key, claim the
-// idempotency key, decode, admit (clustered nodes only, over the whole
-// body: see admit), stage, then finish, store the outcome and respond
-// with the per-row summary envelope.
+// series), with one body: read the entrance, claim the idempotency key,
+// decode, admit (clustered nodes only, over the whole body: see admit),
+// stage, then finish, store the outcome and respond with the per-row
+// summary envelope.
 func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
-	field, key := "rows", tsdb.SeriesKey{}
-	if r.Method == http.MethodPut {
-		p := api.ParamsOf(r)
-		field, key = "samples", tsdb.SeriesKey{Device: p.Get("device"), Quantity: p.Get("quantity")}
-		if key.Device == "" || key.Quantity == "" {
-			api.WriteError(w, r, api.BadRequest(errors.New("missing device or quantity path segment")))
-			return
-		}
+	field, key, err := ingestEntrance(r)
+	if err != nil {
+		api.WriteError(w, r, err)
+		return
 	}
 	tok, handled := s.claimIdempotency(w, r)
 	if handled {
@@ -717,7 +729,7 @@ func (s *Service) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer tok.abandon() // no-op once the outcome is stored
 	g := s.newIngester(obs.StagesFrom(r.Context()), tok, key)
 	defer g.release()
-	err := decodeIngest(w, r, field, s.cnode != nil, func(pts []Point, malformed string) error {
+	err = decodeIngest(w, r, field, s.cnode != nil, func(pts []Point, malformed string) error {
 		if s.cnode != nil {
 			if err := g.admit(r, pts); err != nil {
 				w.Header().Set("Retry-After", "1")

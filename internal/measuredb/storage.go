@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/tsdb"
 )
 
@@ -17,17 +19,28 @@ import (
 //	POST /v1/storage/compact[?shard=N]  force a compaction cycle
 //
 // Both require the sharded engine; compaction additionally requires a
-// durable one (DataDir set).
+// durable one (DataDir set). The status is a node's one shard report:
+// on a clustered node it also carries the node's map view — the
+// per-node half of `districtctl cluster status`.
 
 // StorageShard is one shard's slice of the storage status report.
+// Owned and Moving are a clustered node's alone: whether its cached map
+// names it the shard's owner, and whether the shard is frozen
+// mid-handoff.
 type StorageShard struct {
 	tsdb.ShardStatus
 	DiskBytes int64 `json:"disk_bytes,omitempty"`
+	Owned     bool  `json:"owned,omitempty"`
+	Moving    bool  `json:"moving,omitempty"`
 }
 
-// StorageStatus is the GET /v1/storage body.
+// StorageStatus is the GET /v1/storage body. Self (the node's own URL,
+// once known) and Epoch (the epoch of its cached shard map, 0 before
+// the first) are a clustered node's alone.
 type StorageStatus struct {
 	Durable bool           `json:"durable"`
+	Self    string         `json:"self,omitempty"`
+	Epoch   uint64         `json:"epoch,omitempty"`
 	Shards  []StorageShard `json:"shards"`
 }
 
@@ -44,19 +57,46 @@ func (s *Service) mountStorage(srv *api.Server) {
 
 // storageStatus reports every shard's live storage counters: head
 // series/samples, WAL depth and the node log's segments, block files
-// and their bytes.
+// and their bytes; on a clustered node, also its map view from the
+// cached map — a status read never waits on the master.
 func (s *Service) storageStatus(w http.ResponseWriter, r *http.Request) {
 	sh := s.store.(*tsdb.Sharded)
 	out := StorageStatus{Shards: make([]StorageShard, 0, sh.NumShards())}
+	c := s.cnode
+	var m cluster.Map
+	if c != nil {
+		m, _ = c.res.Cached()
+		out.Self, out.Epoch = c.selfURL(), m.Epoch
+	}
 	for i := 0; i < sh.NumShards(); i++ {
 		st := StorageShard{ShardStatus: sh.ShardStatus(i)}
 		if st.Dir != "" {
 			out.Durable = true
 			st.DiskBytes = dirBytes(st.Dir)
 		}
+		if c != nil {
+			st.Owned = out.Self != "" && m.Owner(i) == out.Self
+			st.Moving = c.isMoving(i)
+		}
 		out.Shards = append(out.Shards, st)
 	}
 	api.WriteJSON(w, http.StatusOK, out)
+}
+
+// dirBytes sums the regular files directly inside dir (shard
+// directories are flat).
+func dirBytes(dir string) int64 {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return 0
+	}
+	var n int64
+	for _, e := range ents {
+		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
+			n += info.Size()
+		}
+	}
+	return n
 }
 
 // storageCompact forces a compaction cycle — cut head rows past the

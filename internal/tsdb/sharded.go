@@ -66,6 +66,8 @@ func (s *Store) AppendBatch(rows []Row) {
 const DefaultShards = 8
 
 // defaultQueueLen is the per-shard append-queue capacity, in batches.
+// AppendBatch blocks when a shard's queue is full, which back-pressures
+// producers instead of growing memory.
 const defaultQueueLen = 256
 
 // ShardedOptions configure a Sharded engine.
@@ -76,11 +78,6 @@ type ShardedOptions struct {
 	Shards int
 	// Store configures each shard's underlying Store.
 	Store Options
-	// QueueLen is the per-shard append-queue capacity in batches
-	// (default 256). AppendBatch blocks when a shard's queue is full,
-	// which back-pressures producers instead of growing memory.
-	QueueLen int
-
 	// Dir enables the durable layer: every row batch is journaled in
 	// the node log under <Dir>/wal before any shard applies it, and
 	// each shard snapshots its head under <Dir>/shard-NNNN, which
@@ -224,10 +221,6 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	if n <= 0 {
 		n = DefaultShards
 	}
-	qlen := opts.QueueLen
-	if qlen <= 0 {
-		qlen = defaultQueueLen
-	}
 	if opts.Dir != "" {
 		var err error
 		if n, err = loadOrWriteMeta(opts.Dir, n); err != nil {
@@ -252,7 +245,7 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 	}
 	for i := 0; i < n; i++ {
 		s.shards[i] = newStore(headOpts)
-		s.queues[i] = make(chan batchItem, qlen)
+		s.queues[i] = make(chan batchItem, defaultQueueLen)
 		s.bsets[i] = &blockSet{}
 	}
 	reg := opts.Metrics

@@ -17,7 +17,7 @@
 // only decides what a whole-machine crash can take with it:
 //
 //	FsyncNone      no fsync — survives process kill, not power loss
-//	FsyncInterval  fsync at most every SyncEvery — bounded loss window
+//	FsyncInterval  fsync at most every 100 ms — bounded loss window
 //	FsyncAlways    fsync before the commit returns — one per log write,
 //	               however many appenders' records it carries
 package wal
@@ -77,7 +77,7 @@ func ParseMode(s string) (Mode, error) {
 var (
 	ErrClosed  = errors.New("wal: log closed")
 	ErrCorrupt = errors.New("wal: corrupt record")
-	ErrTooBig  = errors.New("wal: record exceeds MaxRecord")
+	ErrTooBig  = errors.New("wal: record empty or over 64 MiB")
 )
 
 // Options configure a Log.
@@ -89,16 +89,10 @@ type Options struct {
 	SegmentBytes int64
 	// Fsync is the durability policy (default FsyncNone).
 	Fsync Mode
-	// SyncEvery is the FsyncInterval background sync period (default
-	// 100ms); ignored in the other modes.
-	SyncEvery time.Duration
 	// FirstSeq is the sequence number of the first record when the
 	// directory is empty (default 1). An existing log continues from its
 	// own tail and ignores this.
 	FirstSeq uint64
-	// MaxRecord bounds one record's payload (default 64 MiB); it guards
-	// the decoder against reading a garbage length as an allocation.
-	MaxRecord int
 	// OnSync, when set, receives the duration of every data-file fsync
 	// (observability hook). It is called with the log's write side held
 	// and must not block or call back into the log.
@@ -109,22 +103,21 @@ func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 8 << 20
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 100 * time.Millisecond
-	}
 	if o.FirstSeq == 0 {
 		o.FirstSeq = 1
-	}
-	if o.MaxRecord <= 0 {
-		o.MaxRecord = maxRecord
 	}
 	return o
 }
 
 const (
 	segSuffix   = ".seg"
-	frameHeader = 8        // len + crc
-	maxRecord   = 64 << 20 // default MaxRecord, and every snapshot record's bound
+	frameHeader = 8 // len + crc
+	// maxRecord bounds one record's payload, in the log and in a
+	// snapshot alike; it guards the decoder against reading a garbage
+	// length as an allocation.
+	maxRecord = 64 << 20
+	// syncEvery is the FsyncInterval background sync period.
+	syncEvery = 100 * time.Millisecond
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -186,7 +179,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.next = opts.FirstSeq
 	} else {
 		base := bases[len(bases)-1]
-		count, valid, err := scanSegment(l.segPath(base), opts.MaxRecord)
+		count, valid, err := scanSegment(l.segPath(base), maxRecord)
 		if err != nil {
 			return nil, err
 		}
@@ -354,7 +347,7 @@ func (l *Log) Append(p []byte) (uint64, error) {
 // crash loses it along with every record staged after it. A log that
 // failed (see fail) or closed stages nothing.
 func (l *Log) Stage(p []byte) (uint64, error) {
-	if len(p) == 0 || len(p) > l.opts.MaxRecord {
+	if len(p) == 0 || len(p) > maxRecord {
 		return 0, ErrTooBig
 	}
 	l.mu.Lock()
@@ -496,7 +489,7 @@ func (l *Log) Sync() error {
 // unsynced data.
 func (l *Log) syncLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.opts.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -535,7 +528,7 @@ func (l *Log) Replay(after uint64, fn func(seq uint64, rec []byte) error) error 
 	if _, _, err := l.writeLocked(); err != nil {
 		return err
 	}
-	return replaySegments(l.dir, l.segs, l.opts.MaxRecord, after, fn)
+	return replaySegments(l.dir, l.segs, maxRecord, after, fn)
 }
 
 // ReadDir is Replay over the log in dir without opening it: nothing is

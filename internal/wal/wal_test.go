@@ -221,7 +221,7 @@ func TestSegmentRollAndTruncateBefore(t *testing.T) {
 }
 
 func TestStageGroupAndTooBig(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{MaxRecord: 8})
+	l, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestStageGroupAndTooBig(t *testing.T) {
 	if first, last, err := l.Commit(3); err != nil || first != 0 || last != 0 {
 		t.Fatalf("commit of a written seq = %d..%d, %v; want nothing written", first, last, err)
 	}
-	if _, err := l.Append(bytes.Repeat([]byte("x"), 9)); !errors.Is(err, ErrTooBig) {
+	if _, err := l.Append(make([]byte, maxRecord+1)); !errors.Is(err, ErrTooBig) {
 		t.Fatalf("oversized append err = %v", err)
 	}
 	if _, err := l.Stage(nil); !errors.Is(err, ErrTooBig) {
@@ -336,7 +336,7 @@ func TestFsyncModes(t *testing.T) {
 	for _, mode := range []Mode{FsyncNone, FsyncInterval, FsyncAlways} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, Options{Fsync: mode, SyncEvery: 5 * time.Millisecond})
+			l, err := Open(dir, Options{Fsync: mode})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +344,7 @@ func TestFsyncModes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if mode == FsyncInterval {
-				time.Sleep(20 * time.Millisecond) // let the syncer run once
+				time.Sleep(syncEvery + 50*time.Millisecond) // let the syncer run once
 			}
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)

@@ -12,6 +12,8 @@ import (
 	"math/rand"
 	"sync"
 	"time"
+
+	"repro/internal/dataformat"
 )
 
 // Signal models one physical quantity's evolution: a base level, a
@@ -69,15 +71,11 @@ func (b *battery) sample() float64 {
 	return v
 }
 
-// DefaultSignals returns plausible signals for common quantities, used
-// by the district simulator when no explicit signals are configured.
-func DefaultSignals() map[string]Signal {
-	return map[string]Signal{
-		"temperature": {Base: 21, Amplitude: 2.5, Period: 24 * time.Hour, NoiseStd: 0.15, Min: -10, Max: 40},
-		"humidity":    {Base: 45, Amplitude: 10, Period: 24 * time.Hour, NoiseStd: 1.2, Min: 0, Max: 100},
-		"illuminance": {Base: 350, Amplitude: 300, Period: 24 * time.Hour, NoiseStd: 25, Min: 0, Max: 2000},
-		"power.active": {
-			Base: 900, Amplitude: 600, Period: 24 * time.Hour, NoiseStd: 60, Min: 0, Max: 5000},
-		"co2": {Base: 600, Amplitude: 150, Period: 24 * time.Hour, NoiseStd: 20, Min: 350, Max: 2000},
+// DefaultSignals returns the signals every simulated device senses
+// (core.SimulatedDevice): a diurnal indoor temperature and humidity.
+func DefaultSignals() map[dataformat.Quantity]Signal {
+	return map[dataformat.Quantity]Signal{
+		dataformat.Temperature: {Base: 21, Amplitude: 2, Period: 24 * time.Hour, NoiseStd: 0.1, Min: -10, Max: 40},
+		dataformat.Humidity:    {Base: 45, Amplitude: 8, Period: 24 * time.Hour, NoiseStd: 0.8, Min: 0, Max: 100},
 	}
 }

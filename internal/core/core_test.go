@@ -14,6 +14,7 @@ import (
 	"repro/internal/integration"
 	"repro/internal/measuredb"
 	"repro/internal/ontology"
+	"repro/internal/tsdb"
 )
 
 // bootstrapSmall spins a compact district exercising every protocol.
@@ -396,9 +397,15 @@ func TestBuildAreaModelRoundTrips(t *testing.T) {
 	// One device's series vanish from the DB: that device alone is read
 	// from its proxy — one info, one latest per quantity it senses.
 	const lost = "urn:district:turin/building:b01/device:d00"
-	keys := d.Measure.Store().KeysForDevice(lost)
+	st := d.Measure.Store()
+	var keys []tsdb.SeriesKey
+	for _, key := range tsdb.DeviceRange(st.Catalog(tsdb.ShardOf(lost, st.NumShards())), lost) {
+		if key.Device == lost {
+			keys = append(keys, key)
+		}
+	}
 	for _, key := range keys {
-		d.Measure.Store().Drop(key)
+		st.Drop(key)
 	}
 	oneLost, counts := build()
 	wantWarm["200 /v1/info"], wantWarm["200 /v1/latest"] = 1, len(keys)

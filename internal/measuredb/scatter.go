@@ -1,34 +1,21 @@
 package measuredb
 
 import (
-	"sync"
+	"cmp"
+	"strings"
 
 	"repro/internal/tsdb"
 )
 
-// Scatter-gather planning over the sharded store. A glob selector can
-// match series in every shard; resolution fans one matcher per shard and
-// merges the sorted per-shard key lists, so catalog listings and batch
-// queries see one deterministic order whatever the partitioning is.
-// Exact selectors skip the fan-out: the device hash names the one shard
-// that can hold the series. The same merge (kmerge) joins the
-// coordinator's per-node answers.
-
-// matchKeys filters one key list by a selector, sorted.
-func matchKeys(keys []tsdb.SeriesKey, sel SeriesSelector) []tsdb.SeriesKey {
-	var out []tsdb.SeriesKey
-	for _, k := range keys {
-		if sel.Device != "" && !globMatch(sel.Device, k.Device) {
-			continue
-		}
-		if sel.Quantity != "" && !globMatch(sel.Quantity, k.Quantity) {
-			continue
-		}
-		out = append(out, k)
-	}
-	sortKeys(out)
-	return out
-}
+// Selector resolution over the shard catalogs. Every shard lists its
+// series in one immutable catalog sorted by tsdb.CompareKeys, so the
+// literal prefix of a device selector (what precedes its first '*')
+// bounds a binary-searched run of each catalog, and an exact device is
+// searched for in the one shard its hash names. The runs are
+// glob-filtered and merged (kmerge) on the calling goroutine, so catalog
+// listings and batch queries see one deterministic order whatever the
+// partitioning is. The same merge joins the coordinator's per-node
+// answers.
 
 // kmerge k-way merges lists sorted by key into one sorted list: a
 // glob's per-shard key lists, the per-node halves of a coordinator's
@@ -55,7 +42,7 @@ func kmerge[T any](lists [][]T, key func(*T) tsdb.SeriesKey, size func(*T) int) 
 		best, bestKey := -1, tsdb.SeriesKey{}
 		for i, l := range lists {
 			if pos[i] < len(l) {
-				if k := key(&l[pos[i]]); best < 0 || keyLess(k, bestKey) {
+				if k := key(&l[pos[i]]); best < 0 || tsdb.CompareKeys(k, bestKey) < 0 {
 					best, bestKey = i, k
 				}
 			}
@@ -75,18 +62,9 @@ func kmerge[T any](lists [][]T, key func(*T) tsdb.SeriesKey, size func(*T) int) 
 	}
 }
 
-// keyLess orders series keys by device, then quantity.
-func keyLess(a, b tsdb.SeriesKey) bool {
-	if a.Device != b.Device {
-		return a.Device < b.Device
-	}
-	return a.Quantity < b.Quantity
-}
-
 // resolveSelector expands one selector to the stored series it matches,
-// sorted for deterministic output. On a sharded engine, glob selectors
-// scatter one matcher per shard and gather a merged sorted list; exact
-// device selectors only consult the owning shard.
+// sorted by tsdb.CompareKeys. It starts no goroutine and builds no map:
+// a glob searches every shard's catalog, an exact device its owner's.
 func (s *Service) resolveSelector(sel SeriesSelector) []tsdb.SeriesKey {
 	keys := s.resolveSelectorKeys(sel)
 	if s.fanout != nil {
@@ -96,32 +74,31 @@ func (s *Service) resolveSelector(sel SeriesSelector) []tsdb.SeriesKey {
 }
 
 func (s *Service) resolveSelectorKeys(sel SeriesSelector) []tsdb.SeriesKey {
-	exactDevice := sel.Device != "" && !hasGlob(sel.Device)
-	if exactDevice && sel.Quantity != "" && !hasGlob(sel.Quantity) {
-		key := tsdb.SeriesKey{Device: sel.Device, Quantity: sel.Quantity}
-		if s.store.Len(key) > 0 {
-			return []tsdb.SeriesKey{key}
-		}
-		return nil
+	device := cmp.Or(sel.Device, "*") // no device selects every device
+	prefix, _, glob := strings.Cut(device, "*")
+	rest := device[len(prefix):] // what a device in the prefix's run must still match
+	n := s.store.NumShards()
+	first, last := 0, n
+	if !glob {
+		first = tsdb.ShardOf(device, n)
+		last = first + 1
 	}
-	sh, sharded := s.store.(*tsdb.Sharded)
-	switch {
-	case exactDevice:
-		// One device → one shard; its key list is already device-local.
-		return matchKeys(s.store.KeysForDevice(sel.Device), sel)
-	case sharded && sh.NumShards() > 1:
-		per := make([][]tsdb.SeriesKey, sh.NumShards())
-		var wg sync.WaitGroup
-		for i := range per {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				per[i] = matchKeys(sh.ShardKeys(i), sel)
-			}(i)
-		}
-		wg.Wait()
-		return kmerge(per, func(k *tsdb.SeriesKey) tsdb.SeriesKey { return *k }, func(*tsdb.SeriesKey) int { return 0 })
-	default:
-		return matchKeys(s.store.Keys(), sel)
+	runs, total := make([][]tsdb.SeriesKey, 0, last-first), 0
+	for i := first; i < last; i++ {
+		run := tsdb.DeviceRange(s.store.Catalog(i), prefix)
+		runs, total = append(runs, run), total+len(run)
 	}
+	// Each run is filtered into one buffer sized for every candidate.
+	matched := make([]tsdb.SeriesKey, 0, total)
+	for j, run := range runs {
+		from := len(matched)
+		for _, k := range run {
+			if globMatch(rest, k.Device[len(prefix):]) &&
+				(sel.Quantity == "" || globMatch(sel.Quantity, k.Quantity)) {
+				matched = append(matched, k)
+			}
+		}
+		runs[j] = matched[from:]
+	}
+	return kmerge(runs, func(k *tsdb.SeriesKey) tsdb.SeriesKey { return *k }, func(*tsdb.SeriesKey) int { return 0 })
 }

@@ -203,6 +203,9 @@ func globMatch(pattern, s string) bool {
 		// subject would otherwise consume the pattern's '*' as a literal
 		// and lose the backtrack point.
 		case pi < len(pattern) && pattern[pi] == '*':
+			if pi == len(pattern)-1 {
+				return true // a trailing '*' matches whatever is left
+			}
 			star, mark = pi, si
 			pi++
 		case pi < len(pattern) && pattern[pi] == s[si]:
@@ -222,11 +225,6 @@ func globMatch(pattern, s string) bool {
 }
 
 func hasGlob(s string) bool { return strings.ContainsRune(s, '*') }
-
-// sortKeys orders series keys by device, then quantity.
-func sortKeys(keys []tsdb.SeriesKey) {
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
-}
 
 // ---------------------------------------------------------------------
 // Route plumbing
@@ -274,12 +272,7 @@ func (s *Service) v2Series(ctx context.Context, q url.Values) (any, error) {
 	}, func() (any, error) {
 		keys := s.resolveSelector(SeriesSelector{Device: q.Get("device"), Quantity: q.Get("quantity")})
 		if after != (tsdb.SeriesKey{}) {
-			i := sort.Search(len(keys), func(i int) bool {
-				if keys[i].Device != after.Device {
-					return keys[i].Device > after.Device
-				}
-				return keys[i].Quantity > after.Quantity
-			})
+			i := sort.Search(len(keys), func(i int) bool { return tsdb.CompareKeys(keys[i], after) > 0 })
 			keys = keys[i:]
 		}
 		page := SeriesPage{Series: make([]SeriesInfo, 0, min(limit, len(keys)))}

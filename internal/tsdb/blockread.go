@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -149,53 +150,61 @@ func (s *Sharded) Len(key SeriesKey) int {
 	return n
 }
 
-// ShardKeys lists the series of one shard, head and blocks merged (the
-// scatter-gather planners fan over shards with it). A series whose rows
-// have all been cut (or whose head entry was lost to a restart) still
-// lists.
-func (s *Sharded) ShardKeys(i int) []SeriesKey {
-	return s.withBlockKeys(i, s.shards[i].Keys(), func(block.Key) bool { return true })
+// catalog caches one shard's series catalog: every series the shard
+// holds in its head or in a block index, sorted by CompareKeys, as an
+// immutable snapshot tagged with the head's series-set version it was
+// built at. Writers only bump that version; the first reader that sees
+// it moved rebuilds the snapshot, so appends to existing series, the
+// ingest hot path, never touch it.
+type catalog struct {
+	mu   sync.Mutex // serialises rebuilds
+	snap atomic.Pointer[catalogSnap]
 }
 
-// KeysForDevice unions the owning shard's head and block series of one
-// device (a device's series never straddle shards), sorted by quantity.
-func (s *Sharded) KeysForDevice(device string) []SeriesKey {
-	i := s.ShardFor(device)
-	out := s.withBlockKeys(i, s.shards[i].KeysForDevice(device), func(k block.Key) bool { return k.Device == device })
-	slices.SortFunc(out, func(a, b SeriesKey) int { return strings.Compare(a.Quantity, b.Quantity) })
-	return out
+type catalogSnap struct {
+	ver  uint64
+	keys []SeriesKey
 }
 
-// withBlockKeys unions shard i's head keys with the series of its block
-// indexes that match accepts. A shard with no block published answers
-// with the head's slice itself, without building the union map, and so
-// does one whose blocks add no series.
-func (s *Sharded) withBlockKeys(i int, head []SeriesKey, match func(block.Key) bool) []SeriesKey {
+// Catalog returns shard i's series catalog: the keys of every series
+// the shard holds in its head or in a block index, sorted by
+// CompareKeys. The slice is a shared immutable snapshot; callers must
+// not modify it. A mutation's series are listed once its call returns.
+func (s *Sharded) Catalog(i int) []SeriesKey {
+	store, c := s.shards[i], &s.cats[i]
+	if snap := c.snap.Load(); snap != nil && snap.ver == store.ver.Load() {
+		return snap.keys
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Load the version before reading the series: every mutation bumps
+	// it after its change, so the snapshot holds at least that version's
+	// series, and a mutation racing the build bumps past the tag.
+	ver := store.ver.Load()
+	if snap := c.snap.Load(); snap != nil && snap.ver == ver {
+		return snap.keys
+	}
 	bs := s.bsets[i]
 	bs.mu.RLock()
-	defer bs.mu.RUnlock()
-	if len(bs.blocks) == 0 {
-		return head
-	}
-	seen := make(map[SeriesKey]struct{}, len(head))
-	for _, k := range head {
-		seen[k] = struct{}{}
-	}
+	keys := store.keys()
 	for _, b := range bs.blocks {
 		for _, m := range b.Series() {
-			if match(m.Key) {
-				seen[SeriesKey{Device: m.Key.Device, Quantity: m.Key.Quantity}] = struct{}{}
-			}
+			keys = append(keys, SeriesKey(m.Key))
 		}
 	}
-	if len(seen) == len(head) {
-		return head
-	}
-	out := make([]SeriesKey, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	return out
+	bs.mu.RUnlock()
+	slices.SortFunc(keys, CompareKeys)
+	keys = slices.Clip(slices.Compact(keys))
+	c.snap.Store(&catalogSnap{ver: ver, keys: keys})
+	return keys
+}
+
+// DeviceRange returns the run of a sorted catalog whose devices start
+// with prefix (the whole catalog for ""), found by binary search.
+func DeviceRange(cat []SeriesKey, prefix string) []SeriesKey {
+	lo := sort.Search(len(cat), func(i int) bool { return cat[i].Device >= prefix })
+	n := sort.Search(len(cat)-lo, func(i int) bool { return !strings.HasPrefix(cat[lo+i].Device, prefix) })
+	return cat[lo : lo+n]
 }
 
 // metaAggregate converts a block index entry's whole-series statistics

@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -195,9 +194,10 @@ type viewChange struct {
 //     vc.boundary, at the seq of the last record the shard applied —
 //     the durable point of no return; if it fails, the created files
 //     are deleted and the previous view stays authoritative;
-//  2. the view swap, with the eviction of the cut rows, under one write
-//     lock: a reader sees head-with-old-rows + old blocks, or
-//     head-without + new blocks — never both or neither;
+//  2. the view swap, with the eviction of the cut rows and the removal
+//     of the empty head entries of series no block holds any more,
+//     under one write lock: a reader sees head-with-old-rows + old
+//     blocks, or head-without + new blocks — never both or neither;
 //  3. the node log truncated below its floor, which the new watermark
 //     may raise, and the shard's older snapshots dropped (best effort:
 //     the snapshot already covers them);
@@ -219,7 +219,9 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 	if !vc.boundary.IsZero() {
 		store.evictBefore(vc.boundary)
 	}
+	vc.dropLeaving(store)
 	bs.gen.Add(1)
+	store.ver.Add(1)
 	bs.mu.Unlock()
 	disk.snapRows.Store(disk.appliedRows)
 	disk.snapSeq.Store(seq)
@@ -232,6 +234,29 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 		disk.mx.snapDur.ObserveDuration(time.Since(start))
 	}
 	return nil
+}
+
+// dropLeaving removes the empty head entries of the series that leave
+// the view with the removed blocks. A cut leaves an entry empty when it
+// moves the entry's rows into a block; the entry goes with the last
+// block holding the series, so a series is listed only while a head row
+// or a block index entry holds it. Only the shard worker appends, so
+// nothing refills an entry meanwhile.
+func (vc *viewChange) dropLeaving(store *Store) {
+	for _, b := range vc.removed {
+		for _, m := range b.Series() {
+			sr := store.lookup(SeriesKey(m.Key))
+			if sr == nil || slices.ContainsFunc(vc.next, func(nb *block.Block) bool { _, ok := nb.Meta(m.Key); return ok }) {
+				continue
+			}
+			sr.mu.Lock()
+			empty := sr.count == 0
+			sr.mu.Unlock()
+			if empty {
+				store.Drop(SeriesKey(m.Key))
+			}
+		}
+	}
 }
 
 // unlink drops the set's reference to each block and deletes its file.
@@ -453,13 +478,8 @@ func (lw *lazyWriter) AddRollups(m block.SeriesMeta, r1m, r1h []block.Bucket) er
 // worker, so nothing appends to the head meanwhile.
 func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, error) {
 	hi := nanos(boundary) - 1
-	keys := store.Keys()
-	slices.SortFunc(keys, func(a, b SeriesKey) int {
-		if c := strings.Compare(a.Device, b.Device); c != 0 {
-			return c
-		}
-		return strings.Compare(a.Quantity, b.Quantity)
-	})
+	keys := store.keys()
+	slices.SortFunc(keys, CompareKeys)
 	return bs.writeBlock(func(w *lazyWriter) error {
 		var pts []block.Point
 		for _, key := range keys {
@@ -530,7 +550,7 @@ func writeHeadSnapshot(store *Store, dir string, seq uint64, blockNames []string
 			return sw.Record(buf)
 		}
 		var pts []block.Point
-		for _, key := range store.Keys() {
+		for _, key := range store.keys() {
 			pts, _ = store.appendPoints(pts[:0], key, lo, 0, math.MaxInt64, -1)
 			for _, p := range pts {
 				rows = append(rows, Row{Key: key, Sample: Sample{At: time.Unix(0, p.T), Value: p.V}})

@@ -110,19 +110,11 @@ func TestBlockCompactionPreservesEveryReadPath(t *testing.T) {
 	from, to := time.Time{}, time.Now()
 	assertReadsEqual(t, mem, eng, blockKey, from, to)
 	assertReadsEqual(t, mem, eng, k2, from, to)
-	sortKeys := func(keys []SeriesKey) []SeriesKey {
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Device != keys[j].Device {
-				return keys[i].Device < keys[j].Device
-			}
-			return keys[i].Quantity < keys[j].Quantity
-		})
-		return keys
-	}
-	if got, want := sortKeys(eng.Keys()), sortKeys(mem.Keys()); !reflect.DeepEqual(got, want) {
+	if got, want := catalogKeys(eng), catalogKeys(mem); !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys: %v vs %v", got, want)
 	}
-	if got, want := eng.KeysForDevice(blockKey.Device), mem.KeysForDevice(blockKey.Device); !reflect.DeepEqual(got, want) {
+	sh := eng.ShardFor(blockKey.Device)
+	if got, want := deviceKeys(eng.Catalog(sh), blockKey.Device), deviceKeys(catalogKeys(mem), blockKey.Device); !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys for device: %v vs %v", got, want)
 	}
 	// Writes after compaction land in the head and merge seamlessly.
@@ -456,38 +448,43 @@ func TestBlockRetentionRollupDropGolden(t *testing.T) {
 	if st := eng.ShardStatus(0); st.Blocks != 0 {
 		t.Fatalf("expired block not dropped: %+v", st)
 	}
-	// Until restart the head catalog still lists the emptied series (the
-	// compactor keeps catalog entries when it evicts rows into a block);
-	// its data is gone.
-	got, err := eng.Query(blockKey, time.Time{}, time.Now())
-	if err != nil || len(got) != 0 {
-		t.Fatalf("expired series query = %d samples, %v; want empty", len(got), err)
-	}
-	if n := eng.Len(blockKey); n != 0 {
-		t.Fatalf("expired series len = %d, want 0", n)
-	}
-	if n := eng.Len(fresh); n != 1 {
-		t.Fatalf("fresh series len = %d, want 1", n)
-	}
 	blks, _ := filepath.Glob(filepath.Join(dir, "shard-0000", "*.blk"))
 	if len(blks) != 0 {
 		t.Fatalf("expired block files left on disk: %v", blks)
 	}
-
-	// A restart rebuilds the catalog from the snapshot, which has no rows
-	// for the expired series: it is gone entirely.
+	// The expired series is gone entirely, and the same before and after
+	// a restart: the pass that deleted its last block dropped the head
+	// entry the cut had emptied, and a restart rebuilds the head from the
+	// snapshot, which has no rows for it.
+	expired := func(when string, e *Sharded) {
+		t.Helper()
+		if _, err := e.Query(blockKey, time.Time{}, time.Now()); err != ErrNoSeries {
+			t.Fatalf("%s: expired series query err = %v, want ErrNoSeries", when, err)
+		}
+		if _, err := e.Aggregate(blockKey, time.Time{}, time.Now()); err != ErrNoSeries {
+			t.Fatalf("%s: expired series aggregate err = %v, want ErrNoSeries", when, err)
+		}
+		if n := e.Len(blockKey); n != 0 {
+			t.Fatalf("%s: expired series len = %d, want 0", when, n)
+		}
+		if n := e.Len(fresh); n != 1 {
+			t.Fatalf("%s: fresh series len = %d, want 1", when, n)
+		}
+		if got := catalogKeys(e); !reflect.DeepEqual(got, []SeriesKey{fresh}) {
+			t.Fatalf("%s: catalog = %v, want only %v", when, got, fresh)
+		}
+		if st := e.Stats(); st.Series != 1 {
+			t.Fatalf("%s: stats = %+v, want 1 series", when, st)
+		}
+	}
+	expired("before restart", eng)
 	eng.Close()
 	re := openDurable(t, dir, ShardedOptions{Shards: 1, Blocks: BlockPolicy{
 		HeadWindow:      time.Minute,
 		RetentionRollup: 2 * time.Hour,
 	}})
 	defer re.Close()
-	if _, err := re.Query(blockKey, time.Time{}, time.Now()); err != ErrNoSeries {
-		t.Fatalf("expired series query after restart err = %v, want ErrNoSeries", err)
-	}
-	if n := re.Len(fresh); n != 1 {
-		t.Fatalf("fresh series len after restart = %d, want 1", n)
-	}
+	expired("after restart", re)
 }
 
 func TestBlockDropSeriesRewritesBlocks(t *testing.T) {

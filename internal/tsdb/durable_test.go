@@ -64,7 +64,7 @@ func TestDurableRecoveryAfterClose(t *testing.T) {
 	if errs := eng.AppendBatch(rows); errs != nil {
 		t.Fatalf("append: %v", errs)
 	}
-	keys := eng.Keys()
+	keys := catalogKeys(eng)
 	wantStats := eng.Stats()
 	eng.Close()
 
@@ -287,7 +287,7 @@ func TestDurableWALFailureDropsRows(t *testing.T) {
 	if errs := eng.AppendBatch(rows[:10]); errs != nil {
 		t.Fatal(errs[0])
 	}
-	keys := eng.Keys()
+	keys := catalogKeys(eng)
 	lens := make([]int, len(keys))
 	for i, k := range keys {
 		lens[i] = eng.Len(k)

@@ -19,7 +19,9 @@ import (
 // device proxy program against. The device-hash Sharded engine is its
 // one implementation, in memory or durable; tests and benchmarks wrap
 // it or fake it. Readers and writers address series by key; which shard
-// owns a series is the engine's business.
+// owns a series is the engine's business, except for listings: the
+// series are listed per shard (Catalog), and ShardOf names the shard
+// of a device.
 type Engine interface {
 	Append(key SeriesKey, smp Sample) error
 	AppendBatch(rows []Row) []error
@@ -29,8 +31,8 @@ type Engine interface {
 	Scan(key SeriesKey, from, to time.Time, cur Cursor) Iterator
 	Latest(key SeriesKey) (Sample, error)
 	Len(key SeriesKey) int
-	Keys() []SeriesKey
-	KeysForDevice(device string) []SeriesKey
+	NumShards() int
+	Catalog(shard int) []SeriesKey
 	Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error)
 	Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error)
 	Stats() Stats
@@ -129,6 +131,8 @@ type Sharded struct {
 	// node.disks, the per-shard durable state.
 	node  *nodeLog
 	disks []*shardDisk
+	// cats is the per-shard series catalog (Catalog).
+	cats []catalog
 	// bsets is the per-shard published block view (always empty on an
 	// in-memory engine); workers mutate, readers capture under its read
 	// lock.
@@ -231,6 +235,7 @@ func OpenSharded(opts ShardedOptions) (*Sharded, error) {
 		shards:    make([]*Store, n),
 		queues:    make([]chan batchItem, n),
 		bsets:     make([]*blockSet, n),
+		cats:      make([]catalog, n),
 		gens:      make([]atomic.Uint64, n),
 		snapEvery: opts.SnapshotEvery,
 	}
@@ -535,7 +540,7 @@ type ShardStatus struct {
 // on an in-memory engine). Series and Samples merge the head with the
 // block files.
 func (s *Sharded) ShardStatus(i int) ShardStatus {
-	out := ShardStatus{Shard: i, Series: len(s.ShardKeys(i)), Samples: s.shards[i].Stats().Samples,
+	out := ShardStatus{Shard: i, Series: len(s.Catalog(i)), Samples: s.shards[i].Stats().Samples,
 		HeadBytes: s.shards[i].headBytes()}
 	if s.disks != nil {
 		d := s.disks[i]
@@ -816,15 +821,6 @@ func (s *Sharded) AppendBatchNote(rows []Row, st *obs.Stages, note []byte) ([]er
 	return nil, seq
 }
 
-// Keys concatenates every shard's keys, in no particular order.
-func (s *Sharded) Keys() []SeriesKey {
-	var out []SeriesKey
-	for i := range s.shards {
-		out = append(out, s.ShardKeys(i)...)
-	}
-	return out
-}
-
 // Stats sums the shard counters. Samples counts head and block samples
 // together, so it is invariant across compaction (and across retention
 // demotion — demoted series keep contributing their index counts).
@@ -833,7 +829,7 @@ func (s *Sharded) Stats() Stats {
 	st.Shards = len(s.shards)
 	st.DroppedRows = s.dropped.Load()
 	for i, sh := range s.shards {
-		st.Series += len(s.ShardKeys(i))
+		st.Series += len(s.Catalog(i))
 		st.Samples += sh.Stats().Samples
 		bs := s.bsets[i]
 		bs.mu.RLock()

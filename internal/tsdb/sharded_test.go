@@ -93,7 +93,7 @@ func TestShardedSingleShardEquivalence(t *testing.T) {
 				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
 					return downsampleIter(h.iter(key, from, to), from, w)
 				})
-			got := readAll(t, e.eng, e.eng.Iter(key, time.Time{}, to, 0), key, ranges,
+			got := readAll(t, catalogReader{e.eng}, e.eng.Iter(key, time.Time{}, to, 0), key, ranges,
 				func(from, to time.Time, w time.Duration) ([]Bucket, error) {
 					return e.eng.Downsample(key, from, to, w)
 				})
@@ -128,6 +128,21 @@ func (h headReader) Query(key SeriesKey, from, to time.Time) ([]Sample, error) {
 		out = append(out, sampleAt(p.T, p.V))
 	}
 	return out, nil
+}
+
+// deviceKeys lists the head's series of one device.
+func (h headReader) deviceKeys(device string) []SeriesKey {
+	keys := h.keys()
+	slices.SortFunc(keys, CompareKeys)
+	return deviceKeys(keys, device)
+}
+
+// catalogReader reads an engine, listing a device's series from its
+// owning shard's catalog.
+type catalogReader struct{ *Sharded }
+
+func (r catalogReader) deviceKeys(device string) []SeriesKey {
+	return deviceKeys(r.Catalog(r.ShardFor(device)), device)
 }
 
 // iter walks Query's answer.
@@ -210,13 +225,13 @@ type equivReader interface {
 	Query(key SeriesKey, from, to time.Time) ([]Sample, error)
 	Latest(key SeriesKey) (Sample, error)
 	Len(key SeriesKey) int
-	KeysForDevice(device string) []SeriesKey
+	deviceKeys(device string) []SeriesKey
 	Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error)
 }
 
 // readAll runs every read of one series through r and returns the
 // outcomes in a fixed order, errors included: Latest, Len,
-// KeysForDevice, the whole-series iterator, then per range Query, a
+// the device's series, the whole-series iterator, then per range Query, a
 // 37-row QueryPage walk page by page, Aggregate, and Downsample at 1m,
 // 1h and an off-grid 90s.
 func readAll(t *testing.T, r equivReader, it Iterator, key SeriesKey, ranges [][2]time.Time,
@@ -227,7 +242,7 @@ func readAll(t *testing.T, r equivReader, it Iterator, key SeriesKey, ranges [][
 		Err error
 	}
 	latest, err := r.Latest(key)
-	out := []any{result{latest, err}, r.Len(key), r.KeysForDevice(key.Device)}
+	out := []any{result{latest, err}, r.Len(key), r.deviceKeys(key.Device)}
 	var walked []Sample
 	for smp, ok := it.Next(); ok; smp, ok = it.Next() {
 		walked = append(walked, smp)
@@ -271,16 +286,13 @@ func TestShardedRouting(t *testing.T) {
 		if err := s.Append(other, Sample{At: shT0, Value: 2}); err != nil {
 			t.Fatal(err)
 		}
-		if got := s.KeysForDevice(key.Device); len(got) != 2 {
-			t.Fatalf("device %d: %d keys", d, len(got))
-		}
 		sh := s.ShardFor(key.Device)
-		if !slices.Contains(s.ShardKeys(sh), key) {
-			t.Fatalf("device %d not in shard %d", d, sh)
+		if got := deviceKeys(s.Catalog(sh), key.Device); len(got) != 2 {
+			t.Fatalf("device %d: %d keys in shard %d", d, len(got), sh)
 		}
 	}
-	if got := len(s.Keys()); got != 2*devices {
-		t.Fatalf("Keys() = %d, want %d", got, 2*devices)
+	if got := len(catalogKeys(s)); got != 2*devices {
+		t.Fatalf("catalog = %d keys, want %d", got, 2*devices)
 	}
 	populated := 0
 	for i := 0; i < s.NumShards(); i++ {

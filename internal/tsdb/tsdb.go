@@ -22,7 +22,9 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -36,6 +38,16 @@ type SeriesKey struct {
 
 // String renders the key in the device|quantity form used in logs.
 func (k SeriesKey) String() string { return k.Device + "|" + k.Quantity }
+
+// CompareKeys is the one order of series keys: by device, then by
+// quantity. Shard catalogs, block files and every merged listing are
+// sorted by it.
+func CompareKeys(a, b SeriesKey) int {
+	if c := strings.Compare(a.Device, b.Device); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Quantity, b.Quantity)
+}
 
 // Sample is one timestamped value.
 type Sample struct {
@@ -93,10 +105,16 @@ func (o *Options) withDefaults() Options {
 type Store struct {
 	opts Options
 
-	// mu guards the series catalog; every append and query resolves its
+	// mu guards the series map; every append and query resolves its
 	// series through it, so it must never cover disk or network time.
 	mu     sync.RWMutex // districtlint:lockio
 	series map[SeriesKey]*series
+	// ver is the shard's series-set version: it bumps after a series
+	// enters or leaves the map and, from publish, on every block view
+	// swap, always before the mutation's caller is unblocked. The shard
+	// catalog is rebuilt when it moves; an append to an existing series
+	// leaves it alone.
+	ver atomic.Uint64
 }
 
 // series holds the segments of one series. Segments are time-ordered
@@ -152,6 +170,7 @@ func (s *Store) getOrCreate(key SeriesKey) *series {
 		if sr == nil {
 			sr = &series{lastT: math.MinInt64}
 			s.series[key] = sr
+			s.ver.Add(1)
 		}
 		s.mu.Unlock()
 	}
@@ -380,28 +399,14 @@ func (s *Store) Len(key SeriesKey) int {
 	return sr.count
 }
 
-// Keys returns all series keys, in no particular order.
-func (s *Store) Keys() []SeriesKey {
+// keys returns every head series key, in no particular order.
+func (s *Store) keys() []SeriesKey {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]SeriesKey, 0, len(s.series))
 	for k := range s.series {
 		out = append(out, k)
 	}
-	return out
-}
-
-// KeysForDevice returns the series keys belonging to one device URI.
-func (s *Store) KeysForDevice(device string) []SeriesKey {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var out []SeriesKey
-	for k := range s.series {
-		if k.Device == device {
-			out = append(out, k)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Quantity < out[j].Quantity })
 	return out
 }
 
@@ -505,13 +510,13 @@ func (s *Store) appendPoints(buf []block.Point, key SeriesKey, lo int64, skip in
 }
 
 // evictBefore drops every stored sample with At before t from every
-// series, keeping the (possibly now-empty) series entries in the
-// catalog. Purely in-memory — the compactor runs it under the block
-// view's write lock to swap "rows in head" for "rows in the new block"
-// atomically against readers.
+// series, keeping the (possibly now-empty) series entries: their rows
+// moved into a block, which lists them. Purely in-memory — the
+// compactor runs it under the block view's write lock to swap "rows in
+// head" for "rows in the new block" atomically against readers.
 func (s *Store) evictBefore(t time.Time) {
 	tn := nanos(t)
-	for _, key := range s.Keys() {
+	for _, key := range s.keys() {
 		sr := s.lookup(key)
 		if sr == nil {
 			continue
@@ -597,14 +602,16 @@ func (s *Store) Stats() Stats {
 func (s *Store) Drop(key SeriesKey) {
 	s.mu.Lock()
 	delete(s.series, key)
+	s.ver.Add(1)
 	s.mu.Unlock()
 }
 
 // Reset drops every series in one critical section, returning the store
 // to empty. Readers holding a series pointer finish against the
-// orphaned catalog; new lookups see nothing.
+// orphaned map; new lookups see nothing.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	s.series = make(map[SeriesKey]*series)
+	s.ver.Add(1)
 	s.mu.Unlock()
 }

@@ -2,6 +2,7 @@ package tsdb
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -18,6 +19,28 @@ func newMem(t *testing.T, opts Options) *Sharded {
 	s := NewSharded(ShardedOptions{Shards: 1, Store: opts})
 	t.Cleanup(s.Close)
 	return s
+}
+
+// catalogKeys lists every series of an engine, shard catalogs merged
+// and sorted.
+func catalogKeys(e Engine) []SeriesKey {
+	var out []SeriesKey
+	for i := 0; i < e.NumShards(); i++ {
+		out = append(out, e.Catalog(i)...)
+	}
+	slices.SortFunc(out, CompareKeys)
+	return out
+}
+
+// deviceKeys lists the series of one device in a sorted catalog.
+func deviceKeys(cat []SeriesKey, device string) []SeriesKey {
+	var out []SeriesKey
+	for _, k := range DeviceRange(cat, device) {
+		if k.Device == device {
+			out = append(out, k)
+		}
+	}
+	return out
 }
 
 func fill(t *testing.T, s Engine, k SeriesKey, n int, step time.Duration) {
@@ -217,17 +240,24 @@ func TestDownsampleBadWindow(t *testing.T) {
 	}
 }
 
-func TestKeysAndKeysForDevice(t *testing.T) {
+func TestCatalogSortsByDeviceThenQuantity(t *testing.T) {
 	s := newMem(t, Options{})
+	_ = s.Append(SeriesKey{"urn:ab", "temperature"}, Sample{At: t0, Value: 4})
 	_ = s.Append(SeriesKey{"urn:a", "temperature"}, Sample{At: t0, Value: 1})
 	_ = s.Append(SeriesKey{"urn:a", "humidity"}, Sample{At: t0, Value: 2})
 	_ = s.Append(SeriesKey{"urn:b", "temperature"}, Sample{At: t0, Value: 3})
-	if got := len(s.Keys()); got != 3 {
-		t.Errorf("Keys = %d, want 3", got)
+	want := []SeriesKey{{"urn:a", "humidity"}, {"urn:a", "temperature"}, {"urn:ab", "temperature"}, {"urn:b", "temperature"}}
+	if got := s.Catalog(0); !slices.Equal(got, want) {
+		t.Errorf("Catalog = %v, want %v", got, want)
 	}
-	ka := s.KeysForDevice("urn:a")
-	if len(ka) != 2 || ka[0].Quantity != "humidity" || ka[1].Quantity != "temperature" {
-		t.Errorf("KeysForDevice = %v", ka)
+	if got := DeviceRange(s.Catalog(0), "urn:a"); !slices.Equal(got, want[:3]) {
+		t.Errorf("DeviceRange(urn:a) = %v, want %v", got, want[:3])
+	}
+	if got := deviceKeys(s.Catalog(0), "urn:a"); !slices.Equal(got, want[:2]) {
+		t.Errorf("device urn:a = %v, want %v", got, want[:2])
+	}
+	if got := DeviceRange(s.Catalog(0), "urn:c"); len(got) != 0 {
+		t.Errorf("DeviceRange(urn:c) = %v, want none", got)
 	}
 }
 

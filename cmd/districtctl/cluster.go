@@ -15,7 +15,7 @@ import (
 // every node's shard-level state from its /v1/storage report
 // (ownership, on-disk size, WAL depth);
 // "cluster move <shard> <node>" performs a live shard handoff —
-// freeze, archive copy, replay on the target, map flip, release — while
+// freeze, archive copy, restore on the target, map flip, release — while
 // ingest keeps running against the coordinator.
 
 func cmdCluster(ctx context.Context, c *client.Client, args []string) error {
@@ -87,7 +87,7 @@ func cmdClusterMove(ctx context.Context, c *client.Client, args []string) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("moved shard %d: %s -> %s (%d rows replayed, map epoch %d)\n",
+	fmt.Printf("moved shard %d: %s -> %s (%d rows restored, map epoch %d)\n",
 		rep.Shard, rep.From, rep.To, rep.Rows, rep.Epoch)
 	return nil
 }

@@ -49,7 +49,7 @@ type MoveReport struct {
 	Shard int    `json:"shard"`
 	From  string `json:"from"`
 	To    string `json:"to"`
-	// Rows is how many rows the target replayed from the archive.
+	// Rows is how many rows the restore loaded into the target's head.
 	Rows int `json:"rows"`
 	// Epoch is the map epoch after the flip.
 	Epoch uint64 `json:"epoch"`
@@ -57,7 +57,7 @@ type MoveReport struct {
 
 // Move performs a live shard handoff: freeze the shard on its current
 // owner (draining in-flight writes and fsyncing its WAL), stream the
-// frozen directory to the target, replay it there, flip the master map
+// frozen directory to the target, restore it there, flip the master map
 // (epoch bump), and release the source (which re-resolves the map, sees
 // ownership gone, and wipes its local copy). Writes addressed to the
 // shard are rejected with retryable envelopes between freeze and flip,

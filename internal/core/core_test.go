@@ -394,18 +394,32 @@ func TestBuildAreaModelRoundTrips(t *testing.T) {
 	}
 	t.Logf("warm call: %d requests for %d model proxies and %d devices", 3+modelProxies, modelProxies, devices)
 
-	// One device's series vanish from the DB: that device alone is read
+	// One device's series vanish from the DB (its shard is emptied and
+	// refilled with every other device's rows): that device alone is read
 	// from its proxy — one info, one latest per quantity it senses.
 	const lost = "urn:district:turin/building:b01/device:d00"
-	st := d.Measure.Store()
+	st := d.Measure.Store().(*tsdb.Sharded)
+	shard := st.ShardFor(lost)
 	var keys []tsdb.SeriesKey
-	for _, key := range tsdb.DeviceRange(st.Catalog(tsdb.ShardOf(lost, st.NumShards())), lost) {
+	var kept []tsdb.Row
+	for _, key := range st.Catalog(shard) {
 		if key.Device == lost {
 			keys = append(keys, key)
+			continue
+		}
+		smps, err := st.Query(key, time.Time{}, time.Now().Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, smp := range smps {
+			kept = append(kept, tsdb.Row{Key: key, Sample: smp})
 		}
 	}
-	for _, key := range keys {
-		st.Drop(key)
+	if err := st.ResetShard(shard); err != nil {
+		t.Fatal(err)
+	}
+	if errs := st.AppendBatch(kept); errs != nil {
+		t.Fatal(errs)
 	}
 	oneLost, counts := build()
 	wantWarm["200 /v1/info"], wantWarm["200 /v1/latest"] = 1, len(keys)

@@ -30,14 +30,14 @@ import (
 //
 //	POST /v1/cluster/shards/{shard}/freeze       stop writes, drain, fsync
 //	GET  /v1/cluster/shards/{shard}/archive      stream the shard directory
-//	POST /v1/cluster/shards/{shard}/restore      replay an archived shard
+//	POST /v1/cluster/shards/{shard}/restore      load an archived shard
 //	POST /v1/cluster/shards/{shard}/release      unfreeze (and wipe if moved)
 //
 // The handoff protocol (orchestrated by client.Cluster.Move) is
 // freeze → archive → restore on the target → map flip on the master →
 // release on the source. Exactly-once without store-level dedup holds
 // because: rows rejected during the freeze were never journaled (the
-// coordinator retries them against the new owner), the restore replays
+// coordinator retries them against the new owner), the restore loads
 // a byte-complete frozen directory, and release only wipes the source
 // copy after re-resolving the map and seeing ownership gone. The node's
 // shard report, ownership and freezes included, is /v1/storage.
@@ -384,9 +384,9 @@ func (s *Service) clusterArchive(w http.ResponseWriter, r *http.Request) {
 }
 
 // clusterRestore rebuilds one shard from an archive stream. The files
-// land in a temp directory and are replayed through the engine's own
-// write path (re-journaled in this node's node log), after a ResetShard
-// that makes a retried restore idempotent instead of double-applying.
+// land in a temp directory, which the engine then loads in place of the
+// shard in one step (tsdb.Sharded.RestoreShard): a retried restore
+// replaces, never adds to, what an earlier attempt left.
 func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
 	if !ok {
@@ -438,7 +438,8 @@ func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 		if len(name) == 0 {
 			break // terminator
 		}
-		if strings.ContainsAny(string(name), "/\\") || string(name) == ".." {
+		// One plain file name: no path, and not the directory itself.
+		if n := string(name); n == "." || n == ".." || strings.ContainsAny(n, "/\\\x00") {
 			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive file name %q", name)))
 			return
 		}
@@ -461,46 +462,9 @@ func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Wipe first: a retried restore must replace, not append to, a
-	// partial earlier attempt.
-	if err := sh.ResetShard(i); err != nil {
-		api.WriteError(w, r, api.Internal(fmt.Errorf("reset shard %d: %w", i, err)))
-		return
-	}
-	// Compacted blocks ship wholesale: their raw-expired series exist
-	// only as rollups, which have no row form to replay. The copy runs
-	// before the row replay so the restored read view layers the head
-	// rows over the blocks exactly like the source did. Block-less
-	// archives skip the import so they restore onto any engine.
-	if names, err := tsdb.BlockFiles(tmp); err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive block manifest: %v", err)))
-		return
-	} else if len(names) > 0 {
-		if err := sh.ImportShardBlocks(i, tmp); err != nil {
-			api.WriteError(w, r, api.Internal(fmt.Errorf("import shard %d blocks: %w", i, err)))
-			return
-		}
-	}
-	rows := 0
-	err = tsdb.ReadShardDir(tmp, func(batch []tsdb.Row) error {
-		for _, row := range batch {
-			if sh.ShardFor(row.Key.Device) != i {
-				return fmt.Errorf("archived row for device %q hashes to shard %d, not %d",
-					row.Key.Device, sh.ShardFor(row.Key.Device), i)
-			}
-		}
-		if errs := sh.AppendBatch(batch); errs != nil {
-			for _, e := range errs {
-				if e != nil {
-					return e
-				}
-			}
-		}
-		rows += len(batch)
-		return nil
-	})
+	rows, err := sh.RestoreShard(i, tmp)
 	if err != nil {
-		api.WriteError(w, r, api.Internal(fmt.Errorf("replay shard %d archive: %w", i, err)))
+		api.WriteError(w, r, api.Internal(fmt.Errorf("restore shard %d: %w", i, err)))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{"shard": i, "rows": rows})

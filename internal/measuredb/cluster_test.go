@@ -3,11 +3,15 @@ package measuredb
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -515,5 +519,174 @@ func TestStorageReportCarriesTheMapView(t *testing.T) {
 		if bytes.Contains(raw, []byte(field)) {
 			t.Errorf("plain node's report carries %s: %s", field, raw)
 		}
+	}
+}
+
+// restoreTarget serves a durable clustered node of the given shard count
+// and returns it with its base URL. The restore route needs no map.
+func restoreTarget(t *testing.T, shards int) (*Service, string) {
+	t.Helper()
+	m := master.New(master.Options{})
+	maddr, err := m.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	n, err := Open(Options{Shards: shards, DataDir: t.TempDir(), Cluster: &ClusterOptions{Master: "http://" + maddr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	addr, err := n.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.SetClusterSelf("http://" + addr)
+	return n, "http://" + addr
+}
+
+// archiveStream frames files as GET .../archive streams them: a JSON
+// header, one (name, size, bytes) frame per file, a zero terminator.
+func archiveStream(shard, shards int, names []string, files map[string][]byte) []byte {
+	var b bytes.Buffer
+	frame := func(p []byte) {
+		b.Write(binary.AppendUvarint(nil, uint64(len(p))))
+		b.Write(p)
+	}
+	hdr, _ := json.Marshal(archiveHeader{Shard: shard, Shards: shards})
+	frame(hdr)
+	for _, name := range names {
+		frame([]byte(name))
+		frame(files[name])
+	}
+	b.WriteByte(0)
+	return b.Bytes()
+}
+
+// shardFiles returns the files of a published one-shard engine holding
+// rows: the files an archive of that shard carries.
+func shardFiles(t *testing.T, rows []tsdb.Row) ([]string, map[string][]byte) {
+	t.Helper()
+	src, err := tsdb.OpenSharded(tsdb.ShardedOptions{Shards: 1, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	if errs := src.AppendBatch(rows); errs != nil {
+		t.Fatal(errs)
+	}
+	if err := src.SyncShard(0); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(src.ShardDir(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	files := map[string][]byte{}
+	for _, e := range ents {
+		raw, err := os.ReadFile(filepath.Join(src.ShardDir(0), e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, e.Name())
+		files[e.Name()] = raw
+	}
+	return names, files
+}
+
+// postRestore posts an archive to a node's shard restore route and
+// decodes the answer into out.
+func postRestore(t *testing.T, node string, shard int, body []byte, out any) int {
+	t.Helper()
+	rsp, err := http.Post(fmt.Sprintf("%s/v1/cluster/shards/%d/restore", node, shard), "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rsp.Body.Close()
+	if err := json.NewDecoder(rsp.Body).Decode(out); err != nil {
+		t.Fatalf("decode restore answer (status %d): %v", rsp.StatusCode, err)
+	}
+	return rsp.StatusCode
+}
+
+// TestClusterRestoreRefusesPathFileNames: an archived file name must be
+// one plain name. "." (the temp directory itself), "..", and names
+// holding a separator or a NUL answer 400, not a failed file open.
+func TestClusterRestoreRefusesPathFileNames(t *testing.T) {
+	_, node := restoreTarget(t, 2)
+	for _, name := range []string{".", "..", "a/b", `a\b`, "a\x00b"} {
+		var env api.Envelope
+		body := archiveStream(1, 2, []string{name}, map[string][]byte{name: []byte("x")})
+		if status := postRestore(t, node, 1, body, &env); status != http.StatusBadRequest ||
+			!strings.Contains(env.Error, "bad archive file name") {
+			t.Fatalf("file name %q: status %d, %+v; want 400 bad archive file name", name, status, env)
+		}
+	}
+}
+
+// TestClusterRestoreJournalsNothing posts archives to a durable node's
+// shard 1. One holding a row of a device of shard 0 is refused, and the
+// shard keeps what it held; one of the shard's own devices restores in
+// place of it. Neither writes a record to the node log: a note-only
+// probe record before and after each restore lands on consecutive seqs.
+func TestClusterRestoreJournalsNothing(t *testing.T) {
+	const shards = 2
+	svc, node := restoreTarget(t, shards)
+	eng := svc.Store().(*tsdb.Sharded)
+	probe := func() uint64 {
+		t.Helper()
+		_, seq := eng.AppendBatchNote(nil, nil, []byte("probe"))
+		if seq == 0 {
+			t.Fatal("probe record not journaled")
+		}
+		return seq
+	}
+	own, foreign := deviceInShard(1, shards), deviceInShard(0, shards)
+	at := time.Now().UTC().Add(-time.Minute).Truncate(time.Second)
+	rows := func(devs ...string) []tsdb.Row {
+		var out []tsdb.Row
+		for _, d := range devs {
+			for j := 0; j < 4; j++ {
+				out = append(out, tsdb.Row{Key: tsdb.SeriesKey{Device: d, Quantity: "temperature"},
+					Sample: tsdb.Sample{At: at.Add(time.Duration(j) * time.Second), Value: float64(j)}})
+			}
+		}
+		return out
+	}
+	local := tsdb.SeriesKey{Device: own, Quantity: "humidity"}
+	if err := eng.Append(local, tsdb.Sample{At: at, Value: 1}); err != nil {
+		t.Fatal(err)
+	}
+
+	before := probe()
+	var env api.Envelope
+	names, files := shardFiles(t, rows(own, foreign))
+	if status := postRestore(t, node, 1, archiveStream(1, shards, names, files), &env); status == http.StatusOK {
+		t.Fatalf("an archive with a device of shard 0 restored into shard 1: %+v", env)
+	}
+	if after := probe(); after != before+1 {
+		t.Fatalf("refused restore journaled %d records", after-before-1)
+	}
+	if got := eng.Catalog(1); len(got) != 1 || got[0] != local {
+		t.Fatalf("refused restore changed the shard: catalog %v, want only %v", got, local)
+	}
+
+	before = probe()
+	var res struct {
+		Rows int `json:"rows"`
+	}
+	names, files = shardFiles(t, rows(own))
+	if status := postRestore(t, node, 1, archiveStream(1, shards, names, files), &res); status != http.StatusOK || res.Rows != 4 {
+		t.Fatalf("restore: status %d, %+v; want 200 with 4 rows", status, res)
+	}
+	if after := probe(); after != before+1 {
+		t.Fatalf("restore journaled %d records", after-before-1)
+	}
+	if got := eng.Catalog(1); len(got) != 1 || got[0].Device != own || got[0].Quantity != "temperature" {
+		t.Fatalf("restored shard lists %v, want only the archive's series", got)
+	}
+	if n := eng.Len(tsdb.SeriesKey{Device: own, Quantity: "temperature"}); n != 4 {
+		t.Fatalf("restored series holds %d rows, want 4", n)
 	}
 }

@@ -68,7 +68,7 @@ func randomSelector(rng *rand.Rand, universe []tsdb.SeriesKey) SeriesSelector {
 // TestCatalogResolverEquivalence holds the catalog resolver to a
 // brute-force glob filter of every live series, on a durable 8-shard
 // engine whose series are head-only, block-only or both, across
-// compaction, series drops, a shard reset and rollup retention. The
+// compaction, a shard reset and rollup retention. The
 // live set is a model of those operations, and every series' Len must
 // agree with it.
 func TestCatalogResolverEquivalence(t *testing.T) {
@@ -161,13 +161,6 @@ func TestCatalogResolverEquivalence(t *testing.T) {
 		live[k] = slices.Contains(revived, k)
 	}
 	check("rollup retention")
-	for _, k := range []tsdb.SeriesKey{blockOnly[0], headOnly[0], both[0], both[1]} {
-		if err := eng.DropSeries(k); err != nil {
-			t.Fatal(err)
-		}
-		live[k] = false
-	}
-	check("dropped series")
 	reset := eng.ShardFor(both[2].Device)
 	if err := eng.ResetShard(reset); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,14 +25,15 @@ import (
 // behind one cursor contract, so callers cannot tell where the RAM/disk
 // boundary sits.
 //
-// Every change of a shard's block view — a compaction cycle, a series
-// drop, a block import, a reset, a publish before a handoff — is one
-// step, publish: write the head snapshot whose FIRST record is a
-// manifest naming the new view, at the seq of the last node-log record
-// the shard applied; swap the view, evicting the rows a cut moved into a
-// block from the head in the same write-locked section, so readers see
-// the move atomically; truncate the node log below its floor and drop
-// the shard's older snapshots; delete the blocks that left the view.
+// Every change of a shard's block view — a compaction cycle, a restore,
+// a reset, a publish before a handoff — is one step, publish: write the
+// head snapshot whose FIRST record is a manifest naming the new view, at
+// the seq of the last node-log record the shard applied; swap the view,
+// evicting the rows a cut moved into a block from the head (or, for a
+// restore, swapping in the archived head) in the same write-locked
+// section, so readers see the move atomically; truncate the node log
+// below its floor and drop the shard's older snapshots; delete the
+// blocks that left the view.
 // The ops themselves only decide the new view and write its new files,
 // all through one block writer (writeBlock).
 //
@@ -182,22 +184,26 @@ func bk(key SeriesKey) block.Key {
 // published list, created are the files written for it (deleted if the
 // change fails), removed the blocks leaving it (deleted once it is
 // durable). A non-zero boundary evicts the head rows before it — the
-// rows a cut moved into a created block — in the same swap.
+// rows a cut moved into a created block — in the same swap; a non-nil
+// head replaces the shard's head in it (a restore).
 type viewChange struct {
 	next, created, removed []*block.Block
 	boundary               time.Time
+	head                   *Store
 }
 
 // publish makes a view change durable and visible. It is the only step
 // that writes a head snapshot or truncates the node log, in this order:
-//  1. the snapshot naming vc.next, with the head rows at/after
-//     vc.boundary, at the seq of the last record the shard applied —
-//     the durable point of no return; if it fails, the created files
-//     are deleted and the previous view stays authoritative;
-//  2. the view swap, with the eviction of the cut rows and the removal
-//     of the empty head entries of series no block holds any more,
-//     under one write lock: a reader sees head-with-old-rows + old
-//     blocks, or head-without + new blocks — never both or neither;
+//  1. the snapshot naming vc.next, with the head rows (vc.head's, if
+//     set) at/after vc.boundary, at the seq of the last record the
+//     shard applied — the durable point of no return; if it fails, the
+//     created files are deleted and the previous view stays
+//     authoritative;
+//  2. the view swap, with the new head taken in or the cut rows
+//     evicted, and the removal of the empty head entries of series no
+//     block holds any more, under one write lock: a reader sees
+//     head-with-old-rows + old blocks, or head-without + new blocks —
+//     never both or neither;
 //  3. the node log truncated below its floor, which the new watermark
 //     may raise, and the shard's older snapshots dropped (best effort:
 //     the snapshot already covers them);
@@ -210,12 +216,15 @@ func publish(store *Store, disk *shardDisk, bs *blockSet, vc viewChange) error {
 		names[i] = filepath.Base(b.Path())
 	}
 	seq := disk.applied
-	if err := writeHeadSnapshot(store, disk.dir, seq, names, vc.boundary); err != nil {
+	if err := writeHeadSnapshot(cmp.Or(vc.head, store), disk.dir, seq, names, vc.boundary); err != nil {
 		unlink(vc.created)
 		return err
 	}
 	bs.mu.Lock()
 	bs.blocks = vc.next
+	if vc.head != nil {
+		store.take(vc.head)
+	}
 	if !vc.boundary.IsZero() {
 		store.evictBefore(vc.boundary)
 	}
@@ -292,7 +301,7 @@ func (s *Sharded) compactShard(store *Store, disk *shardDisk, bs *blockSet) erro
 		}
 		if b.MaxT() < rawHorizon && blockHasRaw(b) {
 			// On failure the original stays this cycle; the next retries.
-			if nb, err := copyBlock(bs, b, nil, true); err == nil {
+			if nb, err := copyBlock(bs, b, true); err == nil {
 				vc.created = append(vc.created, nb)
 				vc.removed = append(vc.removed, b)
 				b = nb
@@ -333,65 +342,78 @@ func blockHasRaw(b *block.Block) bool {
 	return false
 }
 
-// dropSeries removes a series from a shard: its head rows, and on a
-// durable shard every block holding it — rewritten without it, or
-// deleted when it was the block's only series — in one view change, so
-// the drop survives a reopen.
-func dropSeries(store *Store, disk *shardDisk, bs *blockSet, key SeriesKey) error {
-	store.Drop(key)
-	if disk == nil {
+// restoreShard replaces the shard with the archived shard directory dir
+// (RestoreShard) and reports the head rows it loaded. The archive is
+// read and checked whole before the shard changes: its rows into a new
+// head by replayShard, the reader recovery uses, its blocks opened from
+// its manifest. The blocks are then copied through the shard's block
+// writer, which re-checks their frames, and one publish swaps the new
+// head and blocks in for the old at the shard's applied seq.
+func (s *Sharded) restoreShard(i int, store *Store, disk *shardDisk, bs *blockSet, dir string) (int, error) {
+	foreign := func(device string) error {
+		if sh := s.ShardFor(device); sh != i {
+			return fmt.Errorf("tsdb: archived device %q hashes to shard %d, not %d", device, sh, i)
+		}
 		return nil
 	}
-	target := bk(key)
-	var vc viewChange
-	for _, b := range bs.blocks {
-		if _, ok := b.Meta(target); !ok {
-			vc.next = append(vc.next, b)
-			continue
+	head, rows := newStore(store.opts), 0
+	_, manifest, err := replayShard(dir, func(batch []Row) error {
+		for _, r := range batch {
+			if err := foreign(r.Key.Device); err != nil {
+				return err
+			}
+			if !Storable(r.Sample.At) {
+				return ErrTimeRange
+			}
 		}
-		nb, err := copyBlock(bs, b, &target, false)
+		head.AppendBatch(batch)
+		rows += len(batch)
+		return nil
+	})
+	switch {
+	case err != nil:
+		return 0, err
+	case disk == nil && len(manifest) > 0:
+		return 0, errNotDurable
+	case disk == nil:
+		store.take(head)
+		return rows, nil
+	}
+	srcs := make([]*block.Block, 0, len(manifest))
+	defer func() {
+		for _, b := range srcs {
+			_ = b.Close() // munmap of a read-only archived block
+		}
+	}()
+	for _, name := range manifest {
+		b, err := block.Open(blockPath(dir, name))
+		if err != nil {
+			return 0, err
+		}
+		srcs = append(srcs, b)
+		for _, m := range b.Series() {
+			if err := foreign(m.Key.Device); err != nil {
+				return 0, err
+			}
+		}
+	}
+	// From here on a failure empties the shard.
+	vc := viewChange{removed: bs.blocks, head: head}
+	for _, src := range srcs {
+		nb, err := copyBlock(bs, src, false)
 		if err != nil {
 			unlink(vc.created)
-			return err
+			return 0, errors.Join(err, resetShard(store, disk, bs))
 		}
-		vc.removed = append(vc.removed, b)
 		if nb != nil {
 			vc.created = append(vc.created, nb)
-			vc.next = append(vc.next, nb)
 		}
 	}
-	return publish(store, disk, bs, vc)
-}
-
-// importBlocks copies the manifest-listed blocks of srcDir into the
-// shard under fresh names and publishes them ahead of the local ones
-// (imported history is older than anything cut here). The cluster
-// restore path ships blocks wholesale with it: rollup-only (demoted)
-// data has no raw rows left to replay through the write path. Each
-// source block is read through its frame checks and rewritten by the
-// shard's block writer, which reproduces its bytes.
-func importBlocks(store *Store, disk *shardDisk, bs *blockSet, srcDir string) error {
-	names, err := BlockFiles(srcDir)
-	if err != nil || len(names) == 0 {
-		return err
+	vc.next = vc.created
+	if err := publish(store, disk, bs, vc); err != nil {
+		return 0, errors.Join(err, resetShard(store, disk, bs))
 	}
-	var vc viewChange
-	for _, name := range names {
-		src, err := block.Open(blockPath(srcDir, name))
-		if err != nil {
-			unlink(vc.created)
-			return err
-		}
-		nb, err := copyBlock(bs, src, nil, false)
-		_ = src.Close() // munmap of a read-only source block, already copied
-		if err != nil {
-			unlink(vc.created)
-			return err
-		}
-		vc.created = append(vc.created, nb)
-	}
-	vc.next = append(slices.Clip(vc.created), bs.blocks...)
-	return publish(store, disk, bs, vc)
+	return rows, nil
 }
 
 // resetShard empties one shard: the head, and on a durable shard the
@@ -492,18 +514,14 @@ func cutBlock(store *Store, bs *blockSet, boundary time.Time) (*block.Block, err
 	})
 }
 
-// copyBlock writes b's series into a new block, leaving out the one
-// keyed drop (nil: none). A series keeps its raw points unless
-// rollupsOnly is set or it has none left; then its rollups and index
-// aggregates carry over. A retention demote, a series drop and a block
-// import all rewrite through it.
-func copyBlock(bs *blockSet, b *block.Block, drop *block.Key, rollupsOnly bool) (*block.Block, error) {
+// copyBlock writes b's series into a new block. A series keeps its raw
+// points unless rollupsOnly is set or it has none left; then its rollups
+// and index aggregates carry over. A retention demote and a restore's
+// block copy both rewrite through it.
+func copyBlock(bs *blockSet, b *block.Block, rollupsOnly bool) (*block.Block, error) {
 	return bs.writeBlock(func(w *lazyWriter) error {
 		var pts []block.Point
 		for _, m := range b.Series() {
-			if drop != nil && m.Key == *drop {
-				continue
-			}
 			var err error
 			if m.HasRaw() && !rollupsOnly {
 				if pts, err = b.Points(pts[:0], m.Key, m.MinT, m.MaxT); err == nil {

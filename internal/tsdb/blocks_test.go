@@ -1,7 +1,9 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -487,37 +489,43 @@ func TestBlockRetentionRollupDropGolden(t *testing.T) {
 	expired("after restart", re)
 }
 
-func TestBlockDropSeriesRewritesBlocks(t *testing.T) {
-	dir := t.TempDir()
-	k2 := SeriesKey{Device: blockKey.Device, Quantity: "humidity"}
-	rows := oldRows(100, blockKey, k2)
-	eng := openDurable(t, dir, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
-	defer eng.Close()
-	if errs := eng.AppendBatch(rows); errs != nil {
-		t.Fatalf("append: %v", errs)
-	}
-	if err := eng.CompactAll(); err != nil {
+// archiveShard copies shard i's directory, published first, as a
+// handoff archive carries it (every regular file), into a new directory.
+func archiveShard(t *testing.T, eng *Sharded, i int) string {
+	t.Helper()
+	if err := eng.SyncShard(i); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.DropSeries(blockKey); err != nil {
+	dst := t.TempDir()
+	ents, err := os.ReadDir(eng.ShardDir(i))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Query(blockKey, time.Time{}, time.Now()); err != ErrNoSeries {
-		t.Fatalf("dropped series err = %v, want ErrNoSeries", err)
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(eng.ShardDir(i), e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dst, e.Name()), raw, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	if n := eng.Len(k2); n != 100 {
-		t.Fatalf("sibling series len = %d, want 100", n)
+	return dst
+}
+
+// headRows lists the rows a shard's head holds.
+func headRows(s *Store) []Row {
+	var rows []Row
+	for _, k := range s.keys() {
+		pts, _ := s.appendPoints(nil, k, math.MinInt64, 0, math.MaxInt64, -1)
+		for _, p := range pts {
+			rows = append(rows, Row{Key: k, Sample: Sample{At: time.Unix(0, p.T).UTC(), Value: p.V}})
+		}
 	}
-	// The drop survives a restart: blocks were rewritten, not masked.
-	eng.Close()
-	re := openDurable(t, dir, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
-	defer re.Close()
-	if _, err := re.Query(blockKey, time.Time{}, time.Now()); err != ErrNoSeries {
-		t.Fatalf("dropped series err after restart = %v, want ErrNoSeries", err)
-	}
-	if n := re.Len(k2); n != 100 {
-		t.Fatalf("sibling series len after restart = %d, want 100", n)
-	}
+	return rows
 }
 
 func TestBlockImportAndReset(t *testing.T) {
@@ -535,8 +543,12 @@ func TestBlockImportAndReset(t *testing.T) {
 	dst := t.TempDir()
 	re := openDurable(t, dst, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
 	defer re.Close()
-	if err := re.ImportShardBlocks(0, filepath.Join(src, "shard-0000")); err != nil {
-		t.Fatal(err)
+	// The restore imports the archive's one block; every row is in it.
+	if n, err := re.RestoreShard(0, filepath.Join(src, "shard-0000")); err != nil || n != 0 {
+		t.Fatalf("restore = %d head rows, %v; want 0, nil", n, err)
+	}
+	if st := re.ShardStatus(0); st.Blocks != 1 {
+		t.Fatalf("restore left %d blocks, want 1", st.Blocks)
 	}
 	mem := memReference(t, rows)
 	assertReadsEqual(t, mem, re, blockKey, time.Time{}, time.Now())
@@ -552,6 +564,177 @@ func TestBlockImportAndReset(t *testing.T) {
 	if len(blks) != 0 {
 		t.Fatalf("reset left block files: %v", blks)
 	}
+}
+
+// TestRestoreShardRefusesAForeignDevice: an archive holding a device that
+// hashes to another shard — among its head rows, or only in a block — is
+// refused whole, and the shard and the node log are as they were. A
+// restore that succeeds journals nothing either: its one snapshot covers
+// the rows.
+func TestRestoreShardRefusesAForeignDevice(t *testing.T) {
+	const shards = 2
+	opts := ShardedOptions{Shards: shards, Blocks: BlockPolicy{HeadWindow: time.Minute}}
+	var own, foreign SeriesKey
+	for d := 0; own.Device == "" || foreign.Device == ""; d++ {
+		k := shKey(d)
+		if ShardOf(k.Device, shards) == 1 {
+			own = k
+		} else {
+			foreign = k
+		}
+	}
+	now := time.Now().UTC().Truncate(time.Second)
+	fresh := func(k SeriesKey, n int) []Row {
+		rows := make([]Row, n)
+		for i := range rows {
+			rows[i] = Row{Key: k, Sample: Sample{At: now.Add(time.Duration(i-n) * time.Second), Value: float64(i)}}
+		}
+		return rows
+	}
+	// archive builds a one-shard engine's archive: the old rows cut into
+	// a block, the fresh ones left in the head.
+	archive := func(old, head []Row) string {
+		src := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: opts.Blocks})
+		defer src.Close()
+		for _, rows := range [][]Row{old, head} {
+			if errs := src.AppendBatch(rows); errs != nil {
+				t.Fatal(errs)
+			}
+			if err := src.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return archiveShard(t, src, 0)
+	}
+
+	eng := openDurable(t, t.TempDir(), opts)
+	defer eng.Close()
+	local := SeriesKey{Device: own.Device, Quantity: "humidity"}
+	if errs := eng.AppendBatch(fresh(local, 5)); errs != nil {
+		t.Fatal(errs)
+	}
+	before := eng.Catalog(1)
+	for _, tc := range []struct {
+		name      string
+		old, head []Row
+	}{
+		{"head row", oldRows(10, own), append(fresh(own, 5), fresh(foreign, 1)...)},
+		{"block series", oldRows(10, own, foreign), fresh(own, 5)},
+	} {
+		seq := eng.node.log.LastSeq()
+		if _, err := eng.RestoreShard(1, archive(tc.old, tc.head)); err == nil {
+			t.Fatalf("%s: an archive with a device of shard 0 restored into shard 1", tc.name)
+		}
+		if got := eng.Catalog(1); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: refused restore changed the shard: catalog %v, want %v", tc.name, got, before)
+		}
+		if n := eng.Len(local); n != 5 {
+			t.Fatalf("%s: refused restore left %d local rows, want 5", tc.name, n)
+		}
+		if got := eng.node.log.LastSeq(); got != seq {
+			t.Fatalf("%s: refused restore moved the node log from seq %d to %d", tc.name, seq, got)
+		}
+	}
+
+	old, head := oldRows(10, own), fresh(own, 5)
+	seq := eng.node.log.LastSeq()
+	n, err := eng.RestoreShard(1, archive(old, head))
+	if err != nil || n != len(head) {
+		t.Fatalf("restore = %d head rows, %v; want %d, nil", n, err, len(head))
+	}
+	if got := eng.node.log.LastSeq(); got != seq {
+		t.Fatalf("restore moved the node log from seq %d to %d: it journaled rows", seq, got)
+	}
+	if n := eng.Len(local); n != 0 {
+		t.Fatalf("restore kept %d rows the archive does not hold", n)
+	}
+	assertReadsEqual(t, memReference(t, append(old, head...)), eng, own, time.Time{}, time.Now())
+}
+
+// TestRestoreShardFailureEmptiesTheShard: an archive whose block reads
+// back corrupt fails the restore past its checks, in the block copy;
+// the shard is then empty, and stays empty after a reopen, so a retry
+// starts from nothing.
+func TestRestoreShardFailureEmptiesTheShard(t *testing.T) {
+	opts := ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}}
+	src := openDurable(t, t.TempDir(), opts)
+	if errs := src.AppendBatch(oldRows(100, blockKey)); errs != nil {
+		t.Fatal(errs)
+	}
+	if err := src.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	arch := archiveShard(t, src, 0)
+	src.Close()
+	blks, _ := filepath.Glob(filepath.Join(arch, "*.blk"))
+	if len(blks) != 1 {
+		t.Fatalf("archive blocks: %v", blks)
+	}
+	f, err := os.OpenFile(blks[0], os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt([]byte{0xff, 0xfe}, 32) // inside the raw chunk, past the index's reach
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	eng := openDurable(t, dir, opts)
+	if errs := eng.AppendBatch(oldRows(50, blockKey)); errs != nil {
+		t.Fatal(errs)
+	}
+	if err := eng.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.RestoreShard(0, arch); err == nil {
+		t.Fatal("an archive with a corrupt block restored")
+	}
+	empty := func(when string, e *Sharded) {
+		t.Helper()
+		if cat := e.Catalog(0); len(cat) != 0 {
+			t.Fatalf("%s: shard lists %v, want nothing", when, cat)
+		}
+		if st := e.ShardStatus(0); st.Blocks != 0 || st.Samples != 0 {
+			t.Fatalf("%s: shard holds %+v, want nothing", when, st)
+		}
+	}
+	empty("after the failed restore", eng)
+	eng.Close()
+	re := openDurable(t, dir, opts)
+	defer re.Close()
+	empty("after a reopen", re)
+}
+
+// TestRestoreShardInMemory: an in-memory engine restores an archive
+// without blocks, and refuses one with blocks, unchanged.
+func TestRestoreShardInMemory(t *testing.T) {
+	mk := func(rows []Row, compact bool) string {
+		src := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+		defer src.Close()
+		if errs := src.AppendBatch(rows); errs != nil {
+			t.Fatal(errs)
+		}
+		if compact {
+			if err := src.CompactAll(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return archiveShard(t, src, 0)
+	}
+	rows := oldRows(40, blockKey)
+	mem := newMem(t, Options{})
+	if n, err := mem.RestoreShard(0, mk(rows, false)); err != nil || n != len(rows) {
+		t.Fatalf("block-less restore = %d rows, %v; want %d, nil", n, err, len(rows))
+	}
+	assertReadsEqual(t, memReference(t, rows), mem, blockKey, time.Time{}, time.Now())
+	if _, err := mem.RestoreShard(0, mk(oldRows(10, shKey(3)), true)); !errors.Is(err, errNotDurable) {
+		t.Fatalf("restore of blocks in memory: err %v, want %v", err, errNotDurable)
+	}
+	assertReadsEqual(t, memReference(t, rows), mem, blockKey, time.Time{}, time.Now())
 }
 
 func TestBlockVerifyShardDir(t *testing.T) {
@@ -675,9 +858,9 @@ func TestBlockHeadWindowDisabledKeepsLegacySnapshots(t *testing.T) {
 }
 
 // TestBlockViewChangesResetSnapshotGauges holds every view change to the
-// same bookkeeping: after a forced compaction, a block import, a series
-// drop and a reset, the shard's snapshot age has restarted and no row
-// counts as pending above the new snapshot's watermark.
+// same bookkeeping: after a forced compaction, a restore and a reset,
+// the shard's snapshot age has restarted and no row counts as pending
+// above the new snapshot's watermark.
 func TestBlockViewChangesResetSnapshotGauges(t *testing.T) {
 	policy := BlockPolicy{HeadWindow: time.Minute}
 	src := t.TempDir()
@@ -708,8 +891,7 @@ func TestBlockViewChangesResetSnapshotGauges(t *testing.T) {
 		run  func() error
 	}{
 		{"compact", func() error { return eng.CompactShard(0) }},
-		{"import", func() error { return eng.ImportShardBlocks(0, filepath.Join(src, "shard-0000")) }},
-		{"drop", func() error { return eng.DropSeries(blockKey) }},
+		{"restore", func() error { _, err := eng.RestoreShard(0, filepath.Join(src, "shard-0000")); return err }},
 		{"reset", func() error { return eng.ResetShard(0) }},
 	}
 	head := SeriesKey{Device: "urn:district:turin/building:b02/device:d1", Quantity: "humidity"}
@@ -743,10 +925,12 @@ func TestBlockViewChangesResetSnapshotGauges(t *testing.T) {
 }
 
 // TestBlockAdminOpsSurviveReopen: every view change — a compaction that
-// also demotes, a series drop, a block import and a reset — leaves a
-// data dir that reopens, after a clean Close and after a kill (no
-// Close), to the reads of an in-memory oracle, with no orphan block or
-// temp file, and whose snapshot + WAL tail hold exactly the head rows.
+// also demotes, a restore and a reset — leaves a data dir that reopens,
+// after a clean Close and after a kill (no Close), to the reads of an
+// in-memory oracle, with no orphan block or temp file, and whose
+// snapshot + WAL tail hold exactly the head rows: published and
+// restored into a fresh engine, the directory gives that engine those
+// head rows and the oracle's reads.
 func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 	opts := ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute, RetentionRaw: 2 * time.Hour}}
 	k2 := SeriesKey{Device: blockKey.Device, Quantity: "humidity"}
@@ -794,19 +978,7 @@ func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 			}
 			return outcome{eng, cat(old, head), ancient, head}
 		}},
-		{"drop", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
-			old, head := at(100, -90*time.Minute, k2, k3), at(20, -30*time.Second, k2, k3)
-			eng := openDurable(t, dir, opts)
-			apply(t, eng, old, head)
-			must(t, eng.CompactShard(0))
-			must(t, eng.DropSeries(k3)) // in a block and in the head
-			// A series only the head holds, journaled after the last
-			// snapshot: its drop must be durable too.
-			apply(t, eng, at(10, -20*time.Second, blockKey))
-			must(t, eng.DropSeries(blockKey))
-			return outcome{eng, cat(at(100, -90*time.Minute, k2), at(20, -30*time.Second, k2)), nil, at(20, -30*time.Second, k2)}
-		}},
-		{"import", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
+		{"restore", func(t *testing.T, dir string, at func(int, time.Duration, ...SeriesKey) []Row) outcome {
 			ancient, old, head := at(100, -3*time.Hour, blockKey), at(100, -90*time.Minute, k2), at(20, -30*time.Second, k3)
 			src := t.TempDir()
 			srcEng := openDurable(t, src, opts)
@@ -814,26 +986,36 @@ func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 			must(t, srcEng.CompactShard(0))
 			apply(t, srcEng, old)
 			must(t, srcEng.CompactShard(0)) // a demoted block and a raw one
+			apply(t, srcEng, head)
+			arch := archiveShard(t, srcEng, 0)
 			srcEng.Close()
 			eng := openDurable(t, dir, opts)
-			apply(t, eng, head)
-			must(t, eng.ImportShardBlocks(0, filepath.Join(src, "shard-0000")))
-			// The import rewrites each block through the shard's writer,
-			// which reproduces the source bytes.
-			srcNames, err := BlockFiles(filepath.Join(src, "shard-0000"))
+			// The shard's own rows, in a block and in the head: the restore
+			// replaces them with the archive's.
+			apply(t, eng, at(50, -2*time.Hour, k2, k3))
+			must(t, eng.CompactShard(0))
+			apply(t, eng, at(10, -40*time.Second, k2))
+			n, err := eng.RestoreShard(0, arch)
+			must(t, err)
+			if n != len(head) {
+				t.Fatalf("restore loaded %d head rows, want %d", n, len(head))
+			}
+			// The restore rewrites each block through the shard's writer,
+			// which reproduces the archived bytes.
+			srcNames, err := BlockFiles(arch)
 			must(t, err)
 			dstNames, err := BlockFiles(filepath.Join(dir, "shard-0000"))
 			must(t, err)
 			if len(srcNames) != 2 || len(dstNames) != 2 {
-				t.Fatalf("blocks: source %v, imported %v", srcNames, dstNames)
+				t.Fatalf("blocks: archived %v, restored %v", srcNames, dstNames)
 			}
 			for i := range srcNames {
-				a, err := os.ReadFile(filepath.Join(src, "shard-0000", srcNames[i]))
+				a, err := os.ReadFile(filepath.Join(arch, srcNames[i]))
 				must(t, err)
 				b, err := os.ReadFile(filepath.Join(dir, "shard-0000", dstNames[i]))
 				must(t, err)
 				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("imported %s differs from source %s", dstNames[i], srcNames[i])
+					t.Fatalf("restored %s differs from archived %s", dstNames[i], srcNames[i])
 				}
 			}
 			return outcome{eng, cat(old, head), ancient, head}
@@ -894,31 +1076,36 @@ func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 				defer re.Close()
 				mem := memReference(t, o.live)
 				to := time.Now()
-				for _, k := range []SeriesKey{k2, k3} {
-					assertReadsEqual(t, mem, re, k, time.Time{}, to)
-				}
-				if o.demoted == nil {
-					assertReadsEqual(t, mem, re, blockKey, time.Time{}, to)
-				} else {
+				reads := func(e *Sharded) {
+					t.Helper()
+					for _, k := range []SeriesKey{k2, k3} {
+						assertReadsEqual(t, mem, e, k, time.Time{}, to)
+					}
+					if o.demoted == nil {
+						assertReadsEqual(t, mem, e, blockKey, time.Time{}, to)
+						return
+					}
 					// Demoted: no raw samples, the exact whole-range aggregate.
-					if got, err := re.Query(blockKey, time.Time{}, to); err != nil || len(got) != 0 {
+					if got, err := e.Query(blockKey, time.Time{}, to); err != nil || len(got) != 0 {
 						t.Fatalf("demoted series query = %d samples, %v; want none", len(got), err)
 					}
 					want, _ := memReference(t, o.demoted).Aggregate(blockKey, time.Time{}, to)
-					if got, err := re.Aggregate(blockKey, time.Time{}, to); err != nil || !reflect.DeepEqual(got, want) {
+					if got, err := e.Aggregate(blockKey, time.Time{}, to); err != nil || !reflect.DeepEqual(got, want) {
 						t.Fatalf("demoted aggregate = %+v (%v), want %+v", got, err, want)
 					}
 				}
-				var replayed []Row
-				if err := ReadShardDir(filepath.Join(dir, "shard-0000"), func(rows []Row) error {
-					replayed = append(replayed, rows...)
-					return nil
-				}); err != nil {
-					t.Fatal(err)
+				reads(re)
+				// Published, the shard dir restores into a fresh engine as
+				// the head rows over the blocks.
+				must(t, re.SyncShard(0))
+				fresh := openDurable(t, t.TempDir(), opts)
+				defer fresh.Close()
+				n, err := fresh.RestoreShard(0, filepath.Join(dir, "shard-0000"))
+				must(t, err)
+				if got, want := rowsKey(headRows(fresh.shards[0])), rowsKey(o.head); n != len(o.head) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("shard dir restores %d rows (%d in the head), want the %d head rows", n, len(got), len(want))
 				}
-				if got, want := rowsKey(replayed), rowsKey(o.head); !reflect.DeepEqual(got, want) {
-					t.Fatalf("shard dir replays %d rows, want the %d head rows", len(got), len(want))
-				}
+				reads(fresh)
 			})
 		}
 	}

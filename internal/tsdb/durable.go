@@ -300,37 +300,6 @@ func (s *Sharded) openDurable(opts ShardedOptions, reg *obs.Registry) (err error
 	return nil
 }
 
-// ReadShardDir streams the row batches a shard directory holds — its
-// latest snapshot, then the records above the snapshot's watermark —
-// without opening a live engine. Those records are the directory's own
-// log tail in an archive a node of the per-shard layout sent, and the
-// shard's parts of the node log beside it (<dir>/../wal) when the
-// directory is an engine's shard-NNNN. The cluster restore path replays
-// an archived shard through the receiving node's own write path with
-// it. Block files are not rows: they ship wholesale via
-// BlockFiles/ImportShardBlocks, since demoted data has no raw rows to
-// replay.
-func ReadShardDir(dir string, fn func([]Row) error) error {
-	last, _, err := replayShard(dir, fn)
-	var shard int
-	if _, serr := fmt.Sscanf(filepath.Base(dir), "shard-%04d", &shard); err != nil || serr != nil {
-		return err
-	}
-	return wal.ReadDir(filepath.Join(filepath.Dir(dir), "wal"), last, func(_ uint64, p []byte) error {
-		_, err := walkRecord(p, func(sh int, part []byte) error {
-			if sh != shard {
-				return nil
-			}
-			rows, err := decodeRows(part)
-			if err != nil {
-				return err
-			}
-			return fn(rows)
-		})
-		return err
-	})
-}
-
 // maybeSnapshot runs the shard's compaction cycle once SnapshotEvery
 // rows have been applied since the last snapshot. Runs on the shard
 // worker, so the store sees no concurrent writes while dumping. Reports

@@ -1,7 +1,6 @@
 package tsdb
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 )
@@ -63,13 +62,13 @@ func TestCursorWalkOverStuckClockEnds(t *testing.T) {
 
 // TestScanAcrossViewChanges holds one scan of a durable one-shard engine
 // while the shard's block view changes under it: a compaction cuts the
-// head rows the scan has yet to reach into a block (the first one just
-// as the scan stands between two rows of one timestamp, one in a block
-// and one in the head), a drop of another series rewrites the blocks, a
-// block import adds one, and a compaction that cuts nothing republishes
-// the view. The scan yields exactly the rows a Query gave before, none
-// repeated or skipped. A drop of the scanned series ends a scan with an
-// error, not a clean short end.
+// head rows the scan has yet to reach into a block (just as the scan
+// stands between two rows of one timestamp, one in a block and one in
+// the head), a restore of the shard's own archive twice swaps in the
+// same data as a new head and new blocks, and a compaction that cuts
+// nothing republishes the view. The scan yields exactly the rows a
+// Query gave before, none repeated or skipped. A reset that removes the
+// scanned series ends a scan with an error, not a clean short end.
 func TestScanAcrossViewChanges(t *testing.T) {
 	const headWindow = time.Hour
 	now := time.Now()
@@ -97,12 +96,6 @@ func TestScanAcrossViewChanges(t *testing.T) {
 		}
 	}
 
-	src := t.TempDir()
-	imp := openDurable(t, src, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: headWindow}})
-	appendRows(imp, rows(shKey(2), 0, 600))
-	must(imp.CompactAll())
-	imp.Close()
-
 	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: headWindow}})
 	defer eng.Close()
 	appendRows(eng, append(rows(scanned, 0, 1500), rows(other, 0, 1500)...))
@@ -121,10 +114,14 @@ func TestScanAcrossViewChanges(t *testing.T) {
 	if err != nil || len(want) != 3301 {
 		t.Fatalf("reference: %d rows, err %v", len(want), err)
 	}
+	restore := func() {
+		_, err := eng.RestoreShard(0, archiveShard(t, eng, 0))
+		must(err)
+	}
 	changes := map[int]func(){
-		700:  func() { must(eng.DropSeries(other)) },
+		700:  restore,
 		1500: func() { must(eng.CompactAll()) }, // between block 1's rows at the late row's timestamp and the late row
-		2200: func() { must(eng.ImportShardBlocks(0, filepath.Join(src, "shard-0000"))) },
+		2200: restore,
 		2800: func() { must(eng.CompactAll()) },
 	}
 	it := eng.Iter(scanned, time.Time{}, now, 100)
@@ -142,8 +139,8 @@ func TestScanAcrossViewChanges(t *testing.T) {
 	if err := it.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if st := eng.ShardStatus(0); st.Blocks < 3 {
-		t.Fatalf("the view changes left %d blocks, want the cut, the rewrite and the import", st.Blocks)
+	if st := eng.ShardStatus(0); st.Blocks != 2 {
+		t.Fatalf("the view changes left %d blocks, want the two cuts, restored", st.Blocks)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("scan yielded %d rows, want %d", len(got), len(want))
@@ -160,12 +157,12 @@ func TestScanAcrossViewChanges(t *testing.T) {
 			t.Fatalf("scan ended after %d rows: %v", i, it.Err())
 		}
 	}
-	must(eng.DropSeries(scanned))
+	must(eng.ResetShard(0))
 	rest := 0
 	for _, ok := it.Next(); ok; _, ok = it.Next() {
 		rest++
 	}
 	if it.Err() == nil {
-		t.Fatalf("a drop of the scanned series ended the scan cleanly after %d more rows", rest)
+		t.Fatalf("a reset of the scanned series' shard ended the scan cleanly after %d more rows", rest)
 	}
 }

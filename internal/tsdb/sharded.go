@@ -36,7 +36,6 @@ type Engine interface {
 	Aggregate(key SeriesKey, from, to time.Time) (Aggregate, error)
 	Downsample(key SeriesKey, from, to time.Time, window time.Duration) ([]Bucket, error)
 	Stats() Stats
-	Drop(key SeriesKey)
 	Close()
 }
 
@@ -182,8 +181,8 @@ type batchItem struct {
 	seq    uint64
 	jrows  int64
 	// op, when set, is a queued shard operation (reset, compaction,
-	// block import, series drop, publish): everything queued before it
-	// applies first, everything after it applies to the shard it left.
+	// restore, publish): everything queued before it applies first,
+	// everything after it applies to the shard it left.
 	op *shardOp
 }
 
@@ -191,8 +190,8 @@ type batchItem struct {
 // with single-writer semantics against the store and blocks.
 type shardOp struct {
 	kind opKind
-	dir  string    // opImport: source shard directory
-	key  SeriesKey // opDrop: series to remove
+	dir  string // opRestore: the archived shard directory
+	rows int    // opRestore: head rows loaded, set before done is sent
 	done chan error
 }
 
@@ -201,10 +200,11 @@ type opKind int
 const (
 	opReset opKind = iota
 	opCompact
-	opImport
-	opDrop
+	opRestore
 	opPublish
 )
+
+var errNotDurable = errors.New("tsdb: compaction and block files require a durable engine")
 
 // NewSharded creates a Sharded engine and starts its append workers.
 // It can only fail when Options.Dir requests durability — use
@@ -367,9 +367,9 @@ func (s *Sharded) worker(i int) {
 	}
 }
 
-// runBarrier executes an op on the shard worker. Reset, drop and
+// runBarrier executes an op on the shard worker. Reset, restore and
 // publish run on any shard (publish is a no-op in memory); compaction
-// and import need its durable state. The shard generation bumps before
+// needs its durable state. The shard generation bumps before
 // the outcome is sent: the caller — and anyone it tells — can never
 // observe a cached pre-op result after the op is acknowledged.
 func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet, op *shardOp) {
@@ -377,15 +377,13 @@ func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet,
 	switch {
 	case op.kind == opReset:
 		err = resetShard(store, disk, bs)
-	case op.kind == opDrop:
-		err = dropSeries(store, disk, bs, op.key)
+	case op.kind == opRestore:
+		op.rows, err = s.restoreShard(i, store, disk, bs, op.dir)
 	case disk == nil && op.kind == opPublish:
 	case disk == nil:
-		err = errors.New("tsdb: compaction and block import require a durable engine")
+		err = errNotDurable
 	case op.kind == opCompact:
 		err = s.compactShard(store, disk, bs)
-	case op.kind == opImport:
-		err = importBlocks(store, disk, bs, op.dir)
 	case op.kind == opPublish:
 		err = publish(store, disk, bs, viewChange{next: bs.blocks})
 	}
@@ -503,11 +501,25 @@ func (s *Sharded) SyncShard(i int) error {
 // ResetShard empties shard i through its worker queue: appends queued
 // on the shard before the call apply first, the shard is then wiped
 // (store and, on a durable engine, blocks, with an empty snapshot), and
-// appends queued after land in the emptied shard. The handoff protocol resets the source copy
-// after ownership flips, and a restore target resets before replaying
-// so a retried restore cannot double-apply.
+// appends queued after land in the emptied shard. The handoff protocol
+// resets the source copy after ownership flips.
 func (s *Sharded) ResetShard(i int) error {
 	return s.enqueueOp(i, &shardOp{kind: opReset})
+}
+
+// RestoreShard replaces shard i, through its worker queue, with the
+// shard directory dir holds — a handoff archive: its snapshot's head
+// rows, the log tail an archive of the per-shard layout carries, and
+// its manifest's blocks — and reports the head rows it loaded. The
+// replacement is one view change, made durable by one snapshot, so no
+// row is journaled again. An archive holding a device of another shard
+// is refused before the shard changes; any later failure leaves the
+// shard empty, durably, so a retry restores it whole. An in-memory
+// engine restores only an archive without blocks.
+func (s *Sharded) RestoreShard(i int, dir string) (int, error) {
+	op := &shardOp{kind: opRestore, dir: dir}
+	err := s.enqueueOp(i, op)
+	return op.rows, err
 }
 
 // ShardStatus is a point-in-time operational description of one shard,
@@ -841,22 +853,6 @@ func (s *Sharded) Stats() Stats {
 	return st
 }
 
-// Drop removes a series from its owning shard. The removal routes
-// through the shard worker like every write, which also rewrites any
-// block files containing the series and anchors the new view with a
-// snapshot; a failure there leaves the block copies in place (the head
-// part is already gone) and is reported via DropSeries.
-func (s *Sharded) Drop(key SeriesKey) {
-	if err := s.DropSeries(key); err != nil && !errors.Is(err, ErrClosed) {
-		slog.Error("drop series", "service", "tsdb", "shard", s.ShardFor(key.Device), "series", key.String(), "err", err)
-	}
-}
-
-// DropSeries is Drop with the block-rewrite outcome reported.
-func (s *Sharded) DropSeries(key SeriesKey) error {
-	return s.enqueueOp(s.ShardFor(key.Device), &shardOp{kind: opDrop, key: key})
-}
-
 // CompactShard forces one compaction cycle on shard i through its
 // worker queue: cut head rows past the head window into a block, apply
 // retention, snapshot, truncate the node log. Requires a durable engine.
@@ -873,14 +869,6 @@ func (s *Sharded) CompactAll() error {
 		}
 	}
 	return err
-}
-
-// ImportShardBlocks copies the block files referenced by srcDir's
-// snapshot manifest into shard i and publishes them. The cluster
-// restore path ships block files wholesale with it — rollup-only
-// (demoted) data has no raw rows left to replay through the write path.
-func (s *Sharded) ImportShardBlocks(i int, srcDir string) error {
-	return s.enqueueOp(i, &shardOp{kind: opImport, dir: srcDir})
 }
 
 // enqueueOp routes an op through shard i's worker and waits for its

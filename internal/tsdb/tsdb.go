@@ -609,9 +609,13 @@ func (s *Store) Drop(key SeriesKey) {
 // Reset drops every series in one critical section, returning the store
 // to empty. Readers holding a series pointer finish against the
 // orphaned map; new lookups see nothing.
-func (s *Store) Reset() {
+func (s *Store) Reset() { s.take(newStore(s.opts)) }
+
+// take replaces every series with src's in one critical section, as
+// Reset does; src is not used again.
+func (s *Store) take(src *Store) {
 	s.mu.Lock()
-	s.series = make(map[SeriesKey]*series)
+	s.series = src.series
 	s.ver.Add(1)
 	s.mu.Unlock()
 }

@@ -269,7 +269,7 @@ func TestStatsAndDrop(t *testing.T) {
 	if st.Series != 2 || st.Samples != 2 {
 		t.Errorf("Stats = %+v", st)
 	}
-	s.Drop(SeriesKey{"urn:a", "temperature"})
+	s.shards[0].Drop(SeriesKey{"urn:a", "temperature"}) // the head's drop, which a publish uses
 	if st := s.Stats(); st.Series != 1 {
 		t.Errorf("Stats after Drop = %+v", st)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
+	"time"
 
 	"repro/internal/dataformat"
 )
@@ -107,6 +108,22 @@ func Query[Resp any](fn func(ctx context.Context, q url.Values) (Resp, error)) h
 		}
 		writeResult(w, r, out)
 	})
+}
+
+// ParseRange reads the from/to query values as RFC 3339 timestamps;
+// both are optional (zero when absent).
+func ParseRange(q url.Values) (from, to time.Time, err error) {
+	if s := q.Get("from"); s != "" {
+		if from, err = time.Parse(time.RFC3339, s); err != nil {
+			return from, to, fmt.Errorf("bad from: %v", err)
+		}
+	}
+	if s := q.Get("to"); s != "" {
+		if to, err = time.Parse(time.RFC3339, s); err != nil {
+			return from, to, fmt.Errorf("bad to: %v", err)
+		}
+	}
+	return from, to, nil
 }
 
 // Params exposes the {param} path values a /v2 pattern route matched on

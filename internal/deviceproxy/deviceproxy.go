@@ -442,21 +442,6 @@ func (p *Proxy) info(ctx context.Context, q url.Values) (any, error) {
 	return dataformat.NewDeviceInfoDoc(info), nil
 }
 
-// parseRange reads from/to as RFC 3339 timestamps; both optional.
-func parseRange(q url.Values) (from, to time.Time, err error) {
-	if s := q.Get("from"); s != "" {
-		if from, err = time.Parse(time.RFC3339, s); err != nil {
-			return from, to, fmt.Errorf("bad from: %v", err)
-		}
-	}
-	if s := q.Get("to"); s != "" {
-		if to, err = time.Parse(time.RFC3339, s); err != nil {
-			return from, to, fmt.Errorf("bad to: %v", err)
-		}
-	}
-	return from, to, nil
-}
-
 // measurement rehydrates one stored sample into the common format.
 func (p *Proxy) measurement(quantity string, smp tsdb.Sample) dataformat.Measurement {
 	unit, _ := dataformat.CanonicalUnit(dataformat.Quantity(quantity))
@@ -477,7 +462,7 @@ func (p *Proxy) data(ctx context.Context, q url.Values) (any, error) {
 	if quantity == "" {
 		return nil, api.BadRequest(errors.New("missing quantity parameter"))
 	}
-	from, to, err := parseRange(q)
+	from, to, err := api.ParseRange(q)
 	if err != nil {
 		return nil, api.BadRequest(err)
 	}
@@ -518,7 +503,7 @@ func (p *Proxy) aggregate(ctx context.Context, q url.Values) (any, error) {
 	if err != nil {
 		return nil, api.BadRequest(fmt.Errorf("bad window: %v", err))
 	}
-	from, to, err := parseRange(q)
+	from, to, err := api.ParseRange(q)
 	if err != nil {
 		return nil, api.BadRequest(err)
 	}

@@ -1,17 +1,9 @@
 package measuredb
 
 import (
-	"bufio"
-	"encoding/binary"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,18 +293,9 @@ func (s *Service) clusterRelease(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, map[string]any{"shard": i, "released": true, "reset": reset})
 }
 
-// archiveHeader leads a shard archive stream.
-type archiveHeader struct {
-	Shard  int `json:"shard"`
-	Shards int `json:"shards"`
-}
-
-// clusterArchive streams a frozen shard's directory: a JSON header
-// frame, then one frame per file (uvarint name length, name, uvarint
-// size, bytes), then a zero-length terminator: a snapshot and blocks
-// (or, from a node of the per-shard layout, a WAL beside them).
-// Requires the shard to be frozen — archiving a live shard would race
-// its writer.
+// clusterArchive streams a frozen shard's directory as the engine frames
+// it (tsdb.Sharded.ArchiveShard). Requires the shard to be frozen —
+// archiving a live shard would race its writer.
 func (s *Service) clusterArchive(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
 	if !ok {
@@ -322,149 +305,40 @@ func (s *Service) clusterArchive(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, r, api.WithStatus(http.StatusConflict, fmt.Errorf("shard %d is not frozen", i)))
 		return
 	}
-	dir := sh.ShardDir(i)
-	if dir == "" {
-		api.WriteError(w, r, api.WithStatus(http.StatusConflict, errors.New("in-memory engine has no shard directory to archive")))
-		return
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		api.WriteError(w, r, api.Internal(err))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 1<<16)
-	var num [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(num[:], v)
-		_, err := bw.Write(num[:n])
-		return err
-	}
-	hdr, _ := json.Marshal(archiveHeader{Shard: i, Shards: sh.NumShards()})
-	if err := writeUvarint(uint64(len(hdr))); err != nil {
-		return
-	}
-	if _, err := bw.Write(hdr); err != nil {
-		return
-	}
-	for _, e := range ents {
-		info, err := e.Info()
-		if err != nil || !info.Mode().IsRegular() {
-			continue
-		}
-		f, err := os.Open(filepath.Join(dir, e.Name()))
-		if err != nil {
-			return // stream is torn; the restorer's frame parse fails loudly
-		}
-		err = func() error {
-			defer f.Close() //lint:ignore closecheck read-only archive source; a close error cannot corrupt the stream
-			if err := writeUvarint(uint64(len(e.Name()))); err != nil {
-				return err
-			}
-			if _, err := bw.WriteString(e.Name()); err != nil {
-				return err
-			}
-			if err := writeUvarint(uint64(info.Size())); err != nil {
-				return err
-			}
-			// The shard is frozen: the file cannot grow under the copy, so
-			// the declared size is exact.
-			_, err := io.CopyN(bw, f, info.Size())
-			return err
-		}()
-		if err != nil {
-			return
-		}
-	}
-	if err := writeUvarint(0); err != nil {
-		return
-	}
-	_ = bw.Flush()
+	aw := &archiveWriter{ResponseWriter: w}
+	if err := sh.ArchiveShard(i, aw); err != nil && !aw.started {
+		api.WriteError(w, r, err)
+	} // once the stream started, a failure tears it; the restorer refuses it
 }
 
-// clusterRestore rebuilds one shard from an archive stream. The files
-// land in a temp directory, which the engine then loads in place of the
-// shard in one step (tsdb.Sharded.RestoreShard): a retried restore
-// replaces, never adds to, what an earlier attempt left.
+// archiveWriter starts the archive answer on its first byte, so an
+// engine error before the stream still answers an error envelope.
+type archiveWriter struct {
+	http.ResponseWriter
+	started bool
+}
+
+func (a *archiveWriter) Write(p []byte) (int, error) {
+	if !a.started {
+		a.started = true
+		a.Header().Set("Content-Type", "application/octet-stream")
+		a.WriteHeader(http.StatusOK)
+	}
+	return a.ResponseWriter.Write(p)
+}
+
+// clusterRestore rebuilds one shard from an archive stream in one
+// engine step (tsdb.Sharded.RestoreShard): a retried restore replaces,
+// never adds to, what an earlier attempt left. A refused archive
+// answers 400, one of another shard 409, the node's own failure 500.
 func (s *Service) clusterRestore(w http.ResponseWriter, r *http.Request) {
 	sh, i, ok := s.clusterShardArg(w, r)
 	if !ok {
 		return
 	}
-	br := bufio.NewReaderSize(r.Body, 1<<16)
-	readFrame := func(limit uint64) ([]byte, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if n > limit {
-			return nil, fmt.Errorf("frame of %d bytes exceeds limit %d", n, limit)
-		}
-		p := make([]byte, n)
-		if _, err := io.ReadFull(br, p); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	rawHdr, err := readFrame(1 << 12)
+	rows, err := sh.RestoreShard(i, r.Body)
 	if err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive header: %v", err)))
-		return
-	}
-	var hdr archiveHeader
-	if err := json.Unmarshal(rawHdr, &hdr); err != nil {
-		api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive header: %v", err)))
-		return
-	}
-	if hdr.Shard != i || hdr.Shards != sh.NumShards() {
-		api.WriteError(w, r, api.WithStatus(http.StatusConflict,
-			fmt.Errorf("archive is shard %d of %d, this node expects shard %d of %d",
-				hdr.Shard, hdr.Shards, i, sh.NumShards())))
-		return
-	}
-	tmp, err := os.MkdirTemp("", "measuredb-restore-")
-	if err != nil {
-		api.WriteError(w, r, api.Internal(err))
-		return
-	}
-	defer os.RemoveAll(tmp)
-	for {
-		name, err := readFrame(1 << 10)
-		if err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive frame: %v", err)))
-			return
-		}
-		if len(name) == 0 {
-			break // terminator
-		}
-		// One plain file name: no path, and not the directory itself.
-		if n := string(name); n == "." || n == ".." || strings.ContainsAny(n, "/\\\x00") {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive file name %q", name)))
-			return
-		}
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive frame: %v", err)))
-			return
-		}
-		f, err := os.OpenFile(filepath.Join(tmp, string(name)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-		if err != nil {
-			api.WriteError(w, r, api.Internal(err))
-			return
-		}
-		_, cerr := io.CopyN(f, br, int64(size))
-		if err := f.Close(); cerr == nil {
-			cerr = err
-		}
-		if cerr != nil {
-			api.WriteError(w, r, api.BadRequest(fmt.Errorf("bad archive file %q: %v", name, cerr)))
-			return
-		}
-	}
-	rows, err := sh.RestoreShard(i, tmp)
-	if err != nil {
-		api.WriteError(w, r, api.Internal(fmt.Errorf("restore shard %d: %w", i, err)))
+		api.WriteError(w, r, fmt.Errorf("restore shard %d: %w", i, err))
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]any{"shard": i, "rows": rows})

@@ -553,7 +553,7 @@ func archiveStream(shard, shards int, names []string, files map[string][]byte) [
 		b.Write(binary.AppendUvarint(nil, uint64(len(p))))
 		b.Write(p)
 	}
-	hdr, _ := json.Marshal(archiveHeader{Shard: shard, Shards: shards})
+	hdr, _ := json.Marshal(map[string]int{"shard": shard, "shards": shards})
 	frame(hdr)
 	for _, name := range names {
 		frame([]byte(name))
@@ -564,16 +564,22 @@ func archiveStream(shard, shards int, names []string, files map[string][]byte) [
 }
 
 // shardFiles returns the files of a published one-shard engine holding
-// rows: the files an archive of that shard carries.
-func shardFiles(t *testing.T, rows []tsdb.Row) ([]string, map[string][]byte) {
+// rows: the files an archive of that shard carries. With cut, the rows
+// older than a minute are cut into a block first.
+func shardFiles(t *testing.T, rows []tsdb.Row, cut bool) ([]string, map[string][]byte) {
 	t.Helper()
-	src, err := tsdb.OpenSharded(tsdb.ShardedOptions{Shards: 1, Dir: t.TempDir()})
+	src, err := tsdb.OpenSharded(tsdb.ShardedOptions{Shards: 1, Dir: t.TempDir(), Blocks: tsdb.BlockPolicy{HeadWindow: time.Minute}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
 	if errs := src.AppendBatch(rows); errs != nil {
 		t.Fatal(errs)
+	}
+	if cut {
+		if err := src.CompactShard(0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := src.SyncShard(0); err != nil {
 		t.Fatal(err)
@@ -626,10 +632,12 @@ func TestClusterRestoreRefusesPathFileNames(t *testing.T) {
 }
 
 // TestClusterRestoreJournalsNothing posts archives to a durable node's
-// shard 1. One holding a row of a device of shard 0 is refused, and the
-// shard keeps what it held; one of the shard's own devices restores in
-// place of it. Neither writes a record to the node log: a note-only
-// probe record before and after each restore lands on consecutive seqs.
+// shard 1. One holding a row, or only a block series, of a device of
+// shard 0 is refused with 400, as is one whose snapshot does not
+// decode, and the shard keeps what it held; one of the shard's own
+// devices restores in place of it. None writes a record to the node
+// log: a note-only probe record before and after each restore lands on
+// consecutive seqs.
 func TestClusterRestoreJournalsNothing(t *testing.T) {
 	const shards = 2
 	svc, node := restoreTarget(t, shards)
@@ -644,7 +652,7 @@ func TestClusterRestoreJournalsNothing(t *testing.T) {
 	}
 	own, foreign := deviceInShard(1, shards), deviceInShard(0, shards)
 	at := time.Now().UTC().Add(-time.Minute).Truncate(time.Second)
-	rows := func(devs ...string) []tsdb.Row {
+	rowsAt := func(at time.Time, devs ...string) []tsdb.Row {
 		var out []tsdb.Row
 		for _, d := range devs {
 			for j := 0; j < 4; j++ {
@@ -654,29 +662,48 @@ func TestClusterRestoreJournalsNothing(t *testing.T) {
 		}
 		return out
 	}
+	rows := func(devs ...string) []tsdb.Row { return rowsAt(at, devs...) }
 	local := tsdb.SeriesKey{Device: own, Quantity: "humidity"}
 	if err := eng.Append(local, tsdb.Sample{At: at, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 
-	before := probe()
-	var env api.Envelope
-	names, files := shardFiles(t, rows(own, foreign))
-	if status := postRestore(t, node, 1, archiveStream(1, shards, names, files), &env); status == http.StatusOK {
-		t.Fatalf("an archive with a device of shard 0 restored into shard 1: %+v", env)
+	refused := func(what string, names []string, files map[string][]byte) {
+		t.Helper()
+		before := probe()
+		var env api.Envelope
+		if status := postRestore(t, node, 1, archiveStream(1, shards, names, files), &env); status != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, %+v; want 400", what, status, env)
+		}
+		if after := probe(); after != before+1 {
+			t.Fatalf("%s: refused restore journaled %d records", what, after-before-1)
+		}
+		if got := eng.Catalog(1); len(got) != 1 || got[0] != local {
+			t.Fatalf("%s: refused restore changed the shard: catalog %v, want only %v", what, got, local)
+		}
 	}
-	if after := probe(); after != before+1 {
-		t.Fatalf("refused restore journaled %d records", after-before-1)
+	names, files := shardFiles(t, rows(own, foreign), false)
+	refused("a head row of shard 0", names, files)
+	names, files = shardFiles(t, append(rowsAt(at.Add(-2*time.Hour), foreign), rows(own)...), true)
+	if len(names) < 2 {
+		t.Fatalf("archive files %v: want a block beside the snapshot", names)
 	}
-	if got := eng.Catalog(1); len(got) != 1 || got[0] != local {
-		t.Fatalf("refused restore changed the shard: catalog %v, want only %v", got, local)
+	refused("a block series of shard 0", names, files)
+	names, files = shardFiles(t, rows(own), false)
+	for _, name := range names {
+		if strings.HasSuffix(name, ".snap") {
+			snap := append([]byte(nil), files[name]...)
+			snap[len(snap)-1] ^= 0xff // the last record's payload: its CRC no longer matches
+			files[name] = snap
+		}
 	}
+	refused("an undecodable snapshot", names, files)
 
-	before = probe()
+	before := probe()
 	var res struct {
 		Rows int `json:"rows"`
 	}
-	names, files = shardFiles(t, rows(own))
+	names, files = shardFiles(t, rows(own), false)
 	if status := postRestore(t, node, 1, archiveStream(1, shards, names, files), &res); status != http.StatusOK || res.Rows != 4 {
 		t.Fatalf("restore: status %d, %+v; want 200 with 4 rows", status, res)
 	}

@@ -15,7 +15,6 @@ import (
 	"net/url"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/dataformat"
@@ -33,6 +32,12 @@ func init() {
 	// shares the mapping through the same table.
 	api.RegisterStatus(tsdb.ErrNoSeries, http.StatusNotFound)
 	api.RegisterStatus(tsdb.ErrBadInterval, http.StatusBadRequest)
+	// A shard handoff: a refused archive is the sender's fault; one of
+	// another shard, or a shard an in-memory engine cannot archive or
+	// restore, conflicts with this node's state.
+	api.RegisterStatus(tsdb.ErrBadArchive, http.StatusBadRequest)
+	api.RegisterStatus(tsdb.ErrArchiveMismatch, http.StatusConflict)
+	api.RegisterStatus(tsdb.ErrNotDurable, http.StatusConflict)
 }
 
 // Topic space for measurements: measurements/<district>/<entity>/<device>/<quantity>.
@@ -354,23 +359,6 @@ func (s *Service) Close() {
 		slog.Error("stream close", "service", "measuredb", "err", err)
 	}
 	s.store.Close()
-}
-
-// parseRange reads from/to as RFC 3339 timestamps; both optional.
-func parseRange(q url.Values) (from, to time.Time, err error) {
-	if s := q.Get("from"); s != "" {
-		from, err = time.Parse(time.RFC3339, s)
-		if err != nil {
-			return from, to, fmt.Errorf("bad from: %v", err)
-		}
-	}
-	if s := q.Get("to"); s != "" {
-		to, err = time.Parse(time.RFC3339, s)
-		if err != nil {
-			return from, to, fmt.Errorf("bad to: %v", err)
-		}
-	}
-	return from, to, nil
 }
 
 // measurementsOf converts samples back to common-format measurements.

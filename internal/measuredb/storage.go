@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 
 	"repro/internal/api"
@@ -29,9 +28,8 @@ import (
 // mid-handoff.
 type StorageShard struct {
 	tsdb.ShardStatus
-	DiskBytes int64 `json:"disk_bytes,omitempty"`
-	Owned     bool  `json:"owned,omitempty"`
-	Moving    bool  `json:"moving,omitempty"`
+	Owned  bool `json:"owned,omitempty"`
+	Moving bool `json:"moving,omitempty"`
 }
 
 // StorageStatus is the GET /v1/storage body. Self (the node's own URL,
@@ -72,7 +70,6 @@ func (s *Service) storageStatus(w http.ResponseWriter, r *http.Request) {
 		st := StorageShard{ShardStatus: sh.ShardStatus(i)}
 		if st.Dir != "" {
 			out.Durable = true
-			st.DiskBytes = dirBytes(st.Dir)
 		}
 		if c != nil {
 			st.Owned = out.Self != "" && m.Owner(i) == out.Self
@@ -81,22 +78,6 @@ func (s *Service) storageStatus(w http.ResponseWriter, r *http.Request) {
 		out.Shards = append(out.Shards, st)
 	}
 	api.WriteJSON(w, http.StatusOK, out)
-}
-
-// dirBytes sums the regular files directly inside dir (shard
-// directories are flat).
-func dirBytes(dir string) int64 {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return 0
-	}
-	var n int64
-	for _, e := range ents {
-		if info, err := e.Info(); err == nil && info.Mode().IsRegular() {
-			n += info.Size()
-		}
-	}
-	return n
 }
 
 // storageCompact forces a compaction cycle — cut head rows past the

@@ -297,7 +297,7 @@ func samplesParams(p api.Params, q url.Values) (key tsdb.SeriesKey, from, to tim
 	if key.Device == "" || key.Quantity == "" {
 		return key, from, to, api.BadRequest(errors.New("missing device or quantity path segment"))
 	}
-	if from, to, err = parseRange(q); err != nil {
+	if from, to, err = api.ParseRange(q); err != nil {
 		return key, from, to, api.BadRequest(err)
 	}
 	return key, from, to, nil

@@ -346,13 +346,14 @@ func blockHasRaw(b *block.Block) bool {
 // (RestoreShard) and reports the head rows it loaded. The archive is
 // read and checked whole before the shard changes: its rows into a new
 // head by replayShard, the reader recovery uses, its blocks opened from
-// its manifest. The blocks are then copied through the shard's block
-// writer, which re-checks their frames, and one publish swaps the new
-// head and blocks in for the old at the shard's applied seq.
+// its manifest; what it refuses there is ErrBadArchive. The blocks are
+// then copied through the shard's block writer, which re-checks their
+// frames, and one publish swaps the new head and blocks in for the old
+// at the shard's applied seq.
 func (s *Sharded) restoreShard(i int, store *Store, disk *shardDisk, bs *blockSet, dir string) (int, error) {
 	foreign := func(device string) error {
 		if sh := s.ShardFor(device); sh != i {
-			return fmt.Errorf("tsdb: archived device %q hashes to shard %d, not %d", device, sh, i)
+			return badArchive(": device %q hashes to shard %d, not %d", device, sh, i)
 		}
 		return nil
 	}
@@ -363,7 +364,7 @@ func (s *Sharded) restoreShard(i int, store *Store, disk *shardDisk, bs *blockSe
 				return err
 			}
 			if !Storable(r.Sample.At) {
-				return ErrTimeRange
+				return badArchive(": %w", ErrTimeRange)
 			}
 		}
 		head.AppendBatch(batch)
@@ -371,10 +372,12 @@ func (s *Sharded) restoreShard(i int, store *Store, disk *shardDisk, bs *blockSe
 		return nil
 	})
 	switch {
-	case err != nil:
+	case errors.Is(err, ErrBadArchive):
 		return 0, err
+	case err != nil:
+		return 0, badArchive(": %w", err)
 	case disk == nil && len(manifest) > 0:
-		return 0, errNotDurable
+		return 0, ErrNotDurable
 	case disk == nil:
 		store.take(head)
 		return rows, nil
@@ -386,9 +389,12 @@ func (s *Sharded) restoreShard(i int, store *Store, disk *shardDisk, bs *blockSe
 		}
 	}()
 	for _, name := range manifest {
+		if !plainName(name) {
+			return 0, badArchive(" block name %q", name)
+		}
 		b, err := block.Open(blockPath(dir, name))
 		if err != nil {
-			return 0, err
+			return 0, badArchive(": %w", err)
 		}
 		srcs = append(srcs, b)
 		for _, m := range b.Series() {

@@ -1,8 +1,12 @@
 package tsdb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -516,6 +520,38 @@ func archiveShard(t *testing.T, eng *Sharded, i int) string {
 	return dst
 }
 
+// frameArchive frames the regular files of dir as the archive of shard
+// `shard` of `shards`, written out independently of ArchiveShard: a
+// uvarint-framed JSON header, one (name, size, bytes) frame per file in
+// name order, a zero terminator.
+func frameArchive(t testing.TB, dir string, shard, shards int) *bytes.Reader {
+	t.Helper()
+	var b bytes.Buffer
+	frame := func(p []byte) {
+		b.Write(binary.AppendUvarint(nil, uint64(len(p))))
+		b.Write(p)
+	}
+	hdr, _ := json.Marshal(map[string]int{"shard": shard, "shards": shards})
+	frame(hdr)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame([]byte(e.Name()))
+		frame(raw)
+	}
+	b.WriteByte(0)
+	return bytes.NewReader(b.Bytes())
+}
+
 // headRows lists the rows a shard's head holds.
 func headRows(s *Store) []Row {
 	var rows []Row
@@ -544,7 +580,7 @@ func TestBlockImportAndReset(t *testing.T) {
 	re := openDurable(t, dst, ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
 	defer re.Close()
 	// The restore imports the archive's one block; every row is in it.
-	if n, err := re.RestoreShard(0, filepath.Join(src, "shard-0000")); err != nil || n != 0 {
+	if n, err := re.RestoreShard(0, frameArchive(t, filepath.Join(src, "shard-0000"), 0, 1)); err != nil || n != 0 {
 		t.Fatalf("restore = %d head rows, %v; want 0, nil", n, err)
 	}
 	if st := re.ShardStatus(0); st.Blocks != 1 {
@@ -593,7 +629,7 @@ func TestRestoreShardRefusesAForeignDevice(t *testing.T) {
 	}
 	// archive builds a one-shard engine's archive: the old rows cut into
 	// a block, the fresh ones left in the head.
-	archive := func(old, head []Row) string {
+	archive := func(old, head []Row) io.Reader {
 		src := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: opts.Blocks})
 		defer src.Close()
 		for _, rows := range [][]Row{old, head} {
@@ -604,7 +640,7 @@ func TestRestoreShardRefusesAForeignDevice(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return archiveShard(t, src, 0)
+		return frameArchive(t, archiveShard(t, src, 0), 1, shards)
 	}
 
 	eng := openDurable(t, t.TempDir(), opts)
@@ -690,7 +726,7 @@ func TestRestoreShardFailureEmptiesTheShard(t *testing.T) {
 	if err := eng.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.RestoreShard(0, arch); err == nil {
+	if _, err := eng.RestoreShard(0, frameArchive(t, arch, 0, 1)); err == nil {
 		t.Fatal("an archive with a corrupt block restored")
 	}
 	empty := func(when string, e *Sharded) {
@@ -712,7 +748,7 @@ func TestRestoreShardFailureEmptiesTheShard(t *testing.T) {
 // TestRestoreShardInMemory: an in-memory engine restores an archive
 // without blocks, and refuses one with blocks, unchanged.
 func TestRestoreShardInMemory(t *testing.T) {
-	mk := func(rows []Row, compact bool) string {
+	mk := func(rows []Row, compact bool) io.Reader {
 		src := openDurable(t, t.TempDir(), ShardedOptions{Shards: 1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
 		defer src.Close()
 		if errs := src.AppendBatch(rows); errs != nil {
@@ -723,7 +759,7 @@ func TestRestoreShardInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return archiveShard(t, src, 0)
+		return frameArchive(t, archiveShard(t, src, 0), 0, 1)
 	}
 	rows := oldRows(40, blockKey)
 	mem := newMem(t, Options{})
@@ -731,8 +767,8 @@ func TestRestoreShardInMemory(t *testing.T) {
 		t.Fatalf("block-less restore = %d rows, %v; want %d, nil", n, err, len(rows))
 	}
 	assertReadsEqual(t, memReference(t, rows), mem, blockKey, time.Time{}, time.Now())
-	if _, err := mem.RestoreShard(0, mk(oldRows(10, shKey(3)), true)); !errors.Is(err, errNotDurable) {
-		t.Fatalf("restore of blocks in memory: err %v, want %v", err, errNotDurable)
+	if _, err := mem.RestoreShard(0, mk(oldRows(10, shKey(3)), true)); !errors.Is(err, ErrNotDurable) {
+		t.Fatalf("restore of blocks in memory: err %v, want %v", err, ErrNotDurable)
 	}
 	assertReadsEqual(t, memReference(t, rows), mem, blockKey, time.Time{}, time.Now())
 }
@@ -891,7 +927,10 @@ func TestBlockViewChangesResetSnapshotGauges(t *testing.T) {
 		run  func() error
 	}{
 		{"compact", func() error { return eng.CompactShard(0) }},
-		{"restore", func() error { _, err := eng.RestoreShard(0, filepath.Join(src, "shard-0000")); return err }},
+		{"restore", func() error {
+			_, err := eng.RestoreShard(0, frameArchive(t, filepath.Join(src, "shard-0000"), 0, 1))
+			return err
+		}},
 		{"reset", func() error { return eng.ResetShard(0) }},
 	}
 	head := SeriesKey{Device: "urn:district:turin/building:b02/device:d1", Quantity: "humidity"}
@@ -995,7 +1034,7 @@ func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 			apply(t, eng, at(50, -2*time.Hour, k2, k3))
 			must(t, eng.CompactShard(0))
 			apply(t, eng, at(10, -40*time.Second, k2))
-			n, err := eng.RestoreShard(0, arch)
+			n, err := eng.RestoreShard(0, frameArchive(t, arch, 0, 1))
 			must(t, err)
 			if n != len(head) {
 				t.Fatalf("restore loaded %d head rows, want %d", n, len(head))
@@ -1100,7 +1139,7 @@ func TestBlockAdminOpsSurviveReopen(t *testing.T) {
 				must(t, re.SyncShard(0))
 				fresh := openDurable(t, t.TempDir(), opts)
 				defer fresh.Close()
-				n, err := fresh.RestoreShard(0, filepath.Join(dir, "shard-0000"))
+				n, err := fresh.RestoreShard(0, frameArchive(t, filepath.Join(dir, "shard-0000"), 0, 1))
 				must(t, err)
 				if got, want := rowsKey(headRows(fresh.shards[0])), rowsKey(o.head); n != len(o.head) || !reflect.DeepEqual(got, want) {
 					t.Fatalf("shard dir restores %d rows (%d in the head), want the %d head rows", n, len(got), len(want))

@@ -115,7 +115,7 @@ func TestScanAcrossViewChanges(t *testing.T) {
 		t.Fatalf("reference: %d rows, err %v", len(want), err)
 	}
 	restore := func() {
-		_, err := eng.RestoreShard(0, archiveShard(t, eng, 0))
+		_, err := eng.RestoreShard(0, frameArchive(t, archiveShard(t, eng, 0), 0, 1))
 		must(err)
 	}
 	changes := map[int]func(){

@@ -204,7 +204,9 @@ const (
 	opPublish
 )
 
-var errNotDurable = errors.New("tsdb: compaction and block files require a durable engine")
+// ErrNotDurable refuses what only a durable engine can do: compact,
+// hold blocks, archive a shard.
+var ErrNotDurable = errors.New("tsdb: compaction, block files and shard archives require a durable engine")
 
 // NewSharded creates a Sharded engine and starts its append workers.
 // It can only fail when Options.Dir requests durability — use
@@ -381,7 +383,7 @@ func (s *Sharded) runBarrier(i int, store *Store, disk *shardDisk, bs *blockSet,
 		op.rows, err = s.restoreShard(i, store, disk, bs, op.dir)
 	case disk == nil && op.kind == opPublish:
 	case disk == nil:
-		err = errNotDurable
+		err = ErrNotDurable
 	case op.kind == opCompact:
 		err = s.compactShard(store, disk, bs)
 	case op.kind == opPublish:
@@ -481,7 +483,7 @@ func ShardOf(device string, n int) int {
 }
 
 // ShardDir reports shard i's on-disk directory ("" on an in-memory
-// engine). The cluster handoff archives the directory's files directly.
+// engine).
 func (s *Sharded) ShardDir(i int) string {
 	if s.disks == nil || i < 0 || i >= len(s.disks) {
 		return ""
@@ -505,21 +507,6 @@ func (s *Sharded) SyncShard(i int) error {
 // resets the source copy after ownership flips.
 func (s *Sharded) ResetShard(i int) error {
 	return s.enqueueOp(i, &shardOp{kind: opReset})
-}
-
-// RestoreShard replaces shard i, through its worker queue, with the
-// shard directory dir holds — a handoff archive: its snapshot's head
-// rows, the log tail an archive of the per-shard layout carries, and
-// its manifest's blocks — and reports the head rows it loaded. The
-// replacement is one view change, made durable by one snapshot, so no
-// row is journaled again. An archive holding a device of another shard
-// is refused before the shard changes; any later failure leaves the
-// shard empty, durably, so a retry restores it whole. An in-memory
-// engine restores only an archive without blocks.
-func (s *Sharded) RestoreShard(i int, dir string) (int, error) {
-	op := &shardOp{kind: opRestore, dir: dir}
-	err := s.enqueueOp(i, op)
-	return op.rows, err
 }
 
 // ShardStatus is a point-in-time operational description of one shard,
@@ -546,6 +533,9 @@ type ShardStatus struct {
 	// HeadBytes is the heap the head's sample arrays hold: segment and
 	// spill capacity at 16 bytes a sample.
 	HeadBytes int64 `json:"head_bytes,omitempty"`
+	// DiskBytes sums the shard directory's files: snapshots, blocks and,
+	// on a node of the per-shard layout, its own log.
+	DiskBytes int64 `json:"disk_bytes,omitempty"`
 }
 
 // ShardStatus snapshots one shard's live counters (zero durable fields
@@ -571,6 +561,9 @@ func (s *Sharded) ShardStatus(i int) ShardStatus {
 	}
 	bs.mu.RUnlock()
 	out.Samples += int(out.BlockSamples)
+	if out.Dir != "" {
+		out.DiskBytes = dirBytes(out.Dir)
+	}
 	return out
 }
 

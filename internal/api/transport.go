@@ -185,7 +185,14 @@ func ReadBody(body io.Reader) ([]byte, error) {
 // with a fresh span ID — the downstream service's span records then
 // carry the same trace ID as the caller's.
 func (t *Transport) Do(ctx context.Context, method, url string, header http.Header, body []byte) ([]byte, *http.Response, error) {
-	return t.do(ctx, method, url, header, body, true)
+	return t.do(ctx, method, url, header, body, nil, true)
+}
+
+// Send is Do for a body read as it is sent, such as another response's
+// body relayed unbuffered: one attempt, since what was read cannot be
+// sent again.
+func (t *Transport) Send(ctx context.Context, method, url string, header http.Header, body io.Reader) ([]byte, *http.Response, error) {
+	return t.do(ctx, method, url, header, nil, body, true)
 }
 
 // Open is Do for responses the caller relays or decodes as they arrive:
@@ -193,16 +200,17 @@ func (t *Transport) Do(ctx context.Context, method, url string, header http.Head
 // caller must close it. Retries cover everything up to the response
 // header; failures come back exactly as from Do.
 func (t *Transport) Open(ctx context.Context, method, url string, header http.Header, body []byte) (*http.Response, error) {
-	_, rsp, err := t.do(ctx, method, url, header, body, false)
+	_, rsp, err := t.do(ctx, method, url, header, body, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	return rsp, nil
 }
 
-// do is the attempt loop behind Do and Open. With buffer unset, a 2xx
-// response is returned with its body still open.
-func (t *Transport) do(ctx context.Context, method, url string, header http.Header, body []byte, buffer bool) ([]byte, *http.Response, error) {
+// do is the attempt loop behind Do, Open and Send. A stream body is
+// sent in one attempt; body is replayed on each. With buffer unset, a
+// 2xx response is returned with its body still open.
+func (t *Transport) do(ctx context.Context, method, url string, header http.Header, body []byte, stream io.Reader, buffer bool) ([]byte, *http.Response, error) {
 	requestID := header.Get(requestIDHeader)
 	if requestID == "" {
 		if requestID = RequestIDFrom(ctx); requestID == "" {
@@ -215,9 +223,13 @@ func (t *Transport) do(ctx context.Context, method, url string, header http.Head
 			traceparent = obs.FormatTraceparent(id, obs.NewSpanID())
 		}
 	}
+	attempts := t.attempts()
+	if stream != nil {
+		attempts = 1
+	}
 	var lastErr error
 	var serverWait time.Duration
-	for attempt := 0; attempt < t.attempts(); attempt++ {
+	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
 			wait := t.backoff(attempt - 1)
 			if serverWait > wait {
@@ -228,7 +240,7 @@ func (t *Transport) do(ctx context.Context, method, url string, header http.Head
 				return nil, nil, err
 			}
 		}
-		var reader io.Reader
+		reader := stream
 		if body != nil {
 			reader = bytes.NewReader(body)
 		}
@@ -287,7 +299,7 @@ func (t *Transport) do(ctx context.Context, method, url string, header http.Head
 		}
 		return raw, rsp, nil
 	}
-	return nil, nil, fmt.Errorf("api: %s %s failed after %d attempts: %w", method, url, t.attempts(), lastErr)
+	return nil, nil, fmt.Errorf("api: %s %s failed after %d attempts: %w", method, url, attempts, lastErr)
 }
 
 // GetJSON fetches url and decodes the JSON response into out (out may

@@ -195,7 +195,7 @@ func TestRollupBuckets(t *testing.T) {
 	for i := 0; i < 600; i++ { // 10 samples/minute for an hour
 		pts = append(pts, Point{T: base + int64(i)*6*int64(time.Second), V: float64(i)})
 	}
-	r1m := buildRollup(pts, Res1m)
+	r1m := buildRollup(nil, pts, Res1m)
 	if len(r1m) != 60 {
 		t.Fatalf("1m buckets: got %d want 60", len(r1m))
 	}
@@ -206,7 +206,7 @@ func TestRollupBuckets(t *testing.T) {
 	if b0.FirstT != base || b0.LastT != base+9*6*int64(time.Second) {
 		t.Fatalf("bucket 0 first/last: %+v", b0)
 	}
-	r1h := buildRollup(pts, Res1h)
+	r1h := buildRollup(nil, pts, Res1h)
 	if len(r1h) != 1 || r1h[0].Count != 600 {
 		t.Fatalf("1h buckets: %+v", r1h)
 	}

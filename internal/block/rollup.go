@@ -36,9 +36,9 @@ type Bucket struct {
 // bucketSize is the heap one decoded Bucket holds.
 const bucketSize = int64(unsafe.Sizeof(Bucket{}))
 
-// buildRollup folds ascending points into res-sized buckets.
-func buildRollup(pts []Point, res int64) []Bucket {
-	var out []Bucket
+// buildRollup folds ascending points into res-sized buckets, appended
+// to out.
+func buildRollup(out []Bucket, pts []Point, res int64) []Bucket {
 	for _, p := range pts {
 		start := floorDiv(p.T, res) * res
 		if n := len(out); n > 0 && out[n-1].Start == start {

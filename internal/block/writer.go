@@ -22,7 +22,10 @@ type Writer struct {
 	// buf is one frame's payload, reused from one frame to the next; a
 	// raw chunk's bitstream is written straight into it.
 	buf []byte
-	err error
+	// r1m and r1h are one series' rollups, reused from one series to
+	// the next: they are encoded into buf before the next is built.
+	r1m, r1h []Bucket
+	err      error
 }
 
 // NewWriter opens a block writer targeting the final path.
@@ -72,7 +75,8 @@ func (w *Writer) Add(key Key, pts []Point) error {
 		return err
 	}
 	w.buf = raw[:0]
-	return w.addRollups(m, buildRollup(pts, Res1m), buildRollup(pts, Res1h))
+	w.r1m, w.r1h = buildRollup(w.r1m[:0], pts, Res1m), buildRollup(w.r1h[:0], pts, Res1h)
+	return w.addRollups(m, w.r1m, w.r1h)
 }
 
 // AddRollups appends a series that keeps only its rollups — the

@@ -100,6 +100,17 @@ func (c *Client) transport() *api.Transport {
 	return c.tr
 }
 
+// streamHTTP is the HTTP client for bodies sent or read as they flow:
+// the caller's transport (pooling, TLS) without its whole-request
+// timeout, which would cut a long body mid-way, or the shared
+// streaming client. Such a call is bounded by its context.
+func (c *Client) streamHTTP() *http.Client {
+	if c.HTTP != nil {
+		return &http.Client{Transport: c.HTTP.Transport, Jar: c.HTTP.Jar}
+	}
+	return api.StreamHTTPClient()
+}
+
 func (c *Client) enc() dataformat.Encoding {
 	if c.Encoding == "" {
 		return dataformat.JSON

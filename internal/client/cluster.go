@@ -92,7 +92,11 @@ func (cc *ClusterClient) Move(ctx context.Context, shard int, target string) (*M
 	if err := t.PostJSON(ctx, shardPath(src, "freeze"), nil, nil); err != nil {
 		return nil, fmt.Errorf("freeze shard %d on %s: %w", shard, src, err)
 	}
-	archive, _, err := t.Do(ctx, http.MethodGet, shardPath(src, "archive"), nil, nil)
+	// The archive streams from the source into the restore as it
+	// arrives, so a shard of any size moves in constant memory. Each leg
+	// is one attempt: any failure aborts the move and releases the source.
+	pipe := &api.Transport{Client: cc.c.streamHTTP(), MaxAttempts: 1}
+	archive, err := pipe.Open(ctx, http.MethodGet, shardPath(src, "archive"), nil, nil)
 	if err != nil {
 		release()
 		return nil, fmt.Errorf("archive shard %d from %s: %w", shard, src, err)
@@ -102,7 +106,8 @@ func (cc *ClusterClient) Move(ctx context.Context, shard int, target string) (*M
 	}
 	{
 		h := http.Header{"Content-Type": {"application/octet-stream"}}
-		raw, _, err := t.Do(ctx, http.MethodPost, shardPath(target, "restore"), h, archive)
+		raw, _, err := pipe.Send(ctx, http.MethodPost, shardPath(target, "restore"), h, archive.Body)
+		archive.Body.Close()
 		if err != nil {
 			release()
 			return nil, fmt.Errorf("restore shard %d on %s: %w", shard, target, err)

@@ -300,12 +300,7 @@ func (g *Ingest) Stream(ctx context.Context, opts ...IngestOption) (*IngestStrea
 	if o.idempotencyKey != "" {
 		req.Header.Set("Idempotency-Key", o.idempotencyKey)
 	}
-	// Like the read-side Stream: reuse a caller transport for pooling but
-	// never its whole-request timeout, which would cut a long upload.
-	hc := api.StreamHTTPClient()
-	if g.c.HTTP != nil {
-		hc = &http.Client{Transport: g.c.HTTP.Transport, Jar: g.c.HTTP.Jar}
-	}
+	hc := g.c.streamHTTP()
 	st := &IngestStream{pw: pw, buf: make([]byte, 0, ingestStreamBuf+1024), result: make(chan streamResult, 1)}
 	go func() {
 		rsp, err := hc.Do(req)

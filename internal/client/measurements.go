@@ -323,14 +323,7 @@ func (m *Measurements) Stream(ctx context.Context, device, quantity string, opts
 		return nil, err
 	}
 	req.Header.Set("Accept", measuredb.NDJSONType)
-	// A caller-supplied client usually carries a whole-request Timeout,
-	// which would amputate a long stream mid-read: reuse its transport
-	// (pooling, TLS) but never its deadline — cancel via ctx instead.
-	hc := api.StreamHTTPClient()
-	if m.c.HTTP != nil {
-		hc = &http.Client{Transport: m.c.HTTP.Transport, Jar: m.c.HTTP.Jar}
-	}
-	rsp, err := hc.Do(req)
+	rsp, err := m.c.streamHTTP().Do(req)
 	if err != nil {
 		return nil, err
 	}

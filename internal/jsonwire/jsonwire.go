@@ -91,10 +91,15 @@ func AppendString(b []byte, s string) []byte {
 
 // AppendFloat appends f exactly as encoding/json encodes float64
 // values: shortest form, 'e' notation outside [1e-6, 1e21) with the
-// two-digit exponent's leading zero trimmed.
+// two-digit exponent's leading zero trimmed. A short decimal — a
+// reading like 21.5 or -273.15 — is written digit by digit
+// (appendShortDecimal); any other value is strconv's.
 //
 // districtlint:hotpath
 func AppendFloat(b []byte, f float64) []byte {
+	if out, ok := appendShortDecimal(b, f); ok {
+		return out
+	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
@@ -107,6 +112,59 @@ func AppendFloat(b []byte, f float64) []byte {
 		}
 	}
 	return b
+}
+
+// pow10 holds the exact scales appendShortDecimal tries.
+var pow10 = [...]float64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6}
+
+// appendShortDecimal appends f when |f| is in [1e-6, 1e15) and equals
+// m/10^k for an integer m < 10^15 and a k of at most 6: the first such
+// k whose m, divided back by 10^k, gives f. That division is correctly
+// rounded, so the decimal m·10^-k parses to f; it has at most 15
+// significant digits, and two decimals that short which parse to the
+// same float64 are one number (DBL_DIG = 15). It is therefore the
+// shortest round-trip decimal strconv would find, and the digits of m,
+// trailing zeros stripped, are its output byte for byte. It reports
+// false, appending nothing, for any other value.
+//
+// districtlint:hotpath
+func appendShortDecimal(b []byte, f float64) ([]byte, bool) {
+	abs := math.Abs(f)
+	if !(abs >= 1e-6 && abs < 1e15) {
+		return b, false
+	}
+	k, m := 0, uint64(0)
+	for ; ; k++ {
+		if k == len(pow10) {
+			return b, false
+		}
+		s := abs * pow10[k]
+		if s >= 1e15 {
+			return b, false
+		}
+		if m = uint64(s); float64(m) == s && s/pow10[k] == abs {
+			break
+		}
+	}
+	for k > 0 && m%10 == 0 {
+		m, k = m/10, k-1
+	}
+	// Digits right to left: m, then the point and any zeros it needs.
+	var buf [24]byte
+	i := len(buf)
+	for d := 0; m > 0 || d <= k; d++ {
+		if d == k && k > 0 {
+			i--
+			buf[i] = '.'
+		}
+		i--
+		buf[i] = byte('0' + m%10)
+		m /= 10
+	}
+	if f < 0 {
+		b = append(b, '-')
+	}
+	return append(b, buf[i:]...), true
 }
 
 // AppendTime appends t as time.Time.MarshalJSON would (quoted RFC 3339

@@ -182,7 +182,8 @@ func (s *Service) clusterCheckShard(shard int) error {
 // that covers every distinct device, and a refusal names the shard of
 // the first refused row. A PUT checks its one path device; a row
 // without a device is left to the ingester, which rejects it per row. A
-// refusal leaves the gate again.
+// refusal leaves the gate again. A device is hashed once per request,
+// through a memo (tsdb.ShardMemo), as on the coordinator.
 func (g *ingester) admit(r *http.Request, pts []Point) error {
 	s := g.s
 	if err := s.clusterCheckEpoch(r); err != nil {
@@ -195,11 +196,13 @@ func (g *ingester) admit(r *http.Request, pts []Point) error {
 		err = s.clusterCheckShard(sh.ShardFor(g.key.Device))
 	} else {
 		checked := make([]bool, sh.NumShards())
+		memo := shardMemos.Get().(*tsdb.ShardMemo)
+		defer shardMemos.Put(memo)
 		for i := range pts {
 			if pts[i].Device == "" {
 				continue
 			}
-			if shard := sh.ShardFor(pts[i].Device); !checked[shard] {
+			if shard := memo.ShardOf(pts[i].Device, len(checked)); !checked[shard] {
 				if err = s.clusterCheckShard(shard); err != nil {
 					break
 				}

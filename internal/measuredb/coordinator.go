@@ -613,11 +613,16 @@ func mergeBatchResults(sel SeriesSelector, parts []BatchResult) BatchResult {
 // remap row errors
 // ---------------------------------------------------------------------
 
+// shardMemos recycles the device→shard memos ingest requests place
+// their rows through.
+var shardMemos = sync.Pool{New: func() any { return new(tsdb.ShardMemo) }}
+
 // v2Ingest serves both write entrances, as the node's v2Ingest does: it
 // forwards the decoded rows — a PUT's stamped with the series its path
 // names — to their owners, each owner's body encoded straight from
 // them, and folds each node's outcome into one result, row errors
-// remapped to the client's row indexes.
+// remapped to the client's row indexes. A device is placed once per
+// request through a memo (tsdb.ShardMemo), not once per row.
 func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 	defer c.observe("ingest", time.Now())
 	field, series, err := ingestEntrance(r)
@@ -637,8 +642,10 @@ func (c *Coordinator) v2Ingest(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		delivered := 0
+		memo := shardMemos.Get().(*tsdb.ShardMemo)
+		defer shardMemos.Put(memo)
 		err := scatter(c, r.Context(), len(pts), coordIngestAttempts,
-			func(m *cluster.Map, i int) int { return m.ShardFor(pts[i].Device) },
+			func(m *cluster.Map, i int) int { return memo.ShardOf(pts[i].Device, m.Shards) },
 			func(node string, epoch uint64, rows []int) (IngestResult, error) {
 				// The bytes encoding/json renders an IngestBatch to, through
 				// the one row encoder: the last row's separator becomes the

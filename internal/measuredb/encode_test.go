@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -179,21 +180,60 @@ func FuzzAppendJSONString(f *testing.F) {
 	})
 }
 
+// shortDecimals sit on the edges of AppendFloat's digit-by-digit arm:
+// readings of a few decimals, values that need all six fractional
+// digits or a seventh, 15 and 16 significant digits, the range bounds
+// 1e-6 and 1e15, and a value whose rounding interval holds two
+// 2-decimal candidates (1e14 + 1/64).
+var shortDecimals = []float64{
+	21.5, -273.15, 0.07, 1.1, 0.3, 99.99, 1013.25, -0.5, 42,
+	0.000001, 0.0000015, 0.123456, 0.1234567, 1e-6, 9.99e-7,
+	123456789.123456, 12345678.123456, 999999999999999, 999999999999999.9,
+	1e15, 1e15 - 1, 1e14 + 1.0/64, 4503599627370495.5, 9007199254740993,
+}
+
+// checkJSONFloat requires AppendFloat to write v as json.Marshal does.
+func checkJSONFloat(t *testing.T, v float64) {
+	t.Helper()
+	got := jsonwire.AppendFloat(nil, v)
+	want, err := json.Marshal(v)
+	if err != nil {
+		t.Skip() // json refuses NaN and ±Inf; the value plane cannot produce them
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("float %x (%g):\nappend:  %q\nmarshal: %q", math.Float64bits(v), v, got, want)
+	}
+}
+
 func FuzzAppendJSONFloat(f *testing.F) {
 	for _, v := range encodeFloats {
 		f.Add(v)
 	}
-	f.Fuzz(func(t *testing.T, v float64) {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Skip() // json refuses these; the value plane cannot produce them
+	for _, v := range shortDecimals {
+		f.Add(v)
+		f.Add(math.Nextafter(v, math.Inf(1)))
+		f.Add(math.Nextafter(v, math.Inf(-1)))
+	}
+	f.Fuzz(checkJSONFloat)
+}
+
+// TestAppendJSONFloatShortDecimals sweeps decimals of 0 to 7 fractional
+// digits and 1 to 17 significant ones, each beside its ±1-ulp
+// neighbours, through AppendFloat against json.Marshal.
+func TestAppendJSONFloatShortDecimals(t *testing.T) {
+	rng := rand.New(rand.NewPCG(54, 1))
+	for i := 0; i < 200000; i++ {
+		digits := 1 + rng.IntN(17)
+		m := rng.Int64N(int64(math.Pow10(digits)))
+		v := float64(m) / math.Pow10(rng.IntN(8))
+		if i%2 == 1 {
+			v = -v
 		}
-		got := jsonwire.AppendFloat(nil, v)
-		want, err := json.Marshal(v)
-		if err != nil {
-			t.Skip()
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("float %x (%g):\nappend:  %q\nmarshal: %q", math.Float64bits(v), v, got, want)
-		}
-	})
+		checkJSONFloat(t, v)
+		checkJSONFloat(t, math.Nextafter(v, math.Inf(1)))
+		checkJSONFloat(t, math.Nextafter(v, math.Inf(-1)))
+	}
+	for _, v := range shortDecimals {
+		checkJSONFloat(t, v)
+	}
 }

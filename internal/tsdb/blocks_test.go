@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -1373,4 +1374,108 @@ func TestDownsampleUnderConcurrentCompactionAndAppends(t *testing.T) {
 	readers.Wait()
 	close(stop)
 	bg.Wait()
+}
+
+// TestCompactAllFailuresStayPerShard: shards 1 and 3 of four cannot
+// write their snapshots (their directories are files now), and a
+// forced compaction of every shard still compacts 0 and 2, while the
+// joined error names 1 and 3, in that order, and no other shard.
+func TestCompactAllFailuresStayPerShard(t *testing.T) {
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 4, SnapshotEvery: -1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer eng.Close()
+	var keys []SeriesKey
+	for d := 0; len(keys) < 4; d++ {
+		if k := shKey(d); ShardOf(k.Device, 4) == len(keys) {
+			keys = append(keys, k)
+		}
+	}
+	if errs := eng.AppendBatch(oldRows(50, keys...)); errs != nil {
+		t.Fatalf("append: %v", errs)
+	}
+	for _, i := range []int{1, 3} {
+		dir := eng.ShardDir(i)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dir, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := eng.CompactAll()
+	if err == nil {
+		t.Fatal("CompactAll succeeded with two shard directories gone")
+	}
+	msg := err.Error()
+	one, three := strings.Index(msg, "shard 1: "), strings.Index(msg, "shard 3: ")
+	if one < 0 || three < one || strings.Contains(msg, "shard 0: ") || strings.Contains(msg, "shard 2: ") {
+		t.Fatalf("CompactAll error %q, want shards 1 then 3 and no other", msg)
+	}
+	for i := range keys {
+		st := eng.ShardStatus(i)
+		if compacted := st.Blocks == 1 && st.WALPending == 0; compacted != (i%2 == 0) {
+			t.Errorf("shard %d: %d blocks, %d rows pending; compacted %v, want %v", i, st.Blocks, st.WALPending, compacted, i%2 == 0)
+		}
+	}
+}
+
+// TestCompactAllBesideWriters compacts every shard, again and again,
+// while two writers append: every row stays readable exactly once,
+// whether a cycle cut it into a block or left it in the head. Run it
+// under -race.
+func TestCompactAllBesideWriters(t *testing.T) {
+	eng := openDurable(t, t.TempDir(), ShardedOptions{Shards: 4, SnapshotEvery: -1, Blocks: BlockPolicy{HeadWindow: time.Minute}})
+	defer eng.Close()
+	const writers, batches, perBatch = 2, 40, 64
+	keys := make([]SeriesKey, 16)
+	for d := range keys {
+		keys[d] = shKey(d)
+	}
+	base := time.Now().UTC().Truncate(time.Second).Add(-3 * time.Hour)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rows := make([]Row, perBatch)
+			for b := 0; b < batches; b++ {
+				for r := range rows {
+					n := (b*perBatch+r)*writers + w // one timestamp and value per row of a series
+					rows[r] = Row{Key: keys[n%len(keys)], Sample: Sample{At: base.Add(time.Duration(n) * time.Second), Value: float64(n)}}
+				}
+				if errs := eng.AppendBatch(rows); errs != nil {
+					t.Errorf("writer %d batch %d: %v", w, b, errs)
+					return
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	cycles := 0
+	for running := true; running; cycles++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if err := eng.CompactAll(); err != nil {
+			t.Fatalf("CompactAll: %v", err)
+		}
+	}
+	total := 0
+	for _, k := range keys {
+		got, err := eng.Query(k, base, base.Add(time.Duration(writers*batches*perBatch)*time.Second))
+		if err != nil {
+			t.Fatalf("%v: %v", k, err)
+		}
+		for i, smp := range got {
+			if n := int(smp.Value); keys[n%len(keys)] != k || !smp.At.Equal(base.Add(time.Duration(n)*time.Second)) || i > 0 && got[i-1].Value >= smp.Value {
+				t.Fatalf("%v: sample %d is %v, repeated or not this series' own", k, i, smp)
+			}
+		}
+		total += len(got)
+	}
+	if want := writers * batches * perBatch; total != want {
+		t.Fatalf("%d rows readable after %d compaction rounds, want %d", total, cycles, want)
+	}
 }

@@ -323,8 +323,8 @@ const snapshotChunk = 2048
 
 // encodeRows appends the WAL/snapshot encoding of a row batch to dst.
 // Consecutive rows of the same series carry a 1-byte key-reuse flag
-// instead of repeating the strings — batched producers ship per-device
-// runs, so the common case is a handful of key payloads per record.
+// instead of repeating the strings — the engine's partition orders a
+// shard part by series, so a record carries one key payload per series.
 func encodeRows(dst []byte, rows []Row) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(rows)))
 	var prev SeriesKey

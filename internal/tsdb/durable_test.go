@@ -1,11 +1,14 @@
 package tsdb
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -444,5 +447,103 @@ func TestNodeRecordCodecRoundTrip(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSeriesRunsAcrossReopen drives random interleaved batches — equal
+// timestamps, rows out of the store's time range and keyed notes among
+// them — into a durable engine and reopens it. Every row error lands on
+// its own row, each series reads back exactly as its rows arrived
+// (ordered by time, equal timestamps in arrival order) before and after
+// the reopen, the notes come back in order, and the node log is smaller
+// than the records of the same batches in arrival order would be.
+func TestSeriesRunsAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	const shards = 4
+	eng := openDurable(t, dir, ShardedOptions{Shards: shards, SnapshotEvery: -1})
+	keys := make([]SeriesKey, 0, 24)
+	for d := 0; d < 8; d++ {
+		for _, q := range []string{"temperature", "humidity", "power"} {
+			keys = append(keys, SeriesKey{Device: shKey(d).Device, Quantity: q})
+		}
+	}
+	rng := rand.New(rand.NewPCG(54, 3))
+	want := map[SeriesKey][]Sample{}
+	var notes []string
+	arrivalBytes := 0
+	for b := 0; b < 60; b++ {
+		rows := make([]Row, 1+rng.IntN(300))
+		for i := range rows {
+			at := durT0.Add(time.Duration(rng.IntN(120)) * time.Second) // few distinct instants: equal timestamps abound
+			if rng.IntN(40) == 0 {
+				at = time.Date(1500, 1, 1, 0, 0, 0, 0, time.UTC)
+			}
+			rows[i] = Row{Key: keys[rng.IntN(len(keys))], Sample: Sample{At: at, Value: float64(b*1000 + i)}}
+		}
+		var note []byte
+		if b%3 == 0 {
+			note = fmt.Appendf(nil, "delivery %d", b)
+			notes = append(notes, string(note))
+		}
+		errs, _ := eng.AppendBatchNote(rows, nil, note)
+		arrival := make([][]Row, shards)
+		for i, r := range rows {
+			var err error
+			if errs != nil {
+				err = errs[i]
+			}
+			if Storable(r.Sample.At) != (err == nil) || err != nil && !errors.Is(err, ErrTimeRange) {
+				t.Fatalf("batch %d row %d (%v): error %v", b, i, r.Sample.At, err)
+			}
+			if err == nil {
+				want[r.Key] = append(want[r.Key], r.Sample)
+				sh := ShardOf(r.Key.Device, shards)
+				arrival[sh] = append(arrival[sh], r)
+			}
+		}
+		arrivalBytes += 8 + len(appendRecord(nil, note, arrival)) // a frame header and its record
+	}
+	for _, smps := range want {
+		slices.SortStableFunc(smps, func(a, b Sample) int { return a.At.Compare(b.At) })
+	}
+	check := func(e *Sharded, when string) {
+		t.Helper()
+		for _, k := range keys {
+			got, err := e.Query(k, durT0, durT0.Add(time.Hour))
+			if err != nil && len(want[k]) > 0 {
+				t.Fatalf("%s: %v: %v", when, k, err)
+			}
+			if !slices.Equal(got, want[k]) {
+				t.Fatalf("%s: %v reads %v, want %v", when, k, got, want[k])
+			}
+		}
+	}
+	check(eng, "before the reopen")
+	eng.Close()
+	logBytes := int64(0)
+	segs, err := wal.ListLog(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, base := range segs {
+		fi, err := os.Stat(filepath.Join(dir, "wal", wal.SeqName(base, ".seg")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		logBytes += fi.Size()
+	}
+	if logBytes*3 > int64(arrivalBytes)*2 {
+		t.Errorf("node log holds %d bytes; the batches in arrival order encode to %d, want at most two thirds", logBytes, arrivalBytes)
+	}
+
+	re := openDurable(t, dir, ShardedOptions{Shards: shards, SnapshotEvery: -1})
+	defer re.Close()
+	check(re, "after the reopen")
+	var gotNotes []string
+	for _, n := range re.Notes() {
+		gotNotes = append(gotNotes, string(n.Data))
+	}
+	if !slices.Equal(gotNotes, notes) {
+		t.Fatalf("notes after the reopen %q, want %q", gotNotes, notes)
 	}
 }

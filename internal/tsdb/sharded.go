@@ -48,10 +48,11 @@ type Row struct {
 }
 
 // AppendBatch appends rows to the head in order, coalescing consecutive
-// rows of the same series into one locked run: batched producers (device
-// buffers, NDJSON backfills, the ingest chunker) pay the map lookup and
-// the series lock once per run instead of once per sample. A head append
-// cannot fail; the shard worker (and recovery) is its only caller.
+// rows of the same series into one locked run: the engine's partition
+// orders every shard part by series, so a batch pays the map lookup and
+// the series lock once per series run instead of once per sample. A
+// head append cannot fail; the shard worker (and recovery) is its only
+// caller.
 func (s *Store) AppendBatch(rows []Row) {
 	for j := 0; j < len(rows); {
 		k := j + 1
@@ -482,6 +483,38 @@ func ShardOf(device string, n int) int {
 	return int(fnv64a(device) % uint64(n))
 }
 
+// ShardMemo is ShardOf memoised for rows whose device names repeat, as
+// the rows of one cluster ingest request do: a device is hashed once
+// however its rows interleave. The zero ShardMemo is ready; one is not
+// safe for concurrent use.
+type ShardMemo struct {
+	owners [1 << ownerBits]ownerEntry
+}
+
+// ownerBits sizes a ShardMemo (1<<ownerBits entries).
+const ownerBits = 10
+
+// ownerEntry memoises ShardOf(device, n). A memo may serve maps of
+// every shard count, so n is part of the key; the zero entry (n = 0)
+// matches none.
+type ownerEntry struct {
+	device   string
+	n, shard int32
+}
+
+// ShardOf is ShardOf(device, n) through the memo. The slot comes from
+// the address of the device string's bytes, as a series' does in the
+// engine's partition (seriesSlot), and every hit is confirmed by string
+// equality, so the memo can only answer what ShardOf would.
+func (m *ShardMemo) ShardOf(device string, n int) int {
+	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(device))))
+	e := &m.owners[(p*0x9E3779B97F4A7C15)>>(64-ownerBits)]
+	if int(e.n) != n || e.device != device {
+		*e = ownerEntry{device: device, n: int32(n), shard: int32(ShardOf(device, n))}
+	}
+	return int(e.shard)
+}
+
 // ShardDir reports shard i's on-disk directory ("" on an in-memory
 // engine).
 func (s *Sharded) ShardDir(i int) string {
@@ -589,57 +622,59 @@ func fnv64a(s string) uint64 {
 }
 
 // partitionScratch is the reusable working set of one append wave:
-// counting arrays, one flat row/index backing sliced into per-shard
-// windows, the caller-aligned error slots, and a memo of device owners.
-// Waves recycle it through scratchPool, so a steady-state ingest stream
-// repartitions in place instead of re-allocating per batch.
+// per-shard counts, each row's series run, one flat row/index backing
+// sliced into per-shard windows, the caller-aligned error slots and the
+// series memo. Waves recycle it through scratchPool, so a steady-state
+// ingest stream repartitions in place instead of re-allocating per
+// batch, and finds its series in a memo earlier waves filled.
 type partitionScratch struct {
-	counts  []int
-	offs    []int
-	shardOf []int32
-	rows    []Row
-	idx     []int
-	per     [][]Row
-	peridx  [][]int
-	errs    []error
-	owners  [1 << ownerBits]ownerEntry
-	item    journalItem
-	rec     []byte
+	counts []int
+	runOf  []int32
+	runs   []seriesRun
+	rows   []Row
+	idx    []int
+	per    [][]Row
+	peridx [][]int
+	errs   []error
+	series [1 << seriesBits]seriesEntry
+	wave   uint32
+	item   journalItem
+	rec    []byte
 }
 
-// ownerBits sizes partitionScratch's owner memo (1<<ownerBits entries).
-const ownerBits = 10
+// seriesRun is one series' rows in a wave: its shard, how many rows it
+// has, and, once the wave is laid out, where its next row goes in the
+// flat backing.
+type seriesRun struct{ shard, rows, at int32 }
 
-// ownerEntry memoises ShardOf(device, n). The pool is shared by engines
+// seriesBits sizes partitionScratch's series memo (1<<seriesBits
+// entries).
+const seriesBits = 10
+
+// seriesEntry memoises a series' shard, ShardOf(key.Device, n), and
+// names its run in the wave stamped wave. The pool is shared by engines
 // of every shard count, so n is part of the key; the zero entry (n = 0)
-// matches no engine.
-type ownerEntry struct {
-	device   string
+// matches no engine, and the zero stamp no wave.
+type seriesEntry struct {
+	key      SeriesKey
 	n, shard int32
+	wave     uint32
+	run      int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(partitionScratch) }}
 
-// owner is ShardOf(device, n) through the memo, so a device that recurs
-// in an interleaved wave hashes once, not on every row. The slot comes
-// from the address of the device string's bytes: the ingest decoder
-// interns device names, so every row of a device shares one address and
-// finds its slot with one multiply. An equal string at another address
-// is just another key that fills its own slot; every hit is confirmed
-// by string equality, so the memo can only answer what ShardOf would.
-func (sc *partitionScratch) owner(device string, n int) int {
-	e := &sc.owners[ownerSlot(device)]
-	if int(e.n) != n || e.device != device {
-		*e = ownerEntry{device: device, n: int32(n), shard: int32(ShardOf(device, n))}
-	}
-	return int(e.shard)
-}
-
-// ownerSlot is device's slot in the owner memo: the address of its
-// bytes, Fibonacci-hashed.
-func ownerSlot(device string) int {
-	p := uint64(uintptr(unsafe.Pointer(unsafe.StringData(device))))
-	return int((p * 0x9E3779B97F4A7C15) >> (64 - ownerBits))
+// seriesSlot is key's slot in the series memo: the addresses of its
+// strings' bytes, Fibonacci-hashed. The ingest decoder interns device
+// and quantity names, so every row of a series shares both addresses
+// and finds its slot with two multiplies. An equal key at other
+// addresses is just another key that fills its own slot; every hit is
+// confirmed by string equality, so the memo can only answer what
+// ShardOf would.
+func seriesSlot(key SeriesKey) int {
+	d := uint64(uintptr(unsafe.Pointer(unsafe.StringData(key.Device))))
+	q := uint64(uintptr(unsafe.Pointer(unsafe.StringData(key.Quantity))))
+	return int(((d*0x9E3779B97F4A7C15 + q) * 0x9E3779B97F4A7C15) >> (64 - seriesBits))
 }
 
 // errSlots returns n zeroed caller-aligned error slots backed by the
@@ -656,73 +691,93 @@ func (sc *partitionScratch) errSlots(n int) []error {
 }
 
 // partition splits rows into per-shard sub-batches, recording each row's
-// original index (so per-row errors line up). A counting pass sizes
-// every sub-batch exactly — no growth reallocations on the ingest hot
-// path — and takes each row's shard from sc.owner, so a device is
-// hashed once per wave however its rows interleave. The same pass
-// refuses a row whose At the store cannot keep (ErrTimeRange in its
-// errs slot): it joins no sub-batch, so it is never journaled. The
-// sub-batches are windows over one flat copy owned by sc: callers may
-// reuse their input immediately, and the whole wave recycles as one
-// unit once every worker is done with it.
+// original index (so per-row errors line up), and orders each shard's
+// sub-batch by series: a series' rows keep their arrival order, equal
+// timestamps included, and the series follow in the order their first
+// rows arrived. The store then resolves and locks a series once per
+// run, and the node log writes its key once per run (encodeRows).
+//
+// A counting pass finds each row's shard and series run through the
+// series memo, so a series is hashed once however its rows interleave,
+// and not again while the memo keeps it. A series that loses its slot
+// to another mid-wave only starts a second run behind its first, which
+// keeps its order. The same pass refuses a row whose At the store
+// cannot keep (ErrTimeRange in its errs slot): it joins no sub-batch,
+// so it is never journaled. The pass sizes every sub-batch exactly — no
+// growth reallocations on the ingest hot path — and the sub-batches are
+// windows over one flat copy owned by sc: callers may reuse their input
+// immediately, and the whole wave recycles as one unit once every
+// worker is done with it.
 //
 // districtlint:hotpath
 func (s *Sharded) partition(sc *partitionScratch, rows []Row, errs []error) (per [][]Row, idx [][]int) {
 	n := len(s.shards)
 	if cap(sc.counts) < n {
 		sc.counts = make([]int, n)
-		sc.offs = make([]int, n)
 		sc.per = make([][]Row, n)
 		sc.peridx = make([][]int, n)
 	}
 	counts := sc.counts[:n]
-	for i := range counts {
-		counts[i] = 0
+	clear(counts)
+	if cap(sc.runOf) < len(rows) {
+		sc.runOf = make([]int32, len(rows))
+		sc.runs = make([]seriesRun, 0, len(rows))
 	}
-	if cap(sc.shardOf) < len(rows) {
-		sc.shardOf = make([]int32, len(rows))
+	runOf, runs := sc.runOf[:len(rows)], sc.runs[:0]
+	if sc.wave++; sc.wave == 0 {
+		clear(sc.series[:]) // a wrapped stamp must not revive a run it once named
+		sc.wave = 1
 	}
-	shardOf := sc.shardOf[:len(rows)]
 	for i := range rows {
+		key := rows[i].Key
 		if !Storable(rows[i].Sample.At) {
 			errs[i] = ErrTimeRange
-			shardOf[i] = -1
+			runOf[i] = -1
 			continue
 		}
-		sh := sc.owner(rows[i].Key.Device, n)
-		shardOf[i] = int32(sh)
-		counts[sh]++
+		e := &sc.series[seriesSlot(key)]
+		if int(e.n) != n || e.key != key {
+			*e = seriesEntry{key: key, n: int32(n), shard: int32(ShardOf(key.Device, n))}
+		}
+		if e.wave != sc.wave {
+			e.wave, e.run = sc.wave, int32(len(runs))
+			runs = append(runs, seriesRun{shard: e.shard})
+		}
+		runs[e.run].rows++
+		counts[e.shard]++
+		runOf[i] = e.run
 	}
 	if cap(sc.rows) < len(rows) {
 		sc.rows = make([]Row, len(rows))
-	}
-	flat := sc.rows[:len(rows)]
-	if cap(sc.idx) < len(rows) {
 		sc.idx = make([]int, len(rows))
 	}
-	flatIdx := sc.idx[:len(rows)]
+	flat, flatIdx := sc.rows, sc.idx
+	// Lay the shard windows out back to back, then the runs of each
+	// shard inside its window in run order; counts turns into each
+	// window's fill cursor.
 	per, idx = sc.per[:n], sc.peridx[:n]
-	offs := sc.offs[:n]
 	sum := 0
-	for shn, c := range counts {
-		offs[shn] = sum
-		if c == 0 {
-			per[shn], idx[shn] = nil, nil
-		} else {
-			// Full slice expression: appends stay inside the window.
-			per[shn] = flat[sum : sum : sum+c]
-			idx[shn] = flatIdx[sum : sum : sum+c]
+	for sh, c := range counts {
+		per[sh], idx[sh] = nil, nil
+		if c > 0 {
+			per[sh], idx[sh] = flat[sum:sum+c:sum+c], flatIdx[sum:sum+c:sum+c]
 		}
+		counts[sh] = sum
 		sum += c
 	}
-	for i, r := range rows {
-		shn := shardOf[i]
-		if shn < 0 {
-			continue
-		}
-		per[shn] = append(per[shn], r)
-		idx[shn] = append(idx[shn], i)
+	for j := range runs {
+		r := &runs[j]
+		r.at = int32(counts[r.shard])
+		counts[r.shard] += int(r.rows)
 	}
+	for i := range rows {
+		if j := runOf[i]; j >= 0 {
+			r := &runs[j]
+			flat[r.at], flatIdx[r.at] = rows[i], i
+			r.at++
+		}
+	}
+	sc.runs = runs
 	return per, idx
 }
 
@@ -853,11 +908,24 @@ func (s *Sharded) CompactShard(i int) error {
 	return s.enqueueOp(i, &shardOp{kind: opCompact})
 }
 
-// CompactAll forces a compaction cycle on every shard.
+// CompactAll forces a compaction cycle on every shard. Every shard's
+// cycle is queued before any is waited on, so the shard workers compact
+// concurrently; a shard that fails does not stop the others, and the
+// joined error names the failed shards in shard order.
 func (s *Sharded) CompactAll() error {
+	ops := make([]*shardOp, len(s.shards))
+	queued := make([]error, len(s.shards))
+	for i := range ops {
+		ops[i] = &shardOp{kind: opCompact}
+		queued[i] = s.startOp(i, ops[i])
+	}
 	var err error
-	for i := range s.shards {
-		if cerr := s.CompactShard(i); cerr != nil {
+	for i, op := range ops {
+		cerr := queued[i]
+		if cerr == nil {
+			cerr = <-op.done
+		}
+		if cerr != nil {
 			err = errors.Join(err, fmt.Errorf("shard %d: %w", i, cerr))
 		}
 	}
@@ -867,11 +935,17 @@ func (s *Sharded) CompactAll() error {
 // enqueueOp routes an op through shard i's worker and waits for its
 // outcome.
 func (s *Sharded) enqueueOp(i int, op *shardOp) error {
-	op.done = make(chan error, 1)
-	if err := s.enqueue(i, batchItem{op: op}); err != nil {
+	if err := s.startOp(i, op); err != nil {
 		return err
 	}
 	return <-op.done
+}
+
+// startOp queues an op on shard i's worker; its outcome arrives on
+// op.done unless startOp fails.
+func (s *Sharded) startOp(i int, op *shardOp) error {
+	op.done = make(chan error, 1)
+	return s.enqueue(i, batchItem{op: op})
 }
 
 // enqueue puts one item on shard i's queue; it refuses a shard out of

@@ -444,19 +444,36 @@ func TestShardedCursorStableUnderConcurrentIngest(t *testing.T) {
 
 // checkPartition partitions rows on s with sc and requires every
 // storable row to land in the sub-batch of ShardOf(device, shards), at
-// its own index: the owner memo may only answer what ShardOf would.
+// its own index — the series memo may only answer what ShardOf would —
+// and ShardMemo to answer the same. Inside a sub-batch a series' rows
+// keep their arrival order, and its runs (rows of one series back to
+// back) start in arrival order.
 func checkPartition(t *testing.T, s *Sharded, sc *partitionScratch, rows []Row) {
 	t.Helper()
 	n := s.NumShards()
 	per, idx := s.partition(sc, rows, make([]error, len(rows)))
+	var memo ShardMemo
 	seen := 0
 	for sh := range per {
+		last := map[SeriesKey]int{}
+		runStart := -1
 		for k, r := range per[sh] {
-			if want := ShardOf(r.Key.Device, n); sh != want {
-				t.Fatalf("%d shards: %q routed to shard %d, ShardOf says %d", n, r.Key.Device, sh, want)
+			if want := ShardOf(r.Key.Device, n); sh != want || memo.ShardOf(r.Key.Device, n) != want {
+				t.Fatalf("%d shards: %q routed to shard %d (ShardMemo %d), ShardOf says %d", n, r.Key.Device, sh, memo.ShardOf(r.Key.Device, n), want)
 			}
-			if rows[idx[sh][k]] != r {
-				t.Fatalf("%d shards: shard %d row %d carries index %d of another row", n, sh, k, idx[sh][k])
+			i := idx[sh][k]
+			if rows[i] != r {
+				t.Fatalf("%d shards: shard %d row %d carries index %d of another row", n, sh, k, i)
+			}
+			if j, ok := last[r.Key]; ok && j >= i {
+				t.Fatalf("%d shards: %v row %d placed after its row %d", n, r.Key, j, i)
+			}
+			last[r.Key] = i
+			if k == 0 || per[sh][k-1].Key != r.Key {
+				if i <= runStart {
+					t.Fatalf("%d shards: shard %d run of %v starting at row %d placed after one starting at row %d", n, sh, r.Key, i, runStart)
+				}
+				runStart = i
 			}
 			seen++
 		}
@@ -466,10 +483,11 @@ func checkPartition(t *testing.T, s *Sharded, sc *partitionScratch, rows []Row) 
 	}
 }
 
-// TestPartitionOwnerMemo holds the per-scratch owner memo to ShardOf:
-// across engines of different shard counts sharing one pooled scratch,
-// for two devices that share a memo slot, and for device strings equal
-// to the interned ones but stored elsewhere.
+// TestPartitionOwnerMemo holds the per-scratch series memo, and
+// ShardMemo, to ShardOf: across engines of different shard counts
+// sharing one pooled scratch, for two devices whose series share a
+// memo slot, and for device strings equal to the interned ones but
+// stored elsewhere.
 func TestPartitionOwnerMemo(t *testing.T) {
 	s3, s8 := NewSharded(ShardedOptions{Shards: 3}), NewSharded(ShardedOptions{Shards: 8})
 	defer s3.Close()
@@ -501,10 +519,11 @@ func TestPartitionOwnerMemo(t *testing.T) {
 		var pair []string
 		for i := 0; pair == nil; i++ {
 			dev := fmt.Sprintf("urn:district:turin/building:b%03d/device:c%d", i%1000, i)
-			if other, ok := bySlot[ownerSlot(dev)]; ok && ShardOf(other, 8) != ShardOf(dev, 8) {
+			slot := seriesSlot(SeriesKey{Device: dev, Quantity: "temperature"})
+			if other, ok := bySlot[slot]; ok && ShardOf(other, 8) != ShardOf(dev, 8) {
 				pair = []string{other, dev}
 			}
-			bySlot[ownerSlot(dev)] = dev
+			bySlot[slot] = dev
 		}
 		sc := new(partitionScratch)
 		checkPartition(t, s8, sc, interleaved(pair, 64))

@@ -88,11 +88,11 @@ func LatestSnapshot(dir string) (uint64, *SnapshotReader, error) {
 }
 
 func openSnapshot(dir string, seq uint64) (*SnapshotReader, error) {
-	f, err := os.Open(snapPath(dir, seq))
+	f, fr, err := openFrames(snapPath(dir, seq), maxRecord)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, err
 	}
-	return &SnapshotReader{f: f, fr: newFrameReader(f, maxRecord)}, nil
+	return &SnapshotReader{f: f, fr: fr}, nil
 }
 
 // RemoveSnapshotsBefore deletes snapshots with watermark < seq, then

@@ -212,12 +212,11 @@ func (l *Log) segPath(base uint64) string {
 // scanSegment counts the whole frames of a segment and the byte length
 // they occupy; a torn or corrupt tail is simply excluded.
 func scanSegment(path string, limit int) (count int, valid int64, err error) {
-	f, err := os.Open(path)
+	f, r, err := openFrames(path, limit)
 	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
+		return 0, 0, err
 	}
 	defer f.Close() //lint:ignore closecheck read-only scan; close error cannot lose data
-	r := newFrameReader(f, limit)
 	for {
 		_, err := r.next()
 		if err != nil {
@@ -233,17 +232,31 @@ func scanSegment(path string, limit int) (count int, valid int64, err error) {
 
 // frameReader reads frames sequentially, tracking the offset after the
 // last whole frame. Any malformed frame — short header, zero or
-// oversized length, payload cut short, CRC mismatch — reads as
-// ErrCorrupt; clean end-of-file as io.EOF.
+// oversized length, a length past the end of the file, payload cut
+// short, CRC mismatch — reads as ErrCorrupt; clean end-of-file as
+// io.EOF. A length is checked before its payload is allocated, so a
+// garbage header costs no more memory than the file holds.
 type frameReader struct {
-	r   io.Reader
-	max int
-	off int64
-	buf []byte
+	r    io.Reader
+	max  int
+	size int64 // the file's length when it was opened
+	off  int64
+	buf  []byte
 }
 
-func newFrameReader(r io.Reader, max int) *frameReader {
-	return &frameReader{r: bufio.NewReaderSize(r, 1<<16), max: max}
+// openFrames opens the framed file at path (a log segment or a
+// snapshot) and a frameReader over it; the caller closes the file.
+func openFrames(path string, max int) (*os.File, *frameReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	st, err := f.Stat()
+	if err != nil {
+		f.Close() //lint:ignore closecheck read-only; the Stat failure is the error reported
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	return f, &frameReader{r: bufio.NewReaderSize(f, 1<<16), max: max, size: st.Size()}, nil
 }
 
 // appendFrameHeader appends the header of p's frame to dst.
@@ -263,7 +276,7 @@ func (fr *frameReader) next() ([]byte, error) {
 	}
 	length := binary.LittleEndian.Uint32(hdr[0:4])
 	crc := binary.LittleEndian.Uint32(hdr[4:8])
-	if length == 0 || int(length) > fr.max {
+	if length == 0 || int(length) > fr.max || int64(length) > fr.size-fr.off-frameHeader {
 		return nil, ErrCorrupt
 	}
 	if cap(fr.buf) < int(length) {
@@ -575,12 +588,11 @@ func replaySegments(dir string, segs []uint64, limit int, after uint64, fn func(
 }
 
 func replaySegment(path string, base uint64, limit int, last bool, after uint64, fn func(uint64, []byte) error) error {
-	f, err := os.Open(path)
+	f, r, err := openFrames(path, limit)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	defer f.Close() //lint:ignore closecheck read-only replay; close error cannot lose data
-	r := newFrameReader(f, limit)
 	seq := base
 	for {
 		p, err := r.next()

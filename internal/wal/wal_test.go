@@ -2,11 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -471,5 +473,50 @@ func TestSkipTo(t *testing.T) {
 	seqs, _ := collect(t, l2, 0)
 	if len(seqs) != 2 || seqs[0] != 1 || seqs[1] != 100 {
 		t.Fatalf("replay = %v", seqs)
+	}
+}
+
+// TestFrameLengthPastEndOfFileIsCorrupt: a frame header declaring a
+// payload longer than the rest of its file — here the largest length
+// a record may have, in an 8-byte file — reads as corrupt before the
+// payload is allocated, in a sealed log segment and in a snapshot.
+func TestFrameLengthPastEndOfFileIsCorrupt(t *testing.T) {
+	var header [frameHeader]byte
+	binary.LittleEndian.PutUint32(header[:], maxRecord)
+	allocated := func(read func() error) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+
+	dir := t.TempDir()
+	for base, body := range map[uint64][]byte{1: header[:], 2: nil} {
+		if err := os.WriteFile(filepath.Join(dir, SeqName(base, segSuffix)), body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := allocated(func() error {
+		return ReadDir(dir, 0, func(uint64, []byte) error { return nil })
+	})
+	if !errors.Is(err, ErrCorrupt) || n >= 1<<20 {
+		t.Errorf("segment: err %v after allocating %d bytes, want ErrCorrupt under 1 MiB", err, n)
+	}
+
+	if err := os.WriteFile(snapPath(dir, 7), header[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err = allocated(func() error {
+		_, sr, err := LatestSnapshot(dir)
+		if err != nil {
+			return err
+		}
+		defer sr.Close()
+		_, err = sr.Record()
+		return err
+	})
+	if !errors.Is(err, ErrCorrupt) || n >= 1<<20 {
+		t.Errorf("snapshot: err %v after allocating %d bytes, want ErrCorrupt under 1 MiB", err, n)
 	}
 }
